@@ -16,8 +16,6 @@ The package has three layers:
 
 __version__ = "0.1.0"
 
-RNG_ID = "philox4x64"
-
 from .params import (  # noqa: E402,F401
     AdmissibilityError,
     AdmissibleParams,
@@ -50,6 +48,7 @@ from .presets import (  # noqa: E402,F401
     symmetric_split_params,
 )
 from .noise import (  # noqa: E402,F401
+    RNG_ID,
     NoiseSystem,
     dump_noise,
     generate_noise,

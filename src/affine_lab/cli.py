@@ -101,6 +101,14 @@ def _as_int(value, path: str, minimum: int = 0) -> int:
     return value
 
 
+def _as_seed(value, path: str) -> int:
+    # Path seeds are derived modulo 2**64, so a larger seed would alias.
+    value = _as_int(value, path)
+    if value >= 1 << 64:
+        raise ConfigError(f"{path}: must be < 2**64")
+    return value
+
+
 def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false")
@@ -389,7 +397,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
 
     mc = blocks["mc"]
     n_paths = _as_int(mc.get("n_paths", 1000), "$.mc.n_paths", minimum=1)
-    seed = _as_int(mc.get("seed", 0), "$.mc.seed")
+    seed = _as_seed(mc.get("seed", 0), "$.mc.seed")
     eps = _as_nonneg(mc.get("eps", 1e-4), "$.mc.eps")
     u_bound = _as_pos(mc.get("u_bound", 16.0), "$.mc.u_bound")
 
@@ -775,9 +783,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            config = config.with_seed(args.seed)
+            config = config.with_seed(_as_seed(args.seed, "--seed"))
         return run(args.command, config, out_dir=args.out, workers=workers)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"affine-lab: {exc}", file=sys.stderr)

@@ -1,23 +1,36 @@
 """Strong-solution simulators for the jump stochastic systems.
 
-All schemes are truncated Euler on the noise grid with exact jump
-insertion.  Per step of width ``dt`` from the stored state at the step
-start: the drift and diffusion increments use the step-start state; every
-immigration event in the half-open step window adds its mark; every
-candidate of the state-thinned stream is accepted when its uniform mark
-lies below the step-start intensity; compensated terms subtract
-``dt * intensity * (band moment)`` over exactly the retained jump band;
-finally nonnegative components are clamped at zero.  Stored grid values
-are therefore post-jump states.
+All four systems (the affine pair, the scalar branching equation, the
+catalyst/reactant coupling and the rescaled reactant pair with its limit
+equation) run through one truncated-Euler step loop, ``_step_loop``, on
+the noise grid with exact jump insertion.  A system only declares its
+coordinates; each ``_Coord`` gives
+
+* ``euler``: the continuous (drift + diffusion) update from the
+  step-start states;
+* ``marks0`` and ``m``: its weight of each immigration (N0) mark and the
+  immigration compensator;
+* ``intensity``: the step-start intensity that thins the candidate stream
+  N1 for it (a candidate is accepted when its uniform mark does not
+  exceed it);
+* ``marks1`` and ``comp``: its weight of each accepted N1 mark and the
+  thinning compensator, ``dt * intensity * (band moment)`` over exactly
+  the retained jump band;
+* ``clamp``: whether it is clamped at zero.
+
+Per step of width ``dt`` every coordinate reads only the step-start
+states and runs ``euler -> +N0 marks -> -dt*m -> +accepted N1 marks ->
+-comp -> clamp``, so stored grid values are post-jump states.  The loop
+owns the stacked Brownian array, the event tables, abort detection (a
+non-finite state, or an intensity above the thinning bound) and the clamp
+count.  The catalyst coordinate has one definition shared by every system
+that contains it, so its path is bitwise identical across the pair,
+catalytic and reactant simulators given the same noise.
 
 Determinism: a path is a pure function of (coefficients, initial state,
 NoiseSystem).  Batched simulation stacks many noise systems and performs
 identical elementwise arithmetic, so the single-path wrappers run a batch
 of one and an ensemble reproduces each scalar path bit for bit.
-
-The first coordinate's update is shared verbatim by every system that
-contains it, so the catalyst path is bitwise identical across the pair,
-catalytic, and reactant simulators given the same noise.
 
 Explicit-Euler stability is enforced: runs with ``dt * beta_bar > 0.1``
 are refused rather than silently degraded.
@@ -367,32 +380,6 @@ def _add_events(target, paths, weights, n_paths):
     return target
 
 
-# -- shared first-coordinate step ------------------------------------------
-
-def _advance_x(xk, dB1, dB2, dt, b1, b11, s11, s12, ev0, ev1, k, n_paths,
-               mu_x1):
-    """One Euler step of the catalyst equation; returns (next, went_negative).
-
-    Kept as the single implementation used by all pair systems so that the
-    catalyst path is bitwise identical across them for shared noise.
-    """
-    xn = xk + dt * (b1 + b11 * xk) + np.sqrt(2.0 * xk) * (s11 * dB1
-                                                          + s12 * dB2)
-    s, e = ev0.offsets[k], ev0.offsets[k + 1]
-    if e > s:
-        xn = _add_events(xn, ev0.path[s:e], ev0.xi1[s:e], n_paths)
-    s, e = ev1.offsets[k], ev1.offsets[k + 1]
-    if e > s:
-        acc = ev1.umark[s:e] <= xk[ev1.path[s:e]]
-        if acc.any():
-            xn = _add_events(xn, ev1.path[s:e][acc], ev1.xi1[s:e][acc],
-                             n_paths)
-    if mu_x1 != 0.0:
-        xn = xn - dt * xk * mu_x1
-    neg = xn < 0.0
-    return np.where(neg, 0.0, xn), neg
-
-
 def _region_weights(xi2, region):
     """xi2 contribution per event under a jump-region restriction."""
     if region == "all":
@@ -421,15 +408,200 @@ def _moment(measure, p1, p2, region, eps):
     return measure.poly_moment(p1, p2, region=region, eps=eps)
 
 
-def _batch_shapes(noises, min_components):
+def _thins(measure) -> bool:
+    return measure is not None and not measure.is_empty
+
+
+def _reference_noise(noises, min_components):
     ref = noises[0]
     if ref.n_components < min_components:
         raise ValueError(f"noise must carry at least {min_components} "
                          f"Brownian components, got {ref.n_components}")
-    return len(noises), ref.n_steps, ref.dt, ref.eps, ref.u_bound
+    return ref
 
 
-# -- batch cores -----------------------------------------------------------
+# -- the step kernel -------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Coord:
+    """One coordinate of a batch system (see the module docstring).
+
+    Call signatures: ``euler(s, dB, k)`` with ``s`` the step-start states
+    by name and ``dB`` the step's ``(n_paths, n_components)`` Brownian
+    increments; ``intensity(s, k)``; ``comp(s, k, lam)`` with ``lam`` the
+    coordinate's intensity; ``marks0(xi1, xi2)`` and ``marks1(xi1, xi2)``
+    on a whole event table.  Coordinates that share one intensity
+    function share its evaluation and bound check in each step.
+    """
+
+    name: str
+    start: float
+    euler: object
+    intensity: object
+    marks0: object
+    marks1: object
+    m: float = 0.0
+    comp: object = None
+    clamp: bool = False
+
+
+def _thinning_comp(dt, mu):
+    """The compensator ``dt * intensity * mu``, or None when ``mu == 0``."""
+    if mu == 0.0:
+        return None
+    return lambda s, k, lam: dt * lam * mu
+
+
+def _step_loop(noises, coords, thinning):
+    """Euler paths of ``coords`` on the stacked noise of one batch.
+
+    Returns ``(paths by name, aborted_at, clamps)``.  A path aborts at the
+    first step whose state is not finite or, when ``thinning``, whose
+    intensity exceeds ``u_bound`` (candidates above it were never drawn).
+    """
+    ref = noises[0]
+    n_paths, n_steps, dt, u_bound = len(noises), ref.n_steps, ref.dt, \
+        ref.u_bound
+    brown = np.stack([ns.brownian for ns in noises])
+    ev0 = _EventTable(noises, "n0", n_steps)
+    ev1 = _EventTable(noises, "n1", n_steps)
+    w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
+    w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
+
+    paths = [np.empty((n_paths, n_steps + 1)) for _ in coords]
+    for c, arr in zip(coords, paths):
+        arr[:, 0] = c.start
+    abort_step = np.full(n_paths, -1, dtype=np.intp)
+    clamps = np.zeros(n_paths, dtype=np.intp)
+    alive = np.ones(n_paths, dtype=bool)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n_steps):
+            s = {c.name: arr[:, k] for c, arr in zip(coords, paths)}
+            lam = {}
+            for c in coords:
+                if c.intensity not in lam:
+                    lam[c.intensity] = c.intensity(s, k)
+            states = list(s.values())
+            finite = np.isfinite(states[0])
+            for v in states[1:]:
+                finite &= np.isfinite(v)
+            bad = ~finite
+            if thinning:
+                for v in lam.values():
+                    bad |= v > u_bound
+            newly = alive & bad
+            if newly.any():
+                abort_step[newly] = k
+                alive &= ~newly
+
+            dB = brown[:, :, k]
+            a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
+            a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
+            for c, arr, v0, v1 in zip(coords, paths, w0, w1):
+                lam_c = lam[c.intensity]
+                new = c.euler(s, dB, k)
+                if e0 > a0:
+                    new = _add_events(new, ev0.path[a0:e0], v0[a0:e0],
+                                      n_paths)
+                if c.m != 0.0:
+                    new = new - dt * c.m
+                if e1 > a1:
+                    acc = ev1.umark[a1:e1] <= lam_c[ev1.path[a1:e1]]
+                    if acc.any():
+                        new = _add_events(new, ev1.path[a1:e1][acc],
+                                          v1[a1:e1][acc], n_paths)
+                if c.comp is not None:
+                    new = new - c.comp(s, k, lam_c)
+                if c.clamp:
+                    neg = new < 0.0
+                    clamps += neg & alive
+                    new = np.where(neg, 0.0, new)
+                arr[:, k + 1] = new
+
+    aborted_at = _finalize_aborts(abort_step, ref.grid, *paths)
+    return ({c.name: arr for c, arr in zip(coords, paths)}, aborted_at,
+            clamps)
+
+
+# -- coordinates -----------------------------------------------------------
+
+def _xi1(xi1, xi2):
+    return xi1
+
+
+def _region_marks(region):
+    return lambda xi1, xi2: _region_weights(xi2, region)
+
+
+def _catalyst_intensity(s, k):
+    return s["x"]
+
+
+def _catalyst(params, x0, dt, eps):
+    """The first coordinate, one definition for every pair system so the
+    catalyst path is bitwise identical across them for shared noise."""
+    b1, b11 = params.b[0], params.beta[0, 0]
+    s11, s12 = params.sigma[0]
+
+    def euler(s, dB, k):
+        xk = s["x"]
+        return xk + dt * (b1 + b11 * xk) \
+            + np.sqrt(2.0 * xk) * (s11 * dB[:, 1] + s12 * dB[:, 2])
+
+    return _Coord("x", x0, euler, _catalyst_intensity, _xi1, _xi1,
+                  comp=_thinning_comp(dt, _moment(params.mu, 1, 0, "all",
+                                                  eps)),
+                  clamp=True)
+
+
+def _linear_partner(params, name, z0, region, dt, eps):
+    """The real second coordinate driven by the catalyst; ``region``
+    restricts which jump marks it reads ("plus" gives the one-sided limit
+    equation of the single reactant)."""
+    b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
+    s21, s22 = params.sigma[1]
+    rt2s0 = math.sqrt(2.0) * params.sigma0
+
+    def euler(s, dB, k):
+        xk, zk = s["x"], s[name]
+        return zk + dt * (b2 + b21 * xk + b22 * zk) + rt2s0 * dB[:, 0] \
+            + np.sqrt(2.0 * xk) * (s21 * dB[:, 1] + s22 * dB[:, 2])
+
+    marks = _region_marks(region)
+    return _Coord(name, z0, euler, _catalyst_intensity, marks, marks,
+                  m=_moment(params.m, 0, 1, region, eps),
+                  comp=_thinning_comp(dt, _moment(params.mu, 0, 1, region,
+                                                  eps)))
+
+
+def _reactant(params, name, y0, theta, coefs, region, dt, eps):
+    """A reactant at scale ``theta`` carrying ``coefs = (sigma0, sigma21,
+    sigma22, b2, beta21)`` and the marks of one quadrant: "plus" reads
+    them as they are, "minus" sign-flipped."""
+    sg0, sg21, sg22, bb2, bb21 = coefs
+    b22 = params.beta[1, 1]
+    sign = 1.0 if region == "plus" else -1.0
+    m_c = sign * _moment(params.m, 0, 1, region, eps)
+    mu_c = sign * _moment(params.mu, 0, 1, region, eps)
+
+    def intensity(s, k):
+        return s["x"] * (s[name] / theta)
+
+    def euler(s, dB, k):
+        xk, yk = s["x"], s[name]
+        ty = yk / theta
+        return yk + dt * (-theta * b22 + bb21 * xk * ty + bb2 * ty
+                          + b22 * yk) \
+            + sg0 * np.sqrt(2.0 * ty) * dB[:, 0] \
+            + np.sqrt(2.0 * xk * ty) * (sg21 * dB[:, 1] + sg22 * dB[:, 2])
+
+    marks = _region_marks(region)
+    return _Coord(name, y0, euler, intensity, marks, marks, m=m_c,
+                  comp=_thinning_comp(dt, mu_c), clamp=True)
+
+
+# -- batch systems ---------------------------------------------------------
 
 def _affine_batch(params, x0, z0, noises, z_region="all"):
     """Euler paths of the pair system (first coordinate + linear partner).
@@ -438,127 +610,39 @@ def _affine_batch(params, x0, z0, noises, z_region="all"):
     "all" is the two-sided pair equation, "plus" the one-sided limit
     equation.  The first coordinate always reads every mark.
     """
-    n_paths, n_steps, dt, eps, u_bound = _batch_shapes(noises, 3)
-    _stability_guard(dt, params.beta_bar, "max|beta|")
-    grid = noises[0].grid
-    brown = np.stack([ns.brownian for ns in noises])
-    ev0 = _EventTable(noises, "n0", n_steps)
-    ev1 = _EventTable(noises, "n1", n_steps)
-
-    b1, b2 = params.b
-    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
-    s11, s12 = params.sigma[0]
-    s21, s22 = params.sigma[1]
-    rt2s0 = math.sqrt(2.0) * params.sigma0
-    mu_x1 = _moment(params.mu, 1, 0, "all", eps)
-    m_z = _moment(params.m, 0, 1, z_region, eps)
-    mu_z = _moment(params.mu, 0, 1, z_region, eps)
-    thinning = params.mu is not None and not params.mu.is_empty
-    z0_w0 = _region_weights(ev0.xi2, z_region)
-    z1_w = _region_weights(ev1.xi2, z_region)
-
-    x = np.empty((n_paths, n_steps + 1))
-    z = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    z[:, 0] = z0
-    abort_step = np.full(n_paths, -1, dtype=np.intp)
-    clamps = np.zeros(n_paths, dtype=np.intp)
-    alive = np.ones(n_paths, dtype=bool)
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            xk, zk = x[:, k], z[:, k]
-            bad = ~(np.isfinite(xk) & np.isfinite(zk))
-            if thinning:
-                bad |= xk > u_bound
-            newly = alive & bad
-            if newly.any():
-                abort_step[newly] = k
-                alive &= ~newly
-
-            dB0, dB1, dB2 = brown[:, 0, k], brown[:, 1, k], brown[:, 2, k]
-            xn, neg = _advance_x(xk, dB1, dB2, dt, b1, b11, s11, s12,
-                                 ev0, ev1, k, n_paths, mu_x1)
-            clamps += neg & alive
-
-            sq = np.sqrt(2.0 * xk)
-            zn = zk + dt * (b2 + b21 * xk + b22 * zk) + rt2s0 * dB0 \
-                + sq * (s21 * dB1 + s22 * dB2)
-            s, e = ev0.offsets[k], ev0.offsets[k + 1]
-            if e > s:
-                zn = _add_events(zn, ev0.path[s:e], z0_w0[s:e], n_paths)
-            if m_z != 0.0:
-                zn = zn - dt * m_z
-            s, e = ev1.offsets[k], ev1.offsets[k + 1]
-            if e > s:
-                acc = ev1.umark[s:e] <= xk[ev1.path[s:e]]
-                if acc.any():
-                    zn = _add_events(zn, ev1.path[s:e][acc],
-                                     z1_w[s:e][acc], n_paths)
-            if thinning and mu_z != 0.0:
-                zn = zn - dt * xk * mu_z
-
-            x[:, k + 1] = xn
-            z[:, k + 1] = zn
-
-    aborted_at = _finalize_aborts(abort_step, grid, x, z)
-    return {"x": x, "z": z}, aborted_at, clamps
+    ref = _reference_noise(noises, 3)
+    _stability_guard(ref.dt, params.beta_bar, "max|beta|")
+    coords = [_catalyst(params, x0, ref.dt, ref.eps),
+              _linear_partner(params, "z", z0, z_region, ref.dt, ref.eps)]
+    return _step_loop(noises, coords, _thins(params.mu))
 
 
 def _cbi_batch(spec, x0, noises):
     """Euler paths of the scalar equation with time-dependent coefficients."""
-    n_paths, n_steps, dt, eps, u_bound = _batch_shapes(noises, spec.r + 1)
-    grid = noises[0].grid
+    ref = _reference_noise(noises, spec.r + 1)
+    dt, grid = ref.dt, ref.grid
     coeffs = spec.grid_coefficients(grid)
     _stability_guard(dt, spec.bounds.beta_bar(grid[-1]), "beta_bar")
-    brown = np.stack([ns.brownian for ns in noises])
-    ev0 = _EventTable(noises, "n0", n_steps)
-    ev1 = _EventTable(noises, "n1", n_steps)
-    mu_x1 = _moment(spec.mu, 1, 0, "all", eps)
-    thinning = spec.mu is not None and not spec.mu.is_empty
+    sigma, b, beta, l = (coeffs[n] for n in ("sigma", "b", "beta", "l"))
+    theta0, theta1, r = spec.theta0, spec.theta1, spec.r
+    mu_x1 = _moment(spec.mu, 1, 0, "all", ref.eps)
 
-    x = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    abort_step = np.full(n_paths, -1, dtype=np.intp)
-    clamps = np.zeros(n_paths, dtype=np.intp)
-    alive = np.ones(n_paths, dtype=bool)
+    def euler(s, dB, k):
+        xk = s["x"]
+        # B_j of the equation maps to noise component j, j = 1..r.
+        diff = np.einsum("pj,j->p", dB[:, 1:r + 1], sigma[k])
+        return xk + dt * (b[k] + beta[k] * xk) + np.sqrt(2.0 * xk) * diff
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            xk = x[:, k]
-            lk = coeffs["l"][k]
-            bad = ~np.isfinite(xk)
-            if thinning:
-                bad |= lk * xk > u_bound
-            newly = alive & bad
-            if newly.any():
-                abort_step[newly] = k
-                alive &= ~newly
+    def comp(s, k, lam):
+        # Product order dt*l*x*theta1*mu, not dt*(l*x)*...: the two round
+        # differently.
+        return dt * l[k] * s["x"] * theta1 * mu_x1
 
-            # B_j of the equation maps to noise component j, j = 1..r.
-            diff = np.einsum("pj,j->p", brown[:, 1:spec.r + 1, k],
-                             coeffs["sigma"][k])
-            xn = xk + dt * (coeffs["b"][k] + coeffs["beta"][k] * xk) \
-                + np.sqrt(2.0 * xk) * diff
-            s, e = ev0.offsets[k], ev0.offsets[k + 1]
-            if e > s:
-                xn = _add_events(xn, ev0.path[s:e],
-                                 spec.theta0 * ev0.xi1[s:e], n_paths)
-            s, e = ev1.offsets[k], ev1.offsets[k + 1]
-            if e > s:
-                acc = ev1.umark[s:e] <= lk * xk[ev1.path[s:e]]
-                if acc.any():
-                    xn = _add_events(xn, ev1.path[s:e][acc],
-                                     spec.theta1 * ev1.xi1[s:e][acc],
-                                     n_paths)
-            if thinning and mu_x1 != 0.0:
-                xn = xn - dt * lk * xk * spec.theta1 * mu_x1
-            neg = xn < 0.0
-            clamps += neg & alive
-            x[:, k + 1] = np.where(neg, 0.0, xn)
-
-    aborted_at = _finalize_aborts(abort_step, grid, x)
-    return {"x": x}, aborted_at, clamps
+    x = _Coord("x", x0, euler, lambda s, k: l[k] * s["x"],
+               lambda xi1, xi2: theta0 * xi1,
+               lambda xi1, xi2: theta1 * xi1,
+               comp=comp if mu_x1 != 0.0 else None, clamp=True)
+    return _step_loop(noises, [x], _thins(spec.mu))
 
 
 def _catalytic_batch(params, x0, y0, l, noises):
@@ -568,72 +652,27 @@ def _catalytic_batch(params, x0, y0, l, noises):
                          f"got {params.b[1]!r}")
     if l < 0.0:
         raise ValueError("coupling constant l must be nonnegative")
-    n_paths, n_steps, dt, eps, u_bound = _batch_shapes(noises, 3)
+    ref = _reference_noise(noises, 3)
+    dt = ref.dt
     _stability_guard(dt, params.beta_bar, "max|beta|")
-    grid = noises[0].grid
-    brown = np.stack([ns.brownian for ns in noises])
-    ev0 = _EventTable(noises, "n0", n_steps)
-    ev1 = _EventTable(noises, "n1", n_steps)
-
-    b1, b2 = params.b
-    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
-    s11, s12 = params.sigma[0]
+    b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
     s21, s22 = params.sigma[1]
     s0 = params.sigma0
-    mu_x1 = _moment(params.mu, 1, 0, "all", eps)
-    mu_y = _moment(params.mu, 0, 1, "plus", eps)
-    thinning = params.mu is not None and not params.mu.is_empty
-    y0_w = _region_weights(ev0.xi2, "plus")
-    y1_w = _region_weights(ev1.xi2, "plus")
 
-    x = np.empty((n_paths, n_steps + 1))
-    y = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    y[:, 0] = y0
-    abort_step = np.full(n_paths, -1, dtype=np.intp)
-    clamps = np.zeros(n_paths, dtype=np.intp)
-    alive = np.ones(n_paths, dtype=bool)
+    def euler(s, dB, k):
+        xk, yk = s["x"], s["y"]
+        return yk + dt * (b2 + b21 * xk * yk + b22 * yk) \
+            + s0 * np.sqrt(2.0 * yk) * dB[:, 0] \
+            + np.sqrt(2.0 * xk * yk) * (s21 * dB[:, 1] + s22 * dB[:, 2])
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            xk, yk = x[:, k], y[:, k]
-            inten = l * xk * yk
-            bad = ~(np.isfinite(xk) & np.isfinite(yk))
-            if thinning:
-                bad |= (xk > u_bound) | (inten > u_bound)
-            newly = alive & bad
-            if newly.any():
-                abort_step[newly] = k
-                alive &= ~newly
-
-            dB0, dB1, dB2 = brown[:, 0, k], brown[:, 1, k], brown[:, 2, k]
-            xn, neg = _advance_x(xk, dB1, dB2, dt, b1, b11, s11, s12,
-                                 ev0, ev1, k, n_paths, mu_x1)
-            clamps += neg & alive
-
-            sqxy = np.sqrt(2.0 * xk * yk)
-            yn = yk + dt * (b2 + b21 * xk * yk + b22 * yk) \
-                + s0 * np.sqrt(2.0 * yk) * dB0 \
-                + sqxy * (s21 * dB1 + s22 * dB2)
-            # Immigration marks in the positive quadrant, uncompensated.
-            s, e = ev0.offsets[k], ev0.offsets[k + 1]
-            if e > s:
-                yn = _add_events(yn, ev0.path[s:e], y0_w[s:e], n_paths)
-            s, e = ev1.offsets[k], ev1.offsets[k + 1]
-            if e > s:
-                acc = ev1.umark[s:e] <= inten[ev1.path[s:e]]
-                if acc.any():
-                    yn = _add_events(yn, ev1.path[s:e][acc],
-                                     y1_w[s:e][acc], n_paths)
-            if thinning and mu_y != 0.0:
-                yn = yn - dt * inten * mu_y
-            negy = yn < 0.0
-            clamps += negy & alive
-            x[:, k + 1] = xn
-            y[:, k + 1] = np.where(negy, 0.0, yn)
-
-    aborted_at = _finalize_aborts(abort_step, grid, x, y)
-    return {"x": x, "y": y}, aborted_at, clamps
+    plus = _region_marks("plus")
+    # Immigration marks in the positive quadrant, uncompensated.
+    y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
+               comp=_thinning_comp(dt, _moment(params.mu, 0, 1, "plus",
+                                               ref.eps)),
+               clamp=True)
+    return _step_loop(noises, [_catalyst(params, x0, dt, ref.eps), y],
+                      _thins(params.mu))
 
 
 def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
@@ -644,8 +683,8 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
     coefficients with positive-quadrant jumps; ``mode="pair"`` runs the
     nonnegative-split pair with the second reactant reading sign-flipped
     lower-quadrant marks.  With ``with_limit`` the matching limit equation
-    is advanced on the same noise and the running supremum of
-    ``|z_k - z|`` is tracked per path.
+    is advanced on the same noise and the supremum of ``|z_k - z|`` over
+    the grid is reported per path as ``gap``.
     """
     if params.beta[1, 1] >= 0.0:
         raise ValueError(f"reactant scaling requires beta22 < 0, "
@@ -655,164 +694,43 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
     if mode not in ("single", "pair"):
         raise ValueError(f"unknown mode {mode!r}")
     pair = mode == "pair"
-    n_paths, n_steps, dt, eps, u_bound = _batch_shapes(noises, 3)
+    ref = _reference_noise(noises, 3)
+    dt, eps = ref.dt, ref.eps
     _stability_guard(dt, params.beta_bar, "max|beta|")
-    grid = noises[0].grid
-    brown = np.stack([ns.brownian for ns in noises])
-    ev0 = _EventTable(noises, "n0", n_steps)
-    ev1 = _EventTable(noises, "n1", n_steps)
 
-    b1, b2 = params.b
-    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
-    s11, s12 = params.sigma[0]
-    s21, s22 = params.sigma[1]
+    coords = [_catalyst(params, x0, dt, eps)]
     if pair:
         split = ParameterSplit.from_params(params) if split is None else split
         split.check_against(params)
-        coef_p = (split.sigma0_pos, split.sigma21_pos, split.sigma22_pos,
-                  split.b2_pos, split.beta21_pos)
-        coef_m = (split.sigma0_neg, split.sigma21_neg, split.sigma22_neg,
-                  split.b2_neg, split.beta21_neg)
+        coords.append(_reactant(
+            params, "y_plus", y_plus0, theta,
+            (split.sigma0_pos, split.sigma21_pos, split.sigma22_pos,
+             split.b2_pos, split.beta21_pos), "plus", dt, eps))
+        coords.append(_reactant(
+            params, "y_minus", y_minus0, theta,
+            (split.sigma0_neg, split.sigma21_neg, split.sigma22_neg,
+             split.b2_neg, split.beta21_neg), "minus", dt, eps))
     else:
-        coef_p = (params.sigma0, s21, s22, b2, b21)
-
-    mu_x1 = _moment(params.mu, 1, 0, "all", eps)
-    m_pos = _moment(params.m, 0, 1, "plus", eps)
-    mu_pos = _moment(params.mu, 0, 1, "plus", eps)
-    m_neg = _moment(params.m, 0, 1, "minus", eps)     # <= 0
-    mu_neg = _moment(params.mu, 0, 1, "minus", eps)
-    thinning = params.mu is not None and not params.mu.is_empty
-    w0_pos = _region_weights(ev0.xi2, "plus")
-    w1_pos = _region_weights(ev1.xi2, "plus")
-    w0_neg = _region_weights(ev0.xi2, "minus")        # already sign-flipped
-    w1_neg = _region_weights(ev1.xi2, "minus")
-
-    x = np.empty((n_paths, n_steps + 1))
-    yp = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    yp[:, 0] = y_plus0
-    ym = None
-    if pair:
-        ym = np.empty((n_paths, n_steps + 1))
-        ym[:, 0] = y_minus0
-    z = None
+        coords.append(_reactant(
+            params, "y", y_plus0, theta,
+            (params.sigma0, *params.sigma[1], params.b[1],
+             params.beta[1, 0]), "plus", dt, eps))
     if with_limit:
-        z = np.empty((n_paths, n_steps + 1))
-        z[:, 0] = z0
-        rt2s0 = math.sqrt(2.0) * params.sigma0
-        z_region = "all" if pair else "plus"
-        wz0 = _region_weights(ev0.xi2, z_region)
-        wz1 = _region_weights(ev1.xi2, z_region)
-        m_z = _moment(params.m, 0, 1, z_region, eps)
-        mu_z = _moment(params.mu, 0, 1, z_region, eps)
-        gap = np.zeros(n_paths)
+        coords.append(_linear_partner(params, "z_lim", z0,
+                                      "all" if pair else "plus", dt, eps))
+    paths, aborted_at, clamps = _step_loop(noises, coords,
+                                           _thins(params.mu))
 
-    abort_step = np.full(n_paths, -1, dtype=np.intp)
-    clamps = np.zeros(n_paths, dtype=np.intp)
-    alive = np.ones(n_paths, dtype=bool)
-
-    def reactant_step(yk, xk, coefs, dB0, dB1, dB2, k, sign):
-        """One Euler step of a reactant; sign picks the jump quadrant."""
-        sg0, sg21, sg22, bb2, bb21 = coefs
-        ty = yk / theta
-        inten = xk * ty
-        yn = yk + dt * (-theta * b22 + bb21 * xk * ty + bb2 * ty
-                        + b22 * yk) \
-            + sg0 * np.sqrt(2.0 * ty) * dB0 \
-            + np.sqrt(2.0 * xk * ty) * (sg21 * dB1 + sg22 * dB2)
-        if sign > 0:
-            w0, w1, mm, mmu = w0_pos, w1_pos, m_pos, mu_pos
-        else:
-            w0, w1, mm, mmu = w0_neg, w1_neg, -m_neg, -mu_neg
-        s, e = ev0.offsets[k], ev0.offsets[k + 1]
-        if e > s:
-            yn = _add_events(yn, ev0.path[s:e], w0[s:e], n_paths)
-        if mm != 0.0:
-            yn = yn - dt * mm                  # immigration marks compensated
-        s, e = ev1.offsets[k], ev1.offsets[k + 1]
-        if e > s:
-            acc = ev1.umark[s:e] <= inten[ev1.path[s:e]]
-            if acc.any():
-                yn = _add_events(yn, ev1.path[s:e][acc], w1[s:e][acc],
-                                 n_paths)
-        if thinning and mmu != 0.0:
-            yn = yn - dt * inten * mmu
-        return yn, inten
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            xk = x[:, k]
-            ypk = yp[:, k]
-            dB0, dB1, dB2 = brown[:, 0, k], brown[:, 1, k], brown[:, 2, k]
-
-            ypn, inten_p = reactant_step(ypk, xk, coef_p, dB0, dB1, dB2,
-                                         k, +1)
-            bad = ~(np.isfinite(xk) & np.isfinite(ypk))
-            if thinning:
-                bad |= (xk > u_bound) | (inten_p > u_bound)
-            if pair:
-                ymk = ym[:, k]
-                ymn, inten_m = reactant_step(ymk, xk, coef_m, dB0, dB1,
-                                             dB2, k, -1)
-                bad |= ~np.isfinite(ymk)
-                if thinning:
-                    bad |= inten_m > u_bound
-            newly = alive & bad
-            if newly.any():
-                abort_step[newly] = k
-                alive &= ~newly
-
-            xn, neg = _advance_x(xk, dB1, dB2, dt, b1, b11, s11, s12,
-                                 ev0, ev1, k, n_paths, mu_x1)
-            clamps += neg & alive
-            negp = ypn < 0.0
-            clamps += negp & alive
-            yp[:, k + 1] = np.where(negp, 0.0, ypn)
-            if pair:
-                negm = ymn < 0.0
-                clamps += negm & alive
-                ym[:, k + 1] = np.where(negm, 0.0, ymn)
-            x[:, k + 1] = xn
-
-            if with_limit:
-                zk = z[:, k]
-                sq = np.sqrt(2.0 * xk)
-                zn = zk + dt * (b2 + b21 * xk + b22 * zk) + rt2s0 * dB0 \
-                    + sq * (s21 * dB1 + s22 * dB2)
-                s, e = ev0.offsets[k], ev0.offsets[k + 1]
-                if e > s:
-                    zn = _add_events(zn, ev0.path[s:e], wz0[s:e], n_paths)
-                if m_z != 0.0:
-                    zn = zn - dt * m_z
-                s, e = ev1.offsets[k], ev1.offsets[k + 1]
-                if e > s:
-                    acc = ev1.umark[s:e] <= xk[ev1.path[s:e]]
-                    if acc.any():
-                        zn = _add_events(zn, ev1.path[s:e][acc],
-                                         wz1[s:e][acc], n_paths)
-                if thinning and mu_z != 0.0:
-                    zn = zn - dt * xk * mu_z
-                z[:, k + 1] = zn
-                zkn = (yp[:, k + 1] - ym[:, k + 1]) if pair \
-                    else (yp[:, k + 1] - theta)
-                gap = np.maximum(gap, np.abs(zkn - zn))
-
-    if pair:
-        z_k = yp - ym
-        components = {"x": x, "y_plus": yp, "y_minus": ym, "z_k": z_k}
-        arrays = (x, yp, ym, z_k)
-    else:
-        z_k = yp - theta
-        components = {"x": x, "y": yp, "z_k": z_k}
-        arrays = (x, yp, z_k)
+    comps = {name: arr for name, arr in paths.items() if name != "z_lim"}
+    comps["z_k"] = comps["y_plus"] - comps["y_minus"] if pair \
+        else comps["y"] - theta
     if with_limit:
-        components["z_lim"] = z
-        arrays = arrays + (z,)
-    aborted_at = _finalize_aborts(abort_step, grid, *arrays)
-    if with_limit:
-        gap = np.where(np.isnan(aborted_at), gap, np.nan)
-        components["gap"] = gap.reshape(-1, 1)
-    return components, aborted_at, clamps
+        comps["z_lim"] = paths["z_lim"]
+        diff = comps["z_k"][:, 1:] - paths["z_lim"][:, 1:]
+        gap = np.abs(diff, out=diff).max(axis=1)
+        comps["gap"] = np.where(np.isnan(aborted_at), gap,
+                                np.nan).reshape(-1, 1)
+    return comps, aborted_at, clamps
 
 
 # -- single-path wrappers --------------------------------------------------

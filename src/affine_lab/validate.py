@@ -264,20 +264,22 @@ def empirical_char_fn(ensemble, t, u, components=("x", "z")) -> CharFnEstimate:
 
 # -- shared ensemble plumbing ----------------------------------------------
 
-def _coupled_affine_model(params, x0, z0, z_region="all"):
-    """Batch model producing coupled ``dt`` and ``dt/2`` solutions.
+def _coupled(core):
+    """Batch model running the batch ``core`` at ``dt`` and ``dt/2``.
 
     The fine solution reuses the same driving noise through bridge
-    refinement and is reported on the coarse grid, so per-path differences
-    isolate the discretization error of the coarse run.
+    refinement and is reported on the coarse grid as ``<name>_fine``, so
+    per-path differences isolate the discretization error of the coarse
+    run.
     """
 
     def model(noises):
         fine = [refine(ns) for ns in noises]
-        cc, ca, cl = _affine_batch(params, x0, z0, noises, z_region)
-        fc, fa, fl = _affine_batch(params, x0, z0, fine, z_region)
-        comps = {"x": cc["x"], "z": cc["z"],
-                 "x_fine": fc["x"][:, ::2], "z_fine": fc["z"][:, ::2]}
+        cc, ca, cl = core(noises)
+        fc, fa, fl = core(fine)
+        comps = dict(cc)
+        for name, arr in fc.items():
+            comps[name + "_fine"] = arr[:, ::2]
         return comps, np.fmin(ca, fa), cl + fl
 
     return model
@@ -311,7 +313,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     t_max = max(t_list)
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
-    ens = run_ensemble(_coupled_affine_model(params, x0, z0),
+    ens = run_ensemble(_coupled(lambda ns: _affine_batch(params, x0, z0, ns)),
                        m=params.m, mu=params.mu, n_paths=n_paths,
                        master_seed=master_seed, t_max=t_max, dt=dt,
                        u_bound=u_bound, eps=eps, keep_idx=keep_idx,
@@ -352,7 +354,7 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
     t_max = max(t_list)
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
-    ens = run_ensemble(_coupled_affine_model(params, x0, z0),
+    ens = run_ensemble(_coupled(lambda ns: _affine_batch(params, x0, z0, ns)),
                        m=params.m, mu=params.mu, n_paths=n_paths,
                        master_seed=master_seed, t_max=t_max, dt=dt,
                        u_bound=u_bound, eps=eps, keep_idx=keep_idx,
@@ -571,19 +573,10 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         def core(noises):
             return _catalytic_batch(params, x1, x2, l, noises)
 
-    def model(noises):
-        fine = [refine(ns) for ns in noises]
-        cc, ca, cl = core(noises)
-        fc, fa, fl = core(fine)
-        comps = {}
-        for key, arr in cc.items():
-            comps[key] = arr[:, -1:]
-            comps[key + "_fine"] = fc[key][:, -1:]
-        return comps, np.fmin(ca, fa), cl + fl
-
-    ens = run_ensemble(model, m=params.m, mu=params.mu, n_paths=n_paths,
-                       master_seed=master_seed, t_max=delta, dt=delta,
-                       u_bound=u_bound, eps=0.0, workers=workers)
+    ens = run_ensemble(_coupled(core), m=params.m, mu=params.mu,
+                       n_paths=n_paths, master_seed=master_seed,
+                       t_max=delta, dt=delta, u_bound=u_bound, eps=0.0,
+                       keep_idx=[1], workers=workers)
     second = {"affine": "z", "cbi": None, "catalytic": "y"}[which]
     c1 = ens.components["x"][:, 0]
     c2 = ens.components[second][:, 0] if second else None

@@ -203,6 +203,12 @@ class TestParseConfig:
         assert reseeded.resolved["mc"]["seed"] == 42
         assert reseeded != config
 
+    def test_seed_must_fit_64_bits(self):
+        assert make_config(mc={"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+        with pytest.raises(ConfigError,
+                           match=r"\$\.mc\.seed: must be < 2\*\*64"):
+            make_config(mc={"seed": 2 ** 64})
+
 
 # -- subcommand execution ---------------------------------------------------
 
@@ -338,6 +344,14 @@ class TestMain:
         path = self.write(tmp_path, SMALL)
         assert main(["simulate", "--config", path, "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_seed_flag_must_fit_64_bits(self, tmp_path, capsys):
+        path = self.write(tmp_path, SMALL)
+        out = tmp_path / "never"
+        assert main(["simulate", "--config", path, "--out", str(out),
+                     "--seed", str(2 ** 64)]) == 2
+        assert "--seed: must be < 2**64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_flag_overrides_directory(self, tmp_path):
         doc = dict(SMALL, output={"directory": str(tmp_path / "ignored")})
