@@ -6,12 +6,13 @@ The configuration document is a single JSON object with optional blocks
 ``limit`` and ``output``; every omitted field takes a documented default,
 and unknown keys are rejected with the path to the offending key.  Given
 the same config bytes and seed, every subcommand writes byte-identical
-output files; a worker-count flag changes only wall-clock time, never
-bytes.
+output files: paths are simulated sequentially, so the bytes depend only
+on the config and the seed.
 
 Exit status: 0 when every report row passes, 1 when some row fails (the
 first failing row is named on stderr), 2 for configuration or usage
-errors.
+errors, including an ``mc.u_bound`` too small for the thinning-bound
+retries to recover.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +32,9 @@ from .noise import generate_noise, steps_for, substream_seed
 from .params import (AdmissibilityError, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint, validate_admissible)
 from .presets import builtin_params
-from .sde import (STABILITY_LIMIT, ParameterSplit, simulate_affine,
-                  simulate_catalytic, simulate_reactant_pair,
-                  write_paths_csv)
+from .sde import (STABILITY_LIMIT, ParameterSplit, ThinningBoundError,
+                  simulate_affine, simulate_catalytic,
+                  simulate_reactant_pair, write_paths_csv)
 from .transform import solve_transform, write_transform_csv
 from .validate import (check_affine_formula, check_generator, check_moments,
                        fluctuation_experiment, sc_semigroup_check,
@@ -586,7 +586,7 @@ def _first_failure(reports):
 
 # -- subcommands ------------------------------------------------------------
 
-def _cmd_transform(config, out, workers, stdout):
+def _cmd_transform(config, out, stdout):
     grid = np.arange(steps_for(config.t_max, config.dt) + 1) * config.dt
     meta = _csv_metadata(config)
     for i, u in enumerate(config.u_list):
@@ -599,7 +599,7 @@ def _cmd_transform(config, out, workers, stdout):
     return []
 
 
-def _cmd_simulate(config, out, workers, stdout):
+def _cmd_simulate(config, out, stdout):
     sim = config.resolved["simulate"]
     n_saved = min(sim["n_saved_paths"], config.n_paths)
     bundles = []
@@ -634,10 +634,10 @@ def _cmd_simulate(config, out, workers, stdout):
     return []
 
 
-def _cmd_validate(config, out, workers, stdout):
+def _cmd_validate(config, out, stdout):
     val = config.resolved["validate"]
     mc = dict(n_paths=config.n_paths, master_seed=config.seed,
-              u_bound=config.u_bound, workers=workers)
+              u_bound=config.u_bound)
     reports = []
     for check in val["checks"]:
         if check == "semigroup":
@@ -673,13 +673,13 @@ def _cmd_validate(config, out, workers, stdout):
     return reports
 
 
-def _cmd_limit(config, out, workers, stdout):
+def _cmd_limit(config, out, stdout):
     lim = config.resolved["limit"]
     report = fluctuation_experiment(
         config.params, lim["theta_ladder"], mode=lim["mode"],
         t_max=config.t_max, n_paths=config.n_paths,
         master_seed=config.seed, dt=config.dt, x0=lim["x0"], z0=lim["z0"],
-        u_bound=config.u_bound, eps=config.eps, workers=workers,
+        u_bound=config.u_bound, eps=config.eps,
         deterministic_rate_check=lim["deterministic_rate_check"],
         split=config.split)
     print(report.table(), file=stdout)
@@ -698,22 +698,19 @@ def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
     """Execute one subcommand; returns the process exit status.
 
     Output lands in ``out_dir`` (default: the config's output directory).
-    ``workers`` caps parallel path simulation and never changes output
-    bytes; it defaults to the available parallelism.
+    ``workers`` is accepted and ignored: paths always run sequentially.
+    It stays only because the benchmark harness (``bench/child.py``)
+    still passes it.
     """
     if command not in _DISPATCH:
         raise ValueError(f"unknown subcommand {command!r}; choose from "
                          f"{sorted(_DISPATCH)}")
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = _DISPATCH[command](config, out, workers, stdout)
+    reports = _DISPATCH[command](config, out, stdout)
 
     if "json" in config.formats:
         meta = dict(_metadata(config))
@@ -751,10 +748,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override mc.seed from the config")
         p.add_argument("--out", metavar="DIR",
                        help="override output.directory from the config")
-        p.add_argument("--workers", type=int, metavar="N",
-                       help="parallel path workers (fallback: "
-                            "AFFINE_LAB_WORKERS, then available "
-                            "parallelism)")
     return parser
 
 
@@ -769,24 +762,16 @@ def main(argv=None) -> int:
         print(f"affine-lab: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    workers = args.workers
-    if workers is None:
-        from_env = os.environ.get("AFFINE_LAB_WORKERS")
-        if from_env is not None:
-            try:
-                workers = int(from_env)
-            except ValueError:
-                print(f"affine-lab: AFFINE_LAB_WORKERS must be an "
-                      f"integer, got {from_env!r}", file=sys.stderr)
-                return 2
-
     try:
         config = parse_config(text)
         if args.seed is not None:
             config = config.with_seed(_as_seed(args.seed, "--seed"))
-        return run(args.command, config, out_dir=args.out, workers=workers)
+        return run(args.command, config, out_dir=args.out)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"affine-lab: {exc}", file=sys.stderr)
+        return 2
+    except ThinningBoundError as exc:
+        print(f"affine-lab: {exc}; raise mc.u_bound", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"affine-lab: {exc}", file=sys.stderr)

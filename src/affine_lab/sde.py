@@ -39,11 +39,12 @@ are refused rather than silently degraded.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+# ``refine`` is unused here; bench/test_bench.py checks that the tracing
+# shims rebind ``sde.refine``.
 from .noise import NoiseSystem, generate_noise, refine, substream_seed_array
 from .params import AdmissibleParams
 
@@ -54,6 +55,7 @@ __all__ = [
     "ParameterSplit",
     "PathBundle",
     "EnsembleResult",
+    "ThinningBoundError",
     "simulate_generalized_cbi",
     "simulate_affine",
     "simulate_affine_voc",
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 STABILITY_LIMIT = 0.1
-DEFAULT_CHUNK = 2048
+CHUNK = 2048
 
 
 def _stability_guard(dt: float, rate: float, label: str) -> None:
@@ -316,6 +318,8 @@ class EnsembleResult:
 
     ``components`` maps names to ``(n_paths, n_kept)`` arrays sampled at
     ``times``; per-path reductions (e.g. running suprema) have one column.
+    ``n_clamped`` sums the kernels' per-path clamp counts over the kept
+    attempt of every path.
     """
 
     times: np.ndarray
@@ -326,6 +330,11 @@ class EnsembleResult:
     u_bound: float
     n_paths: int
     n_retried: int
+    n_clamped: int
+
+
+class ThinningBoundError(RuntimeError):
+    """Some paths still exceed the thinning bound after every doubling."""
 
 
 # -- stacked event access --------------------------------------------------
@@ -847,46 +856,43 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
 # -- ensemble driver -------------------------------------------------------
 
 def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
-                 u_bound, eps, n_components=3, refinements=0, keep_idx=None,
-                 workers=1, chunk_size=DEFAULT_CHUNK,
+                 u_bound, eps, n_components=3, keep_idx=None,
                  max_doublings=6) -> EnsembleResult:
-    """Fan a batch model over substream-seeded paths and stack the output.
+    """Run a batch model over substream-seeded paths and stack the output.
 
     ``model_fn(noises) -> (components, aborted_at, clamps)`` must be a pure
-    function of the noise list.  Paths whose thinning bound was exceeded
-    are regenerated with the bound doubled (same per-path seed) up to
-    ``max_doublings`` times; a path still aborted afterwards raises.
-    Results are reduced in path-index order, so the worker count never
-    changes the output.  ``refinements`` halves dt that many times via
-    bridge refinement before simulating; ``keep_idx`` selects grid columns
-    to retain (None keeps all).
+    function of the noise list.  Paths run sequentially in chunks of
+    ``CHUNK`` and are stacked in path-index order, so the output depends
+    only on the arguments.  Paths whose thinning bound was exceeded are
+    regenerated with the bound doubled (same per-path seed) up to
+    ``max_doublings`` times; a path still aborted afterwards raises
+    ``ThinningBoundError``.  ``keep_idx`` selects grid columns to retain
+    (None keeps all).
     """
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
 
     def build(seed, bound):
-        ns = generate_noise(m, mu, t_max, dt, int(seed), bound, eps,
-                            n_components=n_components)
-        for _ in range(refinements):
-            ns = refine(ns)
-        return ns
+        return generate_noise(m, mu, t_max, dt, int(seed), bound, eps,
+                              n_components=n_components)
 
-    def run_chunk(lo, hi):
-        noises = [build(s, u_bound) for s in seeds[lo:hi]]
-        comps, aborted, _ = model_fn(noises)
+    def run_chunk(chunk_seeds):
+        noises = [build(s, u_bound) for s in chunk_seeds]
+        comps, aborted, clamps = model_fn(noises)
         retry = np.nonzero(~np.isnan(aborted))[0]
         tries, bound, retried = 0, u_bound, 0
         while len(retry) and tries < max_doublings:
             tries += 1
             bound *= 2.0
             retried += len(retry)
-            redo = [build(seeds[lo + p], bound) for p in retry]
-            comps_r, aborted_r, _ = model_fn(redo)
+            redo = [build(chunk_seeds[p], bound) for p in retry]
+            comps_r, aborted_r, clamps_r = model_fn(redo)
             for name in comps:
                 comps[name][retry] = comps_r[name]
             aborted[retry] = aborted_r
+            clamps[retry] = clamps_r
             retry = retry[~np.isnan(aborted_r)]
         if len(retry):
-            raise RuntimeError(
+            raise ThinningBoundError(
                 f"{len(retry)} paths still exceed the thinning bound after "
                 f"{max_doublings} doublings of u_bound={u_bound!r}")
         if keep_idx is not None:
@@ -894,28 +900,21 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
             comps = {name: (arr[:, keep_idx] if arr.shape[1] == full
                             else arr)
                      for name, arr in comps.items()}
-        return comps, retried
+        return comps, retried, int(clamps.sum())
 
-    spans = [(lo, min(lo + chunk_size, n_paths))
-             for lo in range(0, n_paths, chunk_size)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda lh: run_chunk(*lh), spans))
-    else:
-        parts = [run_chunk(*span) for span in spans]
-
-    n_retried = sum(r for _, r in parts)
-    components = {name: np.concatenate([p[name] for p, _ in parts])
+    # one chunk at a time, so only one chunk's full path arrays are alive
+    parts = [run_chunk(seeds[lo:lo + CHUNK])
+             for lo in range(0, n_paths, CHUNK)]
+    components = {name: np.concatenate([p[name] for p, _, _ in parts])
                   for name in parts[0][0]}
-    eff_dt = dt / 2 ** refinements
-    n_cols = round(t_max / eff_dt) + 1
-    times = np.arange(n_cols) * eff_dt
+    times = np.arange(round(t_max / dt) + 1) * dt
     if keep_idx is not None:
         times = times[keep_idx]
     return EnsembleResult(times=times, components=components,
-                          master_seed=int(master_seed), dt=eff_dt, eps=eps,
+                          master_seed=int(master_seed), dt=dt, eps=eps,
                           u_bound=u_bound, n_paths=n_paths,
-                          n_retried=n_retried)
+                          n_retried=sum(r for _, r, _ in parts),
+                          n_clamped=sum(c for _, _, c in parts))
 
 
 # -- CSV output ------------------------------------------------------------

@@ -300,7 +300,7 @@ def _grid_indices(t_list, dt, label="t"):
 
 def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
                          master_seed, dt=DEFAULT_DT, u_bound=None, eps=0.0,
-                         tol=1e-9, workers=1) -> ExperimentReport:
+                         tol=1e-9) -> ExperimentReport:
     """Empirical characteristic function against the exact transform.
 
     One ensemble serves every ``(t, u)`` pair; the bias budget is
@@ -316,8 +316,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     ens = run_ensemble(_coupled(lambda ns: _affine_batch(params, x0, z0, ns)),
                        m=params.m, mu=params.mu, n_paths=n_paths,
                        master_seed=master_seed, t_max=t_max, dt=dt,
-                       u_bound=u_bound, eps=eps, keep_idx=keep_idx,
-                       workers=workers)
+                       u_bound=u_bound, eps=eps, keep_idx=keep_idx)
     pairs = [(t, u) for t in t_list for u in u_pts]
     coarse = {p: empirical_char_fn(ens, p[0], p[1]) for p in pairs}
     fine = {p: empirical_char_fn(ens, p[0], p[1],
@@ -341,8 +340,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
 
 
 def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
-                  dt=DEFAULT_DT, u_bound=None, eps=0.0,
-                  workers=1) -> ExperimentReport:
+                  dt=DEFAULT_DT, u_bound=None, eps=0.0) -> ExperimentReport:
     """First moments against their closed forms, plus the a-priori bound.
 
     Two-sided rows compare ``E[x(t)]`` and ``E[z(t)]`` with the moment
@@ -357,8 +355,7 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
     ens = run_ensemble(_coupled(lambda ns: _affine_batch(params, x0, z0, ns)),
                        m=params.m, mu=params.mu, n_paths=n_paths,
                        master_seed=master_seed, t_max=t_max, dt=dt,
-                       u_bound=u_bound, eps=eps, keep_idx=keep_idx,
-                       workers=workers)
+                       u_bound=u_bound, eps=eps, keep_idx=keep_idx)
     mf = moment_functionals(params)
     stats = []
     for t in t_list:
@@ -517,7 +514,7 @@ def _catalytic_generator_value(params, name, x, y, l):
 
 def check_generator(params, state, *, which, n_paths, master_seed,
                     delta=DEFAULT_DT, f=None, theta0=1.0, theta1=1.0,
-                    l=1.0, u_bound=None, workers=1) -> ExperimentReport:
+                    l=1.0, u_bound=None) -> ExperimentReport:
     """One-step weak error against the closed-form generator.
 
     Simulates a single Euler step of size ``delta`` from ``state`` and
@@ -576,7 +573,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     ens = run_ensemble(_coupled(core), m=params.m, mu=params.mu,
                        n_paths=n_paths, master_seed=master_seed,
                        t_max=delta, dt=delta, u_bound=u_bound, eps=0.0,
-                       keep_idx=[1], workers=workers)
+                       keep_idx=[1])
     second = {"affine": "z", "cbi": None, "catalytic": "y"}[which]
     c1 = ens.components["x"][:, 0]
     c2 = ens.components[second][:, 0] if second else None
@@ -625,7 +622,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
 
 def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
                           master_seed, dt=2.0 ** -8, z0=0.0, u_bound=None,
-                          eps=0.0, workers=1) -> ExperimentReport:
+                          eps=0.0) -> ExperimentReport:
     """Shared-noise coupling of two starting points.
 
     Rows: (i) rerunning the whole experiment reproduces every path bit
@@ -650,8 +647,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
 
     kwargs = dict(m=params.m, mu=params.mu, n_paths=n_paths,
                   master_seed=master_seed, t_max=t_max, dt=dt,
-                  u_bound=u_bound, eps=eps, keep_idx=keep_idx,
-                  workers=workers)
+                  u_bound=u_bound, eps=eps, keep_idx=keep_idx)
     ens = run_ensemble(model, **kwargs)
     rerun = run_ensemble(model, **kwargs)
     same = np.ones(n_paths, dtype=bool)
@@ -687,7 +683,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
 
 def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
                            n_paths, master_seed, dt=2.0 ** -8, x0=1.0,
-                           z0=0.0, u_bound=None, eps=0.0, workers=1,
+                           z0=0.0, u_bound=None, eps=0.0,
                            deterministic_rate_check=False, split=None
                            ) -> ExperimentReport:
     """Distance from the rescaled reactant to its limit along a ladder.
@@ -731,8 +727,7 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
 
         ens = run_ensemble(model, m=params.m, mu=params.mu,
                            n_paths=n_paths, master_seed=master_seed,
-                           t_max=t_max, dt=dt, u_bound=u_bound, eps=eps,
-                           workers=workers)
+                           t_max=t_max, dt=dt, u_bound=u_bound, eps=eps)
         e_theta[theta] = float(ens.components["gap"][:, 0].mean())
         retried += ens.n_retried
 

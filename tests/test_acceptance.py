@@ -62,7 +62,7 @@ def emit(number, name, passed):
 def moment_report():
     return check_moments(jump_affine_params(), 1.0, 0.0, [0.5, 1.0],
                          n_paths=20_000, master_seed=55, dt=2.0 ** -8,
-                         eps=0.0, workers=1)
+                         eps=0.0)
 
 
 def test_criterion_01_transform_flow_property():
@@ -118,8 +118,7 @@ def test_criterion_04_affine_formula_monte_carlo():
     started = time.perf_counter()
     report = check_affine_formula(
         jump_affine_params(), 1.0, 0.0, [1.0], SIX_FREQUENCIES,
-        n_paths=100_000, master_seed=2026, dt=2.0 ** -10, eps=0.0,
-        workers=1)
+        n_paths=100_000, master_seed=2026, dt=2.0 ** -10, eps=0.0)
     runtime = time.perf_counter() - started
     assert len(report.rows) == 6
     emit(4, "affine-formula Monte Carlo",
@@ -154,7 +153,7 @@ def test_criterion_07_pathwise_uniqueness_and_contraction():
             for c in ("x", "z"))
     contraction = uniqueness_experiment(params, 1.0, 1.6, t_max=1.0,
                                         n_paths=2000, master_seed=77,
-                                        dt=2.0 ** -8, workers=1)
+                                        dt=2.0 ** -8)
     emit(7, "pathwise uniqueness + contraction",
          bitwise and contraction.overall)
 
@@ -169,7 +168,7 @@ def test_criterion_08_generator_consistency():
         for k, state in enumerate(states):
             report = check_generator(params, state, which=which,
                                      n_paths=100_000, master_seed=314 + k,
-                                     delta=2.0 ** -10, workers=1)
+                                     delta=2.0 ** -10)
             expected_rows = 4 if which == "cbi" else 9
             ok = ok and report.overall and len(report.rows) == expected_rows
     emit(8, "generator consistency", ok)
@@ -180,18 +179,17 @@ def test_criterion_09_fluctuation_ladder():
     ladder = [4.0, 16.0, 64.0, 256.0]
     single = fluctuation_experiment(jump_affine_params(), ladder,
                                     mode="single", n_paths=2000,
-                                    master_seed=41, dt=2.0 ** -8,
-                                    workers=1)
+                                    master_seed=41, dt=2.0 ** -8)
     pair = fluctuation_experiment(symmetric_split_params(), ladder,
                                   mode="pair", n_paths=2000,
-                                  master_seed=42, dt=2.0 ** -8, workers=1)
+                                  master_seed=42, dt=2.0 ** -8)
     empty = FiniteAtomicMeasure([])
     deterministic = validate_admissible(
         0.0, [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.0],
         [[0.0, 0.0], [0.0, -1.0]], empty, empty)
     rate = fluctuation_experiment(deterministic, ladder, mode="single",
                                   n_paths=2, master_seed=1, dt=2.0 ** -8,
-                                  workers=1, deterministic_rate_check=True)
+                                  deterministic_rate_check=True)
     runtime = time.perf_counter() - started
     emit(9, "fluctuation ladder",
          single.overall and pair.overall and rate.overall

@@ -375,26 +375,17 @@ class TestMain:
         assert "requires beta22 < 0" in err
         assert not (tmp_path / "o" / "fluctuation-pair.json").exists()
 
-    def test_bad_workers_env_rejected(self, tmp_path, capsys,
-                                      monkeypatch):
-        monkeypatch.setenv("AFFINE_LAB_WORKERS", "lots")
-        path = self.write(tmp_path, SMALL)
-        assert main(["validate", "--config", path]) == 2
-        assert "AFFINE_LAB_WORKERS" in capsys.readouterr().err
-
-    def test_workers_do_not_change_bytes(self, tmp_path, capsys,
-                                         monkeypatch):
-        path = self.write(tmp_path, SMALL)
-        out1, out2, out3 = (tmp_path / n for n in ("w1", "w2", "w3"))
-        assert main(["validate", "--config", path, "--out", str(out1),
-                     "--workers", "1"]) == 0
-        assert main(["validate", "--config", path, "--out", str(out2),
-                     "--workers", "3"]) == 0
-        monkeypatch.setenv("AFFINE_LAB_WORKERS", "2")
+    def test_unmet_thinning_bound_is_a_usage_error(self, tmp_path,
+                                                   capsys):
+        doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -7},
+               "mc": {"n_paths": 20, "u_bound": 1e-6},
+               "validate": {"checks": ["moments"]}}
+        path = self.write(tmp_path, doc)
         assert main(["validate", "--config", path, "--out",
-                     str(out3)]) == 0
-        capsys.readouterr()
-        assert read_files(out1) == read_files(out2) == read_files(out3)
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("affine-lab: ") and err.count("\n") == 1
+        assert "thinning bound" in err and "mc.u_bound" in err
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         doc = {

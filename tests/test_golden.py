@@ -231,7 +231,7 @@ CLI_CASES = {
 
 def cli_digest(name, out_dir: Path) -> str:
     command, doc = CLI_CASES[name]
-    run(command, parse_config(json.dumps(doc)), out_dir=out_dir, workers=1,
+    run(command, parse_config(json.dumps(doc)), out_dir=out_dir,
         stdout=io.StringIO(), stderr=io.StringIO())
     return directory_digest(out_dir)
 

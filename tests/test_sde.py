@@ -13,11 +13,13 @@ from affine_lab.sde import (
     GeneralizedCbiSpec,
     ParameterSplit,
     PathBundle,
+    ThinningBoundError,
     simulate_affine,
     simulate_affine_voc,
     simulate_catalytic,
     simulate_generalized_cbi,
     simulate_reactant_pair,
+    CHUNK,
     run_ensemble,
     write_paths_csv,
     _affine_batch,
@@ -370,7 +372,7 @@ def test_run_ensemble_retries_with_doubled_bound():
 
 def test_run_ensemble_raises_when_bound_stays_small():
     p, _ = preset_noise()
-    with pytest.raises(RuntimeError, match="thinning bound"):
+    with pytest.raises(ThinningBoundError, match="thinning bound"):
         run_ensemble(lambda noises: _affine_batch(p, 30.0, 0.0, noises),
                      m=p.m, mu=p.mu, n_paths=8, master_seed=3,
                      t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0,
@@ -413,27 +415,45 @@ def test_ensemble_reproduces_scalar_paths():
         assert np.array_equal(ens.components["z"][i], out.component("z"))
 
 
-def test_worker_count_does_not_change_bytes():
+def test_chunk_boundary_paths_match_scalar_runs():
     p, _ = preset_noise()
-    kw = dict(m=p.m, mu=p.mu, n_paths=600, master_seed=13, t_max=1.0,
-              dt=2.0 ** -8, u_bound=24.0, eps=0.0, keep_idx=[-1],
-              chunk_size=200)
-    a = run_ensemble(lambda n: _affine_batch(p, 1.0, 0.5, n), workers=1,
-                     **kw)
-    b = run_ensemble(lambda n: _affine_batch(p, 1.0, 0.5, n), workers=3,
-                     **kw)
-    for name in a.components:
-        assert np.array_equal(a.components[name], b.components[name])
+    master, dt = 17, 2.0 ** -8
+    ens = run_ensemble(lambda noises: _affine_batch(p, 1.0, 0.5, noises),
+                       m=p.m, mu=p.mu, n_paths=CHUNK + 3, master_seed=master,
+                       t_max=dt, dt=dt, u_bound=24.0, eps=0.0)
+    for i in (CHUNK - 1, CHUNK, CHUNK + 2):
+        noise = generate_noise(p.m, p.mu, dt, dt, substream_seed(master, i),
+                               24.0, 0.0)
+        out = simulate_affine(p, 1.0, 0.5, noise)
+        assert np.array_equal(ens.components["x"][i], out.component("x"))
+        assert np.array_equal(ens.components["z"][i], out.component("z"))
 
 
-def test_refinement_keeps_columns_aligned():
-    p, _ = preset_noise()
-    ens = run_ensemble(lambda n: _affine_batch(p, 1.0, 0.5, n),
-                       m=p.m, mu=p.mu, n_paths=4, master_seed=2,
-                       t_max=1.0, dt=2.0 ** -6, u_bound=24.0, eps=0.0,
-                       refinements=1, keep_idx=[0, 64, 128])
-    assert ens.dt == 2.0 ** -7
-    assert np.allclose(ens.times, [0.0, 0.5, 1.0])
+def test_ensemble_counts_clamps_of_kept_attempts():
+    # no drift at zero and a strong first diffusion: starts near zero step
+    # below it, and u_bound = 2 makes some paths retry
+    p = validate_admissible(
+        a=0.2, alpha=[[0.8, 0.1], [0.1, 0.4]], b=[0.0, 0.0],
+        beta=[[-0.6, 0.0], [0.4, -0.8]],
+        m=FiniteAtomicMeasure([(0.5, 0.3, 0.6), (0.0, -0.8, 0.4)]),
+        mu=FiniteAtomicMeasure([(0.4, 0.2, 0.5), (0.9, -0.3, 0.25)]))
+    master, dt, n = 5, 2.0 ** -6, 40
+    ens = run_ensemble(lambda noises: _affine_batch(p, 0.01, 0.0, noises),
+                       m=p.m, mu=p.mu, n_paths=n, master_seed=master,
+                       t_max=1.0, dt=dt, u_bound=2.0, eps=0.0)
+    expected = 0
+    for i in range(n):
+        bound = 2.0
+        while True:
+            noise = generate_noise(p.m, p.mu, 1.0, dt,
+                                   substream_seed(master, i), bound, 0.0)
+            out = simulate_affine(p, 0.01, 0.0, noise)
+            if out.aborted_at is None:
+                break
+            bound *= 2.0
+        expected += out.clamp_count
+    assert ens.n_retried > 0
+    assert ens.n_clamped == expected > 0
 
 
 # -- reactant pair details -------------------------------------------------

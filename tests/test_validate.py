@@ -38,7 +38,7 @@ def fake_ensemble(x, z, dt=0.5):
     times = np.arange(x.shape[1]) * dt
     return EnsembleResult(times=times, components={"x": x, "z": z},
                           master_seed=0, dt=dt, eps=0.0, u_bound=1.0,
-                          n_paths=x.shape[0], n_retried=0)
+                          n_paths=x.shape[0], n_retried=0, n_clamped=0)
 
 
 # -- empirical characteristic function -------------------------------------
