@@ -50,9 +50,7 @@ from .presets import (  # noqa: E402,F401
 from .noise import (  # noqa: E402,F401
     RNG_ID,
     NoiseSystem,
-    dump_noise,
     generate_noise,
-    load_noise,
     refine,
     steps_for,
     substream_seed,

@@ -708,14 +708,22 @@ def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     out = Path(out_dir if out_dir is not None else config.out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = _DISPATCH[command](config, out, stdout)
-
-    if "json" in config.formats:
-        meta = dict(_metadata(config))
-        meta.update(command=command, config=config.resolved)
-        _write_json(out / "run_meta.json", meta)
+    try:
+        reports = _DISPATCH[command](config, out, stdout)
+        if "json" in config.formats:
+            meta = dict(_metadata(config))
+            meta.update(command=command, config=config.resolved)
+            _write_json(out / "run_meta.json", meta)
+    except BaseException:
+        # leave no empty directory behind; existing ones are never touched
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     failure = _first_failure(reports)
     if failure is not None:
         print(f"affine-lab: first failing row: {failure}", file=stderr)

@@ -1,7 +1,8 @@
 """Replayable driving noise: Brownian increments plus marked event streams.
 
-Every path owns a ``NoiseSystem`` generated from a single 64-bit seed.  The
-seed keys independent counter-based substreams (Philox4x64) per role:
+A ``NoiseSystem`` holds the noise of a batch of paths on one grid; a
+single path is a batch of one.  Each path has its own 64-bit seed, which
+keys independent counter-based substreams (Philox4x64) per role:
 
     role 0  Brownian increments (all components)
     role 1  events of the immigration stream N0 (times, then marks)
@@ -9,13 +10,18 @@ seed keys independent counter-based substreams (Philox4x64) per role:
             (times, then uniform thinning marks on [0, u_bound], then marks)
     role 3+ Brownian-bridge midpoints for successive grid refinements
 
+The Brownian increments are one ``(n_paths, n_components, n_steps)``
+array.  Each stream's events are flat arrays tagged by path index
+(``n0_path``, ``n1_path``), in path order and then time order, so a path's
+noise does not depend on which batch it was generated in.
+
 N1 is generated with the dominating intensity ``u_bound * mass`` and carries
 uniform ``umarks``; simulators accept a candidate when its umark falls below
 the state-dependent intensity, and must abort if that intensity ever exceeds
 ``u_bound`` (the stream above the bound was never generated).
 
 Refining the grid halves ``dt``, splits each Brownian increment with a
-bridge midpoint from the next dedicated role, and leaves both event lists
+bridge midpoint from the next dedicated role, and leaves the event arrays
 untouched, so schemes at dt and dt/2 are driven by the same underlying path.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
@@ -24,7 +30,7 @@ injective in the path index for a fixed master seed.
 
 from __future__ import annotations
 
-import struct
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,8 +42,6 @@ __all__ = [
     "generate_noise",
     "refine",
     "steps_for",
-    "dump_noise",
-    "load_noise",
 ]
 
 RNG_ID = "philox4x64"
@@ -52,8 +56,26 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_MAGIC = b"AFLN"
-_VERSION = 1
+
+def _check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int, rejected unless it lies in ``[0, 2**64)``."""
+    seed = operator.index(value)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} {seed} is outside [0, 2**64)")
+    return seed
+
+
+def _as_seeds(seed) -> np.ndarray:
+    """One seed or a 1-d sequence of seeds as a checked uint64 array.
+
+    Read as Python ints: a plain ``np.asarray`` rounds a list holding a
+    seed >= 2**63 through float64.
+    """
+    values = np.asarray(seed, dtype=object)
+    if values.ndim > 1:
+        raise ValueError(f"seed must be 1-d, got shape {values.shape}")
+    return np.array([_check_seed(v) for v in values.reshape(-1)],
+                    dtype=np.uint64)
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -62,7 +84,8 @@ def substream_seed(master_seed: int, index: int) -> int:
     SplitMix64 finalizer applied to ``master + GOLDEN * (index + 1)``; the
     odd multiplier makes the map injective in ``index`` (mod 2**64).
     """
-    z = (int(master_seed) + _GOLDEN * (int(index) + 1)) & _MASK64
+    z = (_check_seed(master_seed, "master_seed")
+         + _GOLDEN * (int(index) + 1)) & _MASK64
     z ^= z >> 30
     z = (z * _MIX1) & _MASK64
     z ^= z >> 27
@@ -73,8 +96,9 @@ def substream_seed(master_seed: int, index: int) -> int:
 
 def substream_seed_array(master_seed: int, indices) -> np.ndarray:
     """Vectorized twin of :func:`substream_seed` (uint64 in, uint64 out)."""
+    master = np.uint64(_check_seed(master_seed, "master_seed"))
     with np.errstate(over="ignore"):
-        z = np.uint64(master_seed) + np.uint64(_GOLDEN) * (
+        z = master + np.uint64(_GOLDEN) * (
             np.asarray(indices, dtype=np.uint64) + np.uint64(1))
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
@@ -100,33 +124,40 @@ def steps_for(t_max: float, dt: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSystem:
-    """One path's driving noise on a uniform grid.
+    """Driving noise of a batch of paths on one uniform grid.
 
-    ``brownian[c, k]`` is the increment of component ``c`` over step ``k``.
-    Event times are sorted in ``(0, t_max]``; marks are rows ``(xi1, xi2)``.
+    ``brownian[p, c, k]`` is the increment of component ``c`` of path
+    ``p`` over step ``k``.  Event arrays of a stream are flat, tagged by
+    ``n0_path`` or ``n1_path`` and sorted by path, then by time in
+    ``(0, t_max]``; marks are rows ``(xi1, xi2)``.
     """
 
-    seed: int
+    seeds: np.ndarray
     t_max: float
     dt: float
     u_bound: float
     eps: float
     refinement_level: int
     brownian: np.ndarray
+    n0_path: np.ndarray
     n0_times: np.ndarray
     n0_marks: np.ndarray
+    n1_path: np.ndarray
     n1_times: np.ndarray
     n1_umarks: np.ndarray
     n1_marks: np.ndarray
-    rng_id: str = RNG_ID
 
     @property
-    def n_steps(self) -> int:
-        return self.brownian.shape[1]
+    def n_paths(self) -> int:
+        return self.brownian.shape[0]
 
     @property
     def n_components(self) -> int:
-        return self.brownian.shape[0]
+        return self.brownian.shape[1]
+
+    @property
+    def n_steps(self) -> int:
+        return self.brownian.shape[2]
 
     @property
     def grid(self) -> np.ndarray:
@@ -134,8 +165,6 @@ class NoiseSystem:
 
 
 def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
-    if rate <= 0.0:
-        return np.empty(0)
     chunks = []
     t0 = 0.0
     size = max(16, int(rate * t_max * 1.5) + 8)
@@ -150,110 +179,84 @@ def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def generate_noise(m, mu, t_max: float, dt: float, seed: int,
+def _events(p, rng, rate, t_max, measure, eps, u_bound=None):
+    """Path ``p``'s events: path tags, times, umarks (if ``u_bound``),
+    marks."""
+    times = _event_times(rng, rate, t_max)
+    umarks = () if u_bound is None else \
+        (rng.uniform(0.0, u_bound, size=len(times)),)
+    marks = measure.sample(rng, len(times), eps=eps) if len(times) \
+        else np.empty((0, 2))
+    return (np.full(len(times), p, dtype=np.intp), times, *umarks, marks)
+
+
+def _no_events(n_fields):
+    """Empty path tags, ``n_fields`` empty 1-d fields and empty marks."""
+    return (np.empty(0, dtype=np.intp),
+            *(np.empty(0) for _ in range(n_fields)), np.empty((0, 2)))
+
+
+def generate_noise(m, mu, t_max: float, dt: float, seed,
                    u_bound: float, eps: float,
                    n_components: int = 3) -> NoiseSystem:
-    """Generate a path's noise from its seed.
+    """Generate the noise of one path per seed.
 
-    Identical arguments always produce a bitwise-identical system.  ``m``
-    feeds N0 at rate ``m.mass(eps=eps)``; ``mu`` feeds the candidate stream
-    N1 at rate ``u_bound * mu.mass(eps=eps)``.  Empty (or fully truncated)
-    measures produce empty event lists without consuming any randomness.
+    ``seed`` is one seed or a 1-d sequence of seeds, each in
+    ``[0, 2**64)``; path ``p`` is a pure function of ``seed[p]`` and the
+    other arguments, so a batch equals its single-seed batches
+    concatenated.  ``m`` feeds N0 at rate ``m.mass(eps=eps)``; ``mu``
+    feeds the candidate stream N1 at rate ``u_bound * mu.mass(eps=eps)``.
+    Empty (or fully truncated) measures produce no events without
+    consuming any randomness.
     """
     n_steps = steps_for(t_max, dt)
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     if u_bound <= 0.0 and not mu.is_empty:
         raise ValueError("u_bound must be positive when mu is nonempty")
-
-    brownian = _stream(seed, ROLE_BROWNIAN).normal(
-        0.0, np.sqrt(dt), size=(n_components, n_steps))
+    seeds = _as_seeds(seed)
 
     rate0 = m.mass(eps=eps) if m is not None else 0.0
-    if rate0 > 0.0:
-        rng0 = _stream(seed, ROLE_N0)
-        n0_times = _event_times(rng0, rate0, t_max)
-        n0_marks = m.sample(rng0, len(n0_times), eps=eps) \
-            if len(n0_times) else np.empty((0, 2))
-    else:
-        n0_times, n0_marks = np.empty(0), np.empty((0, 2))
-
     rate1 = (u_bound * mu.mass(eps=eps)) if mu is not None else 0.0
-    if rate1 > 0.0:
-        rng1 = _stream(seed, ROLE_N1)
-        n1_times = _event_times(rng1, rate1, t_max)
-        n1_umarks = rng1.uniform(0.0, u_bound, size=len(n1_times))
-        n1_marks = mu.sample(rng1, len(n1_times), eps=eps) \
-            if len(n1_times) else np.empty((0, 2))
-    else:
-        n1_times = np.empty(0)
-        n1_umarks = np.empty(0)
-        n1_marks = np.empty((0, 2))
+    brownian = np.empty((len(seeds), n_components, n_steps))
+    n0, n1 = [_no_events(1)], [_no_events(2)]
+    for p, s in enumerate(seeds.tolist()):
+        brownian[p] = _stream(s, ROLE_BROWNIAN).normal(
+            0.0, np.sqrt(dt), size=(n_components, n_steps))
+        if rate0 > 0.0:
+            n0.append(_events(p, _stream(s, ROLE_N0), rate0, t_max, m, eps))
+        if rate1 > 0.0:
+            n1.append(_events(p, _stream(s, ROLE_N1), rate1, t_max, mu, eps,
+                              u_bound))
 
-    return NoiseSystem(seed=int(seed), t_max=float(t_max), dt=float(dt),
+    n0_path, n0_times, n0_marks = (np.concatenate(f) for f in zip(*n0))
+    n1_path, n1_times, n1_umarks, n1_marks = (np.concatenate(f)
+                                              for f in zip(*n1))
+    return NoiseSystem(seeds=seeds, t_max=float(t_max), dt=float(dt),
                        u_bound=float(u_bound), eps=float(eps),
                        refinement_level=0, brownian=brownian,
-                       n0_times=n0_times, n0_marks=n0_marks,
-                       n1_times=n1_times, n1_umarks=n1_umarks,
-                       n1_marks=n1_marks)
+                       n0_path=n0_path, n0_times=n0_times, n0_marks=n0_marks,
+                       n1_path=n1_path, n1_times=n1_times,
+                       n1_umarks=n1_umarks, n1_marks=n1_marks)
 
 
 def refine(noise: NoiseSystem) -> NoiseSystem:
     """Halve ``dt``, splitting increments with Brownian-bridge midpoints.
 
-    Component sums over the grid are preserved and event lists are reused
-    unchanged.  Each refinement level draws from its own substream, so
-    ``refine(refine(ns))`` is deterministic as well.
+    Each path draws its midpoints from its own substream of the current
+    refinement level, so ``refine(refine(ns))`` is deterministic as well;
+    the whole batch is then split in one interleave.  Component sums over
+    the grid are preserved and event arrays are reused unchanged.
     """
-    rng = _stream(noise.seed, ROLE_BRIDGE_BASE + noise.refinement_level)
-    mid = rng.normal(0.0, np.sqrt(noise.dt) / 2.0, size=noise.brownian.shape)
-    out = np.empty((noise.n_components, 2 * noise.n_steps))
-    out[:, 0::2] = noise.brownian / 2.0 + mid
-    out[:, 1::2] = noise.brownian / 2.0 - mid
+    role = ROLE_BRIDGE_BASE + noise.refinement_level
+    scale = np.sqrt(noise.dt) / 2.0
+    mid = np.empty_like(noise.brownian)
+    for p, s in enumerate(noise.seeds.tolist()):
+        mid[p] = _stream(s, role).normal(0.0, scale,
+                                         size=noise.brownian.shape[1:])
+    half = noise.brownian / 2.0
+    out = np.empty((noise.n_paths, noise.n_components, 2 * noise.n_steps))
+    np.add(half, mid, out=out[:, :, 0::2])
+    np.subtract(half, mid, out=out[:, :, 1::2])
     return replace(noise, dt=noise.dt / 2.0, brownian=out,
                    refinement_level=noise.refinement_level + 1)
-
-
-# -- binary round trip -----------------------------------------------------
-
-_HEADER = struct.Struct("<4sIQddddIIQQQ")
-
-
-def dump_noise(noise: NoiseSystem, path) -> None:
-    """Write the system to a self-describing little-endian binary file."""
-    head = _HEADER.pack(
-        _MAGIC, _VERSION, noise.seed, noise.t_max, noise.dt, noise.u_bound,
-        noise.eps, noise.refinement_level, noise.n_components, noise.n_steps,
-        len(noise.n0_times), len(noise.n1_times))
-    with open(path, "wb") as fh:
-        fh.write(head)
-        for arr in (noise.brownian, noise.n0_times, noise.n0_marks,
-                    noise.n1_times, noise.n1_umarks, noise.n1_marks):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_noise(path) -> NoiseSystem:
-    """Read a system written by :func:`dump_noise`."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, version, seed, t_max, dt, u_bound, eps, level, n_comp, \
-            n_steps, k0, k1 = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError("not a noise dump (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported noise dump version {version}")
-
-        def read(shape):
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError("truncated noise dump")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        return NoiseSystem(
-            seed=seed, t_max=t_max, dt=dt, u_bound=u_bound, eps=eps,
-            refinement_level=level,
-            brownian=read((n_comp, n_steps)),
-            n0_times=read((k0,)), n0_marks=read((k0, 2)),
-            n1_times=read((k1,)), n1_umarks=read((k1,)),
-            n1_marks=read((k1, 2)))

@@ -21,16 +21,18 @@ coordinates; each ``_Coord`` gives
 Per step of width ``dt`` every coordinate reads only the step-start
 states and runs ``euler -> +N0 marks -> -dt*m -> +accepted N1 marks ->
 -comp -> clamp``, so stored grid values are post-jump states.  The loop
-owns the stacked Brownian array, the event tables, abort detection (a
-non-finite state, or an intensity above the thinning bound) and the clamp
-count.  The catalyst coordinate has one definition shared by every system
-that contains it, so its path is bitwise identical across the pair,
-catalytic and reactant simulators given the same noise.
+reads the batch's Brownian array and its events bucketed by step, and
+owns abort detection (a non-finite state, or an intensity above the
+thinning bound) and the clamp count.  The catalyst coordinate has one
+definition shared by every system that contains it, so its path is
+bitwise identical across the pair, catalytic and reactant simulators
+given the same noise.
 
 Determinism: a path is a pure function of (coefficients, initial state,
-NoiseSystem).  Batched simulation stacks many noise systems and performs
-identical elementwise arithmetic, so the single-path wrappers run a batch
-of one and an ensemble reproduces each scalar path bit for bit.
+its noise).  The kernels take one ``NoiseSystem`` holding a batch of paths
+and perform identical elementwise arithmetic on every path, so the
+single-path wrappers run a one-path batch and an ensemble reproduces each
+scalar path bit for bit.
 
 Explicit-Euler stability is enforced: runs with ``dt * beta_bar > 0.1``
 are refused rather than silently degraded.
@@ -337,48 +339,29 @@ class ThinningBoundError(RuntimeError):
     """Some paths still exceed the thinning bound after every doubling."""
 
 
-# -- stacked event access --------------------------------------------------
+# -- events by grid step ---------------------------------------------------
 
 class _EventTable:
-    """Events of one stream flattened over a batch, grouped by grid step.
+    """Events of one stream of a batch, grouped by grid step.
 
     Arrays are sorted by (step, path) with the stable order preserving each
     path's time order; ``offsets[k]:offsets[k+1]`` slices step ``k``.
     """
 
-    __slots__ = ("path", "xi1", "xi2", "umark", "offsets", "size")
+    __slots__ = ("path", "xi1", "xi2", "umark", "offsets")
 
-    def __init__(self, noises, which, n_steps):
-        grid = noises[0].grid
-        n_paths = len(noises)
-        paths, times, m1, m2, um = [], [], [], [], []
-        for i, ns in enumerate(noises):
-            t = getattr(ns, which + "_times")
-            if len(t) == 0:
-                continue
-            marks = getattr(ns, which + "_marks")
-            paths.append(np.full(len(t), i, dtype=np.intp))
-            times.append(t)
-            m1.append(marks[:, 0])
-            m2.append(marks[:, 1])
-            if which == "n1":
-                um.append(ns.n1_umarks)
-        if not times:
-            self.size = 0
-            self.offsets = np.zeros(n_steps + 1, dtype=np.intp)
-            self.path = np.empty(0, dtype=np.intp)
-            self.xi1 = self.xi2 = self.umark = np.empty(0)
-            return
-        path = np.concatenate(paths)
-        t = np.concatenate(times)
-        step = np.searchsorted(grid, t, side="left") - 1
-        order = np.argsort(step * n_paths + path, kind="stable")
-        self.size = len(order)
+    def __init__(self, noise, which):
+        path = getattr(noise, which + "_path")
+        marks = getattr(noise, which + "_marks")
+        step = np.searchsorted(noise.grid, getattr(noise, which + "_times"),
+                               side="left") - 1
+        order = np.argsort(step * noise.n_paths + path, kind="stable")
         self.path = path[order]
-        self.xi1 = np.concatenate(m1)[order]
-        self.xi2 = np.concatenate(m2)[order]
-        self.umark = np.concatenate(um)[order] if um else np.empty(0)
-        counts = np.bincount(step, minlength=n_steps)
+        self.xi1 = marks[:, 0][order]
+        self.xi2 = marks[:, 1][order]
+        self.umark = noise.n1_umarks[order] if which == "n1" \
+            else np.empty(0)
+        counts = np.bincount(step, minlength=noise.n_steps)
         self.offsets = np.concatenate(
             ([0], np.cumsum(counts))).astype(np.intp)
 
@@ -421,12 +404,10 @@ def _thins(measure) -> bool:
     return measure is not None and not measure.is_empty
 
 
-def _reference_noise(noises, min_components):
-    ref = noises[0]
-    if ref.n_components < min_components:
+def _check_components(noise, min_components):
+    if noise.n_components < min_components:
         raise ValueError(f"noise must carry at least {min_components} "
-                         f"Brownian components, got {ref.n_components}")
-    return ref
+                         f"Brownian components, got {noise.n_components}")
 
 
 # -- the step kernel -------------------------------------------------------
@@ -461,19 +442,17 @@ def _thinning_comp(dt, mu):
     return lambda s, k, lam: dt * lam * mu
 
 
-def _step_loop(noises, coords, thinning):
-    """Euler paths of ``coords`` on the stacked noise of one batch.
+def _step_loop(noise, coords, thinning):
+    """Euler paths of ``coords`` on the noise of one batch.
 
     Returns ``(paths by name, aborted_at, clamps)``.  A path aborts at the
     first step whose state is not finite or, when ``thinning``, whose
     intensity exceeds ``u_bound`` (candidates above it were never drawn).
     """
-    ref = noises[0]
-    n_paths, n_steps, dt, u_bound = len(noises), ref.n_steps, ref.dt, \
-        ref.u_bound
-    brown = np.stack([ns.brownian for ns in noises])
-    ev0 = _EventTable(noises, "n0", n_steps)
-    ev1 = _EventTable(noises, "n1", n_steps)
+    n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
+        noise.dt, noise.u_bound
+    ev0 = _EventTable(noise, "n0")
+    ev1 = _EventTable(noise, "n1")
     w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
     w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
 
@@ -504,7 +483,7 @@ def _step_loop(noises, coords, thinning):
                 abort_step[newly] = k
                 alive &= ~newly
 
-            dB = brown[:, :, k]
+            dB = noise.brownian[:, :, k]
             a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
             a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
             for c, arr, v0, v1 in zip(coords, paths, w0, w1):
@@ -528,7 +507,7 @@ def _step_loop(noises, coords, thinning):
                     new = np.where(neg, 0.0, new)
                 arr[:, k + 1] = new
 
-    aborted_at = _finalize_aborts(abort_step, ref.grid, *paths)
+    aborted_at = _finalize_aborts(abort_step, noise.grid, *paths)
     return ({c.name: arr for c, arr in zip(coords, paths)}, aborted_at,
             clamps)
 
@@ -612,29 +591,30 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
 
 # -- batch systems ---------------------------------------------------------
 
-def _affine_batch(params, x0, z0, noises, z_region="all"):
+def _affine_batch(params, x0, z0, noise, z_region="all"):
     """Euler paths of the pair system (first coordinate + linear partner).
 
     ``z_region`` restricts which jump marks feed the second coordinate:
     "all" is the two-sided pair equation, "plus" the one-sided limit
     equation.  The first coordinate always reads every mark.
     """
-    ref = _reference_noise(noises, 3)
-    _stability_guard(ref.dt, params.beta_bar, "max|beta|")
-    coords = [_catalyst(params, x0, ref.dt, ref.eps),
-              _linear_partner(params, "z", z0, z_region, ref.dt, ref.eps)]
-    return _step_loop(noises, coords, _thins(params.mu))
+    _check_components(noise, 3)
+    _stability_guard(noise.dt, params.beta_bar, "max|beta|")
+    coords = [_catalyst(params, x0, noise.dt, noise.eps),
+              _linear_partner(params, "z", z0, z_region, noise.dt,
+                              noise.eps)]
+    return _step_loop(noise, coords, _thins(params.mu))
 
 
-def _cbi_batch(spec, x0, noises):
+def _cbi_batch(spec, x0, noise):
     """Euler paths of the scalar equation with time-dependent coefficients."""
-    ref = _reference_noise(noises, spec.r + 1)
-    dt, grid = ref.dt, ref.grid
+    _check_components(noise, spec.r + 1)
+    dt, grid = noise.dt, noise.grid
     coeffs = spec.grid_coefficients(grid)
     _stability_guard(dt, spec.bounds.beta_bar(grid[-1]), "beta_bar")
     sigma, b, beta, l = (coeffs[n] for n in ("sigma", "b", "beta", "l"))
     theta0, theta1, r = spec.theta0, spec.theta1, spec.r
-    mu_x1 = _moment(spec.mu, 1, 0, "all", ref.eps)
+    mu_x1 = _moment(spec.mu, 1, 0, "all", noise.eps)
 
     def euler(s, dB, k):
         xk = s["x"]
@@ -651,18 +631,18 @@ def _cbi_batch(spec, x0, noises):
                lambda xi1, xi2: theta0 * xi1,
                lambda xi1, xi2: theta1 * xi1,
                comp=comp if mu_x1 != 0.0 else None, clamp=True)
-    return _step_loop(noises, [x], _thins(spec.mu))
+    return _step_loop(noise, [x], _thins(spec.mu))
 
 
-def _catalytic_batch(params, x0, y0, l, noises):
+def _catalytic_batch(params, x0, y0, l, noise):
     """Euler paths of the catalyst/reactant system."""
     if params.b[1] < 0.0:
         raise ValueError(f"catalytic reactant requires b2 >= 0, "
                          f"got {params.b[1]!r}")
     if l < 0.0:
         raise ValueError("coupling constant l must be nonnegative")
-    ref = _reference_noise(noises, 3)
-    dt = ref.dt
+    _check_components(noise, 3)
+    dt = noise.dt
     _stability_guard(dt, params.beta_bar, "max|beta|")
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
     s21, s22 = params.sigma[1]
@@ -678,13 +658,13 @@ def _catalytic_batch(params, x0, y0, l, noises):
     # Immigration marks in the positive quadrant, uncompensated.
     y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
                comp=_thinning_comp(dt, _moment(params.mu, 0, 1, "plus",
-                                               ref.eps)),
+                                               noise.eps)),
                clamp=True)
-    return _step_loop(noises, [_catalyst(params, x0, dt, ref.eps), y],
+    return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
                       _thins(params.mu))
 
 
-def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
+def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
                     split, with_limit=False, z0=None):
     """Euler paths of the reactant system at scale theta.
 
@@ -703,8 +683,8 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
     if mode not in ("single", "pair"):
         raise ValueError(f"unknown mode {mode!r}")
     pair = mode == "pair"
-    ref = _reference_noise(noises, 3)
-    dt, eps = ref.dt, ref.eps
+    _check_components(noise, 3)
+    dt, eps = noise.dt, noise.eps
     _stability_guard(dt, params.beta_bar, "max|beta|")
 
     coords = [_catalyst(params, x0, dt, eps)]
@@ -727,7 +707,7 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
     if with_limit:
         coords.append(_linear_partner(params, "z_lim", z0,
                                       "all" if pair else "plus", dt, eps))
-    paths, aborted_at, clamps = _step_loop(noises, coords,
+    paths, aborted_at, clamps = _step_loop(noise, coords,
                                            _thins(params.mu))
 
     comps = {name: arr for name, arr in paths.items() if name != "z_lim"}
@@ -744,13 +724,21 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noises, mode,
 
 # -- single-path wrappers --------------------------------------------------
 
+def _one_path(noise):
+    if noise.n_paths != 1:
+        raise ValueError(f"a single-path simulator needs a one-path noise "
+                         f"system, got {noise.n_paths} paths")
+    return noise
+
+
 def _bundle_from_batch(noise, components, aborted_at, clamps):
     aborted = None if math.isnan(aborted_at[0]) else float(aborted_at[0])
     comps = {name: arr[0].copy() for name, arr in components.items()
              if arr.shape[1] > 1}
-    return PathBundle(grid=noise.grid, components=comps, seed=noise.seed,
-                      dt=noise.dt, eps=noise.eps, u_bound=noise.u_bound,
-                      aborted_at=aborted, clamp_count=int(clamps[0]))
+    return PathBundle(grid=noise.grid, components=comps,
+                      seed=int(noise.seeds[0]), dt=noise.dt, eps=noise.eps,
+                      u_bound=noise.u_bound, aborted_at=aborted,
+                      clamp_count=int(clamps[0]))
 
 
 def _check_init(name, value):
@@ -762,7 +750,8 @@ def _check_init(name, value):
 def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
                              noise: NoiseSystem) -> PathBundle:
     """One path of the scalar branching equation driven by ``noise``."""
-    comps, aborted, clamps = _cbi_batch(spec, _check_init("x0", x0), [noise])
+    comps, aborted, clamps = _cbi_batch(spec, _check_init("x0", x0),
+                                        _one_path(noise))
     return _bundle_from_batch(noise, comps, aborted, clamps)
 
 
@@ -770,7 +759,7 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
                     noise: NoiseSystem, z_region="all") -> PathBundle:
     """One path of the pair system; components ``x`` and ``z``."""
     comps, aborted, clamps = _affine_batch(
-        params, _check_init("x0", x0), float(z0), [noise],
+        params, _check_init("x0", x0), float(z0), _one_path(noise),
         z_region=z_region)
     return _bundle_from_batch(noise, comps, aborted, clamps)
 
@@ -787,7 +776,7 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
     primary simulator.
     """
     x_path = np.asarray(x_path, dtype=float)
-    n_steps = noise.n_steps
+    n_steps = _one_path(noise).n_steps
     if x_path.shape != (n_steps + 1,):
         raise ValueError(f"x_path has shape {x_path.shape}, but the noise "
                          f"grid has {n_steps + 1} points")
@@ -798,22 +787,23 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
     rt2s0 = math.sqrt(2.0) * params.sigma0
     m_z = _moment(params.m, 0, 1, z_region, eps)
     mu_z = _moment(params.mu, 0, 1, z_region, eps)
-    ev0 = _EventTable([noise], "n0", n_steps)
-    ev1 = _EventTable([noise], "n1", n_steps)
+    ev0 = _EventTable(noise, "n0")
+    ev1 = _EventTable(noise, "n1")
     wz0 = _region_weights(ev0.xi2, z_region)
     wz1 = _region_weights(ev1.xi2, z_region)
     grid = noise.grid
     weight = np.exp(-b22 * grid[:-1])           # integrating factor at t_k
 
+    brown = noise.brownian[0]
     z = np.empty(n_steps + 1)
     z[0] = z0
     acc_sum = 0.0
     for k in range(n_steps):
         xk = x_path[k]
         inc = dt * (b2 + b21 * xk) \
-            + rt2s0 * noise.brownian[0, k] \
-            + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * noise.brownian[1, k]
-                                               + s22 * noise.brownian[2, k])
+            + rt2s0 * brown[0, k] \
+            + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * brown[1, k]
+                                               + s22 * brown[2, k])
         s, e = ev0.offsets[k], ev0.offsets[k + 1]
         if e > s:
             inc += wz0[s:e].sum()
@@ -833,7 +823,7 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
     """One path of the catalyst/reactant system; components ``x``, ``y``."""
     comps, aborted, clamps = _catalytic_batch(
         params, _check_init("x0", x0), _check_init("y0", y0), float(l),
-        [noise])
+        _one_path(noise))
     return _bundle_from_batch(noise, comps, aborted, clamps)
 
 
@@ -849,43 +839,39 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
     comps, aborted, clamps = _reactant_batch(
         params, float(theta), _check_init("x0", x0),
         _check_init("y_plus0", y_plus0),
-        _check_init("y_minus0", y_minus0), [noise], mode, split)
+        _check_init("y_minus0", y_minus0), _one_path(noise), mode, split)
     return _bundle_from_batch(noise, comps, aborted, clamps)
 
 
 # -- ensemble driver -------------------------------------------------------
 
 def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
-                 u_bound, eps, n_components=3, keep_idx=None,
+                 u_bound, eps, keep_idx=None,
                  max_doublings=6) -> EnsembleResult:
     """Run a batch model over substream-seeded paths and stack the output.
 
-    ``model_fn(noises) -> (components, aborted_at, clamps)`` must be a pure
-    function of the noise list.  Paths run sequentially in chunks of
-    ``CHUNK`` and are stacked in path-index order, so the output depends
-    only on the arguments.  Paths whose thinning bound was exceeded are
-    regenerated with the bound doubled (same per-path seed) up to
-    ``max_doublings`` times; a path still aborted afterwards raises
-    ``ThinningBoundError``.  ``keep_idx`` selects grid columns to retain
+    ``model_fn(noise) -> (components, aborted_at, clamps)`` must be a pure
+    function of the batch ``NoiseSystem``.  Paths run sequentially in
+    chunks of ``CHUNK``, one noise system per chunk, and are stacked in
+    path-index order, so the output depends only on the arguments.  Paths
+    whose thinning bound was exceeded are regenerated in one batch with
+    the bound doubled (same per-path seeds) up to ``max_doublings``
+    times; a path still aborted afterwards raises ``ThinningBoundError``.  ``keep_idx`` selects grid columns to retain
     (None keeps all).
     """
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
 
-    def build(seed, bound):
-        return generate_noise(m, mu, t_max, dt, int(seed), bound, eps,
-                              n_components=n_components)
-
     def run_chunk(chunk_seeds):
-        noises = [build(s, u_bound) for s in chunk_seeds]
-        comps, aborted, clamps = model_fn(noises)
+        noise = generate_noise(m, mu, t_max, dt, chunk_seeds, u_bound, eps)
+        comps, aborted, clamps = model_fn(noise)
         retry = np.nonzero(~np.isnan(aborted))[0]
         tries, bound, retried = 0, u_bound, 0
         while len(retry) and tries < max_doublings:
             tries += 1
             bound *= 2.0
             retried += len(retry)
-            redo = [build(chunk_seeds[p], bound) for p in retry]
-            comps_r, aborted_r, clamps_r = model_fn(redo)
+            comps_r, aborted_r, clamps_r = model_fn(generate_noise(
+                m, mu, t_max, dt, chunk_seeds[retry], bound, eps))
             for name in comps:
                 comps[name][retry] = comps_r[name]
             aborted[retry] = aborted_r
@@ -896,7 +882,7 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
                 f"{len(retry)} paths still exceed the thinning bound after "
                 f"{max_doublings} doublings of u_bound={u_bound!r}")
         if keep_idx is not None:
-            full = noises[0].n_steps + 1
+            full = noise.n_steps + 1
             comps = {name: (arr[:, keep_idx] if arr.shape[1] == full
                             else arr)
                      for name, arr in comps.items()}

@@ -273,9 +273,9 @@ def _coupled(core):
     run.
     """
 
-    def model(noises):
-        fine = [refine(ns) for ns in noises]
-        cc, ca, cl = core(noises)
+    def model(noise):
+        fine = refine(noise)
+        cc, ca, cl = core(noise)
         fc, fa, fl = core(fine)
         comps = dict(cc)
         for name, arr in fc.items():
@@ -552,8 +552,8 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         u_bound = 8.0 * (1.0 + intensity)
 
     if which == "affine":
-        def core(noises):
-            return _affine_batch(params, x1, x2, noises)
+        def core(noise):
+            return _affine_batch(params, x1, x2, noise)
     elif which == "cbi":
         guard = 1.0 + abs(params.beta[0, 0])
         spec = GeneralizedCbiSpec(
@@ -564,11 +564,11 @@ def check_generator(params, state, *, which, n_paths, master_seed,
                 abs(params.b[0]) + 1.0, guard, l + 1.0),
             mu=params.mu)
 
-        def core(noises):
-            return _cbi_batch(spec, x1, noises)
+        def core(noise):
+            return _cbi_batch(spec, x1, noise)
     else:
-        def core(noises):
-            return _catalytic_batch(params, x1, x2, l, noises)
+        def core(noise):
+            return _catalytic_batch(params, x1, x2, l, noise)
 
     ens = run_ensemble(_coupled(core), m=params.m, mu=params.mu,
                        n_paths=n_paths, master_seed=master_seed,
@@ -639,9 +639,9 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
                        (3 * n_steps) // 4, n_steps})
 
-    def model(noises):
-        av, aa, ac = _affine_batch(params, x0_a, z0, noises)
-        bv, ba, bc = _affine_batch(params, x0_b, z0, noises)
+    def model(noise):
+        av, aa, ac = _affine_batch(params, x0_a, z0, noise)
+        bv, ba, bc = _affine_batch(params, x0_b, z0, noise)
         comps = {"x_a": av["x"], "x_b": bv["x"]}
         return comps, np.fmin(aa, ba), ac + bc
 
@@ -719,9 +719,9 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
         yp0 = theta + max(z0, 0.0)
         ym0 = theta + max(-z0, 0.0)
 
-        def model(noises, theta=theta, yp0=yp0, ym0=ym0):
+        def model(noise, theta=theta, yp0=yp0, ym0=ym0):
             comps, aborted, clamps = _reactant_batch(
-                params, theta, x0, yp0, ym0, noises, mode, split,
+                params, theta, x0, yp0, ym0, noise, mode, split,
                 with_limit=True, z0=z0)
             return {"gap": comps["gap"]}, aborted, clamps
 

@@ -387,6 +387,20 @@ class TestMain:
         assert err.startswith("affine-lab: ") and err.count("\n") == 1
         assert "thinning bound" in err and "mc.u_bound" in err
 
+    def test_failed_run_removes_only_directories_it_created(self, tmp_path,
+                                                            capsys):
+        doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -7},
+               "mc": {"n_paths": 20, "u_bound": 1e-6},
+               "validate": {"checks": ["moments"]}}
+        path = self.write(tmp_path, doc)
+        new = tmp_path / "new" / "o"
+        assert main(["validate", "--config", path, "--out", str(new)]) == 2
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["validate", "--config", path, "--out", str(kept)]) == 2
+        assert kept.is_dir() and not any(kept.iterdir())
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         doc = {
             "params": {"preset": "symmetric_split"},

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from affine_lab.cli import parse_config, run
-from affine_lab.noise import generate_noise, refine, substream_seed
+from affine_lab.noise import generate_noise, refine, substream_seed_array
 from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import builtin_params
 from affine_lab.sde import (CoefficientBounds, GeneralizedCbiSpec, StepBound,
@@ -87,10 +87,10 @@ def noises(preset, u_bound, refined, dt=DT, n_components=3, seed=11):
     key = (preset, u_bound, refined, dt, n_components, seed)
     if key not in _NOISE_CACHE:
         p = params_for(preset)
-        out = [generate_noise(p.m, p.mu, T_MAX, dt, substream_seed(seed, i),
-                              u_bound, EPS, n_components=n_components)
-               for i in range(N_PATHS)]
-        _NOISE_CACHE[key] = [refine(ns) for ns in out] if refined else out
+        out = generate_noise(p.m, p.mu, T_MAX, dt,
+                             substream_seed_array(seed, np.arange(N_PATHS)),
+                             u_bound, EPS, n_components=n_components)
+        _NOISE_CACHE[key] = refine(out) if refined else out
     return _NOISE_CACHE[key]
 
 

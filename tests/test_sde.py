@@ -39,15 +39,19 @@ def make_params(a=0.0, alpha=((0, 0), (0, 0)), b=(0, 0),
 
 def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, eps=0.0,
                  n_components=3, brownian=None):
-    """Hand-built noise: rows (t, xi1, xi2) for N0, (t, xi1, xi2, u) for N1."""
+    """Hand-built one-path noise: rows (t, xi1, xi2) for N0, (t, xi1, xi2,
+    u) for N1, and ``brownian`` of shape (n_components, n_steps)."""
     n_steps = round(t_max / dt)
     b = np.zeros((n_components, n_steps)) if brownian is None \
         else np.asarray(brownian, dtype=float)
     e0 = np.asarray(n0, dtype=float).reshape(-1, 3)
     e1 = np.asarray(n1, dtype=float).reshape(-1, 4)
-    return NoiseSystem(seed=0, t_max=t_max, dt=dt, u_bound=u_bound, eps=eps,
-                       refinement_level=0, brownian=b,
+    return NoiseSystem(seeds=np.zeros(1, dtype=np.uint64), t_max=t_max,
+                       dt=dt, u_bound=u_bound, eps=eps, refinement_level=0,
+                       brownian=b[np.newaxis],
+                       n0_path=np.zeros(len(e0), dtype=np.intp),
                        n0_times=e0[:, 0], n0_marks=e0[:, 1:3],
+                       n1_path=np.zeros(len(e1), dtype=np.intp),
                        n1_times=e1[:, 0], n1_umarks=e1[:, 3],
                        n1_marks=e1[:, 1:3])
 
@@ -274,9 +278,9 @@ def test_monotone_coupling_in_initial_state():
 def test_contraction_in_mean():
     p, _ = preset_noise()
 
-    def coupled(noises):
-        lo, ab_lo, cl = _affine_batch(p, 1.0, 0.0, noises)
-        hi, ab_hi, _ = _affine_batch(p, 1.6, 0.0, noises)
+    def coupled(noise):
+        lo, ab_lo, cl = _affine_batch(p, 1.0, 0.0, noise)
+        hi, ab_hi, _ = _affine_batch(p, 1.6, 0.0, noise)
         comps = {"gap": np.abs(hi["x"] - lo["x"])}
         aborted = np.where(np.isnan(ab_lo), ab_hi, ab_lo)
         return comps, aborted, cl
@@ -292,7 +296,7 @@ def test_contraction_in_mean():
 
 def test_mean_matches_moment_functionals():
     p, _ = preset_noise()
-    ens = run_ensemble(lambda noises: _affine_batch(p, 1.0, 0.5, noises),
+    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
                        m=p.m, mu=p.mu, n_paths=4000, master_seed=23,
                        t_max=1.0, dt=2.0 ** -9, u_bound=24.0, eps=0.0,
                        keep_idx=[-1])
@@ -305,7 +309,7 @@ def test_mean_matches_moment_functionals():
 
 def test_gronwall_mean_bound():
     p, _ = preset_noise()
-    ens = run_ensemble(lambda noises: _affine_batch(p, 1.0, 0.5, noises),
+    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
                        m=p.m, mu=p.mu, n_paths=2000, master_seed=29,
                        t_max=1.0, dt=2.0 ** -8, u_bound=24.0, eps=0.0)
     m1 = p.m.poly_moment(1, 0)
@@ -362,7 +366,7 @@ def test_u_bound_abort_records_time():
 
 def test_run_ensemble_retries_with_doubled_bound():
     p, _ = preset_noise()
-    ens = run_ensemble(lambda noises: _affine_batch(p, 1.0, 0.0, noises),
+    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.0, noise),
                        m=p.m, mu=p.mu, n_paths=64, master_seed=3,
                        t_max=1.0, dt=2.0 ** -8, u_bound=2.0, eps=0.0,
                        keep_idx=[-1])
@@ -373,7 +377,7 @@ def test_run_ensemble_retries_with_doubled_bound():
 def test_run_ensemble_raises_when_bound_stays_small():
     p, _ = preset_noise()
     with pytest.raises(ThinningBoundError, match="thinning bound"):
-        run_ensemble(lambda noises: _affine_batch(p, 30.0, 0.0, noises),
+        run_ensemble(lambda noise: _affine_batch(p, 30.0, 0.0, noise),
                      m=p.m, mu=p.mu, n_paths=8, master_seed=3,
                      t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0,
                      max_doublings=1)
@@ -404,7 +408,7 @@ def test_catalytic_rejects_negative_b2():
 def test_ensemble_reproduces_scalar_paths():
     p, _ = preset_noise()
     master = 41
-    ens = run_ensemble(lambda noises: _affine_batch(p, 1.0, 0.5, noises),
+    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
                        m=p.m, mu=p.mu, n_paths=5, master_seed=master,
                        t_max=1.0, dt=2.0 ** -8, u_bound=24.0, eps=0.0)
     for i in range(5):
@@ -415,10 +419,29 @@ def test_ensemble_reproduces_scalar_paths():
         assert np.array_equal(ens.components["z"][i], out.component("z"))
 
 
+def test_single_path_simulators_reject_a_batch():
+    p, _ = preset_noise()
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, [3, 4], 24.0, 0.0)
+    with pytest.raises(ValueError, match="one-path noise system, got 2"):
+        simulate_affine(p, 1.0, 0.5, noise)
+    with pytest.raises(ValueError, match="one-path"):
+        simulate_affine_voc(p, np.ones(noise.n_steps + 1), 0.5, noise)
+
+
+@pytest.mark.parametrize("master_seed", [-1, 2 ** 64])
+def test_ensemble_rejects_out_of_range_master_seed(master_seed):
+    p, _ = preset_noise()
+    with pytest.raises(ValueError,
+                       match=f"master_seed {master_seed} is outside"):
+        run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
+                     m=p.m, mu=p.mu, n_paths=2, master_seed=master_seed,
+                     t_max=1.0, dt=2.0 ** -4, u_bound=24.0, eps=0.0)
+
+
 def test_chunk_boundary_paths_match_scalar_runs():
     p, _ = preset_noise()
     master, dt = 17, 2.0 ** -8
-    ens = run_ensemble(lambda noises: _affine_batch(p, 1.0, 0.5, noises),
+    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
                        m=p.m, mu=p.mu, n_paths=CHUNK + 3, master_seed=master,
                        t_max=dt, dt=dt, u_bound=24.0, eps=0.0)
     for i in (CHUNK - 1, CHUNK, CHUNK + 2):
@@ -438,7 +461,7 @@ def test_ensemble_counts_clamps_of_kept_attempts():
         m=FiniteAtomicMeasure([(0.5, 0.3, 0.6), (0.0, -0.8, 0.4)]),
         mu=FiniteAtomicMeasure([(0.4, 0.2, 0.5), (0.9, -0.3, 0.25)]))
     master, dt, n = 5, 2.0 ** -6, 40
-    ens = run_ensemble(lambda noises: _affine_batch(p, 0.01, 0.0, noises),
+    ens = run_ensemble(lambda noise: _affine_batch(p, 0.01, 0.0, noise),
                        m=p.m, mu=p.mu, n_paths=n, master_seed=master,
                        t_max=1.0, dt=dt, u_bound=2.0, eps=0.0)
     expected = 0
@@ -505,7 +528,7 @@ def test_minus_reactant_reads_flipped_marks():
 def test_fused_limit_gap_matches_components():
     p, noise = preset_noise(seed=31)
     comps, aborted, _ = _reactant_batch(
-        p, 16.0, 1.0, 16.0, 16.0, [noise], "pair", None,
+        p, 16.0, 1.0, 16.0, 16.0, noise, "pair", None,
         with_limit=True, z0=0.0)
     assert np.isnan(aborted[0])
     gap = np.max(np.abs(comps["z_k"][0] - comps["z_lim"][0]))
@@ -515,7 +538,7 @@ def test_fused_limit_gap_matches_components():
 def test_fused_limit_equals_direct_affine():
     p, noise = preset_noise(seed=37)
     comps, _, _ = _reactant_batch(
-        p, 16.0, 1.0, 16.0, 16.0, [noise], "pair", None,
+        p, 16.0, 1.0, 16.0, 16.0, noise, "pair", None,
         with_limit=True, z0=0.25)
     direct = simulate_affine(p, 1.0, 0.25, noise)
     assert np.array_equal(comps["z_lim"][0], direct.component("z"))
