@@ -23,6 +23,15 @@ the state-dependent intensity, and must abort if that intensity ever exceeds
 Refining the grid halves ``dt``, splits each Brownian increment with a
 bridge midpoint from the next dedicated role, and leaves the event arrays
 untouched, so schemes at dt and dt/2 are driven by the same underlying path.
+Every array of a ``NoiseSystem`` is read-only: one system may drive
+several models.
+
+A Philox stream is a pure function of its key and counter, so no
+generator is constructed per path: ``_stream`` resets the key of one
+module-level Philox to ``(key0, role)``, its counter to 0 and its buffer
+to empty, which yields the same bytes as ``Generator(Philox(key=[seed,
+role]))``.  ``key0`` is the first key word that construction stores,
+computed once per batch by ``_philox_keys``.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
 injective in the path index for a fixed master seed.
@@ -108,8 +117,41 @@ def substream_seed_array(master_seed: int, indices) -> np.ndarray:
     return z
 
 
-def _stream(seed: int, role: int) -> Generator:
-    return Generator(Philox(key=[seed, role]))
+_PHILOX = Philox(key=0)
+_RNG = Generator(_PHILOX)
+# Philox(key=...) at counter 0 with an empty buffer; _stream sets the key.
+_FRESH = {"bit_generator": "Philox",
+          "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+          "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+          "has_uint32": 0, "uinteger": 0}
+
+
+def _philox_keys(seeds: np.ndarray) -> np.ndarray:
+    """First Philox key word of each uint64 seed, as the streams use it.
+
+    ``Philox(key=[seed, role])`` reads the list through float64 when
+    ``seed >= 2**63``: such a seed is keyed by its float64 rounding, and
+    by 0 when that rounding reaches 2**64 (seeds in
+    ``[2**64 - 1024, 2**64)``).  The streams keep that keying until an
+    ``RNG_ID`` change fixes it.
+    """
+    keys = seeds.copy()
+    big = seeds >= np.uint64(1 << 63)
+    rounded = seeds[big].astype(np.float64)
+    keys[big] = np.where(rounded < 2.0 ** 64, rounded, 0.0).astype(np.uint64)
+    return keys
+
+
+def _stream(key0: int, role: int) -> Generator:
+    """The Philox stream keyed ``(key0, role)``, from its start.
+
+    Resets one module-level generator instead of constructing one, so the
+    generator returned is valid only until the next ``_stream`` call.
+    ``key0`` comes from :func:`_philox_keys`.
+    """
+    _FRESH["state"]["key"] = (key0, role)
+    _PHILOX.state = _FRESH
+    return _RNG
 
 
 def steps_for(t_max: float, dt: float) -> int:
@@ -129,7 +171,9 @@ class NoiseSystem:
     ``brownian[p, c, k]`` is the increment of component ``c`` of path
     ``p`` over step ``k``.  Event arrays of a stream are flat, tagged by
     ``n0_path`` or ``n1_path`` and sorted by path, then by time in
-    ``(0, t_max]``; marks are rows ``(xi1, xi2)``.
+    ``(0, t_max]``; marks are rows ``(xi1, xi2)``.  Every array is made
+    read-only on construction, because one system may drive several
+    models and a kernel writing into it would change the later ones.
     """
 
     seeds: np.ndarray
@@ -146,6 +190,11 @@ class NoiseSystem:
     n1_times: np.ndarray
     n1_umarks: np.ndarray
     n1_marks: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_paths(self) -> int:
@@ -165,35 +214,52 @@ class NoiseSystem:
 
 
 def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
-    chunks = []
-    t0 = 0.0
+    """Times in ``(0, t_max]`` of a Poisson stream of rate ``rate``.
+
+    Gaps are drawn in batches sized to the expected count.  The first gap
+    is drawn alone, so a path without events (most paths on a short
+    horizon) costs one draw; the gaps equal the batched draws either way,
+    and nothing reads a stream that has no events.
+    """
+    scale = 1.0 / rate
+    first = rng.exponential(scale)
+    if first > t_max:
+        return np.empty(0)
     size = max(16, int(rate * t_max * 1.5) + 8)
+    gaps = np.concatenate(([first], rng.exponential(scale, size=size - 1)))
+    chunks, t0 = [], 0.0
     while True:
-        gaps = rng.exponential(1.0 / rate, size=size)
-        times = t0 + np.cumsum(gaps)
+        times = t0 + gaps.cumsum()
         if times[-1] > t_max:
             chunks.append(times[times <= t_max])
-            break
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         chunks.append(times)
         t0 = times[-1]
-    return np.concatenate(chunks)
+        gaps = rng.exponential(scale, size=size)
 
 
-def _events(p, rng, rate, t_max, measure, eps, u_bound=None):
-    """Path ``p``'s events: path tags, times, umarks (if ``u_bound``),
-    marks."""
+def _events(rng, rate, t_max, measure, eps, u_bound=None):
+    """One path's events: times, umarks (if ``u_bound``), marks."""
     times = _event_times(rng, rate, t_max)
     umarks = () if u_bound is None else \
         (rng.uniform(0.0, u_bound, size=len(times)),)
     marks = measure.sample(rng, len(times), eps=eps) if len(times) \
         else np.empty((0, 2))
-    return (np.full(len(times), p, dtype=np.intp), times, *umarks, marks)
+    return (times, *umarks, marks)
 
 
-def _no_events(n_fields):
-    """Empty path tags, ``n_fields`` empty 1-d fields and empty marks."""
-    return (np.empty(0, dtype=np.intp),
-            *(np.empty(0) for _ in range(n_fields)), np.empty((0, 2)))
+def _batch_events(per_path, n_fields):
+    """Path tags, then each field of a stream's per-path events joined.
+
+    ``per_path`` holds one ``_events`` tuple per path, or nothing when
+    the stream is empty; ``n_fields`` counts its 1-d fields.
+    """
+    if not per_path:
+        return (np.empty(0, dtype=np.intp),
+                *(np.empty(0) for _ in range(n_fields)), np.empty((0, 2)))
+    counts = [len(fields[0]) for fields in per_path]
+    tags = np.repeat(np.arange(len(per_path), dtype=np.intp), counts)
+    return (tags, *(np.concatenate(f) for f in zip(*per_path)))
 
 
 def generate_noise(m, mu, t_max: float, dt: float, seed,
@@ -218,20 +284,20 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
 
     rate0 = m.mass(eps=eps) if m is not None else 0.0
     rate1 = (u_bound * mu.mass(eps=eps)) if mu is not None else 0.0
+    scale = np.sqrt(dt)
     brownian = np.empty((len(seeds), n_components, n_steps))
-    n0, n1 = [_no_events(1)], [_no_events(2)]
-    for p, s in enumerate(seeds.tolist()):
-        brownian[p] = _stream(s, ROLE_BROWNIAN).normal(
-            0.0, np.sqrt(dt), size=(n_components, n_steps))
+    n0, n1 = [], []
+    for p, key in enumerate(_philox_keys(seeds).tolist()):
+        brownian[p] = _stream(key, ROLE_BROWNIAN).normal(
+            0.0, scale, size=(n_components, n_steps))
         if rate0 > 0.0:
-            n0.append(_events(p, _stream(s, ROLE_N0), rate0, t_max, m, eps))
+            n0.append(_events(_stream(key, ROLE_N0), rate0, t_max, m, eps))
         if rate1 > 0.0:
-            n1.append(_events(p, _stream(s, ROLE_N1), rate1, t_max, mu, eps,
+            n1.append(_events(_stream(key, ROLE_N1), rate1, t_max, mu, eps,
                               u_bound))
 
-    n0_path, n0_times, n0_marks = (np.concatenate(f) for f in zip(*n0))
-    n1_path, n1_times, n1_umarks, n1_marks = (np.concatenate(f)
-                                              for f in zip(*n1))
+    n0_path, n0_times, n0_marks = _batch_events(n0, 1)
+    n1_path, n1_times, n1_umarks, n1_marks = _batch_events(n1, 2)
     return NoiseSystem(seeds=seeds, t_max=float(t_max), dt=float(dt),
                        u_bound=float(u_bound), eps=float(eps),
                        refinement_level=0, brownian=brownian,
@@ -251,9 +317,9 @@ def refine(noise: NoiseSystem) -> NoiseSystem:
     role = ROLE_BRIDGE_BASE + noise.refinement_level
     scale = np.sqrt(noise.dt) / 2.0
     mid = np.empty_like(noise.brownian)
-    for p, s in enumerate(noise.seeds.tolist()):
-        mid[p] = _stream(s, role).normal(0.0, scale,
-                                         size=noise.brownian.shape[1:])
+    for p, key in enumerate(_philox_keys(noise.seeds).tolist()):
+        mid[p] = _stream(key, role).normal(0.0, scale,
+                                           size=noise.brownian.shape[1:])
     half = noise.brownian / 2.0
     out = np.empty((noise.n_paths, noise.n_components, 2 * noise.n_steps))
     np.add(half, mid, out=out[:, :, 0::2])

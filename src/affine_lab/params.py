@@ -122,6 +122,7 @@ class FiniteAtomicMeasure:
         object.__setattr__(self, "atoms", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "truncation_eps", float(truncation_eps))
+        object.__setattr__(self, "_cdfs", {})  # eps -> (kept atoms, cdf)
 
     # -- queries ---------------------------------------------------------
 
@@ -161,15 +162,25 @@ class FiniteAtomicMeasure:
         return complex((w * term).sum())
 
     def sample(self, rng, n, eps=None):
-        """Draw ``n`` marks from the band-normalized measure."""
+        """Draw ``n`` marks from the band-normalized measure.
+
+        The draws equal ``rng.choice(len(w), size=n, p=w / w.sum())`` over
+        the kept weights ``w``, from a CDF built once per ``eps`` the way
+        ``Generator.choice`` builds it.
+        """
         eps = self.truncation_eps if eps is None else eps
-        keep = self._mask("all", eps)
-        w = self.weights[keep]
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError("no atoms outside the truncation band")
-        idx = rng.choice(len(w), size=n, p=w / total)
-        return self.atoms[keep][idx]
+        cached = self._cdfs.get(eps)
+        if cached is None:
+            keep = self._mask("all", eps)
+            w = self.weights[keep]
+            total = w.sum()
+            if total <= 0.0:
+                raise ValueError("no atoms outside the truncation band")
+            cdf = (w / total).cumsum()
+            cdf /= cdf[-1]
+            cached = self._cdfs[eps] = (self.atoms[keep], cdf)
+        atoms, cdf = cached
+        return atoms[cdf.searchsorted(rng.random(n), side="right")]
 
 
 def _exp_partial(p, rate, cutoff):

@@ -47,7 +47,8 @@ import numpy as np
 
 # ``refine`` is unused here; bench/test_bench.py checks that the tracing
 # shims rebind ``sde.refine``.
-from .noise import NoiseSystem, generate_noise, refine, substream_seed_array
+from .noise import (NoiseSystem, generate_noise, refine, steps_for,
+                    substream_seed_array)
 from .params import AdmissibleParams
 
 __all__ = [
@@ -846,31 +847,33 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
 # -- ensemble driver -------------------------------------------------------
 
 def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
-                 u_bound, eps, keep_idx=None,
-                 max_doublings=6) -> EnsembleResult:
-    """Run a batch model over substream-seeded paths and stack the output.
+                 u_bound, eps, keep_idx=None, max_doublings=6):
+    """Run batch models over substream-seeded paths and stack the output.
 
-    ``model_fn(noise) -> (components, aborted_at, clamps)`` must be a pure
-    function of the batch ``NoiseSystem``.  Paths run sequentially in
-    chunks of ``CHUNK``, one noise system per chunk, and are stacked in
-    path-index order, so the output depends only on the arguments.  Paths
-    whose thinning bound was exceeded are regenerated in one batch with
-    the bound doubled (same per-path seeds) up to ``max_doublings``
-    times; a path still aborted afterwards raises ``ThinningBoundError``.  ``keep_idx`` selects grid columns to retain
-    (None keeps all).
+    ``model_fn`` is one model or a sequence of models, each
+    ``model(noise) -> (components, aborted_at, clamps)`` and a pure
+    function of the batch ``NoiseSystem``.  One model gives one
+    ``EnsembleResult``, a sequence a list of one per model.  Paths run
+    sequentially in chunks of ``CHUNK``; each chunk's noise is generated
+    once and every model runs on it, and outputs are stacked in
+    path-index order, so they depend only on the arguments.  Each model
+    regenerates its own aborted paths in one batch with the bound doubled
+    (same per-path seeds) up to ``max_doublings`` times; a path still
+    aborted afterwards raises ``ThinningBoundError``.  ``keep_idx``
+    selects grid columns to retain (None keeps all).
     """
+    models = [model_fn] if callable(model_fn) else list(model_fn)
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
+    full = steps_for(t_max, dt) + 1
 
-    def run_chunk(chunk_seeds):
-        noise = generate_noise(m, mu, t_max, dt, chunk_seeds, u_bound, eps)
-        comps, aborted, clamps = model_fn(noise)
+    def finish(model, chunk_seeds, comps, aborted, clamps):
         retry = np.nonzero(~np.isnan(aborted))[0]
         tries, bound, retried = 0, u_bound, 0
         while len(retry) and tries < max_doublings:
             tries += 1
             bound *= 2.0
             retried += len(retry)
-            comps_r, aborted_r, clamps_r = model_fn(generate_noise(
+            comps_r, aborted_r, clamps_r = model(generate_noise(
                 m, mu, t_max, dt, chunk_seeds[retry], bound, eps))
             for name in comps:
                 comps[name][retry] = comps_r[name]
@@ -882,25 +885,33 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
                 f"{len(retry)} paths still exceed the thinning bound after "
                 f"{max_doublings} doublings of u_bound={u_bound!r}")
         if keep_idx is not None:
-            full = noise.n_steps + 1
             comps = {name: (arr[:, keep_idx] if arr.shape[1] == full
                             else arr)
                      for name, arr in comps.items()}
         return comps, retried, int(clamps.sum())
 
+    def run_chunk(chunk_seeds):
+        noise = generate_noise(m, mu, t_max, dt, chunk_seeds, u_bound, eps)
+        return [finish(model, chunk_seeds, *model(noise))
+                for model in models]
+
     # one chunk at a time, so only one chunk's full path arrays are alive
     parts = [run_chunk(seeds[lo:lo + CHUNK])
              for lo in range(0, n_paths, CHUNK)]
-    components = {name: np.concatenate([p[name] for p, _, _ in parts])
-                  for name in parts[0][0]}
-    times = np.arange(round(t_max / dt) + 1) * dt
+    times = np.arange(full) * dt
     if keep_idx is not None:
         times = times[keep_idx]
-    return EnsembleResult(times=times, components=components,
-                          master_seed=int(master_seed), dt=dt, eps=eps,
-                          u_bound=u_bound, n_paths=n_paths,
-                          n_retried=sum(r for _, r, _ in parts),
-                          n_clamped=sum(c for _, _, c in parts))
+    results = [
+        EnsembleResult(times=times,
+                       components={name: np.concatenate(
+                           [c[name] for c, _, _ in chunks])
+                           for name in chunks[0][0]},
+                       master_seed=int(master_seed), dt=dt, eps=eps,
+                       u_bound=u_bound, n_paths=n_paths,
+                       n_retried=sum(r for _, r, _ in chunks),
+                       n_clamped=sum(c for _, _, c in chunks))
+        for chunks in zip(*parts)]
+    return results[0] if callable(model_fn) else results
 
 
 # -- CSV output ------------------------------------------------------------

@@ -713,23 +713,25 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
 
-    e_theta = {}
-    retried = 0
-    for theta in ladder:
+    def rung(theta):
         yp0 = theta + max(z0, 0.0)
         ym0 = theta + max(-z0, 0.0)
 
-        def model(noise, theta=theta, yp0=yp0, ym0=ym0):
+        def model(noise):
             comps, aborted, clamps = _reactant_batch(
                 params, theta, x0, yp0, ym0, noise, mode, split,
                 with_limit=True, z0=z0)
             return {"gap": comps["gap"]}, aborted, clamps
+        return model
 
-        ens = run_ensemble(model, m=params.m, mu=params.mu,
-                           n_paths=n_paths, master_seed=master_seed,
-                           t_max=t_max, dt=dt, u_bound=u_bound, eps=eps)
-        e_theta[theta] = float(ens.components["gap"][:, 0].mean())
-        retried += ens.n_retried
+    # every rung runs on the same first-attempt noise of each chunk
+    ensembles = run_ensemble([rung(theta) for theta in ladder], m=params.m,
+                             mu=params.mu, n_paths=n_paths,
+                             master_seed=master_seed, t_max=t_max, dt=dt,
+                             u_bound=u_bound, eps=eps)
+    e_theta = {theta: float(ens.components["gap"][:, 0].mean())
+               for theta, ens in zip(ladder, ensembles)}
+    retried = sum(ens.n_retried for ens in ensembles)
 
     def ratio(num, den):
         if den == 0.0:

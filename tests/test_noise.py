@@ -1,11 +1,16 @@
 """Noise layer: determinism, stream laws, refinement, and the batch layout."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from affine_lab.noise import (
+    _event_times,
+    _philox_keys,
+    _stream,
     substream_seed,
     substream_seed_array,
     generate_noise,
@@ -70,6 +75,53 @@ def test_batch_shapes():
             assert np.all(np.diff(times[path == p]) > 0)   # then time order
 
 
+def test_arrays_are_read_only():
+    ns = make(seed=[3, 4, 5], dt=0.5)
+    for system in (ns, refine(ns)):
+        arrays = [getattr(system, f.name) for f in dataclasses.fields(system)
+                  if isinstance(getattr(system, f.name), np.ndarray)]
+        assert len(arrays) == 9
+        for arr in arrays:
+            assert arr.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+# -- stream reset ------------------------------------------------------------
+
+# Both sides of 2**63, float64 rounding ties above it (2**63 + 1024 rounds
+# down to even, 2**63 + 3072 up), and the top seeds whose key rounds to
+# 2**64 and wraps to 0.
+EDGE_SEEDS = [0, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 1024,
+              2 ** 63 + 3072, 2 ** 64 - 1025, 2 ** 64 - 1024, 2 ** 64 - 1]
+
+
+def _draws(rng):
+    """Normal, exponential, uniform and random draws; the float32 draw at
+    the end leaves half a word buffered for the next reset to discard."""
+    return np.concatenate([rng.normal(0.0, 0.7, size=5),
+                           rng.exponential(2.0, size=5),
+                           rng.uniform(0.0, 3.0, size=5), rng.random(5),
+                           rng.random(1, dtype=np.float32)])
+
+
+def test_stream_reset_matches_constructed_philox():
+    seeds = EDGE_SEEDS + np.random.default_rng(2011).integers(
+        0, 2 ** 64, size=3000, dtype=np.uint64, endpoint=False).tolist()
+    keys = _philox_keys(np.array(seeds, dtype=np.uint64)).tolist()
+    assert keys[:len(EDGE_SEEDS)] == [0, 2 ** 63 - 1, 2 ** 63, 2 ** 63,
+                                      2 ** 63, 2 ** 63 + 4096,
+                                      2 ** 64 - 2048, 0, 0]
+    with warnings.catch_warnings():
+        # Philox(key=[2**64 - 1, role]) casts 2.0**64 to uint64
+        warnings.filterwarnings("ignore", "invalid value encountered in cast")
+        for seed, key in zip(seeds, keys):
+            for role in range(5):
+                want = _draws(Generator(Philox(key=[seed, role])))
+                assert same_bits(_draws(_stream(key, role)), want), \
+                    (seed, role)
+
+
 # -- determinism -----------------------------------------------------------
 
 def test_bitwise_determinism():
@@ -129,6 +181,35 @@ def test_event_times_sorted_in_window():
             if len(times):
                 assert times[0] > 0.0
                 assert times[-1] <= 3.0
+
+
+def batched_event_times(rng, rate, t_max):
+    """Reference: every gap drawn in batches, no single first draw."""
+    chunks, t0 = [], 0.0
+    size = max(16, int(rate * t_max * 1.5) + 8)
+    while True:
+        times = t0 + np.cumsum(rng.exponential(1.0 / rate, size=size))
+        if times[-1] > t_max:
+            chunks.append(times[times <= t_max])
+            return np.concatenate(chunks)
+        chunks.append(times)
+        t0 = times[-1]
+
+
+@pytest.mark.parametrize("rate, t_max", [(10.0, 1.0), (3.0, 2.0 ** -4)])
+def test_event_times_match_batched_draws(rate, t_max):
+    # at mean 10 about 3 in 10**4 paths overflow the first batch of 23
+    counts = []
+    for key in range(20000):
+        got = _event_times(_stream(key, 1), rate, t_max)
+        want = batched_event_times(Generator(Philox(key=[key, 1])), rate,
+                                   t_max)
+        assert same_bits(got, want), key
+        counts.append(len(got))
+    size = max(16, int(rate * t_max * 1.5) + 8)
+    assert min(counts) == 0
+    if rate * t_max > 1.0:
+        assert max(counts) >= size
 
 
 def test_n0_counts_match_poisson_mean():

@@ -270,6 +270,25 @@ def test_atomic_sampler_matches_weights():
     assert abs(frac - 0.3 / 1.3) < 0.01
 
 
+def test_atomic_sampler_cached_cdf_matches_choice():
+    # eps 0.1 drops the atom (0.05, 0.02); alternating eps values fail a
+    # cache not keyed by eps
+    nu = FiniteAtomicMeasure([(0.5, 0.3, 0.6), (0.05, 0.02, 0.5),
+                              (1.2, -0.4, 0.3), (0.0, 0.8, 0.4)])
+    for k, eps in enumerate([0.0, 0.1, 0.0, 0.1, 0.1, 0.0]):
+        keep = [0, 2, 3] if eps else [0, 1, 2, 3]
+        w = nu.weights[keep]
+        ref = Generator(Philox(key=[k, 2]))
+        want = nu.atoms[keep][ref.choice(len(w), size=500, p=w / w.sum())]
+        rng = Generator(Philox(key=[k, 2]))
+        assert np.array_equal(nu.sample(rng, 500, eps=eps), want)
+        assert rng.random() == ref.random()       # same draws consumed
+    with pytest.raises(ValueError, match="no atoms outside"):
+        nu.sample(Generator(Philox(key=[0, 2])), 5, eps=2.0)
+    with pytest.raises(ValueError, match="no atoms outside"):
+        nu.sample(Generator(Philox(key=[0, 2])), 5, eps=2.0)
+
+
 # -- factorization and admissibility --------------------------------------
 
 @pytest.mark.parametrize("alpha", [

@@ -8,7 +8,9 @@ import pytest
 
 from affine_lab.params import FiniteAtomicMeasure, UPoint, validate_admissible
 from affine_lab.presets import jump_affine_params, symmetric_split_params
-from affine_lab.sde import EnsembleResult, _affine_batch, run_ensemble
+from affine_lab import sde
+from affine_lab.sde import (EnsembleResult, _affine_batch, _reactant_batch,
+                            run_ensemble)
 from affine_lab.transform import solve_transform
 from affine_lab.validate import (
     CheckRow,
@@ -329,6 +331,31 @@ def test_fluctuation_deterministic_rate():
     assert rep.overall
     (row,) = [r for r in rep.rows if "spread" in r.quantity]
     assert row.observed < 0.10
+
+
+def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
+    # At u_bound 3 a different number of paths retries on each rung, and
+    # 64-path chunks make every rung span several chunks of shared noise.
+    monkeypatch.setattr(sde, "CHUNK", 64)
+    sp = symmetric_split_params()
+    ladder = [4.0, 16.0, 64.0]
+    kw = dict(n_paths=200, master_seed=5, t_max=1.0, dt=2.0 ** -6,
+              u_bound=3.0, eps=0.0)
+    rep = fluctuation_experiment(sp, ladder, mode="pair", **kw)
+    retried = []
+    for theta in ladder:
+        def model(noise, theta=theta):
+            comps, aborted, clamps = _reactant_batch(
+                sp, theta, 1.0, theta, theta, noise, "pair", None,
+                with_limit=True, z0=0.0)
+            return {"gap": comps["gap"]}, aborted, clamps
+
+        ens = run_ensemble(model, m=sp.m, mu=sp.mu, **kw)
+        assert rep.details["e_theta"][f"{theta:g}"] == \
+            float(ens.components["gap"][:, 0].mean())
+        retried.append(ens.n_retried)
+    assert min(retried) > 0 and len(set(retried)) == len(ladder)
+    assert rep.details["n_retried"] == sum(retried)
 
 
 def test_fluctuation_rejects_bad_inputs():
