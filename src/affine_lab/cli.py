@@ -35,7 +35,7 @@ from .presets import builtin_params
 from .sde import (STABILITY_LIMIT, ParameterSplit, ThinningBoundError,
                   simulate_affine, simulate_catalytic,
                   simulate_reactant_pair, write_paths_csv)
-from .transform import solve_transform, write_transform_csv
+from .transform import _TOL_RANGE, solve_transform, write_transform_csv
 from .validate import (check_affine_formula, check_generator, check_moments,
                        fluctuation_experiment, sc_semigroup_check,
                        uniqueness_experiment)
@@ -119,6 +119,13 @@ def _as_choice(value, choices, path: str) -> str:
     if not isinstance(value, str) or value not in choices:
         raise ConfigError(f"{path}: expected one of {sorted(choices)}")
     return value
+
+
+def _as_choices(value, choices, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return [_as_choice(v, choices, f"{path}[{i}]")
+            for i, v in enumerate(value)]
 
 
 def _as_vec(value, length: int, path: str) -> list:
@@ -403,6 +410,9 @@ def _config_from_dict(doc: dict) -> RunConfig:
 
     tr = blocks["transform"]
     tol = _as_pos(tr.get("tol", 1e-9), "$.transform.tol")
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ConfigError(f"$.transform.tol: must lie in "
+                          f"[{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
     u_list, u_doc = _parse_u_list(tr.get("u_list", _DEFAULT_U_LIST),
                                   "$.transform.u_list")
 
@@ -425,11 +435,8 @@ def _config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("$.simulate.theta: must be >= 1")
 
     val = blocks["validate"]
-    checks = val.get("checks", list(_CHECK_NAMES))
-    if not isinstance(checks, list):
-        raise ConfigError("$.validate.checks: expected a list")
-    checks = [_as_choice(c, _CHECK_NAMES, f"$.validate.checks[{i}]")
-              for i, c in enumerate(checks)]
+    checks = _as_choices(val.get("checks", list(_CHECK_NAMES)),
+                         _CHECK_NAMES, "$.validate.checks")
     if len(set(checks)) != len(checks):
         raise ConfigError("$.validate.checks: duplicate entries")
     half = t_max / 2.0 if steps_for(t_max, dt) % 2 == 0 else None
@@ -448,13 +455,11 @@ def _config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"$.validate.t_list[{i}]: {t!r} is not a "
                               f"positive multiple of grid.dt = {dt!r}")
         t_list.append(t)
+    if len({round(t / dt) for t in t_list}) != len(t_list):
+        raise ConfigError("$.validate.t_list: duplicate entries")
     delta = _as_pos(val.get("delta", 2.0 ** -10), "$.validate.delta")
-    modes = val.get("generator_modes", list(_GENERATOR_MODES))
-    if not isinstance(modes, list):
-        raise ConfigError("$.validate.generator_modes: expected a list")
-    modes = [_as_choice(m_, _GENERATOR_MODES,
-                        f"$.validate.generator_modes[{i}]")
-             for i, m_ in enumerate(modes)]
+    modes = _as_choices(val.get("generator_modes", list(_GENERATOR_MODES)),
+                        _GENERATOR_MODES, "$.validate.generator_modes")
     states_block = _as_object(val.get("generator_states", {}),
                               "$.validate.generator_states")
     _reject_unknown(states_block, set(_GENERATOR_MODES),
@@ -467,13 +472,10 @@ def _config_from_dict(doc: dict) -> RunConfig:
         "catalytic": _as_vec(states_block.get("catalytic", [1.2, 0.5]), 2,
                              "$.validate.generator_states.catalytic"),
     }
-    for key in ("affine", "catalytic"):
-        if states[key][0] < 0.0:
-            raise ConfigError(f"$.validate.generator_states.{key}[0]: "
+    for key, i in (("affine", 0), ("catalytic", 0), ("catalytic", 1)):
+        if states[key][i] < 0.0:
+            raise ConfigError(f"$.validate.generator_states.{key}[{i}]: "
                               f"must be nonnegative")
-    if states["catalytic"][1] < 0.0:
-        raise ConfigError("$.validate.generator_states.catalytic[1]: "
-                          "must be nonnegative")
     val_doc = {
         "checks": checks,
         "x0": _as_nonneg(val.get("x0", 1.0), "$.validate.x0"),
@@ -521,12 +523,8 @@ def _config_from_dict(doc: dict) -> RunConfig:
     directory = outb.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ConfigError("$.output.directory: expected a nonempty string")
-    formats_raw = outb.get("formats", ["csv", "json"])
-    if not isinstance(formats_raw, list):
-        raise ConfigError("$.output.formats: expected a list")
-    formats = sorted(_as_choice(f, ("csv", "json"),
-                                f"$.output.formats[{i}]")
-                     for i, f in enumerate(formats_raw))
+    formats = sorted(_as_choices(outb.get("formats", ["csv", "json"]),
+                                 ("csv", "json"), "$.output.formats"))
 
     # every simulated grid must satisfy the explicit-Euler stability rule
     for label, step in (("$.grid.dt", dt), ("$.validate.delta", delta)):

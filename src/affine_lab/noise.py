@@ -320,9 +320,10 @@ def refine(noise: NoiseSystem) -> NoiseSystem:
     for p, key in enumerate(_philox_keys(noise.seeds).tolist()):
         mid[p] = _stream(key, role).normal(0.0, scale,
                                            size=noise.brownian.shape[1:])
-    half = noise.brownian / 2.0
     out = np.empty((noise.n_paths, noise.n_components, 2 * noise.n_steps))
-    np.add(half, mid, out=out[:, :, 0::2])
-    np.subtract(half, mid, out=out[:, :, 1::2])
+    even, odd = out[:, :, 0::2], out[:, :, 1::2]
+    np.divide(noise.brownian, 2.0, out=even)
+    np.subtract(even, mid, out=odd)
+    even += mid
     return replace(noise, dt=noise.dt / 2.0, brownian=out,
                    refinement_level=noise.refinement_level + 1)

@@ -20,10 +20,12 @@ coordinates; each ``_Coord`` gives
 
 Per step of width ``dt`` every coordinate reads only the step-start
 states and runs ``euler -> +N0 marks -> -dt*m -> +accepted N1 marks ->
--comp -> clamp``, so stored grid values are post-jump states.  The loop
+-comp -> clamp``, so recorded grid values are post-jump states.  The loop
 reads the batch's Brownian array and its events bucketed by step, and
 owns abort detection (a non-finite state, or an intensity above the
-thinning bound) and the clamp count.  The catalyst coordinate has one
+thinning bound) and the clamp count.  It holds only the current states
+and records what its caller keeps: chosen grid points and running maxima
+(the reactant's distance to its limit).  The catalyst coordinate has one
 definition shared by every system that contains it, so its path is
 bitwise identical across the pair, catalytic and reactant simulators
 given the same noise.
@@ -384,17 +386,6 @@ def _region_weights(xi2, region):
     raise ValueError(f"unknown region {region!r}")
 
 
-def _finalize_aborts(abort_step, grid, *arrays):
-    """NaN-out everything strictly after each path's abort step."""
-    aborted_at = np.full(len(abort_step), np.nan)
-    for p in np.nonzero(abort_step >= 0)[0]:
-        k = abort_step[p]
-        aborted_at[p] = grid[k]
-        for arr in arrays:
-            arr[p, k + 1:] = np.nan
-    return aborted_at
-
-
 def _moment(measure, p1, p2, region, eps):
     if measure is None or measure.is_empty:
         return 0.0
@@ -443,39 +434,48 @@ def _thinning_comp(dt, mu):
     return lambda s, k, lam: dt * lam * mu
 
 
-def _step_loop(noise, coords, thinning):
+def _step_loop(noise, coords, thinning, keep=None, sup=None):
     """Euler paths of ``coords`` on the noise of one batch.
 
-    Returns ``(paths by name, aborted_at, clamps)``.  A path aborts at the
-    first step whose state is not finite or, when ``thinning``, whose
-    intensity exceeds ``u_bound`` (candidates above it were never drawn).
+    Returns ``(recorded by name, aborted_at, clamps)``: each coordinate at
+    the grid indices ``keep`` (any order; None is all) as ``(n_paths,
+    len(keep))``, and per name in ``sup`` one ``(n_paths, 1)`` column, the
+    maximum of ``sup[name](state)`` over grid points ``1..n_steps``.  A
+    path aborts at the first step whose state is not finite or, when
+    ``thinning``, whose intensity exceeds ``u_bound`` (candidates above it
+    were never drawn); its later recorded values and maxima are NaN.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
         noise.dt, noise.u_bound
+    every = np.arange(n_steps + 1)
+    keep = every if keep is None else every[keep]   # -1 is the last point
+    columns = {}                                # grid index -> kept columns
+    for j, i in enumerate(keep.tolist()):
+        columns.setdefault(i, []).append(j)
     ev0 = _EventTable(noise, "n0")
     ev1 = _EventTable(noise, "n1")
     w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
     w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
+    intensities = list(dict.fromkeys(c.intensity for c in coords))
 
-    paths = [np.empty((n_paths, n_steps + 1)) for _ in coords]
-    for c, arr in zip(coords, paths):
-        arr[:, 0] = c.start
+    s = {c.name: np.full(n_paths, c.start, dtype=float) for c in coords}
+    kept = {c.name: np.empty((n_paths, len(keep))) for c in coords}
+    sup = {} if sup is None else sup
+    peaks = {name: np.full(n_paths, -np.inf) for name in sup}
     abort_step = np.full(n_paths, -1, dtype=np.intp)
     clamps = np.zeros(n_paths, dtype=np.intp)
     alive = np.ones(n_paths, dtype=bool)
 
+    def record(i):
+        for j in columns.get(i, ()):
+            for name, arr in kept.items():
+                arr[:, j] = s[name]
+
+    record(0)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
-            s = {c.name: arr[:, k] for c, arr in zip(coords, paths)}
-            lam = {}
-            for c in coords:
-                if c.intensity not in lam:
-                    lam[c.intensity] = c.intensity(s, k)
-            states = list(s.values())
-            finite = np.isfinite(states[0])
-            for v in states[1:]:
-                finite &= np.isfinite(v)
-            bad = ~finite
+            lam = {f: f(s, k) for f in intensities}
+            bad = ~np.logical_and.reduce([np.isfinite(v) for v in s.values()])
             if thinning:
                 for v in lam.values():
                     bad |= v > u_bound
@@ -487,7 +487,8 @@ def _step_loop(noise, coords, thinning):
             dB = noise.brownian[:, :, k]
             a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
             a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
-            for c, arr, v0, v1 in zip(coords, paths, w0, w1):
+            step = {}
+            for c, v0, v1 in zip(coords, w0, w1):
                 lam_c = lam[c.intensity]
                 new = c.euler(s, dB, k)
                 if e0 > a0:
@@ -506,11 +507,20 @@ def _step_loop(noise, coords, thinning):
                     neg = new < 0.0
                     clamps += neg & alive
                     new = np.where(neg, 0.0, new)
-                arr[:, k + 1] = new
+                step[c.name] = new
+            s = step
+            record(k + 1)
+            for name, fn in sup.items():
+                np.maximum(peaks[name], fn(s), out=peaks[name])
 
-    aborted_at = _finalize_aborts(abort_step, noise.grid, *paths)
-    return ({c.name: arr for c, arr in zip(coords, paths)}, aborted_at,
-            clamps)
+    aborted = abort_step >= 0
+    dead = (keep > abort_step[:, None]) & aborted[:, None]
+    for arr in kept.values():
+        arr[dead] = np.nan
+    for name, peak in peaks.items():
+        kept[name] = np.where(aborted, np.nan, peak).reshape(-1, 1)
+    aborted_at = np.where(aborted, noise.grid[abort_step], np.nan)
+    return kept, aborted_at, clamps
 
 
 # -- coordinates -----------------------------------------------------------
@@ -592,22 +602,23 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
 
 # -- batch systems ---------------------------------------------------------
 
-def _affine_batch(params, x0, z0, noise, z_region="all"):
+def _affine_batch(params, x0, z0, noise, z_region="all", keep=None):
     """Euler paths of the pair system (first coordinate + linear partner).
 
     ``z_region`` restricts which jump marks feed the second coordinate:
     "all" is the two-sided pair equation, "plus" the one-sided limit
-    equation.  The first coordinate always reads every mark.
+    equation.  The first coordinate always reads every mark.  ``keep``
+    here and in the other batch systems is ``_step_loop``'s.
     """
     _check_components(noise, 3)
     _stability_guard(noise.dt, params.beta_bar, "max|beta|")
     coords = [_catalyst(params, x0, noise.dt, noise.eps),
               _linear_partner(params, "z", z0, z_region, noise.dt,
                               noise.eps)]
-    return _step_loop(noise, coords, _thins(params.mu))
+    return _step_loop(noise, coords, _thins(params.mu), keep)
 
 
-def _cbi_batch(spec, x0, noise):
+def _cbi_batch(spec, x0, noise, keep=None):
     """Euler paths of the scalar equation with time-dependent coefficients."""
     _check_components(noise, spec.r + 1)
     dt, grid = noise.dt, noise.grid
@@ -632,10 +643,10 @@ def _cbi_batch(spec, x0, noise):
                lambda xi1, xi2: theta0 * xi1,
                lambda xi1, xi2: theta1 * xi1,
                comp=comp if mu_x1 != 0.0 else None, clamp=True)
-    return _step_loop(noise, [x], _thins(spec.mu))
+    return _step_loop(noise, [x], _thins(spec.mu), keep)
 
 
-def _catalytic_batch(params, x0, y0, l, noise):
+def _catalytic_batch(params, x0, y0, l, noise, keep=None):
     """Euler paths of the catalyst/reactant system."""
     if params.b[1] < 0.0:
         raise ValueError(f"catalytic reactant requires b2 >= 0, "
@@ -662,11 +673,11 @@ def _catalytic_batch(params, x0, y0, l, noise):
                                                noise.eps)),
                clamp=True)
     return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
-                      _thins(params.mu))
+                      _thins(params.mu), keep)
 
 
 def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
-                    split, with_limit=False, z0=None):
+                    split, with_limit=False, z0=None, keep=None):
     """Euler paths of the reactant system at scale theta.
 
     ``mode="single"`` runs one reactant carrying the undecomposed
@@ -705,21 +716,18 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
             params, "y", y_plus0, theta,
             (params.sigma0, *params.sigma[1], params.b[1],
              params.beta[1, 0]), "plus", dt, eps))
+
+    def centered(s):
+        return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta
+
+    sup = None
     if with_limit:
         coords.append(_linear_partner(params, "z_lim", z0,
                                       "all" if pair else "plus", dt, eps))
-    paths, aborted_at, clamps = _step_loop(noise, coords,
-                                           _thins(params.mu))
-
-    comps = {name: arr for name, arr in paths.items() if name != "z_lim"}
-    comps["z_k"] = comps["y_plus"] - comps["y_minus"] if pair \
-        else comps["y"] - theta
-    if with_limit:
-        comps["z_lim"] = paths["z_lim"]
-        diff = comps["z_k"][:, 1:] - paths["z_lim"][:, 1:]
-        gap = np.abs(diff, out=diff).max(axis=1)
-        comps["gap"] = np.where(np.isnan(aborted_at), gap,
-                                np.nan).reshape(-1, 1)
+        sup = {"gap": lambda s: np.abs(centered(s) - s["z_lim"])}
+    comps, aborted_at, clamps = _step_loop(noise, coords, _thins(params.mu),
+                                           keep, sup)
+    comps["z_k"] = centered(comps)
     return comps, aborted_at, clamps
 
 
@@ -734,8 +742,7 @@ def _one_path(noise):
 
 def _bundle_from_batch(noise, components, aborted_at, clamps):
     aborted = None if math.isnan(aborted_at[0]) else float(aborted_at[0])
-    comps = {name: arr[0].copy() for name, arr in components.items()
-             if arr.shape[1] > 1}
+    comps = {name: arr[0].copy() for name, arr in components.items()}
     return PathBundle(grid=noise.grid, components=comps,
                       seed=int(noise.seeds[0]), dt=noise.dt, eps=noise.eps,
                       u_bound=noise.u_bound, aborted_at=aborted,
@@ -851,20 +858,24 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     """Run batch models over substream-seeded paths and stack the output.
 
     ``model_fn`` is one model or a sequence of models, each
-    ``model(noise) -> (components, aborted_at, clamps)`` and a pure
-    function of the batch ``NoiseSystem``.  One model gives one
-    ``EnsembleResult``, a sequence a list of one per model.  Paths run
-    sequentially in chunks of ``CHUNK``; each chunk's noise is generated
-    once and every model runs on it, and outputs are stacked in
-    path-index order, so they depend only on the arguments.  Each model
-    regenerates its own aborted paths in one batch with the bound doubled
-    (same per-path seeds) up to ``max_doublings`` times; a path still
-    aborted afterwards raises ``ThinningBoundError``.  ``keep_idx``
-    selects grid columns to retain (None keeps all).
+    ``model(noise, keep) -> (components, aborted_at, clamps)`` and a pure
+    function of the batch ``NoiseSystem``; ``keep`` is the array of grid
+    indices to record, ``keep_idx`` applied to ``0..n_steps`` (None keeps
+    all), and components are ``(n_paths, len(keep))`` arrays or one-column
+    per-path reductions.  One model gives one ``EnsembleResult``, a
+    sequence a list of one per model.  Paths run sequentially in chunks
+    of ``CHUNK``; each chunk's noise is generated once and every model
+    runs on it, and outputs are stacked in path-index order, so they
+    depend only on the arguments.  Each model regenerates its own aborted
+    paths in one batch with the bound doubled (same per-path seeds) up to
+    ``max_doublings`` times; a path still aborted afterwards raises
+    ``ThinningBoundError``.
     """
     models = [model_fn] if callable(model_fn) else list(model_fn)
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
-    full = steps_for(t_max, dt) + 1
+    keep = np.arange(steps_for(t_max, dt) + 1)
+    if keep_idx is not None:
+        keep = keep[keep_idx]
 
     def finish(model, chunk_seeds, comps, aborted, clamps):
         retry = np.nonzero(~np.isnan(aborted))[0]
@@ -874,7 +885,7 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
             bound *= 2.0
             retried += len(retry)
             comps_r, aborted_r, clamps_r = model(generate_noise(
-                m, mu, t_max, dt, chunk_seeds[retry], bound, eps))
+                m, mu, t_max, dt, chunk_seeds[retry], bound, eps), keep)
             for name in comps:
                 comps[name][retry] = comps_r[name]
             aborted[retry] = aborted_r
@@ -884,25 +895,18 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
             raise ThinningBoundError(
                 f"{len(retry)} paths still exceed the thinning bound after "
                 f"{max_doublings} doublings of u_bound={u_bound!r}")
-        if keep_idx is not None:
-            comps = {name: (arr[:, keep_idx] if arr.shape[1] == full
-                            else arr)
-                     for name, arr in comps.items()}
         return comps, retried, int(clamps.sum())
 
     def run_chunk(chunk_seeds):
         noise = generate_noise(m, mu, t_max, dt, chunk_seeds, u_bound, eps)
-        return [finish(model, chunk_seeds, *model(noise))
+        return [finish(model, chunk_seeds, *model(noise, keep))
                 for model in models]
 
-    # one chunk at a time, so only one chunk's full path arrays are alive
+    # one chunk at a time, so only one chunk's noise is alive
     parts = [run_chunk(seeds[lo:lo + CHUNK])
              for lo in range(0, n_paths, CHUNK)]
-    times = np.arange(full) * dt
-    if keep_idx is not None:
-        times = times[keep_idx]
     results = [
-        EnsembleResult(times=times,
+        EnsembleResult(times=keep * dt,
                        components={name: np.concatenate(
                            [c[name] for c, _, _ in chunks])
                            for name in chunks[0][0]},

@@ -273,27 +273,34 @@ def _coupled(core):
     run.
     """
 
-    def model(noise):
-        fine = refine(noise)
-        cc, ca, cl = core(noise)
-        fc, fa, fl = core(fine)
+    def model(noise, keep):
+        cc, ca, cl = core(noise, keep)
+        fc, fa, fl = core(refine(noise), 2 * keep)
         comps = dict(cc)
         for name, arr in fc.items():
-            comps[name + "_fine"] = arr[:, ::2]
+            comps[name + "_fine"] = arr
         return comps, np.fmin(ca, fa), cl + fl
 
     return model
 
 
-def _grid_indices(t_list, dt, label="t"):
-    idx = []
+def _coupled_affine(params, x0, z0, t_list, dt, u_bound, **kwargs):
+    """The coupled pair ensemble kept at ``t_list``, and its thinning bound
+    (default ``8 (1 + x0)``)."""
+    keep_idx = []
     for t in t_list:
         k = round(t / dt)
         if k <= 0 or abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(
-                f"{label} = {t!r} is not a positive multiple of dt = {dt!r}")
-        idx.append(k)
-    return idx
+                f"t = {t!r} is not a positive multiple of dt = {dt!r}")
+        keep_idx.append(k)
+    if u_bound is None:
+        u_bound = 8.0 * (1.0 + x0)
+    model = _coupled(lambda ns, keep: _affine_batch(params, x0, z0, ns,
+                                                    keep=keep))
+    return run_ensemble(model, m=params.m, mu=params.mu, t_max=max(t_list),
+                        dt=dt, u_bound=u_bound, keep_idx=keep_idx,
+                        **kwargs), u_bound
 
 
 # -- transform-versus-simulation checks ------------------------------------
@@ -309,14 +316,9 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     """
     started = time.perf_counter()
     u_pts = [_as_upoint(u) for u in u_list]
-    keep_idx = _grid_indices(t_list, dt)
-    t_max = max(t_list)
-    if u_bound is None:
-        u_bound = 8.0 * (1.0 + x0)
-    ens = run_ensemble(_coupled(lambda ns: _affine_batch(params, x0, z0, ns)),
-                       m=params.m, mu=params.mu, n_paths=n_paths,
-                       master_seed=master_seed, t_max=t_max, dt=dt,
-                       u_bound=u_bound, eps=eps, keep_idx=keep_idx)
+    ens, u_bound = _coupled_affine(params, x0, z0, t_list, dt, u_bound,
+                                   n_paths=n_paths, master_seed=master_seed,
+                                   eps=eps)
     pairs = [(t, u) for t in t_list for u in u_pts]
     coarse = {p: empirical_char_fn(ens, p[0], p[1]) for p in pairs}
     fine = {p: empirical_char_fn(ens, p[0], p[1],
@@ -348,14 +350,9 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
     a-priori bound ``E[x(t)] <= (x0 + t(b1 + int xi1 m)) e^{t max(b11,0)}``.
     """
     started = time.perf_counter()
-    keep_idx = _grid_indices(t_list, dt)
-    t_max = max(t_list)
-    if u_bound is None:
-        u_bound = 8.0 * (1.0 + x0)
-    ens = run_ensemble(_coupled(lambda ns: _affine_batch(params, x0, z0, ns)),
-                       m=params.m, mu=params.mu, n_paths=n_paths,
-                       master_seed=master_seed, t_max=t_max, dt=dt,
-                       u_bound=u_bound, eps=eps, keep_idx=keep_idx)
+    ens, u_bound = _coupled_affine(params, x0, z0, t_list, dt, u_bound,
+                                   n_paths=n_paths, master_seed=master_seed,
+                                   eps=eps)
     mf = moment_functionals(params)
     stats = []
     for t in t_list:
@@ -552,8 +549,8 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         u_bound = 8.0 * (1.0 + intensity)
 
     if which == "affine":
-        def core(noise):
-            return _affine_batch(params, x1, x2, noise)
+        def core(noise, keep):
+            return _affine_batch(params, x1, x2, noise, keep=keep)
     elif which == "cbi":
         guard = 1.0 + abs(params.beta[0, 0])
         spec = GeneralizedCbiSpec(
@@ -564,11 +561,11 @@ def check_generator(params, state, *, which, n_paths, master_seed,
                 abs(params.b[0]) + 1.0, guard, l + 1.0),
             mu=params.mu)
 
-        def core(noise):
-            return _cbi_batch(spec, x1, noise)
+        def core(noise, keep):
+            return _cbi_batch(spec, x1, noise, keep)
     else:
-        def core(noise):
-            return _catalytic_batch(params, x1, x2, l, noise)
+        def core(noise, keep):
+            return _catalytic_batch(params, x1, x2, l, noise, keep)
 
     ens = run_ensemble(_coupled(core), m=params.m, mu=params.mu,
                        n_paths=n_paths, master_seed=master_seed,
@@ -639,9 +636,9 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
                        (3 * n_steps) // 4, n_steps})
 
-    def model(noise):
-        av, aa, ac = _affine_batch(params, x0_a, z0, noise)
-        bv, ba, bc = _affine_batch(params, x0_b, z0, noise)
+    def model(noise, keep):
+        av, aa, ac = _affine_batch(params, x0_a, z0, noise, keep=keep)
+        bv, ba, bc = _affine_batch(params, x0_b, z0, noise, keep=keep)
         comps = {"x_a": av["x"], "x_b": bv["x"]}
         return comps, np.fmin(aa, ba), ac + bc
 
@@ -717,10 +714,10 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
         yp0 = theta + max(z0, 0.0)
         ym0 = theta + max(-z0, 0.0)
 
-        def model(noise):
+        def model(noise, keep):
             comps, aborted, clamps = _reactant_batch(
                 params, theta, x0, yp0, ym0, noise, mode, split,
-                with_limit=True, z0=z0)
+                with_limit=True, z0=z0, keep=keep)
             return {"gap": comps["gap"]}, aborted, clamps
         return model
 
@@ -728,7 +725,7 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     ensembles = run_ensemble([rung(theta) for theta in ladder], m=params.m,
                              mu=params.mu, n_paths=n_paths,
                              master_seed=master_seed, t_max=t_max, dt=dt,
-                             u_bound=u_bound, eps=eps)
+                             u_bound=u_bound, eps=eps, keep_idx=[])
     e_theta = {theta: float(ens.components["gap"][:, 0].mean())
                for theta, ens in zip(ladder, ensembles)}
     retried = sum(ens.n_retried for ens in ensembles)

@@ -144,6 +144,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not a positive multiple"):
             make_config(validate={"t_list": [0.3]})
 
+    def test_t_list_duplicates_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"\$\.validate\.t_list: duplicate"):
+            make_config(validate={"t_list": [0.5, 0.5]})
+        with pytest.raises(ConfigError,
+                           match=r"\$\.validate\.t_list: duplicate"):
+            make_config(validate={"t_list": [0.5, 1.0, 0.5 + 1e-13]})
+
+    def test_transform_tol_range(self):
+        for tol in (1e-13, 2e-4):
+            with pytest.raises(ConfigError,
+                               match=r"\$\.transform\.tol: must lie in "
+                                     r"\[1e-12, 0\.0001\]"):
+                make_config(transform={"tol": tol})
+        for tol in (1e-12, 1e-4):
+            assert make_config(transform={"tol": tol}).tol == tol
+
     def test_t_list_default_fits_horizon(self):
         config = make_config(grid={"t_max": 0.5, "dt": 2.0 ** -8})
         assert config.resolved["validate"]["t_list"] == [0.25, 0.5]

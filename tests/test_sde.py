@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from affine_lab.noise import NoiseSystem, generate_noise, refine, substream_seed
+from affine_lab.noise import (NoiseSystem, generate_noise, refine,
+                              substream_seed, substream_seed_array)
 from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure, \
     validate_admissible
 from affine_lab.presets import cir_params, jump_affine_params
@@ -23,6 +24,8 @@ from affine_lab.sde import (
     run_ensemble,
     write_paths_csv,
     _affine_batch,
+    _catalytic_batch,
+    _cbi_batch,
     _reactant_batch,
 )
 from affine_lab.transform import moment_functionals
@@ -54,6 +57,12 @@ def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, eps=0.0,
                        n1_path=np.zeros(len(e1), dtype=np.intp),
                        n1_times=e1[:, 0], n1_umarks=e1[:, 3],
                        n1_marks=e1[:, 1:3])
+
+
+def affine_model(params, x0, z0):
+    """The pair system as a ``run_ensemble`` model."""
+    return lambda noise, keep: _affine_batch(params, x0, z0, noise,
+                                             keep=keep)
 
 
 def quiet_noise(t_max=1.0, dt=2.0 ** -8, **kw):
@@ -278,9 +287,9 @@ def test_monotone_coupling_in_initial_state():
 def test_contraction_in_mean():
     p, _ = preset_noise()
 
-    def coupled(noise):
-        lo, ab_lo, cl = _affine_batch(p, 1.0, 0.0, noise)
-        hi, ab_hi, _ = _affine_batch(p, 1.6, 0.0, noise)
+    def coupled(noise, keep):
+        lo, ab_lo, cl = _affine_batch(p, 1.0, 0.0, noise, keep=keep)
+        hi, ab_hi, _ = _affine_batch(p, 1.6, 0.0, noise, keep=keep)
         comps = {"gap": np.abs(hi["x"] - lo["x"])}
         aborted = np.where(np.isnan(ab_lo), ab_hi, ab_lo)
         return comps, aborted, cl
@@ -296,7 +305,7 @@ def test_contraction_in_mean():
 
 def test_mean_matches_moment_functionals():
     p, _ = preset_noise()
-    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
+    ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=4000, master_seed=23,
                        t_max=1.0, dt=2.0 ** -9, u_bound=24.0, eps=0.0,
                        keep_idx=[-1])
@@ -309,7 +318,7 @@ def test_mean_matches_moment_functionals():
 
 def test_gronwall_mean_bound():
     p, _ = preset_noise()
-    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
+    ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=2000, master_seed=29,
                        t_max=1.0, dt=2.0 ** -8, u_bound=24.0, eps=0.0)
     m1 = p.m.poly_moment(1, 0)
@@ -366,7 +375,7 @@ def test_u_bound_abort_records_time():
 
 def test_run_ensemble_retries_with_doubled_bound():
     p, _ = preset_noise()
-    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.0, noise),
+    ens = run_ensemble(affine_model(p, 1.0, 0.0),
                        m=p.m, mu=p.mu, n_paths=64, master_seed=3,
                        t_max=1.0, dt=2.0 ** -8, u_bound=2.0, eps=0.0,
                        keep_idx=[-1])
@@ -377,7 +386,7 @@ def test_run_ensemble_retries_with_doubled_bound():
 def test_run_ensemble_raises_when_bound_stays_small():
     p, _ = preset_noise()
     with pytest.raises(ThinningBoundError, match="thinning bound"):
-        run_ensemble(lambda noise: _affine_batch(p, 30.0, 0.0, noise),
+        run_ensemble(affine_model(p, 30.0, 0.0),
                      m=p.m, mu=p.mu, n_paths=8, master_seed=3,
                      t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0,
                      max_doublings=1)
@@ -408,7 +417,7 @@ def test_catalytic_rejects_negative_b2():
 def test_ensemble_reproduces_scalar_paths():
     p, _ = preset_noise()
     master = 41
-    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
+    ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=5, master_seed=master,
                        t_max=1.0, dt=2.0 ** -8, u_bound=24.0, eps=0.0)
     for i in range(5):
@@ -433,7 +442,7 @@ def test_ensemble_rejects_out_of_range_master_seed(master_seed):
     p, _ = preset_noise()
     with pytest.raises(ValueError,
                        match=f"master_seed {master_seed} is outside"):
-        run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
+        run_ensemble(affine_model(p, 1.0, 0.5),
                      m=p.m, mu=p.mu, n_paths=2, master_seed=master_seed,
                      t_max=1.0, dt=2.0 ** -4, u_bound=24.0, eps=0.0)
 
@@ -441,7 +450,7 @@ def test_ensemble_rejects_out_of_range_master_seed(master_seed):
 def test_chunk_boundary_paths_match_scalar_runs():
     p, _ = preset_noise()
     master, dt = 17, 2.0 ** -8
-    ens = run_ensemble(lambda noise: _affine_batch(p, 1.0, 0.5, noise),
+    ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=CHUNK + 3, master_seed=master,
                        t_max=dt, dt=dt, u_bound=24.0, eps=0.0)
     for i in (CHUNK - 1, CHUNK, CHUNK + 2):
@@ -461,7 +470,7 @@ def test_ensemble_counts_clamps_of_kept_attempts():
         m=FiniteAtomicMeasure([(0.5, 0.3, 0.6), (0.0, -0.8, 0.4)]),
         mu=FiniteAtomicMeasure([(0.4, 0.2, 0.5), (0.9, -0.3, 0.25)]))
     master, dt, n = 5, 2.0 ** -6, 40
-    ens = run_ensemble(lambda noise: _affine_batch(p, 0.01, 0.0, noise),
+    ens = run_ensemble(affine_model(p, 0.01, 0.0),
                        m=p.m, mu=p.mu, n_paths=n, master_seed=master,
                        t_max=1.0, dt=dt, u_bound=2.0, eps=0.0)
     expected = 0
@@ -542,6 +551,67 @@ def test_fused_limit_equals_direct_affine():
         with_limit=True, z0=0.25)
     direct = simulate_affine(p, 1.0, 0.25, noise)
     assert np.array_equal(comps["z_lim"][0], direct.component("z"))
+
+
+# -- recording only the kept grid points ----------------------------------
+
+def aborting_noise(refined):
+    """64 paths of the jump preset at u_bound 1.2, where many abort."""
+    p = jump_affine_params()
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6,
+                           substream_seed_array(7, np.arange(64)), 1.2, 0.0)
+    return p, refine(noise) if refined else noise
+
+
+def batch_kernels(p):
+    """The four batch systems as ``(noise, keep) -> triple``."""
+    spec = GeneralizedCbiSpec(
+        theta0=0.7, theta1=1.6, r=2, sigma=p.sigma[0].copy(), b=p.b[0],
+        beta=p.beta[0, 0], l=1.0,
+        bounds=CoefficientBounds(float(np.max(np.abs(p.sigma[0]))) + 1.0,
+                                 abs(p.b[0]) + 1.0,
+                                 abs(p.beta[0, 0]) + 1.0, 2.0),
+        mu=p.mu)
+    return {
+        "affine": lambda ns, keep: _affine_batch(p, 1.0, 0.3, ns, keep=keep),
+        "cbi": lambda ns, keep: _cbi_batch(spec, 1.0, ns, keep),
+        "catalytic": lambda ns, keep: _catalytic_batch(p, 1.0, 0.8, 1.3, ns,
+                                                       keep),
+        "reactant": lambda ns, keep: _reactant_batch(
+            p, 4.0, 1.0, 4.25, 4.0, ns, "pair", None, with_limit=True,
+            z0=0.25, keep=keep),
+    }
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("kernel", ["affine", "cbi", "catalytic", "reactant"])
+def test_kept_columns_equal_full_paths(kernel, refined):
+    p, noise = aborting_noise(refined)
+    run = batch_kernels(p)[kernel]
+    full, aborted_full, clamps_full = run(noise, None)
+    n = noise.n_steps
+    keep = np.array([n, 3, 0, n // 2, 1, n - 1, 3])     # unsorted, a repeat
+    kept, aborted, clamps = run(noise, keep)
+    assert 0 < (~np.isnan(aborted_full)).sum() < noise.n_paths
+    assert aborted.tobytes() == aborted_full.tobytes()
+    assert clamps.tobytes() == clamps_full.tobytes()
+    assert sorted(kept) == sorted(full)
+    assert np.isnan(kept["x"]).any()
+    for name, arr in full.items():
+        want = arr if name == "gap" else arr[:, keep]
+        assert kept[name].shape == want.shape
+        assert kept[name].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["single", "pair"])
+def test_limit_gap_is_the_sup_over_full_paths(mode):
+    p, noise = aborting_noise(False)
+    comps, aborted, _ = _reactant_batch(p, 4.0, 1.0, 4.25, 4.0, noise, mode,
+                                        None, with_limit=True, z0=0.25)
+    sup = np.abs(comps["z_k"][:, 1:] - comps["z_lim"][:, 1:]).max(axis=1)
+    want = np.where(np.isnan(aborted), sup, np.nan)
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    assert comps["gap"][:, 0].tobytes() == want.tobytes()
 
 
 # -- product-exponential jumps in the loop --------------------------------

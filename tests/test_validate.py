@@ -73,7 +73,8 @@ class TestEmpiricalCharFn:
 
     def test_modulus_bound_on_simulated_paths(self):
         p = jump_affine_params()
-        ens = run_ensemble(lambda n: _affine_batch(p, 1.0, 0.5, n),
+        ens = run_ensemble(lambda n, keep: _affine_batch(p, 1.0, 0.5, n,
+                                                         keep=keep),
                            m=p.m, mu=p.mu, n_paths=500, master_seed=8,
                            t_max=0.5, dt=2.0 ** -7, u_bound=24.0, eps=0.0,
                            keep_idx=[-1])
@@ -344,10 +345,10 @@ def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
     rep = fluctuation_experiment(sp, ladder, mode="pair", **kw)
     retried = []
     for theta in ladder:
-        def model(noise, theta=theta):
+        def model(noise, keep, theta=theta):
             comps, aborted, clamps = _reactant_batch(
                 sp, theta, 1.0, theta, theta, noise, "pair", None,
-                with_limit=True, z0=0.0)
+                with_limit=True, z0=0.0, keep=keep)
             return {"gap": comps["gap"]}, aborted, clamps
 
         ens = run_ensemble(model, m=sp.m, mu=sp.mu, **kw)
