@@ -22,8 +22,6 @@ from .params import (  # noqa: E402,F401
     FiniteAtomicMeasure,
     ProductExponentialMeasure,
     UPoint,
-    jump_exp_integral,
-    jump_moment,
     psd_factor,
     validate_admissible,
 )

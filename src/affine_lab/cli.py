@@ -32,13 +32,13 @@ from .noise import generate_noise, steps_for, substream_seed
 from .params import (AdmissibilityError, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint, validate_admissible)
 from .presets import builtin_params
-from .sde import (STABILITY_LIMIT, ParameterSplit, ThinningBoundError,
-                  simulate_affine, simulate_catalytic,
+from .sde import (ParameterSplit, ThinningBoundError, _check_init,
+                  _stability_guard, simulate_affine, simulate_catalytic,
                   simulate_reactant_pair, write_paths_csv)
 from .transform import _TOL_RANGE, solve_transform, write_transform_csv
-from .validate import (check_affine_formula, check_generator, check_moments,
-                       fluctuation_experiment, sc_semigroup_check,
-                       uniqueness_experiment)
+from .validate import (_check_ladder, _grid_indices, check_affine_formula,
+                       check_generator, check_moments, fluctuation_experiment,
+                       sc_semigroup_check, uniqueness_experiment)
 
 ARTIFACT_VERSION = 1
 
@@ -57,6 +57,15 @@ class ConfigError(ValueError):
 
 
 # -- low-level field readers ------------------------------------------------
+
+def _rule(path: str, check, *args):
+    """``check(*args)``: a library input rule, its failure reported with
+    the key path."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
 
 def _reject_unknown(block: dict, allowed, path: str) -> None:
     for key in block:
@@ -158,10 +167,7 @@ def _parse_measure(value, path: str):
                               f"[xi1, xi2, weight] rows")
         atoms = [_as_vec(row, 3, f"{path}.atoms[{i}]")
                  for i, row in enumerate(raw)]
-        try:
-            measure = FiniteAtomicMeasure(atoms)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.atoms: {exc}") from None
+        measure = _rule(f"{path}.atoms", FiniteAtomicMeasure, atoms)
         return measure, {"kind": kind, "atoms": atoms}
     _reject_unknown(block, {"kind", "total_rate", "rate1", "rate2",
                             "sign_mix"}, path)
@@ -169,10 +175,7 @@ def _parse_measure(value, path: str):
     rate1 = _as_pos(block.get("rate1", 1.0), f"{path}.rate1")
     rate2 = _as_pos(block.get("rate2", 1.0), f"{path}.rate2")
     mix = _as_float(block.get("sign_mix", 1.0), f"{path}.sign_mix")
-    try:
-        measure = ProductExponentialMeasure(total, rate1, rate2, mix)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    measure = _rule(path, ProductExponentialMeasure, total, rate1, rate2, mix)
     return measure, {"kind": kind, "total_rate": total, "rate1": rate1,
                      "rate2": rate2, "sign_mix": mix}
 
@@ -202,11 +205,7 @@ def _parse_params(value, path: str):
         name = block["preset"]
         if not isinstance(name, str):
             raise ConfigError(f"{path}.preset: expected a string")
-        try:
-            params = builtin_params(name)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.preset: {exc}") from None
-        return params, {"preset": name}
+        return _rule(f"{path}.preset", builtin_params, name), {"preset": name}
 
     allowed = {"a", "alpha", "b", "beta", "m", "mu", *_PARAM_SCALARS}
     _reject_unknown(block, allowed, path)
@@ -255,10 +254,7 @@ def _parse_u_list(value, path: str):
             raise ConfigError(f"{here}: expected [[re1, im1], [re2, im2]]")
         u1 = _as_vec(row[0], 2, f"{here}[0]")
         u2 = _as_vec(row[1], 2, f"{here}[1]")
-        try:
-            points.append(UPoint(complex(*u1), complex(*u2)))
-        except ValueError as exc:
-            raise ConfigError(f"{here}: {exc}") from None
+        points.append(_rule(here, UPoint, complex(*u1), complex(*u2)))
         doc.append([u1, u2])
     return tuple(points), doc
 
@@ -397,10 +393,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
     grid = blocks["grid"]
     t_max = _as_pos(grid.get("t_max", 1.0), "$.grid.t_max")
     dt = _as_pos(grid.get("dt", 2.0 ** -10), "$.grid.dt")
-    try:
-        steps_for(t_max, dt)
-    except ValueError as exc:
-        raise ConfigError(f"$.grid: {exc}") from None
+    n_steps = _rule("$.grid", steps_for, t_max, dt)
 
     mc = blocks["mc"]
     n_paths = _as_int(mc.get("n_paths", 1000), "$.mc.n_paths", minimum=1)
@@ -439,7 +432,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
                          _CHECK_NAMES, "$.validate.checks")
     if len(set(checks)) != len(checks):
         raise ConfigError("$.validate.checks: duplicate entries")
-    half = t_max / 2.0 if steps_for(t_max, dt) % 2 == 0 else None
+    half = t_max / 2.0 if n_steps % 2 == 0 else None
     t_list_raw = val.get("t_list",
                          [t_max] if half is None else [half, t_max])
     if not isinstance(t_list_raw, list) or not t_list_raw:
@@ -450,13 +443,8 @@ def _config_from_dict(doc: dict) -> RunConfig:
         if t > t_max:
             raise ConfigError(f"$.validate.t_list[{i}]: {t!r} exceeds "
                               f"grid.t_max = {t_max!r}")
-        steps = t / dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ConfigError(f"$.validate.t_list[{i}]: {t!r} is not a "
-                              f"positive multiple of grid.dt = {dt!r}")
         t_list.append(t)
-    if len({round(t / dt) for t in t_list}) != len(t_list):
-        raise ConfigError("$.validate.t_list: duplicate entries")
+    _rule("$.validate.t_list", _grid_indices, t_list, dt)
     delta = _as_pos(val.get("delta", 2.0 ** -10), "$.validate.delta")
     modes = _as_choices(val.get("generator_modes", list(_GENERATOR_MODES)),
                         _GENERATOR_MODES, "$.validate.generator_modes")
@@ -473,9 +461,8 @@ def _config_from_dict(doc: dict) -> RunConfig:
                              "$.validate.generator_states.catalytic"),
     }
     for key, i in (("affine", 0), ("catalytic", 0), ("catalytic", 1)):
-        if states[key][i] < 0.0:
-            raise ConfigError(f"$.validate.generator_states.{key}[{i}]: "
-                              f"must be nonnegative")
+        _rule(f"$.validate.generator_states.{key}", _check_init,
+              f"state[{i}]", states[key][i])
     val_doc = {
         "checks": checks,
         "x0": _as_nonneg(val.get("x0", 1.0), "$.validate.x0"),
@@ -491,22 +478,14 @@ def _config_from_dict(doc: dict) -> RunConfig:
 
     lim = blocks["limit"]
     ladder_raw = lim.get("theta_ladder", [4.0, 16.0, 64.0, 256.0])
-    if not isinstance(ladder_raw, list) or len(ladder_raw) < 2:
-        raise ConfigError("$.limit.theta_ladder: expected a list of at "
-                          "least two scales")
-    ladder = [_as_pos(t, f"$.limit.theta_ladder[{i}]")
-              for i, t in enumerate(ladder_raw)]
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("$.limit.theta_ladder: must be strictly "
-                          "increasing")
-    if ladder[0] < 1.0:
-        raise ConfigError("$.limit.theta_ladder: entries must be >= 1")
+    if not isinstance(ladder_raw, list):
+        raise ConfigError("$.limit.theta_ladder: expected a list")
+    ladder = _rule("$.limit.theta_ladder", _check_ladder,
+                   [_as_pos(t, f"$.limit.theta_ladder[{i}]")
+                    for i, t in enumerate(ladder_raw)])
     split, split_doc = _parse_split(lim.get("split"), "$.limit.split")
     if split is not None:
-        try:
-            split.check_against(params)
-        except ValueError as exc:
-            raise ConfigError(f"$.limit.split: {exc}") from None
+        _rule("$.limit.split", split.check_against, params)
     lim_doc = {
         "theta_ladder": ladder,
         "mode": _as_choice(lim.get("mode", "pair"), ("single", "pair"),
@@ -528,11 +507,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
 
     # every simulated grid must satisfy the explicit-Euler stability rule
     for label, step in (("$.grid.dt", dt), ("$.validate.delta", delta)):
-        if step * params.beta_bar > STABILITY_LIMIT:
-            raise ConfigError(
-                f"{label}: explicit-Euler stability rule violated: "
-                f"dt*max|beta| = {step * params.beta_bar!r} exceeds "
-                f"{STABILITY_LIMIT!r}")
+        _rule(label, _stability_guard, step, params.beta_bar, "max|beta|")
 
     resolved = {
         "params": params_doc,

@@ -41,8 +41,6 @@ __all__ = [
     "AdmissibilityError",
     "validate_admissible",
     "psd_factor",
-    "jump_moment",
-    "jump_exp_integral",
 ]
 
 _PSD_TOL = 1e-12
@@ -98,9 +96,8 @@ class FiniteAtomicMeasure:
 
     atoms: np.ndarray  # (k, 2)
     weights: np.ndarray  # (k,)
-    truncation_eps: float = 0.0
 
-    def __init__(self, atoms, weights=None, truncation_eps=0.0):
+    def __init__(self, atoms, weights=None):
         if weights is None:
             rows = np.asarray(atoms, dtype=float)
             if rows.size == 0:
@@ -121,7 +118,6 @@ class FiniteAtomicMeasure:
             raise ValueError("atoms must avoid the origin")
         object.__setattr__(self, "atoms", pts)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "truncation_eps", float(truncation_eps))
         object.__setattr__(self, "_cdfs", {})  # eps -> (kept atoms, cdf)
 
     # -- queries ---------------------------------------------------------
@@ -161,14 +157,13 @@ class FiniteAtomicMeasure:
             term = term - u2 * xi2
         return complex((w * term).sum())
 
-    def sample(self, rng, n, eps=None):
+    def sample(self, rng, n, eps=0.0):
         """Draw ``n`` marks from the band-normalized measure.
 
         The draws equal ``rng.choice(len(w), size=n, p=w / w.sum())`` over
         the kept weights ``w``, from a CDF built once per ``eps`` the way
         ``Generator.choice`` builds it.
         """
-        eps = self.truncation_eps if eps is None else eps
         cached = self._cdfs.get(eps)
         if cached is None:
             keep = self._mask("all", eps)
@@ -210,17 +205,14 @@ class ProductExponentialMeasure:
 
     ``xi1 ~ Exp(rate1)`` on ``[0, inf)``; independently ``xi2`` is a
     two-sided exponential with ``P(xi2 > 0) = sign_mix`` and ``|xi2| ~
-    Exp(rate2)``.  ``truncation_eps`` is the default sampler band: no mark
-    with ``max(xi1, |xi2|) <= eps`` is ever produced.  Moment and
-    exponential-integral queries always integrate the full measure unless an
-    explicit band is requested.
+    Exp(rate2)``.  Moment and exponential-integral queries always integrate
+    the full measure unless an explicit band is requested.
     """
 
     total_rate: float
     rate1: float
     rate2: float
     sign_mix: float = 1.0
-    truncation_eps: float = 0.0
 
     def __post_init__(self):
         if self.total_rate < 0.0:
@@ -229,8 +221,6 @@ class ProductExponentialMeasure:
             raise ValueError("rate1 and rate2 must be positive")
         if not 0.0 <= self.sign_mix <= 1.0:
             raise ValueError("sign_mix must lie in [0, 1]")
-        if self.truncation_eps < 0.0:
-            raise ValueError("truncation_eps must be nonnegative")
 
     @property
     def is_empty(self) -> bool:
@@ -300,9 +290,8 @@ class ProductExponentialMeasure:
             out = out - u2 * self._m2(1, region)
         return complex(self.total_rate * out)
 
-    def sample(self, rng, n, eps=None):
+    def sample(self, rng, n, eps=0.0):
         """Draw ``n`` marks, rejecting the ``eps``-box around the origin."""
-        eps = self.truncation_eps if eps is None else eps
         out = np.empty((n, 2))
         filled = 0
         while filled < n:
@@ -321,58 +310,6 @@ class ProductExponentialMeasure:
 
 #: Union of the supported jump-measure kinds.
 JumpMeasure = (FiniteAtomicMeasure, ProductExponentialMeasure)
-
-
-_MOMENT_KINDS = {
-    "mass": lambda nu, eps: nu.mass(eps=eps),
-    "int_xi1": lambda nu, eps: nu.poly_moment(1, 0, eps=eps),
-    "int_xi2": lambda nu, eps: nu.poly_moment(0, 1, eps=eps),
-    "int_xi1_sq": lambda nu, eps: nu.poly_moment(2, 0, eps=eps),
-    "int_xi2_sq": lambda nu, eps: nu.poly_moment(0, 2, eps=eps),
-    "int_xi1_xi2": lambda nu, eps: nu.poly_moment(1, 1, eps=eps),
-    "int_l1_xi1": lambda nu, eps: nu.l1_moment(0),
-    "int_l1_xi2": lambda nu, eps: nu.l1_moment(1),
-    "int_l12_xi1": lambda nu, eps: nu.l12_moment(0),
-    "int_l12_xi2": lambda nu, eps: nu.l12_moment(1),
-}
-
-
-def jump_moment(measure, kind, eps=0.0) -> float:
-    """Evaluate a moment of a jump measure.
-
-    Parameters
-    ----------
-    measure : FiniteAtomicMeasure or ProductExponentialMeasure
-    kind : str
-        One of ``mass``, ``int_xi1``, ``int_xi2``, ``int_xi1_sq``,
-        ``int_xi2_sq``, ``int_xi1_xi2``, ``int_l1_xi1``, ``int_l1_xi2``,
-        ``int_l12_xi1``, ``int_l12_xi2``.
-    eps : float
-        Optional truncation band: restrict to ``max(xi1, |xi2|) > eps``.
-        The ``l1``/``l12`` kinds always integrate the full measure.
-    """
-    try:
-        fn = _MOMENT_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown moment kind {kind!r}") from None
-    return fn(measure, eps)
-
-
-def jump_exp_integral(measure, u: UPoint, compensation="none") -> complex:
-    """``int (exp(<u, xi>) - 1 - C(xi)) nu(dxi)`` over the full measure.
-
-    ``compensation`` selects ``C``: ``"none"`` gives 0, ``"xi2_only"`` gives
-    ``u2 * xi2`` and ``"full"`` gives ``u1 * xi1 + u2 * xi2``.  The real part
-    of the uncompensated integral is nonpositive on ``U`` since
-    ``|exp(<u, xi>)| <= 1`` there.
-    """
-    if compensation not in ("none", "xi2_only", "full"):
-        raise ValueError(f"unknown compensation {compensation!r}")
-    return measure.exp_integral(
-        u.u1, u.u2,
-        compensate_xi1=(compensation == "full"),
-        compensate_xi2=(compensation in ("xi2_only", "full")),
-    )
 
 
 class AdmissibilityError(ValueError):
@@ -477,15 +414,14 @@ def validate_admissible(a, alpha, b, beta, m, mu) -> AdmissibleParams:
     elif beta[0, 1] != 0.0:
         violations.append(f"clause (iv): beta12 must be exactly 0, got {beta[0, 1]}")
 
-    for clause, name, nu, kinds in (
-        ("(v)", "m", m, ("int_l1_xi1", "int_l12_xi2")),
-        ("(vi)", "mu", mu, ("int_l12_xi1", "int_l12_xi2")),
-    ):
+    for clause, name, nu in (("(v)", "m", m), ("(vi)", "mu", mu)):
         if not isinstance(nu, JumpMeasure):
             violations.append(f"clause {clause}: {name} must be a supported jump measure")
             continue
-        for kind in kinds:
-            val = jump_moment(nu, kind)
+        # (v) integrates |xi1| against m, (vi) only |xi1| wedge xi1**2
+        xi1 = ("int_l1_xi1", nu.l1_moment(0)) if name == "m" else \
+            ("int_l12_xi1", nu.l12_moment(0))
+        for kind, val in (xi1, ("int_l12_xi2", nu.l12_moment(1))):
             if not math.isfinite(val):
                 violations.append(f"clause {clause}: {name} moment {kind} is not finite")
 

@@ -78,8 +78,9 @@ CHUNK = 2048
 def _stability_guard(dt: float, rate: float, label: str) -> None:
     if dt * abs(rate) > STABILITY_LIMIT:
         raise ValueError(
-            f"explicit-Euler stability: dt*{label} = {dt * abs(rate):.3g} "
-            f"exceeds {STABILITY_LIMIT}; refuse to run (shrink dt)")
+            f"explicit-Euler stability rule: dt*{label} = "
+            f"{dt * abs(rate):.3g} exceeds {STABILITY_LIMIT}; refuse to run "
+            f"(shrink dt)")
 
 
 # -- coefficient bounds and specs ------------------------------------------
@@ -676,6 +677,17 @@ def _catalytic_batch(params, x0, y0, l, noise, keep=None):
                       _thins(params.mu), keep)
 
 
+def _check_reactant(params, theta, mode):
+    """Input rules of the reactant system, which need no noise to check."""
+    if params.beta[1, 1] >= 0.0:
+        raise ValueError(f"reactant scaling requires beta22 < 0, "
+                         f"got {params.beta[1, 1]!r}")
+    if theta < 1.0:
+        raise ValueError("theta must be >= 1")
+    if mode not in ("single", "pair"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
                     split, with_limit=False, z0=None, keep=None):
     """Euler paths of the reactant system at scale theta.
@@ -687,13 +699,7 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
     is advanced on the same noise and the supremum of ``|z_k - z|`` over
     the grid is reported per path as ``gap``.
     """
-    if params.beta[1, 1] >= 0.0:
-        raise ValueError(f"reactant scaling requires beta22 < 0, "
-                         f"got {params.beta[1, 1]!r}")
-    if theta < 1.0:
-        raise ValueError("theta must be >= 1")
-    if mode not in ("single", "pair"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_reactant(params, theta, mode)
     pair = mode == "pair"
     _check_components(noise, 3)
     dt, eps = noise.dt, noise.eps

@@ -29,7 +29,8 @@ from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
 from .sde import (CoefficientBounds, GeneralizedCbiSpec, _affine_batch,
-                  _catalytic_batch, _cbi_batch, _reactant_batch, run_ensemble)
+                  _catalytic_batch, _cbi_batch, _check_init, _check_reactant,
+                  _reactant_batch, run_ensemble)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
     moment_functionals
 
@@ -284,16 +285,27 @@ def _coupled(core):
     return model
 
 
-def _coupled_affine(params, x0, z0, t_list, dt, u_bound, **kwargs):
-    """The coupled pair ensemble kept at ``t_list``, and its thinning bound
-    (default ``8 (1 + x0)``)."""
-    keep_idx = []
+def _grid_indices(t_list, dt):
+    """The grid step of each time in ``t_list``: distinct positive
+    multiples of ``dt``."""
+    steps = {}
     for t in t_list:
         k = round(t / dt)
         if k <= 0 or abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(
                 f"t = {t!r} is not a positive multiple of dt = {dt!r}")
-        keep_idx.append(k)
+        if k in steps:
+            raise ValueError(f"duplicate entries: t = {steps[k]!r} and "
+                             f"t = {t!r} share grid step {k}")
+        steps[k] = t
+    return list(steps)
+
+
+def _coupled_affine(params, x0, z0, t_list, dt, u_bound, **kwargs):
+    """The coupled pair ensemble kept at ``t_list``, and its thinning bound
+    (default ``8 (1 + x0)``)."""
+    _check_init("x0", x0)
+    keep_idx = _grid_indices(t_list, dt)
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
     model = _coupled(lambda ns, keep: _affine_batch(params, x0, z0, ns,
@@ -529,13 +541,15 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     if which not in ("affine", "cbi", "catalytic"):
         raise ValueError(f"unknown generator mode {which!r}")
     if which == "cbi":
-        x1 = float(state)
+        x1 = _check_init("state", state)
         x2 = None
         names = [n for n in GENERATOR_CATALOG if n in _X_ONLY] \
             if f is None else [f]
         intensity = l * x1
     else:
-        x1, x2 = float(state[0]), float(state[1])
+        x1, x2 = _check_init("state[0]", state[0]), float(state[1])
+        if which == "catalytic":
+            _check_init("state[1]", x2)
         names = list(GENERATOR_CATALOG) if f is None else [f]
         intensity = x1 if which == "affine" else max(x1, l * x1 * x2)
     for name in names:
@@ -630,6 +644,8 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     keeps the gap one-signed.
     """
     started = time.perf_counter()
+    _check_init("x0_a", x0_a)
+    _check_init("x0_b", x0_b)
     if u_bound is None:
         u_bound = 8.0 * (1.0 + max(x0_a, x0_b))
     n_steps = round(t_max / dt)
@@ -678,6 +694,19 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
 
 # -- scaling-limit fluctuations --------------------------------------------
 
+def _check_ladder(theta_ladder):
+    """``theta_ladder`` as floats: at least two scales, strictly
+    increasing, none below 1."""
+    ladder = [float(t) for t in theta_ladder]
+    if len(ladder) < 2:
+        raise ValueError("theta_ladder needs at least two scales")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("theta_ladder must be strictly increasing")
+    if ladder[0] < 1.0:
+        raise ValueError("theta_ladder entries must be >= 1")
+    return ladder
+
+
 def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
                            n_paths, master_seed, dt=2.0 ** -8, x0=1.0,
                            z0=0.0, u_bound=None, eps=0.0,
@@ -695,18 +724,9 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     coefficient decomposition in pair mode.
     """
     started = time.perf_counter()
-    ladder = [float(t) for t in theta_ladder]
-    if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("theta_ladder must be strictly increasing, "
-                         "length >= 2")
-    if min(ladder) < 1.0:
-        raise ValueError("theta_ladder entries must be >= 1")
-    if mode not in ("single", "pair"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if params.beta[1, 1] >= 0.0:
-        raise ValueError(
-            f"the fluctuation limit requires beta22 < 0 (mean reversion); "
-            f"got beta22 = {float(params.beta[1, 1])!r}")
+    ladder = _check_ladder(theta_ladder)
+    _check_reactant(params, ladder[0], mode)
+    _check_init("x0", x0)
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
 

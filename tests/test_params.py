@@ -12,16 +12,14 @@ from affine_lab.params import (
     FiniteAtomicMeasure,
     ProductExponentialMeasure,
     UPoint,
-    jump_exp_integral,
-    jump_moment,
     psd_factor,
     validate_admissible,
 )
 
 
-def make_pe(total=1.3, r1=2.0, r2=3.0, mix=0.6, eps=0.0):
+def make_pe(total=1.3, r1=2.0, r2=3.0, mix=0.6):
     return ProductExponentialMeasure(total_rate=total, rate1=r1, rate2=r2,
-                                     sign_mix=mix, truncation_eps=eps)
+                                     sign_mix=mix)
 
 
 def make_atoms():
@@ -47,14 +45,14 @@ def test_upoint_rejects_positive_real_parts():
 
 def test_atomic_moments_are_exact_sums():
     nu = make_atoms()
-    assert jump_moment(nu, "mass") == pytest.approx(1.3, abs=1e-15)
-    assert jump_moment(nu, "int_xi1") == pytest.approx(0.5 * 0.6 + 1.2 * 0.3, abs=1e-15)
-    assert jump_moment(nu, "int_xi2") == pytest.approx(
+    assert nu.mass() == pytest.approx(1.3, abs=1e-15)
+    assert nu.poly_moment(1, 0) == pytest.approx(0.5 * 0.6 + 1.2 * 0.3, abs=1e-15)
+    assert nu.poly_moment(0, 1) == pytest.approx(
         0.3 * 0.6 - 0.4 * 0.3 + 0.8 * 0.4, abs=1e-15)
-    assert jump_moment(nu, "int_xi2_sq") == pytest.approx(
+    assert nu.poly_moment(0, 2) == pytest.approx(
         0.09 * 0.6 + 0.16 * 0.3 + 0.64 * 0.4, abs=1e-15)
     # l12 kinks at |x| = 1: the 1.2 atom contributes |xi1| not xi1**2
-    assert jump_moment(nu, "int_l12_xi1") == pytest.approx(
+    assert nu.l12_moment(0) == pytest.approx(
         0.25 * 0.6 + 1.2 * 0.3 + 0.0, abs=1e-15)
 
 
@@ -72,11 +70,13 @@ def test_atomic_region_and_band_restrictions():
 def test_atomic_exp_integral_single_atom_closed_form():
     nu = FiniteAtomicMeasure([(1.0, 0.0, 1.0)])
     u = UPoint(-1.0, 0.0)
-    assert jump_exp_integral(nu, u, "none") == pytest.approx(math.exp(-1.0) - 1.0)
-    assert jump_exp_integral(nu, u, "full") == pytest.approx(math.exp(-1.0) - 1.0 + 1.0)
+    assert nu.exp_integral(u.u1, u.u2) == pytest.approx(math.exp(-1.0) - 1.0)
+    assert nu.exp_integral(u.u1, u.u2, compensate_xi1=True,
+                           compensate_xi2=True) == pytest.approx(
+        math.exp(-1.0) - 1.0 + 1.0)
     nu2 = FiniteAtomicMeasure([(0.0, 1.0, 1.0)])
     u2 = UPoint(0.0, 1.0j)
-    val = jump_exp_integral(nu2, u2, "xi2_only")
+    val = nu2.exp_integral(u2.u1, u2.u2, compensate_xi2=True)
     assert val == pytest.approx(complex(math.cos(1.0) - 1.0, math.sin(1.0) - 1.0))
 
 
@@ -85,11 +85,15 @@ def test_atomic_additivity_under_atom_split():
     part1 = FiniteAtomicMeasure([(0.5, 0.3, 0.6)])
     part2 = FiniteAtomicMeasure([(1.2, -0.4, 0.3), (0.0, 0.8, 0.4)])
     u = UPoint(-0.7, 1.3j)
-    for kind in ("mass", "int_xi1", "int_xi2_sq", "int_l12_xi2"):
-        assert jump_moment(whole, kind) == pytest.approx(
-            jump_moment(part1, kind) + jump_moment(part2, kind), abs=1e-14)
-    assert jump_exp_integral(whole, u, "full") == pytest.approx(
-        jump_exp_integral(part1, u, "full") + jump_exp_integral(part2, u, "full"))
+    for method, args in (("mass", ()), ("poly_moment", (1, 0)),
+                         ("poly_moment", (0, 2)), ("l12_moment", (1,))):
+        assert getattr(whole, method)(*args) == pytest.approx(
+            getattr(part1, method)(*args) + getattr(part2, method)(*args),
+            abs=1e-14)
+    full = dict(compensate_xi1=True, compensate_xi2=True)
+    assert whole.exp_integral(u.u1, u.u2, **full) == pytest.approx(
+        part1.exp_integral(u.u1, u.u2, **full)
+        + part2.exp_integral(u.u1, u.u2, **full))
 
 
 def test_atomic_rejects_bad_atoms():
@@ -114,30 +118,33 @@ def _pe_quad_moment(nu, f1, f2):
     return nu.total_rate * g1 * (nu.sign_mix * plus + (1.0 - nu.sign_mix) * minus)
 
 
-@pytest.mark.parametrize("kind,f1,f2", [
-    ("mass", lambda x: 1.0, lambda y: 1.0),
-    ("int_xi1", lambda x: x, lambda y: 1.0),
-    ("int_xi2", lambda x: 1.0, lambda y: y),
-    ("int_xi1_sq", lambda x: x * x, lambda y: 1.0),
-    ("int_xi2_sq", lambda x: 1.0, lambda y: y * y),
-    ("int_xi1_xi2", lambda x: x, lambda y: y),
-    ("int_l1_xi1", lambda x: x, lambda y: 1.0),
-    ("int_l12_xi1", lambda x: min(x, x * x), lambda y: 1.0),
-    ("int_l12_xi2", lambda x: 1.0, lambda y: min(abs(y), y * y)),
-])
-def test_pe_moments_match_quadrature(kind, f1, f2):
+# The ids name each case by the integral it checks.
+@pytest.mark.parametrize("method,args,f1,f2", [
+    ("mass", (), lambda x: 1.0, lambda y: 1.0),
+    ("poly_moment", (1, 0), lambda x: x, lambda y: 1.0),
+    ("poly_moment", (0, 1), lambda x: 1.0, lambda y: y),
+    ("poly_moment", (2, 0), lambda x: x * x, lambda y: 1.0),
+    ("poly_moment", (0, 2), lambda x: 1.0, lambda y: y * y),
+    ("poly_moment", (1, 1), lambda x: x, lambda y: y),
+    ("l1_moment", (0,), lambda x: x, lambda y: 1.0),
+    ("l12_moment", (0,), lambda x: min(x, x * x), lambda y: 1.0),
+    ("l12_moment", (1,), lambda x: 1.0, lambda y: min(abs(y), y * y)),
+], ids=[f"{name}-<lambda>-<lambda>" for name in (
+    "mass", "int_xi1", "int_xi2", "int_xi1_sq", "int_xi2_sq", "int_xi1_xi2",
+    "int_l1_xi1", "int_l12_xi1", "int_l12_xi2")])
+def test_pe_moments_match_quadrature(method, args, f1, f2):
     nu = make_pe()
     oracle = _pe_quad_moment(nu, f1, f2)
-    assert jump_moment(nu, kind) == pytest.approx(oracle, abs=1e-10)
+    assert getattr(nu, method)(*args) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_pe_frozen_values():
     # hand-computed from the closed forms: E[xi1]=1/2, E[xi2]=(2*0.6-1)/3,
     # E[xi2^2]=2/9, all scaled by total_rate=1.3
     nu = make_pe()
-    assert jump_moment(nu, "int_xi1") == pytest.approx(0.65, abs=1e-14)
-    assert jump_moment(nu, "int_xi2") == pytest.approx(1.3 * 0.2 / 3.0, abs=1e-14)
-    assert jump_moment(nu, "int_xi2_sq") == pytest.approx(1.3 * 2.0 / 9.0, abs=1e-14)
+    assert nu.poly_moment(1, 0) == pytest.approx(0.65, abs=1e-14)
+    assert nu.poly_moment(0, 1) == pytest.approx(1.3 * 0.2 / 3.0, abs=1e-14)
+    assert nu.poly_moment(0, 2) == pytest.approx(1.3 * 2.0 / 9.0, abs=1e-14)
 
 
 def test_pe_region_moments_match_quadrature():
@@ -190,13 +197,14 @@ def _pe_quad_exp(nu, u1, u2, c1, c2, region="all"):
 @pytest.mark.parametrize("u1,u2", [
     (-1.0, 0.0), (0.0, 1.0j), (-0.5 + 0.3j, 2.0j), (-1.9, -0.9j),
 ])
-@pytest.mark.parametrize("comp", ["none", "xi2_only", "full"])
-def test_pe_exp_integral_matches_quadrature(u1, u2, comp):
+@pytest.mark.parametrize("c1,c2", [(False, False), (False, True),
+                                   (True, True)],
+                         ids=["none", "xi2_only", "full"])
+def test_pe_exp_integral_matches_quadrature(u1, u2, c1, c2):
     nu = make_pe()
-    c1 = comp == "full"
-    c2 = comp in ("xi2_only", "full")
     oracle = _pe_quad_exp(nu, u1, u2, c1, c2)
-    got = jump_exp_integral(nu, UPoint(u1, u2), comp)
+    u = UPoint(u1, u2)
+    got = nu.exp_integral(u.u1, u.u2, compensate_xi1=c1, compensate_xi2=c2)
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
@@ -221,28 +229,31 @@ def test_pe_exp_integral_divergence_guard():
 def test_exp_integral_real_part_nonpositive_on_domain(nu):
     for u in (UPoint(0, 0), UPoint(-1, 0), UPoint(0, 2j), UPoint(-0.5, -1.5j),
               UPoint(-3, 0.7j)):
-        val = jump_exp_integral(nu, u, "none")
+        val = nu.exp_integral(u.u1, u.u2)
         assert val.real <= 1e-15
 
 
 @pytest.mark.parametrize("nu", [make_atoms(), make_pe()])
 def test_exp_integral_conjugate_symmetry(nu):
     u = UPoint(-0.4 + 0.8j, 1.7j)
-    a = jump_exp_integral(nu, u, "full")
-    b = jump_exp_integral(nu, u.conj(), "full")
+    full = dict(compensate_xi1=True, compensate_xi2=True)
+    a = nu.exp_integral(u.u1, u.u2, **full)
+    v = u.conj()
+    b = nu.exp_integral(v.u1, v.u2, **full)
     assert a == pytest.approx(b.conjugate(), abs=1e-14)
 
 
 @pytest.mark.parametrize("nu", [make_atoms(), make_pe()])
 def test_exp_integral_vanishes_at_origin(nu):
-    for comp in ("none", "xi2_only", "full"):
-        assert jump_exp_integral(nu, UPoint(0, 0), comp) == 0
+    for c1, c2 in ((False, False), (False, True), (True, True)):
+        assert nu.exp_integral(0j, 0j, compensate_xi1=c1,
+                               compensate_xi2=c2) == 0
 
 
 def test_sampler_respects_band_and_marginals():
     rng = Generator(Philox(key=[7, 0]))
-    nu = make_pe(total=1.0, r1=2.0, r2=3.0, mix=0.6, eps=0.2)
-    marks = nu.sample(rng, 20000)
+    nu = make_pe(total=1.0, r1=2.0, r2=3.0, mix=0.6)
+    marks = nu.sample(rng, 20000, eps=0.2)
     assert marks.shape == (20000, 2)
     assert np.all(np.maximum(marks[:, 0], np.abs(marks[:, 1])) > 0.2)
     # conditional-on-band means, oracle by 2-d quadrature of the band density

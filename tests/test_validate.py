@@ -8,7 +8,7 @@ import pytest
 
 from affine_lab.params import FiniteAtomicMeasure, UPoint, validate_admissible
 from affine_lab.presets import jump_affine_params, symmetric_split_params
-from affine_lab import sde
+from affine_lab import sde, validate
 from affine_lab.sde import (EnsembleResult, _affine_batch, _reactant_batch,
                             run_ensemble)
 from affine_lab.transform import solve_transform
@@ -41,6 +41,21 @@ def fake_ensemble(x, z, dt=0.5):
     return EnsembleResult(times=times, components={"x": x, "z": z},
                           master_seed=0, dt=dt, eps=0.0, u_bound=1.0,
                           n_paths=x.shape[0], n_retried=0, n_clamped=0)
+
+
+class Simulated(Exception):
+    pass
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make any ensemble run raise :class:`Simulated`."""
+    def refuse(*args, **kwargs):
+        raise Simulated
+    monkeypatch.setattr(validate, "run_ensemble", refuse)
+
+
+MC = dict(n_paths=20, master_seed=0)
 
 
 # -- empirical characteristic function -------------------------------------
@@ -359,11 +374,15 @@ def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
     assert rep.details["n_retried"] == sum(retried)
 
 
-def test_fluctuation_rejects_bad_inputs():
+def test_fluctuation_rejects_bad_inputs(no_simulation):
     p = jump_affine_params()
-    bad = make_params(beta=((0.0, 0.0), (0.0, 0.5)))
-    with pytest.raises(ValueError, match="beta22"):
-        fluctuation_experiment(bad, [4.0, 16.0], n_paths=2, master_seed=1)
+    for beta22 in (0.5, 0.0):
+        bad = make_params(beta=((0.0, 0.0), (0.0, beta22)))
+        with pytest.raises(ValueError, match="beta22"):
+            fluctuation_experiment(bad, [4.0, 16.0], n_paths=2,
+                                   master_seed=1)
+    with pytest.raises(ValueError, match="at least two"):
+        fluctuation_experiment(p, [4.0], n_paths=2, master_seed=1)
     with pytest.raises(ValueError, match="increasing"):
         fluctuation_experiment(p, [16.0, 4.0], n_paths=2, master_seed=1)
     with pytest.raises(ValueError, match=">= 1"):
@@ -371,6 +390,44 @@ def test_fluctuation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="mode"):
         fluctuation_experiment(p, [4.0, 16.0], mode="both", n_paths=2,
                                master_seed=1)
+
+
+# -- inputs are checked before anything is simulated ----------------------
+
+def test_duplicate_t_list_rejected_up_front(no_simulation):
+    p = jump_affine_params()
+    for t_list in ([0.5, 0.5], [0.5, 0.25, 0.5 + 1e-13]):
+        with pytest.raises(ValueError, match="duplicate entries"):
+            check_moments(p, 1.0, 0.0, t_list, dt=2.0 ** -4, **MC)
+        with pytest.raises(ValueError, match="duplicate entries"):
+            check_affine_formula(p, 1.0, 0.0, t_list, [(-1.0, 0.0)],
+                                 dt=2.0 ** -4, **MC)
+    with pytest.raises(Simulated):       # distinct times go on to simulate
+        check_moments(p, 1.0, 0.0, [0.25, 0.5], dt=2.0 ** -4, **MC)
+
+
+@pytest.mark.parametrize("run,name", [
+    (lambda p: check_generator(p, (-0.5, 0.0), which="affine", **MC),
+     r"state\[0\]"),
+    (lambda p: check_generator(p, -0.5, which="cbi", **MC), "state"),
+    (lambda p: check_generator(p, (-0.5, 1.0), which="catalytic", **MC),
+     r"state\[0\]"),
+    (lambda p: check_generator(p, (1.0, -0.5), which="catalytic", **MC),
+     r"state\[1\]"),
+    (lambda p: check_moments(p, -0.5, 0.0, [0.25], **MC), "x0"),
+    (lambda p: check_affine_formula(p, -0.5, 0.0, [0.25], [(-1.0, 0.0)],
+                                    **MC), "x0"),
+    (lambda p: uniqueness_experiment(p, -0.5, 1.0, t_max=1.0, **MC),
+     "x0_a"),
+    (lambda p: uniqueness_experiment(p, 1.0, -0.5, t_max=1.0, **MC),
+     "x0_b"),
+    (lambda p: fluctuation_experiment(p, [4.0, 16.0], x0=-0.5, **MC), "x0"),
+], ids=["generator-affine", "generator-cbi", "generator-catalytic-x",
+        "generator-catalytic-y", "moments", "affine-formula",
+        "uniqueness-a", "uniqueness-b", "fluctuation"])
+def test_negative_start_rejected_up_front(no_simulation, run, name):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        run(jump_affine_params())
 
 
 # -- semigroup flow --------------------------------------------------------
