@@ -36,6 +36,7 @@ from .transform import (  # noqa: E402,F401
     flow_residual,
     moment_functionals,
     solve_transform,
+    solve_transforms,
     write_transform_csv,
 )
 from .presets import (  # noqa: E402,F401

@@ -35,12 +35,12 @@ from .presets import builtin_params
 from .sde import (ParameterSplit, ThinningBoundError, _check_init,
                   _stability_guard, simulate_affine, simulate_catalytic,
                   simulate_reactant_pair, write_paths_csv)
-from .transform import _TOL_RANGE, solve_transform, write_transform_csv
+from .transform import _TOL_RANGE, solve_transforms, write_transform_csv
 from .validate import (_check_ladder, _grid_indices, check_affine_formula,
                        check_generator, check_moments, fluctuation_experiment,
                        sc_semigroup_check, uniqueness_experiment)
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 COMMANDS = ("transform", "simulate", "validate", "limit")
 
@@ -562,8 +562,9 @@ def _first_failure(reports):
 def _cmd_transform(config, out, stdout):
     grid = np.arange(steps_for(config.t_max, config.dt) + 1) * config.dt
     meta = _csv_metadata(config)
-    for i, u in enumerate(config.u_list):
-        solution = solve_transform(config.params, u, grid, tol=config.tol)
+    solutions = solve_transforms(config.params, config.u_list, grid,
+                                 tol=config.tol)
+    for i, solution in enumerate(solutions):
         if "csv" in config.formats:
             write_transform_csv(solution, out / f"transform_u{i:02d}.csv",
                                 extra_metadata=meta)

@@ -76,6 +76,19 @@ def _l12(x):
     return np.minimum(ax, ax * ax)
 
 
+def _lanes(u1, u2):
+    """``u1``, ``u2`` as complex arrays of one shape (0-d for scalars)."""
+    u1, u2 = np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)
+    if u1.shape != u2.shape:
+        u1, u2 = np.broadcast_arrays(u1, u2)
+    return u1, u2
+
+
+def _unlane(out):
+    """A complex for a 0-d result, else the lane array."""
+    return complex(out) if np.ndim(out) == 0 else out
+
+
 def _region_mask(xi2, region):
     if region == "all":
         return np.ones_like(xi2, dtype=bool)
@@ -147,15 +160,30 @@ class FiniteAtomicMeasure:
         return float((self.weights * _l12(self.atoms[:, coord])).sum())
 
     def exp_integral(self, u1, u2, compensate_xi1=False, compensate_xi2=False,
-                     region="all") -> complex:
-        k = _region_mask(self.atoms[:, 1], region)
-        xi1, xi2, w = self.atoms[k, 0], self.atoms[k, 1], self.weights[k]
-        term = np.exp(u1 * xi1 + u2 * xi2) - 1.0
+                     region="all"):
+        """``int (e^{<u, xi>} - 1 [- u1 xi1] [- u2 xi2]) nu(dxi)``.
+
+        ``u1``, ``u2`` are scalars (a complex result) or lane arrays (one
+        value per lane).  The atoms' terms are summed one after another,
+        so each lane's value does not depend on the other lanes.
+        """
+        u1, u2 = _lanes(u1, u2)
+        atoms, w = self.atoms, self.weights
+        if region != "all":
+            k = _region_mask(atoms[:, 1], region)
+            atoms, w = atoms[k], w[k]
+        v1 = np.multiply.outer(atoms[:, 0], u1)  # (atom,) + lane shape
+        v2 = np.multiply.outer(atoms[:, 1], u2)
+        term = np.exp(v1 + v2) - 1.0
         if compensate_xi1:
-            term = term - u1 * xi1
+            term = term - v1
         if compensate_xi2:
-            term = term - u2 * xi2
-        return complex((w * term).sum())
+            term = term - v2
+        term = w.reshape((-1,) + (1,) * u1.ndim) * term
+        out = np.zeros(term.shape[1:], dtype=complex)
+        for row in term:
+            out = out + row
+        return _unlane(out)
 
     def sample(self, rng, n, eps=0.0):
         """Draw ``n`` marks from the band-normalized measure.
@@ -267,28 +295,32 @@ class ProductExponentialMeasure:
         return self.total_rate * _exp_l12(rate)
 
     def exp_integral(self, u1, u2, compensate_xi1=False, compensate_xi2=False,
-                     region="all") -> complex:
-        u1 = complex(u1)
-        u2 = complex(u2)
-        if u1.real >= self.rate1:
+                     region="all"):
+        """Closed form of the exponential integral; ``u1``, ``u2`` are
+        scalars or lane arrays, and any diverging lane raises."""
+        u1, u2 = _lanes(u1, u2)
+        if np.any(u1.real >= self.rate1):
             raise ValueError("exp integral diverges: Re(u1) >= rate1")
-        if abs(u2.real) >= self.rate2:
+        if np.any(np.abs(u2.real) >= self.rate2):
             raise ValueError("exp integral diverges: |Re(u2)| >= rate2")
+        # Laplace factors as 1 + g: r / (r - u) = 1 + u / (r - u), so the
+        # integral is an exact 0 at the origin, in every lane
         s = self.sign_mix
+        g_plus = u2 / (self.rate2 - u2)
+        g_minus = -u2 / (self.rate2 + u2)
         if region == "plus":
-            e2, p2 = s * self.rate2 / (self.rate2 - u2), s
+            g2, p2 = s * g_plus, s
         elif region == "minus":
-            e2, p2 = (1.0 - s) * self.rate2 / (self.rate2 + u2), 1.0 - s
+            g2, p2 = (1.0 - s) * g_minus, 1.0 - s
         else:
-            e2 = s * self.rate2 / (self.rate2 - u2) + (1.0 - s) * self.rate2 / (self.rate2 + u2)
-            p2 = 1.0
-        e1 = self.rate1 / (self.rate1 - u1)
-        out = e1 * e2 - p2
+            g2, p2 = s * g_plus + (1.0 - s) * g_minus, 1.0
+        g1 = u1 / (self.rate1 - u1)
+        out = g1 * (p2 + g2) + g2  # (1 + g1)(p2 + g2) - p2
         if compensate_xi1:
             out = out - u1 * p2 / self.rate1
         if compensate_xi2:
             out = out - u2 * self._m2(1, region)
-        return complex(self.total_rate * out)
+        return _unlane(self.total_rate * out)
 
     def sample(self, rng, n, eps=0.0):
         """Draw ``n`` marks, rejecting the ``eps``-box around the origin."""

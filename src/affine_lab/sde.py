@@ -47,9 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``refine`` is unused here; bench/test_bench.py checks that the tracing
-# shims rebind ``sde.refine``.
-from .noise import (NoiseSystem, generate_noise, refine, steps_for,
+from .noise import (NoiseSystem, generate_noise, steps_for,
                     substream_seed_array)
 from .params import AdmissibleParams
 
@@ -279,8 +277,8 @@ class ParameterSplit:
         ]
         for name, got, want in pairs:
             if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-                raise ValueError(
-                    f"split does not reassemble {name}: {got!r} != {want!r}")
+                raise ValueError(f"split does not reassemble {name}: "
+                                 f"{float(got)!r} != {float(want)!r}")
 
 
 # -- path containers -------------------------------------------------------

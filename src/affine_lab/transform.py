@@ -18,8 +18,12 @@ with the constant-part functional ``F`` and the state-linear functional ``R``
              + alpha22 u2**2 + int (e^{<u, xi>} - 1 - u1 xi1 - u2 xi2) mu(dxi)``.
 
 The solver integrates the 4-real system [Re psi1, Im psi1, Re phi, Im phi]
-with an adaptive explicit Runge-Kutta pair and samples its dense output;
-``psi2`` is always evaluated, never integrated.  The flow identities
+with the package's own Dormand-Prince 5(4) stepper and samples its dense
+output; ``psi2`` is always evaluated, never integrated.  The stepper is
+vectorised over lanes, one lane per frequency ``u``, so
+:func:`solve_transforms` solves a whole list of frequencies in one pass,
+and a lane's bytes do not depend on the other lanes of its batch.  The
+flow identities
 
     ``psi(r + t, u) = psi(r, psi(t, u))``
     ``phi(r + t, u) = phi(r, psi(t, u)) + phi(t, u)``
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import AdmissibleParams, UPoint
 
@@ -48,6 +51,7 @@ __all__ = [
     "eval_F",
     "eval_R",
     "solve_transform",
+    "solve_transforms",
     "char_fn",
     "FlowResidual",
     "flow_residual",
@@ -63,14 +67,16 @@ class TransformError(RuntimeError):
     """Integration failure or domain-invariant breach in the transform solver."""
 
 
-def _eval_F(p: AdmissibleParams, u1: complex, u2: complex) -> complex:
+# ``_eval_F`` and ``_eval_R`` take scalars or lane arrays for ``u1``, ``u2``.
+
+def _eval_F(p: AdmissibleParams, u1, u2):
     out = p.b[0] * u1 + p.b[1] * u2 + p.a * u2 * u2
     if not p.m.is_empty:
         out += p.m.exp_integral(u1, u2, compensate_xi2=True)
     return out
 
 
-def _eval_R(p: AdmissibleParams, u1: complex, u2: complex) -> complex:
+def _eval_R(p: AdmissibleParams, u1, u2):
     al = p.alpha
     out = (p.beta[0, 0] * u1 + p.beta[1, 0] * u2
            + al[0, 0] * u1 * u1 + 2.0 * al[0, 1] * u1 * u2 + al[1, 1] * u2 * u2)
@@ -117,91 +123,305 @@ def _check_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
+# -- Dormand-Prince 5(4) over lanes -----------------------------------------
+#
+# The embedded pair of Dormand & Prince (1980) with Shampine's dense output
+# and the standard step-size controller (Hairer, Norsett & Wanner, "Solving
+# ODEs I", II.4): the tableau, first-step rule, controller constants and RMS
+# error norm are SciPy's RK45.  Lane ``i`` of an array is frequency ``i``;
+# the state rows are [Re psi1, Im psi1, Re phi, Im phi].  Sums over stages
+# and components are written out in a fixed order, never ``np.dot``, so a
+# lane's bytes do not depend on which other lanes share its batch.
+
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((),
+      (1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
+# dense output: y(t_old + x h) = y_old + h sum_j Q_j x**(j+1) with
+# Q_j = sum_s P[s][j] K_s
+_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0.0, 0.0, 0.0, 0.0),
+      (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0.0, 40617522 / 29380423, -110615467 / 29380423,
+       69997945 / 29380423))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5  # the error estimator has order 4
+
+
+def _combine(coeffs, stages):
+    """``sum_j coeffs[j] * stages[j]`` accumulated in order, zeros skipped."""
+    out = None
+    for c, k in zip(coeffs, stages):
+        if c != 0.0:
+            out = c * k if out is None else out + c * k
+    return out
+
+
+def _rms(x):
+    """RMS over the four state rows, per lane."""
+    return np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]) / 2.0
+
+
+def _complex(re, im):
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _first_step(fun, lanes, y0, f0, horizon, rtol, atol):
+    """Hairer-Norsett-Wanner starting step, per lane."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, horizon)
+    d2 = _rms((fun(lanes, h0, y0 + h0 * f0) - f0) / scale) / h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+    return np.minimum(np.minimum(100.0 * h0, h1), horizon)
+
+
+def _dopri(fun, y0, t_grid, rtol, atol):
+    """Integrate ``y' = fun(lanes, t, y)`` from ``y0`` up to ``t_grid[-1]``.
+
+    Every lane keeps its own time, step size and accept/reject state; a
+    lane leaves the batch when it reaches the horizon or its step size
+    underflows.  Each accepted step's dense output is sampled at the grid
+    times in ``(t_old, t_new]`` (and at 0 by the first step).
+
+    Returns ``(samples, peak, steps, failed_at)``: samples of shape
+    ``(4, n_lanes, n_grid)``, the largest row-0 value over the accepted
+    steps, the accepted step count, and the last good time of each lane
+    whose step size underflowed (NaN for the others).
+    """
+    horizon = float(t_grid[-1])
+    n_lanes = y0.shape[1]
+    samples = np.empty((4, n_lanes, t_grid.size))
+    peak = y0[0].copy()
+    steps = np.zeros(n_lanes, dtype=np.int64)
+    failed_at = np.full(n_lanes, np.nan)
+
+    lanes = np.arange(n_lanes)
+    t = np.zeros(n_lanes)
+    y = y0
+    f = fun(lanes, t, y)
+    h_abs = _first_step(fun, lanes, y, f, horizon, rtol, atol)
+    rejected = np.zeros(n_lanes, dtype=bool)
+    K = [None] * 7
+    while lanes.size:
+        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        fine = h_abs >= min_step
+        if not fine.all():
+            failed_at[lanes[~fine]] = t[~fine]
+            lanes, t, h_abs, rejected, y, f = (
+                v[..., fine] for v in (lanes, t, h_abs, rejected, y, f))
+            if not lanes.size:
+                break
+
+        t_new = np.minimum(t + h_abs, horizon)
+        h = t_new - t
+        K[0] = f
+        for s in range(1, 6):
+            K[s] = fun(lanes, t + _C[s] * h, y + _combine(_A[s], K) * h)
+        y_new = y + h * _combine(_B, K)
+        K[6] = f_new = fun(lanes, t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err = _rms(_combine(_E, K) * h / scale)
+
+        accept = err < 1.0
+        with np.errstate(divide="ignore"):
+            factor = _SAFETY * err ** _ERROR_EXPONENT
+        factor = np.where(accept, np.minimum(_MAX_FACTOR, factor),
+                          np.fmax(_MIN_FACTOR, factor))
+        factor = np.where(accept & rejected, np.minimum(1.0, factor), factor)
+        h_abs = h * factor
+        rejected = ~accept
+
+        a = np.flatnonzero(accept)
+        if a.size:
+            t_old, h_a = t[a], h[a]
+            lo = np.searchsorted(t_grid, t_old, side="right")
+            lo[t_old == 0.0] = 0
+            counts = np.searchsorted(t_grid, t_new[a], side="right") - lo
+            seg = np.repeat(np.arange(a.size), counts)
+            cols = np.arange(seg.size) + np.repeat(lo - np.cumsum(counts)
+                                                   + counts, counts)
+            x = (t_grid[cols] - t_old[seg]) / h_a[seg]
+            Ka = [k[:, a] for k in K]
+            p, poly = x, None
+            for j in range(4):
+                term = _combine([row[j] for row in _P], Ka)[:, seg] * p
+                poly = term if poly is None else poly + term
+                p = p * x
+            samples[:, lanes[a[seg]], cols] = h_a[seg] * poly + y[:, a][:, seg]
+            steps[lanes[a]] += 1
+            peak[lanes[a]] = np.maximum(peak[lanes[a]], y_new[0, a])
+
+        t = np.where(accept, t_new, t)
+        y = np.where(accept, y_new, y)
+        f = np.where(accept, f_new, f)
+        going = ~(accept & (t_new >= horizon))
+        lanes, t, h_abs, rejected, y, f = (
+            v[..., going] for v in (lanes, t, h_abs, rejected, y, f))
+    return samples, peak, steps, failed_at
+
+
+# -- transform solves ------------------------------------------------------
+
+def _lane(u, enforce_domain):
+    """``(UPoint or None, u1, u2)`` for one requested frequency."""
+    if enforce_domain and not isinstance(u, UPoint):
+        u = UPoint(*u)  # validates the domain
+    if isinstance(u, UPoint):
+        return u, u.u1, u.u2
+    return None, complex(u[0]), complex(u[1])
+
+
+def solve_transforms(params: AdmissibleParams, u_list, t_grid,
+                     tol: float = 1e-9, *, _enforce_domain: bool = True
+                     ) -> list:
+    """Solve the Riccati system for ``(psi1, phi)`` at every ``u`` at once.
+
+    One Dormand-Prince pass integrates all frequencies as lanes; each lane
+    keeps its own step size and error control, so its solution is the one
+    it would get alone, byte for byte.
+
+    Parameters
+    ----------
+    params : AdmissibleParams
+    u_list : sequence of UPoint
+        Initial transform variables (each also fixes its ``psi2``).
+    t_grid : array_like
+        Strictly increasing times starting at 0, shared by every lane.
+    tol : float
+        Solver tolerance in ``[1e-12, 1e-4]`` (``rtol = tol``,
+        ``atol = tol / 1000``); also bounds the permitted positivity breach
+        of ``Re(psi1)`` and ``Re(phi)`` before the run aborts.
+
+    Returns
+    -------
+    list of TransformSolution, one per entry of ``u_list``.
+
+    Raises
+    ------
+    TransformError
+        If a lane's step size underflows (reporting its last good time) or
+        its ``Re(psi1)`` or ``Re(phi)`` exceeds ``tol``.
+    """
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+    t_grid = _check_grid(t_grid)
+    lanes = [_lane(u, _enforce_domain) for u in u_list]
+    if not lanes:
+        return []
+    beta22 = params.beta[1, 1]
+    growth = np.exp(beta22 * t_grid)
+    u1 = np.array([lane[1] for lane in lanes])
+    u2 = np.array([lane[2] for lane in lanes])
+
+    if t_grid[-1] == 0.0:
+        return [TransformSolution(u=u_point, t_grid=t_grid,
+                                  psi1=np.array([v1]), psi2=growth * v2,
+                                  phi=np.array([0j]), tol_used=tol,
+                                  steps_taken=0)
+                for u_point, v1, v2 in lanes]
+
+    def rhs(idx, s, y):
+        p1 = _complex(y[0], y[1])
+        p2 = np.exp(beta22 * s) * u2[idx]
+        dp, df = _eval_R(params, p1, p2), _eval_F(params, p1, p2)
+        return np.stack((dp.real, dp.imag, df.real, df.imag))
+
+    zero = np.zeros(len(lanes))
+    samples, peak, steps, failed_at = _dopri(
+        rhs, np.stack((u1.real, u1.imag, zero, zero)), t_grid,
+        rtol=tol, atol=tol * 1e-3)
+
+    out = []
+    for i, (u_point, v1, v2) in enumerate(lanes):
+        where = f"u = ({v1!r}, {v2!r})"
+        if not np.isnan(failed_at[i]):
+            raise TransformError(
+                f"transform integration failed for {where} after "
+                f"t={failed_at[i]:.6g}: required step size is less than "
+                f"spacing between numbers")
+        psi1 = _complex(samples[0, i], samples[1, i])
+        phi = _complex(samples[2, i], samples[3, i])
+        if _enforce_domain:
+            worst = max(float(np.max(psi1.real)), float(peak[i]))
+            if worst > tol:
+                raise TransformError(
+                    f"domain invariant breached for {where}: Re(psi1) "
+                    f"reached {worst:.3e} > tol")
+            psi1 = np.where(psi1.real > 0.0, 1j * psi1.imag, psi1)
+            worst_phi = float(np.max(phi.real))
+            if worst_phi > tol:
+                raise TransformError(
+                    f"domain invariant breached for {where}: Re(phi) "
+                    f"reached {worst_phi:.3e} > tol")
+            phi = np.where(phi.real > 0.0, 1j * phi.imag, phi)
+        out.append(TransformSolution(u=u_point, t_grid=t_grid, psi1=psi1,
+                                     psi2=growth * v2, phi=phi, tol_used=tol,
+                                     steps_taken=int(steps[i])))
+    return out
+
+
 def solve_transform(params: AdmissibleParams, u: UPoint, t_grid,
                     tol: float = 1e-9, *, _enforce_domain: bool = True
                     ) -> TransformSolution:
     """Solve the Riccati system for ``(psi1, phi)`` along ``t_grid``.
 
-    Parameters
-    ----------
-    params : AdmissibleParams
-    u : UPoint
-        Initial transform variable (also fixes ``psi2``).
-    t_grid : array_like
-        Strictly increasing times starting at 0.
-    tol : float
-        Solver tolerance in ``[1e-12, 1e-4]``; also bounds the permitted
-        positivity breach of ``Re(psi1)`` before the run aborts.
-
-    Raises
-    ------
-    TransformError
-        If the integrator fails (reporting the last good time) or
-        ``Re(psi1)`` exceeds ``tol``.
+    The one-lane call of :func:`solve_transforms`, with the same
+    parameters, checks and errors for the single frequency ``u``.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
-    t_grid = _check_grid(t_grid)
-    if _enforce_domain and not isinstance(u, UPoint):
-        u = UPoint(*u)  # validates the domain
+    return solve_transforms(params, [u], t_grid, tol,
+                            _enforce_domain=_enforce_domain)[0]
+
+
+def _as_batch(u):
+    """``(list of frequencies, whether a sequence was given)``."""
     if isinstance(u, UPoint):
-        u_point, u1, u2 = u, u.u1, u.u2
-    else:
-        u_point, u1, u2 = None, complex(u[0]), complex(u[1])
-    beta22 = params.beta[1, 1]
-
-    psi2 = np.exp(beta22 * t_grid) * u2
-    horizon = float(t_grid[-1])
-    if horizon == 0.0:
-        return TransformSolution(u=u_point, t_grid=t_grid,
-                                 psi1=np.array([u1]), psi2=psi2,
-                                 phi=np.array([0j]), tol_used=tol, steps_taken=0)
-
-    def rhs(s, y):
-        p1 = complex(y[0], y[1])
-        p2 = cmath.exp(beta22 * s) * u2
-        dp = _eval_R(params, p1, p2)
-        df = _eval_F(params, p1, p2)
-        return (dp.real, dp.imag, df.real, df.imag)
-
-    sol = solve_ivp(rhs, (0.0, horizon), [u1.real, u1.imag, 0.0, 0.0],
-                    method="RK45", rtol=tol, atol=tol * 1e-3, dense_output=True)
-    if not sol.success:
-        raise TransformError(
-            f"transform integration failed after t={sol.t[-1]:.6g}: {sol.message}")
-
-    samples = sol.sol(t_grid)
-    psi1 = samples[0] + 1j * samples[1]
-    phi = samples[2] + 1j * samples[3]
-
-    if _enforce_domain:
-        worst = max(float(np.max(psi1.real)), float(np.max(sol.y[0])))
-        if worst > tol:
-            raise TransformError(
-                f"domain invariant breached: Re(psi1) reached {worst:.3e} > tol")
-        psi1 = np.where(psi1.real > 0.0, 1j * psi1.imag, psi1)
-        worst_phi = float(np.max(phi.real))
-        if worst_phi > tol:
-            raise TransformError(
-                f"domain invariant breached: Re(phi) reached {worst_phi:.3e} > tol")
-        phi = np.where(phi.real > 0.0, 1j * phi.imag, phi)
-
-    return TransformSolution(u=u_point, t_grid=t_grid, psi1=psi1, psi2=psi2,
-                             phi=phi, tol_used=tol, steps_taken=len(sol.t) - 1)
+        return [u], False
+    return list(u), True
 
 
-def char_fn(params: AdmissibleParams, x, t: float, u: UPoint,
-            tol: float = 1e-9) -> complex:
-    """``E[exp(u1 x(t) + u2 z(t)) | (x(0), z(0)) = x]``; modulus at most 1."""
+def char_fn(params: AdmissibleParams, x, t: float, u,
+            tol: float = 1e-9):
+    """``E[exp(u1 x(t) + u2 z(t)) | (x(0), z(0)) = x]``; modulus at most 1.
+
+    ``u`` is one UPoint, or a sequence of them solved as one lane batch,
+    which gives a list of values.
+    """
     x1, x2 = float(x[0]), float(x[1])
     if x1 < 0.0:
         raise ValueError("initial state must have x1 >= 0")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
+    u_list, batch = _as_batch(u)
     if t == 0.0:
-        return cmath.exp(u.u1 * x1 + u.u2 * x2)
-    sol = solve_transform(params, u, [0.0, t], tol)
-    return cmath.exp(x1 * sol.psi1[-1] + x2 * sol.psi2[-1] + sol.phi[-1])
+        values = [cmath.exp(v.u1 * x1 + v.u2 * x2) for v in u_list]
+    else:
+        values = [cmath.exp(x1 * s.psi1[-1] + x2 * s.psi2[-1] + s.phi[-1])
+                  for s in solve_transforms(params, u_list, [0.0, t], tol)]
+    return values if batch else values[0]
 
 
 class FlowResidual(NamedTuple):
@@ -209,30 +429,33 @@ class FlowResidual(NamedTuple):
     phi: float
 
 
-def flow_residual(params: AdmissibleParams, u: UPoint, r: float, t: float,
-                  tol: float = 1e-9) -> FlowResidual:
+def flow_residual(params: AdmissibleParams, u, r: float, t: float,
+                  tol: float = 1e-9):
     """Residuals of the semigroup identities at ``(r, t)``.
 
     Returns ``|psi(r+t, u) - psi(r, psi(t, u))|`` (max over both
     coordinates) and ``|phi(r+t, u) - phi(r, psi(t, u)) - phi(t, u)|``.
-    Both vanish identically in exact arithmetic.
+    Both vanish identically in exact arithmetic.  ``u`` is one UPoint, or
+    a sequence of them solved as one lane batch, which gives a list.
     """
     if r < 0.0 or t < 0.0:
         raise ValueError("r and t must be nonnegative")
+    u_list, batch = _as_batch(u)
     grid = [0.0, t, r + t] if (r > 0.0 and t > 0.0) else [0.0, max(r + t, 0.0)]
     grid = sorted(set(grid))
-    sol = solve_transform(params, u, grid, tol)
-    at = {tau: i for i, tau in enumerate(sol.t_grid)}
-    psi1_t, psi2_t, phi_t = sol.psi1[at[t]], sol.psi2[at[t]], sol.phi[at[t]]
-    psi1_rt, psi2_rt, phi_rt = sol.psi1[at[r + t]], sol.psi2[at[r + t]], sol.phi[at[r + t]]
+    first = solve_transforms(params, u_list, grid, tol)
+    at = {tau: i for i, tau in enumerate(grid)}
+    i_t, i_rt = at[t], at[r + t]
+    mid = [UPoint(s.psi1[i_t], s.psi2[i_t]) for s in first]
+    second = solve_transforms(params, mid, [0.0, r] if r > 0.0 else [0.0], tol)
 
-    v = UPoint(psi1_t, psi2_t)
-    sol2 = solve_transform(params, v, [0.0, r] if r > 0.0 else [0.0], tol)
-    psi1_comp, psi2_comp, phi_comp = sol2.psi1[-1], sol2.psi2[-1], sol2.phi[-1]
-
-    psi_res = max(abs(psi1_rt - psi1_comp), abs(psi2_rt - psi2_comp))
-    phi_res = abs(phi_rt - (phi_comp + phi_t))
-    return FlowResidual(psi=float(psi_res), phi=float(phi_res))
+    out = []
+    for s1, s2 in zip(first, second):
+        psi_res = max(abs(s1.psi1[i_rt] - s2.psi1[-1]),
+                      abs(s1.psi2[i_rt] - s2.psi2[-1]))
+        phi_res = abs(s1.phi[i_rt] - (s2.phi[-1] + s1.phi[i_t]))
+        out.append(FlowResidual(psi=float(psi_res), phi=float(phi_res)))
+    return out if batch else out[0]
 
 
 # -- first-moment functionals ---------------------------------------------
@@ -346,5 +569,5 @@ def write_transform_csv(solution: TransformSolution, path,
             fh.write(f"# u = ({solution.u.u1!r}, {solution.u.u2!r})\n")
         fh.write(f"# tol = {solution.tol_used:.17g}\n")
         fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        line = ",".join(["%.17g"] * len(cols)) + "\n"
+        fh.writelines(line % tuple(row) for row in rows.tolist())

@@ -30,7 +30,7 @@ from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
 from .sde import (CoefficientBounds, GeneralizedCbiSpec, _affine_batch,
                   _catalytic_batch, _cbi_batch, _check_init, _check_reactant,
-                  _reactant_batch, run_ensemble)
+                  _reactant_batch, _stability_guard, run_ensemble)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
     moment_functionals
 
@@ -306,6 +306,7 @@ def _coupled_affine(params, x0, z0, t_list, dt, u_bound, **kwargs):
     (default ``8 (1 + x0)``)."""
     _check_init("x0", x0)
     keep_idx = _grid_indices(t_list, dt)
+    _stability_guard(dt, params.beta_bar, "max|beta|")
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
     model = _coupled(lambda ns, keep: _affine_batch(params, x0, z0, ns,
@@ -339,12 +340,13 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     budget = 4.0 * max(abs(coarse[p].estimate - fine[p].estimate)
                        for p in pairs) + BIAS_FLOOR
     rows = []
-    for t, u in pairs:
-        est = coarse[(t, u)]
-        predicted = char_fn(params, (x0, z0), t, u, tol)
-        rows.append(_row(
-            f"char_fn t={t:g} u=({_fmt(u.u1)},{_fmt(u.u2)})",
-            predicted, est.estimate, 3.0 * est.stderr + budget))
+    for t in t_list:  # one lane batch of frequencies per time
+        for u, predicted in zip(u_pts, char_fn(params, (x0, z0), t, u_pts,
+                                               tol)):
+            est = coarse[(t, u)]
+            rows.append(_row(
+                f"char_fn t={t:g} u=({_fmt(u.u1)},{_fmt(u.u2)})",
+                predicted, est.estimate, 3.0 * est.stderr + budget))
     inputs = {"params": _params_fingerprint(params), "x0": x0, "z0": z0,
               "t_list": list(t_list), "u_list": _jsonable(u_pts),
               "n_paths": n_paths, "master_seed": master_seed, "dt": dt,
@@ -726,6 +728,8 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     started = time.perf_counter()
     ladder = _check_ladder(theta_ladder)
     _check_reactant(params, ladder[0], mode)
+    if mode == "pair" and split is not None:
+        split.check_against(params)
     _check_init("x0", x0)
     if u_bound is None:
         u_bound = 8.0 * (1.0 + x0)
@@ -787,16 +791,14 @@ def sc_semigroup_check(params, r, t, u_list, *,
                        tol=1e-9) -> ExperimentReport:
     """Flow-property residuals of the transform at composition points."""
     started = time.perf_counter()
+    u_pts = [_as_upoint(u) for u in u_list]
     rows = []
-    for u in u_list:
-        u = _as_upoint(u)
-        res = flow_residual(params, u, r, t, tol)
+    for u, res in zip(u_pts, flow_residual(params, u_pts, r, t, tol)):
         label = f"u=({_fmt(u.u1)},{_fmt(u.u2)})"
         rows.append(_row(f"state-linear flow {label}", 0.0, res.psi,
                          10.0 * tol, sided="upper"))
         rows.append(_row(f"constant-part flow {label}", 0.0, res.phi,
                          10.0 * tol, sided="upper"))
     inputs = {"params": _params_fingerprint(params), "r": r, "t": t,
-              "u_list": _jsonable([_as_upoint(u) for u in u_list]),
-              "tol": tol}
+              "u_list": _jsonable(u_pts), "tol": tol}
     return _report("semigroup-flow", inputs, rows, {}, started)

@@ -239,7 +239,7 @@ class TestRun:
         assert names == ["run_meta.json", "transform_u00.csv",
                          "transform_u01.csv", "transform_u02.csv"]
         text = (tmp_path / "transform_u00.csv").read_text()
-        assert "# artifact_version = 1\n" in text
+        assert "# artifact_version = 2\n" in text
         assert "# rng = philox4x64\n" in text
         assert "# seed = 7\n" in text
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
@@ -288,7 +288,7 @@ class TestRun:
         assert "semigroup-flow: PASS" in buffer.getvalue()
         assert "moments: PASS" in buffer.getvalue()
         payload = json.loads((tmp_path / "moments.json").read_text())
-        assert payload["artifact_version"] == 1
+        assert payload["artifact_version"] == 2
         assert payload["rng"] == "philox4x64"
         assert payload["report"]["overall"] is True
         assert payload["report"]["name"] == "moments"

@@ -1,9 +1,12 @@
 """Golden digests: SHA-256 of CLI artifacts and batch-kernel outputs.
 
-Every number here was pinned from the per-system batch cores before they
-were merged into one step loop.  A refactor of the simulators or drivers
-must leave every digest unchanged; a change that alters bytes on purpose
-bumps ``RNG_ID`` or ``ARTIFACT_VERSION`` and re-pins.  Print the current
+Every kernel digest was pinned from the per-system batch cores before they
+were merged into one step loop.  The CLI digests were re-pinned at
+``ARTIFACT_VERSION = 2``, when the transform solver moved from SciPy's
+``solve_ivp`` to the package's own lane-batched Dormand-Prince stepper.  A
+refactor of the simulators or drivers must leave every digest unchanged; a
+change that alters bytes on purpose bumps ``RNG_ID`` or
+``ARTIFACT_VERSION`` and re-pins.  Print the current
 digests with ``PYTHONPATH=src python tests/test_golden.py``.
 
 The kernel cases cover every preset at a thinning bound that never binds
@@ -557,21 +560,21 @@ KERNEL_DIGESTS = {
 
 CLI_DIGESTS = {
     "transform":
-        "2d67f677a9b6baa0654a225d26612fc36aeacaeea407c762b42998ffb367132c",
+        "fc71feb0a3939e70317e2703f015c653716afaeb783d9e725c9b6d9c7f39f00c",
     "simulate-affine":
-        "af790a0675df84dcceab801638feec89e13c4a5e2b83efb7a190b3e2dd74fa59",
+        "af5a1277ea275702245eb602a9e08d1c2674364c4aff825ddd57253d17cbdc54",
     "simulate-catalytic":
-        "00000589dc6291a22145e665269aa7de81eb785ff8bc3d8cd8473bbe0113f7fe",
+        "bfb346929c2bdda4bca78750bac1b989ceea0860f223a19b6543f7deca3dbb19",
     "simulate-reactant-single":
-        "1bc156da99a3c7fa0ed23deb9bc127eb71f08b2cbe65d8f7259388d0920e9d8b",
+        "237051f56e04979100d1702040152982be09500e8ae939f2dd4014681bbfe491",
     "simulate-reactant-pair":
-        "1da79efdb16ab3e1108f5e3f02786d4a36f1a025a8603bf7a0dda4a946706225",
+        "925e53faedbeb2aa48e3e1d01549d295b8d8f85103beca53a1a86e9adde24b8c",
     "validate":
-        "69526e102d8719c5773c56de78f9672b49a36130cc77649f0ae3e308adb002fb",
+        "1392ef10b63b95164fc975db8a7f78a7c7af3235c360c248c5ac47b3c4defcd6",
     "limit-single":
-        "2564a3a627490e32b2243f1de6e4c8e257668739f63003e32b30ec06d5a09fea",
+        "621669407e00ac3ca18003527f2c62cfe26a1576eba30862165ad9d45e587d46",
     "limit-pair":
-        "0119a0de2e52f39c59f8c2521a32dfc3d48d614e3c839045058dee588e8eaeea",
+        "322050be70ca1c1a195458c7fa4506978fe06a03cdc58e2c518c00b5e1ce61ad",
 }
 
 

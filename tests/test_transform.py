@@ -1,25 +1,38 @@
 """Transform solver against closed-form and quadrature oracles."""
 
 import cmath
+import importlib.util
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from affine_lab.params import FiniteAtomicMeasure, UPoint, validate_admissible
-from affine_lab.presets import cir_params, jump_affine_params, ou_params
+from affine_lab.params import (FiniteAtomicMeasure, ProductExponentialMeasure,
+                               UPoint, validate_admissible)
+from affine_lab.presets import (builtin_params, cir_params,
+                                jump_affine_params, ou_params)
 from affine_lab.transform import (
     FlowResidual,
     TransformError,
+    TransformSolution,
+    _eval_F,
+    _eval_R,
     char_fn,
     eval_F,
     eval_R,
     flow_residual,
     moment_functionals,
     solve_transform,
+    solve_transforms,
     write_transform_csv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = ("ou", "cir", "jump_affine", "symmetric_split")
 
 
 # -- F and R spot values ---------------------------------------------------
@@ -206,6 +219,158 @@ def test_solver_rejects_bad_tolerances_and_grids():
         solve_transform(p, u, [0.0, 1.0, 1.0])
 
 
+# -- the lane-batched Dormand-Prince stepper ------------------------------
+
+def scipy_oracle(params, u, grid, tol):
+    """``(psi1, phi, steps)`` from SciPy's RK45 on the same system, with
+    SciPy's own arithmetic and no domain clamps."""
+    beta22 = params.beta[1, 1]
+
+    def rhs(s, y):
+        p1, p2 = complex(y[0], y[1]), cmath.exp(beta22 * s) * u.u2
+        dp, df = _eval_R(params, p1, p2), _eval_F(params, p1, p2)
+        return (dp.real, dp.imag, df.real, df.imag)
+
+    sol = integrate.solve_ivp(rhs, (0.0, grid[-1]),
+                              [u.u1.real, u.u1.imag, 0.0, 0.0],
+                              method="RK45", rtol=tol, atol=tol * 1e-3,
+                              dense_output=True)
+    assert sol.success
+    y = sol.sol(grid)
+    return y[0] + 1j * y[1], y[2] + 1j * y[3], len(sol.t) - 1
+
+
+def assert_matches_scipy(params, u_list, grid, tol):
+    for u, sol in zip(u_list, solve_transforms(params, u_list, grid, tol)):
+        psi1, phi, steps = scipy_oracle(params, u, grid, tol)
+        assert sol.steps_taken == steps
+        assert np.max(np.abs(sol.psi1 - psi1)) <= tol
+        assert np.max(np.abs(sol.phi - phi)) <= tol
+
+
+PRESET_FREQUENCIES = [UPoint(-1.0, 0.0), UPoint(0.0, 2.0j),
+                      UPoint(-0.5, -1.0j), UPoint(-2.0 + 3.0j, 0.7j)]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_batch_matches_scipy_rk45_on_presets(preset):
+    assert_matches_scipy(builtin_params(preset), PRESET_FREQUENCIES,
+                         np.linspace(0.0, 2.0, 33), 1e-9)
+
+
+def grid_workload_frequencies(seed):
+    """The ``u_list`` of the benchmark's ``transform-grid`` workload."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "bench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    doc = sys.modules[name].config_doc("transform-grid", seed)
+    return [UPoint(complex(*u1), complex(*u2))
+            for u1, u2 in doc["transform"]["u_list"]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batch_matches_scipy_rk45_on_benchmark_grid(seed):
+    grid = np.arange(1025) * 2.0 ** -10
+    assert_matches_scipy(jump_affine_params(), grid_workload_frequencies(seed),
+                         grid, 1e-9)
+
+
+def test_lane_alone_equals_its_lane_in_a_batch():
+    p = jump_affine_params()
+    u_list = grid_workload_frequencies(1)[:12]
+    grid = np.linspace(0.0, 1.5, 49)
+    batch = solve_transforms(p, u_list, grid)
+    for u, in_batch in zip(u_list, batch):
+        alone = solve_transform(p, u, grid)
+        assert alone.steps_taken == in_batch.steps_taken
+        for name in ("psi1", "psi2", "phi"):
+            assert getattr(alone, name).tobytes() == \
+                getattr(in_batch, name).tobytes()
+
+
+def test_batch_without_domain_enforcement():
+    p = cir_params()
+    grid = [0.0, 0.5, 1.0]
+    lanes = [(1e-5, 0.0), (-1e-5, 0.0), (-1.0, 0.0)]
+    batch = solve_transforms(p, lanes, grid, _enforce_domain=False)
+    assert [s.u for s in batch] == [None, None, None]
+    for u, sol in zip(lanes, batch):
+        alone = solve_transform(p, u, grid, _enforce_domain=False)
+        assert np.array_equal(alone.psi1, sol.psi1)
+    assert np.all(batch[0].psi1.real > 0.0)   # no clamp without the domain
+    with pytest.raises(ValueError, match="u1 must have Re"):
+        solve_transforms(p, lanes, grid)
+
+
+def test_empty_batch_and_zero_horizon():
+    p = jump_affine_params()
+    assert solve_transforms(p, [], [0.0, 1.0]) == []
+    sols = solve_transforms(p, [UPoint(-1.0, 1j), UPoint(0.0, 2j)], [0.0])
+    assert [s.steps_taken for s in sols] == [0, 0]
+    assert sols[1].psi2[0] == 2j and sols[0].phi[0] == 0
+
+
+def test_divergent_lane_raises_value_error():
+    nu = ProductExponentialMeasure(total_rate=1.0, rate1=2.0, rate2=3.0,
+                                   sign_mix=0.6)
+    with pytest.raises(ValueError, match="diverges"):
+        nu.exp_integral(np.array([-1.0, 0.0, 2.5]), np.zeros(3))
+    with pytest.raises(ValueError, match="diverges"):
+        nu.exp_integral(np.zeros(2), np.array([0.0, 3.5 + 1j]))
+    p = validate_admissible(0.0, [[0.5, 0.0], [0.0, 0.0]], [1.0, 0.0],
+                            [[-1.0, 0.0], [0.0, -1.0]], nu, nu)
+    with pytest.raises(ValueError, match="diverges"):
+        solve_transforms(p, [(-1.0, 0.0), (2.5, 0.0)], [0.0, 1.0],
+                         _enforce_domain=False)
+
+
+def test_exp_integral_lanes_equal_scalar_calls():
+    u1 = np.array([0.0, -1.0, -0.5 + 2.0j, -3.0])
+    u2 = np.array([0.0, 1.5j, -0.7j, 0.0])
+    full = dict(compensate_xi1=True, compensate_xi2=True)
+    for nu in (jump_affine_params().m,
+               ProductExponentialMeasure(1.3, 2.0, 3.0, 0.6)):
+        lanes = nu.exp_integral(u1, u2, **full)
+        assert lanes.shape == (4,) and lanes[0] == 0
+        for i in range(4):
+            assert lanes[i] == pytest.approx(
+                nu.exp_integral(complex(u1[i]), complex(u2[i]), **full),
+                abs=1e-15)
+
+
+def test_step_size_underflow_raises_transform_error():
+    # psi1' = psi1**2 / 2 from psi1(0) = 2 blows up at t = 1
+    p = validate_admissible(0.0, [[0.5, 0.0], [0.0, 0.0]], [1.0, 0.0],
+                            np.zeros((2, 2)), FiniteAtomicMeasure([]),
+                            FiniteAtomicMeasure([]))
+    with pytest.raises(TransformError,
+                       match=r"u = \(\(2\+0j\), 0j\) after t=1:"):
+        solve_transforms(p, [(-1.0, 0.0), (2.0, 0.0)], [0.0, 2.0],
+                         _enforce_domain=False)
+
+
+def test_char_fn_and_flow_residual_take_a_batch():
+    p = jump_affine_params()
+    u_list = [UPoint(-1.0, 1.0j), UPoint(-0.3, 2.0j)]
+    x = (0.8, -0.5)
+    for t in (0.0, 0.7):
+        assert char_fn(p, x, t, u_list) == [char_fn(p, x, t, u)
+                                            for u in u_list]
+    assert flow_residual(p, u_list, 0.5, 0.25) == \
+        [flow_residual(p, u, 0.5, 0.25) for u in u_list]
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, affine_lab; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={"PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"
+
+
 # -- moment functionals ----------------------------------------------------
 
 def _q12_ivp_oracle(beta, t):
@@ -323,3 +488,32 @@ def test_transform_csv_round_trip(tmp_path):
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(parsed[:, 1], sol.psi1.real)
     assert np.array_equal(parsed[:, 6], sol.phi.imag)
+
+
+def test_csv_rows_match_the_per_value_formatter(tmp_path):
+    """The row template writes what ``f"{v:.17g}"`` wrote for each value."""
+    edge = np.array([0.0, -0.0, 1.0, -1.0, 3.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1e300, -1e300, 1e-300,
+                     1.7976931348623157e308, 0.1, 1 / 3,
+                     123456789012345680.0, 2.0 ** 53, -7.0])
+
+    def cplx(re, im):
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    sol = TransformSolution(u=None, t_grid=edge,
+                            psi1=cplx(edge, edge[::-1]),
+                            psi2=cplx(-edge, np.roll(edge, 3)),
+                            phi=cplx(np.roll(edge, 5), np.roll(edge, 9)),
+                            tol_used=1e-9, steps_taken=0)
+    path = tmp_path / "edge.csv"
+    write_transform_csv(sol, path)
+    rows = np.column_stack([sol.t_grid, sol.psi1.real, sol.psi1.imag,
+                            sol.psi2.real, sol.psi2.imag, sol.phi.real,
+                            sol.phi.imag])
+    want = [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
+    text = path.read_text()
+    assert text.endswith("".join(want))
+    assert text.count("\n") == 2 + len(want)   # tol and header lines first
+    assert want[1].startswith("-0,") and want[2].startswith("1,")

@@ -55,6 +55,18 @@ def no_simulation(monkeypatch):
     monkeypatch.setattr(validate, "run_ensemble", refuse)
 
 
+@pytest.fixture
+def ensemble_runs(monkeypatch):
+    """Record every ensemble run; each one still goes ahead."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return run_ensemble(*args, **kwargs)
+    monkeypatch.setattr(validate, "run_ensemble", spy)
+    return calls
+
+
 MC = dict(n_paths=20, master_seed=0)
 
 
@@ -404,6 +416,31 @@ def test_duplicate_t_list_rejected_up_front(no_simulation):
                                  dt=2.0 ** -4, **MC)
     with pytest.raises(Simulated):       # distinct times go on to simulate
         check_moments(p, 1.0, 0.0, [0.25, 0.5], dt=2.0 ** -4, **MC)
+
+
+def test_stability_rule_checked_before_simulation(ensemble_runs):
+    with pytest.raises(ValueError, match="explicit-Euler stability rule"):
+        check_moments(jump_affine_params(), 1.0, 0.0, [0.5], dt=0.5, **MC)
+    with pytest.raises(ValueError, match="explicit-Euler stability rule"):
+        check_affine_formula(jump_affine_params(), 1.0, 0.0, [0.5],
+                             [(-1.0, 0.0)], dt=0.5, **MC)
+    assert ensemble_runs == []
+
+
+def test_pair_split_checked_before_simulation(ensemble_runs):
+    p = symmetric_split_params()
+    split = sde.ParameterSplit.from_params(p)
+    broken = sde.ParameterSplit(**{**split.__dict__,
+                                   "b2_pos": split.b2_pos + 1.0})
+    with pytest.raises(ValueError) as err:
+        fluctuation_experiment(p, [4.0, 16.0], mode="pair", split=broken,
+                               **MC)
+    assert str(err.value) == "split does not reassemble b2: 1.0 != 0.0"
+    assert ensemble_runs == []
+    # single mode has no second reactant, so it ignores the split
+    fluctuation_experiment(p, [4.0, 16.0], mode="single", split=broken,
+                           n_paths=2, master_seed=0, dt=2.0 ** -4)
+    assert len(ensemble_runs) == 1
 
 
 @pytest.mark.parametrize("run,name", [
