@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -334,8 +335,8 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
         return []
     beta22 = params.beta[1, 1]
     growth = np.exp(beta22 * t_grid)
-    u1 = np.array([lane[1] for lane in lanes])
-    u2 = np.array([lane[2] for lane in lanes])
+    u1 = np.array([lane[1] for lane in lanes], dtype=complex)
+    u2 = np.array([lane[2] for lane in lanes], dtype=complex)
 
     if t_grid[-1] == 0.0:
         return [TransformSolution(u=u_point, t_grid=t_grid,
@@ -397,10 +398,11 @@ def solve_transform(params: AdmissibleParams, u: UPoint, t_grid,
 
 
 def _as_batch(u):
-    """``(list of frequencies, whether a sequence was given)``."""
-    if isinstance(u, UPoint):
-        return [u], False
-    return list(u), True
+    """``(list of UPoint, whether a sequence was given)``; one frequency
+    is a UPoint or a pair ``(u1, u2)``."""
+    batch = not (isinstance(u, UPoint) or isinstance(u[0], numbers.Number))
+    return [v if isinstance(v, UPoint) else UPoint(*v)
+            for v in (u if batch else [u])], batch
 
 
 def char_fn(params: AdmissibleParams, x, t: float, u,

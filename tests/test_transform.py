@@ -361,6 +361,10 @@ def test_char_fn_and_flow_residual_take_a_batch():
                                             for u in u_list]
     assert flow_residual(p, u_list, 0.5, 0.25) == \
         [flow_residual(p, u, 0.5, 0.25) for u in u_list]
+    # a pair is one frequency, as a UPoint is
+    assert flow_residual(p, (-1.0, 1.0j), 0.5, 0.25) == \
+        flow_residual(p, u_list[0], 0.5, 0.25)
+    assert char_fn(p, x, 0.0, (-1.0, 1.0j)) == char_fn(p, x, 0.0, u_list[0])
 
 
 def test_import_does_not_load_scipy():
