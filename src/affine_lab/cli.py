@@ -3,11 +3,12 @@ CSV/JSON artifacts with full reproducibility metadata.
 
 The configuration document is a single JSON object with optional blocks
 ``params``, ``grid``, ``mc``, ``transform``, ``simulate``, ``validate``,
-``limit`` and ``output``; every omitted field takes a documented default,
-and unknown keys are rejected with the path to the offending key.  Given
-the same config bytes and seed, every subcommand writes byte-identical
-output files: paths are simulated sequentially, so the bytes depend only
-on the config and the seed.
+``limit`` and ``output``.  Every key of every block but ``params`` is
+declared once, with its reader and its default, in ``_SCHEMA``; unknown
+keys are rejected with the path to the offending key.  Given the same
+config bytes and seed, every subcommand writes byte-identical output
+files: paths are simulated sequentially, so the bytes depend only on the
+config and the seed.
 
 Exit status: 0 when every report row passes, 1 when some row fails (the
 first failing row is named on stderr), 2 for configuration or usage
@@ -22,18 +23,19 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import RNG_ID, __version__
 from .noise import generate_noise, steps_for, substream_seed
-from .params import (AdmissibilityError, FiniteAtomicMeasure,
-                     ProductExponentialMeasure, UPoint, validate_admissible)
+from .params import (FiniteAtomicMeasure, ProductExponentialMeasure, UPoint,
+                     validate_admissible)
 from .presets import builtin_params
-from .sde import (ParameterSplit, ThinningBoundError, _check_init,
-                  _stability_guard, simulate_affine, simulate_catalytic,
+from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
+                  _reactant_starts, simulate_affine, simulate_catalytic,
                   simulate_reactant_pair, write_paths_csv)
 from .transform import _TOL_RANGE, solve_transforms, write_transform_csv
 from .validate import (_check_ladder, _grid_indices, check_affine_formula,
@@ -47,16 +49,13 @@ COMMANDS = ("transform", "simulate", "validate", "limit")
 _CHECK_NAMES = ("semigroup", "affine_formula", "moments", "generator",
                 "uniqueness")
 _GENERATOR_MODES = ("affine", "cbi", "catalytic")
-_SPLIT_KEYS = ("sigma0_pos", "sigma0_neg", "sigma21_pos", "sigma21_neg",
-               "sigma22_pos", "sigma22_neg", "b2_pos", "b2_neg",
-               "beta21_pos", "beta21_neg")
 
 
 class ConfigError(ValueError):
     """A structural or semantic problem in a configuration document."""
 
 
-# -- low-level field readers ------------------------------------------------
+# -- readers: each takes (value, key path) and returns the canonical value -
 
 def _rule(path: str, check, *args):
     """``check(*args)``: a library input rule, its failure reported with
@@ -77,6 +76,24 @@ def _as_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return value
+
+
+def _read(block, schema: dict, path: str) -> dict:
+    """``block`` read by ``schema``, a table of key -> (reader, default).
+
+    Unknown keys are rejected.  An absent key's default goes through its
+    reader like a given value, except that a ``None`` default stays
+    ``None``: no value, or one the caller derives.
+    """
+    block = _as_object(block, path)
+    _reject_unknown(block, schema, path)
+    out = {}
+    for key, (reader, default) in schema.items():
+        if key in block or default is not None:
+            out[key] = reader(block.get(key, default), f"{path}.{key}")
+        else:
+            out[key] = None
+    return out
 
 
 def _as_float(value, path: str) -> float:
@@ -124,20 +141,31 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_choice(value, choices, path: str) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}")
+def _as_name(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a nonempty string")
     return value
 
 
-def _as_choices(value, choices, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list")
-    return [_as_choice(v, choices, f"{path}[{i}]")
-            for i, v in enumerate(value)]
+def _one_of(*choices):
+    """A reader of one string out of ``choices``."""
+    def read(value, path: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{path}: expected one of {sorted(choices)}")
+        return value
+    return read
 
 
-def _as_vec(value, length: int, path: str) -> list:
+def _list_of(reader):
+    """A reader of a list whose entries ``reader`` reads."""
+    def read(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list")
+        return [reader(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return read
+
+
+def _as_vec(value, path: str, length: int = 2) -> list:
     if not isinstance(value, list) or len(value) != length:
         raise ConfigError(f"{path}: expected a list of {length} numbers")
     return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -146,38 +174,118 @@ def _as_vec(value, length: int, path: str) -> list:
 def _as_matrix(value, path: str) -> list:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{path}: expected a 2x2 matrix as nested lists")
-    return [_as_vec(row, 2, f"{path}[{i}]") for i, row in enumerate(value)]
+    return [_as_vec(row, f"{path}[{i}]") for i, row in enumerate(value)]
+
+
+def _as_atoms(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of "
+                          f"[xi1, xi2, weight] rows")
+    return [_as_vec(row, f"{path}[{i}]", 3) for i, row in enumerate(value)]
+
+
+def _as_u_list(value, path: str) -> list:
+    """Transform arguments as ``[[re1, im1], [re2, im2]]`` rows."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list of "
+                          f"[[re1, im1], [re2, im2]] rows")
+    rows = []
+    for i, row in enumerate(value):
+        here = f"{path}[{i}]"
+        if not isinstance(row, list) or len(row) != 2:
+            raise ConfigError(f"{here}: expected [[re1, im1], [re2, im2]]")
+        rows.append([_as_vec(row[0], f"{here}[0]"),
+                     _as_vec(row[1], f"{here}[1]")])
+    return rows
+
+
+def _as_times(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    return _list_of(_as_pos)(value, path)
+
+
+def _as_split(value, path: str):
+    """The parts of a :class:`ParameterSplit`, all required; ``null``
+    means the canonical split."""
+    if value is None:
+        return None
+    parts = _read(value, {f.name: (_as_nonneg, None)
+                          for f in fields(ParameterSplit)}, path)
+    missing = [k for k, v in parts.items() if v is None]
+    if missing:
+        raise ConfigError(f"{path}: missing split parts {missing}")
+    return parts
+
+
+# -- the schema: every key of every block but params, with its default ----
+
+_GENERATOR_STATES = {"affine": (_as_vec, [0.7, -0.4]),
+                     "cbi": (_as_nonneg, 0.7),
+                     "catalytic": (_as_vec, [1.2, 0.5])}
+
+_SCHEMA = {
+    "grid": {"t_max": (_as_pos, 1.0), "dt": (_as_pos, 2.0 ** -10)},
+    "mc": {"n_paths": (partial(_as_int, minimum=1), 1000),
+           "seed": (_as_seed, 0), "eps": (_as_nonneg, 1e-4),
+           "u_bound": (_as_pos, 16.0)},
+    "transform": {"tol": (_as_pos, 1e-9),
+                  "u_list": (_as_u_list, [[[-1.0, 0.0], [0.0, 0.0]],
+                                          [[-0.5, 0.0], [0.0, 1.0]],
+                                          [[0.0, 0.0], [0.0, 1.0]]])},
+    "simulate": {
+        "system": (_one_of("affine", "catalytic", "reactant"), "affine"),
+        "x0": (_as_nonneg, 1.0), "z0": (_as_float, 0.0),
+        "y0": (_as_nonneg, 1.0), "l": (_as_pos, 1.0),
+        "theta": (_as_pos, 16.0), "mode": (_one_of("single", "pair"), "pair"),
+        "n_saved_paths": (partial(_as_int, minimum=1), 8)},
+    "validate": {
+        "checks": (_list_of(_one_of(*_CHECK_NAMES)), list(_CHECK_NAMES)),
+        "t_list": (_as_times, None),  # default derived from the grid
+        "delta": (_as_pos, 2.0 ** -10),
+        "generator_modes": (_list_of(_one_of(*_GENERATOR_MODES)),
+                            list(_GENERATOR_MODES)),
+        "generator_states": (
+            lambda value, path: _read(value, _GENERATOR_STATES, path), {}),
+        "x0": (_as_nonneg, 1.0), "z0": (_as_float, 0.0),
+        "x0_b": (_as_nonneg, 1.5),
+        "flow_r": (_as_pos, 0.5), "flow_t": (_as_pos, 0.75)},
+    "limit": {
+        "theta_ladder": (_list_of(_as_pos), [4.0, 16.0, 64.0, 256.0]),
+        "split": (_as_split, None),
+        "mode": (_one_of("single", "pair"), "pair"),
+        "x0": (_as_nonneg, 1.0), "z0": (_as_float, 0.0),
+        "deterministic_rate_check": (_as_bool, False)},
+    "output": {
+        "directory": (_as_name, "out"),
+        "formats": (lambda value, path: sorted(
+            _list_of(_one_of("csv", "json"))(value, path)), ["csv", "json"])},
+}
 
 
 # -- measures and parameter records ----------------------------------------
+
+_MEASURES = {
+    "finite_atomic": {"kind": (_one_of("finite_atomic"), None),
+                      "atoms": (_as_atoms, [])},
+    "product_exponential": {"kind": (_one_of("product_exponential"), None),
+                            "total_rate": (_as_nonneg, 1.0),
+                            "rate1": (_as_pos, 1.0), "rate2": (_as_pos, 1.0),
+                            "sign_mix": (_as_float, 1.0)},
+}
+
 
 def _parse_measure(value, path: str):
     """A jump measure from its JSON form; ``null`` means no jumps."""
     if value is None:
         return FiniteAtomicMeasure([]), None
     block = _as_object(value, path)
-    kind = _as_choice(block.get("kind"),
-                      ("finite_atomic", "product_exponential"),
-                      f"{path}.kind")
+    kind = _one_of(*_MEASURES)(block.get("kind"), f"{path}.kind")
+    doc = _read(block, _MEASURES[kind], path)
     if kind == "finite_atomic":
-        _reject_unknown(block, {"kind", "atoms"}, path)
-        raw = block.get("atoms", [])
-        if not isinstance(raw, list):
-            raise ConfigError(f"{path}.atoms: expected a list of "
-                              f"[xi1, xi2, weight] rows")
-        atoms = [_as_vec(row, 3, f"{path}.atoms[{i}]")
-                 for i, row in enumerate(raw)]
-        measure = _rule(f"{path}.atoms", FiniteAtomicMeasure, atoms)
-        return measure, {"kind": kind, "atoms": atoms}
-    _reject_unknown(block, {"kind", "total_rate", "rate1", "rate2",
-                            "sign_mix"}, path)
-    total = _as_nonneg(block.get("total_rate", 1.0), f"{path}.total_rate")
-    rate1 = _as_pos(block.get("rate1", 1.0), f"{path}.rate1")
-    rate2 = _as_pos(block.get("rate2", 1.0), f"{path}.rate2")
-    mix = _as_float(block.get("sign_mix", 1.0), f"{path}.sign_mix")
-    measure = _rule(path, ProductExponentialMeasure, total, rate1, rate2, mix)
-    return measure, {"kind": kind, "total_rate": total, "rate1": rate1,
-                     "rate2": rate2, "sign_mix": mix}
+        return _rule(f"{path}.atoms", FiniteAtomicMeasure, doc["atoms"]), doc
+    return _rule(path, ProductExponentialMeasure, doc["total_rate"],
+                 doc["rate1"], doc["rate2"], doc["sign_mix"]), doc
 
 
 _PARAM_SCALARS = {
@@ -221,7 +329,7 @@ def _parse_params(value, path: str):
                 f"{scalars}, not both")
         if name in block:
             if name == "b":
-                fields[name] = _as_vec(block[name], 2, f"{path}.{name}")
+                fields[name] = _as_vec(block[name], f"{path}.{name}")
             else:
                 fields[name] = _as_matrix(block[name], f"{path}.{name}")
         for key in scalars:
@@ -242,55 +350,7 @@ def _parse_params(value, path: str):
     return params, resolved
 
 
-def _parse_u_list(value, path: str):
-    """Transform arguments from ``[[re1, im1], [re2, im2]]`` rows."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of "
-                          f"[[re1, im1], [re2, im2]] rows")
-    points, doc = [], []
-    for i, row in enumerate(value):
-        here = f"{path}[{i}]"
-        if not isinstance(row, list) or len(row) != 2:
-            raise ConfigError(f"{here}: expected [[re1, im1], [re2, im2]]")
-        u1 = _as_vec(row[0], 2, f"{here}[0]")
-        u2 = _as_vec(row[1], 2, f"{here}[1]")
-        points.append(_rule(here, UPoint, complex(*u1), complex(*u2)))
-        doc.append([u1, u2])
-    return tuple(points), doc
-
-
-def _parse_split(value, path: str):
-    if value is None:
-        return None, None
-    block = _as_object(value, path)
-    _reject_unknown(block, set(_SPLIT_KEYS), path)
-    missing = [k for k in _SPLIT_KEYS if k not in block]
-    if missing:
-        raise ConfigError(f"{path}: missing split parts {missing}")
-    parts = {k: _as_nonneg(block[k], f"{path}.{k}") for k in _SPLIT_KEYS}
-    return ParameterSplit(**parts), dict(parts)
-
-
 # -- the configuration record ----------------------------------------------
-
-_DEFAULT_U_LIST = [[[-1.0, 0.0], [0.0, 0.0]],
-                   [[-0.5, 0.0], [0.0, 1.0]],
-                   [[0.0, 0.0], [0.0, 1.0]]]
-
-_BLOCK_KEYS = {
-    "params": None,  # handled by _parse_params
-    "grid": {"t_max", "dt"},
-    "mc": {"n_paths", "seed", "eps", "u_bound"},
-    "transform": {"tol", "u_list"},
-    "simulate": {"system", "x0", "z0", "y0", "l", "theta", "mode",
-                 "n_saved_paths"},
-    "validate": {"checks", "x0", "z0", "x0_b", "t_list", "delta",
-                 "generator_modes", "generator_states", "flow_r", "flow_t"},
-    "limit": {"theta_ladder", "mode", "x0", "z0",
-              "deterministic_rate_check", "split"},
-    "output": {"directory", "formats"},
-}
-
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -380,146 +440,57 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _config_from_dict(doc: dict) -> RunConfig:
-    _reject_unknown(doc, set(_BLOCK_KEYS), "$")
+    # Errors come in a fixed order: unknown keys in any block, then the
+    # parameter record, then each value, then the rules across keys.
+    names = ("params", *_SCHEMA)
+    _reject_unknown(doc, names, "$")
     blocks = {name: _as_object(doc.get(name, {}), f"$.{name}")
-              for name in _BLOCK_KEYS}
-    for name, allowed in _BLOCK_KEYS.items():
-        if allowed is not None:
-            _reject_unknown(blocks[name], allowed, f"$.{name}")
-
+              for name in names}
+    for name, schema in _SCHEMA.items():
+        _reject_unknown(blocks[name], schema, f"$.{name}")
     params, params_doc = _parse_params(blocks["params"] or
                                        {"preset": "jump_affine"}, "$.params")
+    resolved = {"params": params_doc}
+    for name, schema in _SCHEMA.items():
+        resolved[name] = _read(blocks[name], schema, f"$.{name}")
+    grid, tr, sim, val, lim = (resolved[name] for name in (
+        "grid", "transform", "simulate", "validate", "limit"))
 
-    grid = blocks["grid"]
-    t_max = _as_pos(grid.get("t_max", 1.0), "$.grid.t_max")
-    dt = _as_pos(grid.get("dt", 2.0 ** -10), "$.grid.dt")
+    t_max, dt = grid["t_max"], grid["dt"]
     n_steps = _rule("$.grid", steps_for, t_max, dt)
-
-    mc = blocks["mc"]
-    n_paths = _as_int(mc.get("n_paths", 1000), "$.mc.n_paths", minimum=1)
-    seed = _as_seed(mc.get("seed", 0), "$.mc.seed")
-    eps = _as_nonneg(mc.get("eps", 1e-4), "$.mc.eps")
-    u_bound = _as_pos(mc.get("u_bound", 16.0), "$.mc.u_bound")
-
-    tr = blocks["transform"]
-    tol = _as_pos(tr.get("tol", 1e-9), "$.transform.tol")
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+    if not _TOL_RANGE[0] <= tr["tol"] <= _TOL_RANGE[1]:
         raise ConfigError(f"$.transform.tol: must lie in "
                           f"[{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
-    u_list, u_doc = _parse_u_list(tr.get("u_list", _DEFAULT_U_LIST),
-                                  "$.transform.u_list")
-
-    sim = blocks["simulate"]
-    sim_doc = {
-        "system": _as_choice(sim.get("system", "affine"),
-                             ("affine", "catalytic", "reactant"),
-                             "$.simulate.system"),
-        "x0": _as_nonneg(sim.get("x0", 1.0), "$.simulate.x0"),
-        "z0": _as_float(sim.get("z0", 0.0), "$.simulate.z0"),
-        "y0": _as_nonneg(sim.get("y0", 1.0), "$.simulate.y0"),
-        "l": _as_pos(sim.get("l", 1.0), "$.simulate.l"),
-        "theta": _as_pos(sim.get("theta", 16.0), "$.simulate.theta"),
-        "mode": _as_choice(sim.get("mode", "pair"), ("single", "pair"),
-                           "$.simulate.mode"),
-        "n_saved_paths": _as_int(sim.get("n_saved_paths", 8),
-                                 "$.simulate.n_saved_paths", minimum=1),
-    }
-    if sim_doc["theta"] < 1.0:
+    u_list = tuple(_rule(f"$.transform.u_list[{i}]", UPoint, complex(*u1),
+                         complex(*u2))
+                   for i, (u1, u2) in enumerate(tr["u_list"]))
+    if sim["theta"] < 1.0:
         raise ConfigError("$.simulate.theta: must be >= 1")
 
-    val = blocks["validate"]
-    checks = _as_choices(val.get("checks", list(_CHECK_NAMES)),
-                         _CHECK_NAMES, "$.validate.checks")
-    if len(set(checks)) != len(checks):
+    if len(set(val["checks"])) != len(val["checks"]):
         raise ConfigError("$.validate.checks: duplicate entries")
-    half = t_max / 2.0 if n_steps % 2 == 0 else None
-    t_list_raw = val.get("t_list",
-                         [t_max] if half is None else [half, t_max])
-    if not isinstance(t_list_raw, list) or not t_list_raw:
-        raise ConfigError("$.validate.t_list: expected a nonempty list")
-    t_list = []
-    for i, t in enumerate(t_list_raw):
-        t = _as_pos(t, f"$.validate.t_list[{i}]")
+    if val["t_list"] is None:
+        val["t_list"] = [t_max] if n_steps % 2 else [t_max / 2.0, t_max]
+    for i, t in enumerate(val["t_list"]):
         if t > t_max:
             raise ConfigError(f"$.validate.t_list[{i}]: {t!r} exceeds "
                               f"grid.t_max = {t_max!r}")
-        t_list.append(t)
-    _rule("$.validate.t_list", _grid_indices, t_list, dt)
-    delta = _as_pos(val.get("delta", 2.0 ** -10), "$.validate.delta")
-    modes = _as_choices(val.get("generator_modes", list(_GENERATOR_MODES)),
-                        _GENERATOR_MODES, "$.validate.generator_modes")
-    states_block = _as_object(val.get("generator_states", {}),
-                              "$.validate.generator_states")
-    _reject_unknown(states_block, set(_GENERATOR_MODES),
-                    "$.validate.generator_states")
-    states = {
-        "affine": _as_vec(states_block.get("affine", [0.7, -0.4]), 2,
-                          "$.validate.generator_states.affine"),
-        "cbi": _as_nonneg(states_block.get("cbi", 0.7),
-                          "$.validate.generator_states.cbi"),
-        "catalytic": _as_vec(states_block.get("catalytic", [1.2, 0.5]), 2,
-                             "$.validate.generator_states.catalytic"),
-    }
+    _rule("$.validate.t_list", _grid_indices, val["t_list"], dt)
+    states = val["generator_states"]
     for key, i in (("affine", 0), ("catalytic", 0), ("catalytic", 1)):
         _rule(f"$.validate.generator_states.{key}", _check_init,
               f"state[{i}]", states[key][i])
-    val_doc = {
-        "checks": checks,
-        "x0": _as_nonneg(val.get("x0", 1.0), "$.validate.x0"),
-        "z0": _as_float(val.get("z0", 0.0), "$.validate.z0"),
-        "x0_b": _as_nonneg(val.get("x0_b", 1.5), "$.validate.x0_b"),
-        "t_list": t_list,
-        "delta": delta,
-        "generator_modes": modes,
-        "generator_states": states,
-        "flow_r": _as_pos(val.get("flow_r", 0.5), "$.validate.flow_r"),
-        "flow_t": _as_pos(val.get("flow_t", 0.75), "$.validate.flow_t"),
-    }
 
-    lim = blocks["limit"]
-    ladder_raw = lim.get("theta_ladder", [4.0, 16.0, 64.0, 256.0])
-    if not isinstance(ladder_raw, list):
-        raise ConfigError("$.limit.theta_ladder: expected a list")
-    ladder = _rule("$.limit.theta_ladder", _check_ladder,
-                   [_as_pos(t, f"$.limit.theta_ladder[{i}]")
-                    for i, t in enumerate(ladder_raw)])
-    split, split_doc = _parse_split(lim.get("split"), "$.limit.split")
-    if split is not None:
+    _rule("$.limit.theta_ladder", _check_ladder, lim["theta_ladder"])
+    split = None
+    if lim["split"] is not None:
+        split = ParameterSplit(**lim["split"])
         _rule("$.limit.split", split.check_against, params)
-    lim_doc = {
-        "theta_ladder": ladder,
-        "mode": _as_choice(lim.get("mode", "pair"), ("single", "pair"),
-                           "$.limit.mode"),
-        "x0": _as_nonneg(lim.get("x0", 1.0), "$.limit.x0"),
-        "z0": _as_float(lim.get("z0", 0.0), "$.limit.z0"),
-        "deterministic_rate_check": _as_bool(
-            lim.get("deterministic_rate_check", False),
-            "$.limit.deterministic_rate_check"),
-        "split": split_doc,
-    }
-
-    outb = blocks["output"]
-    directory = outb.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("$.output.directory: expected a nonempty string")
-    formats = sorted(_as_choices(outb.get("formats", ["csv", "json"]),
-                                 ("csv", "json"), "$.output.formats"))
 
     # every simulated grid must satisfy the explicit-Euler stability rule
-    for label, step in (("$.grid.dt", dt), ("$.validate.delta", delta)):
-        _rule(label, _stability_guard, step, params.beta_bar, "max|beta|")
-
-    resolved = {
-        "params": params_doc,
-        "grid": {"t_max": t_max, "dt": dt},
-        "mc": {"n_paths": n_paths, "seed": seed, "eps": eps,
-               "u_bound": u_bound},
-        "transform": {"tol": tol, "u_list": u_doc},
-        "simulate": sim_doc,
-        "validate": val_doc,
-        "limit": lim_doc,
-        "output": {"directory": directory, "formats": formats},
-    }
+    for label, step in (("$.grid.dt", dt), ("$.validate.delta",
+                                             val["delta"])):
+        _rule(label, _check_dt, step, params)
     return RunConfig(params=params, u_list=u_list, split=split,
                      resolved=resolved)
 
@@ -592,8 +563,8 @@ def _cmd_simulate(config, out, stdout):
             theta = sim["theta"]
             bundle = simulate_reactant_pair(
                 config.params, theta, sim["x0"],
-                theta + max(sim["z0"], 0.0), theta + max(-sim["z0"], 0.0),
-                noise, mode=sim["mode"], split=config.split)
+                *_reactant_starts(theta, sim["z0"]), noise,
+                mode=sim["mode"], split=config.split)
         bundles.append(bundle)
     if "csv" in config.formats:
         write_paths_csv(bundles, out / "paths.csv",
@@ -749,9 +720,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = config.with_seed(_as_seed(args.seed, "--seed"))
         return run(args.command, config, out_dir=args.out)
-    except (ConfigError, AdmissibilityError) as exc:
-        print(f"affine-lab: {exc}", file=sys.stderr)
-        return 2
     except ThinningBoundError as exc:
         print(f"affine-lab: {exc}; raise mc.u_bound", file=sys.stderr)
         return 2

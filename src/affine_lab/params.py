@@ -110,19 +110,13 @@ class FiniteAtomicMeasure:
     atoms: np.ndarray  # (k, 2)
     weights: np.ndarray  # (k,)
 
-    def __init__(self, atoms, weights=None):
-        if weights is None:
-            rows = np.asarray(atoms, dtype=float)
-            if rows.size == 0:
-                rows = rows.reshape(0, 3)
-            if rows.ndim != 2 or rows.shape[1] != 3:
-                raise ValueError("atoms must be rows (xi1, xi2, weight)")
-            pts, w = rows[:, :2], rows[:, 2]
-        else:
-            pts = np.asarray(atoms, dtype=float).reshape(-1, 2)
-            w = np.asarray(weights, dtype=float).reshape(-1)
-        if pts.shape[0] != w.shape[0]:
-            raise ValueError("atoms and weights length mismatch")
+    def __init__(self, atoms):
+        rows = np.asarray(atoms, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError("atoms must be rows (xi1, xi2, weight)")
+        pts, w = rows[:, :2], rows[:, 2]
         if np.any(w <= 0.0):
             raise ValueError("atom weights must be strictly positive")
         if np.any(pts[:, 0] < 0.0):

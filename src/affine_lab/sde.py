@@ -81,6 +81,11 @@ def _stability_guard(dt: float, rate: float, label: str) -> None:
             f"(shrink dt)")
 
 
+def _check_dt(dt: float, params: AdmissibleParams) -> None:
+    """The stability rule for the drift matrix of ``params``."""
+    _stability_guard(dt, params.beta_bar, "max|beta|")
+
+
 # -- coefficient bounds and specs ------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +234,13 @@ class GeneralizedCbiSpec:
 
 def _positive_part(v):
     return (max(v, 0.0), max(-v, 0.0))
+
+
+def _reactant_starts(theta, z0):
+    """The reactant pair's starts ``(y_plus0, y_minus0)`` at scale
+    ``theta`` for a limit start ``z0``."""
+    zp, zm = _positive_part(z0)
+    return theta + zp, theta + zm
 
 
 @dataclass(frozen=True)
@@ -610,7 +622,7 @@ def _affine_batch(params, x0, z0, noise, z_region="all", keep=None):
     here and in the other batch systems is ``_step_loop``'s.
     """
     _check_components(noise, 3)
-    _stability_guard(noise.dt, params.beta_bar, "max|beta|")
+    _check_dt(noise.dt, params)
     coords = [_catalyst(params, x0, noise.dt, noise.eps),
               _linear_partner(params, "z", z0, z_region, noise.dt,
                               noise.eps)]
@@ -654,7 +666,7 @@ def _catalytic_batch(params, x0, y0, l, noise, keep=None):
         raise ValueError("coupling constant l must be nonnegative")
     _check_components(noise, 3)
     dt = noise.dt
-    _stability_guard(dt, params.beta_bar, "max|beta|")
+    _check_dt(dt, params)
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
     s21, s22 = params.sigma[1]
     s0 = params.sigma0
@@ -701,7 +713,7 @@ def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
     pair = mode == "pair"
     _check_components(noise, 3)
     dt, eps = noise.dt, noise.eps
-    _stability_guard(dt, params.beta_bar, "max|beta|")
+    _check_dt(dt, params)
 
     coords = [_catalyst(params, x0, dt, eps)]
     if pair:

@@ -29,8 +29,9 @@ from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
 from .sde import (CoefficientBounds, GeneralizedCbiSpec, _affine_batch,
-                  _catalytic_batch, _cbi_batch, _check_init, _check_reactant,
-                  _reactant_batch, _stability_guard, run_ensemble)
+                  _catalytic_batch, _cbi_batch, _check_dt, _check_init,
+                  _check_reactant, _reactant_batch, _reactant_starts,
+                  run_ensemble)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
     moment_functionals
 
@@ -301,14 +302,19 @@ def _grid_indices(t_list, dt):
     return list(steps)
 
 
+def _thinning_bound(u_bound, intensity):
+    """``u_bound``, or by default ``8 (1 + intensity)`` for a start
+    intensity."""
+    return 8.0 * (1.0 + intensity) if u_bound is None else u_bound
+
+
 def _coupled_affine(params, x0, z0, t_list, dt, u_bound, **kwargs):
     """The coupled pair ensemble kept at ``t_list``, and its thinning bound
     (default ``8 (1 + x0)``)."""
     _check_init("x0", x0)
     keep_idx = _grid_indices(t_list, dt)
-    _stability_guard(dt, params.beta_bar, "max|beta|")
-    if u_bound is None:
-        u_bound = 8.0 * (1.0 + x0)
+    _check_dt(dt, params)
+    u_bound = _thinning_bound(u_bound, x0)
     model = _coupled(lambda ns, keep: _affine_batch(params, x0, z0, ns,
                                                     keep=keep))
     return run_ensemble(model, m=params.m, mu=params.mu, t_max=max(t_list),
@@ -561,8 +567,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         if which == "cbi" and name not in _X_ONLY:
             raise ValueError(f"{name!r} is not in the catalog for mode "
                              f"'cbi' (x-only functions)")
-    if u_bound is None:
-        u_bound = 8.0 * (1.0 + intensity)
+    u_bound = _thinning_bound(u_bound, intensity)
 
     if which == "affine":
         def core(noise, keep):
@@ -648,8 +653,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     started = time.perf_counter()
     _check_init("x0_a", x0_a)
     _check_init("x0_b", x0_b)
-    if u_bound is None:
-        u_bound = 8.0 * (1.0 + max(x0_a, x0_b))
+    u_bound = _thinning_bound(u_bound, max(x0_a, x0_b))
     n_steps = round(t_max / dt)
     keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
                        (3 * n_steps) // 4, n_steps})
@@ -731,12 +735,10 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     if mode == "pair" and split is not None:
         split.check_against(params)
     _check_init("x0", x0)
-    if u_bound is None:
-        u_bound = 8.0 * (1.0 + x0)
+    u_bound = _thinning_bound(u_bound, x0)
 
     def rung(theta):
-        yp0 = theta + max(z0, 0.0)
-        ym0 = theta + max(-z0, 0.0)
+        yp0, ym0 = _reactant_starts(theta, z0)
 
         def model(noise, keep):
             comps, aborted, clamps = _reactant_batch(

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from affine_lab.cli import (ConfigError, RunConfig, main, parse_config, run,
+from affine_lab.cli import (_GENERATOR_STATES, _SCHEMA, ConfigError,
+                            RunConfig, main, parse_config, run,
                             serialize_config)
 from affine_lab.params import AdmissibilityError
 
@@ -28,6 +29,12 @@ SMALL = {
 
 def read_files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# every key a config can give, as the path of block names down to it
+KEY_PATHS = [(block, key) for block, schema in _SCHEMA.items()
+             for key in schema] + [("validate", "generator_states", key)
+                                   for key in _GENERATOR_STATES]
 
 
 # -- parsing and defaults ---------------------------------------------------
@@ -211,6 +218,32 @@ class TestParseConfig:
             make_config(limit={"deterministic_rate_check": 1})
         with pytest.raises(ConfigError, match="must be positive"):
             make_config(mc={"u_bound": 0.0})
+
+    @pytest.mark.parametrize("names", KEY_PATHS, ids=".".join)
+    def test_wrong_json_type_names_key_path(self, names):
+        default = parse_config("{}").resolved
+        for name in names:
+            default = default[name]
+        # true is no key's type but the one boolean key's
+        doc = "x" if isinstance(default, bool) else True
+        for name in reversed(names):
+            doc = {name: doc}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value).startswith("$." + ".".join(names) + ": ")
+
+    def test_simulate_theta_at_least_one(self):
+        with pytest.raises(ConfigError,
+                           match=r"^\$\.simulate\.theta: must be >= 1$"):
+            make_config(simulate={"theta": 0.5})
+        config = make_config(simulate={"theta": 1.0})
+        assert config.resolved["simulate"]["theta"] == 1.0
+
+    def test_resolved_document_follows_schema(self):
+        resolved = parse_config("{}").resolved
+        assert set(resolved) == {"params", *_SCHEMA}
+        for block, schema in _SCHEMA.items():
+            assert set(resolved[block]) == set(schema), block
 
     def test_with_seed_returns_updated_copy(self):
         config = parse_config("{}")
