@@ -37,7 +37,6 @@ from .transform import (  # noqa: E402,F401
     moment_functionals,
     solve_transform,
     solve_transforms,
-    write_transform_csv,
 )
 from .presets import (  # noqa: E402,F401
     builtin_params,
@@ -67,7 +66,6 @@ from .sde import (  # noqa: E402,F401
     simulate_catalytic,
     simulate_generalized_cbi,
     simulate_reactant_pair,
-    write_paths_csv,
 )
 from .validate import (  # noqa: E402,F401
     CharFnEstimate,

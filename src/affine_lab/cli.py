@@ -1,14 +1,19 @@
 """Command-line driver: parse a JSON config, dispatch subcommands, write
 CSV/JSON artifacts with full reproducibility metadata.
 
+This module alone decides the artifact format: every CSV goes through
+``_write_csv`` (the run metadata as ``# key = value`` lines, 17-digit
+rows, LF endings) and every JSON file through ``_write_json``.
+
 The configuration document is a single JSON object with optional blocks
 ``params``, ``grid``, ``mc``, ``transform``, ``simulate``, ``validate``,
 ``limit`` and ``output``.  Every key of every block but ``params`` is
 declared once, with its reader and its default, in ``_SCHEMA``; unknown
 keys are rejected with the path to the offending key.  Given the same
 config bytes and seed, every subcommand writes byte-identical output
-files: paths are simulated sequentially, so the bytes depend only on the
-config and the seed.
+files: each path is a pure function of its substream seed, so the bytes
+depend only on the config and the seed.  ``simulate`` runs its saved
+paths as one batch.
 
 Exit status: 0 when every report row passes, 1 when some row fails (the
 first failing row is named on stderr), 2 for configuration or usage
@@ -30,14 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import RNG_ID, __version__
-from .noise import generate_noise, steps_for, substream_seed
+from .noise import generate_noise, steps_for, substream_seed_array
 from .params import (FiniteAtomicMeasure, ProductExponentialMeasure, UPoint,
                      validate_admissible)
 from .presets import builtin_params
-from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
-                  _reactant_starts, simulate_affine, simulate_catalytic,
-                  simulate_reactant_pair, write_paths_csv)
-from .transform import _TOL_RANGE, solve_transforms, write_transform_csv
+from .sde import (ParameterSplit, ThinningBoundError, _affine_batch,
+                  _catalytic_batch, _check_dt, _check_init,
+                  _check_nonnegative, _reactant_batch, _reactant_starts)
+from .transform import _TOL_RANGE, solve_transforms
 from .validate import (_check_ladder, _grid_indices, check_affine_formula,
                        check_generator, check_moments, fluctuation_experiment,
                        sc_semigroup_check, uniqueness_experiment)
@@ -467,8 +472,9 @@ def _config_from_dict(doc: dict) -> RunConfig:
     if sim["theta"] < 1.0:
         raise ConfigError("$.simulate.theta: must be >= 1")
 
-    if len(set(val["checks"])) != len(val["checks"]):
-        raise ConfigError("$.validate.checks: duplicate entries")
+    for key in ("checks", "generator_modes"):
+        if len(set(val[key])) != len(val[key]):
+            raise ConfigError(f"$.validate.{key}: duplicate entries")
     if val["t_list"] is None:
         val["t_list"] = [t_max] if n_steps % 2 else [t_max / 2.0, t_max]
     for i, t in enumerate(val["t_list"]):
@@ -495,7 +501,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
                      resolved=resolved)
 
 
-# -- artifact helpers -------------------------------------------------------
+# -- artifacts: every output file is written here --------------------------
 
 def _metadata(config: RunConfig) -> dict:
     return {"artifact_version": ARTIFACT_VERSION, "rng": RNG_ID,
@@ -503,10 +509,54 @@ def _metadata(config: RunConfig) -> dict:
             "u_bound": config.u_bound}
 
 
-def _csv_metadata(config: RunConfig) -> dict:
-    meta = _metadata(config)
-    return {key: repr(meta[key]) if isinstance(meta[key], float)
-            else meta[key] for key in meta}
+def _write_csv(path: Path, config: RunConfig, comments, columns, row_format,
+               rows) -> None:
+    """One CSV artifact with LF endings: the run metadata as ``# key =
+    value`` lines, then ``comments`` as ``# `` lines, the header and one
+    ``row_format % row`` line per row of the 2-d array ``rows``."""
+    with open(path, "w", newline="\n") as fh:
+        for key, value in _metadata(config).items():
+            fh.write(f"# {key} = {value}\n")
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.write(",".join(columns) + "\n")
+        line = row_format + "\n"
+        fh.writelines(line % tuple(row) for row in rows.tolist())
+
+
+def write_transform_csv(solution, path: Path, config: RunConfig) -> None:
+    """One ``TransformSolution`` as CSV, its frequency and tolerance as
+    comments."""
+    cols = ("t", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "re_phi",
+            "im_phi")
+    rows = np.column_stack([
+        solution.t_grid,
+        solution.psi1.real, solution.psi1.imag,
+        solution.psi2.real, solution.psi2.imag,
+        solution.phi.real, solution.phi.imag,
+    ])
+    _write_csv(path, config,
+               [f"u = ({solution.u.u1!r}, {solution.u.u2!r})",
+                f"tol = {solution.tol_used:.17g}"],
+               cols, ",".join(["%.17g"] * len(cols)), rows)
+
+
+def write_paths_csv(noise, paths: dict, path: Path,
+                    config: RunConfig) -> None:
+    """A batch of paths as one flat CSV table, path by path.
+
+    ``paths`` maps component names to ``(n_paths, n_steps + 1)`` arrays
+    on the grid of ``noise``, as the batch kernels return them.
+    """
+    names = list(paths)
+    n_paths, n_grid = paths[names[0]].shape
+    rows = np.column_stack([np.repeat(np.arange(n_paths), n_grid),
+                            np.tile(noise.grid, n_paths),
+                            *(paths[name].ravel() for name in names)])
+    _write_csv(path, config,
+               [f"dt = {noise.dt!r}, eps = {noise.eps!r}, "
+                f"u_bound = {noise.u_bound!r}"],
+               ("path_id", "t", *names), "%d" + ",%.17g" * (len(names) + 1),
+               rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -516,7 +566,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_report(out: Path, config: RunConfig, report) -> None:
     payload = dict(_metadata(config))
-    payload["report"] = json.loads(report.to_json())
+    payload["report"] = report.payload()
     _write_json(out / f"{report.name}.json", payload)
 
 
@@ -528,17 +578,16 @@ def _first_failure(reports):
     return None
 
 
-# -- subcommands ------------------------------------------------------------
+# -- subcommands: each returns its reports ----------------------------------
 
 def _cmd_transform(config, out, stdout):
     grid = np.arange(steps_for(config.t_max, config.dt) + 1) * config.dt
-    meta = _csv_metadata(config)
     solutions = solve_transforms(config.params, config.u_list, grid,
                                  tol=config.tol)
-    for i, solution in enumerate(solutions):
-        if "csv" in config.formats:
+    if "csv" in config.formats:
+        for i, solution in enumerate(solutions):
             write_transform_csv(solution, out / f"transform_u{i:02d}.csv",
-                                extra_metadata=meta)
+                                config)
     print(f"transform: {len(config.u_list)} argument(s) sampled on "
           f"[0, {config.t_max:g}] with dt = {config.dt:g}", file=stdout)
     return []
@@ -547,29 +596,25 @@ def _cmd_transform(config, out, stdout):
 def _cmd_simulate(config, out, stdout):
     sim = config.resolved["simulate"]
     n_saved = min(sim["n_saved_paths"], config.n_paths)
-    bundles = []
-    for i in range(n_saved):
-        noise = generate_noise(config.params.m, config.params.mu,
-                               config.t_max, config.dt,
-                               substream_seed(config.seed, i),
-                               config.u_bound, config.eps)
-        if sim["system"] == "affine":
-            bundle = simulate_affine(config.params, sim["x0"], sim["z0"],
-                                     noise)
-        elif sim["system"] == "catalytic":
-            bundle = simulate_catalytic(config.params, sim["x0"],
-                                        sim["y0"], sim["l"], noise)
-        else:
-            theta = sim["theta"]
-            bundle = simulate_reactant_pair(
-                config.params, theta, sim["x0"],
-                *_reactant_starts(theta, sim["z0"]), noise,
-                mode=sim["mode"], split=config.split)
-        bundles.append(bundle)
+    seeds = substream_seed_array(config.seed, np.arange(n_saved))
+    noise = generate_noise(config.params.m, config.params.mu, config.t_max,
+                           config.dt, seeds, config.u_bound, config.eps)
+    if sim["system"] == "affine":
+        paths, aborted_at, _ = _affine_batch(config.params, sim["x0"],
+                                             sim["z0"], noise)
+    elif sim["system"] == "catalytic":
+        paths, aborted_at, _ = _catalytic_batch(
+            config.params, sim["x0"], sim["y0"], sim["l"], noise)
+    else:
+        theta = sim["theta"]
+        paths, aborted_at, _ = _reactant_batch(
+            config.params, theta, sim["x0"],
+            *_reactant_starts(theta, sim["z0"]), noise, sim["mode"],
+            config.split)
+    _check_nonnegative(paths)
     if "csv" in config.formats:
-        write_paths_csv(bundles, out / "paths.csv",
-                        extra_metadata=_csv_metadata(config))
-    aborted = [i for i, b in enumerate(bundles) if b.aborted_at is not None]
+        write_paths_csv(noise, paths, out / "paths.csv", config)
+    aborted = np.flatnonzero(~np.isnan(aborted_at)).tolist()
     line = (f"simulate: {n_saved} {sim['system']} path(s) on "
             f"[0, {config.t_max:g}]")
     if aborted:
@@ -610,28 +655,18 @@ def _cmd_validate(config, out, stdout):
             reports.append(uniqueness_experiment(
                 config.params, val["x0"], val["x0_b"], t_max=config.t_max,
                 dt=config.dt, z0=val["z0"], eps=config.eps, **mc))
-    for report in reports:
-        print(report.table(), file=stdout)
-        print(file=stdout)
-        if "json" in config.formats:
-            _write_report(out, config, report)
     return reports
 
 
 def _cmd_limit(config, out, stdout):
     lim = config.resolved["limit"]
-    report = fluctuation_experiment(
+    return [fluctuation_experiment(
         config.params, lim["theta_ladder"], mode=lim["mode"],
         t_max=config.t_max, n_paths=config.n_paths,
         master_seed=config.seed, dt=config.dt, x0=lim["x0"], z0=lim["z0"],
         u_bound=config.u_bound, eps=config.eps,
         deterministic_rate_check=lim["deterministic_rate_check"],
-        split=config.split)
-    print(report.table(), file=stdout)
-    print(file=stdout)
-    if "json" in config.formats:
-        _write_report(out, config, report)
-    return [report]
+        split=config.split)]
 
 
 _DISPATCH = {"transform": _cmd_transform, "simulate": _cmd_simulate,
@@ -642,7 +677,9 @@ def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
         stdout=None, stderr=None) -> int:
     """Execute one subcommand; returns the process exit status.
 
-    Output lands in ``out_dir`` (default: the config's output directory).
+    The reports the subcommand returns are printed and, with the json
+    format, written one file each.  Output lands in ``out_dir`` (default:
+    the config's output directory).
     ``workers`` is accepted and ignored: paths always run sequentially.
     It stays only because the benchmark harness (``bench/child.py``)
     still passes it.
@@ -658,6 +695,11 @@ def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
 
     try:
         reports = _DISPATCH[command](config, out, stdout)
+        for report in reports:
+            print(report.table(), file=stdout)
+            print(file=stdout)
+            if "json" in config.formats:
+                _write_report(out, config, report)
         if "json" in config.formats:
             meta = dict(_metadata(config))
             meta.update(command=command, config=config.resolved)

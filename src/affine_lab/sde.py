@@ -65,12 +65,12 @@ __all__ = [
     "simulate_catalytic",
     "simulate_reactant_pair",
     "run_ensemble",
-    "write_paths_csv",
     "STABILITY_LIMIT",
 ]
 
 STABILITY_LIMIT = 0.1
 CHUNK = 2048
+MAX_DOUBLINGS = 6   # u_bound doublings run_ensemble tries on aborted paths
 
 
 def _stability_guard(dt: float, rate: float, label: str) -> None:
@@ -298,6 +298,14 @@ class ParameterSplit:
 _NONNEG_COMPONENTS = frozenset({"x", "y", "y_plus", "y_minus"})
 
 
+def _check_nonnegative(components: dict) -> None:
+    """Reject a negative value of a component that must stay nonnegative;
+    NaN tails of aborted paths pass."""
+    for name, arr in components.items():
+        if name in _NONNEG_COMPONENTS and np.any(arr < 0.0):
+            raise ValueError(f"component {name!r} must be nonnegative")
+
+
 @dataclass(frozen=True, eq=False)
 class PathBundle:
     """One simulated path: grid, named components, and its noise lineage.
@@ -321,8 +329,7 @@ class PathBundle:
         for name, arr in self.components.items():
             if arr.shape != (n,):
                 raise ValueError(f"component {name!r} does not match grid")
-            if name in _NONNEG_COMPONENTS and np.any(arr < 0.0):
-                raise ValueError(f"component {name!r} must be nonnegative")
+        _check_nonnegative(self.components)
 
     def component(self, name: str) -> np.ndarray:
         return self.components[name]
@@ -870,7 +877,7 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
 # -- ensemble driver -------------------------------------------------------
 
 def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
-                 u_bound, eps, keep_idx=None, max_doublings=6):
+                 u_bound, eps, keep_idx=None):
     """Run batch models over substream-seeded paths and stack the output.
 
     ``model_fn`` is one model or a sequence of models, each
@@ -884,7 +891,7 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     runs on it, and outputs are stacked in path-index order, so they
     depend only on the arguments.  Each model regenerates its own aborted
     paths in one batch with the bound doubled (same per-path seeds) up to
-    ``max_doublings`` times; a path still aborted afterwards raises
+    ``MAX_DOUBLINGS`` times; a path still aborted afterwards raises
     ``ThinningBoundError``.
     """
     models = [model_fn] if callable(model_fn) else list(model_fn)
@@ -896,7 +903,7 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     def finish(model, chunk_seeds, comps, aborted, clamps):
         retry = np.nonzero(~np.isnan(aborted))[0]
         tries, bound, retried = 0, u_bound, 0
-        while len(retry) and tries < max_doublings:
+        while len(retry) and tries < MAX_DOUBLINGS:
             tries += 1
             bound *= 2.0
             retried += len(retry)
@@ -910,7 +917,7 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
         if len(retry):
             raise ThinningBoundError(
                 f"{len(retry)} paths still exceed the thinning bound after "
-                f"{max_doublings} doublings of u_bound={u_bound!r}")
+                f"{MAX_DOUBLINGS} doublings of u_bound={u_bound!r}")
         return comps, retried, int(clamps.sum())
 
     def run_chunk(chunk_seeds):
@@ -932,31 +939,3 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
                        n_clamped=sum(c for _, _, c in chunks))
         for chunks in zip(*parts)]
     return results[0] if callable(model_fn) else results
-
-
-# -- CSV output ------------------------------------------------------------
-
-def write_paths_csv(bundles, path, extra_metadata=None) -> None:
-    """Dump one or more path bundles as a flat CSV table.
-
-    ``extra_metadata`` is an optional mapping written as additional
-    ``# key = value`` comment lines ahead of the standard header.
-    """
-    if isinstance(bundles, PathBundle):
-        bundles = [bundles]
-    names = list(bundles[0].components)
-    ref = bundles[0]
-    with open(path, "w", newline="\n") as fh:
-        if extra_metadata:
-            for key, value in extra_metadata.items():
-                fh.write(f"# {key} = {value}\n")
-        fh.write(f"# dt = {ref.dt!r}, eps = {ref.eps!r}, "
-                 f"u_bound = {ref.u_bound!r}\n")
-        fh.write("path_id,t," + ",".join(names) + "\n")
-        for pid, bundle in enumerate(bundles):
-            if list(bundle.components) != names:
-                raise ValueError("bundles carry different components")
-            cols = [bundle.components[n] for n in names]
-            for i, t in enumerate(bundle.grid):
-                row = ",".join("%.17g" % c[i] for c in cols)
-                fh.write("%d,%.17g,%s\n" % (pid, t, row))

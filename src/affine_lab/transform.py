@@ -58,7 +58,6 @@ __all__ = [
     "flow_residual",
     "MomentFunctionals",
     "moment_functionals",
-    "write_transform_csv",
 ]
 
 _TOL_RANGE = (1e-12, 1e-4)
@@ -547,29 +546,3 @@ def moment_functionals(params: AdmissibleParams) -> MomentFunctionals:
                 x0 * q12(t) + z0 * math.exp(b22 * t) + h2(t))
 
     return MomentFunctionals(q11=q11, q12=q12, h1=h1, h2=h2, mean=mean)
-
-
-def write_transform_csv(solution: TransformSolution, path,
-                        extra_metadata=None) -> None:
-    """Dump sampled transform curves as CSV (17 significant digits, LF).
-
-    ``extra_metadata`` is an optional mapping written as additional
-    ``# key = value`` comment lines ahead of the standard header.
-    """
-    cols = ("t", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "re_phi", "im_phi")
-    rows = np.column_stack([
-        solution.t_grid,
-        solution.psi1.real, solution.psi1.imag,
-        solution.psi2.real, solution.psi2.imag,
-        solution.phi.real, solution.phi.imag,
-    ])
-    with open(path, "w", newline="\n") as fh:
-        if extra_metadata:
-            for key, value in extra_metadata.items():
-                fh.write(f"# {key} = {value}\n")
-        if solution.u is not None:
-            fh.write(f"# u = ({solution.u.u1!r}, {solution.u.u2!r})\n")
-        fh.write(f"# tol = {solution.tol_used:.17g}\n")
-        fh.write(",".join(cols) + "\n")
-        line = ",".join(["%.17g"] * len(cols)) + "\n"
-        fh.writelines(line % tuple(row) for row in rows.tolist())

@@ -142,9 +142,9 @@ class ExperimentReport:
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def to_json(self, indent=2) -> str:
-        """Stable serialization; excludes runtime so reruns match bytewise."""
-        payload = {
+    def payload(self) -> dict:
+        """Plain-JSON form; excludes runtime so reruns match bytewise."""
+        return {
             "name": self.name,
             "digest": self.digest,
             "inputs": _jsonable(self.inputs),
@@ -163,7 +163,6 @@ class ExperimentReport:
                 for r in self.rows
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
 
     def table(self) -> str:
         """Human-readable fixed-width summary."""

@@ -11,7 +11,10 @@ import pytest
 from affine_lab.cli import (_GENERATOR_STATES, _SCHEMA, ConfigError,
                             RunConfig, main, parse_config, run,
                             serialize_config)
+from affine_lab.noise import generate_noise, substream_seed
 from affine_lab.params import AdmissibilityError
+from affine_lab.sde import (simulate_affine, simulate_catalytic,
+                            simulate_reactant_pair)
 
 
 def make_config(**blocks):
@@ -158,6 +161,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError,
                            match=r"\$\.validate\.t_list: duplicate"):
             make_config(validate={"t_list": [0.5, 1.0, 0.5 + 1e-13]})
+
+    @pytest.mark.parametrize("key, entries", [
+        ("checks", ["moments", "semigroup", "moments"]),
+        ("generator_modes", ["cbi", "cbi"])])
+    def test_validate_list_duplicates_rejected(self, key, entries):
+        with pytest.raises(ConfigError,
+                           match=rf"^\$\.validate\.{key}: duplicate entries$"):
+            make_config(validate={key: entries})
 
     def test_transform_tol_range(self):
         for tol in (1e-13, 2e-4):
@@ -311,6 +322,56 @@ class TestRun:
             lines = (out / "paths.csv").read_text().splitlines()
             header = next(ln for ln in lines if not ln.startswith("#"))
             assert header == columns
+
+    @pytest.mark.parametrize("system, preset, n_aborted", [
+        ("affine", "jump_affine", 10), ("catalytic", "jump_affine", 11),
+        ("reactant", "symmetric_split", 10)])
+    def test_simulate_records_aborted_paths(self, tmp_path, system, preset,
+                                            n_aborted):
+        # u_bound 1.6 against x0 = 1: most paths but not all outgrow it
+        doc = {"params": {"preset": preset},
+               "grid": {"t_max": 1.0, "dt": 2.0 ** -8},
+               "mc": {"n_paths": 12, "seed": 4, "u_bound": 1.6},
+               "simulate": {"system": system, "x0": 1.0, "theta": 1.0,
+                            "n_saved_paths": 12}}
+        config = make_config(**doc)
+        params, sim = config.params, config.resolved["simulate"]
+        expected, aborted = [], []
+        for i in range(12):
+            noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -8,
+                                   substream_seed(4, i), 1.6, config.eps)
+            if system == "affine":
+                bundle = simulate_affine(params, 1.0, sim["z0"], noise)
+            elif system == "catalytic":
+                bundle = simulate_catalytic(params, 1.0, sim["y0"],
+                                            sim["l"], noise)
+            else:
+                bundle = simulate_reactant_pair(params, 1.0, 1.0, 1.0, 1.0,
+                                                noise)
+            expected.append(np.column_stack(
+                [bundle.grid, *bundle.components.values()]))
+            if bundle.aborted_at is not None:
+                aborted.append(i)
+        assert len(aborted) == n_aborted
+
+        outputs = []
+        for attempt in ("a", "b"):
+            stdout = io.StringIO()
+            assert run("simulate", config, out_dir=tmp_path / attempt,
+                       stdout=stdout) == 0
+            assert (f"thinning bound exceeded on path(s) {aborted} "
+                    in stdout.getvalue())
+            outputs.append(read_files(tmp_path / attempt))
+        assert outputs[0] == outputs[1]
+
+        lines = outputs[0]["paths.csv"].decode().splitlines()
+        rows = np.array([ln.split(",") for ln in lines
+                         if not ln.startswith(("#", "path_id"))],
+                        dtype=float)
+        for i, want in enumerate(expected):
+            got = rows[rows[:, 0] == i, 1:]
+            assert np.array_equal(got, want, equal_nan=True), i
+            assert np.isnan(got[-1, 1:]).all() == (i in aborted)
 
     def test_validate_passes_and_writes_reports(self, tmp_path):
         config = make_config(**dict(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from affine_lab import sde
+from affine_lab.cli import parse_config, write_paths_csv
 from affine_lab.noise import (NoiseSystem, generate_noise, refine,
                               substream_seed, substream_seed_array)
 from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure, \
@@ -22,7 +24,6 @@ from affine_lab.sde import (
     simulate_reactant_pair,
     CHUNK,
     run_ensemble,
-    write_paths_csv,
     _affine_batch,
     _catalytic_batch,
     _cbi_batch,
@@ -383,13 +384,13 @@ def test_run_ensemble_retries_with_doubled_bound():
     assert np.isfinite(ens.components["x"]).all()
 
 
-def test_run_ensemble_raises_when_bound_stays_small():
+def test_run_ensemble_raises_when_bound_stays_small(monkeypatch):
     p, _ = preset_noise()
-    with pytest.raises(ThinningBoundError, match="thinning bound"):
+    monkeypatch.setattr(sde, "MAX_DOUBLINGS", 1)
+    with pytest.raises(ThinningBoundError, match="after 1 doublings"):
         run_ensemble(affine_model(p, 30.0, 0.0),
                      m=p.m, mu=p.mu, n_paths=8, master_seed=3,
-                     t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0,
-                     max_doublings=1)
+                     t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0)
 
 
 def test_stability_refusal():
@@ -688,13 +689,14 @@ def test_write_paths_csv(tmp_path):
     p, noise = preset_noise(dt=2.0 ** -3)
     out = simulate_affine(p, 1.0, 0.5, noise)
     fname = tmp_path / "paths.csv"
-    write_paths_csv([out, out], fname)
+    paths = {name: np.stack([c, c]) for name, c in out.components.items()}
+    write_paths_csv(noise, paths, fname, parse_config("{}"))
     text = fname.read_text()
-    assert "\r" not in text
-    lines = text.splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "path_id,t,x,z"
-    body = [ln.split(",") for ln in lines[2:]]
-    assert len(body) == 2 * (noise.n_steps + 1)
-    x_back = np.array([float(r[2]) for r in body[:noise.n_steps + 1]])
+    assert "\r" not in text and text.startswith("# ")
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "path_id,t,x,z"
+    body = [ln.split(",") for ln in lines[1:]]
+    n = noise.n_steps + 1
+    assert [r[0] for r in body] == ["0"] * n + ["1"] * n
+    x_back = np.array([float(r[2]) for r in body[:n]])
     assert np.array_equal(x_back, out.component("x"))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from affine_lab.cli import _metadata, parse_config, write_transform_csv
 from affine_lab.params import (FiniteAtomicMeasure, ProductExponentialMeasure,
                                UPoint, validate_admissible)
 from affine_lab.presets import (builtin_params, cir_params,
@@ -28,7 +29,6 @@ from affine_lab.transform import (
     moment_functionals,
     solve_transform,
     solve_transforms,
-    write_transform_csv,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -482,7 +482,7 @@ def test_transform_csv_round_trip(tmp_path):
     p = jump_affine_params()
     sol = solve_transform(p, UPoint(-1.0, 1.5j), np.linspace(0, 1, 5))
     path = tmp_path / "transform.csv"
-    write_transform_csv(sol, path)
+    write_transform_csv(sol, path, parse_config("{}"))
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().strip().split("\n")
@@ -506,18 +506,20 @@ def test_csv_rows_match_the_per_value_formatter(tmp_path):
         z.real, z.imag = re, im
         return z
 
-    sol = TransformSolution(u=None, t_grid=edge,
+    sol = TransformSolution(u=UPoint(-1.0, 0.5j), t_grid=edge,
                             psi1=cplx(edge, edge[::-1]),
                             psi2=cplx(-edge, np.roll(edge, 3)),
                             phi=cplx(np.roll(edge, 5), np.roll(edge, 9)),
                             tol_used=1e-9, steps_taken=0)
     path = tmp_path / "edge.csv"
-    write_transform_csv(sol, path)
+    config = parse_config("{}")
+    write_transform_csv(sol, path, config)
     rows = np.column_stack([sol.t_grid, sol.psi1.real, sol.psi1.imag,
                             sol.psi2.real, sol.psi2.imag, sol.phi.real,
                             sol.phi.imag])
     want = [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
     text = path.read_text()
     assert text.endswith("".join(want))
-    assert text.count("\n") == 2 + len(want)   # tol and header lines first
+    # metadata, u, tol and header lines first
+    assert text.count("\n") == len(_metadata(config)) + 3 + len(want)
     assert want[1].startswith("-0,") and want[2].startswith("1,")
