@@ -8,7 +8,7 @@ points, and spot-checks the semigroup flow property along the way.
 import numpy as np
 
 from affine_lab import (UPoint, builtin_params, char_fn, flow_residual,
-                        solve_transform)
+                        solve_transforms)
 
 U_POINTS = (UPoint(-1.0, 0.0), UPoint(0.0, 1j), UPoint(-0.5, 2j))
 STATES = ((1.0, 0.0), (2.0, -1.0))
@@ -19,8 +19,8 @@ def main():
     for name in ("ou", "cir", "jump_affine"):
         params = builtin_params(name)
         print(f"=== {name} ===")
-        for u in U_POINTS:
-            solution = solve_transform(params, u, grid)
+        solutions = solve_transforms(params, U_POINTS, grid)
+        for u, solution in zip(U_POINTS, solutions):
             print(f"  u = ({u.u1:g}, {u.u2:g})")
             print(f"    psi1(1) = {solution.psi1[-1]:.6f}   "
                   f"phi(1) = {solution.phi[-1]:.6f}")

@@ -35,7 +35,6 @@ from .transform import (  # noqa: E402,F401
     eval_R,
     flow_residual,
     moment_functionals,
-    solve_transform,
     solve_transforms,
 )
 from .presets import (  # noqa: E402,F401
@@ -58,7 +57,6 @@ from .sde import (  # noqa: E402,F401
     EnsembleResult,
     GeneralizedCbiSpec,
     ParameterSplit,
-    PathBundle,
     StepBound,
     run_ensemble,
     simulate_affine,

@@ -39,9 +39,9 @@ from .noise import generate_noise, steps_for, substream_seed_array
 from .params import (FiniteAtomicMeasure, ProductExponentialMeasure, UPoint,
                      validate_admissible)
 from .presets import builtin_params
-from .sde import (ParameterSplit, ThinningBoundError, _affine_batch,
-                  _catalytic_batch, _check_dt, _check_init,
-                  _check_nonnegative, _reactant_batch, _reactant_starts)
+from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
+                  _check_nonnegative, _reactant_starts, simulate_affine,
+                  simulate_catalytic, simulate_reactant_pair)
 from .transform import _TOL_RANGE, solve_transforms
 from .validate import (_check_ladder, _grid_indices, check_affine_formula,
                        check_generator, check_moments, fluctuation_experiment,
@@ -471,6 +471,9 @@ def _config_from_dict(doc: dict) -> RunConfig:
                    for i, (u1, u2) in enumerate(tr["u_list"]))
     if sim["theta"] < 1.0:
         raise ConfigError("$.simulate.theta: must be >= 1")
+    if sim["system"] == "reactant":
+        _rule("$.simulate.z0", _reactant_starts, sim["theta"], sim["z0"],
+              sim["mode"])
 
     for key in ("checks", "generator_modes"):
         if len(set(val[key])) != len(val[key]):
@@ -487,7 +490,9 @@ def _config_from_dict(doc: dict) -> RunConfig:
         _rule(f"$.validate.generator_states.{key}", _check_init,
               f"state[{i}]", states[key][i])
 
-    _rule("$.limit.theta_ladder", _check_ladder, lim["theta_ladder"])
+    ladder = _rule("$.limit.theta_ladder", _check_ladder,
+                   lim["theta_ladder"])
+    _rule("$.limit.z0", _reactant_starts, ladder[0], lim["z0"], lim["mode"])
     split = None
     if lim["split"] is not None:
         split = ParameterSplit(**lim["split"])
@@ -545,7 +550,7 @@ def write_paths_csv(noise, paths: dict, path: Path,
     """A batch of paths as one flat CSV table, path by path.
 
     ``paths`` maps component names to ``(n_paths, n_steps + 1)`` arrays
-    on the grid of ``noise``, as the batch kernels return them.
+    on the grid of ``noise``, as the simulators return them.
     """
     names = list(paths)
     n_paths, n_grid = paths[names[0]].shape
@@ -600,17 +605,17 @@ def _cmd_simulate(config, out, stdout):
     noise = generate_noise(config.params.m, config.params.mu, config.t_max,
                            config.dt, seeds, config.u_bound, config.eps)
     if sim["system"] == "affine":
-        paths, aborted_at, _ = _affine_batch(config.params, sim["x0"],
-                                             sim["z0"], noise)
+        paths, aborted_at, _ = simulate_affine(config.params, sim["x0"],
+                                               sim["z0"], noise)
     elif sim["system"] == "catalytic":
-        paths, aborted_at, _ = _catalytic_batch(
+        paths, aborted_at, _ = simulate_catalytic(
             config.params, sim["x0"], sim["y0"], sim["l"], noise)
     else:
         theta = sim["theta"]
-        paths, aborted_at, _ = _reactant_batch(
+        paths, aborted_at, _ = simulate_reactant_pair(
             config.params, theta, sim["x0"],
-            *_reactant_starts(theta, sim["z0"]), noise, sim["mode"],
-            config.split)
+            *_reactant_starts(theta, sim["z0"], sim["mode"]), noise,
+            sim["mode"], config.split)
     _check_nonnegative(paths)
     if "csv" in config.formats:
         write_paths_csv(noise, paths, out / "paths.csv", config)

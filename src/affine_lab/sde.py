@@ -31,10 +31,10 @@ bitwise identical across the pair, catalytic and reactant simulators
 given the same noise.
 
 Determinism: a path is a pure function of (coefficients, initial state,
-its noise).  The kernels take one ``NoiseSystem`` holding a batch of paths
-and perform identical elementwise arithmetic on every path, so the
-single-path wrappers run a one-path batch and an ensemble reproduces each
-scalar path bit for bit.
+its noise).  Each simulator takes one ``NoiseSystem`` holding a batch of
+paths (one path is a batch of one) and performs identical elementwise
+arithmetic on every path, so each row of a batch equals the one-path
+batch of its seed bit for bit.
 
 Explicit-Euler stability is enforced: runs with ``dt * beta_bar > 0.1``
 are refused rather than silently degraded.
@@ -56,7 +56,6 @@ __all__ = [
     "CoefficientBounds",
     "GeneralizedCbiSpec",
     "ParameterSplit",
-    "PathBundle",
     "EnsembleResult",
     "ThinningBoundError",
     "simulate_generalized_cbi",
@@ -84,6 +83,12 @@ def _stability_guard(dt: float, rate: float, label: str) -> None:
 def _check_dt(dt: float, params: AdmissibleParams) -> None:
     """The stability rule for the drift matrix of ``params``."""
     _stability_guard(dt, params.beta_bar, "max|beta|")
+
+
+def _check_init(name, value):
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return float(value)
 
 
 # -- coefficient bounds and specs ------------------------------------------
@@ -236,9 +241,13 @@ def _positive_part(v):
     return (max(v, 0.0), max(-v, 0.0))
 
 
-def _reactant_starts(theta, z0):
-    """The reactant pair's starts ``(y_plus0, y_minus0)`` at scale
-    ``theta`` for a limit start ``z0``."""
+def _reactant_starts(theta, z0, mode):
+    """The reactant starts ``(y_plus0, y_minus0)`` at scale ``theta`` whose
+    centred value is the limit start ``z0``: the pair carries the positive
+    and the negative part of ``z0``, the single reactant starts at ``theta
+    + z0`` (its ``y_minus0`` is unused)."""
+    if mode == "single":
+        return _check_init("theta + z0", theta + z0), theta
     zp, zm = _positive_part(z0)
     return theta + zp, theta + zm
 
@@ -293,7 +302,7 @@ class ParameterSplit:
                                  f"{float(got)!r} != {float(want)!r}")
 
 
-# -- path containers -------------------------------------------------------
+# -- components and results ------------------------------------------------
 
 _NONNEG_COMPONENTS = frozenset({"x", "y", "y_plus", "y_minus"})
 
@@ -307,41 +316,12 @@ def _check_nonnegative(components: dict) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PathBundle:
-    """One simulated path: grid, named components, and its noise lineage.
-
-    Stored values are post-jump states.  ``aborted_at`` is the grid time
-    from which the scheme could not continue (thinning bound exceeded or
-    numeric overflow); later entries are NaN.
-    """
-
-    grid: np.ndarray
-    components: dict
-    seed: int
-    dt: float
-    eps: float
-    u_bound: float
-    aborted_at: float = None
-    clamp_count: int = 0
-
-    def __post_init__(self):
-        n = len(self.grid)
-        for name, arr in self.components.items():
-            if arr.shape != (n,):
-                raise ValueError(f"component {name!r} does not match grid")
-        _check_nonnegative(self.components)
-
-    def component(self, name: str) -> np.ndarray:
-        return self.components[name]
-
-
-@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Stacked per-path outputs of a batched run.
 
     ``components`` maps names to ``(n_paths, n_kept)`` arrays sampled at
     ``times``; per-path reductions (e.g. running suprema) have one column.
-    ``n_clamped`` sums the kernels' per-path clamp counts over the kept
+    ``n_clamped`` sums the models' per-path clamp counts over the kept
     attempt of every path.
     """
 
@@ -618,26 +598,20 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
                   comp=_thinning_comp(dt, mu_c), clamp=True)
 
 
-# -- batch systems ---------------------------------------------------------
+# -- simulators ------------------------------------------------------------
+#
+# Each simulator runs every path of one ``NoiseSystem`` batch (one path is
+# a batch of one), checks its start values before it steps, and returns
+# ``_step_loop``'s triple ``(components, aborted_at, clamps)``: each
+# component as an ``(n_paths, len(keep))`` array on the grid indices
+# ``keep`` (None keeps all), the abort time of each path (NaN if it ran
+# through) and its clamp count.
 
-def _affine_batch(params, x0, z0, noise, z_region="all", keep=None):
-    """Euler paths of the pair system (first coordinate + linear partner).
-
-    ``z_region`` restricts which jump marks feed the second coordinate:
-    "all" is the two-sided pair equation, "plus" the one-sided limit
-    equation.  The first coordinate always reads every mark.  ``keep``
-    here and in the other batch systems is ``_step_loop``'s.
-    """
-    _check_components(noise, 3)
-    _check_dt(noise.dt, params)
-    coords = [_catalyst(params, x0, noise.dt, noise.eps),
-              _linear_partner(params, "z", z0, z_region, noise.dt,
-                              noise.eps)]
-    return _step_loop(noise, coords, _thins(params.mu), keep)
-
-
-def _cbi_batch(spec, x0, noise, keep=None):
-    """Euler paths of the scalar equation with time-dependent coefficients."""
+def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
+                             noise: NoiseSystem, keep=None):
+    """Euler paths of the scalar equation with time-dependent
+    coefficients; component ``x``."""
+    x0 = _check_init("x0", x0)
     _check_components(noise, spec.r + 1)
     dt, grid = noise.dt, noise.grid
     coeffs = spec.grid_coefficients(grid)
@@ -664,150 +638,40 @@ def _cbi_batch(spec, x0, noise, keep=None):
     return _step_loop(noise, [x], _thins(spec.mu), keep)
 
 
-def _catalytic_batch(params, x0, y0, l, noise, keep=None):
-    """Euler paths of the catalyst/reactant system."""
-    if params.b[1] < 0.0:
-        raise ValueError(f"catalytic reactant requires b2 >= 0, "
-                         f"got {params.b[1]!r}")
-    if l < 0.0:
-        raise ValueError("coupling constant l must be nonnegative")
-    _check_components(noise, 3)
-    dt = noise.dt
-    _check_dt(dt, params)
-    b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
-    s21, s22 = params.sigma[1]
-    s0 = params.sigma0
-
-    def euler(s, dB, k):
-        xk, yk = s["x"], s["y"]
-        return yk + dt * (b2 + b21 * xk * yk + b22 * yk) \
-            + s0 * np.sqrt(2.0 * yk) * dB[:, 0] \
-            + np.sqrt(2.0 * xk * yk) * (s21 * dB[:, 1] + s22 * dB[:, 2])
-
-    plus = _region_marks("plus")
-    # Immigration marks in the positive quadrant, uncompensated.
-    y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
-               comp=_thinning_comp(dt, _moment(params.mu, 0, 1, "plus",
-                                               noise.eps)),
-               clamp=True)
-    return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
-                      _thins(params.mu), keep)
-
-
-def _check_reactant(params, theta, mode):
-    """Input rules of the reactant system, which need no noise to check."""
-    if params.beta[1, 1] >= 0.0:
-        raise ValueError(f"reactant scaling requires beta22 < 0, "
-                         f"got {params.beta[1, 1]!r}")
-    if theta < 1.0:
-        raise ValueError("theta must be >= 1")
-    if mode not in ("single", "pair"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-
-def _reactant_batch(params, theta, x0, y_plus0, y_minus0, noise, mode,
-                    split, with_limit=False, z0=None, keep=None):
-    """Euler paths of the reactant system at scale theta.
-
-    ``mode="single"`` runs one reactant carrying the undecomposed
-    coefficients with positive-quadrant jumps; ``mode="pair"`` runs the
-    nonnegative-split pair with the second reactant reading sign-flipped
-    lower-quadrant marks.  With ``with_limit`` the matching limit equation
-    is advanced on the same noise and the supremum of ``|z_k - z|`` over
-    the grid is reported per path as ``gap``.
-    """
-    _check_reactant(params, theta, mode)
-    pair = mode == "pair"
-    _check_components(noise, 3)
-    dt, eps = noise.dt, noise.eps
-    _check_dt(dt, params)
-
-    coords = [_catalyst(params, x0, dt, eps)]
-    if pair:
-        split = ParameterSplit.from_params(params) if split is None else split
-        split.check_against(params)
-        coords.append(_reactant(
-            params, "y_plus", y_plus0, theta,
-            (split.sigma0_pos, split.sigma21_pos, split.sigma22_pos,
-             split.b2_pos, split.beta21_pos), "plus", dt, eps))
-        coords.append(_reactant(
-            params, "y_minus", y_minus0, theta,
-            (split.sigma0_neg, split.sigma21_neg, split.sigma22_neg,
-             split.b2_neg, split.beta21_neg), "minus", dt, eps))
-    else:
-        coords.append(_reactant(
-            params, "y", y_plus0, theta,
-            (params.sigma0, *params.sigma[1], params.b[1],
-             params.beta[1, 0]), "plus", dt, eps))
-
-    def centered(s):
-        return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta
-
-    sup = None
-    if with_limit:
-        coords.append(_linear_partner(params, "z_lim", z0,
-                                      "all" if pair else "plus", dt, eps))
-        sup = {"gap": lambda s: np.abs(centered(s) - s["z_lim"])}
-    comps, aborted_at, clamps = _step_loop(noise, coords, _thins(params.mu),
-                                           keep, sup)
-    comps["z_k"] = centered(comps)
-    return comps, aborted_at, clamps
-
-
-# -- single-path wrappers --------------------------------------------------
-
-def _one_path(noise):
-    if noise.n_paths != 1:
-        raise ValueError(f"a single-path simulator needs a one-path noise "
-                         f"system, got {noise.n_paths} paths")
-    return noise
-
-
-def _bundle_from_batch(noise, components, aborted_at, clamps):
-    aborted = None if math.isnan(aborted_at[0]) else float(aborted_at[0])
-    comps = {name: arr[0].copy() for name, arr in components.items()}
-    return PathBundle(grid=noise.grid, components=comps,
-                      seed=int(noise.seeds[0]), dt=noise.dt, eps=noise.eps,
-                      u_bound=noise.u_bound, aborted_at=aborted,
-                      clamp_count=int(clamps[0]))
-
-
-def _check_init(name, value):
-    if value < 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
-    return float(value)
-
-
-def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
-                             noise: NoiseSystem) -> PathBundle:
-    """One path of the scalar branching equation driven by ``noise``."""
-    comps, aborted, clamps = _cbi_batch(spec, _check_init("x0", x0),
-                                        _one_path(noise))
-    return _bundle_from_batch(noise, comps, aborted, clamps)
-
-
 def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
-                    noise: NoiseSystem, z_region="all") -> PathBundle:
-    """One path of the pair system; components ``x`` and ``z``."""
-    comps, aborted, clamps = _affine_batch(
-        params, _check_init("x0", x0), float(z0), _one_path(noise),
-        z_region=z_region)
-    return _bundle_from_batch(noise, comps, aborted, clamps)
+                    noise: NoiseSystem, z_region="all", keep=None):
+    """Euler paths of the pair system; components ``x`` and ``z``.
+
+    ``z_region`` restricts which jump marks feed the second coordinate:
+    "all" is the two-sided pair equation, "plus" the one-sided limit
+    equation.  The first coordinate always reads every mark.
+    """
+    x0 = _check_init("x0", x0)
+    _check_components(noise, 3)
+    _check_dt(noise.dt, params)
+    coords = [_catalyst(params, x0, noise.dt, noise.eps),
+              _linear_partner(params, "z", z0, z_region, noise.dt,
+                              noise.eps)]
+    return _step_loop(noise, coords, _thins(params.mu), keep)
 
 
 def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
                         z0: float, noise: NoiseSystem,
                         z_region="all") -> np.ndarray:
-    """Second coordinate by the variation-of-constants representation.
+    """Second coordinate of one path by the variation-of-constants
+    representation.
 
     Discretizes the integrating-factor form on the same grid, consuming
     the identical Brownian increments, events, and acceptance decisions as
     the direct scheme (thinning against the supplied first-coordinate
     path), and serves as its cross-check; the direct scheme remains the
-    primary simulator.
+    primary simulator.  ``noise`` holds one path.
     """
+    if noise.n_paths != 1:
+        raise ValueError(f"simulate_affine_voc needs a one-path noise "
+                         f"system, got {noise.n_paths} paths")
     x_path = np.asarray(x_path, dtype=float)
-    n_steps = _one_path(noise).n_steps
+    n_steps = noise.n_steps
     if x_path.shape != (n_steps + 1,):
         raise ValueError(f"x_path has shape {x_path.shape}, but the noise "
                          f"grid has {n_steps + 1} points")
@@ -850,28 +714,106 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
 
 
 def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
-                       l: float, noise: NoiseSystem) -> PathBundle:
-    """One path of the catalyst/reactant system; components ``x``, ``y``."""
-    comps, aborted, clamps = _catalytic_batch(
-        params, _check_init("x0", x0), _check_init("y0", y0), float(l),
-        _one_path(noise))
-    return _bundle_from_batch(noise, comps, aborted, clamps)
+                       l: float, noise: NoiseSystem, keep=None):
+    """Euler paths of the catalyst/reactant system; components ``x`` and
+    ``y``."""
+    x0, y0 = _check_init("x0", x0), _check_init("y0", y0)
+    if params.b[1] < 0.0:
+        raise ValueError(f"catalytic reactant requires b2 >= 0, "
+                         f"got {params.b[1]!r}")
+    if l < 0.0:
+        raise ValueError("coupling constant l must be nonnegative")
+    _check_components(noise, 3)
+    dt = noise.dt
+    _check_dt(dt, params)
+    b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
+    s21, s22 = params.sigma[1]
+    s0 = params.sigma0
+
+    def euler(s, dB, k):
+        xk, yk = s["x"], s["y"]
+        return yk + dt * (b2 + b21 * xk * yk + b22 * yk) \
+            + s0 * np.sqrt(2.0 * yk) * dB[:, 0] \
+            + np.sqrt(2.0 * xk * yk) * (s21 * dB[:, 1] + s22 * dB[:, 2])
+
+    plus = _region_marks("plus")
+    # Immigration marks in the positive quadrant, uncompensated.
+    y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
+               comp=_thinning_comp(dt, _moment(params.mu, 0, 1, "plus",
+                                               noise.eps)),
+               clamp=True)
+    return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
+                      _thins(params.mu), keep)
+
+
+def _check_reactant(params, theta, mode):
+    """Input rules of the reactant system, which need no noise to check."""
+    if params.beta[1, 1] >= 0.0:
+        raise ValueError(f"reactant scaling requires beta22 < 0, "
+                         f"got {params.beta[1, 1]!r}")
+    if theta < 1.0:
+        raise ValueError("theta must be >= 1")
+    if mode not in ("single", "pair"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def simulate_reactant_pair(params: AdmissibleParams, theta: float,
                            x0: float, y_plus0: float, y_minus0: float,
-                           noise: NoiseSystem, *, mode="pair",
-                           split: ParameterSplit = None) -> PathBundle:
-    """One path of the reactant system at scale ``theta``.
+                           noise: NoiseSystem, mode="pair",
+                           split: ParameterSplit = None, with_limit=False,
+                           z0=None, keep=None):
+    """Euler paths of the reactant system at scale ``theta``.
 
-    Returns components ``x``, ``y_plus``, ``y_minus``, ``z_k`` in pair
-    mode, or ``x``, ``y``, ``z_k`` in single mode with ``z_k = y - theta``.
+    ``mode="pair"`` runs the nonnegative-split pair, components ``x``,
+    ``y_plus``, ``y_minus`` and ``z_k = y_plus - y_minus``, the second
+    reactant reading sign-flipped lower-quadrant marks; ``split`` (default
+    the canonical one) decomposes the coefficients.  ``mode="single"``
+    runs one reactant from ``y_plus0`` carrying the undecomposed
+    coefficients with positive-quadrant jumps, components ``x``, ``y``
+    and ``z_k = y - theta``.  With ``with_limit`` the matching limit
+    equation, started at ``z0``, is advanced on the same noise as
+    ``z_lim``, and the supremum of ``|z_k - z_lim|`` over the grid is
+    reported per path as the one-column ``gap``.
     """
-    comps, aborted, clamps = _reactant_batch(
-        params, float(theta), _check_init("x0", x0),
-        _check_init("y_plus0", y_plus0),
-        _check_init("y_minus0", y_minus0), _one_path(noise), mode, split)
-    return _bundle_from_batch(noise, comps, aborted, clamps)
+    x0 = _check_init("x0", x0)
+    y_plus0 = _check_init("y_plus0", y_plus0)
+    y_minus0 = _check_init("y_minus0", y_minus0)
+    _check_reactant(params, theta, mode)
+    pair = mode == "pair"
+    _check_components(noise, 3)
+    dt, eps = noise.dt, noise.eps
+    _check_dt(dt, params)
+
+    coords = [_catalyst(params, x0, dt, eps)]
+    if pair:
+        split = ParameterSplit.from_params(params) if split is None else split
+        split.check_against(params)
+        coords.append(_reactant(
+            params, "y_plus", y_plus0, theta,
+            (split.sigma0_pos, split.sigma21_pos, split.sigma22_pos,
+             split.b2_pos, split.beta21_pos), "plus", dt, eps))
+        coords.append(_reactant(
+            params, "y_minus", y_minus0, theta,
+            (split.sigma0_neg, split.sigma21_neg, split.sigma22_neg,
+             split.b2_neg, split.beta21_neg), "minus", dt, eps))
+    else:
+        coords.append(_reactant(
+            params, "y", y_plus0, theta,
+            (params.sigma0, *params.sigma[1], params.b[1],
+             params.beta[1, 0]), "plus", dt, eps))
+
+    def centered(s):
+        return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta
+
+    sup = None
+    if with_limit:
+        coords.append(_linear_partner(params, "z_lim", z0,
+                                      "all" if pair else "plus", dt, eps))
+        sup = {"gap": lambda s: np.abs(centered(s) - s["z_lim"])}
+    comps, aborted_at, clamps = _step_loop(noise, coords, _thins(params.mu),
+                                           keep, sup)
+    comps["z_k"] = centered(comps)
+    return comps, aborted_at, clamps
 
 
 # -- ensemble driver -------------------------------------------------------

@@ -51,7 +51,6 @@ __all__ = [
     "TransformSolution",
     "eval_F",
     "eval_R",
-    "solve_transform",
     "solve_transforms",
     "char_fn",
     "FlowResidual",
@@ -382,18 +381,6 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
                                      psi2=growth * v2, phi=phi, tol_used=tol,
                                      steps_taken=int(steps[i])))
     return out
-
-
-def solve_transform(params: AdmissibleParams, u: UPoint, t_grid,
-                    tol: float = 1e-9, *, _enforce_domain: bool = True
-                    ) -> TransformSolution:
-    """Solve the Riccati system for ``(psi1, phi)`` along ``t_grid``.
-
-    The one-lane call of :func:`solve_transforms`, with the same
-    parameters, checks and errors for the single frequency ``u``.
-    """
-    return solve_transforms(params, [u], t_grid, tol,
-                            _enforce_domain=_enforce_domain)[0]
 
 
 def _as_batch(u):

@@ -28,10 +28,11 @@ import numpy as np
 from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (CoefficientBounds, GeneralizedCbiSpec, _affine_batch,
-                  _catalytic_batch, _cbi_batch, _check_dt, _check_init,
-                  _check_reactant, _reactant_batch, _reactant_starts,
-                  run_ensemble)
+from .sde import (CoefficientBounds, GeneralizedCbiSpec, _check_dt,
+                  _check_init, _check_reactant, _reactant_starts,
+                  _stability_guard, run_ensemble, simulate_affine,
+                  simulate_catalytic, simulate_generalized_cbi,
+                  simulate_reactant_pair)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
     moment_functionals
 
@@ -224,6 +225,11 @@ class CharFnEstimate:
     n_paths: int
 
 
+def _check_n_paths(n_paths):
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for a standard error")
+
+
 def _as_upoint(u) -> UPoint:
     if isinstance(u, UPoint):
         return u
@@ -250,8 +256,7 @@ def empirical_char_fn(ensemble, t, u, components=("x", "z")) -> CharFnEstimate:
     bounds the sampling error of the complex estimate.
     """
     u = _as_upoint(u)
-    if ensemble.n_paths < 2:
-        raise ValueError("need at least 2 paths for a standard error")
+    _check_n_paths(ensemble.n_paths)
     idx = _column_at(ensemble, t)
     c1, c2 = components
     x = ensemble.components[c1][:, idx]
@@ -307,18 +312,19 @@ def _thinning_bound(u_bound, intensity):
     return 8.0 * (1.0 + intensity) if u_bound is None else u_bound
 
 
-def _coupled_affine(params, x0, z0, t_list, dt, u_bound, **kwargs):
+def _coupled_affine(params, x0, z0, t_list, dt, u_bound, n_paths, **kwargs):
     """The coupled pair ensemble kept at ``t_list``, and its thinning bound
     (default ``8 (1 + x0)``)."""
     _check_init("x0", x0)
+    _check_n_paths(n_paths)
     keep_idx = _grid_indices(t_list, dt)
     _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, x0)
-    model = _coupled(lambda ns, keep: _affine_batch(params, x0, z0, ns,
-                                                    keep=keep))
-    return run_ensemble(model, m=params.m, mu=params.mu, t_max=max(t_list),
-                        dt=dt, u_bound=u_bound, keep_idx=keep_idx,
-                        **kwargs), u_bound
+    model = _coupled(lambda ns, keep: simulate_affine(params, x0, z0, ns,
+                                                      keep=keep))
+    return run_ensemble(model, m=params.m, mu=params.mu, n_paths=n_paths,
+                        t_max=max(t_list), dt=dt, u_bound=u_bound,
+                        keep_idx=keep_idx, **kwargs), u_bound
 
 
 # -- transform-versus-simulation checks ------------------------------------
@@ -557,6 +563,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         x1, x2 = _check_init("state[0]", state[0]), float(state[1])
         if which == "catalytic":
             _check_init("state[1]", x2)
+        _check_dt(delta, params)
         names = list(GENERATOR_CATALOG) if f is None else [f]
         intensity = x1 if which == "affine" else max(x1, l * x1 * x2)
     for name in names:
@@ -566,11 +573,12 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         if which == "cbi" and name not in _X_ONLY:
             raise ValueError(f"{name!r} is not in the catalog for mode "
                              f"'cbi' (x-only functions)")
+    _check_n_paths(n_paths)
     u_bound = _thinning_bound(u_bound, intensity)
 
     if which == "affine":
         def core(noise, keep):
-            return _affine_batch(params, x1, x2, noise, keep=keep)
+            return simulate_affine(params, x1, x2, noise, keep=keep)
     elif which == "cbi":
         guard = 1.0 + abs(params.beta[0, 0])
         spec = GeneralizedCbiSpec(
@@ -580,12 +588,13 @@ def check_generator(params, state, *, which, n_paths, master_seed,
                 float(np.max(np.abs(params.sigma[0]))) + 1.0,
                 abs(params.b[0]) + 1.0, guard, l + 1.0),
             mu=params.mu)
+        _stability_guard(delta, spec.bounds.beta_bar(delta), "beta_bar")
 
         def core(noise, keep):
-            return _cbi_batch(spec, x1, noise, keep)
+            return simulate_generalized_cbi(spec, x1, noise, keep)
     else:
         def core(noise, keep):
-            return _catalytic_batch(params, x1, x2, l, noise, keep)
+            return simulate_catalytic(params, x1, x2, l, noise, keep)
 
     ens = run_ensemble(_coupled(core), m=params.m, mu=params.mu,
                        n_paths=n_paths, master_seed=master_seed,
@@ -652,14 +661,16 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     started = time.perf_counter()
     _check_init("x0_a", x0_a)
     _check_init("x0_b", x0_b)
+    _check_n_paths(n_paths)
+    _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, max(x0_a, x0_b))
     n_steps = round(t_max / dt)
     keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
                        (3 * n_steps) // 4, n_steps})
 
     def model(noise, keep):
-        av, aa, ac = _affine_batch(params, x0_a, z0, noise, keep=keep)
-        bv, ba, bc = _affine_batch(params, x0_b, z0, noise, keep=keep)
+        av, aa, ac = simulate_affine(params, x0_a, z0, noise, keep=keep)
+        bv, ba, bc = simulate_affine(params, x0_b, z0, noise, keep=keep)
         comps = {"x_a": av["x"], "x_b": bv["x"]}
         return comps, np.fmin(aa, ba), ac + bc
 
@@ -734,13 +745,14 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     if mode == "pair" and split is not None:
         split.check_against(params)
     _check_init("x0", x0)
+    _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, x0)
 
     def rung(theta):
-        yp0, ym0 = _reactant_starts(theta, z0)
+        yp0, ym0 = _reactant_starts(theta, z0, mode)
 
         def model(noise, keep):
-            comps, aborted, clamps = _reactant_batch(
+            comps, aborted, clamps = simulate_reactant_pair(
                 params, theta, x0, yp0, ym0, noise, mode, split,
                 with_limit=True, z0=z0, keep=keep)
             return {"gap": comps["gap"]}, aborted, clamps

@@ -22,7 +22,7 @@ from affine_lab.params import (FiniteAtomicMeasure, UPoint,
 from affine_lab.presets import (cir_params, jump_affine_params, ou_params,
                                 symmetric_split_params)
 from affine_lab.sde import simulate_affine
-from affine_lab.transform import flow_residual, solve_transform
+from affine_lab.transform import flow_residual, solve_transforms
 from affine_lab.validate import (check_affine_formula, check_generator,
                                  check_moments, fluctuation_experiment,
                                  uniqueness_experiment)
@@ -83,9 +83,10 @@ def test_criterion_02_cir_closed_form():
     b1 = params.b[0]
     times = (0.25, 0.5, 1.0, 2.0)
     worst = 0.0
-    for u1 in (-0.5, -1.0, -2.0):
-        solution = solve_transform(params, UPoint(u1, 0.0),
-                                   np.array((0.0,) + times), tol=TOL)
+    u1_list = (-0.5, -1.0, -2.0)
+    solutions = solve_transforms(params, [UPoint(u1, 0.0) for u1 in u1_list],
+                                 np.array((0.0,) + times), tol=TOL)
+    for u1, solution in zip(u1_list, solutions):
         for i, t in enumerate(times, start=1):
             # separated variables: with g(t) = beta + alpha*u1*(1 - e^{beta t}),
             # psi1 = beta*u1*e^{beta t}/g and phi = -(b1/alpha)*log(g/beta)
@@ -103,11 +104,12 @@ def test_criterion_03_ou_closed_form():
     b22 = params.beta[1, 1]
     times = (0.5, 1.0, 2.0)
     worst = 0.0
-    for z in (0.5, 1.0, 2.0):
-        # the 1e-9 budget is for the match against the exact formula, so
-        # the solver itself runs two orders tighter
-        solution = solve_transform(params, UPoint(0.0, 1j * z),
-                                   np.array((0.0,) + times), tol=1e-11)
+    z_list = (0.5, 1.0, 2.0)
+    # the 1e-9 budget is for the match against the exact formula, so the
+    # solver itself runs two orders tighter
+    solutions = solve_transforms(params, [UPoint(0.0, 1j * z) for z in z_list],
+                                 np.array((0.0,) + times), tol=1e-11)
+    for z, solution in zip(z_list, solutions):
         for i, t in enumerate(times, start=1):
             want = -z * z * (1.0 - math.exp(2.0 * b22 * t)) / (-2.0 * b22) * a
             worst = max(worst, abs(solution.phi[i] - want))
@@ -142,15 +144,12 @@ def test_criterion_06_gronwall_bound(moment_report):
 
 def test_criterion_07_pathwise_uniqueness_and_contraction():
     params = jump_affine_params()
-    bitwise = True
-    for seed in range(100):
-        noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -8, seed,
-                               16.0, 0.0)
-        first = simulate_affine(params, 1.0, 0.0, noise)
-        second = simulate_affine(params, 1.0, 0.0, noise)
-        bitwise = bitwise and all(
-            np.array_equal(first.components[c], second.components[c])
-            for c in ("x", "z"))
+    # seeds 0..99 as one batch; each row is the one-path batch of its seed
+    noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -8,
+                           np.arange(100), 16.0, 0.0)
+    first, _, _ = simulate_affine(params, 1.0, 0.0, noise)
+    second, _, _ = simulate_affine(params, 1.0, 0.0, noise)
+    bitwise = all(np.array_equal(first[c], second[c]) for c in ("x", "z"))
     contraction = uniqueness_experiment(params, 1.0, 1.6, t_max=1.0,
                                         n_paths=2000, master_seed=77,
                                         dt=2.0 ** -8)

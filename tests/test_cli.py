@@ -243,6 +243,19 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert str(info.value).startswith("$." + ".".join(names) + ": ")
 
+    def test_single_reactant_start_must_be_nonnegative(self):
+        # the single reactant starts at theta + z0
+        with pytest.raises(ConfigError, match=r"^\$\.simulate\.z0: theta "
+                           r"\+ z0 must be nonnegative, got -0\.5$"):
+            make_config(simulate={"system": "reactant", "mode": "single",
+                                  "theta": 1.0, "z0": -1.5})
+        with pytest.raises(ConfigError, match=r"^\$\.limit\.z0: theta "
+                           r"\+ z0 must be nonnegative"):
+            make_config(limit={"mode": "single", "theta_ladder": [1.0, 4.0],
+                               "z0": -1.5})
+        make_config(simulate={"mode": "single", "theta": 1.0, "z0": -1.5},
+                    limit={"theta_ladder": [1.0, 4.0], "z0": -1.5})
+
     def test_simulate_theta_at_least_one(self):
         with pytest.raises(ConfigError,
                            match=r"^\$\.simulate\.theta: must be >= 1$"):
@@ -341,16 +354,17 @@ class TestRun:
             noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -8,
                                    substream_seed(4, i), 1.6, config.eps)
             if system == "affine":
-                bundle = simulate_affine(params, 1.0, sim["z0"], noise)
+                out = simulate_affine(params, 1.0, sim["z0"], noise)
             elif system == "catalytic":
-                bundle = simulate_catalytic(params, 1.0, sim["y0"],
-                                            sim["l"], noise)
+                out = simulate_catalytic(params, 1.0, sim["y0"], sim["l"],
+                                         noise)
             else:
-                bundle = simulate_reactant_pair(params, 1.0, 1.0, 1.0, 1.0,
-                                                noise)
+                out = simulate_reactant_pair(params, 1.0, 1.0, 1.0, 1.0,
+                                             noise)
+            comps, aborted_at, _ = out
             expected.append(np.column_stack(
-                [bundle.grid, *bundle.components.values()]))
-            if bundle.aborted_at is not None:
+                [noise.grid, *(arr[0] for arr in comps.values())]))
+            if not np.isnan(aborted_at[0]):
                 aborted.append(i)
         assert len(aborted) == n_aborted
 
@@ -372,6 +386,22 @@ class TestRun:
             got = rows[rows[:, 0] == i, 1:]
             assert np.array_equal(got, want, equal_nan=True), i
             assert np.isnan(got[-1, 1:]).all() == (i in aborted)
+
+    def test_simulate_single_reactant_starts_at_theta_plus_z0(self,
+                                                              tmp_path):
+        config = make_config(**dict(SMALL, simulate={
+            "system": "reactant", "mode": "single", "theta": 4.0,
+            "z0": -0.3, "n_saved_paths": 2}))
+        assert run("simulate", config, out_dir=tmp_path,
+                   stdout=io.StringIO()) == 0
+        lines = [ln for ln in (tmp_path / "paths.csv").read_text()
+                 .splitlines() if not ln.startswith("#")]
+        assert lines[0] == "path_id,t,x,y,z_k"
+        rows = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
+        starts = rows[rows[:, 1] == 0.0]
+        assert len(starts) == 2
+        assert (starts[:, 3] == 4.0 + -0.3).all()
+        assert starts[:, 4] == pytest.approx(-0.3, abs=1e-15)
 
     def test_validate_passes_and_writes_reports(self, tmp_path):
         config = make_config(**dict(
@@ -485,6 +515,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert "requires beta22 < 0" in err
         assert not (tmp_path / "o" / "fluctuation-pair.json").exists()
+
+    def test_one_path_validate_is_a_usage_error(self, tmp_path, capsys):
+        doc = dict(SMALL, mc={"n_paths": 1},
+                   validate={"checks": ["moments"]})
+        path = self.write(tmp_path, doc)
+        assert main(["validate", "--config", path, "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "affine-lab: need at least 2 paths for a standard " \
+            "error\n"
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path / "s")]) == 0
 
     def test_unmet_thinning_bound_is_a_usage_error(self, tmp_path,
                                                    capsys):

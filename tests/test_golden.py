@@ -32,8 +32,8 @@ from affine_lab.noise import generate_noise, refine, substream_seed_array
 from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import builtin_params
 from affine_lab.sde import (CoefficientBounds, GeneralizedCbiSpec, StepBound,
-                            _affine_batch, _catalytic_batch, _cbi_batch,
-                            _reactant_batch)
+                            simulate_affine, simulate_catalytic,
+                            simulate_generalized_cbi, simulate_reactant_pair)
 
 PRESETS = ("ou", "cir", "jump_affine", "symmetric_split")
 U_BOUNDS = (16.0, 1.2)
@@ -134,37 +134,40 @@ def kernel_cases():
                 for region in ("all", "plus"):
                     cases[f"affine/{tag}/{region}"] = (
                         lambda p=p, ns=ns, region=region:
-                        _affine_batch(p, 1.0, 0.3, ns, z_region=region))
+                        simulate_affine(p, 1.0, 0.3, ns, z_region=region))
                 cases[f"catalytic/{tag}"] = (
-                    lambda p=p, ns=ns: _catalytic_batch(p, 1.0, 0.8, 1.3, ns))
+                    lambda p=p, ns=ns:
+                    simulate_catalytic(p, 1.0, 0.8, 1.3, ns))
                 cases[f"cbi/{tag}"] = (
-                    lambda p=p, ns=ns: _cbi_batch(cbi_spec(p), 1.0, ns))
+                    lambda p=p, ns=ns:
+                    simulate_generalized_cbi(cbi_spec(p), 1.0, ns))
                 for mode in ("single", "pair"):
                     for limit in (False, True):
                         name = f"reactant/{tag}/{mode}" + \
                             ("/limit" if limit else "")
                         cases[name] = (
                             lambda p=p, ns=ns, mode=mode, limit=limit:
-                            _reactant_batch(p, 4.0, 1.0, 4.25, 4.0, ns, mode,
-                                            None, with_limit=limit,
-                                            z0=0.25 if limit else None))
+                            simulate_reactant_pair(
+                                p, 4.0, 1.0, 4.25, 4.0, ns, mode, None,
+                                with_limit=limit,
+                                z0=0.25 if limit else None))
     p = clamping_params()
     for refined, dt in ((False, DT), (True, DT), (False, 0.01)):
         tag = f"clamping/{'fine' if refined else 'coarse'}" + \
             ("" if dt == DT else "/dt0.01")
         ns = noises("clamping", 16.0, refined, dt=dt)
         cases[f"affine/{tag}"] = (
-            lambda p=p, ns=ns: _affine_batch(p, 0.02, 0.3, ns))
+            lambda p=p, ns=ns: simulate_affine(p, 0.02, 0.3, ns))
         cases[f"catalytic/{tag}"] = (
-            lambda p=p, ns=ns: _catalytic_batch(p, 0.02, 0.02, 1.3, ns))
+            lambda p=p, ns=ns: simulate_catalytic(p, 0.02, 0.02, 1.3, ns))
         cases[f"cbi/{tag}"] = (
-            lambda p=p, ns=ns: _cbi_batch(cbi_spec(p), 0.02, ns))
+            lambda p=p, ns=ns: simulate_generalized_cbi(cbi_spec(p), 0.02, ns))
         cases[f"reactant/{tag}/pair/limit"] = (
-            lambda p=p, ns=ns: _reactant_batch(
+            lambda p=p, ns=ns: simulate_reactant_pair(
                 p, 1.0, 0.02, 1.0, 0.05, ns, "pair", None, with_limit=True,
                 z0=0.1))
         cases[f"reactant/{tag}/single/limit"] = (
-            lambda p=p, ns=ns: _reactant_batch(
+            lambda p=p, ns=ns: simulate_reactant_pair(
                 p, 1.0, 0.02, 0.05, 1.0, ns, "single", None, with_limit=True,
                 z0=-0.95))
     p = builtin_params("jump_affine")
@@ -173,18 +176,22 @@ def kernel_cases():
             tag = f"u{ub:g}/{'fine' if refined else 'coarse'}"
             ns = noises("jump_affine", ub, refined)
             cases[f"cbi-timedep/{tag}"] = (
-                lambda ns=ns: _cbi_batch(time_dependent_spec(p), 1.0, ns))
+                lambda ns=ns:
+                simulate_generalized_cbi(time_dependent_spec(p), 1.0, ns))
         ns = noises("jump_affine", ub, False, dt=0.01)
         tag = f"dt0.01/u{ub:g}"
-        cases[f"affine/{tag}"] = lambda ns=ns: _affine_batch(p, 1.0, 0.3, ns)
+        cases[f"affine/{tag}"] = lambda ns=ns: simulate_affine(p, 1.0, 0.3, ns)
         cases[f"catalytic/{tag}"] = (
-            lambda ns=ns: _catalytic_batch(p, 1.0, 0.8, 1.3, ns))
-        cases[f"cbi/{tag}"] = lambda ns=ns: _cbi_batch(cbi_spec(p), 1.0, ns)
+            lambda ns=ns: simulate_catalytic(p, 1.0, 0.8, 1.3, ns))
+        cases[f"cbi/{tag}"] = (
+            lambda ns=ns: simulate_generalized_cbi(cbi_spec(p), 1.0, ns))
         cases[f"cbi-timedep/{tag}"] = (
-            lambda ns=ns: _cbi_batch(time_dependent_spec(p), 1.0, ns))
+            lambda ns=ns:
+            simulate_generalized_cbi(time_dependent_spec(p), 1.0, ns))
         cases[f"reactant/{tag}/pair/limit"] = (
-            lambda ns=ns: _reactant_batch(p, 4.0, 1.0, 4.25, 4.0, ns, "pair",
-                                          None, with_limit=True, z0=0.25))
+            lambda ns=ns: simulate_reactant_pair(
+                p, 4.0, 1.0, 4.25, 4.0, ns, "pair", None, with_limit=True,
+                z0=0.25))
     return cases
 
 

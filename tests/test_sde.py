@@ -15,7 +15,6 @@ from affine_lab.sde import (
     CoefficientBounds,
     GeneralizedCbiSpec,
     ParameterSplit,
-    PathBundle,
     ThinningBoundError,
     simulate_affine,
     simulate_affine_voc,
@@ -24,10 +23,6 @@ from affine_lab.sde import (
     simulate_reactant_pair,
     CHUNK,
     run_ensemble,
-    _affine_batch,
-    _catalytic_batch,
-    _cbi_batch,
-    _reactant_batch,
 )
 from affine_lab.transform import moment_functionals
 
@@ -60,10 +55,16 @@ def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, eps=0.0,
                        n1_marks=e1[:, 1:3])
 
 
+def path(result):
+    """The components of the first path of a simulator's result."""
+    comps, _, _ = result
+    return {name: arr[0] for name, arr in comps.items()}
+
+
 def affine_model(params, x0, z0):
     """The pair system as a ``run_ensemble`` model."""
-    return lambda noise, keep: _affine_batch(params, x0, z0, noise,
-                                             keep=keep)
+    return lambda noise, keep: simulate_affine(params, x0, z0, noise,
+                                               keep=keep)
 
 
 def quiet_noise(t_max=1.0, dt=2.0 ** -8, **kw):
@@ -89,8 +90,8 @@ class TestHandStepped:
         mu_x1 = 0.5 * 4.0          # int xi1 dmu
         mu_x2 = 0.25 * 4.0
         m_x2 = -0.5 * 2.0
-        out = simulate_affine(self.params, 2.0, 0.0, self.noise)
-        x, z = out.component("x"), out.component("z")
+        out = path(simulate_affine(self.params, 2.0, 0.0, self.noise))
+        x, z = out["x"], out["z"]
         # step 0: immigration adds 1.0; candidate umark 1.2 <= x=2 accepted
         x1 = 2.0 + 1.0 + 0.5 - dt * 2.0 * mu_x1
         z1 = 0.0 + (-0.5) - dt * m_x2 + 0.25 - dt * 2.0 * mu_x2
@@ -105,19 +106,19 @@ class TestHandStepped:
     def test_half_open_step_window(self):
         # An event exactly at a grid time belongs to the step ending there.
         noise = manual_noise(1.0, 0.5, n0=[(0.5, 1.0, 0.0)])
-        out = simulate_affine(make_params(m=self.m), 0.0, 0.0, noise)
-        assert out.component("x")[1] == 1.0
+        out = path(simulate_affine(make_params(m=self.m), 0.0, 0.0, noise))
+        assert out["x"][1] == 1.0
 
     def test_positive_region_restriction(self):
-        full = simulate_affine(self.params, 2.0, 0.0, self.noise)
-        pos = simulate_affine(self.params, 2.0, 0.0, self.noise,
-                              z_region="plus")
+        full = path(simulate_affine(self.params, 2.0, 0.0, self.noise))
+        pos = path(simulate_affine(self.params, 2.0, 0.0, self.noise,
+                                   z_region="plus"))
         # m's only mark is negative: with plus-restriction z skips the
         # jump and its compensator; x is untouched by the restriction.
-        assert np.array_equal(full.component("x"), pos.component("x"))
+        assert np.array_equal(full["x"], pos["x"])
         dt = 0.5
         z1 = 0.25 - dt * 2.0 * (0.25 * 4.0)
-        assert pos.component("z")[1] == pytest.approx(z1, abs=1e-15)
+        assert pos["z"][1] == pytest.approx(z1, abs=1e-15)
 
     def test_acceptance_uses_step_start_state(self):
         # Both candidates in one step; the jump from the first must not
@@ -125,10 +126,10 @@ class TestHandStepped:
         noise = manual_noise(1.0, 1.0, n1=[(0.4, 5.0, 0.0, 1.0),
                                            (0.6, 5.0, 0.0, 1.5)])
         params = make_params(mu=FiniteAtomicMeasure([(5.0, 0.0, 1.0)]))
-        out = simulate_affine(params, 1.2, 0.0, noise)
+        out = path(simulate_affine(params, 1.2, 0.0, noise))
         # x0 = 1.2 accepts umark 1.0, rejects 1.5 even though the first
         # jump lifted the state to 6.2.
-        assert out.component("x")[1] == pytest.approx(
+        assert out["x"][1] == pytest.approx(
             1.2 + 5.0 - 1.0 * 1.2 * 5.0, abs=1e-14)
 
     def test_clamp_counts_negative_excursions(self):
@@ -136,10 +137,10 @@ class TestHandStepped:
         mu = FiniteAtomicMeasure([(10.0, 0.0, 1.0)])
         params = make_params(mu=mu)
         noise = manual_noise(1.0, 0.5, u_bound=100.0)
-        out = simulate_affine(params, 0.5, 0.0, noise)
+        comps, _, clamps = simulate_affine(params, 0.5, 0.0, noise)
         # step 0: x1 = 0.5 - 0.5*0.5*10 = -2 -> clamped
-        assert out.component("x")[1] == 0.0
-        assert out.clamp_count >= 1
+        assert comps["x"][0, 1] == 0.0
+        assert clamps[0] >= 1
 
 
 # -- deterministic ODE oracles --------------------------------------------
@@ -148,34 +149,35 @@ class TestOdeOracles:
     def test_affine_linear_ode(self):
         params = make_params(b=(1.0, 0.3), beta=((0, 0), (0.5, 0)))
         noise = quiet_noise()
-        out = simulate_affine(params, 0.25, 1.0, noise)
+        out = path(simulate_affine(params, 0.25, 1.0, noise))
         t = noise.grid
         x_exact = 0.25 + t
         z_exact = 1.0 + 0.3 * t + 0.5 * (0.25 * t + t * t / 2.0)
-        assert np.allclose(out.component("x"), x_exact, atol=1e-12)
-        assert np.max(np.abs(out.component("z") - z_exact)) < 5 * noise.dt
+        assert np.allclose(out["x"], x_exact, atol=1e-12)
+        assert np.max(np.abs(out["z"] - z_exact)) < 5 * noise.dt
 
     def test_cbi_constant_drift_exact(self):
         spec = GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=1, sigma=0.0,
                                   b=1.0, beta=0.0, l=0.0,
                                   bounds=CoefficientBounds(1, 1, 1, 1))
-        out = simulate_generalized_cbi(spec, 0.0, quiet_noise())
-        assert np.allclose(out.component("x"), out.grid, atol=1e-12)
+        noise = quiet_noise()
+        out = path(simulate_generalized_cbi(spec, 0.0, noise))
+        assert np.allclose(out["x"], noise.grid, atol=1e-12)
 
     def test_cbi_time_dependent_drift(self):
         spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=1, sigma=0.0,
                                   b=lambda t: 1.0 + t, beta=0.0, l=0.0,
                                   bounds=CoefficientBounds(1, 3, 1, 1))
         noise = quiet_noise()
-        out = simulate_generalized_cbi(spec, 0.0, noise)
+        out = path(simulate_generalized_cbi(spec, 0.0, noise))
         t = noise.grid
-        assert np.max(np.abs(out.component("x") - (t + t * t / 2))) \
+        assert np.max(np.abs(out["x"] - (t + t * t / 2))) \
             < 2 * noise.dt
 
     def test_catalytic_linear_ode(self):
         params = make_params(b=(1.0, 0.4), beta=((0, 0), (0.3, -0.5)))
         noise = quiet_noise()
-        out = simulate_catalytic(params, 0.5, 0.7, 1.0, noise)
+        out = path(simulate_catalytic(params, 0.5, 0.7, 1.0, noise))
 
         def rhs(t, y):
             x = 0.5 + t
@@ -183,7 +185,7 @@ class TestOdeOracles:
 
         ref = solve_ivp(rhs, (0.0, 1.0), [0.7], t_eval=noise.grid,
                         rtol=1e-10, atol=1e-12)
-        assert np.max(np.abs(out.component("y") - ref.y[0])) < 5 * noise.dt
+        assert np.max(np.abs(out["y"] - ref.y[0])) < 5 * noise.dt
 
     def test_reactant_theta_cancellation(self):
         # With b2 = beta21 = 0 and no noise the centered variable solves
@@ -192,9 +194,10 @@ class TestOdeOracles:
         noise = quiet_noise()
         zs = []
         for theta in (4.0, 64.0):
-            out = simulate_reactant_pair(params, theta, 1.0, theta + 0.3,
-                                         0.0, noise, mode="single")
-            zs.append(out.component("z_k"))
+            out = path(simulate_reactant_pair(params, theta, 1.0,
+                                              theta + 0.3, 0.0, noise,
+                                              mode="single"))
+            zs.append(out["z_k"])
         # z is recovered from y = theta + z, so agreement across theta is
         # exact only up to roundoff that scales with theta.
         assert np.allclose(zs[0], zs[1], rtol=0.0, atol=1e-10)
@@ -208,11 +211,11 @@ class TestOdeOracles:
         noise = quiet_noise()
         sups = {}
         for theta in (4.0, 16.0):
-            out = simulate_reactant_pair(params, theta, 1.0, theta, 0.0,
-                                         noise, mode="single")
-            lim = simulate_affine(params, 1.0, 0.0, noise, z_region="plus")
-            sups[theta] = np.max(np.abs(out.component("z_k")
-                                        - lim.component("z")))
+            out = path(simulate_reactant_pair(params, theta, 1.0, theta,
+                                              0.0, noise, mode="single"))
+            lim = path(simulate_affine(params, 1.0, 0.0, noise,
+                                       z_region="plus"))
+            sups[theta] = np.max(np.abs(out["z_k"] - lim["z"]))
         ratio = sups[4.0] / sups[16.0]
         assert 3.6 < ratio < 4.4
 
@@ -224,9 +227,9 @@ def test_x_absorbed_at_zero():
     params = make_params(a=1.0, alpha=((0.3, 0), (0, 0.2)), b=(0.0, 0.1),
                          beta=((0, 0), (0.2, -0.5)), m=m)
     noise = generate_noise(m, EMPTY, 1.0, 2.0 ** -6, 3, 1.0, 0.0)
-    out = simulate_affine(params, 0.0, 0.5, noise)
-    assert np.all(out.component("x") == 0.0)
-    assert np.std(out.component("z")) > 0.0         # z still diffuses
+    out = path(simulate_affine(params, 0.0, 0.5, noise))
+    assert np.all(out["x"] == 0.0)
+    assert np.std(out["z"]) > 0.0         # z still diffuses
 
 
 def test_catalytic_reactant_absorbed():
@@ -235,9 +238,9 @@ def test_catalytic_reactant_absorbed():
     params = make_params(b=(1.0, 0.0), beta=((-0.5, 0), (0, -0.5)),
                          m=m, mu=mu)
     noise = generate_noise(m, mu, 1.0, 2.0 ** -6, 9, 8.0, 0.0)
-    out = simulate_catalytic(params, 1.0, 0.0, 1.0, noise)
-    assert np.all(out.component("y") == 0.0)
-    assert out.component("x")[-1] >= 0.0
+    out = path(simulate_catalytic(params, 1.0, 0.0, 1.0, noise))
+    assert np.all(out["y"] == 0.0)
+    assert out["x"][-1] >= 0.0
 
 
 # -- determinism and couplings ---------------------------------------------
@@ -249,17 +252,17 @@ def preset_noise(seed=5, dt=2.0 ** -8, u_bound=24.0):
 
 def test_bitwise_repeatability():
     p, noise = preset_noise()
-    a = simulate_affine(p, 1.0, 0.5, noise)
-    b = simulate_affine(p, 1.0, 0.5, noise)
+    a = path(simulate_affine(p, 1.0, 0.5, noise))
+    b = path(simulate_affine(p, 1.0, 0.5, noise))
     for name in ("x", "z"):
-        assert np.array_equal(a.component(name), b.component(name))
+        assert np.array_equal(a[name], b[name])
 
 
 def test_catalyst_shared_across_systems():
     p, noise = preset_noise()
-    xa = simulate_affine(p, 1.0, 0.5, noise).component("x")
-    xc = simulate_catalytic(p, 1.0, 0.8, 1.0, noise).component("x")
-    xr = simulate_reactant_pair(p, 8.0, 1.0, 8.0, 8.0, noise).component("x")
+    xa = path(simulate_affine(p, 1.0, 0.5, noise))["x"]
+    xc = path(simulate_catalytic(p, 1.0, 0.8, 1.0, noise))["x"]
+    xr = path(simulate_reactant_pair(p, 8.0, 1.0, 8.0, 8.0, noise))["x"]
     assert np.array_equal(xa, xc)
     assert np.array_equal(xa, xr)
 
@@ -271,8 +274,8 @@ def test_generalized_cbi_matches_affine_margin():
         sigma=np.array([p.sigma[0, 0], p.sigma[0, 1]]),
         b=p.b[0], beta=p.beta[0, 0], l=1.0,
         bounds=CoefficientBounds(2.0, 2.0, 2.0, 2.0), mu=p.mu)
-    xg = simulate_generalized_cbi(spec, 1.0, noise).component("x")
-    xa = simulate_affine(p, 1.0, 0.5, noise).component("x")
+    xg = path(simulate_generalized_cbi(spec, 1.0, noise))["x"]
+    xa = path(simulate_affine(p, 1.0, 0.5, noise))["x"]
     assert np.allclose(xg, xa, rtol=1e-12, atol=1e-13)
 
 
@@ -280,8 +283,8 @@ def test_monotone_coupling_in_initial_state():
     p = cir_params()
     for seed in range(60):
         noise = generate_noise(EMPTY, EMPTY, 1.0, 2.0 ** -7, seed, 1.0, 0.0)
-        lo = simulate_affine(p, 1.0, 0.0, noise).component("x")
-        hi = simulate_affine(p, 1.5, 0.0, noise).component("x")
+        lo = path(simulate_affine(p, 1.0, 0.0, noise))["x"]
+        hi = path(simulate_affine(p, 1.5, 0.0, noise))["x"]
         assert np.all(hi - lo >= 0.0)
 
 
@@ -289,8 +292,8 @@ def test_contraction_in_mean():
     p, _ = preset_noise()
 
     def coupled(noise, keep):
-        lo, ab_lo, cl = _affine_batch(p, 1.0, 0.0, noise, keep=keep)
-        hi, ab_hi, _ = _affine_batch(p, 1.6, 0.0, noise, keep=keep)
+        lo, ab_lo, cl = simulate_affine(p, 1.0, 0.0, noise, keep=keep)
+        hi, ab_hi, _ = simulate_affine(p, 1.6, 0.0, noise, keep=keep)
         comps = {"gap": np.abs(hi["x"] - lo["x"])}
         aborted = np.where(np.isnan(ab_lo), ab_hi, ab_lo)
         return comps, aborted, cl
@@ -337,7 +340,7 @@ def test_gronwall_mean_bound():
 def test_voc_trivial_integrator():
     params = make_params(b=(1.0, 0.3), beta=((0, 0), (0.5, 0)))
     noise = quiet_noise()
-    x = simulate_affine(params, 0.25, 1.0, noise).component("x")
+    x = path(simulate_affine(params, 0.25, 1.0, noise))["x"]
     z = simulate_affine_voc(params, x, 1.0, noise)
     assert z[0] == 1.0
     t = noise.grid
@@ -351,9 +354,9 @@ def test_voc_consistency_improves_with_dt(seed):
     noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -7, seed, 24.0, 0.0)
     gaps = []
     for ns in (noise, refine(noise)):
-        out = simulate_affine(p, 1.0, 0.5, ns)
-        z = simulate_affine_voc(p, out.component("x"), 0.5, ns)
-        gaps.append(np.max(np.abs(z - out.component("z"))))
+        out = path(simulate_affine(p, 1.0, 0.5, ns))
+        z = simulate_affine_voc(p, out["x"], 0.5, ns)
+        gaps.append(np.max(np.abs(z - out["z"])))
     assert gaps[0] / gaps[1] > 1.3
 
 
@@ -368,10 +371,10 @@ def test_voc_rejects_grid_mismatch():
 def test_u_bound_abort_records_time():
     p, _ = preset_noise()
     noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, 11, 1.5, 0.0)
-    out = simulate_affine(p, 2.0, 0.0, noise)   # x0 already above the bound
-    assert out.aborted_at == 0.0
-    assert np.isnan(out.component("x")[1:]).all()
-    assert np.isnan(out.component("z")[-1])
+    comps, aborted, _ = simulate_affine(p, 2.0, 0.0, noise)  # x0 above it
+    assert aborted[0] == 0.0
+    assert np.isnan(comps["x"][0, 1:]).all()
+    assert np.isnan(comps["z"][0, -1])
 
 
 def test_run_ensemble_retries_with_doubled_bound():
@@ -415,26 +418,29 @@ def test_catalytic_rejects_negative_b2():
 
 # -- ensembles are scalar runs, stacked ------------------------------------
 
-def test_ensemble_reproduces_scalar_paths():
-    p, _ = preset_noise()
-    master = 41
-    ens = run_ensemble(affine_model(p, 1.0, 0.5),
-                       m=p.m, mu=p.mu, n_paths=5, master_seed=master,
-                       t_max=1.0, dt=2.0 ** -8, u_bound=24.0, eps=0.0)
-    for i in range(5):
-        seed = substream_seed(master, i)
-        noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -8, seed, 24.0, 0.0)
-        out = simulate_affine(p, 1.0, 0.5, noise)
-        assert np.array_equal(ens.components["x"][i], out.component("x"))
-        assert np.array_equal(ens.components["z"][i], out.component("z"))
+@pytest.mark.parametrize("kernel", ["affine", "cbi", "catalytic", "reactant"])
+def test_ensemble_reproduces_scalar_paths(kernel):
+    # Row i of a batch is the one-path batch of seed i, aborts and clamp
+    # counts included; at u_bound 1.2 some paths abort.
+    p, batch = aborting_noise(False)
+    run = batch_kernels(p)[kernel]
+    comps, aborted, clamps = run(batch, None)
+    assert 0 < np.isnan(aborted).sum() < batch.n_paths
+    for i in range(batch.n_paths):
+        one = generate_noise(p.m, p.mu, 1.0, batch.dt, batch.seeds[i:i + 1],
+                             batch.u_bound, 0.0)
+        comps_i, aborted_i, clamps_i = run(one, None)
+        assert sorted(comps_i) == sorted(comps)
+        for name, arr in comps.items():
+            assert arr[i:i + 1].tobytes() == comps_i[name].tobytes()
+        assert aborted[i:i + 1].tobytes() == aborted_i.tobytes()
+        assert clamps[i] == clamps_i[0]
 
 
 def test_single_path_simulators_reject_a_batch():
     p, _ = preset_noise()
     noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, [3, 4], 24.0, 0.0)
     with pytest.raises(ValueError, match="one-path noise system, got 2"):
-        simulate_affine(p, 1.0, 0.5, noise)
-    with pytest.raises(ValueError, match="one-path"):
         simulate_affine_voc(p, np.ones(noise.n_steps + 1), 0.5, noise)
 
 
@@ -457,9 +463,9 @@ def test_chunk_boundary_paths_match_scalar_runs():
     for i in (CHUNK - 1, CHUNK, CHUNK + 2):
         noise = generate_noise(p.m, p.mu, dt, dt, substream_seed(master, i),
                                24.0, 0.0)
-        out = simulate_affine(p, 1.0, 0.5, noise)
-        assert np.array_equal(ens.components["x"][i], out.component("x"))
-        assert np.array_equal(ens.components["z"][i], out.component("z"))
+        out = path(simulate_affine(p, 1.0, 0.5, noise))
+        assert np.array_equal(ens.components["x"][i], out["x"])
+        assert np.array_equal(ens.components["z"][i], out["z"])
 
 
 def test_ensemble_counts_clamps_of_kept_attempts():
@@ -480,11 +486,11 @@ def test_ensemble_counts_clamps_of_kept_attempts():
         while True:
             noise = generate_noise(p.m, p.mu, 1.0, dt,
                                    substream_seed(master, i), bound, 0.0)
-            out = simulate_affine(p, 0.01, 0.0, noise)
-            if out.aborted_at is None:
+            _, aborted, clamps = simulate_affine(p, 0.01, 0.0, noise)
+            if np.isnan(aborted[0]):
                 break
             bound *= 2.0
-        expected += out.clamp_count
+        expected += clamps[0]
     assert ens.n_retried > 0
     assert ens.n_clamped == expected > 0
 
@@ -495,13 +501,12 @@ def test_pair_mode_splits_and_reassembles():
     p, noise = preset_noise()
     split = ParameterSplit.from_params(p)
     split.check_against(p)
-    out = simulate_reactant_pair(p, 16.0, 1.0, 16.0, 16.0, noise,
-                                 mode="pair", split=split)
-    zk = out.component("z_k")
-    assert np.array_equal(zk, out.component("y_plus")
-                          - out.component("y_minus"))
-    assert np.all(out.component("y_plus") >= 0.0)
-    assert np.all(out.component("y_minus") >= 0.0)
+    out = path(simulate_reactant_pair(p, 16.0, 1.0, 16.0, 16.0, noise,
+                                      mode="pair", split=split))
+    zk = out["z_k"]
+    assert np.array_equal(zk, out["y_plus"] - out["y_minus"])
+    assert np.all(out["y_plus"] >= 0.0)
+    assert np.all(out["y_minus"] >= 0.0)
 
 
 def test_bad_split_rejected():
@@ -524,20 +529,20 @@ def test_minus_reactant_reads_flipped_marks():
     params = make_params(b=(0.0, 0.0), beta=((0, 0), (0, -0.1)), m=m)
     noise = manual_noise(1.0, 0.5, n0=[(0.2, 0.2, -0.7)])
     theta = 4.0
-    out = simulate_reactant_pair(params, theta, 0.0, theta, theta, noise,
-                                 mode="pair")
+    out = path(simulate_reactant_pair(params, theta, 0.0, theta, theta,
+                                      noise, mode="pair"))
     dt = 0.5
     # y_plus sees no plus-quadrant marks, and at y = theta the drift
     # -theta*beta22 + beta22*y cancels: it stays put.
-    assert out.component("y_plus")[1] == pytest.approx(theta)
+    assert out["y_plus"][1] == pytest.approx(theta)
     # y_minus adds |xi2| = 0.7 and subtracts the band compensator dt*0.7.
-    assert out.component("y_minus")[1] == pytest.approx(
+    assert out["y_minus"][1] == pytest.approx(
         theta + 0.7 - dt * 0.7)
 
 
 def test_fused_limit_gap_matches_components():
     p, noise = preset_noise(seed=31)
-    comps, aborted, _ = _reactant_batch(
+    comps, aborted, _ = simulate_reactant_pair(
         p, 16.0, 1.0, 16.0, 16.0, noise, "pair", None,
         with_limit=True, z0=0.0)
     assert np.isnan(aborted[0])
@@ -547,11 +552,11 @@ def test_fused_limit_gap_matches_components():
 
 def test_fused_limit_equals_direct_affine():
     p, noise = preset_noise(seed=37)
-    comps, _, _ = _reactant_batch(
+    comps, _, _ = simulate_reactant_pair(
         p, 16.0, 1.0, 16.0, 16.0, noise, "pair", None,
         with_limit=True, z0=0.25)
-    direct = simulate_affine(p, 1.0, 0.25, noise)
-    assert np.array_equal(comps["z_lim"][0], direct.component("z"))
+    direct = path(simulate_affine(p, 1.0, 0.25, noise))
+    assert np.array_equal(comps["z_lim"][0], direct["z"])
 
 
 # -- recording only the kept grid points ----------------------------------
@@ -565,7 +570,7 @@ def aborting_noise(refined):
 
 
 def batch_kernels(p):
-    """The four batch systems as ``(noise, keep) -> triple``."""
+    """The four simulators as ``(noise, keep) -> triple``."""
     spec = GeneralizedCbiSpec(
         theta0=0.7, theta1=1.6, r=2, sigma=p.sigma[0].copy(), b=p.b[0],
         beta=p.beta[0, 0], l=1.0,
@@ -574,11 +579,11 @@ def batch_kernels(p):
                                  abs(p.beta[0, 0]) + 1.0, 2.0),
         mu=p.mu)
     return {
-        "affine": lambda ns, keep: _affine_batch(p, 1.0, 0.3, ns, keep=keep),
-        "cbi": lambda ns, keep: _cbi_batch(spec, 1.0, ns, keep),
-        "catalytic": lambda ns, keep: _catalytic_batch(p, 1.0, 0.8, 1.3, ns,
-                                                       keep),
-        "reactant": lambda ns, keep: _reactant_batch(
+        "affine": lambda ns, keep: simulate_affine(p, 1.0, 0.3, ns, keep=keep),
+        "cbi": lambda ns, keep: simulate_generalized_cbi(spec, 1.0, ns, keep),
+        "catalytic": lambda ns, keep: simulate_catalytic(p, 1.0, 0.8, 1.3,
+                                                         ns, keep),
+        "reactant": lambda ns, keep: simulate_reactant_pair(
             p, 4.0, 1.0, 4.25, 4.0, ns, "pair", None, with_limit=True,
             z0=0.25, keep=keep),
     }
@@ -607,8 +612,8 @@ def test_kept_columns_equal_full_paths(kernel, refined):
 @pytest.mark.parametrize("mode", ["single", "pair"])
 def test_limit_gap_is_the_sup_over_full_paths(mode):
     p, noise = aborting_noise(False)
-    comps, aborted, _ = _reactant_batch(p, 4.0, 1.0, 4.25, 4.0, noise, mode,
-                                        None, with_limit=True, z0=0.25)
+    comps, aborted, _ = simulate_reactant_pair(
+        p, 4.0, 1.0, 4.25, 4.0, noise, mode, None, with_limit=True, z0=0.25)
     sup = np.abs(comps["z_k"][:, 1:] - comps["z_lim"][:, 1:]).max(axis=1)
     want = np.where(np.isnan(aborted), sup, np.nan)
     assert np.isnan(want).any() and not np.isnan(want).all()
@@ -625,10 +630,10 @@ def test_product_exponential_round():
     params = make_params(a=0.1, alpha=((0.2, 0), (0, 0.1)), b=(0.5, 0.0),
                          beta=((-0.5, 0), (0.2, -0.5)), m=pe_m, mu=pe_mu)
     noise = generate_noise(pe_m, pe_mu, 1.0, 2.0 ** -8, 19, 16.0, 1e-3)
-    out = simulate_affine(params, 1.0, 0.0, noise)
-    assert out.aborted_at is None
-    assert np.all(out.component("x") >= 0.0)
-    assert np.isfinite(out.component("z")).all()
+    comps, aborted, _ = simulate_affine(params, 1.0, 0.0, noise)
+    assert np.isnan(aborted[0])
+    assert np.all(comps["x"] >= 0.0)
+    assert np.isfinite(comps["z"]).all()
 
 
 # -- spec plumbing ---------------------------------------------------------
@@ -669,27 +674,17 @@ def test_recorded_coefficient_paths():
     spec_arr = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0,
                                   b=1.0 + noise.grid, beta=0.0, l=0.0,
                                   bounds=CoefficientBounds(1, 3, 1, 1))
-    a = simulate_generalized_cbi(spec_fn, 0.0, noise).component("x")
-    b = simulate_generalized_cbi(spec_arr, 0.0, noise).component("x")
+    a = path(simulate_generalized_cbi(spec_fn, 0.0, noise))["x"]
+    b = path(simulate_generalized_cbi(spec_arr, 0.0, noise))["x"]
     assert np.array_equal(a, b)
     assert np.allclose(spec_fn.grid_coefficients(noise.grid)["b"], 1 + tk)
 
 
-def test_bundle_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="grid"):
-        PathBundle(grid=np.arange(3.0), components={"x": np.zeros(2)},
-                   seed=0, dt=1.0, eps=0.0, u_bound=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        PathBundle(grid=np.arange(3.0),
-                   components={"x": np.array([0.0, -1.0, 0.0])},
-                   seed=0, dt=1.0, eps=0.0, u_bound=1.0)
-
-
 def test_write_paths_csv(tmp_path):
     p, noise = preset_noise(dt=2.0 ** -3)
-    out = simulate_affine(p, 1.0, 0.5, noise)
+    out = path(simulate_affine(p, 1.0, 0.5, noise))
     fname = tmp_path / "paths.csv"
-    paths = {name: np.stack([c, c]) for name, c in out.components.items()}
+    paths = {name: np.stack([c, c]) for name, c in out.items()}
     write_paths_csv(noise, paths, fname, parse_config("{}"))
     text = fname.read_text()
     assert "\r" not in text and text.startswith("# ")
@@ -699,4 +694,4 @@ def test_write_paths_csv(tmp_path):
     n = noise.n_steps + 1
     assert [r[0] for r in body] == ["0"] * n + ["1"] * n
     x_back = np.array([float(r[2]) for r in body[:n]])
-    assert np.array_equal(x_back, out.component("x"))
+    assert np.array_equal(x_back, out["x"])

@@ -27,7 +27,6 @@ from affine_lab.transform import (
     eval_R,
     flow_residual,
     moment_functionals,
-    solve_transform,
     solve_transforms,
 )
 
@@ -80,7 +79,7 @@ def cir_psi1_oracle(u1, t, beta11, alpha11):
 @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0])
 def test_cir_matches_separated_variables(u1, t):
     p = cir_params()
-    sol = solve_transform(p, UPoint(u1, 0.0), [0.0, t], tol=1e-10)
+    (sol,) = solve_transforms(p, [UPoint(u1, 0.0)], [0.0, t], tol=1e-10)
     want = cir_psi1_oracle(u1, t, p.beta[0, 0], p.alpha[0, 0])
     assert sol.psi1[-1].imag == 0.0
     assert abs(sol.psi1[-1].real - want) < 1e-8
@@ -91,7 +90,7 @@ def test_cir_zero_mean_reversion_limit():
                             np.zeros((2, 2)), FiniteAtomicMeasure([]),
                             FiniteAtomicMeasure([]))
     u1, t = -1.5, 0.8
-    sol = solve_transform(p, UPoint(u1, 0.0), [0.0, t], tol=1e-10)
+    (sol,) = solve_transforms(p, [UPoint(u1, 0.0)], [0.0, t], tol=1e-10)
     assert abs(sol.psi1[-1] - cir_psi1_oracle(u1, t, 0.0, 0.5)) < 1e-8
 
 
@@ -99,7 +98,8 @@ def test_cir_zero_mean_reversion_limit():
 def test_ou_phi_closed_form(z):
     p = ou_params()
     for t in (0.3, 1.0, 2.0):
-        sol = solve_transform(p, UPoint(0.0, 1j * z), [0.0, t], tol=1e-9)
+        (sol,) = solve_transforms(p, [UPoint(0.0, 1j * z)], [0.0, t],
+                                  tol=1e-9)
         want = -z * z * (1.0 - math.exp(-2.0 * t)) / 2.0
         assert abs(sol.psi1[-1]) == 0.0
         assert abs(sol.phi[-1] - want) < 1e-9
@@ -107,7 +107,8 @@ def test_ou_phi_closed_form(z):
 
 def test_zero_frequency_is_fixed_point():
     for p in (ou_params(), jump_affine_params()):
-        sol = solve_transform(p, UPoint(0.0, 0.0), np.linspace(0, 2, 9))
+        (sol,) = solve_transforms(p, [UPoint(0.0, 0.0)],
+                                  np.linspace(0, 2, 9))
         assert np.all(sol.psi1 == 0)
         assert np.all(sol.phi == 0)
         assert np.all(sol.psi2 == 0)
@@ -116,7 +117,7 @@ def test_zero_frequency_is_fixed_point():
 def test_psi2_is_exact_exponential():
     p = jump_affine_params()
     grid = np.linspace(0.0, 1.5, 7)
-    sol = solve_transform(p, UPoint(-1.0, 2.0j), grid)
+    (sol,) = solve_transforms(p, [UPoint(-1.0, 2.0j)], grid)
     assert np.array_equal(sol.psi2, np.exp(p.beta[1, 1] * grid) * 2.0j)
 
 
@@ -150,7 +151,7 @@ def test_homogeneous_regime_has_zero_phi():
     p = validate_admissible(0.0, [[0.5, 0.1], [0.1, 0.4]], [0.0, 0.0],
                             [[-1.0, 0.0], [0.3, -0.5]], FiniteAtomicMeasure([]),
                             FiniteAtomicMeasure([(0.4, 0.2, 0.5)]))
-    sol = solve_transform(p, UPoint(-1.0, 1.0j), [0.0, 0.5, 1.0])
+    (sol,) = solve_transforms(p, [UPoint(-1.0, 1.0j)], [0.0, 0.5, 1.0])
     assert np.max(np.abs(sol.phi)) < 1e-12
     # char fn factorizes through the state only
     val = char_fn(p, (0.9, 0.1), 1.0, UPoint(-1.0, 1.0j))
@@ -188,9 +189,9 @@ def test_chapman_kolmogorov_through_char_fn():
     u = UPoint(-1.0, 1.0j)
     r, t, x = 0.6, 0.9, (0.8, -0.5)
     direct = char_fn(p, x, r + t, u)
-    sol_t = solve_transform(p, u, [0.0, t])
+    (sol_t,) = solve_transforms(p, [u], [0.0, t])
     v = UPoint(sol_t.psi1[-1], sol_t.psi2[-1])
-    sol_r = solve_transform(p, v, [0.0, r])
+    (sol_r,) = solve_transforms(p, [v], [0.0, r])
     composed = cmath.exp(x[0] * sol_r.psi1[-1] + x[1] * sol_r.psi2[-1]
                          + sol_r.phi[-1] + sol_t.phi[-1])
     assert abs(direct - composed) <= 1e-8
@@ -200,8 +201,8 @@ def test_chapman_kolmogorov_through_char_fn():
 
 def test_psi1_real_part_stays_nonpositive():
     for p in (cir_params(), jump_affine_params()):
-        for u in (UPoint(-1, 0), UPoint(0, 2j), UPoint(-0.5, -1j)):
-            sol = solve_transform(p, u, np.linspace(0, 2, 33))
+        u_list = (UPoint(-1, 0), UPoint(0, 2j), UPoint(-0.5, -1j))
+        for sol in solve_transforms(p, u_list, np.linspace(0, 2, 33)):
             assert np.all(sol.psi1.real <= 0.0)
             assert np.all(sol.phi.real <= 0.0)
 
@@ -210,13 +211,13 @@ def test_solver_rejects_bad_tolerances_and_grids():
     p = ou_params()
     u = UPoint(-1, 0)
     with pytest.raises(ValueError):
-        solve_transform(p, u, [0, 1], tol=1e-13)
+        solve_transforms(p, [u], [0, 1], tol=1e-13)
     with pytest.raises(ValueError):
-        solve_transform(p, u, [0, 1], tol=1e-3)
+        solve_transforms(p, [u], [0, 1], tol=1e-3)
     with pytest.raises(ValueError):
-        solve_transform(p, u, [0.5, 1.0])
+        solve_transforms(p, [u], [0.5, 1.0])
     with pytest.raises(ValueError):
-        solve_transform(p, u, [0.0, 1.0, 1.0])
+        solve_transforms(p, [u], [0.0, 1.0, 1.0])
 
 
 # -- the lane-batched Dormand-Prince stepper ------------------------------
@@ -284,7 +285,7 @@ def test_lane_alone_equals_its_lane_in_a_batch():
     grid = np.linspace(0.0, 1.5, 49)
     batch = solve_transforms(p, u_list, grid)
     for u, in_batch in zip(u_list, batch):
-        alone = solve_transform(p, u, grid)
+        (alone,) = solve_transforms(p, [u], grid)
         assert alone.steps_taken == in_batch.steps_taken
         for name in ("psi1", "psi2", "phi"):
             assert getattr(alone, name).tobytes() == \
@@ -298,7 +299,7 @@ def test_batch_without_domain_enforcement():
     batch = solve_transforms(p, lanes, grid, _enforce_domain=False)
     assert [s.u for s in batch] == [None, None, None]
     for u, sol in zip(lanes, batch):
-        alone = solve_transform(p, u, grid, _enforce_domain=False)
+        (alone,) = solve_transforms(p, [u], grid, _enforce_domain=False)
         assert np.array_equal(alone.psi1, sol.psi1)
     assert np.all(batch[0].psi1.real > 0.0)   # no clamp without the domain
     with pytest.raises(ValueError, match="u1 must have Re"):
@@ -467,8 +468,8 @@ def test_transform_derivative_recovers_moment_functionals(maker):
     mf = moment_functionals(p)
     h = 1e-5
     grid = [0.0, 0.5, 1.0]
-    up = solve_transform(p, (h, 0.0), grid, _enforce_domain=False)
-    dn = solve_transform(p, (-h, 0.0), grid, _enforce_domain=False)
+    up, dn = solve_transforms(p, [(h, 0.0), (-h, 0.0)], grid,
+                              _enforce_domain=False)
     dpsi = (up.psi1 - dn.psi1) / (2 * h)
     dphi = (up.phi - dn.phi) / (2 * h)
     for i, t in enumerate(grid):
@@ -480,7 +481,7 @@ def test_transform_derivative_recovers_moment_functionals(maker):
 
 def test_transform_csv_round_trip(tmp_path):
     p = jump_affine_params()
-    sol = solve_transform(p, UPoint(-1.0, 1.5j), np.linspace(0, 1, 5))
+    (sol,) = solve_transforms(p, [UPoint(-1.0, 1.5j)], np.linspace(0, 1, 5))
     path = tmp_path / "transform.csv"
     write_transform_csv(sol, path, parse_config("{}"))
     raw = path.read_bytes()

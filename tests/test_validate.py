@@ -9,9 +9,9 @@ import pytest
 from affine_lab.params import FiniteAtomicMeasure, UPoint, validate_admissible
 from affine_lab.presets import jump_affine_params, symmetric_split_params
 from affine_lab import sde, validate
-from affine_lab.sde import (EnsembleResult, _affine_batch, _reactant_batch,
-                            run_ensemble)
-from affine_lab.transform import solve_transform
+from affine_lab.sde import (EnsembleResult, run_ensemble, simulate_affine,
+                            simulate_reactant_pair)
+from affine_lab.transform import solve_transforms
 from affine_lab.validate import (
     CheckRow,
     ExperimentReport,
@@ -100,8 +100,8 @@ class TestEmpiricalCharFn:
 
     def test_modulus_bound_on_simulated_paths(self):
         p = jump_affine_params()
-        ens = run_ensemble(lambda n, keep: _affine_batch(p, 1.0, 0.5, n,
-                                                         keep=keep),
+        ens = run_ensemble(lambda n, keep: simulate_affine(p, 1.0, 0.5, n,
+                                                           keep=keep),
                            m=p.m, mu=p.mu, n_paths=500, master_seed=8,
                            t_max=0.5, dt=2.0 ** -7, u_bound=24.0, eps=0.0,
                            keep_idx=[-1])
@@ -374,7 +374,7 @@ def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
     retried = []
     for theta in ladder:
         def model(noise, keep, theta=theta):
-            comps, aborted, clamps = _reactant_batch(
+            comps, aborted, clamps = simulate_reactant_pair(
                 sp, theta, 1.0, theta, theta, noise, "pair", None,
                 with_limit=True, z0=0.0, keep=keep)
             return {"gap": comps["gap"]}, aborted, clamps
@@ -385,6 +385,17 @@ def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
         retried.append(ens.n_retried)
     assert min(retried) > 0 and len(set(retried)) == len(ladder)
     assert rep.details["n_retried"] == sum(retried)
+
+
+def test_fluctuation_single_mode_negative_start():
+    # the single reactant starts at theta + z0, like its limit equation
+    rep = fluctuation_experiment(jump_affine_params(), [4.0, 16.0, 64.0],
+                                 mode="single", z0=-0.5, t_max=0.25,
+                                 n_paths=200, master_seed=3, dt=2.0 ** -8)
+    assert rep.overall, rep.table()
+    e = [rep.details["e_theta"][k] for k in ("4", "16", "64")]
+    assert e[0] > e[1] > e[2] > 0.0
+    assert e[0] < 0.1
 
 
 def test_fluctuation_rejects_bad_inputs(no_simulation):
@@ -420,12 +431,38 @@ def test_duplicate_t_list_rejected_up_front(no_simulation):
 
 
 def test_stability_rule_checked_before_simulation(ensemble_runs):
-    with pytest.raises(ValueError, match="explicit-Euler stability rule"):
-        check_moments(jump_affine_params(), 1.0, 0.0, [0.5], dt=0.5, **MC)
-    with pytest.raises(ValueError, match="explicit-Euler stability rule"):
-        check_affine_formula(jump_affine_params(), 1.0, 0.0, [0.5],
-                             [(-1.0, 0.0)], dt=0.5, **MC)
+    p = jump_affine_params()
+    runs = [
+        lambda: check_moments(p, 1.0, 0.0, [0.5], dt=0.5, **MC),
+        lambda: check_affine_formula(p, 1.0, 0.0, [0.5], [(-1.0, 0.0)],
+                                     dt=0.5, **MC),
+        lambda: uniqueness_experiment(p, 1.0, 1.5, t_max=1.0, dt=0.5, **MC),
+        lambda: fluctuation_experiment(p, [4.0, 16.0], dt=0.5, **MC),
+        lambda: check_generator(p, (0.7, -0.4), which="affine", delta=0.5,
+                                **MC),
+        # the scalar equation's rule is its spec's beta_bar guard
+        lambda: check_generator(p, 0.7, which="cbi", delta=0.5, **MC),
+        lambda: check_generator(p, (1.2, 0.5), which="catalytic",
+                                delta=0.5, **MC),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="explicit-Euler stability rule"):
+            run()
     assert ensemble_runs == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: check_moments(p, 1.0, 0.0, [0.5], n_paths=1, master_seed=0),
+    lambda p: check_affine_formula(p, 1.0, 0.0, [0.5], [(-1.0, 0.0)],
+                                   n_paths=1, master_seed=0),
+    lambda p: check_generator(p, (0.7, -0.4), which="affine", n_paths=1,
+                              master_seed=0),
+    lambda p: uniqueness_experiment(p, 1.0, 1.5, t_max=1.0, n_paths=1,
+                                    master_seed=0),
+], ids=["moments", "affine-formula", "generator", "uniqueness"])
+def test_one_path_rejected_up_front(no_simulation, run):
+    with pytest.raises(ValueError, match="need at least 2 paths"):
+        run(jump_affine_params())
 
 
 def test_pair_split_checked_before_simulation(ensemble_runs):
@@ -460,9 +497,12 @@ def test_pair_split_checked_before_simulation(ensemble_runs):
     (lambda p: uniqueness_experiment(p, 1.0, -0.5, t_max=1.0, **MC),
      "x0_b"),
     (lambda p: fluctuation_experiment(p, [4.0, 16.0], x0=-0.5, **MC), "x0"),
+    (lambda p: fluctuation_experiment(p, [1.0, 4.0], mode="single", z0=-1.5,
+                                      **MC), r"theta \+ z0"),
 ], ids=["generator-affine", "generator-cbi", "generator-catalytic-x",
         "generator-catalytic-y", "moments", "affine-formula",
-        "uniqueness-a", "uniqueness-b", "fluctuation"])
+        "uniqueness-a", "uniqueness-b", "fluctuation",
+        "fluctuation-single-start"])
 def test_negative_start_rejected_up_front(no_simulation, run, name):
     with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
         run(jump_affine_params())
@@ -490,10 +530,10 @@ def test_chapman_kolmogorov_against_composition():
     p = jump_affine_params()
     u = UPoint(-0.8, 1.5j)
     r, t = 0.4, 0.6
-    one = solve_transform(p, u, [0.0, r + t])
-    stage1 = solve_transform(p, u, [0.0, t])
+    (one,) = solve_transforms(p, [u], [0.0, r + t])
+    (stage1,) = solve_transforms(p, [u], [0.0, t])
     v = UPoint(stage1.psi1[-1], stage1.psi2[-1])
-    stage2 = solve_transform(p, v, [0.0, r])
+    (stage2,) = solve_transforms(p, [v], [0.0, r])
     x1, x2 = 1.1, -0.7
     direct = cmath.exp(x1 * one.psi1[-1] + x2 * one.psi2[-1] + one.phi[-1])
     composed = cmath.exp(x1 * stage2.psi1[-1] + x2 * stage2.psi2[-1]
