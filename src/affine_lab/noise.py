@@ -10,28 +10,35 @@ keys independent counter-based substreams (Philox4x64) per role:
             (times, then uniform thinning marks on [0, u_bound], then marks)
     role 3+ Brownian-bridge midpoints for successive grid refinements
 
-The Brownian increments are one ``(n_paths, n_components, n_steps)``
-array.  Each stream's events are flat arrays tagged by path index
-(``n0_path``, ``n1_path``), in path order and then time order, so a path's
-noise does not depend on which batch it was generated in.
+The Brownian increments of the generated grid are one time-major
+``(n_steps, n_components, n_paths)`` array, so the increments of one step
+are contiguous for the whole batch.  Each stream's events are flat arrays
+tagged by path index (``n0_path``, ``n1_path``), in path order and then
+time order, so a path's noise does not depend on which batch it was
+generated in.
 
 N1 is generated with the dominating intensity ``u_bound * mass`` and carries
 uniform ``umarks``; simulators accept a candidate when its umark falls below
 the state-dependent intensity, and must abort if that intensity ever exceeds
 ``u_bound`` (the stream above the bound was never generated).
 
-Refining the grid halves ``dt``, splits each Brownian increment with a
-bridge midpoint from the next dedicated role, and leaves the event arrays
-untouched, so schemes at dt and dt/2 are driven by the same underlying path.
-Every array of a ``NoiseSystem`` is read-only: one system may drive
-several models.
+Refining the grid halves ``dt`` and adds one array of bridge midpoints,
+drawn from the next dedicated role and shaped like the grid it splits; the
+event arrays are untouched, so schemes at dt and dt/2 are driven by the
+same underlying path.  The refined increments are never stored: step
+``k`` is built when it is read, as half its parent increment plus or
+minus its midpoint.  Every array of a ``NoiseSystem`` is read-only: one
+system may drive several models.
 
 A Philox stream is a pure function of its key and counter, so no
 generator is constructed per path: ``_stream`` resets the key of one
 module-level Philox to ``(key0, role)``, its counter to 0 and its buffer
 to empty, which yields the same bytes as ``Generator(Philox(key=[seed,
 role]))``.  ``key0`` is the first key word that construction stores,
-computed once per batch by ``_philox_keys``.
+computed for a whole batch at once by ``_philox_keys``.  ``_normals``
+fills a time-major array path by path through a buffer of ``_BLOCK``
+paths, so each path draws its whole ``(n_components, n_steps)`` block in
+one call and the transpose into the batch is done once per block.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
 injective in the path index for a fixed master seed.
@@ -59,6 +66,8 @@ ROLE_BROWNIAN = 0
 ROLE_N0 = 1
 ROLE_N1 = 2
 ROLE_BRIDGE_BASE = 3
+
+_BLOCK = 64          # paths per buffer in _normals
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -168,12 +177,16 @@ def steps_for(t_max: float, dt: float) -> int:
 class NoiseSystem:
     """Driving noise of a batch of paths on one uniform grid.
 
-    ``brownian[p, c, k]`` is the increment of component ``c`` of path
-    ``p`` over step ``k``.  Event arrays of a stream are flat, tagged by
-    ``n0_path`` or ``n1_path`` and sorted by path, then by time in
-    ``(0, t_max]``; marks are rows ``(xi1, xi2)``.  Every array is made
-    read-only on construction, because one system may drive several
-    models and a kernel writing into it would change the later ones.
+    ``brownian[k, c, p]`` is the increment of component ``c`` of path
+    ``p`` over step ``k`` of the generated grid.  ``bridges`` holds one
+    midpoint array per refinement, each shaped like the grid it splits
+    (the first like ``brownian``, the next twice as long, ...); the
+    increments of the current grid are read with :meth:`increment`.
+    Event arrays of a stream are flat, tagged by ``n0_path`` or
+    ``n1_path`` and sorted by path, then by time in ``(0, t_max]``; marks
+    are rows ``(xi1, xi2)``.  Every array is made read-only on
+    construction, because one system may drive several models and a
+    kernel writing into it would change the later ones.
     """
 
     seeds: np.ndarray
@@ -181,7 +194,6 @@ class NoiseSystem:
     dt: float
     u_bound: float
     eps: float
-    refinement_level: int
     brownian: np.ndarray
     n0_path: np.ndarray
     n0_times: np.ndarray
@@ -190,15 +202,20 @@ class NoiseSystem:
     n1_times: np.ndarray
     n1_umarks: np.ndarray
     n1_marks: np.ndarray
+    bridges: tuple = ()
 
     def __post_init__(self):
-        for value in vars(self).values():
+        for value in (*vars(self).values(), *self.bridges):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
     @property
+    def refinement_level(self) -> int:
+        return len(self.bridges)
+
+    @property
     def n_paths(self) -> int:
-        return self.brownian.shape[0]
+        return self.brownian.shape[2]
 
     @property
     def n_components(self) -> int:
@@ -206,11 +223,28 @@ class NoiseSystem:
 
     @property
     def n_steps(self) -> int:
-        return self.brownian.shape[2]
+        return self.brownian.shape[0] << len(self.bridges)
 
     @property
     def grid(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
+
+    def increment(self, k: int) -> np.ndarray:
+        """The ``(n_components, n_paths)`` increments of step ``k``."""
+        return self._increment(k, len(self.bridges))
+
+    def _increment(self, k, level):
+        # the split of the parent increment b: b/2 + mid for the even
+        # half, b/2 - mid for the odd one, in place on the fresh b/2
+        if level == 0:
+            return self.brownian[k]
+        out = self._increment(k >> 1, level - 1) / 2.0
+        mid = self.bridges[level - 1][k >> 1]
+        if k & 1:
+            out -= mid
+        else:
+            out += mid
+        return out
 
 
 def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
@@ -262,6 +296,25 @@ def _batch_events(per_path, n_fields):
     return (tags, *(np.concatenate(f) for f in zip(*per_path)))
 
 
+def _normals(seeds, role, scale, n_components, n_steps):
+    """Time-major ``(n_steps, n_components, n_paths)`` normal draws.
+
+    Path ``p`` draws ``normal(0, scale, size=(n_components, n_steps))``
+    from its stream of ``role``; the draws of ``_BLOCK`` paths are
+    gathered in one buffer and transposed into the batch together.
+    """
+    keys = _philox_keys(seeds).tolist()
+    out = np.empty((n_steps, n_components, len(keys)))
+    block = np.empty((min(_BLOCK, len(keys)), n_components, n_steps))
+    for lo in range(0, len(keys), _BLOCK):
+        chunk = keys[lo:lo + _BLOCK]
+        for i, key in enumerate(chunk):
+            block[i] = _stream(key, role).normal(
+                0.0, scale, size=(n_components, n_steps))
+        out[:, :, lo:lo + len(chunk)] = block[:len(chunk)].transpose(2, 1, 0)
+    return out
+
+
 def generate_noise(m, mu, t_max: float, dt: float, seed,
                    u_bound: float, eps: float,
                    n_components: int = 3) -> NoiseSystem:
@@ -284,12 +337,10 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
 
     rate0 = m.mass(eps=eps) if m is not None else 0.0
     rate1 = (u_bound * mu.mass(eps=eps)) if mu is not None else 0.0
-    scale = np.sqrt(dt)
-    brownian = np.empty((len(seeds), n_components, n_steps))
+    brownian = _normals(seeds, ROLE_BROWNIAN, np.sqrt(dt), n_components,
+                        n_steps)
     n0, n1 = [], []
-    for p, key in enumerate(_philox_keys(seeds).tolist()):
-        brownian[p] = _stream(key, ROLE_BROWNIAN).normal(
-            0.0, scale, size=(n_components, n_steps))
+    for key in _philox_keys(seeds).tolist():
         if rate0 > 0.0:
             n0.append(_events(_stream(key, ROLE_N0), rate0, t_max, m, eps))
         if rate1 > 0.0:
@@ -300,7 +351,7 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
     n1_path, n1_times, n1_umarks, n1_marks = _batch_events(n1, 2)
     return NoiseSystem(seeds=seeds, t_max=float(t_max), dt=float(dt),
                        u_bound=float(u_bound), eps=float(eps),
-                       refinement_level=0, brownian=brownian,
+                       brownian=brownian,
                        n0_path=n0_path, n0_times=n0_times, n0_marks=n0_marks,
                        n1_path=n1_path, n1_times=n1_times,
                        n1_umarks=n1_umarks, n1_marks=n1_marks)
@@ -310,20 +361,13 @@ def refine(noise: NoiseSystem) -> NoiseSystem:
     """Halve ``dt``, splitting increments with Brownian-bridge midpoints.
 
     Each path draws its midpoints from its own substream of the current
-    refinement level, so ``refine(refine(ns))`` is deterministic as well;
-    the whole batch is then split in one interleave.  Component sums over
-    the grid are preserved and event arrays are reused unchanged.
+    refinement level, so ``refine(refine(ns))`` is deterministic as well.
+    Only the midpoints are stored, appended to ``bridges``; the split
+    increments are built by :meth:`NoiseSystem.increment` when read, so
+    component sums over the grid are preserved and no array of the fine
+    grid's size is allocated.  Event arrays are reused unchanged.
     """
-    role = ROLE_BRIDGE_BASE + noise.refinement_level
-    scale = np.sqrt(noise.dt) / 2.0
-    mid = np.empty_like(noise.brownian)
-    for p, key in enumerate(_philox_keys(noise.seeds).tolist()):
-        mid[p] = _stream(key, role).normal(0.0, scale,
-                                           size=noise.brownian.shape[1:])
-    out = np.empty((noise.n_paths, noise.n_components, 2 * noise.n_steps))
-    even, odd = out[:, :, 0::2], out[:, :, 1::2]
-    np.divide(noise.brownian, 2.0, out=even)
-    np.subtract(even, mid, out=odd)
-    even += mid
-    return replace(noise, dt=noise.dt / 2.0, brownian=out,
-                   refinement_level=noise.refinement_level + 1)
+    mid = _normals(noise.seeds, ROLE_BRIDGE_BASE + noise.refinement_level,
+                   np.sqrt(noise.dt) / 2.0, noise.n_components,
+                   noise.n_steps)
+    return replace(noise, dt=noise.dt / 2.0, bridges=noise.bridges + (mid,))

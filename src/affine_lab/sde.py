@@ -21,14 +21,16 @@ coordinates; each ``_Coord`` gives
 Per step of width ``dt`` every coordinate reads only the step-start
 states and runs ``euler -> +N0 marks -> -dt*m -> +accepted N1 marks ->
 -comp -> clamp``, so recorded grid values are post-jump states.  The loop
-reads the batch's Brownian array and its events bucketed by step, and
-owns abort detection (a non-finite state, or an intensity above the
-thinning bound) and the clamp count.  It holds only the current states
-and records what its caller keeps: chosen grid points and running maxima
-(the reactant's distance to its limit).  The catalyst coordinate has one
-definition shared by every system that contains it, so its path is
-bitwise identical across the pair, catalytic and reactant simulators
-given the same noise.
+reads each step's Brownian increments from ``NoiseSystem.increment``
+(contiguous per step in the time-major layout, and built from the coarse
+increments and bridge midpoints on a refined grid) and its events
+bucketed by step, and owns abort detection (a non-finite state, or an
+intensity above the thinning bound) and the clamp count.  It holds only
+the current states and records what its caller keeps: chosen grid points
+and running maxima (the reactant's distance to its limit).  The catalyst
+coordinate has one definition shared by every system that contains it,
+so its path is bitwise identical across the pair, catalytic and reactant
+simulators given the same noise.
 
 Determinism: a path is a pure function of (coefficients, initial state,
 its noise).  Each simulator takes one ``NoiseSystem`` holding a batch of
@@ -442,6 +444,10 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     path aborts at the first step whose state is not finite or, when
     ``thinning``, whose intensity exceeds ``u_bound`` (candidates above it
     were never drawn); its later recorded values and maxima are NaN.
+    Step ``k`` reads ``dB = noise.increment(k).T``, a view whose columns
+    are each one contiguous row of the time-major noise; on a refined
+    grid the increments are built as they are read, so no fine-grid
+    Brownian array exists.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
         noise.dt, noise.u_bound
@@ -482,7 +488,7 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
                 abort_step[newly] = k
                 alive &= ~newly
 
-            dB = noise.brownian[:, :, k]
+            dB = noise.increment(k).T
             a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
             a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
             step = {}
@@ -607,6 +613,16 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
 # ``keep`` (None keeps all), the abort time of each path (NaN if it ran
 # through) and its clamp count.
 
+def _check_cbi(spec, grid):
+    """Input rules of the scalar equation on ``grid``, which need no noise
+    to check: the spec's coefficient bounds and the stability rule for
+    ``beta_bar``.  Returns the coefficients at the step starts."""
+    coeffs = spec.grid_coefficients(grid)
+    _stability_guard(grid[1] - grid[0], spec.bounds.beta_bar(grid[-1]),
+                     "beta_bar")
+    return coeffs
+
+
 def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
                              noise: NoiseSystem, keep=None):
     """Euler paths of the scalar equation with time-dependent
@@ -614,8 +630,7 @@ def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
     x0 = _check_init("x0", x0)
     _check_components(noise, spec.r + 1)
     dt, grid = noise.dt, noise.grid
-    coeffs = spec.grid_coefficients(grid)
-    _stability_guard(dt, spec.bounds.beta_bar(grid[-1]), "beta_bar")
+    coeffs = _check_cbi(spec, grid)
     sigma, b, beta, l = (coeffs[n] for n in ("sigma", "b", "beta", "l"))
     theta0, theta1, r = spec.theta0, spec.theta1, spec.r
     mu_x1 = _moment(spec.mu, 1, 0, "all", noise.eps)
@@ -689,16 +704,15 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
     grid = noise.grid
     weight = np.exp(-b22 * grid[:-1])           # integrating factor at t_k
 
-    brown = noise.brownian[0]
     z = np.empty(n_steps + 1)
     z[0] = z0
     acc_sum = 0.0
     for k in range(n_steps):
         xk = x_path[k]
+        db = noise.increment(k)[:, 0]
         inc = dt * (b2 + b21 * xk) \
-            + rt2s0 * brown[0, k] \
-            + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * brown[1, k]
-                                               + s22 * brown[2, k])
+            + rt2s0 * db[0] \
+            + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * db[1] + s22 * db[2])
         s, e = ev0.offsets[k], ev0.offsets[k + 1]
         if e > s:
             inc += wz0[s:e].sum()
@@ -713,16 +727,21 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
     return z
 
 
+def _check_catalytic(params, l):
+    """Input rules of the catalytic system, which need no noise to check."""
+    if params.b[1] < 0.0:
+        raise ValueError(f"catalytic reactant requires b2 >= 0, "
+                         f"got {float(params.b[1])!r}")
+    if l < 0.0:
+        raise ValueError("coupling constant l must be nonnegative")
+
+
 def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
                        l: float, noise: NoiseSystem, keep=None):
     """Euler paths of the catalyst/reactant system; components ``x`` and
     ``y``."""
     x0, y0 = _check_init("x0", x0), _check_init("y0", y0)
-    if params.b[1] < 0.0:
-        raise ValueError(f"catalytic reactant requires b2 >= 0, "
-                         f"got {params.b[1]!r}")
-    if l < 0.0:
-        raise ValueError("coupling constant l must be nonnegative")
+    _check_catalytic(params, l)
     _check_components(noise, 3)
     dt = noise.dt
     _check_dt(dt, params)
@@ -750,7 +769,7 @@ def _check_reactant(params, theta, mode):
     """Input rules of the reactant system, which need no noise to check."""
     if params.beta[1, 1] >= 0.0:
         raise ValueError(f"reactant scaling requires beta22 < 0, "
-                         f"got {params.beta[1, 1]!r}")
+                         f"got {float(params.beta[1, 1])!r}")
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
     if mode not in ("single", "pair"):

@@ -28,9 +28,9 @@ import numpy as np
 from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (CoefficientBounds, GeneralizedCbiSpec, _check_dt,
-                  _check_init, _check_reactant, _reactant_starts,
-                  _stability_guard, run_ensemble, simulate_affine,
+from .sde import (CoefficientBounds, GeneralizedCbiSpec, _check_catalytic,
+                  _check_cbi, _check_dt, _check_init, _check_reactant,
+                  _reactant_starts, run_ensemble, simulate_affine,
                   simulate_catalytic, simulate_generalized_cbi,
                   simulate_reactant_pair)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
@@ -563,6 +563,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         x1, x2 = _check_init("state[0]", state[0]), float(state[1])
         if which == "catalytic":
             _check_init("state[1]", x2)
+            _check_catalytic(params, l)
         _check_dt(delta, params)
         names = list(GENERATOR_CATALOG) if f is None else [f]
         intensity = x1 if which == "affine" else max(x1, l * x1 * x2)
@@ -586,9 +587,9 @@ def check_generator(params, state, *, which, n_paths, master_seed,
             b=params.b[0], beta=params.beta[0, 0], l=l,
             bounds=CoefficientBounds(
                 float(np.max(np.abs(params.sigma[0]))) + 1.0,
-                abs(params.b[0]) + 1.0, guard, l + 1.0),
+                abs(params.b[0]) + 1.0, guard, abs(l) + 1.0),
             mu=params.mu)
-        _stability_guard(delta, spec.bounds.beta_bar(delta), "beta_bar")
+        _check_cbi(spec, np.array([0.0, delta]))
 
         def core(noise, keep):
             return simulate_generalized_cbi(spec, x1, noise, keep)

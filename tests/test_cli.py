@@ -513,7 +513,7 @@ class TestMain:
         assert main(["limit", "--config", path, "--out",
                      str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "requires beta22 < 0" in err
+        assert "requires beta22 < 0, got 1.0" in err
         assert not (tmp_path / "o" / "fluctuation-pair.json").exists()
 
     def test_one_path_validate_is_a_usage_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Noise layer: determinism, stream laws, refinement, and the batch layout."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_grid_and_shapes():
     assert ns.n_steps == 4
     assert ns.n_components == 3
     assert np.allclose(ns.grid, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert ns.brownian.shape == (1, 3, 4)
+    assert ns.brownian.shape == (4, 3, 1)     # (steps, components, paths)
     assert ns.seeds.dtype == np.uint64 and ns.seeds.tolist() == [7]
     assert ns.n0_path.shape == ns.n0_times.shape
     assert ns.n0_marks.shape == (len(ns.n0_times), 2)
@@ -65,7 +66,7 @@ def test_grid_and_shapes():
 def test_batch_shapes():
     ns = make(seed=[3, 4, 5], dt=0.5)
     assert ns.n_paths == 3
-    assert ns.brownian.shape == (3, 3, 4)
+    assert ns.brownian.shape == (4, 3, 3)
     for stream in ("n0", "n1"):
         path = getattr(ns, stream + "_path")
         times = getattr(ns, stream + "_times")
@@ -75,12 +76,18 @@ def test_batch_shapes():
             assert np.all(np.diff(times[path == p]) > 0)   # then time order
 
 
+def arrays_of(system):
+    """Every array a system holds: its array fields, then its bridges."""
+    return [getattr(system, f.name) for f in dataclasses.fields(system)
+            if isinstance(getattr(system, f.name), np.ndarray)] \
+        + list(system.bridges)
+
+
 def test_arrays_are_read_only():
     ns = make(seed=[3, 4, 5], dt=0.5)
-    for system in (ns, refine(ns)):
-        arrays = [getattr(system, f.name) for f in dataclasses.fields(system)
-                  if isinstance(getattr(system, f.name), np.ndarray)]
-        assert len(arrays) == 9
+    for system in (ns, refine(ns), refine(refine(ns))):
+        arrays = arrays_of(system)
+        assert len(arrays) == 9 + system.refinement_level
         for arr in arrays:
             assert arr.size
             with pytest.raises(ValueError, match="read-only"):
@@ -155,7 +162,7 @@ def test_empty_measures_give_no_events():
     assert len(ns.n0_times) == 0
     assert len(ns.n1_times) == 0
     assert ns.n0_marks.shape == ns.n1_marks.shape == (0, 2)
-    assert ns.brownian.shape == (1, 3, 8)
+    assert ns.brownian.shape == (8, 3, 1)
 
 
 def test_full_truncation_gives_no_events():
@@ -294,13 +301,20 @@ def test_substream_seed_master_sensitivity():
 
 # -- refinement ------------------------------------------------------------
 
+def increments(ns):
+    """The system's increments on its current grid as one time-major
+    ``(n_steps, n_components, n_paths)`` array."""
+    return np.stack([ns.increment(k) for k in range(ns.n_steps)])
+
+
 def test_refine_preserves_pair_sums():
     ns = make(seed=21, t_max=1.0, dt=2.0 ** -4)
     fine = refine(ns)
     assert fine.dt == ns.dt / 2
     assert fine.refinement_level == 1
     assert fine.n_steps == 2 * ns.n_steps
-    recombined = fine.brownian[:, :, 0::2] + fine.brownian[:, :, 1::2]
+    inc = increments(fine)
+    recombined = inc[0::2] + inc[1::2]
     assert np.max(np.abs(recombined - ns.brownian)) < 1e-15
 
 
@@ -317,16 +331,79 @@ def test_refine_keeps_events():
 def test_refine_is_deterministic_per_level():
     ns = make(seed=23)
     a, b = refine(refine(ns)), refine(refine(ns))
-    assert np.array_equal(a.brownian, b.brownian)
+    assert np.array_equal(increments(a), increments(b))
+    for mid_a, mid_b in zip(a.bridges, b.bridges, strict=True):
+        assert np.array_equal(mid_a, mid_b)
     # Levels use distinct bridge substreams.
     once, twice = refine(ns), refine(refine(ns))
     assert once.n_steps * 2 == twice.n_steps
 
 
+def reference_levels(seeds, n_components, n_steps, dt, depth):
+    """Path-major increments at levels ``0..depth`` as the materialising
+    refinement built them: each path draws its Brownian block and its
+    midpoints from constructed Philox streams, and each level is split
+    into a fresh array by one interleave."""
+    b = np.stack([Generator(Philox(key=[s, 0])).normal(
+        0.0, np.sqrt(dt), size=(n_components, n_steps)) for s in seeds])
+    levels = [b]
+    for level in range(depth):
+        mid = np.stack([Generator(Philox(key=[s, 3 + level])).normal(
+            0.0, np.sqrt(dt) / 2.0, size=b.shape[1:]) for s in seeds])
+        out = np.empty(b.shape[:2] + (2 * b.shape[2],))
+        even, odd = out[:, :, 0::2], out[:, :, 1::2]
+        np.divide(b, 2.0, out=even)
+        np.subtract(even, mid, out=odd)
+        even += mid
+        b, dt = out, dt / 2.0
+        levels.append(b)
+    return levels
+
+
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
+def test_lazy_increments_match_interleaved_refinement(n_paths):
+    seeds = list(range(1000, 1000 + n_paths))       # keys equal to seeds
+    ns = make(seed=seeds, m=EMPTY, mu=EMPTY, t_max=1.0, dt=2.0 ** -3)
+    levels = reference_levels(seeds, 3, ns.n_steps, ns.dt, 2)
+    for want in levels:
+        assert same_bits(increments(ns),
+                         np.ascontiguousarray(want.transpose(2, 1, 0)))
+        ns = refine(ns)
+
+
+def test_refine_stores_only_midpoints():
+    ns = make(seed=list(range(70)), t_max=1.0, dt=2.0 ** -4)
+    coarse_bytes = sum(a.nbytes for a in arrays_of(ns))
+    once, twice = refine(ns), refine(refine(ns))
+    for fine in (once, twice):
+        assert fine.brownian is ns.brownian
+        arrays = arrays_of(fine)
+        fine_size = fine.n_steps * fine.n_components * fine.n_paths
+        assert all(a.size < fine_size for a in arrays)
+        mids = sum(mid.nbytes for mid in fine.bridges)
+        assert sum(a.nbytes for a in arrays) == coarse_bytes + mids
+    assert [mid.shape for mid in twice.bridges] == \
+        [ns.brownian.shape, (2 * ns.n_steps, 3, 70)]
+    assert same_bits(twice.bridges[0], once.bridges[0])
+
+
+def test_refine_allocates_no_fine_grid_array():
+    ns = make(seed=list(range(256)), m=EMPTY, mu=EMPTY, t_max=1.0,
+              dt=2.0 ** -9)
+    tracemalloc.start()
+    try:
+        refine(ns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the midpoints are as large as the coarse array; the fine grid twice
+    assert ns.brownian.nbytes <= peak < 1.5 * ns.brownian.nbytes
+
+
 def test_refined_increments_have_correct_variance():
     ns = make(seed=24, m=EMPTY, mu=EMPTY, t_max=4.0, dt=2.0 ** -6)
     fine = refine(ns)
-    flat = fine.brownian.ravel()
+    flat = increments(fine).ravel()
     assert abs(flat.var() - fine.dt) < 4.0 * fine.dt * np.sqrt(2.0 / flat.size)
 
 
@@ -343,10 +420,18 @@ def same_bits(a, b):
 def assert_batch_is_concatenation(batch, singles):
     for name in ("t_max", "dt", "u_bound", "eps", "refinement_level"):
         assert all(getattr(batch, name) == getattr(s, name) for s in singles)
-    for name in ("seeds", "brownian", "n0_times", "n0_marks", "n1_times",
-                 "n1_umarks", "n1_marks"):
+    for name in ("seeds", "n0_times", "n0_marks", "n1_times", "n1_umarks",
+                 "n1_marks"):
         joined = np.concatenate([getattr(s, name) for s in singles])
         assert same_bits(getattr(batch, name), joined), name
+    # time-major arrays: paths are the last axis
+    joined = np.concatenate([s.brownian for s in singles], axis=-1)
+    assert same_bits(batch.brownian, joined), "brownian"
+    for level, mid in enumerate(batch.bridges):
+        joined = np.concatenate([s.bridges[level] for s in singles], axis=-1)
+        assert same_bits(mid, joined), f"bridges[{level}]"
+    joined = np.concatenate([increments(s) for s in singles], axis=-1)
+    assert same_bits(increments(batch), joined), "increments"
     for stream in ("n0", "n1"):
         tags = np.concatenate([
             np.full(len(getattr(s, stream + "_times")), p, dtype=np.intp)

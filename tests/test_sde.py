@@ -39,15 +39,16 @@ def make_params(a=0.0, alpha=((0, 0), (0, 0)), b=(0, 0),
 def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, eps=0.0,
                  n_components=3, brownian=None):
     """Hand-built one-path noise: rows (t, xi1, xi2) for N0, (t, xi1, xi2,
-    u) for N1, and ``brownian`` of shape (n_components, n_steps)."""
+    u) for N1, and ``brownian`` of shape (n_components, n_steps), stored
+    time-major as the system's ``(n_steps, n_components, 1)`` array."""
     n_steps = round(t_max / dt)
     b = np.zeros((n_components, n_steps)) if brownian is None \
         else np.asarray(brownian, dtype=float)
     e0 = np.asarray(n0, dtype=float).reshape(-1, 3)
     e1 = np.asarray(n1, dtype=float).reshape(-1, 4)
     return NoiseSystem(seeds=np.zeros(1, dtype=np.uint64), t_max=t_max,
-                       dt=dt, u_bound=u_bound, eps=eps, refinement_level=0,
-                       brownian=b[np.newaxis],
+                       dt=dt, u_bound=u_bound, eps=eps,
+                       brownian=np.ascontiguousarray(b.T[:, :, np.newaxis]),
                        n0_path=np.zeros(len(e0), dtype=np.intp),
                        n0_times=e0[:, 0], n0_marks=e0[:, 1:3],
                        n1_path=np.zeros(len(e1), dtype=np.intp),
@@ -405,14 +406,19 @@ def test_stability_refusal():
 
 def test_reactant_rejects_nonnegative_beta22():
     params = make_params(beta=((0, 0), (0, 0.5)))
-    with pytest.raises(ValueError, match="beta22"):
+    # the value prints as a plain float, not as np.float64(0.5)
+    with pytest.raises(ValueError,
+                       match=r"^reactant scaling requires beta22 < 0, "
+                             r"got 0\.5$"):
         simulate_reactant_pair(params, 4.0, 1.0, 4.0, 4.0, quiet_noise())
 
 
 def test_catalytic_rejects_negative_b2():
     params = make_params(b=(1.0, 0.0), beta=((0, 0), (0, -1.0)))
     object.__setattr__(params, "b", np.array([1.0, -0.2]))
-    with pytest.raises(ValueError, match="b2"):
+    with pytest.raises(ValueError,
+                       match=r"^catalytic reactant requires b2 >= 0, "
+                             r"got -0\.2$"):
         simulate_catalytic(params, 1.0, 1.0, 1.0, quiet_noise())
 
 

@@ -1,6 +1,7 @@
 """Experiment drivers: estimator laws, report plumbing, oracle configs."""
 
 import cmath
+import dataclasses
 import json
 
 import numpy as np
@@ -449,6 +450,22 @@ def test_stability_rule_checked_before_simulation(ensemble_runs):
         with pytest.raises(ValueError, match="explicit-Euler stability rule"):
             run()
     assert ensemble_runs == []
+
+
+def test_system_rules_checked_before_simulation(no_simulation):
+    p = jump_affine_params()
+    negative_b2 = dataclasses.replace(p, b=np.array([p.b[0], -0.2]))
+    with pytest.raises(ValueError, match=r"^catalytic reactant requires "
+                                         r"b2 >= 0, got -0\.2$"):
+        check_generator(negative_b2, (1.2, 0.5), which="catalytic", **MC)
+    with pytest.raises(ValueError, match="coupling constant l must be "
+                                         "nonnegative"):
+        check_generator(p, (1.2, 0.5), which="catalytic", l=-1.0, **MC)
+    # the default bound 8 (1 + l x) is not positive here; the spec's rule
+    # must fire before any noise is drawn with it
+    for l in (-1.0, -2.0):
+        with pytest.raises(ValueError, match=r"^l\(t\) must be nonnegative"):
+            check_generator(p, 1.0, which="cbi", l=l, **MC)
 
 
 @pytest.mark.parametrize("run", [
