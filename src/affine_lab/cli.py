@@ -40,16 +40,14 @@ from .params import (FiniteAtomicMeasure, ProductExponentialMeasure, UPoint,
                      validate_admissible)
 from .presets import builtin_params
 from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
-                  _check_nonnegative, _reactant_starts, simulate_affine,
-                  simulate_catalytic, simulate_reactant_pair)
+                  _reactant_starts, simulate_affine, simulate_catalytic,
+                  simulate_reactant_pair)
 from .transform import _TOL_RANGE, solve_transforms
 from .validate import (_check_ladder, _grid_indices, check_affine_formula,
                        check_generator, check_moments, fluctuation_experiment,
                        sc_semigroup_check, uniqueness_experiment)
 
 ARTIFACT_VERSION = 2
-
-COMMANDS = ("transform", "simulate", "validate", "limit")
 
 _CHECK_NAMES = ("semigroup", "affine_formula", "moments", "generator",
                 "uniqueness")
@@ -616,7 +614,6 @@ def _cmd_simulate(config, out, stdout):
             config.params, theta, sim["x0"],
             *_reactant_starts(theta, sim["z0"], sim["mode"]), noise,
             sim["mode"], config.split)
-    _check_nonnegative(paths)
     if "csv" in config.formats:
         write_paths_csv(noise, paths, out / "paths.csv", config)
     aborted = np.flatnonzero(~np.isnan(aborted_at)).tolist()
@@ -674,8 +671,15 @@ def _cmd_limit(config, out, stdout):
         split=config.split)]
 
 
-_DISPATCH = {"transform": _cmd_transform, "simulate": _cmd_simulate,
-             "validate": _cmd_validate, "limit": _cmd_limit}
+# subcommand name -> (function, help line), in the order --help lists them
+COMMANDS = {
+    "transform": (_cmd_transform,
+                  "sample exact characteristic exponents as CSV curves"),
+    "simulate": (_cmd_simulate,
+                 "write Euler paths of the configured system as CSV"),
+    "validate": (_cmd_validate, "run the configured closed-form cross-checks"),
+    "limit": (_cmd_limit, "run the reactant fluctuation ladder"),
+}
 
 
 def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
@@ -689,9 +693,9 @@ def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
     It stays only because the benchmark harness (``bench/child.py``)
     still passes it.
     """
-    if command not in _DISPATCH:
+    if command not in COMMANDS:
         raise ValueError(f"unknown subcommand {command!r}; choose from "
-                         f"{sorted(_DISPATCH)}")
+                         f"{sorted(COMMANDS)}")
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     out = Path(out_dir if out_dir is not None else config.out_dir)
@@ -699,7 +703,7 @@ def run(command: str, config: RunConfig, *, out_dir=None, workers=None,
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        reports = _DISPATCH[command](config, out, stdout)
+        reports = COMMANDS[command][0](config, out, stdout)
         for report in reports:
             print(report.table(), file=stdout)
             print(file=stdout)
@@ -733,15 +737,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{transform,simulate,validate,limit}")
-    help_lines = {
-        "transform": "sample exact characteristic exponents as CSV curves",
-        "simulate": "write Euler paths of the configured system as CSV",
-        "validate": "run the configured closed-form cross-checks",
-        "limit": "run the reactant fluctuation ladder",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=help_lines[name])
+                                metavar="{" + ",".join(COMMANDS) + "}")
+    for name, (_, help_line) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (default: built-in defaults)")
         p.add_argument("--seed", type=int, metavar="U64",

@@ -329,14 +329,16 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
     consuming any randomness.
     """
     n_steps = steps_for(t_max, dt)
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not np.isfinite(eps) or eps < 0.0:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+    if not np.isfinite(u_bound):
+        raise ValueError(f"u_bound must be finite, got {u_bound!r}")
     if u_bound <= 0.0 and not mu.is_empty:
         raise ValueError("u_bound must be positive when mu is nonempty")
     seeds = _as_seeds(seed)
 
-    rate0 = m.mass(eps=eps) if m is not None else 0.0
-    rate1 = (u_bound * mu.mass(eps=eps)) if mu is not None else 0.0
+    rate0 = m.mass(eps=eps)
+    rate1 = u_bound * mu.mass(eps=eps)
     brownian = _normals(seeds, ROLE_BROWNIAN, np.sqrt(dt), n_components,
                         n_steps)
     n0, n1 = [], []

@@ -45,13 +45,13 @@ are refused rather than silently degraded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .noise import (NoiseSystem, generate_noise, steps_for,
                     substream_seed_array)
-from .params import AdmissibleParams
+from .params import AdmissibleParams, FiniteAtomicMeasure
 
 __all__ = [
     "StepBound",
@@ -102,16 +102,16 @@ class StepBound:
     times: np.ndarray
     values: np.ndarray
 
-    def __init__(self, times, values=None):
-        if values is None:                      # constant bound
-            times, values = [0.0], [float(times)]
+    def __init__(self, times, values):
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size == 0:
             raise ValueError("times and values must be equal-length 1-d")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must start at 0 and increase")
-        if np.any(v < 0.0) or np.any(np.diff(v) < 0.0):
+        if not np.all(np.isfinite(t)) or t[0] != 0.0 \
+                or np.any(np.diff(t) <= 0.0):
+            raise ValueError("times must be finite, start at 0 and increase")
+        # an infinite value is allowed: no bound from that time on
+        if np.any(np.isnan(v)) or np.any(v < 0.0) or np.any(np.diff(v) < 0.0):
             raise ValueError("bound values must be nonnegative nondecreasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -123,7 +123,8 @@ class StepBound:
 
 
 def _as_bound(value) -> StepBound:
-    return value if isinstance(value, StepBound) else StepBound(value)
+    return value if isinstance(value, StepBound) \
+        else StepBound([0.0], [float(value)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,23 +143,26 @@ class CoefficientBounds:
         object.__setattr__(self, "l_bar", _as_bound(l_bar))
 
 
-def _coeff_on_grid(value, tk):
-    """Evaluate a constant / callable / recorded array on step-start times."""
+def _on_grid(name, value, tk, width=None):
+    """Coefficient ``name`` at the step starts ``tk``, ``(n,)`` or ``(n,
+    width)``, from any form ``GeneralizedCbiSpec`` lists."""
     n = len(tk)
     if callable(value):
         out = np.asarray([value(t) for t in tk], dtype=float)
     else:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            out = np.full(n, float(arr))
-        elif arr.ndim == 1 and arr.shape[0] in (n, n + 1):
-            out = arr[:n]                       # recorded path on the grid
-        else:
-            raise ValueError(f"coefficient shape {arr.shape} does not fit "
-                             f"{n} grid steps")
-    if out.shape != (n,):
-        raise ValueError(f"coefficient evaluates to shape {out.shape}, "
-                         f"expected ({n},)")
+        out = np.asarray(value, dtype=float)
+        if out.ndim == 0:
+            out = np.full(n, float(out))
+        elif width is not None and out.shape == (width,):
+            out = np.tile(out, (n, 1))          # per-component constants
+        elif out.shape[0] in (n, n + 1):
+            out = out[:n]                       # recorded path on the grid
+    if width == 1 and out.shape == (n,):        # scalar form of a 1-vector
+        out = out.reshape(n, 1)
+    shape = (n,) if width is None else (n, width)
+    if out.shape != shape:
+        raise ValueError(f"{name} gives shape {out.shape} on {n} grid "
+                         f"steps, expected {shape}")
     return out
 
 
@@ -166,11 +170,16 @@ def _coeff_on_grid(value, tk):
 class GeneralizedCbiSpec:
     """Data of the scalar branching equation with time-dependent inputs.
 
-    ``sigma`` maps time to an ``(r,)`` vector (or is a constant / recorded
-    array); ``b``, ``beta``, ``l`` are scalar-valued.  ``mu`` is the
-    candidate-jump measure, needed for the thinning compensator; the
-    immigration jumps arrive pre-sampled inside the NoiseSystem.  Marks are
-    read through their first coordinate.
+    Each coefficient is a constant, a callable of time, or a path
+    recorded on the ``n`` step starts or the ``n + 1`` points of the
+    grid.  ``sigma`` is ``(r,)``-valued: a constant ``(r,)`` row, a
+    callable returning one, or an ``(n or n + 1, r)`` path; a scalar
+    constant or an ``(n or n + 1,)`` path is accepted when ``r == 1``.
+    ``b``, ``beta`` and ``l`` are scalar-valued, so their paths are
+    ``(n or n + 1,)``.  ``mu`` is the candidate-jump measure, needed for
+    the thinning compensator; it defaults to the empty measure (no
+    candidate jumps).  The immigration jumps arrive pre-sampled inside
+    the NoiseSystem.  Marks are read through their first coordinate.
     """
 
     theta0: float
@@ -181,7 +190,7 @@ class GeneralizedCbiSpec:
     beta: object
     l: object
     bounds: CoefficientBounds
-    mu: object = None
+    mu: object = field(default_factory=lambda: FiniteAtomicMeasure([]))
 
     def __post_init__(self):
         if self.theta0 < 0.0 or self.theta1 < 0.0:
@@ -189,38 +198,14 @@ class GeneralizedCbiSpec:
         if self.r < 1:
             raise ValueError("r must be a positive integer")
 
-    def _sigma_on_grid(self, tk):
-        n, r = len(tk), self.r
-        if callable(self.sigma):
-            rows = [np.atleast_1d(np.asarray(self.sigma(t), dtype=float))
-                    for t in tk]
-            out = np.asarray(rows)
-        else:
-            arr = np.asarray(self.sigma, dtype=float)
-            if arr.ndim == 0:
-                out = np.full((n, r), float(arr)) if r == 1 else None
-            elif arr.ndim == 1 and arr.shape[0] == r:
-                out = np.tile(arr, (n, 1))      # per-component constants
-            elif arr.ndim == 1 and r == 1 and arr.shape[0] in (n, n + 1):
-                out = arr[:n].reshape(n, 1)     # recorded scalar path
-            elif arr.ndim == 2 and arr.shape[0] in (n, n + 1) \
-                    and arr.shape[1] == r:
-                out = arr[:n]
-            else:
-                out = None
-        if out is None or out.shape != (n, r):
-            raise ValueError(f"sigma must evaluate to an ({r},) vector per "
-                             f"grid step")
-        return out
-
     def grid_coefficients(self, grid: np.ndarray) -> dict:
         """Evaluate all coefficients at step starts and check the bounds."""
         tk = grid[:-1]
         out = {
-            "sigma": self._sigma_on_grid(tk),
-            "b": _coeff_on_grid(self.b, tk),
-            "beta": _coeff_on_grid(self.beta, tk),
-            "l": _coeff_on_grid(self.l, tk),
+            "sigma": _on_grid("sigma", self.sigma, tk, self.r),
+            "b": _on_grid("b", self.b, tk),
+            "beta": _on_grid("beta", self.beta, tk),
+            "l": _on_grid("l", self.l, tk),
         }
         checks = [
             ("b", out["b"] < 0.0, "b(t) must be nonnegative"),
@@ -306,17 +291,6 @@ class ParameterSplit:
 
 # -- components and results ------------------------------------------------
 
-_NONNEG_COMPONENTS = frozenset({"x", "y", "y_plus", "y_minus"})
-
-
-def _check_nonnegative(components: dict) -> None:
-    """Reject a negative value of a component that must stay nonnegative;
-    NaN tails of aborted paths pass."""
-    for name, arr in components.items():
-        if name in _NONNEG_COMPONENTS and np.any(arr < 0.0):
-            raise ValueError(f"component {name!r} must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Stacked per-path outputs of a batched run.
@@ -329,10 +303,7 @@ class EnsembleResult:
 
     times: np.ndarray
     components: dict
-    master_seed: int
     dt: float
-    eps: float
-    u_bound: float
     n_paths: int
     n_retried: int
     n_clamped: int
@@ -387,13 +358,9 @@ def _region_weights(xi2, region):
 
 
 def _moment(measure, p1, p2, region, eps):
-    if measure is None or measure.is_empty:
+    if measure.is_empty:
         return 0.0
     return measure.poly_moment(p1, p2, region=region, eps=eps)
-
-
-def _thins(measure) -> bool:
-    return measure is not None and not measure.is_empty
 
 
 def _check_components(noise, min_components):
@@ -650,7 +617,7 @@ def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
                lambda xi1, xi2: theta0 * xi1,
                lambda xi1, xi2: theta1 * xi1,
                comp=comp if mu_x1 != 0.0 else None, clamp=True)
-    return _step_loop(noise, [x], _thins(spec.mu), keep)
+    return _step_loop(noise, [x], not spec.mu.is_empty, keep)
 
 
 def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
@@ -667,7 +634,7 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
     coords = [_catalyst(params, x0, noise.dt, noise.eps),
               _linear_partner(params, "z", z0, z_region, noise.dt,
                               noise.eps)]
-    return _step_loop(noise, coords, _thins(params.mu), keep)
+    return _step_loop(noise, coords, not params.mu.is_empty, keep)
 
 
 def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
@@ -762,7 +729,7 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
                                                noise.eps)),
                clamp=True)
     return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
-                      _thins(params.mu), keep)
+                      not params.mu.is_empty, keep)
 
 
 def _check_reactant(params, theta, mode):
@@ -829,8 +796,8 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
         coords.append(_linear_partner(params, "z_lim", z0,
                                       "all" if pair else "plus", dt, eps))
         sup = {"gap": lambda s: np.abs(centered(s) - s["z_lim"])}
-    comps, aborted_at, clamps = _step_loop(noise, coords, _thins(params.mu),
-                                           keep, sup)
+    comps, aborted_at, clamps = _step_loop(
+        noise, coords, not params.mu.is_empty, keep, sup)
     comps["z_k"] = centered(comps)
     return comps, aborted_at, clamps
 
@@ -855,6 +822,8 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     ``MAX_DOUBLINGS`` times; a path still aborted afterwards raises
     ``ThinningBoundError``.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     models = [model_fn] if callable(model_fn) else list(model_fn)
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
     keep = np.arange(steps_for(t_max, dt) + 1)
@@ -894,8 +863,7 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
                        components={name: np.concatenate(
                            [c[name] for c, _, _ in chunks])
                            for name in chunks[0][0]},
-                       master_seed=int(master_seed), dt=dt, eps=eps,
-                       u_bound=u_bound, n_paths=n_paths,
+                       dt=dt, n_paths=n_paths,
                        n_retried=sum(r for _, r, _ in chunks),
                        n_clamped=sum(c for _, _, c in chunks))
         for chunks in zip(*parts)]

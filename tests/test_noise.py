@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from affine_lab import noise as noise_module
 from affine_lab.noise import (
     _event_times,
     _philox_keys,
@@ -176,6 +177,20 @@ def test_u_bound_required_when_mu_nonempty():
     with pytest.raises(ValueError):
         make(u_bound=0.0)
     make(u_bound=0.0, mu=EMPTY)          # fine without candidates
+
+
+@pytest.mark.parametrize("name, value", [("u_bound", np.nan),
+                                         ("u_bound", np.inf),
+                                         ("eps", np.nan), ("eps", np.inf)])
+def test_non_finite_u_bound_and_eps_rejected_before_drawing(monkeypatch,
+                                                            name, value):
+    def draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(noise_module, "_normals", draw)
+    monkeypatch.setattr(noise_module, "_philox_keys", draw)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(**{name: value})
 
 
 # -- event stream laws -----------------------------------------------------

@@ -10,7 +10,7 @@ from affine_lab.noise import (NoiseSystem, generate_noise, refine,
                               substream_seed, substream_seed_array)
 from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure, \
     validate_admissible
-from affine_lab.presets import cir_params, jump_affine_params
+from affine_lab.presets import builtin_params, cir_params, jump_affine_params
 from affine_lab.sde import (
     CoefficientBounds,
     GeneralizedCbiSpec,
@@ -397,6 +397,23 @@ def test_run_ensemble_raises_when_bound_stays_small(monkeypatch):
                      t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0)
 
 
+@pytest.mark.parametrize("n_paths", [0, -3])
+@pytest.mark.parametrize("several", [False, True])
+def test_run_ensemble_rejects_fewer_than_one_path(monkeypatch, n_paths,
+                                                  several):
+    p, _ = preset_noise()
+    model = affine_model(p, 1.0, 0.0)
+
+    def draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(sde, "generate_noise", draw)
+    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        run_ensemble([model, model] if several else model, m=p.m, mu=p.mu,
+                     n_paths=n_paths, master_seed=3, t_max=1.0,
+                     dt=2.0 ** -8, u_bound=16.0, eps=0.0)
+
+
 def test_stability_refusal():
     params = make_params(beta=((-8.0, 0), (0, -1.0)))
     noise = quiet_noise(dt=2.0 ** -4)
@@ -669,6 +686,87 @@ def test_coefficient_bounds_validation():
     assert bound(1.0) == 3.0          # right-continuous
     with pytest.raises(ValueError, match="nondecreasing"):
         StepBound([0.0, 1.0], [3.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        StepBound([0.0, np.nan], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        StepBound([0.0, np.inf], [1.0, 2.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        StepBound([0.0], [np.nan])
+    assert StepBound([0.0, 1.0], [1.0, np.inf])(2.0) == np.inf   # no bound
+
+
+N_GRID = 4
+GRID = np.arange(N_GRID + 1) * 0.25
+TK = GRID[:-1]
+
+
+@pytest.mark.parametrize("name, r, value, expected", [
+    ("sigma", 1, 0.5, np.full((N_GRID, 1), 0.5)),
+    ("sigma", 2, [0.5, 0.25], np.tile([0.5, 0.25], (N_GRID, 1))),
+    ("sigma", 1, lambda t: 1.0 + t, (1.0 + TK)[:, None]),
+    ("sigma", 2, lambda t: [t, 2.0 * t], np.stack([TK, 2.0 * TK], 1)),
+    ("sigma", 1, 1.0 + GRID, (1.0 + TK)[:, None]),
+    ("sigma", 1, 1.0 + TK, (1.0 + TK)[:, None]),
+    ("sigma", 2, np.stack([GRID, -GRID], 1), np.stack([TK, -TK], 1)),
+    ("sigma", 2, np.stack([TK, -TK], 1), np.stack([TK, -TK], 1)),
+    ("b", 1, 0.5, np.full(N_GRID, 0.5)),
+    ("b", 1, lambda t: 1.0 + t, 1.0 + TK),
+    ("b", 1, 1.0 + GRID, 1.0 + TK),
+    ("b", 1, 1.0 + TK, 1.0 + TK),
+    ("beta", 1, -TK, -TK),
+    ("l", 1, lambda t: t, TK),
+    ("sigma", 2, 0.5, None),                          # scalar for r = 2
+    ("sigma", 2, lambda t: [t, t, t], None),          # 3 values for r = 2
+    ("b", 1, np.ones(N_GRID - 1), None),              # path on n - 1 points
+    ("sigma", 2, np.ones((N_GRID, 3)), None),         # (n, 3) for r = 2
+    ("b", 1, np.ones((N_GRID, 1)), None),             # 2-d b
+])
+def test_coefficient_forms(name, r, value, expected):
+    """Every accepted form gives the per-step values of its explicit
+    array; every rejected form names its coefficient."""
+    coeffs = dict(sigma=np.zeros(r), b=0.0, beta=0.0, l=0.0)
+    coeffs[name] = value
+    spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=r,
+                              bounds=CoefficientBounds(9, 9, 9, 9), **coeffs)
+    if expected is None:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            spec.grid_coefficients(GRID)
+    else:
+        assert np.array_equal(spec.grid_coefficients(GRID)[name], expected)
+
+
+def _clamped_components(params, noise):
+    """Every clamped component of every simulator, as ``(name, array)``
+    pairs."""
+    out = [("affine.x", simulate_affine(params, 1.0, 0.5, noise)[0]["x"])]
+    spec = GeneralizedCbiSpec(
+        theta0=1.0, theta1=1.0, r=2, sigma=params.sigma[0].copy(),
+        b=params.b[0], beta=params.beta[0, 0], l=1.0,
+        bounds=CoefficientBounds(4.0, 4.0, 4.0, 4.0), mu=params.mu)
+    out.append(("cbi.x", simulate_generalized_cbi(spec, 0.2, noise)[0]["x"]))
+    comps = simulate_catalytic(params, 1.0, 0.3, 1.0, noise)[0]
+    out += [("catalytic.x", comps["x"]), ("catalytic.y", comps["y"])]
+    for mode, names in (("pair", ("x", "y_plus", "y_minus")),
+                        ("single", ("x", "y"))):
+        comps = simulate_reactant_pair(
+            params, 1.0, 1.0, *sde._reactant_starts(1.0, -0.5, mode), noise,
+            mode, with_limit=True, z0=-0.5)[0]
+        out += [(f"reactant_{mode}.{n}", comps[n]) for n in names]
+    return out
+
+
+@pytest.mark.parametrize("preset", ["ou", "cir", "jump_affine",
+                                    "symmetric_split"])
+@pytest.mark.parametrize("u_bound", [16.0, 1.2])
+def test_clamped_components_stay_nonnegative(preset, u_bound):
+    """A clamped coordinate is >= 0 on every kept point of a path, or NaN
+    after it aborts."""
+    params = builtin_params(preset)
+    noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -6,
+                           substream_seed_array(7, np.arange(64)), u_bound,
+                           0.0)
+    for name, arr in _clamped_components(params, noise):
+        assert np.all((arr >= 0.0) | np.isnan(arr)), name
 
 
 def test_recorded_coefficient_paths():

@@ -3,6 +3,7 @@
 import cmath
 import importlib.util
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -372,7 +373,7 @@ def test_import_does_not_load_scipy():
     code = "import sys, affine_lab; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env={"PYTHONPATH": str(ROOT / "src")})
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.stdout.strip() == "False"
 
 
