@@ -53,11 +53,9 @@ from .noise import (  # noqa: E402,F401
     substream_seed,
 )
 from .sde import (  # noqa: E402,F401
-    CoefficientBounds,
     EnsembleResult,
     GeneralizedCbiSpec,
     ParameterSplit,
-    StepBound,
     run_ensemble,
     simulate_affine,
     simulate_affine_voc,

@@ -38,8 +38,10 @@ paths (one path is a batch of one) and performs identical elementwise
 arithmetic on every path, so each row of a batch equals the one-path
 batch of its seed bit for bit.
 
-Explicit-Euler stability is enforced: runs with ``dt * beta_bar > 0.1``
-are refused rather than silently degraded.
+Explicit-Euler stability is enforced: runs with ``dt * max|beta| > 0.1``
+are refused rather than silently degraded.  ``max|beta|`` is the largest
+absolute entry of the drift matrix or, for the scalar equation, the
+largest ``|beta(t)|`` at the step starts.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ from .noise import (NoiseSystem, generate_noise, steps_for,
 from .params import AdmissibleParams, FiniteAtomicMeasure
 
 __all__ = [
-    "StepBound",
-    "CoefficientBounds",
     "GeneralizedCbiSpec",
     "ParameterSplit",
     "EnsembleResult",
@@ -93,64 +93,19 @@ def _check_init(name, value):
     return float(value)
 
 
-# -- coefficient bounds and specs ------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class StepBound:
-    """Nonnegative nondecreasing right-continuous step function of time."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __init__(self, times, values):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size == 0:
-            raise ValueError("times and values must be equal-length 1-d")
-        if not np.all(np.isfinite(t)) or t[0] != 0.0 \
-                or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be finite, start at 0 and increase")
-        # an infinite value is allowed: no bound from that time on
-        if np.any(np.isnan(v)) or np.any(v < 0.0) or np.any(np.diff(v) < 0.0):
-            raise ValueError("bound values must be nonnegative nondecreasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def __call__(self, t):
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float),
-                              side="right") - 1
-        return self.values[idx]
-
-
-def _as_bound(value) -> StepBound:
-    return value if isinstance(value, StepBound) \
-        else StepBound([0.0], [float(value)])
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientBounds:
-    """Dominating bounds for the scalar equation's coefficient processes."""
-
-    sigma_bar: StepBound
-    b_bar: StepBound
-    beta_bar: StepBound
-    l_bar: StepBound
-
-    def __init__(self, sigma_bar, b_bar, beta_bar, l_bar):
-        object.__setattr__(self, "sigma_bar", _as_bound(sigma_bar))
-        object.__setattr__(self, "b_bar", _as_bound(b_bar))
-        object.__setattr__(self, "beta_bar", _as_bound(beta_bar))
-        object.__setattr__(self, "l_bar", _as_bound(l_bar))
-
+# -- the scalar equation's spec --------------------------------------------
 
 def _on_grid(name, value, tk, width=None):
     """Coefficient ``name`` at the step starts ``tk``, ``(n,)`` or ``(n,
     width)``, from any form ``GeneralizedCbiSpec`` lists."""
     n = len(tk)
-    if callable(value):
-        out = np.asarray([value(t) for t in tk], dtype=float)
-    else:
-        out = np.asarray(value, dtype=float)
+    raw = [value(t) for t in tk] if callable(value) else value
+    try:
+        out = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:      # e.g. ragged values
+        raise ValueError(f"{name} gives no float array on {n} grid steps: "
+                         f"{exc}") from None
+    if not callable(value):
         if out.ndim == 0:
             out = np.full(n, float(out))
         elif width is not None and out.shape == (width,):
@@ -163,6 +118,10 @@ def _on_grid(name, value, tk, width=None):
     if out.shape != shape:
         raise ValueError(f"{name} gives shape {out.shape} on {n} grid "
                          f"steps, expected {shape}")
+    bad = ~np.isfinite(out.reshape(n, -1)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} is not finite at t = "
+                         f"{tk[int(np.argmax(bad))]:g}")
     return out
 
 
@@ -176,9 +135,10 @@ class GeneralizedCbiSpec:
     callable returning one, or an ``(n or n + 1, r)`` path; a scalar
     constant or an ``(n or n + 1,)`` path is accepted when ``r == 1``.
     ``b``, ``beta`` and ``l`` are scalar-valued, so their paths are
-    ``(n or n + 1,)``.  ``mu`` is the candidate-jump measure, needed for
-    the thinning compensator; it defaults to the empty measure (no
-    candidate jumps).  The immigration jumps arrive pre-sampled inside
+    ``(n or n + 1,)``.  Every value on the grid must be finite, and
+    ``b`` and ``l`` nonnegative.  ``mu`` is the candidate-jump measure,
+    needed for the thinning compensator; it defaults to the empty measure
+    (no candidate jumps).  The immigration jumps arrive pre-sampled inside
     the NoiseSystem.  Marks are read through their first coordinate.
     """
 
@@ -189,7 +149,6 @@ class GeneralizedCbiSpec:
     b: object
     beta: object
     l: object
-    bounds: CoefficientBounds
     mu: object = field(default_factory=lambda: FiniteAtomicMeasure([]))
 
     def __post_init__(self):
@@ -199,7 +158,7 @@ class GeneralizedCbiSpec:
             raise ValueError("r must be a positive integer")
 
     def grid_coefficients(self, grid: np.ndarray) -> dict:
-        """Evaluate all coefficients at step starts and check the bounds."""
+        """Evaluate all coefficients at step starts and check their values."""
         tk = grid[:-1]
         out = {
             "sigma": _on_grid("sigma", self.sigma, tk, self.r),
@@ -207,20 +166,11 @@ class GeneralizedCbiSpec:
             "beta": _on_grid("beta", self.beta, tk),
             "l": _on_grid("l", self.l, tk),
         }
-        checks = [
-            ("b", out["b"] < 0.0, "b(t) must be nonnegative"),
-            ("l", out["l"] < 0.0, "l(t) must be nonnegative"),
-            ("sigma", np.abs(out["sigma"]).max(axis=1)
-             > self.bounds.sigma_bar(tk), "|sigma(t)| exceeds sigma_bar"),
-            ("b", out["b"] > self.bounds.b_bar(tk), "b(t) exceeds b_bar"),
-            ("beta", np.abs(out["beta"]) > self.bounds.beta_bar(tk),
-             "|beta(t)| exceeds beta_bar"),
-            ("l", out["l"] > self.bounds.l_bar(tk), "l(t) exceeds l_bar"),
-        ]
-        for _, bad, msg in checks:
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise ValueError(f"{msg} at t = {tk[k]:g}")
+        for name in ("b", "l"):
+            bad = out[name] < 0.0
+            if bad.any():
+                raise ValueError(f"{name}(t) must be nonnegative at t = "
+                                 f"{tk[int(np.argmax(bad))]:g}")
         return out
 
 
@@ -237,6 +187,15 @@ def _reactant_starts(theta, z0, mode):
         return _check_init("theta + z0", theta + z0), theta
     zp, zm = _positive_part(z0)
     return theta + zp, theta + zm
+
+
+# The coefficients a ParameterSplit decomposes, in the order a reactant
+# takes them, each with the entry of the parameters it reads.
+_SPLIT = (("sigma0", lambda p: p.sigma0),
+          ("sigma21", lambda p: p.sigma[1, 0]),
+          ("sigma22", lambda p: p.sigma[1, 1]),
+          ("b2", lambda p: p.b[1]),
+          ("beta21", lambda p: p.beta[1, 0]))
 
 
 @dataclass(frozen=True)
@@ -266,24 +225,18 @@ class ParameterSplit:
     @classmethod
     def from_params(cls, params: AdmissibleParams) -> "ParameterSplit":
         """Canonical split: positive/negative parts of each coefficient."""
-        s0 = _positive_part(params.sigma0)
-        s21 = _positive_part(params.sigma[1, 0])
-        s22 = _positive_part(params.sigma[1, 1])
-        b2 = _positive_part(params.b[1])
-        b21 = _positive_part(params.beta[1, 0])
-        return cls(*s0, *s21, *s22, *b2, *b21)
+        return cls(*(part for _, read in _SPLIT
+                     for part in _positive_part(read(params))))
+
+    def _part(self, part: str) -> tuple:
+        """The ``part`` ("pos" or "neg") of each coefficient, in the order
+        of ``_SPLIT``."""
+        return tuple(getattr(self, f"{name}_{part}") for name, _ in _SPLIT)
 
     def check_against(self, params: AdmissibleParams) -> None:
-        pairs = [
-            ("sigma0", self.sigma0_pos - self.sigma0_neg, params.sigma0),
-            ("sigma21", self.sigma21_pos - self.sigma21_neg,
-             params.sigma[1, 0]),
-            ("sigma22", self.sigma22_pos - self.sigma22_neg,
-             params.sigma[1, 1]),
-            ("b2", self.b2_pos - self.b2_neg, params.b[1]),
-            ("beta21", self.beta21_pos - self.beta21_neg, params.beta[1, 0]),
-        ]
-        for name, got, want in pairs:
+        for (name, read), pos, neg in zip(_SPLIT, self._part("pos"),
+                                          self._part("neg")):
+            got, want = pos - neg, read(params)
             if abs(got - want) > 1e-12 * max(1.0, abs(want)):
                 raise ValueError(f"split does not reassemble {name}: "
                                  f"{float(got)!r} != {float(want)!r}")
@@ -582,11 +535,12 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
 
 def _check_cbi(spec, grid):
     """Input rules of the scalar equation on ``grid``, which need no noise
-    to check: the spec's coefficient bounds and the stability rule for
-    ``beta_bar``.  Returns the coefficients at the step starts."""
+    to check: finite coefficients, the signs of ``b`` and ``l``, and the
+    stability rule for ``max|beta(t)|`` over the step starts.  Returns the
+    coefficients at the step starts."""
     coeffs = spec.grid_coefficients(grid)
-    _stability_guard(grid[1] - grid[0], spec.bounds.beta_bar(grid[-1]),
-                     "beta_bar")
+    _stability_guard(grid[1] - grid[0], np.max(np.abs(coeffs["beta"])),
+                     "max|beta(t)|")
     return coeffs
 
 
@@ -774,19 +728,14 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
     if pair:
         split = ParameterSplit.from_params(params) if split is None else split
         split.check_against(params)
-        coords.append(_reactant(
-            params, "y_plus", y_plus0, theta,
-            (split.sigma0_pos, split.sigma21_pos, split.sigma22_pos,
-             split.b2_pos, split.beta21_pos), "plus", dt, eps))
-        coords.append(_reactant(
-            params, "y_minus", y_minus0, theta,
-            (split.sigma0_neg, split.sigma21_neg, split.sigma22_neg,
-             split.b2_neg, split.beta21_neg), "minus", dt, eps))
+        coords.append(_reactant(params, "y_plus", y_plus0, theta,
+                                split._part("pos"), "plus", dt, eps))
+        coords.append(_reactant(params, "y_minus", y_minus0, theta,
+                                split._part("neg"), "minus", dt, eps))
     else:
-        coords.append(_reactant(
-            params, "y", y_plus0, theta,
-            (params.sigma0, *params.sigma[1], params.b[1],
-             params.beta[1, 0]), "plus", dt, eps))
+        coords.append(_reactant(params, "y", y_plus0, theta,
+                                tuple(read(params) for _, read in _SPLIT),
+                                "plus", dt, eps))
 
     def centered(s):
         return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta

@@ -28,11 +28,10 @@ import numpy as np
 from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (CoefficientBounds, GeneralizedCbiSpec, _check_catalytic,
-                  _check_cbi, _check_dt, _check_init, _check_reactant,
-                  _reactant_starts, run_ensemble, simulate_affine,
-                  simulate_catalytic, simulate_generalized_cbi,
-                  simulate_reactant_pair)
+from .sde import (GeneralizedCbiSpec, _check_catalytic, _check_cbi,
+                  _check_dt, _check_init, _check_reactant, _reactant_starts,
+                  run_ensemble, simulate_affine, simulate_catalytic,
+                  simulate_generalized_cbi, simulate_reactant_pair)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
     moment_functionals
 
@@ -581,14 +580,9 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         def core(noise, keep):
             return simulate_affine(params, x1, x2, noise, keep=keep)
     elif which == "cbi":
-        guard = 1.0 + abs(params.beta[0, 0])
         spec = GeneralizedCbiSpec(
             theta0=theta0, theta1=theta1, r=2, sigma=params.sigma[0].copy(),
-            b=params.b[0], beta=params.beta[0, 0], l=l,
-            bounds=CoefficientBounds(
-                float(np.max(np.abs(params.sigma[0]))) + 1.0,
-                abs(params.b[0]) + 1.0, guard, abs(l) + 1.0),
-            mu=params.mu)
+            b=params.b[0], beta=params.beta[0, 0], l=l, mu=params.mu)
         _check_cbi(spec, np.array([0.0, delta]))
 
         def core(noise, keep):

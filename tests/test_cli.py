@@ -516,6 +516,17 @@ class TestMain:
         assert "requires beta22 < 0, got 1.0" in err
         assert not (tmp_path / "o" / "fluctuation-pair.json").exists()
 
+    def test_parse_time_stable_delta_runs_every_generator_mode(self,
+                                                                tmp_path):
+        """delta * max|beta_ij| = 0.08 passes the parse-time rule, so no
+        generator mode may refuse it when it runs."""
+        doc = {"mc": {"n_paths": 50},
+               "validate": {"checks": ["generator"], "delta": 0.1}}
+        path = self.write(tmp_path, doc)
+        assert main(["validate", "--config", path, "--out",
+                     str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "generator-cbi.json").exists()
+
     def test_one_path_validate_is_a_usage_error(self, tmp_path, capsys):
         doc = dict(SMALL, mc={"n_paths": 1},
                    validate={"checks": ["moments"]})

@@ -31,9 +31,9 @@ from affine_lab.cli import parse_config, run
 from affine_lab.noise import generate_noise, refine, substream_seed_array
 from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import builtin_params
-from affine_lab.sde import (CoefficientBounds, GeneralizedCbiSpec, StepBound,
-                            simulate_affine, simulate_catalytic,
-                            simulate_generalized_cbi, simulate_reactant_pair)
+from affine_lab.sde import (GeneralizedCbiSpec, simulate_affine,
+                            simulate_catalytic, simulate_generalized_cbi,
+                            simulate_reactant_pair)
 
 PRESETS = ("ou", "cir", "jump_affine", "symmetric_split")
 U_BOUNDS = (16.0, 1.2)
@@ -101,11 +101,7 @@ def cbi_spec(params, theta0=0.7, theta1=1.6, l=1.4):
     """Constant branching coefficients taken from the first coordinate."""
     return GeneralizedCbiSpec(
         theta0=theta0, theta1=theta1, r=2, sigma=params.sigma[0].copy(),
-        b=params.b[0], beta=params.beta[0, 0], l=l,
-        bounds=CoefficientBounds(
-            float(np.max(np.abs(params.sigma[0]))) + 1.0,
-            abs(params.b[0]) + 1.0, 1.0 + abs(params.beta[0, 0]), l + 1.0),
-        mu=params.mu)
+        b=params.b[0], beta=params.beta[0, 0], l=l, mu=params.mu)
 
 
 def time_dependent_spec(params):
@@ -116,9 +112,6 @@ def time_dependent_spec(params):
         b=lambda t: 0.4 + np.sin(3.0 * t) ** 2,
         beta=lambda t: -0.7 + 0.5 * t,
         l=lambda t: 0.9 + 0.8 * t,
-        bounds=CoefficientBounds(StepBound([0.0, 0.25], [0.8, 1.0]),
-                                 2.0, StepBound([0.0, 0.3], [0.7, 0.8]),
-                                 StepBound([0.0, 0.2], [1.3, 1.4])),
         mu=params.mu)
 
 

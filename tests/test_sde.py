@@ -12,7 +12,6 @@ from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure, \
     validate_admissible
 from affine_lab.presets import builtin_params, cir_params, jump_affine_params
 from affine_lab.sde import (
-    CoefficientBounds,
     GeneralizedCbiSpec,
     ParameterSplit,
     ThinningBoundError,
@@ -159,16 +158,14 @@ class TestOdeOracles:
 
     def test_cbi_constant_drift_exact(self):
         spec = GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=1, sigma=0.0,
-                                  b=1.0, beta=0.0, l=0.0,
-                                  bounds=CoefficientBounds(1, 1, 1, 1))
+                                  b=1.0, beta=0.0, l=0.0)
         noise = quiet_noise()
         out = path(simulate_generalized_cbi(spec, 0.0, noise))
         assert np.allclose(out["x"], noise.grid, atol=1e-12)
 
     def test_cbi_time_dependent_drift(self):
         spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=1, sigma=0.0,
-                                  b=lambda t: 1.0 + t, beta=0.0, l=0.0,
-                                  bounds=CoefficientBounds(1, 3, 1, 1))
+                                  b=lambda t: 1.0 + t, beta=0.0, l=0.0)
         noise = quiet_noise()
         out = path(simulate_generalized_cbi(spec, 0.0, noise))
         t = noise.grid
@@ -273,8 +270,7 @@ def test_generalized_cbi_matches_affine_margin():
     spec = GeneralizedCbiSpec(
         theta0=1.0, theta1=1.0, r=2,
         sigma=np.array([p.sigma[0, 0], p.sigma[0, 1]]),
-        b=p.b[0], beta=p.beta[0, 0], l=1.0,
-        bounds=CoefficientBounds(2.0, 2.0, 2.0, 2.0), mu=p.mu)
+        b=p.b[0], beta=p.beta[0, 0], l=1.0, mu=p.mu)
     xg = path(simulate_generalized_cbi(spec, 1.0, noise))["x"]
     xa = path(simulate_affine(p, 1.0, 0.5, noise))["x"]
     assert np.allclose(xg, xa, rtol=1e-12, atol=1e-13)
@@ -596,11 +592,7 @@ def batch_kernels(p):
     """The four simulators as ``(noise, keep) -> triple``."""
     spec = GeneralizedCbiSpec(
         theta0=0.7, theta1=1.6, r=2, sigma=p.sigma[0].copy(), b=p.b[0],
-        beta=p.beta[0, 0], l=1.0,
-        bounds=CoefficientBounds(float(np.max(np.abs(p.sigma[0]))) + 1.0,
-                                 abs(p.b[0]) + 1.0,
-                                 abs(p.beta[0, 0]) + 1.0, 2.0),
-        mu=p.mu)
+        beta=p.beta[0, 0], l=1.0, mu=p.mu)
     return {
         "affine": lambda ns, keep: simulate_affine(p, 1.0, 0.3, ns, keep=keep),
         "cbi": lambda ns, keep: simulate_generalized_cbi(spec, 1.0, ns, keep),
@@ -664,35 +656,11 @@ def test_product_exponential_round():
 def test_generalized_spec_validation():
     with pytest.raises(ValueError, match="theta0"):
         GeneralizedCbiSpec(theta0=-1, theta1=0, r=1, sigma=0, b=0, beta=0,
-                           l=0, bounds=CoefficientBounds(1, 1, 1, 1))
-    spec = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=2.0, b=0.0,
-                              beta=0.0, l=0.0,
-                              bounds=CoefficientBounds(1.0, 1, 1, 1))
-    with pytest.raises(ValueError, match="sigma_bar"):
-        simulate_generalized_cbi(spec, 1.0, quiet_noise())
+                           l=0)
     spec = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0, b=-0.5,
-                              beta=0.0, l=0.0,
-                              bounds=CoefficientBounds(1, 1, 1, 1))
+                              beta=0.0, l=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         simulate_generalized_cbi(spec, 1.0, quiet_noise())
-
-
-def test_coefficient_bounds_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        CoefficientBounds(-1.0, 1, 1, 1)
-    from affine_lab.sde import StepBound
-    bound = StepBound([0.0, 1.0], [2.0, 3.0])
-    assert bound(0.5) == 2.0
-    assert bound(1.0) == 3.0          # right-continuous
-    with pytest.raises(ValueError, match="nondecreasing"):
-        StepBound([0.0, 1.0], [3.0, 2.0])
-    with pytest.raises(ValueError, match="finite"):
-        StepBound([0.0, np.nan], [1.0, 2.0])
-    with pytest.raises(ValueError, match="finite"):
-        StepBound([0.0, np.inf], [1.0, 2.0])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        StepBound([0.0], [np.nan])
-    assert StepBound([0.0, 1.0], [1.0, np.inf])(2.0) == np.inf   # no bound
 
 
 N_GRID = 4
@@ -720,19 +688,49 @@ TK = GRID[:-1]
     ("b", 1, np.ones(N_GRID - 1), None),              # path on n - 1 points
     ("sigma", 2, np.ones((N_GRID, 3)), None),         # (n, 3) for r = 2
     ("b", 1, np.ones((N_GRID, 1)), None),             # 2-d b
+    pytest.param("sigma", 2, lambda t: [t] if t == 0 else [t, t], None,
+                 id="sigma-ragged"),                  # lengths 1 then 2
 ])
 def test_coefficient_forms(name, r, value, expected):
     """Every accepted form gives the per-step values of its explicit
     array; every rejected form names its coefficient."""
     coeffs = dict(sigma=np.zeros(r), b=0.0, beta=0.0, l=0.0)
     coeffs[name] = value
-    spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=r,
-                              bounds=CoefficientBounds(9, 9, 9, 9), **coeffs)
+    spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=r, **coeffs)
     if expected is None:
         with pytest.raises(ValueError, match=f"^{name} "):
             spec.grid_coefficients(GRID)
     else:
         assert np.array_equal(spec.grid_coefficients(GRID)[name], expected)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("sigma", [np.nan, 0.1]), ("b", np.nan), ("beta", np.nan),
+    ("l", lambda t: np.nan), ("b", np.inf)])
+def test_non_finite_coefficient_named_without_retries(monkeypatch, name,
+                                                      value):
+    """A non-finite coefficient is named by the first model call; run
+    through ``run_ensemble`` it draws no retry noise (every path would
+    abort and be retried at each doubling of ``u_bound``)."""
+    p = jump_affine_params()
+    coeffs = dict(sigma=p.sigma[0].copy(), b=p.b[0], beta=p.beta[0, 0],
+                  l=1.0)
+    coeffs[name] = value
+    spec = GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=2, mu=p.mu, **coeffs)
+    with pytest.raises(ValueError, match=f"^{name} is not finite at t = 0$"):
+        spec.grid_coefficients(np.linspace(0.0, 0.25, 17))
+    draws = []
+
+    def spy(*args):
+        draws.append(args)
+        return generate_noise(*args)
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    with pytest.raises(ValueError, match=f"^{name} is not finite at t = 0$"):
+        run_ensemble(lambda ns, keep: simulate_generalized_cbi(spec, 1.0, ns,
+                                                               keep),
+                     m=p.m, mu=p.mu, n_paths=4, master_seed=0, t_max=0.25,
+                     dt=2.0 ** -6, u_bound=16.0, eps=0.0)
+    assert len(draws) == 1      # the first chunk's, which the model reads
 
 
 def _clamped_components(params, noise):
@@ -741,8 +739,7 @@ def _clamped_components(params, noise):
     out = [("affine.x", simulate_affine(params, 1.0, 0.5, noise)[0]["x"])]
     spec = GeneralizedCbiSpec(
         theta0=1.0, theta1=1.0, r=2, sigma=params.sigma[0].copy(),
-        b=params.b[0], beta=params.beta[0, 0], l=1.0,
-        bounds=CoefficientBounds(4.0, 4.0, 4.0, 4.0), mu=params.mu)
+        b=params.b[0], beta=params.beta[0, 0], l=1.0, mu=params.mu)
     out.append(("cbi.x", simulate_generalized_cbi(spec, 0.2, noise)[0]["x"]))
     comps = simulate_catalytic(params, 1.0, 0.3, 1.0, noise)[0]
     out += [("catalytic.x", comps["x"]), ("catalytic.y", comps["y"])]
@@ -773,11 +770,9 @@ def test_recorded_coefficient_paths():
     noise = quiet_noise()
     tk = noise.grid[:-1]
     spec_fn = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0,
-                                 b=lambda t: 1 + t, beta=0.0, l=0.0,
-                                 bounds=CoefficientBounds(1, 3, 1, 1))
+                                 b=lambda t: 1 + t, beta=0.0, l=0.0)
     spec_arr = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0,
-                                  b=1.0 + noise.grid, beta=0.0, l=0.0,
-                                  bounds=CoefficientBounds(1, 3, 1, 1))
+                                  b=1.0 + noise.grid, beta=0.0, l=0.0)
     a = path(simulate_generalized_cbi(spec_fn, 0.0, noise))["x"]
     b = path(simulate_generalized_cbi(spec_arr, 0.0, noise))["x"]
     assert np.array_equal(a, b)

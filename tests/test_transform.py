@@ -4,6 +4,7 @@ import cmath
 import importlib.util
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import affine_lab
 from affine_lab.cli import _metadata, parse_config, write_transform_csv
 from affine_lab.params import (FiniteAtomicMeasure, ProductExponentialMeasure,
                                UPoint, validate_admissible)
@@ -375,6 +377,14 @@ def test_import_does_not_load_scipy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(affine_lab.__path__)))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"affine_lab.{module}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
 
 
 # -- moment functionals ----------------------------------------------------

@@ -440,7 +440,7 @@ def test_stability_rule_checked_before_simulation(ensemble_runs):
         lambda: fluctuation_experiment(p, [4.0, 16.0], dt=0.5, **MC),
         lambda: check_generator(p, (0.7, -0.4), which="affine", delta=0.5,
                                 **MC),
-        # the scalar equation's rule is its spec's beta_bar guard
+        # the scalar equation's rule reads max|beta(t)| on the grid
         lambda: check_generator(p, 0.7, which="cbi", delta=0.5, **MC),
         lambda: check_generator(p, (1.2, 0.5), which="catalytic",
                                 delta=0.5, **MC),
@@ -465,6 +465,22 @@ def test_system_rules_checked_before_simulation(no_simulation):
     for l in (-1.0, -2.0):
         with pytest.raises(ValueError, match=r"^l\(t\) must be nonnegative"):
             check_generator(p, 1.0, which="cbi", l=l, **MC)
+    with pytest.raises(ValueError, match=r"^l is not finite at t = 0$"):
+        check_generator(p, 1.0, which="cbi", l=np.nan, **MC)
+    infinite_b1 = dataclasses.replace(p, b=np.array([np.inf, p.b[1]]))
+    with pytest.raises(ValueError, match=r"^b is not finite at t = 0$"):
+        check_generator(infinite_b1, 1.0, which="cbi", **MC)
+
+
+@pytest.mark.parametrize("which, state", [
+    ("affine", (0.7, -0.4)), ("cbi", 0.7), ("catalytic", (1.2, 0.5))])
+def test_parse_time_stable_delta_runs(which, state):
+    """``delta * max|beta_ij| <= 0.1``, the CLI's parse-time rule, implies
+    every generator mode's own stability rule."""
+    p = jump_affine_params()
+    assert 0.1 * p.beta_bar <= 0.1
+    report = check_generator(p, state, which=which, delta=0.1, **MC)
+    assert report.name == f"generator-{which}"
 
 
 @pytest.mark.parametrize("run", [
