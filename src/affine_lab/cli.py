@@ -42,16 +42,16 @@ from .presets import builtin_params
 from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
                   _reactant_starts, simulate_affine, simulate_catalytic,
                   simulate_reactant_pair)
-from .transform import _TOL_RANGE, solve_transforms
-from .validate import (_check_ladder, _grid_indices, check_affine_formula,
-                       check_generator, check_moments, fluctuation_experiment,
+from .transform import _check_tol, solve_transforms
+from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
+                       _grid_indices, check_affine_formula, check_generator,
+                       check_moments, fluctuation_experiment,
                        sc_semigroup_check, uniqueness_experiment)
 
 ARTIFACT_VERSION = 2
 
 _CHECK_NAMES = ("semigroup", "affine_formula", "moments", "generator",
                 "uniqueness")
-_GENERATOR_MODES = ("affine", "cbi", "catalytic")
 
 
 class ConfigError(ValueError):
@@ -239,20 +239,20 @@ _SCHEMA = {
     "simulate": {
         "system": (_one_of("affine", "catalytic", "reactant"), "affine"),
         "x0": (_as_nonneg, 1.0), "z0": (_as_float, 0.0),
-        "y0": (_as_nonneg, 1.0), "l": (_as_pos, 1.0),
+        "y0": (_as_nonneg, 1.0), "l": (_as_nonneg, 1.0),
         "theta": (_as_pos, 16.0), "mode": (_one_of("single", "pair"), "pair"),
         "n_saved_paths": (partial(_as_int, minimum=1), 8)},
     "validate": {
         "checks": (_list_of(_one_of(*_CHECK_NAMES)), list(_CHECK_NAMES)),
         "t_list": (_as_times, None),  # default derived from the grid
         "delta": (_as_pos, 2.0 ** -10),
-        "generator_modes": (_list_of(_one_of(*_GENERATOR_MODES)),
-                            list(_GENERATOR_MODES)),
+        "generator_modes": (_list_of(_one_of(*GENERATOR_MODES)),
+                            list(GENERATOR_MODES)),
         "generator_states": (
             lambda value, path: _read(value, _GENERATOR_STATES, path), {}),
         "x0": (_as_nonneg, 1.0), "z0": (_as_float, 0.0),
         "x0_b": (_as_nonneg, 1.5),
-        "flow_r": (_as_pos, 0.5), "flow_t": (_as_pos, 0.75)},
+        "flow_r": (_as_nonneg, 0.5), "flow_t": (_as_nonneg, 0.75)},
     "limit": {
         "theta_ladder": (_list_of(_as_pos), [4.0, 16.0, 64.0, 256.0]),
         "split": (_as_split, None),
@@ -461,9 +461,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
 
     t_max, dt = grid["t_max"], grid["dt"]
     n_steps = _rule("$.grid", steps_for, t_max, dt)
-    if not _TOL_RANGE[0] <= tr["tol"] <= _TOL_RANGE[1]:
-        raise ConfigError(f"$.transform.tol: must lie in "
-                          f"[{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+    _rule("$.transform.tol", _check_tol, tr["tol"])
     u_list = tuple(_rule(f"$.transform.u_list[{i}]", UPoint, complex(*u1),
                          complex(*u2))
                    for i, (u1, u2) in enumerate(tr["u_list"]))
@@ -630,6 +628,8 @@ def _cmd_validate(config, out, stdout):
     val = config.resolved["validate"]
     mc = dict(n_paths=config.n_paths, master_seed=config.seed,
               u_bound=config.u_bound)
+    if any(check != "semigroup" for check in val["checks"]):
+        _rule("$.mc.n_paths", _check_n_paths, config.n_paths)
     reports = []
     for check in val["checks"]:
         if check == "semigroup":

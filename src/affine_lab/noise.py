@@ -11,11 +11,11 @@ keys independent counter-based substreams (Philox4x64) per role:
     role 3+ Brownian-bridge midpoints for successive grid refinements
 
 The Brownian increments of the generated grid are one time-major
-``(n_steps, n_components, n_paths)`` array, so the increments of one step
-are contiguous for the whole batch.  Each stream's events are flat arrays
-tagged by path index (``n0_path``, ``n1_path``), in path order and then
-time order, so a path's noise does not depend on which batch it was
-generated in.
+``(n_steps, 3, n_paths)`` array, three components per path, so the
+increments of one step are contiguous for the whole batch.  Each
+stream's events are flat arrays tagged by path index (``n0_path``,
+``n1_path``), in path order and then time order, so a path's noise does
+not depend on which batch it was generated in.
 
 N1 is generated with the dominating intensity ``u_bound * mass`` and carries
 uniform ``umarks``; simulators accept a candidate when its umark falls below
@@ -37,8 +37,8 @@ to empty, which yields the same bytes as ``Generator(Philox(key=[seed,
 role]))``.  ``key0`` is the first key word that construction stores,
 computed for a whole batch at once by ``_philox_keys``.  ``_normals``
 fills a time-major array path by path through a buffer of ``_BLOCK``
-paths, so each path draws its whole ``(n_components, n_steps)`` block in
-one call and the transpose into the batch is done once per block.
+paths, so each path draws its whole ``(3, n_steps)`` block in one call
+and the transpose into the batch is done once per block.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
 injective in the path index for a fixed master seed.
@@ -68,6 +68,7 @@ ROLE_N1 = 2
 ROLE_BRIDGE_BASE = 3
 
 _BLOCK = 64          # paths per buffer in _normals
+_COMPONENTS = 3      # Brownian components of every path
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -177,11 +178,12 @@ def steps_for(t_max: float, dt: float) -> int:
 class NoiseSystem:
     """Driving noise of a batch of paths on one uniform grid.
 
-    ``brownian[k, c, p]`` is the increment of component ``c`` of path
-    ``p`` over step ``k`` of the generated grid.  ``bridges`` holds one
-    midpoint array per refinement, each shaped like the grid it splits
-    (the first like ``brownian``, the next twice as long, ...); the
-    increments of the current grid are read with :meth:`increment`.
+    ``brownian[k, c, p]`` is the increment of component ``c`` (0, 1 or
+    2; construction checks the shape) of path ``p`` over step ``k`` of
+    the generated grid.  ``bridges`` holds one midpoint array per
+    refinement, each shaped like the grid it splits (the first like
+    ``brownian``, the next twice as long, ...); the increments of the
+    current grid are read with :meth:`increment`.
     Event arrays of a stream are flat, tagged by ``n0_path`` or
     ``n1_path`` and sorted by path, then by time in ``(0, t_max]``; marks
     are rows ``(xi1, xi2)``.  Every array is made read-only on
@@ -205,6 +207,10 @@ class NoiseSystem:
     bridges: tuple = ()
 
     def __post_init__(self):
+        if self.brownian.ndim != 3 or self.brownian.shape[1] != _COMPONENTS:
+            raise ValueError(f"brownian must have shape (n_steps, "
+                             f"{_COMPONENTS}, n_paths), got "
+                             f"{self.brownian.shape}")
         for value in (*vars(self).values(), *self.bridges):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -296,28 +302,27 @@ def _batch_events(per_path, n_fields):
     return (tags, *(np.concatenate(f) for f in zip(*per_path)))
 
 
-def _normals(seeds, role, scale, n_components, n_steps):
-    """Time-major ``(n_steps, n_components, n_paths)`` normal draws.
+def _normals(seeds, role, scale, n_steps):
+    """Time-major ``(n_steps, _COMPONENTS, n_paths)`` normal draws.
 
-    Path ``p`` draws ``normal(0, scale, size=(n_components, n_steps))``
+    Path ``p`` draws ``normal(0, scale, size=(_COMPONENTS, n_steps))``
     from its stream of ``role``; the draws of ``_BLOCK`` paths are
     gathered in one buffer and transposed into the batch together.
     """
     keys = _philox_keys(seeds).tolist()
-    out = np.empty((n_steps, n_components, len(keys)))
-    block = np.empty((min(_BLOCK, len(keys)), n_components, n_steps))
+    out = np.empty((n_steps, _COMPONENTS, len(keys)))
+    block = np.empty((min(_BLOCK, len(keys)), _COMPONENTS, n_steps))
     for lo in range(0, len(keys), _BLOCK):
         chunk = keys[lo:lo + _BLOCK]
         for i, key in enumerate(chunk):
             block[i] = _stream(key, role).normal(
-                0.0, scale, size=(n_components, n_steps))
+                0.0, scale, size=(_COMPONENTS, n_steps))
         out[:, :, lo:lo + len(chunk)] = block[:len(chunk)].transpose(2, 1, 0)
     return out
 
 
 def generate_noise(m, mu, t_max: float, dt: float, seed,
-                   u_bound: float, eps: float,
-                   n_components: int = 3) -> NoiseSystem:
+                   u_bound: float, eps: float) -> NoiseSystem:
     """Generate the noise of one path per seed.
 
     ``seed`` is one seed or a 1-d sequence of seeds, each in
@@ -339,8 +344,7 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
 
     rate0 = m.mass(eps=eps)
     rate1 = u_bound * mu.mass(eps=eps)
-    brownian = _normals(seeds, ROLE_BROWNIAN, np.sqrt(dt), n_components,
-                        n_steps)
+    brownian = _normals(seeds, ROLE_BROWNIAN, np.sqrt(dt), n_steps)
     n0, n1 = [], []
     for key in _philox_keys(seeds).tolist():
         if rate0 > 0.0:
@@ -370,6 +374,5 @@ def refine(noise: NoiseSystem) -> NoiseSystem:
     grid's size is allocated.  Event arrays are reused unchanged.
     """
     mid = _normals(noise.seeds, ROLE_BRIDGE_BASE + noise.refinement_level,
-                   np.sqrt(noise.dt) / 2.0, noise.n_components,
-                   noise.n_steps)
+                   np.sqrt(noise.dt) / 2.0, noise.n_steps)
     return replace(noise, dt=noise.dt / 2.0, bridges=noise.bridges + (mid,))

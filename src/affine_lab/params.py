@@ -5,7 +5,8 @@ The state space is ``D = [0, inf) x R`` and transform variables live in
 
     ``(a, alpha, b, beta, m, mu)``
 
-is *admissible* when
+with finite real coefficients ``a``, ``alpha``, ``b`` and ``beta`` is
+*admissible* when
 
     (i)    ``a >= 0``,
     (ii)   ``alpha`` is a symmetric positive-semidefinite 2x2 matrix,
@@ -375,12 +376,15 @@ def psd_factor(alpha) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleParams:
-    """A validated parameter set with derived diffusion loadings.
+    """An admissible parameter set with derived diffusion loadings.
 
-    Construct through :func:`validate_admissible`; direct construction skips
-    the clause checks.  ``sigma0 = sqrt(a)`` and ``sigma`` is the
-    lower-triangular factor of ``alpha``, so ``sigma @ sigma.T`` reproduces
-    ``alpha`` to machine precision.
+    Construction checks the admissibility clauses, and so does
+    ``dataclasses.replace``: any violation raises
+    :class:`AdmissibilityError` listing every violated clause (i)-(vi).
+    Clauses (i)-(iv) also require ``a``, ``alpha``, ``b`` and ``beta`` to
+    be finite.  ``sigma0 = sqrt(a)`` and ``sigma`` is the lower-triangular
+    factor of ``alpha``, so ``sigma @ sigma.T`` reproduces ``alpha`` to
+    machine precision.
     """
 
     a: float
@@ -393,11 +397,60 @@ class AdmissibleParams:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(2))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "sigma0", math.sqrt(max(self.a, 0.0)))
-        object.__setattr__(self, "sigma", psd_factor(self.alpha))
+        violations = []
+        a = float(self.a)
+        alpha = np.asarray(self.alpha, dtype=float)
+        b = np.asarray(self.b, dtype=float).reshape(2)
+        beta = np.asarray(self.beta, dtype=float)
+
+        if not math.isfinite(a):
+            violations.append(f"clause (i): a must be finite, got {a}")
+        elif a < 0.0:
+            violations.append(f"clause (i): a must be nonnegative, got {a}")
+        if alpha.shape != (2, 2):
+            violations.append("clause (ii): alpha must be a 2x2 matrix")
+        elif not np.isfinite(alpha).all():
+            violations.append(f"clause (ii): alpha must be finite, got "
+                              f"{alpha.tolist()}")
+        elif abs(alpha[0, 1] - alpha[1, 0]) > _PSD_TOL:
+            violations.append("clause (ii): alpha must be symmetric")
+        else:
+            w = np.linalg.eigvalsh(0.5 * (alpha + alpha.T))
+            if w[0] < -_PSD_TOL:
+                violations.append(
+                    f"clause (ii): alpha must be positive semidefinite "
+                    f"(smallest eigenvalue {w[0]:.3e})")
+        if not np.isfinite(b).all():
+            violations.append(f"clause (iii): b must be finite, got "
+                              f"{b.tolist()}")
+        elif b[0] < 0.0:
+            violations.append(f"clause (iii): b must lie in the state space, "
+                              f"b1 >= 0 required, got {b[0]}")
+        if beta.shape != (2, 2):
+            violations.append("clause (iv): beta must be a 2x2 matrix")
+        elif not np.isfinite(beta).all():
+            violations.append(f"clause (iv): beta must be finite, got "
+                              f"{beta.tolist()}")
+        elif beta[0, 1] != 0.0:
+            violations.append(f"clause (iv): beta12 must be exactly 0, got {beta[0, 1]}")
+
+        for clause, name, nu in (("(v)", "m", self.m), ("(vi)", "mu", self.mu)):
+            if not isinstance(nu, JumpMeasure):
+                violations.append(f"clause {clause}: {name} must be a supported jump measure")
+                continue
+            # (v) integrates |xi1| against m, (vi) only |xi1| wedge xi1**2
+            xi1 = ("int_l1_xi1", nu.l1_moment(0)) if name == "m" else \
+                ("int_l12_xi1", nu.l12_moment(0))
+            for kind, val in (xi1, ("int_l12_xi2", nu.l12_moment(1))):
+                if not math.isfinite(val):
+                    violations.append(f"clause {clause}: {name} moment {kind} is not finite")
+
+        if violations:
+            raise AdmissibilityError(violations)
+        for name, value in (("a", a), ("alpha", alpha), ("b", b),
+                            ("beta", beta), ("sigma0", math.sqrt(a)),
+                            ("sigma", psd_factor(alpha))):
+            object.__setattr__(self, name, value)
 
     @property
     def beta_bar(self) -> float:
@@ -406,51 +459,7 @@ class AdmissibleParams:
 
 
 def validate_admissible(a, alpha, b, beta, m, mu) -> AdmissibleParams:
-    """Check the admissibility clauses and build an :class:`AdmissibleParams`.
-
-    Raises
-    ------
-    AdmissibilityError
-        Listing every violated clause (the report names clauses (i)-(vi)).
-    """
-    violations = []
-    a = float(a)
-    alpha = np.asarray(alpha, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(2)
-    beta = np.asarray(beta, dtype=float)
-
-    if a < 0.0:
-        violations.append(f"clause (i): a must be nonnegative, got {a}")
-    if alpha.shape != (2, 2):
-        violations.append("clause (ii): alpha must be a 2x2 matrix")
-    else:
-        if abs(alpha[0, 1] - alpha[1, 0]) > _PSD_TOL:
-            violations.append("clause (ii): alpha must be symmetric")
-        else:
-            w = np.linalg.eigvalsh(0.5 * (alpha + alpha.T))
-            if w[0] < -_PSD_TOL:
-                violations.append(
-                    f"clause (ii): alpha must be positive semidefinite "
-                    f"(smallest eigenvalue {w[0]:.3e})")
-    if b[0] < 0.0:
-        violations.append(f"clause (iii): b must lie in the state space, "
-                          f"b1 >= 0 required, got {b[0]}")
-    if beta.shape != (2, 2):
-        violations.append("clause (iv): beta must be a 2x2 matrix")
-    elif beta[0, 1] != 0.0:
-        violations.append(f"clause (iv): beta12 must be exactly 0, got {beta[0, 1]}")
-
-    for clause, name, nu in (("(v)", "m", m), ("(vi)", "mu", mu)):
-        if not isinstance(nu, JumpMeasure):
-            violations.append(f"clause {clause}: {name} must be a supported jump measure")
-            continue
-        # (v) integrates |xi1| against m, (vi) only |xi1| wedge xi1**2
-        xi1 = ("int_l1_xi1", nu.l1_moment(0)) if name == "m" else \
-            ("int_l12_xi1", nu.l12_moment(0))
-        for kind, val in (xi1, ("int_l12_xi2", nu.l12_moment(1))):
-            if not math.isfinite(val):
-                violations.append(f"clause {clause}: {name} moment {kind} is not finite")
-
-    if violations:
-        raise AdmissibilityError(violations)
+    """``AdmissibleParams(a, alpha, b, beta, m, mu)``, which checks the
+    admissibility clauses and raises :class:`AdmissibilityError` listing
+    every violated one."""
     return AdmissibleParams(a=a, alpha=alpha, b=b, beta=beta, m=m, mu=mu)

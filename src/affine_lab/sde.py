@@ -53,7 +53,7 @@ import numpy as np
 
 from .noise import (NoiseSystem, generate_noise, steps_for,
                     substream_seed_array)
-from .params import AdmissibleParams, FiniteAtomicMeasure
+from .params import AdmissibleParams, FiniteAtomicMeasure, _region_mask
 
 __all__ = [
     "GeneralizedCbiSpec",
@@ -87,10 +87,18 @@ def _check_dt(dt: float, params: AdmissibleParams) -> None:
     _stability_guard(dt, params.beta_bar, "max|beta|")
 
 
+def _check_finite(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _check_init(name, value):
+    value = _check_finite(name, value)
     if value < 0.0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
-    return float(value)
+    return value
 
 
 # -- the scalar equation's spec --------------------------------------------
@@ -136,7 +144,9 @@ class GeneralizedCbiSpec:
     constant or an ``(n or n + 1,)`` path is accepted when ``r == 1``.
     ``b``, ``beta`` and ``l`` are scalar-valued, so their paths are
     ``(n or n + 1,)``.  Every value on the grid must be finite, and
-    ``b`` and ``l`` nonnegative.  ``mu`` is the candidate-jump measure,
+    ``b`` and ``l`` nonnegative; ``theta0`` and ``theta1`` are finite and
+    nonnegative.  ``r`` is 1 or 2: ``B_j`` of the equation is Brownian
+    component ``j`` of the noise.  ``mu`` is the candidate-jump measure,
     needed for the thinning compensator; it defaults to the empty measure
     (no candidate jumps).  The immigration jumps arrive pre-sampled inside
     the NoiseSystem.  Marks are read through their first coordinate.
@@ -152,10 +162,10 @@ class GeneralizedCbiSpec:
     mu: object = field(default_factory=lambda: FiniteAtomicMeasure([]))
 
     def __post_init__(self):
-        if self.theta0 < 0.0 or self.theta1 < 0.0:
-            raise ValueError("theta0 and theta1 must be nonnegative")
-        if self.r < 1:
-            raise ValueError("r must be a positive integer")
+        _check_init("theta0", self.theta0)
+        _check_init("theta1", self.theta1)
+        if self.r not in (1, 2):
+            raise ValueError(f"r must be 1 or 2, got {self.r!r}")
 
     def grid_coefficients(self, grid: np.ndarray) -> dict:
         """Evaluate all coefficients at step starts and check their values."""
@@ -183,6 +193,7 @@ def _reactant_starts(theta, z0, mode):
     centred value is the limit start ``z0``: the pair carries the positive
     and the negative part of ``z0``, the single reactant starts at ``theta
     + z0`` (its ``y_minus0`` is unused)."""
+    z0 = _check_finite("z0", z0)
     if mode == "single":
         return _check_init("theta + z0", theta + z0), theta
     zp, zm = _positive_part(z0)
@@ -300,26 +311,10 @@ def _add_events(target, paths, weights, n_paths):
 
 
 def _region_weights(xi2, region):
-    """xi2 contribution per event under a jump-region restriction."""
-    if region == "all":
-        return xi2
-    if region == "plus":
-        return np.where(xi2 >= 0.0, xi2, 0.0)
-    if region == "minus":
-        return np.where(xi2 < 0.0, -xi2, 0.0)   # sign-flipped, nonnegative
-    raise ValueError(f"unknown region {region!r}")
-
-
-def _moment(measure, p1, p2, region, eps):
-    if measure.is_empty:
-        return 0.0
-    return measure.poly_moment(p1, p2, region=region, eps=eps)
-
-
-def _check_components(noise, min_components):
-    if noise.n_components < min_components:
-        raise ValueError(f"noise must carry at least {min_components} "
-                         f"Brownian components, got {noise.n_components}")
+    """xi2 contribution per event under a jump-region restriction; the
+    "minus" region's marks are sign-flipped, so nonnegative."""
+    return np.where(_region_mask(xi2, region),
+                    -xi2 if region == "minus" else xi2, 0.0)
 
 
 # -- the step kernel -------------------------------------------------------
@@ -397,7 +392,8 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
 
     record(0)
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
+        # an empty batch, run_ensemble's input check, takes no step
+        for k in range(n_steps if n_paths else 0):
             lam = {f: f(s, k) for f in intensities}
             bad = ~np.logical_and.reduce([np.isfinite(v) for v in s.values()])
             if thinning:
@@ -473,8 +469,8 @@ def _catalyst(params, x0, dt, eps):
             + np.sqrt(2.0 * xk) * (s11 * dB[:, 1] + s12 * dB[:, 2])
 
     return _Coord("x", x0, euler, _catalyst_intensity, _xi1, _xi1,
-                  comp=_thinning_comp(dt, _moment(params.mu, 1, 0, "all",
-                                                  eps)),
+                  comp=_thinning_comp(dt, params.mu.poly_moment(1, 0,
+                                                                eps=eps)),
                   clamp=True)
 
 
@@ -493,9 +489,9 @@ def _linear_partner(params, name, z0, region, dt, eps):
 
     marks = _region_marks(region)
     return _Coord(name, z0, euler, _catalyst_intensity, marks, marks,
-                  m=_moment(params.m, 0, 1, region, eps),
-                  comp=_thinning_comp(dt, _moment(params.mu, 0, 1, region,
-                                                  eps)))
+                  m=params.m.poly_moment(0, 1, region, eps),
+                  comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, region,
+                                                                eps)))
 
 
 def _reactant(params, name, y0, theta, coefs, region, dt, eps):
@@ -505,8 +501,8 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
     sg0, sg21, sg22, bb2, bb21 = coefs
     b22 = params.beta[1, 1]
     sign = 1.0 if region == "plus" else -1.0
-    m_c = sign * _moment(params.m, 0, 1, region, eps)
-    mu_c = sign * _moment(params.mu, 0, 1, region, eps)
+    m_c = sign * params.m.poly_moment(0, 1, region, eps)
+    mu_c = sign * params.mu.poly_moment(0, 1, region, eps)
 
     def intensity(s, k):
         return s["x"] * (s[name] / theta)
@@ -549,12 +545,11 @@ def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
     """Euler paths of the scalar equation with time-dependent
     coefficients; component ``x``."""
     x0 = _check_init("x0", x0)
-    _check_components(noise, spec.r + 1)
     dt, grid = noise.dt, noise.grid
     coeffs = _check_cbi(spec, grid)
     sigma, b, beta, l = (coeffs[n] for n in ("sigma", "b", "beta", "l"))
     theta0, theta1, r = spec.theta0, spec.theta1, spec.r
-    mu_x1 = _moment(spec.mu, 1, 0, "all", noise.eps)
+    mu_x1 = spec.mu.poly_moment(1, 0, eps=noise.eps)
 
     def euler(s, dB, k):
         xk = s["x"]
@@ -582,8 +577,7 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
     "all" is the two-sided pair equation, "plus" the one-sided limit
     equation.  The first coordinate always reads every mark.
     """
-    x0 = _check_init("x0", x0)
-    _check_components(noise, 3)
+    x0, z0 = _check_init("x0", x0), _check_finite("z0", z0)
     _check_dt(noise.dt, params)
     coords = [_catalyst(params, x0, noise.dt, noise.eps),
               _linear_partner(params, "z", z0, z_region, noise.dt,
@@ -592,8 +586,7 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
 
 
 def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
-                        z0: float, noise: NoiseSystem,
-                        z_region="all") -> np.ndarray:
+                        z0: float, noise: NoiseSystem) -> np.ndarray:
     """Second coordinate of one path by the variation-of-constants
     representation.
 
@@ -616,12 +609,10 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
     b21, b22 = params.beta[1, 0], params.beta[1, 1]
     s21, s22 = params.sigma[1]
     rt2s0 = math.sqrt(2.0) * params.sigma0
-    m_z = _moment(params.m, 0, 1, z_region, eps)
-    mu_z = _moment(params.mu, 0, 1, z_region, eps)
+    m_z = params.m.poly_moment(0, 1, eps=eps)
+    mu_z = params.mu.poly_moment(0, 1, eps=eps)
     ev0 = _EventTable(noise, "n0")
     ev1 = _EventTable(noise, "n1")
-    wz0 = _region_weights(ev0.xi2, z_region)
-    wz1 = _region_weights(ev1.xi2, z_region)
     grid = noise.grid
     weight = np.exp(-b22 * grid[:-1])           # integrating factor at t_k
 
@@ -636,12 +627,12 @@ def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
             + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * db[1] + s22 * db[2])
         s, e = ev0.offsets[k], ev0.offsets[k + 1]
         if e > s:
-            inc += wz0[s:e].sum()
+            inc += ev0.xi2[s:e].sum()
         inc -= dt * m_z
         s, e = ev1.offsets[k], ev1.offsets[k + 1]
         if e > s:
             acc = ev1.umark[s:e] <= xk
-            inc += wz1[s:e][acc].sum()
+            inc += ev1.xi2[s:e][acc].sum()
         inc -= dt * xk * mu_z
         acc_sum += weight[k] * inc
         z[k + 1] = math.exp(b22 * grid[k + 1]) * (z0 + acc_sum)
@@ -663,7 +654,6 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
     ``y``."""
     x0, y0 = _check_init("x0", x0), _check_init("y0", y0)
     _check_catalytic(params, l)
-    _check_components(noise, 3)
     dt = noise.dt
     _check_dt(dt, params)
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
@@ -679,8 +669,8 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
     plus = _region_marks("plus")
     # Immigration marks in the positive quadrant, uncompensated.
     y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
-               comp=_thinning_comp(dt, _moment(params.mu, 0, 1, "plus",
-                                               noise.eps)),
+               comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, "plus",
+                                                             noise.eps)),
                clamp=True)
     return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
                       not params.mu.is_empty, keep)
@@ -691,7 +681,7 @@ def _check_reactant(params, theta, mode):
     if params.beta[1, 1] >= 0.0:
         raise ValueError(f"reactant scaling requires beta22 < 0, "
                          f"got {float(params.beta[1, 1])!r}")
-    if theta < 1.0:
+    if _check_finite("theta", theta) < 1.0:
         raise ValueError("theta must be >= 1")
     if mode not in ("single", "pair"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -720,7 +710,6 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
     y_minus0 = _check_init("y_minus0", y_minus0)
     _check_reactant(params, theta, mode)
     pair = mode == "pair"
-    _check_components(noise, 3)
     dt, eps = noise.dt, noise.eps
     _check_dt(dt, params)
 
@@ -742,7 +731,8 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
 
     sup = None
     if with_limit:
-        coords.append(_linear_partner(params, "z_lim", z0,
+        coords.append(_linear_partner(params, "z_lim",
+                                      _check_finite("z0", z0),
                                       "all" if pair else "plus", dt, eps))
         sup = {"gap": lambda s: np.abs(centered(s) - s["z_lim"])}
     comps, aborted_at, clamps = _step_loop(
@@ -769,7 +759,8 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     depend only on the arguments.  Each model regenerates its own aborted
     paths in one batch with the bound doubled (same per-path seeds) up to
     ``MAX_DOUBLINGS`` times; a path still aborted afterwards raises
-    ``ThinningBoundError``.
+    ``ThinningBoundError``.  Every model first runs on an empty batch, so
+    its input rules are checked before any path's noise is drawn.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
@@ -778,6 +769,9 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     keep = np.arange(steps_for(t_max, dt) + 1)
     if keep_idx is not None:
         keep = keep[keep_idx]
+    empty = generate_noise(m, mu, t_max, dt, [], u_bound, eps)
+    for model in models:
+        model(empty, keep)
 
     def finish(model, chunk_seeds, comps, aborted, clamps):
         retry = np.nonzero(~np.isnan(aborted))[0]

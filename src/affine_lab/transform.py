@@ -62,6 +62,12 @@ __all__ = [
 _TOL_RANGE = (1e-12, 1e-4)
 
 
+def _check_tol(tol) -> None:
+    """The solver tolerance rule: ``tol`` lies in ``_TOL_RANGE``."""
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+
+
 class TransformError(RuntimeError):
     """Integration failure or domain-invariant breach in the transform solver."""
 
@@ -325,8 +331,7 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
         If a lane's step size underflows (reporting its last good time) or
         its ``Re(psi1)`` or ``Re(phi)`` exceeds ``tol``.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+    _check_tol(tol)
     t_grid = _check_grid(t_grid)
     lanes = [_lane(u, _enforce_domain) for u in u_list]
     if not lanes:

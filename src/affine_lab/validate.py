@@ -11,8 +11,7 @@ the bias of the ``dt`` estimate, so four times that difference bounds the
 bias with a safety factor of two.
 
 Reports are deterministic functions of their inputs (including the master
-seed): rerunning an experiment reproduces every row bit for bit, and the
-serialized JSON form excludes wall-clock runtime for that reason.
+seed): rerunning an experiment reproduces every row bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,9 +27,10 @@ from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
 from .sde import (GeneralizedCbiSpec, _check_catalytic, _check_cbi,
-                  _check_dt, _check_init, _check_reactant, _reactant_starts,
-                  run_ensemble, simulate_affine, simulate_catalytic,
-                  simulate_generalized_cbi, simulate_reactant_pair)
+                  _check_dt, _check_finite, _check_init, _check_reactant,
+                  _reactant_starts, run_ensemble, simulate_affine,
+                  simulate_catalytic, simulate_generalized_cbi,
+                  simulate_reactant_pair)
 from .transform import char_fn, eval_F, eval_R, flow_residual, \
     moment_functionals
 
@@ -47,6 +46,7 @@ __all__ = [
     "fluctuation_experiment",
     "sc_semigroup_check",
     "GENERATOR_CATALOG",
+    "GENERATOR_MODES",
 ]
 
 DEFAULT_DT = 2.0 ** -10
@@ -130,7 +130,6 @@ class ExperimentReport:
     inputs: dict
     rows: tuple
     details: dict = field(default_factory=dict)
-    runtime: float = 0.0
 
     @property
     def overall(self) -> bool:
@@ -143,7 +142,7 @@ class ExperimentReport:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def payload(self) -> dict:
-        """Plain-JSON form; excludes runtime so reruns match bytewise."""
+        """Plain-JSON form; reruns match bytewise."""
         return {
             "name": self.name,
             "digest": self.digest,
@@ -205,10 +204,9 @@ def _params_fingerprint(params: AdmissibleParams) -> dict:
     }
 
 
-def _report(name, inputs, rows, details, started) -> ExperimentReport:
+def _report(name, inputs, rows, details) -> ExperimentReport:
     return ExperimentReport(name=name, inputs=inputs, rows=tuple(rows),
-                            details=details,
-                            runtime=time.perf_counter() - started)
+                            details=details)
 
 
 # -- empirical characteristic function -------------------------------------
@@ -337,7 +335,6 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     calibrated once per report as four times the largest coupled
     ``dt``-versus-``dt/2`` estimate gap, plus a small floor.
     """
-    started = time.perf_counter()
     u_pts = [_as_upoint(u) for u in u_list]
     ens, u_bound = _coupled_affine(params, x0, z0, t_list, dt, u_bound,
                                    n_paths=n_paths, master_seed=master_seed,
@@ -362,7 +359,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
               "n_paths": n_paths, "master_seed": master_seed, "dt": dt,
               "u_bound": u_bound, "eps": eps, "tol": tol}
     details = {"bias_budget": budget, "n_retried": ens.n_retried}
-    return _report("affine-formula", inputs, rows, details, started)
+    return _report("affine-formula", inputs, rows, details)
 
 
 def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
@@ -373,7 +370,6 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
     functionals; one extra one-sided row per time checks the exponential
     a-priori bound ``E[x(t)] <= (x0 + t(b1 + int xi1 m)) e^{t max(b11,0)}``.
     """
-    started = time.perf_counter()
     ens, u_bound = _coupled_affine(params, x0, z0, t_list, dt, u_bound,
                                    n_paths=n_paths, master_seed=master_seed,
                                    eps=eps)
@@ -408,11 +404,12 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
               "master_seed": master_seed, "dt": dt, "u_bound": u_bound,
               "eps": eps}
     details = {"bias_budget": budget, "n_retried": ens.n_retried}
-    return _report("moments", inputs, rows, details, started)
+    return _report("moments", inputs, rows, details)
 
 
 # -- generator checks ------------------------------------------------------
 
+GENERATOR_MODES = ("affine", "cbi", "catalytic")
 GENERATOR_CATALOG = ("1", "x1", "x2", "x1^2", "x2^2", "x1*x2",
                      "exp(-x1)", "exp(-x1+i*x2)")
 _X_ONLY = {"1", "x1", "x1^2", "exp(-x1)"}
@@ -460,7 +457,8 @@ def _affine_generator_value(params, name, x1, x2):
 
 
 def _cbi_generator_value(params, name, x, theta0, theta1, l):
-    """Closed form of the scalar-branching generator on an x-only function."""
+    """Closed form of the scalar-branching generator on an x-only function
+    (``check_generator`` has rejected every other name)."""
     m, mu = params.m, params.mu
     b, beta, alpha = params.b[0], params.beta[0, 0], params.alpha[0, 0]
     m1 = m.poly_moment(1, 0)
@@ -472,19 +470,16 @@ def _cbi_generator_value(params, name, x, theta0, theta1, l):
         return (2.0 * x * (b + beta * x) + 2.0 * alpha * x
                 + 2.0 * x * theta0 * m1 + theta0 ** 2 * m.poly_moment(2, 0)
                 + l * x * theta1 ** 2 * mu.poly_moment(2, 0))
-    if name == "exp(-x1)":
-        u1 = -1.0
-        imm = m.exp_integral(theta0 * u1, 0.0)
-        branch = mu.exp_integral(theta1 * u1, 0.0, compensate_xi1=True)
-        return math.exp(u1 * x) * (u1 * b + imm
-                                   + x * (u1 * beta + alpha * u1 ** 2
-                                          + l * branch))
-    raise ValueError(
-        f"{name!r} is not in the catalog for mode 'cbi' (x-only functions)")
+    u1 = -1.0                                   # exp(-x1)
+    imm = m.exp_integral(theta0 * u1, 0.0)
+    branch = mu.exp_integral(theta1 * u1, 0.0, compensate_xi1=True)
+    return math.exp(u1 * x) * (u1 * b + imm
+                               + x * (u1 * beta + alpha * u1 ** 2
+                                      + l * branch))
 
 
 def _catalytic_generator_value(params, name, x, y, l):
-    """Closed form of the catalyst-modulated generator.
+    """Closed form of the catalyst-modulated generator on a catalog name.
 
     The shared acceptance mark makes candidate jumps move both
     coordinates when the mark clears both thresholds, one coordinate
@@ -513,24 +508,22 @@ def _catalytic_generator_value(params, name, x, y, l):
                 + x * m.poly_moment(0, 1, "plus") + y * m.poly_moment(1, 0)
                 + m.poly_moment(1, 1, "plus")
                 + joint * mu.poly_moment(1, 1, "plus"))
-    if name == "exp(-x1+i*x2)":
-        u1, u2 = -1.0, 1j
-        f0 = np.exp(u1 * x + u2 * y)
-        drift = u1 * (b1 + b11 * x) + u2 * (b2 + b21 * x * y + b22 * y)
-        diff = (al[0, 0] * x * u1 ** 2
-                + 2.0 * al[0, 1] * x * math.sqrt(y) * u1 * u2
-                + (params.a * y + al[1, 1] * x * y) * u2 ** 2)
-        imm = (m.exp_integral(u1, u2, region="plus")
-               + m.exp_integral(u1, 0.0, region="minus"))
-        branch = (joint * mu.exp_integral(u1, u2, region="plus")
-                  + x_only * mu.exp_integral(u1, 0.0, region="plus")
-                  + y_only * mu.exp_integral(0.0, u2, region="plus")
-                  - x * u1 * mu.poly_moment(1, 0, "plus")
-                  - l * x * y * u2 * mu.poly_moment(0, 1, "plus")
-                  + x * mu.exp_integral(u1, 0.0, region="minus")
-                  - x * u1 * mu.poly_moment(1, 0, "minus"))
-        return f0 * (drift + diff + imm + branch)
-    raise ValueError(f"unknown catalog function {name!r}")
+    u1, u2 = -1.0, 1j                           # exp(-x1+i*x2)
+    f0 = np.exp(u1 * x + u2 * y)
+    drift = u1 * (b1 + b11 * x) + u2 * (b2 + b21 * x * y + b22 * y)
+    diff = (al[0, 0] * x * u1 ** 2
+            + 2.0 * al[0, 1] * x * math.sqrt(y) * u1 * u2
+            + (params.a * y + al[1, 1] * x * y) * u2 ** 2)
+    imm = (m.exp_integral(u1, u2, region="plus")
+           + m.exp_integral(u1, 0.0, region="minus"))
+    branch = (joint * mu.exp_integral(u1, u2, region="plus")
+              + x_only * mu.exp_integral(u1, 0.0, region="plus")
+              + y_only * mu.exp_integral(0.0, u2, region="plus")
+              - x * u1 * mu.poly_moment(1, 0, "plus")
+              - l * x * y * u2 * mu.poly_moment(0, 1, "plus")
+              + x * mu.exp_integral(u1, 0.0, region="minus")
+              - x * u1 * mu.poly_moment(1, 0, "minus"))
+    return f0 * (drift + diff + imm + branch)
 
 
 def check_generator(params, state, *, which, n_paths, master_seed,
@@ -549,8 +542,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     Runs at full jump measures (no truncation band), where every closed
     form on the right-hand side is exact.
     """
-    started = time.perf_counter()
-    if which not in ("affine", "cbi", "catalytic"):
+    if which not in GENERATOR_MODES:
         raise ValueError(f"unknown generator mode {which!r}")
     if which == "cbi":
         x1 = _check_init("state", state)
@@ -559,7 +551,8 @@ def check_generator(params, state, *, which, n_paths, master_seed,
             if f is None else [f]
         intensity = l * x1
     else:
-        x1, x2 = _check_init("state[0]", state[0]), float(state[1])
+        x1 = _check_init("state[0]", state[0])
+        x2 = _check_finite("state[1]", state[1])
         if which == "catalytic":
             _check_init("state[1]", x2)
             _check_catalytic(params, l)
@@ -636,7 +629,7 @@ def check_generator(params, state, *, which, n_paths, master_seed,
               "master_seed": master_seed, "theta0": theta0,
               "theta1": theta1, "l": l, "u_bound": u_bound}
     details = {"n_retried": ens.n_retried}
-    return _report(f"generator-{which}", inputs, rows, details, started)
+    return _report(f"generator-{which}", inputs, rows, details)
 
 
 # -- pathwise uniqueness and contraction -----------------------------------
@@ -653,7 +646,6 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     branching jumps leave the mean gap unaffected, and the coupled scheme
     keeps the gap one-signed.
     """
-    started = time.perf_counter()
     _check_init("x0_a", x0_a)
     _check_init("x0_b", x0_b)
     _check_n_paths(n_paths)
@@ -700,7 +692,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
               "master_seed": master_seed, "dt": dt, "u_bound": u_bound,
               "eps": eps}
     details = {"n_retried": ens.n_retried}
-    return _report("uniqueness", inputs, rows, details, started)
+    return _report("uniqueness", inputs, rows, details)
 
 
 # -- scaling-limit fluctuations --------------------------------------------
@@ -734,7 +726,6 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     noise-free expansion.  ``split`` overrides the canonical nonnegative
     coefficient decomposition in pair mode.
     """
-    started = time.perf_counter()
     ladder = _check_ladder(theta_ladder)
     _check_reactant(params, ladder[0], mode)
     if mode == "pair" and split is not None:
@@ -790,7 +781,7 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
               "split": None if split is None else asdict(split)}
     details = {"e_theta": {f"{k:g}": v for k, v in e_theta.items()},
                "n_retried": retried}
-    return _report(f"fluctuation-{mode}", inputs, rows, details, started)
+    return _report(f"fluctuation-{mode}", inputs, rows, details)
 
 
 # -- transform-level composition -------------------------------------------
@@ -798,7 +789,6 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
 def sc_semigroup_check(params, r, t, u_list, *,
                        tol=1e-9) -> ExperimentReport:
     """Flow-property residuals of the transform at composition points."""
-    started = time.perf_counter()
     u_pts = [_as_upoint(u) for u in u_list]
     rows = []
     for u, res in zip(u_pts, flow_residual(params, u_pts, r, t, tol)):
@@ -809,4 +799,4 @@ def sc_semigroup_check(params, r, t, u_list, *,
                          10.0 * tol, sided="upper"))
     inputs = {"params": _params_fingerprint(params), "r": r, "t": t,
               "u_list": _jsonable(u_pts), "tol": tol}
-    return _report("semigroup-flow", inputs, rows, {}, started)
+    return _report("semigroup-flow", inputs, rows, {})

@@ -173,8 +173,8 @@ class TestParseConfig:
     def test_transform_tol_range(self):
         for tol in (1e-13, 2e-4):
             with pytest.raises(ConfigError,
-                               match=r"\$\.transform\.tol: must lie in "
-                                     r"\[1e-12, 0\.0001\]"):
+                               match=r"\$\.transform\.tol: tol must lie "
+                                     r"in \[1e-12, 0\.0001\]"):
                 make_config(transform={"tol": tol})
         for tol in (1e-12, 1e-4):
             assert make_config(transform={"tol": tol}).tol == tol
@@ -262,6 +262,18 @@ class TestParseConfig:
             make_config(simulate={"theta": 0.5})
         config = make_config(simulate={"theta": 1.0})
         assert config.resolved["simulate"]["theta"] == 1.0
+
+    @pytest.mark.parametrize("block, key", [("simulate", "l"),
+                                            ("validate", "flow_r"),
+                                            ("validate", "flow_t")])
+    def test_zero_accepted_like_the_library(self, block, key):
+        """``simulate_catalytic`` takes ``l = 0`` and ``sc_semigroup_check``
+        takes ``r = 0`` and ``t = 0``, so the config takes them too."""
+        config = make_config(**{block: {key: 0.0}})
+        assert config.resolved[block][key] == 0.0
+        with pytest.raises(ConfigError, match=rf"^\$\.{block}\.{key}: must "
+                                              r"be nonnegative$"):
+            make_config(**{block: {key: -0.5}})
 
     def test_resolved_document_follows_schema(self):
         resolved = parse_config("{}").resolved
@@ -534,10 +546,47 @@ class TestMain:
         assert main(["validate", "--config", path, "--out",
                      str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err == "affine-lab: need at least 2 paths for a standard " \
-            "error\n"
+        assert err == "affine-lab: $.mc.n_paths: need at least 2 paths " \
+            "for a standard error\n"
         assert main(["simulate", "--config", path, "--out",
                      str(tmp_path / "s")]) == 0
+
+    def test_one_path_rejected_before_any_check_runs(self, tmp_path,
+                                                     capsys):
+        """The Monte Carlo checks need two paths; the rule fires before
+        the semigroup check (listed first) runs, and a semigroup-only run
+        needs no paths."""
+        doc = dict(SMALL, mc={"n_paths": 1},
+                   validate={"checks": ["semigroup", "moments"]})
+        out = tmp_path / "o"
+        assert main(["validate", "--config", self.write(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("affine-lab: $.mc.n_paths: ")
+        assert captured.out == ""
+        assert not out.exists()
+        doc = dict(SMALL, mc={"n_paths": 1})
+        assert main(["validate", "--config", self.write(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert (out / "semigroup-flow.json").exists()
+
+    def test_zero_coupling_and_flow_times_run(self, tmp_path):
+        doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -6},
+               "mc": {"n_paths": 2, "u_bound": 16.0},
+               "simulate": {"system": "catalytic", "l": 0.0,
+                            "n_saved_paths": 2},
+               "validate": {"checks": ["semigroup"], "flow_r": 0.0,
+                            "flow_t": 0.0}}
+        path = self.write(tmp_path, doc)
+        for command in ("simulate", "validate"):
+            assert main([command, "--config", path, "--out",
+                         str(tmp_path / command)]) == 0
+        assert (tmp_path / "simulate" / "paths.csv").exists()
+        report = json.loads(
+            (tmp_path / "validate" / "semigroup-flow.json").read_text())
+        assert report["report"]["inputs"]["r"] == 0.0
+        assert report["report"]["inputs"]["t"] == 0.0
+        assert report["report"]["overall"]
 
     def test_unmet_thinning_bound_is_a_usage_error(self, tmp_path,
                                                    capsys):

@@ -6,8 +6,9 @@ were merged into one step loop.  The CLI digests were re-pinned at
 ``solve_ivp`` to the package's own lane-batched Dormand-Prince stepper.  A
 refactor of the simulators or drivers must leave every digest unchanged; a
 change that alters bytes on purpose bumps ``RNG_ID`` or
-``ARTIFACT_VERSION`` and re-pins.  Print the current
-digests with ``PYTHONPATH=src python tests/test_golden.py``.
+``ARTIFACT_VERSION`` and re-pins.  The demo digests pin the stdout of
+each script under ``demos/``.  Print the current digests with
+``PYTHONPATH=src python tests/test_golden.py``.
 
 The kernel cases cover every preset at a thinning bound that never binds
 (16) and one that aborts paths (1.2), refined and unrefined noise, both
@@ -20,6 +21,8 @@ as ``dt * l * x`` round differently under reassociation.
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +44,7 @@ T_MAX = 0.5
 DT = 2.0 ** -6
 N_PATHS = 6
 EPS = 1e-4
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- digests ----------------------------------------------------------------
@@ -86,13 +90,13 @@ def params_for(preset):
 _NOISE_CACHE = {}
 
 
-def noises(preset, u_bound, refined, dt=DT, n_components=3, seed=11):
-    key = (preset, u_bound, refined, dt, n_components, seed)
+def noises(preset, u_bound, refined, dt=DT, seed=11):
+    key = (preset, u_bound, refined, dt, seed)
     if key not in _NOISE_CACHE:
         p = params_for(preset)
         out = generate_noise(p.m, p.mu, T_MAX, dt,
                              substream_seed_array(seed, np.arange(N_PATHS)),
-                             u_bound, EPS, n_components=n_components)
+                             u_bound, EPS)
         _NOISE_CACHE[key] = refine(out) if refined else out
     return _NOISE_CACHE[key]
 
@@ -577,6 +581,25 @@ CLI_DIGESTS = {
         "322050be70ca1c1a195458c7fa4506978fe06a03cdc58e2c518c00b5e1ce61ad",
 }
 
+DEMO_DIGESTS = {
+    "cross_validation.py":
+        "8e5726fc7c74db8d08682441d9fd21dea402133235824e8675a770a1cdd6e5c1",
+    "fluctuation_ladder.py":
+        "5992918bef40566407615ff4b348645d468ec6c82ec1f4317df0da2a677ee4e3",
+    "simulate_paths.py":
+        "2523682291a93f8dba3c696e9897b705acf0abbb8c46c8dd2bc49ddd8089d210",
+    "transform_curves.py":
+        "6e3ce0e6888ff70bba0072bf73497dcaaf4d6b3db894ad1d8bced12a8375e3d5",
+}
+
+
+def demo_digest(name) -> str:
+    """SHA-256 of the stdout of ``demos/<name>`` run on this checkout."""
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                         capture_output=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    return hashlib.sha256(out.stdout).hexdigest()
+
 
 # -- tests --------------------------------------------------------------------
 
@@ -605,6 +628,16 @@ def test_cli_artifact_digests_unchanged(name, tmp_path):
     assert cli_digest(name, tmp_path) == CLI_DIGESTS[name]
 
 
+def test_every_demo_is_pinned():
+    assert sorted(DEMO_DIGESTS) == sorted(
+        p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_output_unchanged(name):
+    assert demo_digest(name) == DEMO_DIGESTS[name]
+
+
 def _print_digests():
     print("KERNEL_DIGESTS = {")
     for name, fn in kernel_cases().items():
@@ -613,6 +646,9 @@ def _print_digests():
     for name in CLI_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{name}":\n        "{cli_digest(name, Path(tmp))}",')
+    print("}\n\nDEMO_DIGESTS = {")
+    for name in DEMO_DIGESTS:
+        print(f'    "{name}":\n        "{demo_digest(name)}",')
     print("}")
 
 

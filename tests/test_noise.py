@@ -28,9 +28,8 @@ PE = ProductExponentialMeasure(total_rate=1.5, rate1=2.0, rate2=3.0,
 
 
 def make(seed=7, *, m=ATOMIC, mu=ATOMIC, t_max=2.0, dt=0.25, u_bound=4.0,
-         eps=0.0, n_components=3):
-    return generate_noise(m, mu, t_max, dt, seed, u_bound, eps,
-                          n_components=n_components)
+         eps=0.0):
+    return generate_noise(m, mu, t_max, dt, seed, u_bound, eps)
 
 
 # -- grid bookkeeping ------------------------------------------------------
@@ -62,6 +61,16 @@ def test_grid_and_shapes():
     assert ns.n1_path.shape == ns.n1_times.shape
     assert ns.n1_umarks.shape == ns.n1_times.shape
     assert not ns.n0_path.any() and not ns.n1_path.any()
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 1), (4, 4, 1), (4, 3)])
+def test_brownian_carries_three_components(shape):
+    """Every system reads components 0-2, so a system holds exactly
+    three, also after ``dataclasses.replace``."""
+    ns = make(dt=0.5)
+    with pytest.raises(ValueError, match=r"^brownian must have shape "
+                                         r"\(n_steps, 3, n_paths\)"):
+        dataclasses.replace(ns, brownian=np.zeros(shape))
 
 
 def test_batch_shapes():

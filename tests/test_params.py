@@ -1,5 +1,6 @@
 """Jump-measure queries against quadrature oracles; admissibility clauses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import integrate
 
 from affine_lab.params import (
     AdmissibilityError,
+    AdmissibleParams,
     FiniteAtomicMeasure,
     ProductExponentialMeasure,
     UPoint,
@@ -350,6 +352,41 @@ def test_admissible_rejections_cite_clauses():
                             [[0.0, 1.0], [0.0, 0.0]], empty, empty)
     except AdmissibilityError as err:
         assert len(err.violations) == 4
+
+
+def test_construction_and_replace_check_clauses():
+    """``AdmissibleParams(...)`` and ``dataclasses.replace`` check every
+    clause, as ``validate_admissible`` does."""
+    empty = FiniteAtomicMeasure([])
+    with pytest.raises(AdmissibilityError, match=r"^clause \(i\): a must be "
+                                                 r"nonnegative"):
+        AdmissibleParams(a=-0.5, alpha=np.eye(2), b=[1.0, 0.0],
+                         beta=np.zeros((2, 2)), m=empty, mu=empty)
+    p = validate_admissible(0.25, np.eye(2), [1.0, 0.0],
+                            [[-1.0, 0.0], [0.2, -0.5]], empty, empty)
+    with pytest.raises(AdmissibilityError, match=r"^clause \(iv\): beta12"):
+        dataclasses.replace(p, beta=[[-1.0, 0.3], [0.2, -0.5]])
+    q = dataclasses.replace(p, a=4.0, alpha=[[0.4, 0.1], [0.1, 0.3]])
+    assert q.sigma0 == 2.0
+    assert np.abs(q.sigma @ q.sigma.T - q.alpha).max() <= 1e-12
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"a": math.nan}, r"clause \(i\): a must be finite, got nan"),
+    ({"b": [math.inf, 0.0]}, r"clause \(iii\): b must be finite"),
+    ({"beta": [[math.nan, 0.0], [0.5, -1.0]]},
+     r"clause \(iv\): beta must be finite"),
+    ({"alpha": [[math.nan, 0.0], [0.0, 1.0]]},
+     r"clause \(ii\): alpha must be finite"),
+], ids=["a", "b1", "beta11", "alpha11"])
+def test_non_finite_coefficients_rejected(changes, match):
+    empty = FiniteAtomicMeasure([])
+    ok = dict(a=1.0, alpha=np.eye(2), b=[1.0, -1.0],
+              beta=[[-1.0, 0.0], [0.5, -1.0]], m=empty, mu=empty)
+    with pytest.raises(AdmissibilityError, match=f"^{match}"):
+        validate_admissible(**{**ok, **changes})
+    with pytest.raises(AdmissibilityError, match=f"^{match}"):
+        dataclasses.replace(validate_admissible(**ok), **changes)
 
 
 def test_admissible_derived_loadings():

@@ -710,7 +710,7 @@ def test_coefficient_forms(name, r, value, expected):
 def test_non_finite_coefficient_named_without_retries(monkeypatch, name,
                                                       value):
     """A non-finite coefficient is named by the first model call; run
-    through ``run_ensemble`` it draws no retry noise (every path would
+    through ``run_ensemble`` it draws no path's noise (every path would
     abort and be retried at each doubling of ``u_bound``)."""
     p = jump_affine_params()
     coeffs = dict(sigma=p.sigma[0].copy(), b=p.b[0], beta=p.beta[0, 0],
@@ -730,7 +730,69 @@ def test_non_finite_coefficient_named_without_retries(monkeypatch, name,
                                                                keep),
                      m=p.m, mu=p.mu, n_paths=4, master_seed=0, t_max=0.25,
                      dt=2.0 ** -6, u_bound=16.0, eps=0.0)
-    assert len(draws) == 1      # the first chunk's, which the model reads
+    assert [len(args[4]) for args in draws] == [0]  # the empty batch only
+
+
+NAN, INF = float("nan"), float("inf")
+P = jump_affine_params()
+
+
+def _cbi(theta0=1.0, theta1=1.0):
+    return GeneralizedCbiSpec(theta0=theta0, theta1=theta1, r=2,
+                              sigma=P.sigma[0].copy(), b=P.b[0],
+                              beta=P.beta[0, 0], l=1.0, mu=P.mu)
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_cbi_spec_takes_one_or_two_brownian_components(r):
+    """The noise has three components and the scalar equation's ``B_j``
+    reads component ``j``, so ``r`` is 1 or 2."""
+    with pytest.raises(ValueError, match=f"^r must be 1 or 2, got {r}$"):
+        GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=r, sigma=np.zeros(r),
+                           b=0.0, beta=0.0, l=0.0)
+
+
+@pytest.mark.parametrize("match, model", [
+    ("x0 must be finite, got nan",
+     lambda ns, keep: simulate_affine(P, NAN, 0.5, ns, keep=keep)),
+    ("z0 must be finite, got inf",
+     lambda ns, keep: simulate_affine(P, 1.0, INF, ns, keep=keep)),
+    ("x0 must be finite, got inf",
+     lambda ns, keep: simulate_generalized_cbi(_cbi(), INF, ns, keep)),
+    ("theta0 must be finite, got nan",
+     lambda ns, keep: simulate_generalized_cbi(_cbi(theta0=NAN), 1.0, ns,
+                                               keep)),
+    ("theta1 must be finite, got inf",
+     lambda ns, keep: simulate_generalized_cbi(_cbi(theta1=INF), 1.0, ns,
+                                               keep)),
+    ("y0 must be finite, got nan",
+     lambda ns, keep: simulate_catalytic(P, 1.0, NAN, 1.0, ns, keep)),
+    ("y_plus0 must be finite, got nan",
+     lambda ns, keep: simulate_reactant_pair(P, 4.0, 1.0, NAN, 4.0, ns,
+                                             keep=keep)),
+    ("y_minus0 must be finite, got inf",
+     lambda ns, keep: simulate_reactant_pair(P, 4.0, 1.0, 4.0, INF, ns,
+                                             keep=keep)),
+    ("z0 must be finite, got nan",
+     lambda ns, keep: simulate_reactant_pair(P, 4.0, 1.0, 4.0, 4.0, ns,
+                                             with_limit=True, z0=NAN,
+                                             keep=keep)),
+], ids=["x0", "z0", "cbi-x0", "theta0", "theta1", "y0", "y_plus0",
+        "y_minus0", "limit-z0"])
+def test_non_finite_input_named_before_any_noise(monkeypatch, match, model):
+    """A non-finite start or scale raises a ValueError that names it,
+    and ``run_ensemble`` draws no path's noise first (each used to abort
+    every path and draw the noise seven times)."""
+    drawn = []
+
+    def spy(*args):
+        drawn.append(len(args[4]))
+        return generate_noise(*args)
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    with pytest.raises(ValueError, match=f"^{match}"):
+        run_ensemble(model, m=P.m, mu=P.mu, n_paths=4, master_seed=0,
+                     t_max=0.25, dt=2.0 ** -6, u_bound=16.0, eps=0.0)
+    assert drawn == [0]                 # the empty batch only
 
 
 def _clamped_components(params, noise):

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from affine_lab.params import FiniteAtomicMeasure, UPoint, validate_admissible
+from affine_lab.params import (AdmissibilityError, FiniteAtomicMeasure,
+                               UPoint, validate_admissible)
 from affine_lab.presets import jump_affine_params, symmetric_split_params
 from affine_lab import sde, validate
 from affine_lab.sde import (EnsembleResult, run_ensemble, simulate_affine,
@@ -144,7 +145,6 @@ def test_report_serialization_excludes_runtime():
     kw = dict(n_paths=400, master_seed=11, dt=2.0 ** -7)
     a = check_moments(p, 1.0, 0.5, [0.5], **kw)
     b = check_moments(p, 1.0, 0.5, [0.5], **kw)
-    assert a.runtime != b.runtime or a.runtime > 0.0
     assert json.dumps(a.payload(), sort_keys=True) == \
         json.dumps(b.payload(), sort_keys=True)
     assert a.digest == b.digest
@@ -467,9 +467,10 @@ def test_system_rules_checked_before_simulation(no_simulation):
             check_generator(p, 1.0, which="cbi", l=l, **MC)
     with pytest.raises(ValueError, match=r"^l is not finite at t = 0$"):
         check_generator(p, 1.0, which="cbi", l=np.nan, **MC)
-    infinite_b1 = dataclasses.replace(p, b=np.array([np.inf, p.b[1]]))
-    with pytest.raises(ValueError, match=r"^b is not finite at t = 0$"):
-        check_generator(infinite_b1, 1.0, which="cbi", **MC)
+    # a parameter set is finite, so b1 = inf is rejected where it is built
+    with pytest.raises(AdmissibilityError,
+                       match=r"^clause \(iii\): b must be finite"):
+        dataclasses.replace(p, b=np.array([np.inf, p.b[1]]))
 
 
 @pytest.mark.parametrize("which, state", [
