@@ -2,9 +2,10 @@
 
 Runs the empirical characteristic function and first-moment checks for
 the jump-affine parameter set at a desk-scale path count, then prints the
-report tables.  Tolerances combine three standard errors with a
-discretization budget calibrated from a coupled step-halving run, so a
-healthy scheme passes every row.
+report tables.  Each estimate adds a coupled step-halving correction,
+run on one path in sixteen, to the coarse mean; tolerances combine three
+standard errors with a discretization budget of twice the largest
+correction, so a healthy scheme passes every row.
 """
 
 from affine_lab import (UPoint, check_affine_formula, check_moments,

@@ -48,7 +48,7 @@ from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
                        check_moments, fluctuation_experiment,
                        sc_semigroup_check, uniqueness_experiment)
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 _CHECK_NAMES = ("semigroup", "affine_formula", "moments", "generator",
                 "uniqueness")
@@ -465,9 +465,9 @@ def _config_from_dict(doc: dict) -> RunConfig:
     u_list = tuple(_rule(f"$.transform.u_list[{i}]", UPoint, complex(*u1),
                          complex(*u2))
                    for i, (u1, u2) in enumerate(tr["u_list"]))
-    if sim["theta"] < 1.0:
-        raise ConfigError("$.simulate.theta: must be >= 1")
     if sim["system"] == "reactant":
+        if sim["theta"] < 1.0:
+            raise ConfigError("$.simulate.theta: must be >= 1")
         _rule("$.simulate.z0", _reactant_starts, sim["theta"], sim["z0"],
               sim["mode"])
 
@@ -553,11 +553,8 @@ def write_paths_csv(noise, paths: dict, path: Path,
     rows = np.column_stack([np.repeat(np.arange(n_paths), n_grid),
                             np.tile(noise.grid, n_paths),
                             *(paths[name].ravel() for name in names)])
-    _write_csv(path, config,
-               [f"dt = {noise.dt!r}, eps = {noise.eps!r}, "
-                f"u_bound = {noise.u_bound!r}"],
-               ("path_id", "t", *names), "%d" + ",%.17g" * (len(names) + 1),
-               rows)
+    _write_csv(path, config, [], ("path_id", "t", *names),
+               "%d" + ",%.17g" * (len(names) + 1), rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -3,12 +3,17 @@
 Every experiment in this module produces an :class:`ExperimentReport` whose
 rows compare an observed quantity with an independent prediction under an
 explicit tolerance.  Tolerances split into a statistical part (a multiple
-of the Monte Carlo standard error) and a scheme-bias budget.  The bias
-budget is calibrated per report from a coupled control run at half the
-step size: if the scheme error is first order in ``dt``, the difference
-between the ``dt`` and ``dt/2`` estimates on shared noise is about half
-the bias of the ``dt`` estimate, so four times that difference bounds the
-bias with a safety factor of two.
+of the Monte Carlo standard error) and a scheme-bias budget.
+
+The coupled checks use Giles's two-level estimator.  The scheme runs at
+``dt`` on all ``N`` paths and, coupled through bridge refinement, at
+``dt`` and ``dt/2`` on the first ``max(2, ceil(N / FINE_FRACTION))`` of
+them.  A row's estimate is the coarse mean over ``N`` plus the mean
+``dt/2``-minus-``dt`` difference ``d`` over the coupled paths, so it
+targets the ``dt/2`` level; its standard error combines both means in
+quadrature.  If the scheme error is first order in ``dt``, the bias left
+at ``dt/2`` is about ``|d|``, so the bias budget ``2 max|d|`` (plus a
+small floor) bounds it with a safety factor of two.
 
 Reports are deterministic functions of their inputs (including the master
 seed): rerunning an experiment reproduces every row bit for bit.
@@ -54,6 +59,8 @@ DEFAULT_DT = 2.0 ** -10
 #: resolved control run still tolerates representation-level noise.
 BIAS_FLOOR = 1e-10
 GENERATOR_BIAS_FLOOR = 1e-8
+#: A coupled check runs its ``dt/2`` control on one path in this many.
+FINE_FRACTION = 16
 #: Scheme-bias allowance for the contraction check, in units of dt times
 #: the initial separation (first-order Euler error with a wide margin).
 CONTRACTION_BIAS_RATE = 20.0
@@ -254,15 +261,25 @@ def empirical_char_fn(ensemble, t, u, components=("x", "z")) -> CharFnEstimate:
     """
     u = _as_upoint(u)
     _check_n_paths(ensemble.n_paths)
+    mean, se = _mean_se(_char_samples(ensemble, t, u, components))
+    return CharFnEstimate(u=u, t=float(t), estimate=mean, stderr=se,
+                          n_paths=ensemble.n_paths)
+
+
+def _char_samples(ensemble, t, u, components=("x", "z")):
+    """Per-path ``exp(u1 c1(t) + u2 c2(t))`` for the two named columns."""
     idx = _column_at(ensemble, t)
     c1, c2 = components
-    x = ensemble.components[c1][:, idx]
-    z = ensemble.components[c2][:, idx]
-    w = np.exp(u.u1 * x + u.u2 * z)
-    n = len(w)
-    se = math.sqrt((np.var(w.real, ddof=1) + np.var(w.imag, ddof=1)) / n)
-    return CharFnEstimate(u=u, t=float(t), estimate=complex(w.mean()),
-                          stderr=float(se), n_paths=n)
+    return np.exp(u.u1 * ensemble.components[c1][:, idx]
+                  + u.u2 * ensemble.components[c2][:, idx])
+
+
+def _mean_se(w):
+    """Sample mean of ``w`` (complex for complex samples) and its standard
+    error, the real- and imaginary-part errors combined in quadrature."""
+    se = math.sqrt((np.var(w.real, ddof=1) + np.var(w.imag, ddof=1))
+                   / len(w))
+    return w.mean().item(), se
 
 
 # -- shared ensemble plumbing ----------------------------------------------
@@ -273,7 +290,7 @@ def _coupled(core):
     The fine solution reuses the same driving noise through bridge
     refinement and is reported on the coarse grid as ``<name>_fine``, so
     per-path differences isolate the discretization error of the coarse
-    run.
+    run.  :func:`_two_level_runs` runs it on a fraction of the paths only.
     """
 
     def model(noise, keep):
@@ -285,6 +302,50 @@ def _coupled(core):
         return comps, np.fmin(ca, fa), cl + fl
 
     return model
+
+
+def _two_level_runs(core, n_paths, **kwargs):
+    """The ensembles of a two-level estimate: ``core`` on all ``n_paths``
+    paths, and ``_coupled(core)`` on the first ``max(2, ceil(n_paths /
+    FINE_FRACTION))`` of them with the same master seed.
+
+    Both runs draw each path's noise from its own seed, so absent retries
+    the coupled run's coarse columns equal the first rows of the plain
+    run bit for bit.
+    """
+    n_fine = max(2, -(-n_paths // FINE_FRACTION))
+    return (run_ensemble(core, n_paths=n_paths, **kwargs),
+            run_ensemble(_coupled(core), n_paths=n_fine, **kwargs))
+
+
+@dataclass(frozen=True)
+class _TwoLevel:
+    """Two-level estimate of a ``dt/2`` mean and its parts (real for real
+    samples)."""
+
+    estimate: complex
+    stderr: float
+    diff: complex
+    diff_stderr: float
+
+
+def _two_level(samples, fine, coarse) -> _TwoLevel:
+    """The mean of ``samples`` (all paths at ``dt``) plus the mean of
+    ``fine - coarse`` (the coupled paths at ``dt/2`` and ``dt``)."""
+    mean, se = _mean_se(samples)
+    diff, diff_se = _mean_se(fine - coarse)
+    return _TwoLevel(mean + diff, math.hypot(se, diff_se), diff, diff_se)
+
+
+def _two_level_details(coarse, coupled, stats, scale=1.0) -> dict:
+    """``details`` entries shared by the two-level checks: the coupled
+    path count, each row's difference and its standard error (divided by
+    ``scale``), and the paths retried over both runs."""
+    return {"n_fine_paths": coupled.n_paths,
+            "differences": {q: {"diff": s.diff / scale,
+                                "stderr": s.diff_stderr / scale}
+                            for q, s in stats.items()},
+            "n_retried": coarse.n_retried + coupled.n_retried}
 
 
 def _grid_indices(t_list, dt):
@@ -310,18 +371,17 @@ def _thinning_bound(u_bound, intensity):
 
 
 def _coupled_affine(params, x0, z0, t_list, dt, u_bound, n_paths, **kwargs):
-    """The coupled pair ensemble kept at ``t_list``, and its thinning bound
-    (default ``8 (1 + x0)``)."""
+    """The two-level pair ensembles kept at ``t_list``, and their thinning
+    bound (default ``8 (1 + x0)``)."""
     _check_init("x0", x0)
     _check_n_paths(n_paths)
     keep_idx = _grid_indices(t_list, dt)
     _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, x0)
-    model = _coupled(lambda ns, keep: simulate_affine(params, x0, z0, ns,
-                                                      keep=keep))
-    return run_ensemble(model, m=params.m, mu=params.mu, n_paths=n_paths,
-                        t_max=max(t_list), dt=dt, u_bound=u_bound,
-                        keep_idx=keep_idx, **kwargs), u_bound
+    return _two_level_runs(
+        lambda ns, keep: simulate_affine(params, x0, z0, ns, keep=keep),
+        n_paths, m=params.m, mu=params.mu, t_max=max(t_list), dt=dt,
+        u_bound=u_bound, keep_idx=keep_idx, **kwargs), u_bound
 
 
 # -- transform-versus-simulation checks ------------------------------------
@@ -331,34 +391,33 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
                          tol=1e-9) -> ExperimentReport:
     """Empirical characteristic function against the exact transform.
 
-    One ensemble serves every ``(t, u)`` pair; the bias budget is
-    calibrated once per report as four times the largest coupled
-    ``dt``-versus-``dt/2`` estimate gap, plus a small floor.
+    One pair of two-level ensembles serves every ``(t, u)`` pair.  Each
+    row's estimate targets the ``dt/2`` level; the bias budget is
+    calibrated once per report as twice the largest mean coupled
+    ``dt/2``-minus-``dt`` difference, plus a small floor.
     """
     u_pts = [_as_upoint(u) for u in u_list]
-    ens, u_bound = _coupled_affine(params, x0, z0, t_list, dt, u_bound,
-                                   n_paths=n_paths, master_seed=master_seed,
-                                   eps=eps)
-    pairs = [(t, u) for t in t_list for u in u_pts]
-    coarse = {p: empirical_char_fn(ens, p[0], p[1]) for p in pairs}
-    fine = {p: empirical_char_fn(ens, p[0], p[1],
-                                 components=("x_fine", "z_fine"))
-            for p in pairs}
-    budget = 4.0 * max(abs(coarse[p].estimate - fine[p].estimate)
-                       for p in pairs) + BIAS_FLOOR
-    rows = []
+    (ens, ctl), u_bound = _coupled_affine(
+        params, x0, z0, t_list, dt, u_bound, n_paths=n_paths,
+        master_seed=master_seed, eps=eps)
+    stats, predicted = {}, {}
     for t in t_list:  # one lane batch of frequencies per time
-        for u, predicted in zip(u_pts, char_fn(params, (x0, z0), t, u_pts,
-                                               tol)):
-            est = coarse[(t, u)]
-            rows.append(_row(
-                f"char_fn t={t:g} u=({_fmt(u.u1)},{_fmt(u.u2)})",
-                predicted, est.estimate, 3.0 * est.stderr + budget))
+        for u, value in zip(u_pts, char_fn(params, (x0, z0), t, u_pts, tol)):
+            quantity = f"char_fn t={t:g} u=({_fmt(u.u1)},{_fmt(u.u2)})"
+            stats[quantity] = _two_level(
+                _char_samples(ens, t, u),
+                _char_samples(ctl, t, u, ("x_fine", "z_fine")),
+                _char_samples(ctl, t, u))
+            predicted[quantity] = value
+    budget = 2.0 * max(abs(s.diff) for s in stats.values()) + BIAS_FLOOR
+    rows = [_row(q, predicted[q], s.estimate, 3.0 * s.stderr + budget)
+            for q, s in stats.items()]
     inputs = {"params": _params_fingerprint(params), "x0": x0, "z0": z0,
               "t_list": list(t_list), "u_list": _jsonable(u_pts),
               "n_paths": n_paths, "master_seed": master_seed, "dt": dt,
               "u_bound": u_bound, "eps": eps, "tol": tol}
-    details = {"bias_budget": budget, "n_retried": ens.n_retried}
+    details = {"bias_budget": budget,
+               **_two_level_details(ens, ctl, stats)}
     return _report("affine-formula", inputs, rows, details)
 
 
@@ -366,44 +425,42 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
                   dt=DEFAULT_DT, u_bound=None, eps=0.0) -> ExperimentReport:
     """First moments against their closed forms, plus the a-priori bound.
 
-    Two-sided rows compare ``E[x(t)]`` and ``E[z(t)]`` with the moment
-    functionals; one extra one-sided row per time checks the exponential
-    a-priori bound ``E[x(t)] <= (x0 + t(b1 + int xi1 m)) e^{t max(b11,0)}``.
+    Two-sided rows compare two-level estimates of ``E[x(t)]`` and
+    ``E[z(t)]`` with the moment functionals, under the same budget as
+    :func:`check_affine_formula`; one extra one-sided row per time checks
+    the ``E[x(t)]`` estimate against the exponential a-priori bound
+    ``E[x(t)] <= (x0 + t(b1 + int xi1 m)) e^{t max(b11,0)}``.
     """
-    ens, u_bound = _coupled_affine(params, x0, z0, t_list, dt, u_bound,
-                                   n_paths=n_paths, master_seed=master_seed,
-                                   eps=eps)
+    (ens, ctl), u_bound = _coupled_affine(
+        params, x0, z0, t_list, dt, u_bound, n_paths=n_paths,
+        master_seed=master_seed, eps=eps)
     mf = moment_functionals(params)
-    stats = []
+    stats, predicted = {}, {}
     for t in t_list:
         col = _column_at(ens, t)
-        mx, mz = mf.mean(t, x0, z0)
-        for name, target in (("x", mx), ("z", mz)):
-            vals = ens.components[name][:, col]
-            ctrl = ens.components[name + "_fine"][:, col]
-            stats.append((t, name, target, vals.mean(),
-                          vals.std(ddof=1) / math.sqrt(len(vals)),
-                          abs(vals.mean() - ctrl.mean())))
-    budget = 4.0 * max(s[5] for s in stats) + BIAS_FLOOR
-    rows = [
-        _row(f"mean_{name} t={t:g}", target, observed,
-             3.0 * stderr + budget)
-        for t, name, target, observed, stderr, _ in stats
-    ]
+        for name, value in zip("xz", mf.mean(t, x0, z0)):
+            quantity = f"mean_{name} t={t:g}"
+            stats[quantity] = _two_level(
+                ens.components[name][:, col],
+                ctl.components[name + "_fine"][:, col],
+                ctl.components[name][:, col])
+            predicted[quantity] = value
+    budget = 2.0 * max(abs(s.diff) for s in stats.values()) + BIAS_FLOOR
+    rows = [_row(q, predicted[q], s.estimate, 3.0 * s.stderr + budget)
+            for q, s in stats.items()]
     m1 = params.m.poly_moment(1, 0)
     growth = max(params.beta[0, 0], 0.0)
     for t in t_list:
-        col = _column_at(ens, t)
-        vals = ens.components["x"][:, col]
+        est = stats[f"mean_x t={t:g}"]
         bound = (x0 + t * (params.b[0] + m1)) * math.exp(t * growth)
-        stderr = vals.std(ddof=1) / math.sqrt(len(vals))
-        rows.append(_row(f"mean_x_bound t={t:g}", bound, vals.mean(),
-                         3.0 * stderr + budget, sided="upper"))
+        rows.append(_row(f"mean_x_bound t={t:g}", bound, est.estimate,
+                         3.0 * est.stderr + budget, sided="upper"))
     inputs = {"params": _params_fingerprint(params), "x0": x0, "z0": z0,
               "t_list": list(t_list), "n_paths": n_paths,
               "master_seed": master_seed, "dt": dt, "u_bound": u_bound,
               "eps": eps}
-    details = {"bias_budget": budget, "n_retried": ens.n_retried}
+    details = {"bias_budget": budget,
+               **_two_level_details(ens, ctl, stats)}
     return _report("moments", inputs, rows, details)
 
 
@@ -539,8 +596,11 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     coefficients), or ``"catalytic"`` (the modulated reactant pair).
     ``f=None`` runs the whole catalog applicable to the mode.
 
-    Runs at full jump measures (no truncation band), where every closed
-    form on the right-hand side is exact.
+    The expectation is the two-level estimate of the ``delta/2`` level
+    (see the module docstring); each catalog function gets its own bias
+    budget ``(2 |d| + floor) / delta`` from its mean coupled difference
+    ``d``.  Runs at full jump measures (no truncation band), where every
+    closed form on the right-hand side is exact.
     """
     if which not in GENERATOR_MODES:
         raise ValueError(f"unknown generator mode {which!r}")
@@ -584,23 +644,24 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         def core(noise, keep):
             return simulate_catalytic(params, x1, x2, l, noise, keep)
 
-    ens = run_ensemble(_coupled(core), m=params.m, mu=params.mu,
-                       n_paths=n_paths, master_seed=master_seed,
-                       t_max=delta, dt=delta, u_bound=u_bound, eps=0.0,
-                       keep_idx=[1])
+    ens, ctl = _two_level_runs(core, n_paths, m=params.m, mu=params.mu,
+                               master_seed=master_seed, t_max=delta,
+                               dt=delta, u_bound=u_bound, eps=0.0,
+                               keep_idx=[1])
     second = {"affine": "z", "cbi": None, "catalytic": "y"}[which]
-    c1 = ens.components["x"][:, 0]
-    c2 = ens.components[second][:, 0] if second else None
-    f1 = ens.components["x_fine"][:, 0]
-    f2 = ens.components[second + "_fine"][:, 0] if second else None
 
-    rows = []
-    n = len(c1)
+    def at_end(f_eval, ensemble, suffix=""):
+        """``f_eval`` on every path's state at ``delta``."""
+        x = ensemble.components["x" + suffix][:, 0]
+        y = ensemble.components[second + suffix][:, 0] if second else None
+        return f_eval(x, y)
+
+    rows, stats = [], {}
     for name in names:
-        samples = _F_EVAL[name](c1, c2)
-        control = _F_EVAL[name](f1, f2)
+        samples = at_end(_F_EVAL[name], ens)
+        fine = at_end(_F_EVAL[name], ctl, "_fine")
+        coarse = at_end(_F_EVAL[name], ctl)
         at_start = complex(_F_EVAL[name](x1, x2))
-        observed = (complex(samples.mean()) - at_start) / delta
         if which == "affine":
             predicted = _affine_generator_value(params, name, x1, x2)
         elif which == "cbi":
@@ -608,27 +669,26 @@ def check_generator(params, state, *, which, n_paths, master_seed,
                                              theta1, l)
         else:
             predicted = _catalytic_generator_value(params, name, x1, x2, l)
-        coupled = abs(complex(samples.mean()) - complex(control.mean()))
-        budget = (4.0 * coupled + GENERATOR_BIAS_FLOOR) / delta
-        if np.iscomplexobj(samples) and name == "exp(-x1+i*x2)":
-            for part, tag in ((np.real, "re"), (np.imag, "im")):
-                vals = part(samples)
-                se = vals.std(ddof=1) / math.sqrt(n) / delta
-                rows.append(_row(
-                    f"{which}:{name}:{tag}",
-                    float(part(complex(predicted))),
-                    float(part(observed)), 3.0 * se + budget))
+        diff = abs(np.mean(fine - coarse))
+        budget = (2.0 * diff + GENERATOR_BIAS_FLOOR) / delta
+        if name == "exp(-x1+i*x2)":
+            parts = ((np.real, f"{which}:{name}:re"),
+                     (np.imag, f"{which}:{name}:im"))
         else:
-            vals = np.real(samples)
-            se = vals.std(ddof=1) / math.sqrt(n) / delta
-            rows.append(_row(f"{which}:{name}", float(np.real(predicted)),
-                             float(observed.real), 3.0 * se + budget))
+            parts = ((np.real, f"{which}:{name}"),)
+        for part, quantity in parts:
+            est = _two_level(part(samples), part(fine), part(coarse))
+            stats[quantity] = est
+            rows.append(_row(
+                quantity, float(part(complex(predicted))),
+                (est.estimate - float(part(at_start))) / delta,
+                3.0 * est.stderr / delta + budget))
     inputs = {"params": _params_fingerprint(params),
               "state": state if which == "cbi" else list(state),
               "which": which, "delta": delta, "f": f, "n_paths": n_paths,
               "master_seed": master_seed, "theta0": theta0,
               "theta1": theta1, "l": l, "u_bound": u_bound}
-    details = {"n_retried": ens.n_retried}
+    details = _two_level_details(ens, ctl, stats, scale=delta)
     return _report(f"generator-{which}", inputs, rows, details)
 
 
@@ -698,11 +758,13 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
 # -- scaling-limit fluctuations --------------------------------------------
 
 def _check_ladder(theta_ladder):
-    """``theta_ladder`` as floats: at least two scales, strictly
+    """``theta_ladder`` as floats: at least two finite scales, strictly
     increasing, none below 1."""
     ladder = [float(t) for t in theta_ladder]
     if len(ladder) < 2:
         raise ValueError("theta_ladder needs at least two scales")
+    if not all(math.isfinite(t) for t in ladder):
+        raise ValueError(f"theta_ladder entries must be finite, got {ladder}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("theta_ladder must be strictly increasing")
     if ladder[0] < 1.0:

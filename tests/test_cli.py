@@ -259,9 +259,21 @@ class TestParseConfig:
     def test_simulate_theta_at_least_one(self):
         with pytest.raises(ConfigError,
                            match=r"^\$\.simulate\.theta: must be >= 1$"):
-            make_config(simulate={"theta": 0.5})
-        config = make_config(simulate={"theta": 1.0})
+            make_config(simulate={"system": "reactant", "theta": 0.5})
+        config = make_config(simulate={"system": "reactant", "theta": 1.0})
         assert config.resolved["simulate"]["theta"] == 1.0
+
+    @pytest.mark.parametrize("system", ["affine", "catalytic"])
+    def test_simulate_theta_ignored_without_reactant(self, system,
+                                                     tmp_path):
+        """Only the reactant system has a scale, so only it checks one."""
+        config = make_config(grid={"t_max": 0.25, "dt": 2.0 ** -6},
+                             simulate={"system": system, "theta": 0.5,
+                                       "n_saved_paths": 2})
+        assert run("simulate", config, out_dir=tmp_path,
+                   stdout=io.StringIO()) == 0
+        text = (tmp_path / "paths.csv").read_text()
+        assert text.count("# dt = ") == 1
 
     @pytest.mark.parametrize("block, key", [("simulate", "l"),
                                             ("validate", "flow_r"),
@@ -308,7 +320,7 @@ class TestRun:
         assert names == ["run_meta.json", "transform_u00.csv",
                          "transform_u01.csv", "transform_u02.csv"]
         text = (tmp_path / "transform_u00.csv").read_text()
-        assert "# artifact_version = 2\n" in text
+        assert "# artifact_version = 3\n" in text
         assert "# rng = philox4x64\n" in text
         assert "# seed = 7\n" in text
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
@@ -424,7 +436,7 @@ class TestRun:
         assert "semigroup-flow: PASS" in buffer.getvalue()
         assert "moments: PASS" in buffer.getvalue()
         payload = json.loads((tmp_path / "moments.json").read_text())
-        assert payload["artifact_version"] == 2
+        assert payload["artifact_version"] == 3
         assert payload["rng"] == "philox4x64"
         assert payload["report"]["overall"] is True
         assert payload["report"]["name"] == "moments"

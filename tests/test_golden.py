@@ -3,7 +3,11 @@
 Every kernel digest was pinned from the per-system batch cores before they
 were merged into one step loop.  The CLI digests were re-pinned at
 ``ARTIFACT_VERSION = 2``, when the transform solver moved from SciPy's
-``solve_ivp`` to the package's own lane-batched Dormand-Prince stepper.  A
+``solve_ivp`` to the package's own lane-batched Dormand-Prince stepper,
+and again at ``ARTIFACT_VERSION = 3``, when the coupled checks moved to
+the two-level estimate (new rows and ``details``) and ``paths.csv``
+dropped its repeated ``# dt = ..., eps = ..., u_bound = ...`` line; the
+``cross_validation.py`` demo digest changed with the rows it prints.  A
 refactor of the simulators or drivers must leave every digest unchanged; a
 change that alters bytes on purpose bumps ``RNG_ID`` or
 ``ARTIFACT_VERSION`` and re-pins.  The demo digests pin the stdout of
@@ -564,26 +568,26 @@ KERNEL_DIGESTS = {
 
 CLI_DIGESTS = {
     "transform":
-        "fc71feb0a3939e70317e2703f015c653716afaeb783d9e725c9b6d9c7f39f00c",
+        "343f3663213a8c78bfb97aa5535612a94737bdab23721d419ef115db4dd53895",
     "simulate-affine":
-        "af5a1277ea275702245eb602a9e08d1c2674364c4aff825ddd57253d17cbdc54",
+        "c70e70127863f8763507c0fc0cf68fe8c14bc76888cdb4475473be59249172c2",
     "simulate-catalytic":
-        "bfb346929c2bdda4bca78750bac1b989ceea0860f223a19b6543f7deca3dbb19",
+        "ddaffee12e5d9378485590578d540d850b63b209804041beaf89096de1fdc6f2",
     "simulate-reactant-single":
-        "237051f56e04979100d1702040152982be09500e8ae939f2dd4014681bbfe491",
+        "3c1dce5c6430a5b6d31061a082633465d9068bf3eae49e84fece803115c4a7e7",
     "simulate-reactant-pair":
-        "925e53faedbeb2aa48e3e1d01549d295b8d8f85103beca53a1a86e9adde24b8c",
+        "a277b9efec3bbf168235a76516b9d58f255a634c2ac91eb88cbb302e3e6a99bb",
     "validate":
-        "1392ef10b63b95164fc975db8a7f78a7c7af3235c360c248c5ac47b3c4defcd6",
+        "ef9ca81a4d4d997872e2f37952c337a9f211d639ef93355e6c8d5fdec9a60140",
     "limit-single":
-        "621669407e00ac3ca18003527f2c62cfe26a1576eba30862165ad9d45e587d46",
+        "c32956678ea0b25a0233906378e74fba69c328449b822e8f2e4c7eb4fb8de92e",
     "limit-pair":
-        "322050be70ca1c1a195458c7fa4506978fe06a03cdc58e2c518c00b5e1ce61ad",
+        "32a52a6dec5f02d2f15a7e790fe704997dc3ee59b063923fce8caad860ba56da",
 }
 
 DEMO_DIGESTS = {
     "cross_validation.py":
-        "8e5726fc7c74db8d08682441d9fd21dea402133235824e8675a770a1cdd6e5c1",
+        "19517a92559da3c744be66d13a4e7ca6e8cab2835d76828206f9e2812a1d5a63",
     "fluctuation_ladder.py":
         "5992918bef40566407615ff4b348645d468ec6c82ec1f4317df0da2a677ee4e3",
     "simulate_paths.py":

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from affine_lab.noise import generate_noise
 from affine_lab.params import (AdmissibilityError, FiniteAtomicMeasure,
                                UPoint, validate_admissible)
-from affine_lab.presets import jump_affine_params, symmetric_split_params
+from affine_lab.presets import (cir_params, jump_affine_params,
+                                symmetric_split_params)
 from affine_lab import sde, validate
 from affine_lab.sde import (EnsembleResult, run_ensemble, simulate_affine,
                             simulate_reactant_pair)
@@ -223,6 +225,90 @@ def test_moments_linear_growth_oracle():
     assert row.predicted == pytest.approx(1.5, abs=1e-12)
 
 
+# -- two-level estimate ----------------------------------------------------
+
+@pytest.fixture
+def ensemble_results(monkeypatch):
+    """Record every ensemble run with its result."""
+    runs = []
+
+    def spy(model, **kwargs):
+        result = run_ensemble(model, **kwargs)
+        runs.append((model, kwargs, result))
+        return result
+    monkeypatch.setattr(validate, "run_ensemble", spy)
+    return runs
+
+
+def test_two_level_runs_share_paths(ensemble_results):
+    """The coupled run repeats the plain run's first paths bit for bit, and
+    its fine columns are those of a coupled run over every path."""
+    p = jump_affine_params()
+    n = 2100                             # the plain run spans two chunks
+    u_list = [(-1.0, 0.0), (-0.5, 1j)]
+    rep = check_affine_formula(p, 1.0, 0.0, [0.25, 0.5], u_list,
+                               n_paths=n, master_seed=3, dt=2.0 ** -4,
+                               u_bound=16.0)
+    (_, coarse_kw, coarse), (model, kw, coupled) = ensemble_results
+    n_fine = -(-n // validate.FINE_FRACTION)
+    assert coarse.n_paths == n and coupled.n_paths == n_fine
+    assert dict(coarse_kw, n_paths=n_fine) == kw
+    assert coarse.n_retried == coupled.n_retried == 0
+    every_path = run_ensemble(model, **dict(kw, n_paths=n))
+    for name in ("x", "z"):
+        assert np.array_equal(coupled.components[name],
+                              coarse.components[name][:n_fine])
+        assert np.array_equal(coupled.components[name + "_fine"],
+                              every_path.components[name + "_fine"][:n_fine])
+
+    assert rep.details["n_fine_paths"] == n_fine
+    diffs = rep.details["differences"]
+    assert list(diffs) == [row.quantity for row in rep.rows]
+    for row, (t, u) in zip(rep.rows, [(t, u) for t in (0.25, 0.5)
+                                      for u in u_list]):
+        u = UPoint(*u)
+        w = (validate._char_samples(coupled, t, u, ("x_fine", "z_fine"))
+             - validate._char_samples(coupled, t, u))
+        d = diffs[row.quantity]
+        assert d["diff"] == pytest.approx(w.mean(), abs=1e-15)
+        assert d["stderr"] == pytest.approx(
+            np.sqrt((w.real.var(ddof=1) + w.imag.var(ddof=1)) / n_fine))
+        assert row.observed == pytest.approx(
+            empirical_char_fn(coarse, t, u).estimate + d["diff"])
+    budget = 2.0 * max(abs(d["diff"]) for d in diffs.values())
+    assert rep.details["bias_budget"] == pytest.approx(budget + 1e-10)
+
+
+def test_two_level_stderr_close_to_coarse_only(ensemble_results):
+    """At dt = 2^-10 the coupled difference varies so little from path to
+    path that running it on one path in sixteen barely widens a row."""
+    p = jump_affine_params()
+    six = [(-1.0, 0.0), (-2.0, 0.0), (0.0, 1j), (0.0, -1j), (-0.5, 2j),
+           (-0.5 + 0.5j, 1j)]
+    rep = check_affine_formula(p, 1.0, 0.0, [0.5, 1.0], six, n_paths=2048,
+                               master_seed=1, dt=2.0 ** -10)
+    coarse = ensemble_results[0][2]
+    budget = rep.details["bias_budget"]
+    for row, (t, u) in zip(rep.rows, [(t, u) for t in (0.5, 1.0)
+                                      for u in six]):
+        coarse_only = empirical_char_fn(coarse, t, u).stderr
+        stderr = (row.tolerance - budget) / 3.0
+        assert coarse_only <= stderr <= 1.05 * coarse_only, row.quantity
+
+
+def test_two_level_check_keeps_its_power():
+    """Below the Feller condition the projected Euler scheme is biased
+    where the budget cannot absorb it (b1 = 0.05 < alpha11 = 0.5).  At
+    this size the all-path coupled check failed the u = (-4, 0) row too,
+    by 3.10e-2 against a tolerance of 2.45e-2."""
+    p = dataclasses.replace(cir_params(), b=np.array([0.05, 0.0]))
+    rep = check_affine_formula(p, 0.2, 0.0, [1.0], [(-4.0, 0.0), (-1.0, 0.0)],
+                               n_paths=8192, master_seed=3, dt=2.0 ** -9)
+    row = rep.rows[0]
+    assert row.quantity == "char_fn t=1 u=(-4,0)"
+    assert not row.passed
+
+
 # -- generator -------------------------------------------------------------
 
 class TestGenerator:
@@ -263,8 +349,17 @@ class TestGenerator:
         rep = check_generator(params, (1.3, 0.6), which="affine", f="x1",
                               n_paths=3, master_seed=4, delta=2.0 ** -8)
         (row,) = rep.rows
-        # One Euler step reproduces a linear drift rate exactly.
-        assert row.observed == pytest.approx(row.predicted, abs=1e-9)
+        # One Euler step reproduces a linear drift rate exactly; the
+        # two-level estimate adds the coupled difference of two half steps.
+        d = rep.details["differences"]["affine:x1"]
+        assert row.observed - d["diff"] == pytest.approx(row.predicted,
+                                                         abs=1e-9)
+        h, x0 = 2.0 ** -9, 1.3
+        x_half = x0 + (0.7 - 0.4 * x0) * h
+        x_end = x_half + (0.7 - 0.4 * x_half) * h
+        assert row.observed == pytest.approx((x_end - x0) / (2 * h),
+                                             abs=1e-9)
+        assert d["stderr"] == 0.0 and row.passed
 
     def test_catalog_errors(self):
         p = jump_affine_params()
@@ -414,6 +509,21 @@ def test_fluctuation_rejects_bad_inputs(no_simulation):
     with pytest.raises(ValueError, match="mode"):
         fluctuation_experiment(p, [4.0, 16.0], mode="both", n_paths=2,
                                master_seed=1)
+
+
+@pytest.mark.parametrize("rung", [np.nan, np.inf])
+def test_fluctuation_rejects_nonfinite_rung(monkeypatch, rung):
+    batches = []
+
+    def spy(m, mu, t_max, dt, seed, *args):
+        batches.append(len(np.atleast_1d(seed)))
+        return generate_noise(m, mu, t_max, dt, seed, *args)
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    p = symmetric_split_params()
+    with pytest.raises(ValueError, match=r"^theta_ladder entries must be "
+                                         r"finite"):
+        fluctuation_experiment(p, [4.0, rung], n_paths=4, master_seed=1)
+    assert all(n == 0 for n in batches)
 
 
 # -- inputs are checked before anything is simulated ----------------------
