@@ -58,7 +58,6 @@ from .sde import (  # noqa: E402,F401
     ParameterSplit,
     run_ensemble,
     simulate_affine,
-    simulate_affine_voc,
     simulate_catalytic,
     simulate_generalized_cbi,
     simulate_reactant_pair,

@@ -40,8 +40,8 @@ from .params import (FiniteAtomicMeasure, ProductExponentialMeasure, UPoint,
                      validate_admissible)
 from .presets import builtin_params
 from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
-                  _reactant_starts, simulate_affine, simulate_catalytic,
-                  simulate_reactant_pair)
+                  _check_reactant, _reactant_starts, simulate_affine,
+                  simulate_catalytic, simulate_reactant_pair)
 from .transform import _check_tol, solve_transforms
 from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
                        _grid_indices, check_affine_formula, check_generator,
@@ -466,8 +466,8 @@ def _config_from_dict(doc: dict) -> RunConfig:
                          complex(*u2))
                    for i, (u1, u2) in enumerate(tr["u_list"]))
     if sim["system"] == "reactant":
-        if sim["theta"] < 1.0:
-            raise ConfigError("$.simulate.theta: must be >= 1")
+        _rule("$.simulate", _check_reactant, params, sim["theta"],
+              sim["mode"])
         _rule("$.simulate.z0", _reactant_starts, sim["theta"], sim["z0"],
               sim["mode"])
 

@@ -331,16 +331,19 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
     concatenated.  ``m`` feeds N0 at rate ``m.mass(eps=eps)``; ``mu``
     feeds the candidate stream N1 at rate ``u_bound * mu.mass(eps=eps)``.
     Empty (or fully truncated) measures produce no events without
-    consuming any randomness.
+    consuming any randomness.  An empty batch draws nothing, so only a
+    batch with a path checks ``u_bound``: ``run_ensemble`` runs its models
+    on an empty batch to check their inputs before it checks the bound.
     """
     n_steps = steps_for(t_max, dt)
     if not np.isfinite(eps) or eps < 0.0:
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
-    if not np.isfinite(u_bound):
-        raise ValueError(f"u_bound must be finite, got {u_bound!r}")
-    if u_bound <= 0.0 and not mu.is_empty:
-        raise ValueError("u_bound must be positive when mu is nonempty")
     seeds = _as_seeds(seed)
+    if len(seeds):
+        if not np.isfinite(u_bound):
+            raise ValueError(f"u_bound must be finite, got {u_bound!r}")
+        if u_bound <= 0.0 and not mu.is_empty:
+            raise ValueError("u_bound must be positive when mu is nonempty")
 
     rate0 = m.mass(eps=eps)
     rate1 = u_bound * mu.mass(eps=eps)

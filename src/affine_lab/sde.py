@@ -62,7 +62,6 @@ __all__ = [
     "ThinningBoundError",
     "simulate_generalized_cbi",
     "simulate_affine",
-    "simulate_affine_voc",
     "simulate_catalytic",
     "simulate_reactant_pair",
     "run_ensemble",
@@ -529,25 +528,15 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
 # ``keep`` (None keeps all), the abort time of each path (NaN if it ran
 # through) and its clamp count.
 
-def _check_cbi(spec, grid):
-    """Input rules of the scalar equation on ``grid``, which need no noise
-    to check: finite coefficients, the signs of ``b`` and ``l``, and the
-    stability rule for ``max|beta(t)|`` over the step starts.  Returns the
-    coefficients at the step starts."""
-    coeffs = spec.grid_coefficients(grid)
-    _stability_guard(grid[1] - grid[0], np.max(np.abs(coeffs["beta"])),
-                     "max|beta(t)|")
-    return coeffs
-
-
 def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
                              noise: NoiseSystem, keep=None):
     """Euler paths of the scalar equation with time-dependent
     coefficients; component ``x``."""
     x0 = _check_init("x0", x0)
-    dt, grid = noise.dt, noise.grid
-    coeffs = _check_cbi(spec, grid)
+    dt = noise.dt
+    coeffs = spec.grid_coefficients(noise.grid)
     sigma, b, beta, l = (coeffs[n] for n in ("sigma", "b", "beta", "l"))
+    _stability_guard(dt, np.max(np.abs(beta)), "max|beta(t)|")
     theta0, theta1, r = spec.theta0, spec.theta1, spec.r
     mu_x1 = spec.mu.poly_moment(1, 0, eps=noise.eps)
 
@@ -585,75 +574,16 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
     return _step_loop(noise, coords, not params.mu.is_empty, keep)
 
 
-def simulate_affine_voc(params: AdmissibleParams, x_path: np.ndarray,
-                        z0: float, noise: NoiseSystem) -> np.ndarray:
-    """Second coordinate of one path by the variation-of-constants
-    representation.
-
-    Discretizes the integrating-factor form on the same grid, consuming
-    the identical Brownian increments, events, and acceptance decisions as
-    the direct scheme (thinning against the supplied first-coordinate
-    path), and serves as its cross-check; the direct scheme remains the
-    primary simulator.  ``noise`` holds one path.
-    """
-    if noise.n_paths != 1:
-        raise ValueError(f"simulate_affine_voc needs a one-path noise "
-                         f"system, got {noise.n_paths} paths")
-    x_path = np.asarray(x_path, dtype=float)
-    n_steps = noise.n_steps
-    if x_path.shape != (n_steps + 1,):
-        raise ValueError(f"x_path has shape {x_path.shape}, but the noise "
-                         f"grid has {n_steps + 1} points")
-    dt, eps = noise.dt, noise.eps
-    b2 = params.b[1]
-    b21, b22 = params.beta[1, 0], params.beta[1, 1]
-    s21, s22 = params.sigma[1]
-    rt2s0 = math.sqrt(2.0) * params.sigma0
-    m_z = params.m.poly_moment(0, 1, eps=eps)
-    mu_z = params.mu.poly_moment(0, 1, eps=eps)
-    ev0 = _EventTable(noise, "n0")
-    ev1 = _EventTable(noise, "n1")
-    grid = noise.grid
-    weight = np.exp(-b22 * grid[:-1])           # integrating factor at t_k
-
-    z = np.empty(n_steps + 1)
-    z[0] = z0
-    acc_sum = 0.0
-    for k in range(n_steps):
-        xk = x_path[k]
-        db = noise.increment(k)[:, 0]
-        inc = dt * (b2 + b21 * xk) \
-            + rt2s0 * db[0] \
-            + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * db[1] + s22 * db[2])
-        s, e = ev0.offsets[k], ev0.offsets[k + 1]
-        if e > s:
-            inc += ev0.xi2[s:e].sum()
-        inc -= dt * m_z
-        s, e = ev1.offsets[k], ev1.offsets[k + 1]
-        if e > s:
-            acc = ev1.umark[s:e] <= xk
-            inc += ev1.xi2[s:e][acc].sum()
-        inc -= dt * xk * mu_z
-        acc_sum += weight[k] * inc
-        z[k + 1] = math.exp(b22 * grid[k + 1]) * (z0 + acc_sum)
-    return z
-
-
-def _check_catalytic(params, l):
-    """Input rules of the catalytic system, which need no noise to check."""
-    if params.b[1] < 0.0:
-        raise ValueError(f"catalytic reactant requires b2 >= 0, "
-                         f"got {float(params.b[1])!r}")
-    if l < 0.0:
-        raise ValueError("coupling constant l must be nonnegative")
-
-
 def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
                        l: float, noise: NoiseSystem, keep=None):
     """Euler paths of the catalyst/reactant system; components ``x`` and
     ``y``."""
     x0, y0 = _check_init("x0", x0), _check_init("y0", y0)
-    _check_catalytic(params, l)
+    if params.b[1] < 0.0:
+        raise ValueError(f"catalytic reactant requires b2 >= 0, "
+                         f"got {float(params.b[1])!r}")
+    if l < 0.0:
+        raise ValueError("coupling constant l must be nonnegative")
     dt = noise.dt
     _check_dt(dt, params)
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
@@ -760,7 +690,8 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
     paths in one batch with the bound doubled (same per-path seeds) up to
     ``MAX_DOUBLINGS`` times; a path still aborted afterwards raises
     ``ThinningBoundError``.  Every model first runs on an empty batch, so
-    its input rules are checked before any path's noise is drawn.
+    its input rules are checked before ``u_bound`` is and before any
+    path's noise is drawn.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")

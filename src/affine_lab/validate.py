@@ -17,6 +17,13 @@ small floor) bounds it with a safety factor of two.
 
 Reports are deterministic functions of their inputs (including the master
 seed): rerunning an experiment reproduces every row bit for bit.
+
+An experiment checks only the inputs its simulators do not see under the
+same name: the starts it names itself (``state``, ``x0_a``, ...), the
+path count, the times, the catalog names and the theta ladder.  Every
+other rule (starts, coefficients, stability, the split) is the
+simulator's own, and fires when ``run_ensemble`` runs the models on an
+empty batch, before any path's noise is drawn.
 """
 
 from __future__ import annotations
@@ -31,8 +38,7 @@ import numpy as np
 from .noise import refine
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (GeneralizedCbiSpec, _check_catalytic, _check_cbi,
-                  _check_dt, _check_finite, _check_init, _check_reactant,
+from .sde import (GeneralizedCbiSpec, _check_finite, _check_init,
                   _reactant_starts, run_ensemble, simulate_affine,
                   simulate_catalytic, simulate_generalized_cbi,
                   simulate_reactant_pair)
@@ -373,10 +379,8 @@ def _thinning_bound(u_bound, intensity):
 def _coupled_affine(params, x0, z0, t_list, dt, u_bound, n_paths, **kwargs):
     """The two-level pair ensembles kept at ``t_list``, and their thinning
     bound (default ``8 (1 + x0)``)."""
-    _check_init("x0", x0)
     _check_n_paths(n_paths)
     keep_idx = _grid_indices(t_list, dt)
-    _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, x0)
     return _two_level_runs(
         lambda ns, keep: simulate_affine(params, x0, z0, ns, keep=keep),
@@ -615,8 +619,6 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         x2 = _check_finite("state[1]", state[1])
         if which == "catalytic":
             _check_init("state[1]", x2)
-            _check_catalytic(params, l)
-        _check_dt(delta, params)
         names = list(GENERATOR_CATALOG) if f is None else [f]
         intensity = x1 if which == "affine" else max(x1, l * x1 * x2)
     for name in names:
@@ -636,7 +638,6 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         spec = GeneralizedCbiSpec(
             theta0=theta0, theta1=theta1, r=2, sigma=params.sigma[0].copy(),
             b=params.b[0], beta=params.beta[0, 0], l=l, mu=params.mu)
-        _check_cbi(spec, np.array([0.0, delta]))
 
         def core(noise, keep):
             return simulate_generalized_cbi(spec, x1, noise, keep)
@@ -709,7 +710,6 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     _check_init("x0_a", x0_a)
     _check_init("x0_b", x0_b)
     _check_n_paths(n_paths)
-    _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, max(x0_a, x0_b))
     n_steps = round(t_max / dt)
     keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
@@ -789,11 +789,6 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     coefficient decomposition in pair mode.
     """
     ladder = _check_ladder(theta_ladder)
-    _check_reactant(params, ladder[0], mode)
-    if mode == "pair" and split is not None:
-        split.check_against(params)
-    _check_init("x0", x0)
-    _check_dt(dt, params)
     u_bound = _thinning_bound(u_bound, x0)
 
     def rung(theta):

@@ -258,10 +258,19 @@ class TestParseConfig:
 
     def test_simulate_theta_at_least_one(self):
         with pytest.raises(ConfigError,
-                           match=r"^\$\.simulate\.theta: must be >= 1$"):
+                           match=r"^\$\.simulate: theta must be >= 1$"):
             make_config(simulate={"system": "reactant", "theta": 0.5})
         config = make_config(simulate={"system": "reactant", "theta": 1.0})
         assert config.resolved["simulate"]["theta"] == 1.0
+
+    def test_simulate_reactant_needs_negative_beta22(self):
+        """The reactant's own rules run at parse time, before any noise."""
+        with pytest.raises(ConfigError,
+                           match=r"^\$\.simulate: reactant scaling requires "
+                                 r"beta22 < 0, got 0\.5$"):
+            make_config(params={"b": [1.0, 0.0],
+                                "beta": [[-1.0, 0.0], [0.2, 0.5]]},
+                        simulate={"system": "reactant"})
 
     @pytest.mark.parametrize("system", ["affine", "catalytic"])
     def test_simulate_theta_ignored_without_reactant(self, system,

@@ -1,5 +1,7 @@
 """Simulator semantics: hand-stepped oracles, ODE limits, and couplings."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -16,7 +18,6 @@ from affine_lab.sde import (
     ParameterSplit,
     ThinningBoundError,
     simulate_affine,
-    simulate_affine_voc,
     simulate_catalytic,
     simulate_generalized_cbi,
     simulate_reactant_pair,
@@ -334,11 +335,49 @@ def test_gronwall_mean_bound():
 
 # -- variation of constants ------------------------------------------------
 
+def voc_z(params, x_path, z0, noise):
+    """Oracle for ``z`` of one path: the variation-of-constants
+    (integrating-factor) form on the noise grid, fed the same Brownian
+    increments, events and acceptance decisions as the direct scheme, the
+    candidates thinned against the given ``x`` path."""
+    assert noise.n_paths == 1
+    dt, eps, grid = noise.dt, noise.eps, noise.grid
+    b2 = params.b[1]
+    b21, b22 = params.beta[1, 0], params.beta[1, 1]
+    s21, s22 = params.sigma[1]
+    rt2s0 = math.sqrt(2.0) * params.sigma0
+    m_z = params.m.poly_moment(0, 1, eps=eps)
+    mu_z = params.mu.poly_moment(0, 1, eps=eps)
+    # an event at time t falls in the step (t_k, t_{k+1}] holding it
+    step0 = np.searchsorted(grid, noise.n0_times, side="left") - 1
+    step1 = np.searchsorted(grid, noise.n1_times, side="left") - 1
+    weight = np.exp(-b22 * grid[:-1])           # integrating factor at t_k
+
+    z = np.empty(noise.n_steps + 1)
+    z[0] = z0
+    acc_sum = 0.0
+    for k in range(noise.n_steps):
+        xk = x_path[k]
+        db = noise.increment(k)[:, 0]
+        inc = dt * (b2 + b21 * xk) \
+            + rt2s0 * db[0] \
+            + math.sqrt(2.0 * max(xk, 0.0)) * (s21 * db[1] + s22 * db[2])
+        inc += noise.n0_marks[step0 == k, 1].sum()
+        inc -= dt * m_z
+        here = step1 == k
+        acc = noise.n1_umarks[here] <= xk
+        inc += noise.n1_marks[here, 1][acc].sum()
+        inc -= dt * xk * mu_z
+        acc_sum += weight[k] * inc
+        z[k + 1] = math.exp(b22 * grid[k + 1]) * (z0 + acc_sum)
+    return z
+
+
 def test_voc_trivial_integrator():
     params = make_params(b=(1.0, 0.3), beta=((0, 0), (0.5, 0)))
     noise = quiet_noise()
     x = path(simulate_affine(params, 0.25, 1.0, noise))["x"]
-    z = simulate_affine_voc(params, x, 1.0, noise)
+    z = voc_z(params, x, 1.0, noise)
     assert z[0] == 1.0
     t = noise.grid
     exact = 1.0 + 0.3 * t + 0.5 * (0.25 * t + t * t / 2)
@@ -352,15 +391,9 @@ def test_voc_consistency_improves_with_dt(seed):
     gaps = []
     for ns in (noise, refine(noise)):
         out = path(simulate_affine(p, 1.0, 0.5, ns))
-        z = simulate_affine_voc(p, out["x"], 0.5, ns)
+        z = voc_z(p, out["x"], 0.5, ns)
         gaps.append(np.max(np.abs(z - out["z"])))
     assert gaps[0] / gaps[1] > 1.3
-
-
-def test_voc_rejects_grid_mismatch():
-    p, noise = preset_noise()
-    with pytest.raises(ValueError, match="grid"):
-        simulate_affine_voc(p, np.zeros(7), 0.0, noise)
 
 
 # -- aborts, retries, stability --------------------------------------------
@@ -454,13 +487,6 @@ def test_ensemble_reproduces_scalar_paths(kernel):
             assert arr[i:i + 1].tobytes() == comps_i[name].tobytes()
         assert aborted[i:i + 1].tobytes() == aborted_i.tobytes()
         assert clamps[i] == clamps_i[0]
-
-
-def test_single_path_simulators_reject_a_batch():
-    p, _ = preset_noise()
-    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, [3, 4], 24.0, 0.0)
-    with pytest.raises(ValueError, match="one-path noise system, got 2"):
-        simulate_affine_voc(p, np.ones(noise.n_steps + 1), 0.5, noise)
 
 
 @pytest.mark.parametrize("master_seed", [-1, 2 ** 64])

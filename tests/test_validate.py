@@ -12,7 +12,7 @@ from affine_lab.params import (AdmissibilityError, FiniteAtomicMeasure,
                                UPoint, validate_admissible)
 from affine_lab.presets import (cir_params, jump_affine_params,
                                 symmetric_split_params)
-from affine_lab import sde, validate
+from affine_lab import noise as noise_module, sde, validate
 from affine_lab.sde import (EnsembleResult, run_ensemble, simulate_affine,
                             simulate_reactant_pair)
 from affine_lab.transform import solve_transforms
@@ -51,23 +51,13 @@ class Simulated(Exception):
 
 
 @pytest.fixture
-def no_simulation(monkeypatch):
-    """Make any ensemble run raise :class:`Simulated`."""
-    def refuse(*args, **kwargs):
+def no_noise(monkeypatch):
+    """Make opening any Philox stream raise :class:`Simulated`: a path's
+    noise is drawn from its streams, so a rule that fires first raises
+    its own error."""
+    def refuse(*args):
         raise Simulated
-    monkeypatch.setattr(validate, "run_ensemble", refuse)
-
-
-@pytest.fixture
-def ensemble_runs(monkeypatch):
-    """Record every ensemble run; each one still goes ahead."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return run_ensemble(*args, **kwargs)
-    monkeypatch.setattr(validate, "run_ensemble", spy)
-    return calls
+    monkeypatch.setattr(noise_module, "_stream", refuse)
 
 
 MC = dict(n_paths=20, master_seed=0)
@@ -493,7 +483,7 @@ def test_fluctuation_single_mode_negative_start():
     assert e[0] < 0.1
 
 
-def test_fluctuation_rejects_bad_inputs(no_simulation):
+def test_fluctuation_rejects_bad_inputs(no_noise):
     p = jump_affine_params()
     for beta22 in (0.5, 0.0):
         bad = make_params(beta=((0.0, 0.0), (0.0, beta22)))
@@ -528,7 +518,7 @@ def test_fluctuation_rejects_nonfinite_rung(monkeypatch, rung):
 
 # -- inputs are checked before anything is simulated ----------------------
 
-def test_duplicate_t_list_rejected_up_front(no_simulation):
+def test_duplicate_t_list_rejected_up_front(no_noise):
     p = jump_affine_params()
     for t_list in ([0.5, 0.5], [0.5, 0.25, 0.5 + 1e-13]):
         with pytest.raises(ValueError, match="duplicate entries"):
@@ -540,7 +530,7 @@ def test_duplicate_t_list_rejected_up_front(no_simulation):
         check_moments(p, 1.0, 0.0, [0.25, 0.5], dt=2.0 ** -4, **MC)
 
 
-def test_stability_rule_checked_before_simulation(ensemble_runs):
+def test_stability_rule_checked_before_simulation(no_noise):
     p = jump_affine_params()
     runs = [
         lambda: check_moments(p, 1.0, 0.0, [0.5], dt=0.5, **MC),
@@ -558,10 +548,9 @@ def test_stability_rule_checked_before_simulation(ensemble_runs):
     for run in runs:
         with pytest.raises(ValueError, match="explicit-Euler stability rule"):
             run()
-    assert ensemble_runs == []
 
 
-def test_system_rules_checked_before_simulation(no_simulation):
+def test_system_rules_checked_before_simulation(no_noise):
     p = jump_affine_params()
     negative_b2 = dataclasses.replace(p, b=np.array([p.b[0], -0.2]))
     with pytest.raises(ValueError, match=r"^catalytic reactant requires "
@@ -603,12 +592,12 @@ def test_parse_time_stable_delta_runs(which, state):
     lambda p: uniqueness_experiment(p, 1.0, 1.5, t_max=1.0, n_paths=1,
                                     master_seed=0),
 ], ids=["moments", "affine-formula", "generator", "uniqueness"])
-def test_one_path_rejected_up_front(no_simulation, run):
+def test_one_path_rejected_up_front(no_noise, run):
     with pytest.raises(ValueError, match="need at least 2 paths"):
         run(jump_affine_params())
 
 
-def test_pair_split_checked_before_simulation(ensemble_runs):
+def test_pair_split_checked_before_simulation(no_noise):
     p = symmetric_split_params()
     split = sde.ParameterSplit.from_params(p)
     broken = sde.ParameterSplit(**{**split.__dict__,
@@ -617,11 +606,10 @@ def test_pair_split_checked_before_simulation(ensemble_runs):
         fluctuation_experiment(p, [4.0, 16.0], mode="pair", split=broken,
                                **MC)
     assert str(err.value) == "split does not reassemble b2: 1.0 != 0.0"
-    assert ensemble_runs == []
     # single mode has no second reactant, so it ignores the split
-    fluctuation_experiment(p, [4.0, 16.0], mode="single", split=broken,
-                           n_paths=2, master_seed=0, dt=2.0 ** -4)
-    assert len(ensemble_runs) == 1
+    with pytest.raises(Simulated):
+        fluctuation_experiment(p, [4.0, 16.0], mode="single", split=broken,
+                               n_paths=2, master_seed=0, dt=2.0 ** -4)
 
 
 @pytest.mark.parametrize("run,name", [
@@ -642,12 +630,46 @@ def test_pair_split_checked_before_simulation(ensemble_runs):
     (lambda p: fluctuation_experiment(p, [4.0, 16.0], x0=-0.5, **MC), "x0"),
     (lambda p: fluctuation_experiment(p, [1.0, 4.0], mode="single", z0=-1.5,
                                       **MC), r"theta \+ z0"),
+    # the default bound 8 (1 + x0) is negative here: the start is named
+    # before the bound is read
+    (lambda p: check_moments(p, -2.0, 0.0, [0.25], **MC), r"^x0"),
+    (lambda p: check_affine_formula(p, -2.0, 0.0, [0.25], [(-1.0, 0.0)],
+                                    **MC), r"^x0"),
+    (lambda p: fluctuation_experiment(p, [4.0, 16.0], x0=-2.0, **MC),
+     r"^x0"),
 ], ids=["generator-affine", "generator-cbi", "generator-catalytic-x",
         "generator-catalytic-y", "moments", "affine-formula",
         "uniqueness-a", "uniqueness-b", "fluctuation",
-        "fluctuation-single-start"])
-def test_negative_start_rejected_up_front(no_simulation, run, name):
+        "fluctuation-single-start", "moments-negative-bound",
+        "affine-formula-negative-bound", "fluctuation-negative-bound"])
+def test_negative_start_rejected_up_front(no_noise, run, name):
     with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        run(jump_affine_params())
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: check_moments(p, np.nan, 0.0, [0.25], **MC),
+    lambda p: check_affine_formula(p, np.nan, 0.0, [0.25], [(-1.0, 0.0)],
+                                   **MC),
+    lambda p: fluctuation_experiment(p, [4.0, 16.0], x0=np.nan, **MC),
+], ids=["moments", "affine-formula", "fluctuation"])
+def test_nan_start_rejected_up_front(no_noise, run):
+    """The default bound ``8 (1 + x0)`` is NaN too; the start is named."""
+    with pytest.raises(ValueError, match=r"^x0 must be finite, got nan$"):
+        run(jump_affine_params())
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda p: check_moments(p, 1.0, 0.0, [0.25], u_bound=np.nan, **MC),
+     r"^u_bound must be finite, got nan$"),
+    (lambda p: check_generator(p, (0.7, -0.4), which="affine", u_bound=0.0,
+                               **MC),
+     r"^u_bound must be positive when mu is nonempty$"),
+], ids=["nan", "zero"])
+def test_bad_u_bound_rejected_before_any_noise(no_noise, run, message):
+    """Valid models pass the empty batch; the first batch with a path
+    checks ``u_bound`` before it draws."""
+    with pytest.raises(ValueError, match=message):
         run(jump_affine_params())
 
 
