@@ -491,6 +491,15 @@ def _config_from_dict(doc: dict) -> RunConfig:
     _rule("$.limit.z0", _reactant_starts, ladder[0], lim["z0"], lim["mode"])
     split = None
     if lim["split"] is not None:
+        # the limit ladder and a simulated reactant read the split; a
+        # single reactant has none to take
+        readers = {"$.limit.mode": lim["mode"]}
+        if sim["system"] == "reactant":
+            readers["$.simulate.mode"] = sim["mode"]
+        for key, mode in readers.items():
+            if mode == "single":
+                raise ConfigError(f"$.limit.split: a split applies only in "
+                                  f"pair mode, but {key} is \"single\"")
         split = ParameterSplit(**lim["split"])
         _rule("$.limit.split", split.check_against, params)
 

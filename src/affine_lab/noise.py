@@ -332,8 +332,8 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
     feeds the candidate stream N1 at rate ``u_bound * mu.mass(eps=eps)``.
     Empty (or fully truncated) measures produce no events without
     consuming any randomness.  An empty batch draws nothing, so only a
-    batch with a path checks ``u_bound``: ``run_ensemble`` runs its models
-    on an empty batch to check their inputs before it checks the bound.
+    batch with a path checks ``u_bound``: ``run_ensemble`` runs its model
+    on an empty batch to check its inputs before it checks the bound.
     """
     n_steps = steps_for(t_max, dt)
     if not np.isfinite(eps) or eps < 0.0:

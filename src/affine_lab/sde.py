@@ -32,11 +32,20 @@ coordinate has one definition shared by every system that contains it,
 so its path is bitwise identical across the pair, catalytic and reactant
 simulators given the same noise.
 
+The loop can also advance several copies of one batch as lanes ``r *
+n_paths + p``, each copy with its own starts and coefficients held per
+lane: the reactant simulator runs a whole theta ladder this way, so one
+step's fixed NumPy call cost is paid once for every rung.  The step's
+increments and events are read once and tiled across the copies.
+
 Determinism: a path is a pure function of (coefficients, initial state,
 its noise).  Each simulator takes one ``NoiseSystem`` holding a batch of
 paths (one path is a batch of one) and performs identical elementwise
-arithmetic on every path, so each row of a batch equals the one-path
-batch of its seed bit for bit.
+arithmetic on every path and lane, so each row of a batch equals the
+one-path batch of its seed bit for bit, and each rung of a ladder the
+one-rung run.  ``run_ensemble`` retries aborted paths in rounds at a
+doubled thinning bound; a round draws the noise once, for the union of
+the paths the model's results aborted.
 
 Explicit-Euler stability is enforced: runs with ``dt * max|beta| > 0.1``
 are refused rather than silently degraded.  ``max|beta|`` is the largest
@@ -322,16 +331,18 @@ def _region_weights(xi2, region):
 class _Coord:
     """One coordinate of a batch system (see the module docstring).
 
-    Call signatures: ``euler(s, dB, k)`` with ``s`` the step-start states
-    by name and ``dB`` the step's ``(n_paths, n_components)`` Brownian
-    increments; ``intensity(s, k)``; ``comp(s, k, lam)`` with ``lam`` the
-    coordinate's intensity; ``marks0(xi1, xi2)`` and ``marks1(xi1, xi2)``
-    on a whole event table.  Coordinates that share one intensity
-    function share its evaluation and bound check in each step.
+    ``start`` is one value, or one per copy when ``_step_loop`` runs
+    several.  Call signatures: ``euler(s, dB, k)`` with ``s`` the
+    step-start states by name and ``dB`` the step's ``(n_lanes,
+    n_components)`` Brownian increments; ``intensity(s, k)``; ``comp(s,
+    k, lam)`` with ``lam`` the coordinate's intensity; ``marks0(xi1,
+    xi2)`` and ``marks1(xi1, xi2)`` on a whole event table.  Coordinates
+    that share one intensity function share its evaluation and bound
+    check in each step.
     """
 
     name: str
-    start: float
+    start: object
     euler: object
     intensity: object
     marks0: object
@@ -348,23 +359,33 @@ def _thinning_comp(dt, mu):
     return lambda s, k, lam: dt * lam * mu
 
 
-def _step_loop(noise, coords, thinning, keep=None, sup=None):
-    """Euler paths of ``coords`` on the noise of one batch.
+def _step_loop(noise, coords, thinning, keep=None, sup=None, copies=1):
+    """Euler paths of ``coords`` on ``copies`` copies of one batch's noise.
 
-    Returns ``(recorded by name, aborted_at, clamps)``: each coordinate at
-    the grid indices ``keep`` (any order; None is all) as ``(n_paths,
-    len(keep))``, and per name in ``sup`` one ``(n_paths, 1)`` column, the
-    maximum of ``sup[name](state)`` over grid points ``1..n_steps``.  A
-    path aborts at the first step whose state is not finite or, when
-    ``thinning``, whose intensity exceeds ``u_bound`` (candidates above it
-    were never drawn); its later recorded values and maxima are NaN.
-    Step ``k`` reads ``dB = noise.increment(k).T``, a view whose columns
-    are each one contiguous row of the time-major noise; on a refined
-    grid the increments are built as they are read, so no fine-grid
-    Brownian array exists.
+    Copy ``r`` of path ``p`` runs on lane ``r * n_paths + p``; a
+    coordinate's ``start``, and any array its functions close over, holds
+    one value per copy or per lane, so the copies can differ in scale and
+    start (the rungs of a reactant ladder) while reading the same noise.
+    Returns ``(recorded by name, aborted_at, clamps)`` over the lanes:
+    each coordinate at the grid indices ``keep`` (any order; None is all)
+    as ``(copies * n_paths, len(keep))``, and per name in ``sup`` one
+    column, the maximum of ``sup[name](state)`` over grid points
+    ``1..n_steps``.  A lane aborts at the first step whose state is not
+    finite or, when ``thinning``, whose intensity exceeds ``u_bound``
+    (candidates above it were never drawn); its later recorded values and
+    maxima are NaN.  Step ``k`` reads ``dB = noise.increment(k).T``, a
+    view whose columns are each one contiguous row of the time-major
+    noise; on a refined grid the increments are built as they are read,
+    so no fine-grid Brownian array exists.  With several copies the
+    step's increments and events are read once and tiled across them
+    (events of path ``p`` go to lanes ``p + r * n_paths``); no array of
+    the whole grid is copied.  Each lane does the elementwise arithmetic
+    of its one-copy run and adds its events in the same order, so every
+    copy equals that run bit for bit.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
         noise.dt, noise.u_bound
+    n_lanes = copies * n_paths
     every = np.arange(n_steps + 1)
     keep = every if keep is None else every[keep]   # -1 is the last point
     columns = {}                                # grid index -> kept columns
@@ -375,14 +396,22 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
     w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
     intensities = list(dict.fromkeys(c.intensity for c in coords))
+    first_lane = (np.arange(copies) * n_paths)[:, None]
 
-    s = {c.name: np.full(n_paths, c.start, dtype=float) for c in coords}
-    kept = {c.name: np.empty((n_paths, len(keep))) for c in coords}
+    def tiled(a):                               # one value per lane
+        return a if copies == 1 else np.tile(a, copies)
+
+    def lanes(paths):                           # path p -> lanes p + r*n
+        return paths if copies == 1 else (paths + first_lane).ravel()
+
+    s = {c.name: np.repeat(np.broadcast_to(c.start, copies).astype(float),
+                           n_paths) for c in coords}
+    kept = {c.name: np.empty((n_lanes, len(keep))) for c in coords}
     sup = {} if sup is None else sup
-    peaks = {name: np.full(n_paths, -np.inf) for name in sup}
-    abort_step = np.full(n_paths, -1, dtype=np.intp)
-    clamps = np.zeros(n_paths, dtype=np.intp)
-    alive = np.ones(n_paths, dtype=bool)
+    peaks = {name: np.full(n_lanes, -np.inf) for name in sup}
+    abort_step = np.full(n_lanes, -1, dtype=np.intp)
+    clamps = np.zeros(n_lanes, dtype=np.intp)
+    alive = np.ones(n_lanes, dtype=bool)
 
     def record(i):
         for j in columns.get(i, ()):
@@ -392,7 +421,7 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     record(0)
     with np.errstate(invalid="ignore", over="ignore"):
         # an empty batch, run_ensemble's input check, takes no step
-        for k in range(n_steps if n_paths else 0):
+        for k in range(n_steps if n_lanes else 0):
             lam = {f: f(s, k) for f in intensities}
             bad = ~np.logical_and.reduce([np.isfinite(v) for v in s.values()])
             if thinning:
@@ -403,23 +432,28 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
                 abort_step[newly] = k
                 alive &= ~newly
 
-            dB = noise.increment(k).T
+            dB = noise.increment(k)
+            dB = (dB if copies == 1 else np.tile(dB, (1, copies))).T
             a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
             a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
+            if e0 > a0:
+                p0 = lanes(ev0.path[a0:e0])
+            if e1 > a1:
+                p1 = lanes(ev1.path[a1:e1])
+                u1 = tiled(ev1.umark[a1:e1])
             step = {}
             for c, v0, v1 in zip(coords, w0, w1):
                 lam_c = lam[c.intensity]
                 new = c.euler(s, dB, k)
                 if e0 > a0:
-                    new = _add_events(new, ev0.path[a0:e0], v0[a0:e0],
-                                      n_paths)
+                    new = _add_events(new, p0, tiled(v0[a0:e0]), n_lanes)
                 if c.m != 0.0:
                     new = new - dt * c.m
                 if e1 > a1:
-                    acc = ev1.umark[a1:e1] <= lam_c[ev1.path[a1:e1]]
+                    acc = u1 <= lam_c[p1]
                     if acc.any():
-                        new = _add_events(new, ev1.path[a1:e1][acc],
-                                          v1[a1:e1][acc], n_paths)
+                        new = _add_events(new, p1[acc], tiled(v1[a1:e1])[acc],
+                                          n_lanes)
                 if c.comp is not None:
                     new = new - c.comp(s, k, lam_c)
                 if c.clamp:
@@ -494,9 +528,9 @@ def _linear_partner(params, name, z0, region, dt, eps):
 
 
 def _reactant(params, name, y0, theta, coefs, region, dt, eps):
-    """A reactant at scale ``theta`` carrying ``coefs = (sigma0, sigma21,
-    sigma22, b2, beta21)`` and the marks of one quadrant: "plus" reads
-    them as they are, "minus" sign-flipped."""
+    """A reactant at scale ``theta`` (one value per lane) carrying ``coefs
+    = (sigma0, sigma21, sigma22, b2, beta21)`` and the marks of one
+    quadrant: "plus" reads them as they are, "minus" sign-flipped."""
     sg0, sg21, sg22, bb2, bb21 = coefs
     b22 = params.beta[1, 1]
     sign = 1.0 if region == "plus" else -1.0
@@ -617,11 +651,10 @@ def _check_reactant(params, theta, mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def simulate_reactant_pair(params: AdmissibleParams, theta: float,
-                           x0: float, y_plus0: float, y_minus0: float,
-                           noise: NoiseSystem, mode="pair",
-                           split: ParameterSplit = None, with_limit=False,
-                           z0=None, keep=None):
+def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
+                           y_plus0, y_minus0, noise: NoiseSystem,
+                           mode="pair", split: ParameterSplit = None,
+                           with_limit=False, z0=None, keep=None):
     """Euler paths of the reactant system at scale ``theta``.
 
     ``mode="pair"`` runs the nonnegative-split pair, components ``x``,
@@ -630,33 +663,52 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
     the canonical one) decomposes the coefficients.  ``mode="single"``
     runs one reactant from ``y_plus0`` carrying the undecomposed
     coefficients with positive-quadrant jumps, components ``x``, ``y``
-    and ``z_k = y - theta``.  With ``with_limit`` the matching limit
-    equation, started at ``z0``, is advanced on the same noise as
-    ``z_lim``, and the supremum of ``|z_k - z_lim|`` over the grid is
-    reported per path as the one-column ``gap``.
+    and ``z_k = y - theta``; it has no split to take, so a ``split`` is
+    refused.  With ``with_limit`` the matching limit equation, started at
+    ``z0``, is advanced on the same noise as ``z_lim``, and the supremum
+    of ``|z_k - z_lim|`` over the grid is reported per path as the
+    one-column ``gap``.
+
+    ``theta`` may be a ladder, a 1-d sequence of scales, with
+    ``y_plus0`` and ``y_minus0`` one start per rung.  The rungs then run
+    as copies of one step loop on the same noise, and the result is a
+    list of one triple per rung, each equal bit for bit to the run of
+    that rung alone (which is the one-rung ladder).
     """
+    ladder = np.ndim(theta) > 0
+    rungs, yp0, ym0 = (list(v) if ladder else [v]
+                       for v in (theta, y_plus0, y_minus0))
+    if not rungs or not len(rungs) == len(yp0) == len(ym0):
+        raise ValueError(f"a ladder needs one y_plus0 and one y_minus0 per "
+                         f"theta, got {len(rungs)}, {len(yp0)} and "
+                         f"{len(ym0)}")
     x0 = _check_init("x0", x0)
-    y_plus0 = _check_init("y_plus0", y_plus0)
-    y_minus0 = _check_init("y_minus0", y_minus0)
-    _check_reactant(params, theta, mode)
+    yp0 = [_check_init("y_plus0", y) for y in yp0]
+    ym0 = [_check_init("y_minus0", y) for y in ym0]
+    for rung in rungs:
+        _check_reactant(params, rung, mode)
     pair = mode == "pair"
-    dt, eps = noise.dt, noise.eps
+    if split is not None and not pair:
+        raise ValueError("a split applies only in pair mode; the single "
+                         "reactant carries the undecomposed coefficients")
+    dt, eps, n = noise.dt, noise.eps, noise.n_paths
     _check_dt(dt, params)
 
+    lane_theta = np.repeat(np.array(rungs, dtype=float), n)
     coords = [_catalyst(params, x0, dt, eps)]
     if pair:
         split = ParameterSplit.from_params(params) if split is None else split
         split.check_against(params)
-        coords.append(_reactant(params, "y_plus", y_plus0, theta,
+        coords.append(_reactant(params, "y_plus", yp0, lane_theta,
                                 split._part("pos"), "plus", dt, eps))
-        coords.append(_reactant(params, "y_minus", y_minus0, theta,
+        coords.append(_reactant(params, "y_minus", ym0, lane_theta,
                                 split._part("neg"), "minus", dt, eps))
     else:
-        coords.append(_reactant(params, "y", y_plus0, theta,
+        coords.append(_reactant(params, "y", yp0, lane_theta,
                                 tuple(read(params) for _, read in _SPLIT),
                                 "plus", dt, eps))
 
-    def centered(s):
+    def centered(s, theta):
         return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta
 
     sup = None
@@ -664,75 +716,91 @@ def simulate_reactant_pair(params: AdmissibleParams, theta: float,
         coords.append(_linear_partner(params, "z_lim",
                                       _check_finite("z0", z0),
                                       "all" if pair else "plus", dt, eps))
-        sup = {"gap": lambda s: np.abs(centered(s) - s["z_lim"])}
+        sup = {"gap": lambda s: np.abs(centered(s, lane_theta) - s["z_lim"])}
     comps, aborted_at, clamps = _step_loop(
-        noise, coords, not params.mu.is_empty, keep, sup)
-    comps["z_k"] = centered(comps)
-    return comps, aborted_at, clamps
+        noise, coords, not params.mu.is_empty, keep, sup, len(rungs))
+    comps["z_k"] = centered(comps, lane_theta[:, None])
+    rows = [slice(r * n, (r + 1) * n) for r in range(len(rungs))]
+    out = [({name: arr[rung] for name, arr in comps.items()},
+            aborted_at[rung], clamps[rung]) for rung in rows]
+    return out if ladder else out[0]
 
 
 # -- ensemble driver -------------------------------------------------------
 
-def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
+def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
                  u_bound, eps, keep_idx=None):
-    """Run batch models over substream-seeded paths and stack the output.
+    """Run a batch model over substream-seeded paths and stack the output.
 
-    ``model_fn`` is one model or a sequence of models, each
-    ``model(noise, keep) -> (components, aborted_at, clamps)`` and a pure
-    function of the batch ``NoiseSystem``; ``keep`` is the array of grid
-    indices to record, ``keep_idx`` applied to ``0..n_steps`` (None keeps
-    all), and components are ``(n_paths, len(keep))`` arrays or one-column
-    per-path reductions.  One model gives one ``EnsembleResult``, a
-    sequence a list of one per model.  Paths run sequentially in chunks
-    of ``CHUNK``; each chunk's noise is generated once and every model
-    runs on it, and outputs are stacked in path-index order, so they
-    depend only on the arguments.  Each model regenerates its own aborted
-    paths in one batch with the bound doubled (same per-path seeds) up to
-    ``MAX_DOUBLINGS`` times; a path still aborted afterwards raises
-    ``ThinningBoundError``.  Every model first runs on an empty batch, so
-    its input rules are checked before ``u_bound`` is and before any
-    path's noise is drawn.
+    ``model(noise, keep)`` is a pure function of the batch ``NoiseSystem``
+    returning ``(components, aborted_at, clamps)``, or a list of such
+    triples, one per result (the rungs of a reactant ladder run as one
+    model); ``keep`` is the array of grid indices to record, ``keep_idx``
+    applied to ``0..n_steps`` (None keeps all), and components are
+    ``(n_paths, len(keep))`` arrays or one-column per-path reductions.
+    One triple gives one ``EnsembleResult``, a list a list of one per
+    triple.  Paths run sequentially in chunks of ``CHUNK``; each chunk's
+    noise is generated once, and outputs are stacked in path-index
+    order, so they depend only on the arguments.  Aborted paths are
+    retried in rounds with the bound doubled (same per-path seeds), up
+    to ``MAX_DOUBLINGS`` times: a round draws noise once, for the union
+    of the paths any result still has aborted, and each result takes the
+    rows of its own.  A path's noise depends only on its seed and bound,
+    so a result is the same as if it were retried alone.  A path still
+    aborted afterwards raises ``ThinningBoundError``.  The model first
+    runs on an empty batch, so its input rules are checked before
+    ``u_bound`` is and before any path's noise is drawn.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-    models = [model_fn] if callable(model_fn) else list(model_fn)
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
     keep = np.arange(steps_for(t_max, dt) + 1)
     if keep_idx is not None:
         keep = keep[keep_idx]
-    empty = generate_noise(m, mu, t_max, dt, [], u_bound, eps)
-    for model in models:
-        model(empty, keep)
+    several = isinstance(model(generate_noise(m, mu, t_max, dt, [], u_bound,
+                                              eps), keep), list)
 
-    def finish(model, chunk_seeds, comps, aborted, clamps):
-        retry = np.nonzero(~np.isnan(aborted))[0]
-        tries, bound, retried = 0, u_bound, 0
-        while len(retry) and tries < MAX_DOUBLINGS:
-            tries += 1
-            bound *= 2.0
-            retried += len(retry)
-            comps_r, aborted_r, clamps_r = model(generate_noise(
-                m, mu, t_max, dt, chunk_seeds[retry], bound, eps), keep)
-            for name in comps:
-                comps[name][retry] = comps_r[name]
-            aborted[retry] = aborted_r
-            clamps[retry] = clamps_r
-            retry = retry[~np.isnan(aborted_r)]
-        if len(retry):
-            raise ThinningBoundError(
-                f"{len(retry)} paths still exceed the thinning bound after "
-                f"{MAX_DOUBLINGS} doublings of u_bound={u_bound!r}")
-        return comps, retried, int(clamps.sum())
+    def results(chunk_seeds, bound):
+        out = model(generate_noise(m, mu, t_max, dt, chunk_seeds, bound,
+                                   eps), keep)
+        return out if several else [out]
 
     def run_chunk(chunk_seeds):
-        noise = generate_noise(m, mu, t_max, dt, chunk_seeds, u_bound, eps)
-        return [finish(model, chunk_seeds, *model(noise, keep))
-                for model in models]
+        def union(rows):
+            # not np.unique: its first call imports numpy.ma (about 1 MB)
+            return np.flatnonzero(np.bincount(np.concatenate(rows),
+                                              minlength=len(chunk_seeds)))
+
+        first = results(chunk_seeds, u_bound)
+        retry = [np.flatnonzero(~np.isnan(aborted)) for _, aborted, _ in first]
+        retried = [0] * len(first)
+        tries, bound = 0, u_bound
+        while any(len(r) for r in retry) and tries < MAX_DOUBLINGS:
+            tries += 1
+            bound *= 2.0
+            redo_rows = union(retry)
+            redo = results(chunk_seeds[redo_rows], bound)
+            for j, (comps, aborted, clamps) in enumerate(first):
+                comps_r, aborted_r, clamps_r = redo[j]
+                own = np.searchsorted(redo_rows, retry[j])  # rows in redo
+                for name in comps:
+                    comps[name][retry[j]] = comps_r[name][own]
+                aborted[retry[j]] = aborted_r[own]
+                clamps[retry[j]] = clamps_r[own]
+                retried[j] += len(retry[j])
+                retry[j] = retry[j][~np.isnan(aborted_r[own])]
+        left = union(retry)
+        if len(left):
+            raise ThinningBoundError(
+                f"{len(left)} paths still exceed the thinning bound after "
+                f"{MAX_DOUBLINGS} doublings of u_bound={u_bound!r}")
+        return [(comps, n, int(clamps.sum()))
+                for (comps, _, clamps), n in zip(first, retried)]
 
     # one chunk at a time, so only one chunk's noise is alive
     parts = [run_chunk(seeds[lo:lo + CHUNK])
              for lo in range(0, n_paths, CHUNK)]
-    results = [
+    ensembles = [
         EnsembleResult(times=keep * dt,
                        components={name: np.concatenate(
                            [c[name] for c, _, _ in chunks])
@@ -741,4 +809,4 @@ def run_ensemble(model_fn, *, m, mu, n_paths, master_seed, t_max, dt,
                        n_retried=sum(r for _, r, _ in chunks),
                        n_clamped=sum(c for _, _, c in chunks))
         for chunks in zip(*parts)]
-    return results[0] if callable(model_fn) else results
+    return ensembles if several else ensembles[0]

@@ -786,26 +786,26 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     of the first.  With ``deterministic_rate_check`` an extra row asserts
     ``theta * e_theta`` is constant to 10%, the first-order rate of the
     noise-free expansion.  ``split`` overrides the canonical nonnegative
-    coefficient decomposition in pair mode.
+    coefficient decomposition; only pair mode takes one.  The rungs run
+    as copies of one step loop on shared noise, with one retry draw per
+    round for the paths any rung aborted.
     """
     ladder = _check_ladder(theta_ladder)
     u_bound = _thinning_bound(u_bound, x0)
+    y_plus0, y_minus0 = zip(*(_reactant_starts(theta, z0, mode)
+                              for theta in ladder))
 
-    def rung(theta):
-        yp0, ym0 = _reactant_starts(theta, z0, mode)
+    def model(noise, keep):
+        # the rungs are copies of one step loop on each batch's noise
+        return [({"gap": comps["gap"]}, aborted, clamps)
+                for comps, aborted, clamps in simulate_reactant_pair(
+                    params, ladder, x0, y_plus0, y_minus0, noise, mode,
+                    split, with_limit=True, z0=z0, keep=keep)]
 
-        def model(noise, keep):
-            comps, aborted, clamps = simulate_reactant_pair(
-                params, theta, x0, yp0, ym0, noise, mode, split,
-                with_limit=True, z0=z0, keep=keep)
-            return {"gap": comps["gap"]}, aborted, clamps
-        return model
-
-    # every rung runs on the same first-attempt noise of each chunk
-    ensembles = run_ensemble([rung(theta) for theta in ladder], m=params.m,
-                             mu=params.mu, n_paths=n_paths,
-                             master_seed=master_seed, t_max=t_max, dt=dt,
-                             u_bound=u_bound, eps=eps, keep_idx=[])
+    ensembles = run_ensemble(model, m=params.m, mu=params.mu,
+                             n_paths=n_paths, master_seed=master_seed,
+                             t_max=t_max, dt=dt, u_bound=u_bound, eps=eps,
+                             keep_idx=[])
     e_theta = {theta: float(ens.components["gap"][:, 0].mean())
                for theta, ens in zip(ladder, ensembles)}
     retried = sum(ens.n_retried for ens in ensembles)

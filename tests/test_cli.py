@@ -22,6 +22,13 @@ def make_config(**blocks):
     return parse_config(json.dumps(blocks))
 
 
+# every part of a ParameterSplit, zero: the canonical split of
+# symmetric_split
+ZERO_SPLIT = {k: 0.0 for k in
+              ("sigma0_pos", "sigma0_neg", "sigma21_pos", "sigma21_neg",
+               "sigma22_pos", "sigma22_neg", "b2_pos", "b2_neg",
+               "beta21_pos", "beta21_neg")}
+
 SMALL = {
     "params": {"preset": "jump_affine"},
     "grid": {"t_max": 1.0, "dt": 2.0 ** -8},
@@ -194,10 +201,7 @@ class TestParseConfig:
             make_config(limit={"theta_ladder": [4.0]})
 
     def test_split_parsed_and_checked(self):
-        split = {k: 0.0 for k in
-                 ("sigma0_pos", "sigma0_neg", "sigma21_pos", "sigma21_neg",
-                  "sigma22_pos", "sigma22_neg", "b2_pos", "b2_neg",
-                  "beta21_pos", "beta21_neg")}
+        split = ZERO_SPLIT
         config = make_config(params={"preset": "symmetric_split"},
                              limit={"split": dict(split, b2_pos=0.25,
                                                   b2_neg=0.25)})
@@ -207,6 +211,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="reassemble"):
             make_config(params={"preset": "symmetric_split"},
                         limit={"split": dict(split, b2_pos=1.0)})
+
+    def test_split_refused_where_a_single_reactant_reads_it(self):
+        """A single reactant has no split to take: a split is refused when
+        the limit ladder or a simulated reactant runs in single mode."""
+        base = {"params": {"preset": "symmetric_split"}}
+        for blocks, key in (
+                ({"limit": {"split": ZERO_SPLIT, "mode": "single"}},
+                 "$.limit.mode"),
+                ({"limit": {"split": ZERO_SPLIT},
+                  "simulate": {"system": "reactant", "mode": "single"}},
+                 "$.simulate.mode")):
+            with pytest.raises(ConfigError) as err:
+                make_config(**base, **blocks)
+            assert str(err.value) == (f"$.limit.split: a split applies only "
+                                      f"in pair mode, but {key} is "
+                                      f"\"single\"")
+        # the simulate mode is read only by the reactant system
+        config = make_config(**base, limit={"split": ZERO_SPLIT},
+                             simulate={"system": "affine", "mode": "single"})
+        assert config.split.b2_pos == 0.0
 
     def test_measure_forms(self):
         config = make_config(params={

@@ -432,15 +432,17 @@ def test_run_ensemble_rejects_fewer_than_one_path(monkeypatch, n_paths,
                                                   several):
     p, _ = preset_noise()
     model = affine_model(p, 1.0, 0.0)
+    if several:             # one model with two results
+        model = lambda noise, keep, one=model: [one(noise, keep),
+                                                one(noise, keep)]
 
     def draw(*args):
         raise AssertionError("noise was drawn")
 
     monkeypatch.setattr(sde, "generate_noise", draw)
     with pytest.raises(ValueError, match="n_paths must be at least 1"):
-        run_ensemble([model, model] if several else model, m=p.m, mu=p.mu,
-                     n_paths=n_paths, master_seed=3, t_max=1.0,
-                     dt=2.0 ** -8, u_bound=16.0, eps=0.0)
+        run_ensemble(model, m=p.m, mu=p.mu, n_paths=n_paths, master_seed=3,
+                     t_max=1.0, dt=2.0 ** -8, u_bound=16.0, eps=0.0)
 
 
 def test_stability_refusal():
@@ -659,6 +661,53 @@ def test_limit_gap_is_the_sup_over_full_paths(mode):
     want = np.where(np.isnan(aborted), sup, np.nan)
     assert np.isnan(want).any() and not np.isnan(want).all()
     assert comps["gap"][:, 0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode, z0", [("pair", 0.25), ("single", -0.5)])
+def test_reactant_ladder_equals_one_rung_runs(mode, z0):
+    """The rungs of a ladder run as copies of one step loop; each equals
+    its one-rung run bit for bit, aborts and clamps included, although
+    scale and starts differ per copy and the rungs abort different
+    paths."""
+    p, noise = aborting_noise(False)
+    ladder = [2.0, 4.0, 16.0]
+    starts = [sde._reactant_starts(theta, z0, mode) for theta in ladder]
+    y_plus0, y_minus0 = zip(*starts)
+    kw = dict(with_limit=True, z0=z0, keep=None)
+    rungs = simulate_reactant_pair(p, ladder, 1.0, y_plus0, y_minus0, noise,
+                                   mode, **kw)
+    assert len(rungs) == len(ladder)
+    aborts = set()
+    for theta, (yp, ym), got in zip(ladder, starts, rungs):
+        want = simulate_reactant_pair(p, theta, 1.0, yp, ym, noise, mode,
+                                      **kw)
+        assert sorted(got[0]) == sorted(want[0])
+        for name, arr in want[0].items():
+            assert got[0][name].shape == arr.shape
+            assert got[0][name].tobytes() == arr.tobytes(), name
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert 0 < (~np.isnan(got[1])).sum() < noise.n_paths
+        aborts.add(got[1].tobytes())
+    assert len(aborts) == len(ladder)        # each rung aborts other paths
+
+
+def test_reactant_ladder_rejects_unmatched_starts():
+    p, noise = aborting_noise(False)
+    with pytest.raises(ValueError, match="one y_plus0 and one y_minus0 per "
+                                         "theta, got 2, 2 and 1"):
+        simulate_reactant_pair(p, [4.0, 16.0], 1.0, [4.0, 16.0], [4.0],
+                               noise)
+
+
+def test_single_reactant_refuses_a_split():
+    """A split was silently ignored in single mode; it is refused before
+    any noise is drawn, also the canonical one."""
+    p, noise = aborting_noise(False)
+    with pytest.raises(ValueError, match="^a split applies only in pair "
+                                         "mode"):
+        simulate_reactant_pair(p, 4.0, 1.0, 4.0, 4.0, noise, "single",
+                               ParameterSplit.from_params(p))
 
 
 # -- product-exponential jumps in the loop --------------------------------

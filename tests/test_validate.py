@@ -472,6 +472,68 @@ def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
     assert rep.details["n_retried"] == sum(retried)
 
 
+def _draws_by_chunk(draws, u_bound):
+    """``(seeds, bound)`` of each nonempty ``generate_noise`` call, as one
+    list per chunk: its first draw at ``u_bound``, then its retry rounds."""
+    chunks = []
+    for seeds, bound in draws:
+        if bound == u_bound:
+            chunks.append([])
+        chunks[-1].append((seeds, bound))
+    return chunks
+
+
+def test_fluctuation_retry_round_draws_noise_once(monkeypatch):
+    """Each retry round draws noise once, for the union of the paths the
+    rungs aborted; every rung keeps its own retries."""
+    monkeypatch.setattr(sde, "CHUNK", 64)
+    draws = []
+
+    def spy(m, mu, t_max, dt, seed, u_bound, eps):
+        if len(seed):
+            draws.append((tuple(np.asarray(seed).tolist()), u_bound))
+        return generate_noise(m, mu, t_max, dt, seed, u_bound, eps)
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    ensembles = []
+
+    def keep_ensembles(*args, **kwargs):
+        ensembles.extend(run_ensemble(*args, **kwargs))
+        return ensembles
+    monkeypatch.setattr(validate, "run_ensemble", keep_ensembles)
+    sp = symmetric_split_params()
+    ladder = [4.0, 16.0, 64.0]
+    kw = dict(n_paths=200, master_seed=5, t_max=1.0, dt=2.0 ** -6,
+              u_bound=3.0, eps=0.0)
+    fluctuation_experiment(sp, ladder, mode="pair", **kw)
+    together = _draws_by_chunk(draws, 3.0)
+
+    alone, retried = [], []
+    for theta in ladder:
+        draws.clear()
+        ens = run_ensemble(
+            lambda noise, keep, theta=theta: simulate_reactant_pair(
+                sp, theta, 1.0, theta, theta, noise, "pair", None,
+                with_limit=True, z0=0.0, keep=keep),
+            m=sp.m, mu=sp.mu, keep_idx=[], **kw)
+        alone.append(_draws_by_chunk(draws, 3.0))
+        retried.append(ens.n_retried)
+    assert [ens.n_retried for ens in ensembles] == retried
+
+    assert len(together) == 4                   # 200 paths in 64-path chunks
+    for i, chunk in enumerate(together):
+        rounds = max(len(rung[i]) for rung in alone)
+        assert len(chunk) == rounds > 1         # 1 + (retry rounds) draws
+        for j, (seeds, bound) in enumerate(chunk):
+            own = [rung[i][j] for rung in alone if len(rung[i]) > j]
+            assert {b for _, b in own} == {bound} == {3.0 * 2 ** j}
+            union = set().union(*(s for s, _ in own))
+            assert len(seeds) == len(union) and set(seeds) == union
+    # the rungs retried different paths, so a union saved draws
+    assert sum(len(seeds) for chunk in together for seeds, _ in chunk[1:]) \
+        < sum(len(seeds) for rung in alone for chunk in rung
+              for seeds, _ in chunk[1:])
+
+
 def test_fluctuation_single_mode_negative_start():
     # the single reactant starts at theta + z0, like its limit equation
     rep = fluctuation_experiment(jump_affine_params(), [4.0, 16.0, 64.0],
@@ -606,10 +668,14 @@ def test_pair_split_checked_before_simulation(no_noise):
         fluctuation_experiment(p, [4.0, 16.0], mode="pair", split=broken,
                                **MC)
     assert str(err.value) == "split does not reassemble b2: 1.0 != 0.0"
-    # single mode has no second reactant, so it ignores the split
-    with pytest.raises(Simulated):
-        fluctuation_experiment(p, [4.0, 16.0], mode="single", split=broken,
-                               n_paths=2, master_seed=0, dt=2.0 ** -4)
+    # single mode has no second reactant, so any split is refused, also
+    # the canonical one
+    for given in (broken, split):
+        with pytest.raises(ValueError, match="^a split applies only in "
+                                             "pair mode"):
+            fluctuation_experiment(p, [4.0, 16.0], mode="single",
+                                   split=given, n_paths=2, master_seed=0,
+                                   dt=2.0 ** -4)
 
 
 @pytest.mark.parametrize("run,name", [
