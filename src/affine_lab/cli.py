@@ -653,12 +653,9 @@ def _cmd_validate(config, out, stdout):
                 dt=config.dt, eps=config.eps, **mc))
         elif check == "generator":
             for mode in val["generator_modes"]:
-                state = val["generator_states"][mode]
-                if mode != "cbi":
-                    state = tuple(state)
                 reports.append(check_generator(
-                    config.params, state, which=mode, delta=val["delta"],
-                    **mc))
+                    config.params, val["generator_states"][mode], which=mode,
+                    delta=val["delta"], **mc))
         else:
             reports.append(uniqueness_experiment(
                 config.params, val["x0"], val["x0_b"], t_max=config.t_max,

@@ -165,12 +165,13 @@ def _stream(key0: int, role: int) -> Generator:
 
 
 def steps_for(t_max: float, dt: float) -> int:
-    """Number of grid steps; ``t_max`` must be an integer multiple of ``dt``."""
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("t_max and dt must be positive")
-    n = round(t_max / dt)
+    """Grid steps to ``t_max``, a positive multiple of ``dt`` (to 1e-9)."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    n = round(t_max / dt) if np.isfinite(t_max / dt) else 0
     if n < 1 or abs(n * dt - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError(f"t_max={t_max!r} is not an integer multiple of dt={dt!r}")
+        raise ValueError(
+            f"t = {t_max!r} is not a positive multiple of dt = {dt!r}")
     return n
 
 

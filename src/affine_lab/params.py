@@ -29,6 +29,7 @@ and a product of an exponential in ``xi1`` with a two-sided exponential in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,9 @@ class UPoint:
     def __post_init__(self):
         u1 = complex(self.u1)
         u2 = complex(self.u2)
+        for name, v in (("u1", u1), ("u2", u2)):
+            if not cmath.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if u1.real > 0.0:
             raise ValueError(f"u1 must have Re(u1) <= 0, got {u1}")
         if u2.real != 0.0:
@@ -70,6 +74,13 @@ class UPoint:
 
     def conj(self) -> "UPoint":
         return UPoint(self.u1.conjugate(), self.u2.conjugate())
+
+
+def _check_finite(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _l12(x):

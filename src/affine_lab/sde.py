@@ -32,11 +32,12 @@ coordinate has one definition shared by every system that contains it,
 so its path is bitwise identical across the pair, catalytic and reactant
 simulators given the same noise.
 
-The loop can also advance several copies of one batch as lanes ``r *
-n_paths + p``, each copy with its own starts and coefficients held per
-lane: the reactant simulator runs a whole theta ladder this way, so one
-step's fixed NumPy call cost is paid once for every rung.  The step's
-increments and events are read once and tiled across the copies.
+The loop can also advance several copies of one batch, each with its
+own starts and coefficients, along a NumPy broadcast axis: the reactant
+simulator runs a whole theta ladder this way, so one step's fixed NumPy
+call cost is paid once for every rung.  A coordinate that reads no
+per-copy value (the catalyst, the limit equation) is advanced once for
+all copies.
 
 Determinism: a path is a pure function of (coefficients, initial state,
 its noise).  Each simulator takes one ``NoiseSystem`` holding a batch of
@@ -57,12 +58,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .noise import (NoiseSystem, generate_noise, steps_for,
                     substream_seed_array)
-from .params import AdmissibleParams, FiniteAtomicMeasure, _region_mask
+from .params import (AdmissibleParams, FiniteAtomicMeasure, _check_finite,
+                     _region_mask)
 
 __all__ = [
     "GeneralizedCbiSpec",
@@ -93,13 +96,6 @@ def _stability_guard(dt: float, rate: float, label: str) -> None:
 def _check_dt(dt: float, params: AdmissibleParams) -> None:
     """The stability rule for the drift matrix of ``params``."""
     _stability_guard(dt, params.beta_bar, "max|beta|")
-
-
-def _check_finite(name, value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _check_init(name, value):
@@ -312,12 +308,6 @@ class _EventTable:
             ([0], np.cumsum(counts))).astype(np.intp)
 
 
-def _add_events(target, paths, weights, n_paths):
-    if len(paths):
-        target += np.bincount(paths, weights=weights, minlength=n_paths)
-    return target
-
-
 def _region_weights(xi2, region):
     """xi2 contribution per event under a jump-region restriction; the
     "minus" region's marks are sign-flipped, so nonnegative."""
@@ -333,7 +323,7 @@ class _Coord:
 
     ``start`` is one value, or one per copy when ``_step_loop`` runs
     several.  Call signatures: ``euler(s, dB, k)`` with ``s`` the
-    step-start states by name and ``dB`` the step's ``(n_lanes,
+    step-start states by name and ``dB`` the step's ``(n_paths,
     n_components)`` Brownian increments; ``intensity(s, k)``; ``comp(s,
     k, lam)`` with ``lam`` the coordinate's intensity; ``marks0(xi1,
     xi2)`` and ``marks1(xi1, xi2)`` on a whole event table.  Coordinates
@@ -359,33 +349,32 @@ def _thinning_comp(dt, mu):
     return lambda s, k, lam: dt * lam * mu
 
 
-def _step_loop(noise, coords, thinning, keep=None, sup=None, copies=1):
-    """Euler paths of ``coords`` on ``copies`` copies of one batch's noise.
+def _step_loop(noise, coords, thinning, keep=None, sup=None):
+    """Euler paths of ``coords`` on one batch's noise.
 
-    Copy ``r`` of path ``p`` runs on lane ``r * n_paths + p``; a
-    coordinate's ``start``, and any array its functions close over, holds
-    one value per copy or per lane, so the copies can differ in scale and
-    start (the rungs of a reactant ladder) while reading the same noise.
-    Returns ``(recorded by name, aborted_at, clamps)`` over the lanes:
-    each coordinate at the grid indices ``keep`` (any order; None is all)
-    as ``(copies * n_paths, len(keep))``, and per name in ``sup`` one
-    column, the maximum of ``sup[name](state)`` over grid points
-    ``1..n_steps``.  A lane aborts at the first step whose state is not
-    finite or, when ``thinning``, whose intensity exceeds ``u_bound``
-    (candidates above it were never drawn); its later recorded values and
-    maxima are NaN.  Step ``k`` reads ``dB = noise.increment(k).T``, a
-    view whose columns are each one contiguous row of the time-major
-    noise; on a refined grid the increments are built as they are read,
-    so no fine-grid Brownian array exists.  With several copies the
-    step's increments and events are read once and tiled across them
-    (events of path ``p`` go to lanes ``p + r * n_paths``); no array of
-    the whole grid is copied.  Each lane does the elementwise arithmetic
-    of its one-copy run and adds its events in the same order, so every
+    A coordinate's ``start`` is one value or one per copy, so the lanes
+    have shape ``broadcast(starts) + (n_paths,)``; copies can differ in
+    scale and start (the rungs of a reactant ladder), and an array a
+    coordinate closes over per copy is ``(copies, 1)``.  A coordinate
+    that reads no per-copy value keeps ``(n_paths,)`` states.  Returns
+    ``(recorded by name, aborted_at, clamps)`` over the lanes: each
+    coordinate at the grid indices ``keep`` (any order; None is all) as
+    ``lanes + (len(keep),)``, and per name in ``sup`` one column, the
+    maximum of ``sup[name](state)`` over grid points ``1..n_steps``.  A
+    lane aborts at the first step whose state is not finite or, when
+    ``thinning``, whose intensity exceeds ``u_bound`` (candidates above
+    it were never drawn); its later recorded values and maxima are NaN.
+    Step ``k`` reads ``dB = noise.increment(k).T``, a view whose columns
+    are each one contiguous row of the time-major noise; on a refined
+    grid the increments are built as they are read, so no fine-grid
+    Brownian array exists.  Every lane does the elementwise arithmetic
+    of its one-copy run and sums its events in the same order, so every
     copy equals that run bit for bit.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
         noise.dt, noise.u_bound
-    n_lanes = copies * n_paths
+    shape = np.broadcast_shapes(*(np.shape(c.start) for c in coords)) \
+        + (n_paths,)
     every = np.arange(n_steps + 1)
     keep = every if keep is None else every[keep]   # -1 is the last point
     columns = {}                                # grid index -> kept columns
@@ -396,64 +385,58 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None, copies=1):
     w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
     w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
     intensities = list(dict.fromkeys(c.intensity for c in coords))
-    first_lane = (np.arange(copies) * n_paths)[:, None]
 
-    def tiled(a):                               # one value per lane
-        return a if copies == 1 else np.tile(a, copies)
-
-    def lanes(paths):                           # path p -> lanes p + r*n
-        return paths if copies == 1 else (paths + first_lane).ravel()
-
-    s = {c.name: np.repeat(np.broadcast_to(c.start, copies).astype(float),
-                           n_paths) for c in coords}
-    kept = {c.name: np.empty((n_lanes, len(keep))) for c in coords}
+    s = {c.name: np.repeat(np.asarray(c.start, dtype=float)[..., None],
+                           n_paths, axis=-1) for c in coords}
+    kept = {c.name: np.empty(shape + (len(keep),)) for c in coords}
     sup = {} if sup is None else sup
-    peaks = {name: np.full(n_lanes, -np.inf) for name in sup}
-    abort_step = np.full(n_lanes, -1, dtype=np.intp)
-    clamps = np.zeros(n_lanes, dtype=np.intp)
-    alive = np.ones(n_lanes, dtype=bool)
+    peaks = {name: np.full(shape, -np.inf) for name in sup}
+    abort_step = np.full(shape, -1, dtype=np.intp)
+    clamps = np.zeros(shape, dtype=np.intp)
+    alive = np.ones(shape, dtype=bool)
 
     def record(i):
         for j in columns.get(i, ()):
             for name, arr in kept.items():
-                arr[:, j] = s[name]
+                arr[..., j] = s[name]
 
     record(0)
     with np.errstate(invalid="ignore", over="ignore"):
         # an empty batch, run_ensemble's input check, takes no step
-        for k in range(n_steps if n_lanes else 0):
+        for k in range(n_steps if n_paths else 0):
             lam = {f: f(s, k) for f in intensities}
-            bad = ~np.logical_and.reduce([np.isfinite(v) for v in s.values()])
+            bad = ~reduce(np.logical_and, [np.isfinite(v) for v in s.values()])
             if thinning:
                 for v in lam.values():
-                    bad |= v > u_bound
+                    bad = bad | (v > u_bound)
             newly = alive & bad
             if newly.any():
                 abort_step[newly] = k
                 alive &= ~newly
 
-            dB = noise.increment(k)
-            dB = (dB if copies == 1 else np.tile(dB, (1, copies))).T
+            dB = noise.increment(k).T
             a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
             a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
-            if e0 > a0:
-                p0 = lanes(ev0.path[a0:e0])
-            if e1 > a1:
-                p1 = lanes(ev1.path[a1:e1])
-                u1 = tiled(ev1.umark[a1:e1])
+            p0, p1 = ev0.path[a0:e0], ev1.path[a1:e1]
+            u1 = ev1.umark[a1:e1]
             step = {}
             for c, v0, v1 in zip(coords, w0, w1):
                 lam_c = lam[c.intensity]
                 new = c.euler(s, dB, k)
                 if e0 > a0:
-                    new = _add_events(new, p0, tiled(v0[a0:e0]), n_lanes)
+                    new += np.bincount(p0, weights=v0[a0:e0],
+                                       minlength=n_paths)
                 if c.m != 0.0:
                     new = new - dt * c.m
                 if e1 > a1:
-                    acc = u1 <= lam_c[p1]
+                    # (E,) or (copies, E); each lane adds its accepted
+                    # marks from zero in event order
+                    acc = u1 <= lam_c.take(p1, axis=-1)
                     if acc.any():
-                        new = _add_events(new, p1[acc], tiled(v1[a1:e1])[acc],
-                                          n_lanes)
+                        *copy, e = acc.nonzero()
+                        hits = np.zeros(lam_c.shape)
+                        np.add.at(hits, (*copy, p1[e]), v1[a1:e1][e])
+                        new = new + hits
                 if c.comp is not None:
                     new = new - c.comp(s, k, lam_c)
                 if c.clamp:
@@ -467,11 +450,11 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None, copies=1):
                 np.maximum(peaks[name], fn(s), out=peaks[name])
 
     aborted = abort_step >= 0
-    dead = (keep > abort_step[:, None]) & aborted[:, None]
+    dead = (keep > abort_step[..., None]) & aborted[..., None]
     for arr in kept.values():
         arr[dead] = np.nan
     for name, peak in peaks.items():
-        kept[name] = np.where(aborted, np.nan, peak).reshape(-1, 1)
+        kept[name] = np.where(aborted, np.nan, peak)[..., None]
     aborted_at = np.where(aborted, noise.grid[abort_step], np.nan)
     return kept, aborted_at, clamps
 
@@ -528,8 +511,8 @@ def _linear_partner(params, name, z0, region, dt, eps):
 
 
 def _reactant(params, name, y0, theta, coefs, region, dt, eps):
-    """A reactant at scale ``theta`` (one value per lane) carrying ``coefs
-    = (sigma0, sigma21, sigma22, b2, beta21)`` and the marks of one
+    """A reactant at scale ``theta`` (one row per copy) carrying ``coefs =
+    (sigma0, sigma21, sigma22, b2, beta21)`` and the marks of one
     quadrant: "plus" reads them as they are, "minus" sign-flipped."""
     sg0, sg21, sg22, bb2, bb21 = coefs
     b22 = params.beta[1, 1]
@@ -691,20 +674,20 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
     if split is not None and not pair:
         raise ValueError("a split applies only in pair mode; the single "
                          "reactant carries the undecomposed coefficients")
-    dt, eps, n = noise.dt, noise.eps, noise.n_paths
+    dt, eps = noise.dt, noise.eps
     _check_dt(dt, params)
 
-    lane_theta = np.repeat(np.array(rungs, dtype=float), n)
+    scales = np.array(rungs, dtype=float)[:, None]  # one row per rung
     coords = [_catalyst(params, x0, dt, eps)]
     if pair:
         split = ParameterSplit.from_params(params) if split is None else split
         split.check_against(params)
-        coords.append(_reactant(params, "y_plus", yp0, lane_theta,
+        coords.append(_reactant(params, "y_plus", yp0, scales,
                                 split._part("pos"), "plus", dt, eps))
-        coords.append(_reactant(params, "y_minus", ym0, lane_theta,
+        coords.append(_reactant(params, "y_minus", ym0, scales,
                                 split._part("neg"), "minus", dt, eps))
     else:
-        coords.append(_reactant(params, "y", yp0, lane_theta,
+        coords.append(_reactant(params, "y", yp0, scales,
                                 tuple(read(params) for _, read in _SPLIT),
                                 "plus", dt, eps))
 
@@ -716,13 +699,12 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
         coords.append(_linear_partner(params, "z_lim",
                                       _check_finite("z0", z0),
                                       "all" if pair else "plus", dt, eps))
-        sup = {"gap": lambda s: np.abs(centered(s, lane_theta) - s["z_lim"])}
+        sup = {"gap": lambda s: np.abs(centered(s, scales) - s["z_lim"])}
     comps, aborted_at, clamps = _step_loop(
-        noise, coords, not params.mu.is_empty, keep, sup, len(rungs))
-    comps["z_k"] = centered(comps, lane_theta[:, None])
-    rows = [slice(r * n, (r + 1) * n) for r in range(len(rungs))]
-    out = [({name: arr[rung] for name, arr in comps.items()},
-            aborted_at[rung], clamps[rung]) for rung in rows]
+        noise, coords, not params.mu.is_empty, keep, sup)
+    comps["z_k"] = centered(comps, scales[..., None])
+    out = [({name: arr[r] for name, arr in comps.items()}, aborted_at[r],
+            clamps[r]) for r in range(len(rungs))]
     return out if ladder else out[0]
 
 

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .params import AdmissibleParams, UPoint
+from .params import AdmissibleParams, UPoint, _check_finite
 
 __all__ = [
     "TransformError",
@@ -121,6 +121,8 @@ def _check_grid(t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     if t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0.0):
@@ -403,10 +405,10 @@ def char_fn(params: AdmissibleParams, x, t: float, u,
     ``u`` is one UPoint, or a sequence of them solved as one lane batch,
     which gives a list of values.
     """
-    x1, x2 = float(x[0]), float(x[1])
+    x1, x2 = _check_finite("x[0]", x[0]), _check_finite("x[1]", x[1])
     if x1 < 0.0:
         raise ValueError("initial state must have x1 >= 0")
-    if t < 0.0:
+    if _check_finite("t", t) < 0.0:
         raise ValueError("t must be nonnegative")
     u_list, batch = _as_batch(u)
     if t == 0.0:
@@ -431,16 +433,16 @@ def flow_residual(params: AdmissibleParams, u, r: float, t: float,
     Both vanish identically in exact arithmetic.  ``u`` is one UPoint, or
     a sequence of them solved as one lane batch, which gives a list.
     """
+    r, t = _check_finite("r", r), _check_finite("t", t)
     if r < 0.0 or t < 0.0:
         raise ValueError("r and t must be nonnegative")
     u_list, batch = _as_batch(u)
-    grid = [0.0, t, r + t] if (r > 0.0 and t > 0.0) else [0.0, max(r + t, 0.0)]
-    grid = sorted(set(grid))
+    grid = sorted({0.0, t, r + t})
     first = solve_transforms(params, u_list, grid, tol)
     at = {tau: i for i, tau in enumerate(grid)}
     i_t, i_rt = at[t], at[r + t]
     mid = [UPoint(s.psi1[i_t], s.psi2[i_t]) for s in first]
-    second = solve_transforms(params, mid, [0.0, r] if r > 0.0 else [0.0], tol)
+    second = solve_transforms(params, mid, sorted({0.0, r}), tol)
 
     out = []
     for s1, s2 in zip(first, second):

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .noise import refine
+from .noise import refine, steps_for
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
 from .sde import (GeneralizedCbiSpec, _check_finite, _check_init,
@@ -359,10 +359,7 @@ def _grid_indices(t_list, dt):
     multiples of ``dt``."""
     steps = {}
     for t in t_list:
-        k = round(t / dt)
-        if k <= 0 or abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(
-                f"t = {t!r} is not a positive multiple of dt = {dt!r}")
+        k = steps_for(t, dt)
         if k in steps:
             raise ValueError(f"duplicate entries: t = {steps[k]!r} and "
                              f"t = {t!r} share grid step {k}")
@@ -711,7 +708,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     _check_init("x0_b", x0_b)
     _check_n_paths(n_paths)
     u_bound = _thinning_bound(u_bound, max(x0_a, x0_b))
-    n_steps = round(t_max / dt)
+    n_steps = steps_for(t_max, dt)
     keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
                        (3 * n_steps) // 4, n_steps})
 

@@ -1,6 +1,7 @@
 """Noise layer: determinism, stream laws, refinement, and the batch layout."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -46,6 +47,16 @@ def test_steps_for_rejects_non_multiples():
         steps_for(0.0, 0.1)
     with pytest.raises(ValueError):
         steps_for(1.0, -0.1)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 1e300])
+def test_steps_for_rejects_non_finite_step_counts(t_max):
+    # inf used to raise OverflowError, NaN a float-to-integer error
+    with pytest.raises(ValueError, match=r"^t = .* is not a positive "
+                                         r"multiple of dt = 1e-300$"):
+        steps_for(t_max, 1e-300)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        steps_for(1.0, math.nan)
 
 
 def test_grid_and_shapes():

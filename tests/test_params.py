@@ -43,6 +43,15 @@ def test_upoint_rejects_positive_real_parts():
         UPoint(-1.0, 1e-12 + 1.0j)
 
 
+@pytest.mark.parametrize("u1, u2, name", [
+    (math.nan, 0.0, "u1"), (-math.inf, 0.0, "u1"),
+    (complex(-1.0, math.inf), 0.0, "u1"), (-1.0, complex(0.0, math.nan), "u2"),
+])
+def test_upoint_rejects_non_finite_components(u1, u2, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        UPoint(u1, u2)
+
+
 # -- finite atomic measures ----------------------------------------------
 
 def test_atomic_moments_are_exact_sums():

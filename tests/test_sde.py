@@ -1,5 +1,6 @@
 """Simulator semantics: hand-stepped oracles, ODE limits, and couplings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from affine_lab.noise import (NoiseSystem, generate_noise, refine,
                               substream_seed, substream_seed_array)
 from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure, \
     validate_admissible
-from affine_lab.presets import builtin_params, cir_params, jump_affine_params
+from affine_lab.presets import (builtin_params, cir_params,
+                                jump_affine_params, symmetric_split_params)
 from affine_lab.sde import (
     GeneralizedCbiSpec,
     ParameterSplit,
@@ -690,6 +692,36 @@ def test_reactant_ladder_equals_one_rung_runs(mode, z0):
         assert 0 < (~np.isnan(got[1])).sum() < noise.n_paths
         aborts.add(got[1].tobytes())
     assert len(aborts) == len(ladder)        # each rung aborts other paths
+
+
+def test_ladder_advances_shared_coordinates_once(monkeypatch):
+    """The catalyst and the limit equation read no per-rung value, so a
+    ladder advances them once for all rungs: their updates are
+    ``(n_paths,)`` arrays and only the reactants' are ``(rungs,
+    n_paths)``."""
+    shapes = {}
+    step_loop = sde._step_loop
+
+    def spy(noise, coords, *args):
+        def watched(c):
+            def euler(s, dB, k):
+                new = c.euler(s, dB, k)
+                shapes.setdefault(c.name, set()).update(
+                    {s[c.name].shape, new.shape})
+                return new
+            return dataclasses.replace(c, euler=euler)
+        return step_loop(noise, [watched(c) for c in coords], *args)
+    monkeypatch.setattr(sde, "_step_loop", spy)
+    p = symmetric_split_params()
+    n = 50
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, np.arange(n), 16.0,
+                           0.0)
+    ladder = [4.0, 16.0, 64.0, 256.0]
+    rungs = simulate_reactant_pair(p, ladder, 1.0, ladder, ladder, noise,
+                                   with_limit=True, z0=0.0, keep=[-1])
+    assert shapes == {"x": {(n,)}, "z_lim": {(n,)},
+                      "y_plus": {(4, n)}, "y_minus": {(4, n)}}
+    assert [rung[0]["x"].shape for rung in rungs] == [(n, 1)] * 4
 
 
 def test_reactant_ladder_rejects_unmatched_starts():

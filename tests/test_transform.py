@@ -167,7 +167,26 @@ def test_char_fn_rejects_bad_state():
         char_fn(jump_affine_params(), (-0.1, 0.0), 1.0, UPoint(-1, 0))
 
 
+@pytest.mark.parametrize("x, t, name", [
+    ((1.0, 0.0), math.inf, "t"), ((1.0, 0.0), math.nan, "t"),
+    ((math.nan, 0.0), 1.0, r"x\[0\]"), ((1.0, -math.inf), 1.0, r"x\[1\]"),
+])
+def test_char_fn_rejects_non_finite_time_and_start(x, t, name):
+    # an infinite time used to run the solver without end
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        char_fn(jump_affine_params(), x, t, UPoint(-1.0, 0.5j))
+
+
 # -- flow identities -------------------------------------------------------
+
+@pytest.mark.parametrize("r, t, name", [
+    (math.inf, 0.5, "r"), (0.5, math.inf, "t"), (math.nan, 0.5, "r"),
+    (0.5, math.nan, "t"),
+])
+def test_flow_residual_rejects_non_finite_times(r, t, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        flow_residual(jump_affine_params(), UPoint(-1.0, 0.5j), r, t)
+
 
 def test_flow_residual_trivial_legs():
     p = jump_affine_params()
@@ -221,6 +240,11 @@ def test_solver_rejects_bad_tolerances_and_grids():
         solve_transforms(p, [u], [0.5, 1.0])
     with pytest.raises(ValueError):
         solve_transforms(p, [u], [0.0, 1.0, 1.0])
+    # a NaN time used to end in a step-size underflow, an infinite one
+    # never to end
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^t_grid must be finite"):
+            solve_transforms(p, [u], [0.0, 0.5, bad])
 
 
 # -- the lane-batched Dormand-Prince stepper ------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,6 +178,10 @@ def test_affine_formula_rejects_off_grid_time():
     with pytest.raises(ValueError, match="multiple of dt"):
         check_affine_formula(p, 1.0, 0.0, [0.3], [(-1.0, 0.0)],
                              n_paths=4, master_seed=1, dt=0.25)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not a positive multiple"):
+            check_affine_formula(p, 1.0, 0.0, [0.5, t], [(-1.0, 0.0)],
+                                 n_paths=4, master_seed=1, dt=0.25)
 
 
 # -- moments ---------------------------------------------------------------
@@ -382,6 +387,15 @@ def test_uniqueness_identical_starts_exact():
     assert rep.overall
     (row,) = [r for r in rep.rows if "identical" in r.quantity]
     assert row.observed == 0.0
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.3])
+def test_uniqueness_rejects_off_grid_horizon(t_max):
+    # the grid-time rule is steps_for's; an infinite horizon used to
+    # raise OverflowError
+    with pytest.raises(ValueError, match="not a positive multiple of dt"):
+        uniqueness_experiment(jump_affine_params(), 1.0, 1.5, t_max=t_max,
+                              n_paths=2, master_seed=1, dt=0.25)
 
 
 def test_uniqueness_deterministic_decay_oracle():
@@ -746,6 +760,11 @@ def test_sc_semigroup_check():
     rep = sc_semigroup_check(p, 0.5, 0.75, [(-1.0, 0.0), (-0.3, 2j)])
     assert rep.overall
     assert len(rep.rows) == 4
+
+
+def test_sc_semigroup_rejects_non_finite_time():
+    with pytest.raises(ValueError, match="^t must be finite"):
+        sc_semigroup_check(jump_affine_params(), 0.5, math.inf, [(-1.0, 0.0)])
 
 
 def test_sc_semigroup_r_zero():
