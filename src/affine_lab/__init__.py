@@ -68,6 +68,7 @@ from .validate import (  # noqa: E402,F401
     ExperimentReport,
     check_affine_formula,
     check_generator,
+    check_generators,
     check_moments,
     empirical_char_fn,
     fluctuation_experiment,

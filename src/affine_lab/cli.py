@@ -44,7 +44,7 @@ from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
                   simulate_catalytic, simulate_reactant_pair)
 from .transform import _check_tol, solve_transforms
 from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
-                       _grid_indices, check_affine_formula, check_generator,
+                       _grid_indices, check_affine_formula, check_generators,
                        check_moments, fluctuation_experiment,
                        sc_semigroup_check, uniqueness_experiment)
 
@@ -652,10 +652,9 @@ def _cmd_validate(config, out, stdout):
                 config.params, val["x0"], val["z0"], val["t_list"],
                 dt=config.dt, eps=config.eps, **mc))
         elif check == "generator":
-            for mode in val["generator_modes"]:
-                reports.append(check_generator(
-                    config.params, val["generator_states"][mode], which=mode,
-                    delta=val["delta"], **mc))
+            reports.extend(check_generators(config.params, {
+                mode: val["generator_states"][mode]
+                for mode in val["generator_modes"]}, delta=val["delta"], **mc))
         else:
             reports.append(uniqueness_experiment(
                 config.params, val["x0"], val["x0_b"], t_max=config.t_max,

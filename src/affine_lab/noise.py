@@ -69,6 +69,11 @@ ROLE_BRIDGE_BASE = 3
 
 _BLOCK = 64          # paths per buffer in _normals
 _COMPONENTS = 3      # Brownian components of every path
+# the events of a path without any; read-only, since every such path
+# shares them
+_NO_TIMES = np.empty(0)
+_NO_MARKS = np.empty((0, 2))
+_NO_TIMES.flags.writeable = _NO_MARKS.flags.writeable = False
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -265,7 +270,7 @@ def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
     scale = 1.0 / rate
     first = rng.exponential(scale)
     if first > t_max:
-        return np.empty(0)
+        return _NO_TIMES
     size = max(16, int(rate * t_max * 1.5) + 8)
     gaps = np.concatenate(([first], rng.exponential(scale, size=size - 1)))
     chunks, t0 = [], 0.0
@@ -280,13 +285,18 @@ def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
 
 
 def _events(rng, rate, t_max, measure, eps, u_bound=None):
-    """One path's events: times, umarks (if ``u_bound``), marks."""
+    """One path's events: times, umarks (if ``u_bound``), marks.
+
+    A path without events draws nothing more (a zero-size draw would
+    consume no stream output either) and shares the empty arrays.
+    """
     times = _event_times(rng, rate, t_max)
+    if not len(times):
+        return (times, _NO_MARKS) if u_bound is None else \
+            (times, times, _NO_MARKS)
     umarks = () if u_bound is None else \
         (rng.uniform(0.0, u_bound, size=len(times)),)
-    marks = measure.sample(rng, len(times), eps=eps) if len(times) \
-        else np.empty((0, 2))
-    return (times, *umarks, marks)
+    return (times, *umarks, measure.sample(rng, len(times), eps=eps))
 
 
 def _batch_events(per_path, n_fields):

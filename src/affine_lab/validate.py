@@ -14,6 +14,8 @@ targets the ``dt/2`` level; its standard error combines both means in
 quadrature.  If the scheme error is first order in ``dt``, the bias left
 at ``dt/2`` is about ``|d|``, so the bias budget ``2 max|d|`` (plus a
 small floor) bounds it with a safety factor of two.
+:func:`check_generators` runs the generator modes that share a thinning
+bound on one noise draw per level.
 
 Reports are deterministic functions of their inputs (including the master
 seed): rerunning an experiment reproduces every row bit for bit.
@@ -35,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .noise import refine, steps_for
+from .noise import generate_noise, refine, steps_for
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
 from .sde import (GeneralizedCbiSpec, _check_finite, _check_init,
@@ -53,6 +55,7 @@ __all__ = [
     "check_affine_formula",
     "check_moments",
     "check_generator",
+    "check_generators",
     "uniqueness_experiment",
     "fluctuation_experiment",
     "sc_semigroup_check",
@@ -297,15 +300,22 @@ def _coupled(core):
     refinement and is reported on the coarse grid as ``<name>_fine``, so
     per-path differences isolate the discretization error of the coarse
     run.  :func:`_two_level_runs` runs it on a fraction of the paths only.
+    A ``core`` returning a list of triples gives a list of coupled
+    triples, one per result, from one refinement of the batch.
     """
 
-    def model(noise, keep):
-        cc, ca, cl = core(noise, keep)
-        fc, fa, fl = core(refine(noise), 2 * keep)
+    def join(coarse, fine):
+        (cc, ca, cl), (fc, fa, fl) = coarse, fine
         comps = dict(cc)
         for name, arr in fc.items():
             comps[name + "_fine"] = arr
         return comps, np.fmin(ca, fa), cl + fl
+
+    def model(noise, keep):
+        coarse, fine = core(noise, keep), core(refine(noise), 2 * keep)
+        if isinstance(coarse, list):
+            return [join(c, f) for c, f in zip(coarse, fine)]
+        return join(coarse, fine)
 
     return model
 
@@ -601,8 +611,55 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     (see the module docstring); each catalog function gets its own bias
     budget ``(2 |d| + floor) / delta`` from its mean coupled difference
     ``d``.  Runs at full jump measures (no truncation band), where every
-    closed form on the right-hand side is exact.
+    closed form on the right-hand side is exact.  The one-mode case of
+    :func:`check_generators`.
     """
+    return check_generators(params, {which: state}, n_paths=n_paths,
+                            master_seed=master_seed, delta=delta, f=f,
+                            theta0=theta0, theta1=theta1, l=l,
+                            u_bound=u_bound)[0]
+
+
+def check_generators(params, states, *, n_paths, master_seed,
+                     delta=DEFAULT_DT, f=None, theta0=1.0, theta1=1.0,
+                     l=1.0, u_bound=None) -> list:
+    """:func:`check_generator` for each mode of ``states``, a mapping from
+    mode to start state: one report per mode, in the order of ``states``,
+    each equal to its one-mode report bit for bit.
+
+    Every mode's inputs are checked, and its simulator's rules by a run
+    on an empty batch, before any noise is drawn.  Modes with the same
+    thinning bound (all of them when ``u_bound`` is given; the default
+    ``8 (1 + intensity)`` depends on mode and state) run as one model, on
+    one noise draw and refinement per batch and retry round.
+    """
+    modes = {which: _generator_mode(
+        params, which, state, delta=delta, f=f, n_paths=n_paths,
+        master_seed=master_seed, theta0=theta0, theta1=theta1, l=l,
+        u_bound=u_bound) for which, state in states.items()}
+    _check_n_paths(n_paths)
+    groups = {}
+    for which, (bound, core, _) in modes.items():
+        core(generate_noise(params.m, params.mu, delta, delta, [], bound,
+                            0.0), np.array([1]))
+        groups.setdefault(bound, []).append(which)
+    runs = {}
+    for bound, group in groups.items():
+        def cores(noise, keep, group=group):
+            return [modes[which][1](noise, keep) for which in group]
+        ens, ctl = _two_level_runs(cores, n_paths, m=params.m, mu=params.mu,
+                                   master_seed=master_seed, t_max=delta,
+                                   dt=delta, u_bound=bound, eps=0.0,
+                                   keep_idx=[1])
+        runs.update(zip(group, zip(ens, ctl)))
+    return [report(*runs[which]) for which, (_, _, report) in modes.items()]
+
+
+def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
+                    theta0, theta1, l, u_bound):
+    """One mode of :func:`check_generators`, its inputs checked: its
+    thinning bound, its batch core, and ``report(ens, ctl)``, which builds
+    its report from its plain and coupled ensembles."""
     if which not in GENERATOR_MODES:
         raise ValueError(f"unknown generator mode {which!r}")
     if which == "cbi":
@@ -625,7 +682,6 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         if which == "cbi" and name not in _X_ONLY:
             raise ValueError(f"{name!r} is not in the catalog for mode "
                              f"'cbi' (x-only functions)")
-    _check_n_paths(n_paths)
     u_bound = _thinning_bound(u_bound, intensity)
 
     if which == "affine":
@@ -641,11 +697,6 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     else:
         def core(noise, keep):
             return simulate_catalytic(params, x1, x2, l, noise, keep)
-
-    ens, ctl = _two_level_runs(core, n_paths, m=params.m, mu=params.mu,
-                               master_seed=master_seed, t_max=delta,
-                               dt=delta, u_bound=u_bound, eps=0.0,
-                               keep_idx=[1])
     second = {"affine": "z", "cbi": None, "catalytic": "y"}[which]
 
     def at_end(f_eval, ensemble, suffix=""):
@@ -654,40 +705,45 @@ def check_generator(params, state, *, which, n_paths, master_seed,
         y = ensemble.components[second + suffix][:, 0] if second else None
         return f_eval(x, y)
 
-    rows, stats = [], {}
-    for name in names:
-        samples = at_end(_F_EVAL[name], ens)
-        fine = at_end(_F_EVAL[name], ctl, "_fine")
-        coarse = at_end(_F_EVAL[name], ctl)
-        at_start = complex(_F_EVAL[name](x1, x2))
-        if which == "affine":
-            predicted = _affine_generator_value(params, name, x1, x2)
-        elif which == "cbi":
-            predicted = _cbi_generator_value(params, name, x1, theta0,
-                                             theta1, l)
-        else:
-            predicted = _catalytic_generator_value(params, name, x1, x2, l)
-        diff = abs(np.mean(fine - coarse))
-        budget = (2.0 * diff + GENERATOR_BIAS_FLOOR) / delta
-        if name == "exp(-x1+i*x2)":
-            parts = ((np.real, f"{which}:{name}:re"),
-                     (np.imag, f"{which}:{name}:im"))
-        else:
-            parts = ((np.real, f"{which}:{name}"),)
-        for part, quantity in parts:
-            est = _two_level(part(samples), part(fine), part(coarse))
-            stats[quantity] = est
-            rows.append(_row(
-                quantity, float(part(complex(predicted))),
-                (est.estimate - float(part(at_start))) / delta,
-                3.0 * est.stderr / delta + budget))
-    inputs = {"params": _params_fingerprint(params),
-              "state": state if which == "cbi" else list(state),
-              "which": which, "delta": delta, "f": f, "n_paths": n_paths,
-              "master_seed": master_seed, "theta0": theta0,
-              "theta1": theta1, "l": l, "u_bound": u_bound}
-    details = _two_level_details(ens, ctl, stats, scale=delta)
-    return _report(f"generator-{which}", inputs, rows, details)
+    def report(ens, ctl):
+        rows, stats = [], {}
+        for name in names:
+            samples = at_end(_F_EVAL[name], ens)
+            fine = at_end(_F_EVAL[name], ctl, "_fine")
+            coarse = at_end(_F_EVAL[name], ctl)
+            at_start = complex(_F_EVAL[name](x1, x2))
+            if which == "affine":
+                predicted = _affine_generator_value(params, name, x1, x2)
+            elif which == "cbi":
+                predicted = _cbi_generator_value(params, name, x1, theta0,
+                                                 theta1, l)
+            else:
+                predicted = _catalytic_generator_value(params, name, x1, x2,
+                                                       l)
+            diff = abs(np.mean(fine - coarse))
+            budget = (2.0 * diff + GENERATOR_BIAS_FLOOR) / delta
+            if name == "exp(-x1+i*x2)":
+                parts = ((np.real, f"{which}:{name}:re"),
+                         (np.imag, f"{which}:{name}:im"))
+            else:
+                parts = ((np.real, f"{which}:{name}"),)
+            for part, quantity in parts:
+                est = _two_level(part(samples), part(fine), part(coarse))
+                stats[quantity] = est
+                rows.append(_row(
+                    quantity, float(part(complex(predicted))),
+                    (est.estimate - float(part(at_start))) / delta,
+                    3.0 * est.stderr / delta + budget))
+        inputs = {"params": _params_fingerprint(params),
+                  "state": state if which == "cbi" else list(state),
+                  "which": which, "delta": delta, "f": f,
+                  "n_paths": n_paths, "master_seed": master_seed,
+                  "theta0": theta0, "theta1": theta1, "l": l,
+                  "u_bound": u_bound}
+        details = _two_level_details(ens, ctl, stats, scale=delta)
+        return _report(f"generator-{which}", inputs, rows, details)
+
+    return u_bound, core, report
 
 
 # -- pathwise uniqueness and contraction -----------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import io
 import json
 import math
 
@@ -14,6 +15,7 @@ from affine_lab.params import (AdmissibilityError, FiniteAtomicMeasure,
 from affine_lab.presets import (cir_params, jump_affine_params,
                                 symmetric_split_params)
 from affine_lab import noise as noise_module, sde, validate
+from affine_lab.cli import parse_config, run
 from affine_lab.sde import (EnsembleResult, run_ensemble, simulate_affine,
                             simulate_reactant_pair)
 from affine_lab.transform import solve_transforms
@@ -22,6 +24,7 @@ from affine_lab.validate import (
     ExperimentReport,
     check_affine_formula,
     check_generator,
+    check_generators,
     check_moments,
     empirical_char_fn,
     fluctuation_experiment,
@@ -369,6 +372,57 @@ class TestGenerator:
                             master_seed=1)
 
 
+@pytest.mark.parametrize("states, u_bound", [
+    (parse_config("{}").resolved["validate"]["generator_states"], 0.5),
+    ({"affine": (0.8, 2.0), "cbi": 0.8, "catalytic": (0.8, 2.0)}, None),
+], ids=["cli-states-retrying", "default-bounds"])
+def test_grouped_generators_equal_one_mode_runs(states, u_bound):
+    """Modes sharing a thinning bound share their noise, and each report
+    is its one-mode report bit for bit: at u_bound 0.5 every mode
+    retries paths, and the default bounds 14.4, 14.4 and 20.8 of the
+    second plan make two groups."""
+    p = jump_affine_params()
+    kw = dict(n_paths=600, master_seed=17, delta=2.0 ** -10,
+              u_bound=u_bound)
+    reports = check_generators(p, states, **kw)
+    assert [r.name for r in reports] == [f"generator-{w}" for w in states]
+    for (which, state), report in zip(states.items(), reports):
+        alone = check_generator(p, state, which=which, **kw)
+        assert report.payload() == alone.payload()
+    if u_bound is None:
+        assert len({r.inputs["u_bound"] for r in reports}) == 2
+    else:
+        assert all(r.details["n_retried"] > 0 for r in reports)
+
+
+def test_validate_draws_generator_noise_once(monkeypatch, tmp_path):
+    """A three-mode ``validate`` run draws each level's noise once for all
+    modes, all paths and then the coupled ones, and refines it once."""
+    draws, refined = [], []
+
+    def spy(m, mu, t_max, dt, seed, u_bound, eps):
+        if len(seed):
+            draws.append(len(seed))
+        return generate_noise(m, mu, t_max, dt, seed, u_bound, eps)
+
+    def refine_spy(noise):
+        if noise.n_paths:
+            refined.append(noise.n_paths)
+        return noise_module.refine(noise)
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    monkeypatch.setattr(validate, "refine", refine_spy)
+    n = 300
+    config = parse_config(json.dumps({
+        "mc": {"n_paths": n, "seed": 1},
+        "validate": {"checks": ["generator"]}}))
+    assert len(config.resolved["validate"]["generator_modes"]) == 3
+    assert run("validate", config, out_dir=tmp_path,
+               stdout=io.StringIO()) == 0
+    n_fine = max(2, -(-n // validate.FINE_FRACTION))
+    assert draws == [n, n_fine]
+    assert refined == [n_fine]
+
+
 # -- uniqueness ------------------------------------------------------------
 
 def test_uniqueness_distinct_starts():
@@ -635,6 +689,11 @@ def test_system_rules_checked_before_simulation(no_noise):
     with pytest.raises(ValueError, match="coupling constant l must be "
                                          "nonnegative"):
         check_generator(p, (1.2, 0.5), which="catalytic", l=-1.0, **MC)
+    # the catalytic mode's default bound puts it in a group after the
+    # others; its rule still fires before the first group draws
+    with pytest.raises(ValueError, match="^catalytic reactant requires"):
+        check_generators(negative_b2, {"affine": (0.7, -0.4), "cbi": 0.7,
+                                       "catalytic": (1.2, 0.5)}, **MC)
     # the default bound 8 (1 + l x) is not positive here; the spec's rule
     # must fire before any noise is drawn with it
     for l in (-1.0, -2.0):
