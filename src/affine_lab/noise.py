@@ -35,10 +35,15 @@ generator is constructed per path: ``_stream`` resets the key of one
 module-level Philox to ``(key0, role)``, its counter to 0 and its buffer
 to empty, which yields the same bytes as ``Generator(Philox(key=[seed,
 role]))``.  ``key0`` is the first key word that construction stores,
-computed for a whole batch at once by ``_philox_keys``.  ``_normals``
-fills a time-major array path by path through a buffer of ``_BLOCK``
-paths, so each path draws its whole ``(3, n_steps)`` block in one call
-and the transpose into the batch is done once per block.
+computed once per batch by ``_philox_keys`` for every role.  ``_normals``
+fills a buffer of ``_BLOCK`` paths with standard normals, each path's
+``(3, n_steps)`` block in one call, scales the buffer in place as ``z *
+scale + 0.0`` and copies it transposed into the batch: bit for bit what
+``normal(0, scale)`` computes in C, ``0.0 + scale * z``, the ``+ 0.0``
+turning a ``-0.0`` product into ``+0.0``.  An event stream draws
+each path's first gap alone, so a path whose first gap passes ``t_max``
+(most paths on a short horizon) costs one reset and one draw and adds
+nothing to the batch; only a path with events continues from that gap.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
 injective in the path index for a fixed master seed.
@@ -47,7 +52,7 @@ injective in the path index for a fixed master seed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -69,11 +74,6 @@ ROLE_BRIDGE_BASE = 3
 
 _BLOCK = 64          # paths per buffer in _normals
 _COMPONENTS = 3      # Brownian components of every path
-# the events of a path without any; read-only, since every such path
-# shares them
-_NO_TIMES = np.empty(0)
-_NO_MARKS = np.empty((0, 2))
-_NO_TIMES.flags.writeable = _NO_MARKS.flags.writeable = False
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,8 +93,12 @@ def _as_seeds(seed) -> np.ndarray:
     """One seed or a 1-d sequence of seeds as a checked uint64 array.
 
     Read as Python ints: a plain ``np.asarray`` rounds a list holding a
-    seed >= 2**63 through float64.
+    seed >= 2**63 through float64.  A 1-d uint64 array is valid as it is,
+    and copied: a ``NoiseSystem`` makes its arrays read-only.
     """
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64 \
+            and seed.ndim == 1:
+        return seed.copy()
     values = np.asarray(seed, dtype=object)
     if values.ndim > 1:
         raise ValueError(f"seed must be 1-d, got shape {values.shape}")
@@ -141,7 +145,7 @@ _FRESH = {"bit_generator": "Philox",
           "has_uint32": 0, "uinteger": 0}
 
 
-def _philox_keys(seeds: np.ndarray) -> np.ndarray:
+def _philox_keys(seeds: np.ndarray) -> list:
     """First Philox key word of each uint64 seed, as the streams use it.
 
     ``Philox(key=[seed, role])`` reads the list through float64 when
@@ -154,7 +158,7 @@ def _philox_keys(seeds: np.ndarray) -> np.ndarray:
     big = seeds >= np.uint64(1 << 63)
     rounded = seeds[big].astype(np.float64)
     keys[big] = np.where(rounded < 2.0 ** 64, rounded, 0.0).astype(np.uint64)
-    return keys
+    return keys.tolist()
 
 
 def _stream(key0: int, role: int) -> Generator:
@@ -211,6 +215,8 @@ class NoiseSystem:
     n1_umarks: np.ndarray
     n1_marks: np.ndarray
     bridges: tuple = ()
+    # the step loop's event tables, built once; refine starts without them
+    _tables: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.brownian.ndim != 3 or self.brownian.shape[1] != _COMPONENTS:
@@ -259,18 +265,14 @@ class NoiseSystem:
         return out
 
 
-def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
-    """Times in ``(0, t_max]`` of a Poisson stream of rate ``rate``.
+def _event_times(rng, rate, t_max, first):
+    """Times in ``(0, t_max]`` of a Poisson stream of rate ``rate`` whose
+    first gap, ``first <= t_max``, was drawn from ``rng`` alone.
 
-    Gaps are drawn in batches sized to the expected count.  The first gap
-    is drawn alone, so a path without events (most paths on a short
-    horizon) costs one draw; the gaps equal the batched draws either way,
-    and nothing reads a stream that has no events.
+    The later gaps are drawn in batches sized to the expected count; all
+    gaps equal the batched draws of a stream that draws no gap alone.
     """
     scale = 1.0 / rate
-    first = rng.exponential(scale)
-    if first > t_max:
-        return _NO_TIMES
     size = max(16, int(rate * t_max * 1.5) + 8)
     gaps = np.concatenate(([first], rng.exponential(scale, size=size - 1)))
     chunks, t0 = [], 0.0
@@ -284,50 +286,48 @@ def _event_times(rng: Generator, rate: float, t_max: float) -> np.ndarray:
         gaps = rng.exponential(scale, size=size)
 
 
-def _events(rng, rate, t_max, measure, eps, u_bound=None):
-    """One path's events: times, umarks (if ``u_bound``), marks.
-
-    A path without events draws nothing more (a zero-size draw would
-    consume no stream output either) and shares the empty arrays.
+def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
+    """Path tags, then times, umarks (if ``u_bound``) and marks of one
+    stream over the batch, flat in path order; a path without events
+    (its first gap past ``t_max``) adds nothing but a zero count.
     """
-    times = _event_times(rng, rate, t_max)
-    if not len(times):
-        return (times, _NO_MARKS) if u_bound is None else \
-            (times, times, _NO_MARKS)
-    umarks = () if u_bound is None else \
-        (rng.uniform(0.0, u_bound, size=len(times)),)
-    return (times, *umarks, measure.sample(rng, len(times), eps=eps))
+    counts = np.zeros(len(keys), dtype=np.intp)
+    fields = [[np.empty(0)], [np.empty((0, 2))]]    # times, [umarks,] marks
+    if u_bound is not None:
+        fields.insert(1, [np.empty(0)])
+    if rate > 0.0:
+        scale = 1.0 / rate
+        for p, key in enumerate(keys):
+            rng = _stream(key, role)
+            first = rng.exponential(scale)
+            if first <= t_max:
+                times = _event_times(rng, rate, t_max, first)
+                counts[p] = len(times)
+                fields[0].append(times)
+                if u_bound is not None:
+                    fields[1].append(rng.uniform(0.0, u_bound,
+                                                 size=len(times)))
+                fields[-1].append(measure.sample(rng, len(times), eps=eps))
+    return (np.repeat(np.arange(len(keys), dtype=np.intp), counts),
+            *map(np.concatenate, fields))
 
 
-def _batch_events(per_path, n_fields):
-    """Path tags, then each field of a stream's per-path events joined.
-
-    ``per_path`` holds one ``_events`` tuple per path, or nothing when
-    the stream is empty; ``n_fields`` counts its 1-d fields.
-    """
-    if not per_path:
-        return (np.empty(0, dtype=np.intp),
-                *(np.empty(0) for _ in range(n_fields)), np.empty((0, 2)))
-    counts = [len(fields[0]) for fields in per_path]
-    tags = np.repeat(np.arange(len(per_path), dtype=np.intp), counts)
-    return (tags, *(np.concatenate(f) for f in zip(*per_path)))
-
-
-def _normals(seeds, role, scale, n_steps):
+def _normals(keys, role, scale, n_steps):
     """Time-major ``(n_steps, _COMPONENTS, n_paths)`` normal draws.
 
     Path ``p`` draws ``normal(0, scale, size=(_COMPONENTS, n_steps))``
-    from its stream of ``role``; the draws of ``_BLOCK`` paths are
-    gathered in one buffer and transposed into the batch together.
+    from its stream of ``role`` keyed ``keys[p]``, in blocks scaled as
+    the module docstring says.
     """
-    keys = _philox_keys(seeds).tolist()
     out = np.empty((n_steps, _COMPONENTS, len(keys)))
     block = np.empty((min(_BLOCK, len(keys)), _COMPONENTS, n_steps))
+    rows = list(block)
     for lo in range(0, len(keys), _BLOCK):
         chunk = keys[lo:lo + _BLOCK]
-        for i, key in enumerate(chunk):
-            block[i] = _stream(key, role).normal(
-                0.0, scale, size=(_COMPONENTS, n_steps))
+        for key, row in zip(chunk, rows):
+            _stream(key, role).standard_normal(out=row)
+        block *= scale      # a partial last block's spare rows are unread
+        block += 0.0
         out[:, :, lo:lo + len(chunk)] = block[:len(chunk)].transpose(2, 1, 0)
     return out
 
@@ -356,25 +356,14 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
         if u_bound <= 0.0 and not mu.is_empty:
             raise ValueError("u_bound must be positive when mu is nonempty")
 
-    rate0 = m.mass(eps=eps)
-    rate1 = u_bound * mu.mass(eps=eps)
-    brownian = _normals(seeds, ROLE_BROWNIAN, np.sqrt(dt), n_steps)
-    n0, n1 = [], []
-    for key in _philox_keys(seeds).tolist():
-        if rate0 > 0.0:
-            n0.append(_events(_stream(key, ROLE_N0), rate0, t_max, m, eps))
-        if rate1 > 0.0:
-            n1.append(_events(_stream(key, ROLE_N1), rate1, t_max, mu, eps,
-                              u_bound))
-
-    n0_path, n0_times, n0_marks = _batch_events(n0, 1)
-    n1_path, n1_times, n1_umarks, n1_marks = _batch_events(n1, 2)
-    return NoiseSystem(seeds=seeds, t_max=float(t_max), dt=float(dt),
-                       u_bound=float(u_bound), eps=float(eps),
-                       brownian=brownian,
-                       n0_path=n0_path, n0_times=n0_times, n0_marks=n0_marks,
-                       n1_path=n1_path, n1_times=n1_times,
-                       n1_umarks=n1_umarks, n1_marks=n1_marks)
+    keys = _philox_keys(seeds)
+    brownian = _normals(keys, ROLE_BROWNIAN, np.sqrt(dt), n_steps)
+    n0 = _stream_events(keys, ROLE_N0, m.mass(eps=eps), t_max, m, eps)
+    n1 = _stream_events(keys, ROLE_N1, u_bound * mu.mass(eps=eps), t_max,
+                        mu, eps, u_bound)
+    # the event fields in the order of NoiseSystem's, as the streams give them
+    return NoiseSystem(seeds, float(t_max), float(dt), float(u_bound),
+                       float(eps), brownian, *n0, *n1)
 
 
 def refine(noise: NoiseSystem) -> NoiseSystem:
@@ -387,6 +376,7 @@ def refine(noise: NoiseSystem) -> NoiseSystem:
     component sums over the grid are preserved and no array of the fine
     grid's size is allocated.  Event arrays are reused unchanged.
     """
-    mid = _normals(noise.seeds, ROLE_BRIDGE_BASE + noise.refinement_level,
+    mid = _normals(_philox_keys(noise.seeds),
+                   ROLE_BRIDGE_BASE + noise.refinement_level,
                    np.sqrt(noise.dt) / 2.0, noise.n_steps)
     return replace(noise, dt=noise.dt / 2.0, bridges=noise.bridges + (mid,))

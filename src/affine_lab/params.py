@@ -138,6 +138,7 @@ class FiniteAtomicMeasure:
         object.__setattr__(self, "atoms", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_cdfs", {})  # eps -> (kept atoms, cdf)
+        object.__setattr__(self, "_moments", {})  # query -> poly_moment
 
     # -- queries ---------------------------------------------------------
 
@@ -152,12 +153,15 @@ class FiniteAtomicMeasure:
         return keep
 
     def mass(self, region="all", eps=0.0) -> float:
-        return float(self.weights[self._mask(region, eps)].sum())
+        return self.poly_moment(0, 0, region, eps)
 
     def poly_moment(self, p1, p2, region="all", eps=0.0) -> float:
-        k = self._mask(region, eps)
-        v = self.weights[k] * self.atoms[k, 0] ** p1 * self.atoms[k, 1] ** p2
-        return float(v.sum())
+        query = (p1, p2, region, eps)   # each simulator call reads several
+        if query not in self._moments:
+            k = self._mask(region, eps)
+            v = self.weights[k] * self.atoms[k, 0] ** p1
+            self._moments[query] = float((v * self.atoms[k, 1] ** p2).sum())
+        return self._moments[query]
 
     def l1_moment(self, coord) -> float:
         return float((self.weights * np.abs(self.atoms[:, coord])).sum())

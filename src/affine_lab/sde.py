@@ -369,7 +369,10 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     grid the increments are built as they are read, so no fine-grid
     Brownian array exists.  Every lane does the elementwise arithmetic
     of its one-copy run and sums its events in the same order, so every
-    copy equals that run bit for bit.
+    copy equals that run bit for bit.  A system's event tables are built
+    once and kept on it for every model run on it.  An empty batch (the
+    input checks, whose rules the simulators apply before this) returns
+    outputs of the right shapes at once, with no table and no lane state.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
         noise.dt, noise.u_bound
@@ -377,19 +380,23 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
         + (n_paths,)
     every = np.arange(n_steps + 1)
     keep = every if keep is None else every[keep]   # -1 is the last point
+    kept = {c.name: np.empty(shape + (len(keep),)) for c in coords}
+    sup = {} if sup is None else sup
+    if not n_paths:
+        kept.update((name, np.empty(shape + (1,))) for name in sup)
+        return kept, np.empty(shape), np.zeros(shape, dtype=np.intp)
     columns = {}                                # grid index -> kept columns
     for j, i in enumerate(keep.tolist()):
         columns.setdefault(i, []).append(j)
-    ev0 = _EventTable(noise, "n0")
-    ev1 = _EventTable(noise, "n1")
+    if not noise._tables:
+        noise._tables[:] = _EventTable(noise, "n0"), _EventTable(noise, "n1")
+    ev0, ev1 = noise._tables
     w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
     w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
     intensities = list(dict.fromkeys(c.intensity for c in coords))
 
     s = {c.name: np.repeat(np.asarray(c.start, dtype=float)[..., None],
                            n_paths, axis=-1) for c in coords}
-    kept = {c.name: np.empty(shape + (len(keep),)) for c in coords}
-    sup = {} if sup is None else sup
     peaks = {name: np.full(shape, -np.inf) for name in sup}
     abort_step = np.full(shape, -1, dtype=np.intp)
     clamps = np.zeros(shape, dtype=np.intp)
@@ -402,8 +409,7 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
 
     record(0)
     with np.errstate(invalid="ignore", over="ignore"):
-        # an empty batch, run_ensemble's input check, takes no step
-        for k in range(n_steps if n_paths else 0):
+        for k in range(n_steps):
             lam = {f: f(s, k) for f in intensities}
             bad = ~reduce(np.logical_and, [np.isfinite(v) for v in s.values()])
             if thinning:

@@ -11,9 +11,10 @@ from numpy.random import Generator, Philox
 
 from affine_lab import noise as noise_module
 from affine_lab.noise import (
-    _event_times,
+    _normals,
     _philox_keys,
     _stream,
+    _stream_events,
     substream_seed,
     substream_seed_array,
     generate_noise,
@@ -136,7 +137,7 @@ def _draws(rng):
 def test_stream_reset_matches_constructed_philox():
     seeds = EDGE_SEEDS + np.random.default_rng(2011).integers(
         0, 2 ** 64, size=3000, dtype=np.uint64, endpoint=False).tolist()
-    keys = _philox_keys(np.array(seeds, dtype=np.uint64)).tolist()
+    keys = _philox_keys(np.array(seeds, dtype=np.uint64))
     assert keys[:len(EDGE_SEEDS)] == [0, 2 ** 63 - 1, 2 ** 63, 2 ** 63,
                                       2 ** 63, 2 ** 63 + 4096,
                                       2 ** 64 - 2048, 0, 0]
@@ -240,18 +241,58 @@ def batched_event_times(rng, rate, t_max):
 
 @pytest.mark.parametrize("rate, t_max", [(10.0, 1.0), (3.0, 2.0 ** -4)])
 def test_event_times_match_batched_draws(rate, t_max):
-    # at mean 10 about 3 in 10**4 paths overflow the first batch of 23
-    counts = []
-    for key in range(20000):
-        got = _event_times(_stream(key, 1), rate, t_max)
+    # at mean 10 about 3 in 10**4 paths overflow the first batch of 23;
+    # the batch draws each path's first gap alone, as generate_noise does
+    keys = list(range(20000))
+    tags, times, _ = _stream_events(keys, 1, rate, t_max, ATOMIC, 0.0)
+    counts = np.bincount(tags, minlength=len(keys))
+    for key, got in zip(keys, np.split(times, np.cumsum(counts)[:-1])):
         want = batched_event_times(Generator(Philox(key=[key, 1])), rate,
                                    t_max)
         assert same_bits(got, want), key
-        counts.append(len(got))
     size = max(16, int(rate * t_max * 1.5) + 8)
     assert min(counts) == 0
     if rate * t_max > 1.0:
         assert max(counts) >= size
+
+
+# -- normal draws ------------------------------------------------------------
+
+@pytest.mark.parametrize("n_paths", [1, 2 * noise_module._BLOCK + 3])
+@pytest.mark.parametrize("n_steps", [1, 256])
+@pytest.mark.parametrize("role, scale", [(0, 2.0 ** -4),
+                                         (4, math.sqrt(2.0 ** -9) / 2.0)])
+def test_normals_equal_per_path_normal_draws(n_paths, n_steps, role, scale):
+    """The block fill, scaled in place and copied transposed, gives every
+    path's ``normal(0, scale)`` draws bit for bit, in a partial last
+    block too."""
+    seeds = substream_seed_array(31, np.arange(n_paths)).tolist()
+    got = _normals(_philox_keys(np.array(seeds, dtype=np.uint64)), role,
+                   scale, n_steps)
+    assert got.shape == (n_steps, 3, n_paths)
+    for p, seed in enumerate(seeds):
+        want = Generator(Philox(key=[seed, role])).normal(
+            0.0, scale, size=(3, n_steps))
+        assert same_bits(np.ascontiguousarray(got[:, :, p].T), want), p
+
+
+def test_block_scaling_matches_c_normal_arithmetic():
+    """``normal`` returns ``0.0 + scale * z``; the blocks compute ``z *
+    scale + 0.0``, the same sum, so the bits agree on every input: the
+    ``+ 0.0`` turns a ``-0.0`` draw, or a negative product that
+    underflows, into ``+0.0``."""
+    tiny = np.finfo(float).smallest_subnormal
+    z = np.array([-0.0, 0.0, tiny, -tiny, tiny * 2.0 ** 40, -1e-310,
+                  1e300, -1e300, -1.7e308, 3e-19, -3e-19, 1.25])
+    for scale in (1.0, 0.7, 3.0, 2.0 ** -5, math.sqrt(2.0 ** -9) / 2.0):
+        block = z.copy()
+        with np.errstate(over="ignore"):        # -1.7e308 * 3.0 is -inf
+            block *= scale
+            block += 0.0
+            want = 0.0 + scale * z
+        assert same_bits(block, want), scale
+        assert not np.signbit(block[:2]).any()
+    assert same_bits(np.array([-tiny]) * 0.5 + 0.0, np.array([0.0]))
 
 
 def test_n0_counts_match_poisson_mean():
@@ -496,6 +537,19 @@ def test_array_of_seeds_matches_list():
     b = make(seed=[int(s) for s in seeds])
     assert same_bits(a.brownian, b.brownian)
     assert same_bits(a.n1_marks, b.n1_marks)
+
+
+def test_caller_seed_array_stays_writeable_and_unchanged():
+    """A uint64 seed array is copied, not frozen: the system's seeds are
+    read-only and the caller's array keeps its flags and values."""
+    seeds = substream_seed_array(3, np.arange(5))
+    before = seeds.copy()
+    ns = make(seed=seeds)
+    assert seeds.flags.writeable and np.array_equal(seeds, before)
+    assert not ns.seeds.flags.writeable
+    seeds[0] += np.uint64(1)
+    assert ns.seeds.tolist() == before.tolist()
+    assert same_bits(ns.brownian, make(seed=before.tolist()).brownian)
 
 
 # -- seed range --------------------------------------------------------------

@@ -724,6 +724,49 @@ def test_ladder_advances_shared_coordinates_once(monkeypatch):
     assert [rung[0]["x"].shape for rung in rungs] == [(n, 1)] * 4
 
 
+@pytest.mark.parametrize("case", ["one-copy", "ladder-sup", "keep-all"])
+def test_empty_batch_returns_shaped_outputs_without_tables(monkeypatch,
+                                                           case):
+    """An empty batch returns at once, building no event table, with the
+    shapes and dtypes a batch of paths has, its path axis empty."""
+    p = symmetric_split_params()
+    outs = []
+    step_loop = sde._step_loop
+
+    def spy(*args):
+        outs.append(step_loop(*args))
+        return outs[-1]
+    monkeypatch.setattr(sde, "_step_loop", spy)
+
+    def run(seeds):
+        noise = generate_noise(p.m, p.mu, 0.25, 2.0 ** -6, seeds, 16.0, 0.0)
+        if case == "one-copy":
+            simulate_affine(p, 1.0, 0.5, noise, keep=np.array([0, 3, -1]))
+        elif case == "ladder-sup":
+            simulate_reactant_pair(p, [4.0, 16.0, 64.0], 1.0,
+                                   [4.0, 16.0, 64.0], [4.0, 16.0, 64.0],
+                                   noise, with_limit=True, z0=0.0,
+                                   keep=np.array([-1]))
+        else:
+            simulate_catalytic(p, 1.0, 0.5, 1.0, noise, keep=None)
+        return outs.pop()
+
+    full = run(np.arange(2, dtype=np.uint64))
+
+    def no_table(*args):
+        raise AssertionError("an empty batch built an event table")
+    monkeypatch.setattr(sde, "_EventTable", no_table)
+    empty = run([])
+    lanes = (3, 0) if case == "ladder-sup" else (0,)
+    cols = {"one-copy": 3, "ladder-sup": 1, "keep-all": 17}[case]
+    assert list(empty[0]) == list(full[0])     # ladder: gap, then z_k
+    for name, arr in empty[0].items():
+        assert arr.shape == lanes + (cols,), name
+        assert arr.dtype == full[0][name].dtype, name
+    for got, want in zip(empty[1:], full[1:]):  # aborted_at, clamps
+        assert got.shape == lanes and got.dtype == want.dtype
+
+
 def test_reactant_ladder_rejects_unmatched_starts():
     p, noise = aborting_noise(False)
     with pytest.raises(ValueError, match="one y_plus0 and one y_minus0 per "

@@ -423,6 +423,39 @@ def test_validate_draws_generator_noise_once(monkeypatch, tmp_path):
     assert refined == [n_fine]
 
 
+def test_validate_builds_event_tables_once_per_noise(monkeypatch, tmp_path):
+    """The three generator modes run on one noise system per level and
+    share its event tables: a ``validate`` run builds the N0 and N1
+    tables once for each nonempty system (plain, control coarse, control
+    fine) and none for the empty batches of the input checks."""
+    built = []
+
+    class Spy(sde._EventTable):
+        __slots__ = ()
+
+        def __init__(self, noise, which):
+            built.append((noise, which))
+            super().__init__(noise, which)
+    monkeypatch.setattr(sde, "_EventTable", Spy)
+    n = 300
+    config = parse_config(json.dumps({
+        "mc": {"n_paths": n, "seed": 1},
+        "validate": {"checks": ["generator"]}}))
+    assert len(config.resolved["validate"]["generator_modes"]) == 3
+    assert run("validate", config, out_dir=tmp_path,
+               stdout=io.StringIO()) == 0
+    systems = []
+    for noise, which in built:
+        if not systems or systems[-1][0] is not noise:
+            systems.append((noise, []))
+        systems[-1][1].append(which)
+    n_fine = max(2, -(-n // validate.FINE_FRACTION))
+    assert [(ns.n_paths, ns.refinement_level, tables)
+            for ns, tables in systems] == [(n, 0, ["n0", "n1"]),
+                                           (n_fine, 0, ["n0", "n1"]),
+                                           (n_fine, 1, ["n0", "n1"])]
+
+
 # -- uniqueness ------------------------------------------------------------
 
 def test_uniqueness_distinct_starts():
