@@ -20,12 +20,14 @@ def main():
         params = builtin_params(name)
         print(f"=== {name} ===")
         solutions = solve_transforms(params, U_POINTS, grid)
-        for u, solution in zip(U_POINTS, solutions):
+        # one batched transform per state, one value per frequency
+        values = {x: char_fn(params, x, 1.0, U_POINTS) for x in STATES}
+        for j, (u, solution) in enumerate(zip(U_POINTS, solutions)):
             print(f"  u = ({u.u1:g}, {u.u2:g})")
             print(f"    psi1(1) = {solution.psi1[-1]:.6f}   "
                   f"phi(1) = {solution.phi[-1]:.6f}")
             for x in STATES:
-                value = char_fn(params, x, 1.0, u)
+                value = values[x][j]
                 print(f"    E[exp(u . X_1) | X_0 = {x}] = {value:.6f}  "
                       f"(|.| = {abs(value):.6f})")
             res = flow_residual(params, u, 0.5, 0.5, 1e-9)

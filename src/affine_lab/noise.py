@@ -38,12 +38,16 @@ role]))``.  ``key0`` is the first key word that construction stores,
 computed once per batch by ``_philox_keys`` for every role.  ``_normals``
 fills a buffer of ``_BLOCK`` paths with standard normals, each path's
 ``(3, n_steps)`` block in one call, scales the buffer in place as ``z *
-scale + 0.0`` and copies it transposed into the batch: bit for bit what
-``normal(0, scale)`` computes in C, ``0.0 + scale * z``, the ``+ 0.0``
-turning a ``-0.0`` product into ``+0.0``.  An event stream draws
-each path's first gap alone, so a path whose first gap passes ``t_max``
-(most paths on a short horizon) costs one reset and one draw and adds
-nothing to the batch; only a path with events continues from that gap.
+scale + 0.0`` and copies it into the batch one component at a time,
+transposed: bit for bit what ``normal(0, scale)`` computes in C, ``0.0 +
+scale * z``, the ``+ 0.0`` turning a ``-0.0`` product into ``+0.0``.
+
+An event stream draws each path's first gap alone, so a path whose first
+gap passes ``t_max`` (most paths on a short horizon) costs one reset and
+one draw.  A path with events draws its later gaps as standard
+exponentials scaled in place (``exponential(scale)`` is ``scale * e`` in
+C), then its umarks and its marks' draws (``measure._mark_draws``), which
+``measure._marks`` turns into the batch's marks at once.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
 injective in the path index for a fixed master seed.
@@ -274,16 +278,21 @@ def _event_times(rng, rate, t_max, first):
     """
     scale = 1.0 / rate
     size = max(16, int(rate * t_max * 1.5) + 8)
-    gaps = np.concatenate(([first], rng.exponential(scale, size=size - 1)))
-    chunks, t0 = [], 0.0
+    chunks, t0, times = [], 0.0, np.empty(size)
+    times[0], gaps = first, times[1:]
     while True:
-        times = t0 + gaps.cumsum()
-        if times[-1] > t_max:
-            chunks.append(times[times <= t_max])
+        rng.standard_exponential(out=gaps)
+        gaps *= scale
+        times.cumsum(out=times)
+        if t0:
+            times += t0
+        n = times.searchsorted(t_max, side="right")
+        if n < size:
+            chunks.append(times[:n].copy())
             return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         chunks.append(times)
         t0 = times[-1]
-        gaps = rng.exponential(scale, size=size)
+        times = gaps = np.empty(size)
 
 
 def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
@@ -292,24 +301,23 @@ def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
     (its first gap past ``t_max``) adds nothing but a zero count.
     """
     counts = np.zeros(len(keys), dtype=np.intp)
-    fields = [[np.empty(0)], [np.empty((0, 2))]]    # times, [umarks,] marks
-    if u_bound is not None:
-        fields.insert(1, [np.empty(0)])
+    fields = [[np.empty(0)] for _ in range(1 + (u_bound is not None))]
+    draws = []              # for the marks; fields holds times[, umarks]
     if rate > 0.0:
         scale = 1.0 / rate
         for p, key in enumerate(keys):
             rng = _stream(key, role)
             first = rng.exponential(scale)
             if first <= t_max:
-                times = _event_times(rng, rate, t_max, first)
-                counts[p] = len(times)
-                fields[0].append(times)
+                fields[0].append(_event_times(rng, rate, t_max, first))
+                n = counts[p] = len(fields[0][-1])
                 if u_bound is not None:
-                    fields[1].append(rng.uniform(0.0, u_bound,
-                                                 size=len(times)))
-                fields[-1].append(measure.sample(rng, len(times), eps=eps))
+                    fields[1].append(rng.uniform(0.0, u_bound, size=n))
+                draws.append(measure._mark_draws(rng, n, eps))
+    marks = measure._marks(draws, eps) if draws else np.empty((0, 2))
+    del draws               # before the other fields are joined
     return (np.repeat(np.arange(len(keys), dtype=np.intp), counts),
-            *map(np.concatenate, fields))
+            *map(np.concatenate, fields), marks)
 
 
 def _normals(keys, role, scale, n_steps):
@@ -328,7 +336,8 @@ def _normals(keys, role, scale, n_steps):
             _stream(key, role).standard_normal(out=row)
         block *= scale      # a partial last block's spare rows are unread
         block += 0.0
-        out[:, :, lo:lo + len(chunk)] = block[:len(chunk)].transpose(2, 1, 0)
+        for c in range(_COMPONENTS):    # faster than one 3-d transpose
+            out[:, c, lo:lo + len(chunk)] = block[:len(chunk), c].T
     return out
 
 

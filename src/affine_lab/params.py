@@ -202,6 +202,13 @@ class FiniteAtomicMeasure:
         the kept weights ``w``, from a CDF built once per ``eps`` the way
         ``Generator.choice`` builds it.
         """
+        return self._marks([self._mark_draws(rng, n, eps)], eps)
+
+    # sample, split for a batch of streams: uniforms per stream, one lookup
+    def _mark_draws(self, rng, n, eps):
+        return rng.random(n)
+
+    def _marks(self, draws, eps):
         cached = self._cdfs.get(eps)
         if cached is None:
             keep = self._mask("all", eps)
@@ -213,7 +220,7 @@ class FiniteAtomicMeasure:
             cdf /= cdf[-1]
             cached = self._cdfs[eps] = (self.atoms[keep], cdf)
         atoms, cdf = cached
-        return atoms[cdf.searchsorted(rng.random(n), side="right")]
+        return atoms[cdf.searchsorted(np.concatenate(draws), side="right")]
 
 
 def _exp_partial(p, rate, cutoff):
@@ -348,6 +355,13 @@ class ProductExponentialMeasure:
             out[filled:filled + take, 1] = xi2[ok][:take]
             filled += take
         return out
+
+    # sample, split as FiniteAtomicMeasure's: marks drawn whole per stream
+    def _mark_draws(self, rng, n, eps):
+        return self.sample(rng, n, eps)
+
+    def _marks(self, draws, eps):
+        return np.concatenate(draws)
 
 
 #: Union of the supported jump-measure kinds.

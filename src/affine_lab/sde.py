@@ -311,6 +311,8 @@ class _EventTable:
 def _region_weights(xi2, region):
     """xi2 contribution per event under a jump-region restriction; the
     "minus" region's marks are sign-flipped, so nonnegative."""
+    if region == "all":
+        return xi2
     return np.where(_region_mask(xi2, region),
                     -xi2 if region == "minus" else xi2, 0.0)
 
@@ -369,9 +371,11 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     grid the increments are built as they are read, so no fine-grid
     Brownian array exists.  Every lane does the elementwise arithmetic
     of its one-copy run and sums its events in the same order, so every
-    copy equals that run bit for bit.  A system's event tables are built
-    once and kept on it for every model run on it.  An empty batch (the
-    input checks, whose rules the simulators apply before this) returns
+    copy equals that run bit for bit.  N1 acceptance is decided once per
+    intensity function and step; a ``bincount`` over flat lanes sums the
+    accepted marks as ``np.add.at`` on zeros does.  A system's event tables
+    are built once and kept on it for every model run on it.  An empty batch
+    (the input checks, whose rules the simulators apply before this) returns
     outputs of the right shapes at once, with no table and no lane state.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
@@ -424,7 +428,11 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
             a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
             a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
             p0, p1 = ev0.path[a0:e0], ev1.path[a1:e1]
-            u1 = ev1.umark[a1:e1]
+            hits = {}   # intensity -> (lane copy * n_paths + path, event)
+            for f, v in lam.items() if e1 > a1 else ():
+                *copy, e = (ev1.umark[a1:e1] <= v.take(p1, axis=-1)).nonzero()
+                if len(e):
+                    hits[f] = (p1[e] + copy[0] * n_paths if copy else p1[e]), e
             step = {}
             for c, v0, v1 in zip(coords, w0, w1):
                 lam_c = lam[c.intensity]
@@ -434,21 +442,17 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
                                        minlength=n_paths)
                 if c.m != 0.0:
                     new = new - dt * c.m
-                if e1 > a1:
-                    # (E,) or (copies, E); each lane adds its accepted
-                    # marks from zero in event order
-                    acc = u1 <= lam_c.take(p1, axis=-1)
-                    if acc.any():
-                        *copy, e = acc.nonzero()
-                        hits = np.zeros(lam_c.shape)
-                        np.add.at(hits, (*copy, p1[e]), v1[a1:e1][e])
-                        new = new + hits
+                if c.intensity in hits:
+                    lane, e = hits[c.intensity]
+                    new = new + np.bincount(
+                        lane, weights=v1[a1:e1][e],
+                        minlength=lam_c.size).reshape(lam_c.shape)
                 if c.comp is not None:
                     new = new - c.comp(s, k, lam_c)
                 if c.clamp:
                     neg = new < 0.0
                     clamps += neg & alive
-                    new = np.where(neg, 0.0, new)
+                    np.copyto(new, 0.0, where=neg)
                 step[c.name] = new
             s = step
             record(k + 1)

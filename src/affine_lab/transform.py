@@ -540,3 +540,108 @@ def moment_functionals(params: AdmissibleParams) -> MomentFunctionals:
                 x0 * q12(t) + z0 * math.exp(b22 * t) + h2(t))
 
     return MomentFunctionals(q11=q11, q12=q12, h1=h1, h2=h2, mean=mean)
+
+
+# -- closed-form generators, which validate.check_generator tests ----------
+
+_X_ONLY = {"1", "x1", "x1^2", "exp(-x1)"}
+
+
+def _affine_generator_value(params, name, x1, x2):
+    """Closed form of the full-plane generator on a catalog function."""
+    m, mu = params.m, params.mu
+    b1, b2 = params.b
+    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
+    al = params.alpha
+    if name == "1":
+        return 0.0
+    if name == "x1":
+        return b1 + b11 * x1 + m.poly_moment(1, 0)
+    if name == "x2":
+        return b2 + b21 * x1 + b22 * x2
+    if name == "x1^2":
+        return (2.0 * x1 * (b1 + b11 * x1) + 2.0 * al[0, 0] * x1
+                + 2.0 * x1 * m.poly_moment(1, 0) + m.poly_moment(2, 0)
+                + x1 * mu.poly_moment(2, 0))
+    if name == "x2^2":
+        return (2.0 * x2 * (b2 + b21 * x1 + b22 * x2)
+                + 2.0 * (params.a + al[1, 1] * x1)
+                + m.poly_moment(0, 2) + x1 * mu.poly_moment(0, 2))
+    if name == "x1*x2":
+        return (x2 * (b1 + b11 * x1) + x1 * (b2 + b21 * x1 + b22 * x2)
+                + 2.0 * al[0, 1] * x1 + x2 * m.poly_moment(1, 0)
+                + m.poly_moment(1, 1) + x1 * mu.poly_moment(1, 1))
+    u = UPoint(-1.0, 0.0) if name == "exp(-x1)" else UPoint(-1.0, 1j)
+    f0 = np.exp(u.u1 * x1 + u.u2 * x2)
+    return f0 * (eval_F(params, u) + eval_R(params, u) * x1
+                 + b22 * u.u2 * x2)
+
+
+def _cbi_generator_value(params, name, x, theta0, theta1, l):
+    """Closed form of the scalar-branching generator on an x-only function
+    (``check_generator`` has rejected every other name)."""
+    m, mu = params.m, params.mu
+    b, beta, alpha = params.b[0], params.beta[0, 0], params.alpha[0, 0]
+    m1 = m.poly_moment(1, 0)
+    if name == "1":
+        return 0.0
+    if name == "x1":
+        return b + beta * x + theta0 * m1
+    if name == "x1^2":
+        return (2.0 * x * (b + beta * x) + 2.0 * alpha * x
+                + 2.0 * x * theta0 * m1 + theta0 ** 2 * m.poly_moment(2, 0)
+                + l * x * theta1 ** 2 * mu.poly_moment(2, 0))
+    u1 = -1.0                                   # exp(-x1)
+    imm = m.exp_integral(theta0 * u1, 0.0)
+    branch = mu.exp_integral(theta1 * u1, 0.0, compensate_xi1=True)
+    return math.exp(u1 * x) * (u1 * b + imm
+                               + x * (u1 * beta + alpha * u1 ** 2
+                                      + l * branch))
+
+
+def _catalytic_generator_value(params, name, x, y, l):
+    """Closed form of the catalyst-modulated generator on a catalog name.
+
+    The shared acceptance mark makes candidate jumps move both
+    coordinates when the mark clears both thresholds, one coordinate
+    otherwise; the coefficients below are the sizes of those three sets.
+    """
+    m, mu = params.m, params.mu
+    b1, b2 = params.b
+    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
+    al = params.alpha
+    joint = min(x, l * x * y)
+    x_only = x - joint
+    y_only = l * x * y - joint
+    if name in _X_ONLY:
+        return _affine_generator_value(params, name, x, 0.0)
+    if name == "x2":
+        return b2 + b21 * x * y + b22 * y + m.poly_moment(0, 1, "plus")
+    if name == "x2^2":
+        return (2.0 * y * (b2 + b21 * x * y + b22 * y)
+                + 2.0 * (params.a * y + al[1, 1] * x * y)
+                + 2.0 * y * m.poly_moment(0, 1, "plus")
+                + m.poly_moment(0, 2, "plus")
+                + l * x * y * mu.poly_moment(0, 2, "plus"))
+    if name == "x1*x2":
+        return (y * (b1 + b11 * x) + x * (b2 + b21 * x * y + b22 * y)
+                + 2.0 * al[0, 1] * x * math.sqrt(y)
+                + x * m.poly_moment(0, 1, "plus") + y * m.poly_moment(1, 0)
+                + m.poly_moment(1, 1, "plus")
+                + joint * mu.poly_moment(1, 1, "plus"))
+    u1, u2 = -1.0, 1j                           # exp(-x1+i*x2)
+    f0 = np.exp(u1 * x + u2 * y)
+    drift = u1 * (b1 + b11 * x) + u2 * (b2 + b21 * x * y + b22 * y)
+    diff = (al[0, 0] * x * u1 ** 2
+            + 2.0 * al[0, 1] * x * math.sqrt(y) * u1 * u2
+            + (params.a * y + al[1, 1] * x * y) * u2 ** 2)
+    imm = (m.exp_integral(u1, u2, region="plus")
+           + m.exp_integral(u1, 0.0, region="minus"))
+    branch = (joint * mu.exp_integral(u1, u2, region="plus")
+              + x_only * mu.exp_integral(u1, 0.0, region="plus")
+              + y_only * mu.exp_integral(0.0, u2, region="plus")
+              - x * u1 * mu.poly_moment(1, 0, "plus")
+              - l * x * y * u2 * mu.poly_moment(0, 1, "plus")
+              + x * mu.exp_integral(u1, 0.0, region="minus")
+              - x * u1 * mu.poly_moment(1, 0, "minus"))
+    return f0 * (drift + diff + imm + branch)

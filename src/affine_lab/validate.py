@@ -13,7 +13,8 @@ them.  A row's estimate is the coarse mean over ``N`` plus the mean
 targets the ``dt/2`` level; its standard error combines both means in
 quadrature.  If the scheme error is first order in ``dt``, the bias left
 at ``dt/2`` is about ``|d|``, so the bias budget ``2 max|d|`` (plus a
-small floor) bounds it with a safety factor of two.
+small floor) bounds it with a safety factor of two; the coupled run
+reuses the plain run's coarse rows (:func:`_two_level_runs`).
 :func:`check_generators` runs the generator modes that share a thinning
 bound on one noise draw per level.
 
@@ -37,15 +38,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .noise import generate_noise, refine, steps_for
+from .noise import generate_noise, refine, steps_for, substream_seed_array
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (GeneralizedCbiSpec, _check_finite, _check_init,
+from .sde import (CHUNK, GeneralizedCbiSpec, _check_finite, _check_init,
                   _reactant_starts, run_ensemble, simulate_affine,
                   simulate_catalytic, simulate_generalized_cbi,
                   simulate_reactant_pair)
-from .transform import char_fn, eval_F, eval_R, flow_residual, \
-    moment_functionals
+from .transform import (_X_ONLY, _affine_generator_value,
+                        _catalytic_generator_value, _cbi_generator_value,
+                        char_fn, flow_residual, moment_functionals)
 
 __all__ = [
     "CharFnEstimate",
@@ -293,6 +295,15 @@ def _mean_se(w):
 
 # -- shared ensemble plumbing ----------------------------------------------
 
+def _join(coarse, fine):
+    """A coupled triple (a list from lists): the fine components as
+    ``<name>_fine``, the earlier abort time, the summed clamps."""
+    if isinstance(coarse, list):
+        return [_join(c, f) for c, f in zip(coarse, fine)]
+    comps = dict(coarse[0], **{n + "_fine": a for n, a in fine[0].items()})
+    return comps, np.fmin(coarse[1], fine[1]), coarse[2] + fine[2]
+
+
 def _coupled(core):
     """Batch model running the batch ``core`` at ``dt`` and ``dt/2``.
 
@@ -303,35 +314,53 @@ def _coupled(core):
     A ``core`` returning a list of triples gives a list of coupled
     triples, one per result, from one refinement of the batch.
     """
+    return lambda noise, keep: _join(core(noise, keep),
+                                     core(refine(noise), 2 * keep))
 
-    def join(coarse, fine):
-        (cc, ca, cl), (fc, fa, fl) = coarse, fine
-        comps = dict(cc)
-        for name, arr in fc.items():
-            comps[name + "_fine"] = arr
-        return comps, np.fmin(ca, fa), cl + fl
 
-    def model(noise, keep):
-        coarse, fine = core(noise, keep), core(refine(noise), 2 * keep)
-        if isinstance(coarse, list):
-            return [join(c, f) for c, f in zip(coarse, fine)]
-        return join(coarse, fine)
-
-    return model
+def _head(out, rows):
+    """Copies of the first ``rows`` rows of a triple (each of a list)."""
+    if isinstance(out, list):
+        return [_head(triple, rows) for triple in out]
+    return ({n: a[:rows].copy() for n, a in out[0].items()},
+            out[1][:rows].copy(), out[2][:rows].copy())
 
 
 def _two_level_runs(core, n_paths, **kwargs):
     """The ensembles of a two-level estimate: ``core`` on all ``n_paths``
-    paths, and ``_coupled(core)`` on the first ``max(2, ceil(n_paths /
-    FINE_FRACTION))`` of them with the same master seed.
+    paths, and ``_coupled(core)`` on the first ``n_fine = max(2,
+    ceil(n_paths / FINE_FRACTION))`` of them with the same master seed.
 
-    Both runs draw each path's noise from its own seed, so absent retries
-    the coupled run's coarse columns equal the first rows of the plain
-    run bit for bit.
+    On a chunk's first round the coupled run joins its fine level with
+    copies of the plain run's first-round rows, made before any retry,
+    which equal its coarse level bit for bit; its retry rounds run
+    ``_coupled(core)``.  Those paths' noise is still drawn twice.
     """
     n_fine = max(2, -(-n_paths // FINE_FRACTION))
-    return (run_ensemble(core, n_paths=n_paths, **kwargs),
-            run_ensemble(_coupled(core), n_paths=n_fine, **kwargs))
+    seeds = substream_seed_array(kwargs["master_seed"], np.arange(n_fine))
+    chunks = [seeds[lo:lo + CHUNK] for lo in range(0, n_fine, CHUNK)]
+    kept = {}                   # chunk -> the plain run's first-round rows
+
+    def first_round(noise):     # chunk index of a first-round batch, or None
+        return next((i for i, rows in enumerate(chunks)
+                     if noise.u_bound == kwargs["u_bound"]
+                     and np.array_equal(noise.seeds[:len(rows)], rows)), None)
+
+    def plain(noise, keep):
+        out = core(noise, keep)
+        i = first_round(noise)
+        if i is not None:
+            kept[i] = _head(out, len(chunks[i]))
+        return out
+
+    def control(noise, keep):
+        i = first_round(noise)
+        if i not in kept:
+            return _coupled(core)(noise, keep)
+        return _join(kept.pop(i), core(refine(noise), 2 * keep))
+
+    return (run_ensemble(plain, n_paths=n_paths, **kwargs),
+            run_ensemble(control, n_paths=n_fine, **kwargs))
 
 
 @dataclass(frozen=True)
@@ -480,7 +509,6 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
 GENERATOR_MODES = ("affine", "cbi", "catalytic")
 GENERATOR_CATALOG = ("1", "x1", "x2", "x1^2", "x2^2", "x1*x2",
                      "exp(-x1)", "exp(-x1+i*x2)")
-_X_ONLY = {"1", "x1", "x1^2", "exp(-x1)"}
 
 _F_EVAL = {
     "1": lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
@@ -492,106 +520,6 @@ _F_EVAL = {
     "exp(-x1)": lambda x, y: np.exp(-np.asarray(x, dtype=float)),
     "exp(-x1+i*x2)": lambda x, y: np.exp(-np.asarray(x) + 1j * np.asarray(y)),
 }
-
-
-def _affine_generator_value(params, name, x1, x2):
-    """Closed form of the full-plane generator on a catalog function."""
-    m, mu = params.m, params.mu
-    b1, b2 = params.b
-    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
-    al = params.alpha
-    if name == "1":
-        return 0.0
-    if name == "x1":
-        return b1 + b11 * x1 + m.poly_moment(1, 0)
-    if name == "x2":
-        return b2 + b21 * x1 + b22 * x2
-    if name == "x1^2":
-        return (2.0 * x1 * (b1 + b11 * x1) + 2.0 * al[0, 0] * x1
-                + 2.0 * x1 * m.poly_moment(1, 0) + m.poly_moment(2, 0)
-                + x1 * mu.poly_moment(2, 0))
-    if name == "x2^2":
-        return (2.0 * x2 * (b2 + b21 * x1 + b22 * x2)
-                + 2.0 * (params.a + al[1, 1] * x1)
-                + m.poly_moment(0, 2) + x1 * mu.poly_moment(0, 2))
-    if name == "x1*x2":
-        return (x2 * (b1 + b11 * x1) + x1 * (b2 + b21 * x1 + b22 * x2)
-                + 2.0 * al[0, 1] * x1 + x2 * m.poly_moment(1, 0)
-                + m.poly_moment(1, 1) + x1 * mu.poly_moment(1, 1))
-    u = UPoint(-1.0, 0.0) if name == "exp(-x1)" else UPoint(-1.0, 1j)
-    f0 = np.exp(u.u1 * x1 + u.u2 * x2)
-    return f0 * (eval_F(params, u) + eval_R(params, u) * x1
-                 + b22 * u.u2 * x2)
-
-
-def _cbi_generator_value(params, name, x, theta0, theta1, l):
-    """Closed form of the scalar-branching generator on an x-only function
-    (``check_generator`` has rejected every other name)."""
-    m, mu = params.m, params.mu
-    b, beta, alpha = params.b[0], params.beta[0, 0], params.alpha[0, 0]
-    m1 = m.poly_moment(1, 0)
-    if name == "1":
-        return 0.0
-    if name == "x1":
-        return b + beta * x + theta0 * m1
-    if name == "x1^2":
-        return (2.0 * x * (b + beta * x) + 2.0 * alpha * x
-                + 2.0 * x * theta0 * m1 + theta0 ** 2 * m.poly_moment(2, 0)
-                + l * x * theta1 ** 2 * mu.poly_moment(2, 0))
-    u1 = -1.0                                   # exp(-x1)
-    imm = m.exp_integral(theta0 * u1, 0.0)
-    branch = mu.exp_integral(theta1 * u1, 0.0, compensate_xi1=True)
-    return math.exp(u1 * x) * (u1 * b + imm
-                               + x * (u1 * beta + alpha * u1 ** 2
-                                      + l * branch))
-
-
-def _catalytic_generator_value(params, name, x, y, l):
-    """Closed form of the catalyst-modulated generator on a catalog name.
-
-    The shared acceptance mark makes candidate jumps move both
-    coordinates when the mark clears both thresholds, one coordinate
-    otherwise; the coefficients below are the sizes of those three sets.
-    """
-    m, mu = params.m, params.mu
-    b1, b2 = params.b
-    b11, b21, b22 = params.beta[0, 0], params.beta[1, 0], params.beta[1, 1]
-    al = params.alpha
-    joint = min(x, l * x * y)
-    x_only = x - joint
-    y_only = l * x * y - joint
-    if name in _X_ONLY:
-        return _affine_generator_value(params, name, x, 0.0)
-    if name == "x2":
-        return b2 + b21 * x * y + b22 * y + m.poly_moment(0, 1, "plus")
-    if name == "x2^2":
-        return (2.0 * y * (b2 + b21 * x * y + b22 * y)
-                + 2.0 * (params.a * y + al[1, 1] * x * y)
-                + 2.0 * y * m.poly_moment(0, 1, "plus")
-                + m.poly_moment(0, 2, "plus")
-                + l * x * y * mu.poly_moment(0, 2, "plus"))
-    if name == "x1*x2":
-        return (y * (b1 + b11 * x) + x * (b2 + b21 * x * y + b22 * y)
-                + 2.0 * al[0, 1] * x * math.sqrt(y)
-                + x * m.poly_moment(0, 1, "plus") + y * m.poly_moment(1, 0)
-                + m.poly_moment(1, 1, "plus")
-                + joint * mu.poly_moment(1, 1, "plus"))
-    u1, u2 = -1.0, 1j                           # exp(-x1+i*x2)
-    f0 = np.exp(u1 * x + u2 * y)
-    drift = u1 * (b1 + b11 * x) + u2 * (b2 + b21 * x * y + b22 * y)
-    diff = (al[0, 0] * x * u1 ** 2
-            + 2.0 * al[0, 1] * x * math.sqrt(y) * u1 * u2
-            + (params.a * y + al[1, 1] * x * y) * u2 ** 2)
-    imm = (m.exp_integral(u1, u2, region="plus")
-           + m.exp_integral(u1, 0.0, region="minus"))
-    branch = (joint * mu.exp_integral(u1, u2, region="plus")
-              + x_only * mu.exp_integral(u1, 0.0, region="plus")
-              + y_only * mu.exp_integral(0.0, u2, region="plus")
-              - x * u1 * mu.poly_moment(1, 0, "plus")
-              - l * x * y * u2 * mu.poly_moment(0, 1, "plus")
-              + x * mu.exp_integral(u1, 0.0, region="minus")
-              - x * u1 * mu.poly_moment(1, 0, "minus"))
-    return f0 * (drift + diff + imm + branch)
 
 
 def check_generator(params, state, *, which, n_paths, master_seed,

@@ -256,6 +256,53 @@ def test_event_times_match_batched_draws(rate, t_max):
         assert max(counts) >= size
 
 
+def reference_events(seed, role, rate, t_max, measure, eps, u_bound=None):
+    """Reference: one stream's fields from a constructed generator, gaps
+    in batches, then ``uniform(0, u_bound, n)``, then ``sample``."""
+    rng = Generator(Philox(key=[seed, role]))
+    times = batched_event_times(rng, rate, t_max)
+    fields = [times]
+    if u_bound is not None:
+        fields.append(rng.uniform(0.0, u_bound, size=len(times)))
+    fields.append(measure.sample(rng, len(times), eps=eps))
+    return fields
+
+
+@pytest.mark.parametrize("measure", [ATOMIC, PE], ids=["atomic", "pe"])
+@pytest.mark.parametrize("eps", [0.0, 0.6])
+@pytest.mark.parametrize("mean, n_paths", [(11.0, 6000), (0.05, 400)],
+                         ids=["long", "short"])
+def test_event_fields_match_reference_streams(measure, eps, mean, n_paths):
+    """Every event field of every path, N0 times and marks and N1 times,
+    umarks and marks, equals its own stream's reference draws bit for
+    bit: a long horizon whose overflowing paths draw a second gap batch
+    (means 11 and 16.5, about 5 in 10**4 paths overflow), and a short one
+    where most paths have none.  ``eps = 0.6`` drops the first atom and
+    cuts a band out of the product-exponential marks."""
+    u_bound, mass = 1.5, measure.mass(eps=eps)
+    t_max = mean / mass
+    ns = generate_noise(measure, measure, t_max, t_max, range(n_paths),
+                        u_bound, eps)
+    for role, which, rate, bound in ((1, "n0", mass, None),
+                                     (2, "n1", u_bound * mass, u_bound)):
+        names = ["times", "umarks", "marks"] if bound else ["times", "marks"]
+        counts = np.bincount(getattr(ns, which + "_path"),
+                             minlength=n_paths)
+        cuts = np.cumsum(counts)[:-1]
+        got = [np.split(getattr(ns, f"{which}_{name}"), cuts)
+               for name in names]
+        for seed in range(n_paths):
+            want = reference_events(seed, role, rate, t_max, measure, eps,
+                                    bound)
+            for name, field, ref in zip(names, got, want):
+                assert same_bits(field[seed], ref), (which, name, seed)
+        size = max(16, int(rate * t_max * 1.5) + 8)
+        if mean > 1.0:
+            assert max(counts) >= size, which
+        else:
+            assert min(counts) == 0, which
+
+
 # -- normal draws ------------------------------------------------------------
 
 @pytest.mark.parametrize("n_paths", [1, 2 * noise_module._BLOCK + 3])

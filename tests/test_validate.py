@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from affine_lab.noise import generate_noise
+from affine_lab.noise import generate_noise, refine, substream_seed_array
 from affine_lab.params import (AdmissibilityError, FiniteAtomicMeasure,
                                UPoint, validate_admissible)
 from affine_lab.presets import (cir_params, jump_affine_params,
@@ -426,8 +426,9 @@ def test_validate_draws_generator_noise_once(monkeypatch, tmp_path):
 def test_validate_builds_event_tables_once_per_noise(monkeypatch, tmp_path):
     """The three generator modes run on one noise system per level and
     share its event tables: a ``validate`` run builds the N0 and N1
-    tables once for each nonempty system (plain, control coarse, control
-    fine) and none for the empty batches of the input checks."""
+    tables once for each nonempty system it runs a model on (plain and
+    control fine; the control reuses the plain run's coarse rows) and
+    none for the empty batches of the input checks."""
     built = []
 
     class Spy(sde._EventTable):
@@ -452,8 +453,162 @@ def test_validate_builds_event_tables_once_per_noise(monkeypatch, tmp_path):
     n_fine = max(2, -(-n // validate.FINE_FRACTION))
     assert [(ns.n_paths, ns.refinement_level, tables)
             for ns, tables in systems] == [(n, 0, ["n0", "n1"]),
-                                           (n_fine, 0, ["n0", "n1"]),
                                            (n_fine, 1, ["n0", "n1"])]
+
+
+# -- two-level reuse -------------------------------------------------------
+
+def oracle_two_level_runs(core, n_paths, **kwargs):
+    """The two-level runs without reuse: the plain run, then the coupled
+    model with its own coarse level on the first paths."""
+    n_fine = max(2, -(-n_paths // validate.FINE_FRACTION))
+    return (run_ensemble(core, n_paths=n_paths, **kwargs),
+            run_ensemble(validate._coupled(core), n_paths=n_fine, **kwargs))
+
+
+def assert_same_ensemble(got, want):
+    assert (got.n_paths, got.dt, got.n_retried, got.n_clamped) == \
+        (want.n_paths, want.dt, want.n_retried, want.n_clamped)
+    assert np.array_equal(got.times, want.times)
+    assert list(got.components) == list(want.components)
+    for name, arr in want.components.items():
+        g = got.components[name]
+        assert (g.dtype, g.shape, g.tobytes()) == \
+            (arr.dtype, arr.shape, arr.tobytes()), name
+
+
+def first_round_aborts(core, n_fine, *, m, mu, master_seed, t_max, dt,
+                       u_bound, eps, keep):
+    """Which of the first ``n_fine`` paths abort at the bound ``u_bound``
+    on the coarse and on the fine level."""
+    seeds = substream_seed_array(master_seed, np.arange(n_fine))
+    noise = generate_noise(m, mu, t_max, dt, seeds, u_bound, eps)
+    return tuple(~np.isnan(core(ns, k)[1])
+                 for ns, k in ((noise, keep), (refine(noise), 2 * keep)))
+
+
+# master seed and bound of the pair core, and the generator modes' bound
+# (their start intensity is 1): no path aborts; a path among the first
+# n_fine aborts on the plain run's coarse level only, so the plain run
+# retries it and the control need not; a path aborts on the fine level
+# only
+REUSE_CASES = {"no-retries": (1, 16.0, None),
+               "plain-retry": (2, 2.0, 0.5),
+               "fine-only-abort": (3, 2.5, 1.0)}
+
+
+@pytest.mark.parametrize("chunk", [sde.CHUNK, 8], ids=["chunk", "8-path"])
+@pytest.mark.parametrize("case", list(REUSE_CASES))
+def test_two_level_reuse_matches_oracle(monkeypatch, case, chunk):
+    """The control run reusing the plain run's coarse rows gives the
+    ensembles of the coupled run that reruns them, field for field, also
+    when the coupled paths span several chunks."""
+    monkeypatch.setattr(sde, "CHUNK", chunk)
+    monkeypatch.setattr(validate, "CHUNK", chunk)
+    seed, u_bound, _ = REUSE_CASES[case]
+    p = jump_affine_params()
+    n, keep = 200, np.array([32, 64])
+    kw = dict(m=p.m, mu=p.mu, master_seed=seed, t_max=1.0, dt=2.0 ** -6,
+              u_bound=u_bound, eps=0.0)
+
+    def core(noise, keep):
+        return simulate_affine(p, 1.0, 0.0, noise, keep=keep)
+    n_fine = -(-n // validate.FINE_FRACTION)
+    coarse, fine = first_round_aborts(core, n_fine, keep=keep, **kw)
+    assert coarse.any() == (case != "no-retries")
+    assert (coarse & ~fine).any() == (case == "plain-retry")
+    assert (fine & ~coarse).any() == (case == "fine-only-abort")
+    got = validate._two_level_runs(core, n, keep_idx=keep, **kw)
+    want = oracle_two_level_runs(core, n, keep_idx=keep, **kw)
+    for g, w in zip(got, want):
+        assert_same_ensemble(g, w)
+    assert (want[1].n_retried > 0) == (case != "no-retries")
+
+
+@pytest.mark.parametrize("case", list(REUSE_CASES))
+def test_two_level_reports_match_oracle(monkeypatch, case):
+    """The affine-formula, moment and generator reports equal those of
+    the coupled runs that rerun the coarse rows, payload for payload."""
+    seed, u_bound, gen_bound = REUSE_CASES[case]
+    p = jump_affine_params()
+    n, t_list, dt = 200, [0.5, 1.0], 2.0 ** -6
+    u_list = [(-1.0, 0.0), (-0.5, 1j)]
+    states = {"affine": (1.0, 0.5), "cbi": 1.0, "catalytic": (1.0, 1.0)}
+    checks = [
+        lambda: [check_affine_formula(p, 1.0, 0.0, t_list, u_list,
+                                      n_paths=n, master_seed=seed, dt=dt,
+                                      u_bound=u_bound)],
+        lambda: [check_moments(p, 1.0, 0.0, t_list, n_paths=n,
+                               master_seed=seed, dt=dt, u_bound=u_bound)],
+        lambda: check_generators(p, states, n_paths=n, master_seed=seed,
+                                 u_bound=gen_bound)]
+    reports = [check() for check in checks]
+    monkeypatch.setattr(validate, "_two_level_runs", oracle_two_level_runs)
+    for check, got in zip(checks, reports):
+        assert [r.payload() for r in got] == \
+            [r.payload() for r in check()]
+    assert all((r.details["n_retried"] > 0) == (gen_bound is not None)
+               for r in reports[2])
+
+
+def test_control_joins_first_round_rows(monkeypatch):
+    """A core on which every path aborts on the coarse level at the
+    first bound and on no other: the plain run retries every path, and
+    the control joins its fine level with the plain run's first-round
+    rows, not with those its retry round wrote, so it retries every path
+    as the coupled run does."""
+    monkeypatch.setattr(sde, "CHUNK", 8)
+    monkeypatch.setattr(validate, "CHUNK", 8)
+
+    def core(noise, keep):
+        level, n = noise.refinement_level, noise.n_paths
+        first = noise.u_bound == 2.0 and level == 0
+        return ({"x": noise.seeds[:, None] * noise.u_bound + level + keep},
+                np.full(n, 0.0 if first else np.nan),
+                np.full(n, 1 + level, dtype=np.intp))
+    kw = dict(m=EMPTY, mu=EMPTY, master_seed=6, t_max=0.5, dt=0.5,
+              u_bound=2.0, eps=0.0)
+    got = validate._two_level_runs(core, 200, **kw)
+    want = oracle_two_level_runs(core, 200, **kw)
+    assert [e.n_retried for e in want] == [200, 13]
+    for g, w in zip(got, want):
+        assert_same_ensemble(g, w)
+
+
+def test_two_level_reuse_spans_chunks():
+    """Above ``FINE_FRACTION * CHUNK`` paths the coupled paths span two
+    chunks, and the control reuses the plain rows of both."""
+    p = jump_affine_params()
+    n = validate.FINE_FRACTION * sde.CHUNK + 1
+    kw = dict(m=p.m, mu=p.mu, master_seed=4, t_max=2.0 ** -10,
+              dt=2.0 ** -10, u_bound=16.0, eps=0.0, keep_idx=[1])
+
+    def core(noise, keep):
+        return simulate_affine(p, 1.0, 0.5, noise, keep=keep)
+    got = validate._two_level_runs(core, n, **kw)
+    want = oracle_two_level_runs(core, n, **kw)
+    assert got[1].n_paths == sde.CHUNK + 1
+    for g, w in zip(got, want):
+        assert_same_ensemble(g, w)
+
+
+def test_control_runs_no_coarse_level(monkeypatch):
+    """Without retries the control's batch runs the step loop on its
+    refined noise only: no refinement-level-0 call has its path count."""
+    calls = []
+
+    def spy(noise, *args, **kwargs):
+        calls.append((noise.n_paths, noise.refinement_level))
+        return step_loop(noise, *args, **kwargs)
+    step_loop = sde._step_loop
+    monkeypatch.setattr(sde, "_step_loop", spy)
+    n = 200
+    n_fine = -(-n // validate.FINE_FRACTION)
+    rep = check_affine_formula(jump_affine_params(), 1.0, 0.0, [0.5],
+                               [(-1.0, 0.0)], n_paths=n, master_seed=1,
+                               dt=2.0 ** -6, u_bound=16.0)
+    assert rep.details["n_retried"] == 0
+    assert [c for c in calls if c[0]] == [(n, 0), (n_fine, 1)]
 
 
 # -- uniqueness ------------------------------------------------------------
