@@ -54,12 +54,11 @@ from .noise import (  # noqa: E402,F401
 )
 from .sde import (  # noqa: E402,F401
     EnsembleResult,
-    GeneralizedCbiSpec,
     ParameterSplit,
     run_ensemble,
     simulate_affine,
     simulate_catalytic,
-    simulate_generalized_cbi,
+    simulate_cbi,
     simulate_reactant_pair,
 )
 from .validate import (  # noqa: E402,F401

@@ -50,29 +50,27 @@ the paths the model's results aborted.
 
 Explicit-Euler stability is enforced: runs with ``dt * max|beta| > 0.1``
 are refused rather than silently degraded.  ``max|beta|`` is the largest
-absolute entry of the drift matrix or, for the scalar equation, the
-largest ``|beta(t)|`` at the step starts.
+absolute entry of the drift matrix or, for the scalar equation, which
+reads only the first coordinate's drift, ``|beta11|``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .noise import (NoiseSystem, generate_noise, steps_for,
                     substream_seed_array)
-from .params import (AdmissibleParams, FiniteAtomicMeasure, _check_finite,
-                     _region_mask)
+from .params import AdmissibleParams, _check_finite, _region_mask
 
 __all__ = [
-    "GeneralizedCbiSpec",
     "ParameterSplit",
     "EnsembleResult",
     "ThinningBoundError",
-    "simulate_generalized_cbi",
+    "simulate_cbi",
     "simulate_affine",
     "simulate_catalytic",
     "simulate_reactant_pair",
@@ -103,89 +101,6 @@ def _check_init(name, value):
     if value < 0.0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
     return value
-
-
-# -- the scalar equation's spec --------------------------------------------
-
-def _on_grid(name, value, tk, width=None):
-    """Coefficient ``name`` at the step starts ``tk``, ``(n,)`` or ``(n,
-    width)``, from any form ``GeneralizedCbiSpec`` lists."""
-    n = len(tk)
-    raw = [value(t) for t in tk] if callable(value) else value
-    try:
-        out = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:      # e.g. ragged values
-        raise ValueError(f"{name} gives no float array on {n} grid steps: "
-                         f"{exc}") from None
-    if not callable(value):
-        if out.ndim == 0:
-            out = np.full(n, float(out))
-        elif width is not None and out.shape == (width,):
-            out = np.tile(out, (n, 1))          # per-component constants
-        elif out.shape[0] in (n, n + 1):
-            out = out[:n]                       # recorded path on the grid
-    if width == 1 and out.shape == (n,):        # scalar form of a 1-vector
-        out = out.reshape(n, 1)
-    shape = (n,) if width is None else (n, width)
-    if out.shape != shape:
-        raise ValueError(f"{name} gives shape {out.shape} on {n} grid "
-                         f"steps, expected {shape}")
-    bad = ~np.isfinite(out.reshape(n, -1)).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{name} is not finite at t = "
-                         f"{tk[int(np.argmax(bad))]:g}")
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralizedCbiSpec:
-    """Data of the scalar branching equation with time-dependent inputs.
-
-    Each coefficient is a constant, a callable of time, or a path
-    recorded on the ``n`` step starts or the ``n + 1`` points of the
-    grid.  ``sigma`` is ``(r,)``-valued: a constant ``(r,)`` row, a
-    callable returning one, or an ``(n or n + 1, r)`` path; a scalar
-    constant or an ``(n or n + 1,)`` path is accepted when ``r == 1``.
-    ``b``, ``beta`` and ``l`` are scalar-valued, so their paths are
-    ``(n or n + 1,)``.  Every value on the grid must be finite, and
-    ``b`` and ``l`` nonnegative; ``theta0`` and ``theta1`` are finite and
-    nonnegative.  ``r`` is 1 or 2: ``B_j`` of the equation is Brownian
-    component ``j`` of the noise.  ``mu`` is the candidate-jump measure,
-    needed for the thinning compensator; it defaults to the empty measure
-    (no candidate jumps).  The immigration jumps arrive pre-sampled inside
-    the NoiseSystem.  Marks are read through their first coordinate.
-    """
-
-    theta0: float
-    theta1: float
-    r: int
-    sigma: object
-    b: object
-    beta: object
-    l: object
-    mu: object = field(default_factory=lambda: FiniteAtomicMeasure([]))
-
-    def __post_init__(self):
-        _check_init("theta0", self.theta0)
-        _check_init("theta1", self.theta1)
-        if self.r not in (1, 2):
-            raise ValueError(f"r must be 1 or 2, got {self.r!r}")
-
-    def grid_coefficients(self, grid: np.ndarray) -> dict:
-        """Evaluate all coefficients at step starts and check their values."""
-        tk = grid[:-1]
-        out = {
-            "sigma": _on_grid("sigma", self.sigma, tk, self.r),
-            "b": _on_grid("b", self.b, tk),
-            "beta": _on_grid("beta", self.beta, tk),
-            "l": _on_grid("l", self.l, tk),
-        }
-        for name in ("b", "l"):
-            bad = out[name] < 0.0
-            if bad.any():
-                raise ValueError(f"{name}(t) must be nonnegative at t = "
-                                 f"{tk[int(np.argmax(bad))]:g}")
-        return out
 
 
 def _positive_part(v):
@@ -555,34 +470,38 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
 # ``keep`` (None keeps all), the abort time of each path (NaN if it ran
 # through) and its clamp count.
 
-def simulate_generalized_cbi(spec: GeneralizedCbiSpec, x0: float,
-                             noise: NoiseSystem, keep=None):
-    """Euler paths of the scalar equation with time-dependent
-    coefficients; component ``x``."""
-    x0 = _check_init("x0", x0)
+def simulate_cbi(params: AdmissibleParams, x0: float, theta0: float,
+                 theta1: float, l: float, noise: NoiseSystem, keep=None):
+    """Euler paths of the scalar branching equation; component ``x``.
+
+    Its coefficients are the first coordinate's: drift ``b1 + beta11 x``,
+    diffusion ``sqrt(2 x)`` on Brownian components 1 and 2 weighted by
+    the row ``sigma[0]``, immigration marks scaled by ``theta0``, and
+    candidate marks scaled by ``theta1`` and thinned at intensity ``l x``.
+    At ``theta0 = theta1 = l = 1`` it is the catalyst of the pair system.
+    """
+    x0, theta0, theta1, l = (_check_init(name, value) for name, value in (
+        ("x0", x0), ("theta0", theta0), ("theta1", theta1), ("l", l)))
     dt = noise.dt
-    coeffs = spec.grid_coefficients(noise.grid)
-    sigma, b, beta, l = (coeffs[n] for n in ("sigma", "b", "beta", "l"))
-    _stability_guard(dt, np.max(np.abs(beta)), "max|beta(t)|")
-    theta0, theta1, r = spec.theta0, spec.theta1, spec.r
-    mu_x1 = spec.mu.poly_moment(1, 0, eps=noise.eps)
+    b, beta, sigma = params.b[0], params.beta[0, 0], params.sigma[0]
+    _stability_guard(dt, beta, "|beta11|")
+    mu_x1 = params.mu.poly_moment(1, 0, eps=noise.eps)
 
     def euler(s, dB, k):
         xk = s["x"]
-        # B_j of the equation maps to noise component j, j = 1..r.
-        diff = np.einsum("pj,j->p", dB[:, 1:r + 1], sigma[k])
-        return xk + dt * (b[k] + beta[k] * xk) + np.sqrt(2.0 * xk) * diff
+        diff = np.einsum("pj,j->p", dB[:, 1:3], sigma)
+        return xk + dt * (b + beta * xk) + np.sqrt(2.0 * xk) * diff
 
     def comp(s, k, lam):
         # Product order dt*l*x*theta1*mu, not dt*(l*x)*...: the two round
         # differently.
-        return dt * l[k] * s["x"] * theta1 * mu_x1
+        return dt * l * s["x"] * theta1 * mu_x1
 
-    x = _Coord("x", x0, euler, lambda s, k: l[k] * s["x"],
+    x = _Coord("x", x0, euler, lambda s, k: l * s["x"],
                lambda xi1, xi2: theta0 * xi1,
                lambda xi1, xi2: theta1 * xi1,
                comp=comp if mu_x1 != 0.0 else None, clamp=True)
-    return _step_loop(noise, [x], not spec.mu.is_empty, keep)
+    return _step_loop(noise, [x], not params.mu.is_empty, keep)
 
 
 def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
@@ -605,12 +524,11 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
                        l: float, noise: NoiseSystem, keep=None):
     """Euler paths of the catalyst/reactant system; components ``x`` and
     ``y``."""
-    x0, y0 = _check_init("x0", x0), _check_init("y0", y0)
+    x0, y0, l = (_check_init(name, value)
+                 for name, value in (("x0", x0), ("y0", y0), ("l", l)))
     if params.b[1] < 0.0:
         raise ValueError(f"catalytic reactant requires b2 >= 0, "
                          f"got {float(params.b[1])!r}")
-    if l < 0.0:
-        raise ValueError("coupling constant l must be nonnegative")
     dt = noise.dt
     _check_dt(dt, params)
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]

@@ -41,10 +41,9 @@ import numpy as np
 from .noise import generate_noise, refine, steps_for, substream_seed_array
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (CHUNK, GeneralizedCbiSpec, _check_finite, _check_init,
-                  _reactant_starts, run_ensemble, simulate_affine,
-                  simulate_catalytic, simulate_generalized_cbi,
-                  simulate_reactant_pair)
+from .sde import (CHUNK, _check_finite, _check_init, _reactant_starts,
+                  run_ensemble, simulate_affine, simulate_catalytic,
+                  simulate_cbi, simulate_reactant_pair)
 from .transform import (_X_ONLY, _affine_generator_value,
                         _catalytic_generator_value, _cbi_generator_value,
                         char_fn, flow_residual, moment_functionals)
@@ -530,9 +529,10 @@ def check_generator(params, state, *, which, n_paths, master_seed,
     Simulates a single Euler step of size ``delta`` from ``state`` and
     compares ``(E[f(X(delta))] - f(state)) / delta`` with the generator
     applied to ``f``.  ``which`` selects the dynamics: ``"affine"`` (the
-    two-coordinate process), ``"cbi"`` (the scalar branching equation,
-    run through the time-dependent-coefficient simulator with constant
-    coefficients), or ``"catalytic"`` (the modulated reactant pair).
+    two-coordinate process), ``"cbi"`` (the scalar branching equation of
+    the first coordinate, its marks scaled by ``theta0`` and ``theta1`` and
+    its branching intensity by ``l``), or ``"catalytic"`` (the modulated
+    reactant pair).
     ``f=None`` runs the whole catalog applicable to the mode.
 
     The expectation is the two-level estimate of the ``delta/2`` level
@@ -616,12 +616,8 @@ def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
         def core(noise, keep):
             return simulate_affine(params, x1, x2, noise, keep=keep)
     elif which == "cbi":
-        spec = GeneralizedCbiSpec(
-            theta0=theta0, theta1=theta1, r=2, sigma=params.sigma[0].copy(),
-            b=params.b[0], beta=params.beta[0, 0], l=l, mu=params.mu)
-
         def core(noise, keep):
-            return simulate_generalized_cbi(spec, x1, noise, keep)
+            return simulate_cbi(params, x1, theta0, theta1, l, noise, keep)
     else:
         def core(noise, keep):
             return simulate_catalytic(params, x1, x2, l, noise, keep)

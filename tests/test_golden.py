@@ -17,8 +17,7 @@ each script under ``demos/``.  Print the current digests with
 The kernel cases cover every preset at a thinning bound that never binds
 (16) and one that aborts paths (1.2), refined and unrefined noise, both
 jump regions of the pair system, both reactant modes with and without the
-fused limit equation, branching coefficients away from 1, time-dependent
-branching coefficients, and a non-dyadic step (0.01) where products such
+fused limit equation, branching coefficients away from 1, and a non-dyadic step (0.01) where products such
 as ``dt * l * x`` round differently under reassociation.
 """
 
@@ -38,9 +37,8 @@ from affine_lab.cli import parse_config, run
 from affine_lab.noise import generate_noise, refine, substream_seed_array
 from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import builtin_params
-from affine_lab.sde import (GeneralizedCbiSpec, simulate_affine,
-                            simulate_catalytic, simulate_generalized_cbi,
-                            simulate_reactant_pair)
+from affine_lab.sde import (simulate_affine, simulate_catalytic,
+                            simulate_cbi, simulate_reactant_pair)
 
 PRESETS = ("ou", "cir", "jump_affine", "symmetric_split")
 U_BOUNDS = (16.0, 1.2)
@@ -105,22 +103,9 @@ def noises(preset, u_bound, refined, dt=DT, seed=11):
     return _NOISE_CACHE[key]
 
 
-def cbi_spec(params, theta0=0.7, theta1=1.6, l=1.4):
-    """Constant branching coefficients taken from the first coordinate."""
-    return GeneralizedCbiSpec(
-        theta0=theta0, theta1=theta1, r=2, sigma=params.sigma[0].copy(),
-        b=params.b[0], beta=params.beta[0, 0], l=l, mu=params.mu)
-
-
-def time_dependent_spec(params):
-    """Branching coefficients that vary along the grid."""
-    return GeneralizedCbiSpec(
-        theta0=1.3, theta1=0.45, r=2,
-        sigma=lambda t: np.array([0.5 + 0.3 * t, 0.2 - 0.1 * t]),
-        b=lambda t: 0.4 + np.sin(3.0 * t) ** 2,
-        beta=lambda t: -0.7 + 0.5 * t,
-        l=lambda t: 0.9 + 0.8 * t,
-        mu=params.mu)
+def cbi(params, x0, noise):
+    """The scalar equation at branching coefficients away from 1."""
+    return simulate_cbi(params, x0, 0.7, 1.6, 1.4, noise)
 
 
 def kernel_cases():
@@ -139,9 +124,7 @@ def kernel_cases():
                 cases[f"catalytic/{tag}"] = (
                     lambda p=p, ns=ns:
                     simulate_catalytic(p, 1.0, 0.8, 1.3, ns))
-                cases[f"cbi/{tag}"] = (
-                    lambda p=p, ns=ns:
-                    simulate_generalized_cbi(cbi_spec(p), 1.0, ns))
+                cases[f"cbi/{tag}"] = lambda p=p, ns=ns: cbi(p, 1.0, ns)
                 for mode in ("single", "pair"):
                     for limit in (False, True):
                         name = f"reactant/{tag}/{mode}" + \
@@ -161,8 +144,7 @@ def kernel_cases():
             lambda p=p, ns=ns: simulate_affine(p, 0.02, 0.3, ns))
         cases[f"catalytic/{tag}"] = (
             lambda p=p, ns=ns: simulate_catalytic(p, 0.02, 0.02, 1.3, ns))
-        cases[f"cbi/{tag}"] = (
-            lambda p=p, ns=ns: simulate_generalized_cbi(cbi_spec(p), 0.02, ns))
+        cases[f"cbi/{tag}"] = lambda p=p, ns=ns: cbi(p, 0.02, ns)
         cases[f"reactant/{tag}/pair/limit"] = (
             lambda p=p, ns=ns: simulate_reactant_pair(
                 p, 1.0, 0.02, 1.0, 0.05, ns, "pair", None, with_limit=True,
@@ -173,22 +155,12 @@ def kernel_cases():
                 z0=-0.95))
     p = builtin_params("jump_affine")
     for ub in U_BOUNDS:
-        for refined in (False, True):
-            tag = f"u{ub:g}/{'fine' if refined else 'coarse'}"
-            ns = noises("jump_affine", ub, refined)
-            cases[f"cbi-timedep/{tag}"] = (
-                lambda ns=ns:
-                simulate_generalized_cbi(time_dependent_spec(p), 1.0, ns))
         ns = noises("jump_affine", ub, False, dt=0.01)
         tag = f"dt0.01/u{ub:g}"
         cases[f"affine/{tag}"] = lambda ns=ns: simulate_affine(p, 1.0, 0.3, ns)
         cases[f"catalytic/{tag}"] = (
             lambda ns=ns: simulate_catalytic(p, 1.0, 0.8, 1.3, ns))
-        cases[f"cbi/{tag}"] = (
-            lambda ns=ns: simulate_generalized_cbi(cbi_spec(p), 1.0, ns))
-        cases[f"cbi-timedep/{tag}"] = (
-            lambda ns=ns:
-            simulate_generalized_cbi(time_dependent_spec(p), 1.0, ns))
+        cases[f"cbi/{tag}"] = lambda ns=ns: cbi(p, 1.0, ns)
         cases[f"reactant/{tag}/pair/limit"] = (
             lambda ns=ns: simulate_reactant_pair(
                 p, 4.0, 1.0, 4.25, 4.0, ns, "pair", None, with_limit=True,
@@ -536,32 +508,20 @@ KERNEL_DIGESTS = {
         "c49e82e0b20f50d740d63334fd66d58ab56a9b5195e1fec120515a1d6782041f",
     "reactant/clamping/coarse/dt0.01/single/limit":
         "f312baafd36354d23a287c6161724e354b8334b3d4bd2429aa8ef4bae748d2ad",
-    "cbi-timedep/u16/coarse":
-        "451e5d7a3a86a5f7027328b4a611a6956b88af7e8899053b7d8cc6ee896f390e",
-    "cbi-timedep/u16/fine":
-        "720611d56adf10379a1e6a2402e83c63f8fed515d8111314e4a4f5732a33ecc6",
     "affine/dt0.01/u16":
         "0604c03cab593c76d1ab4af91ac86e0db3e7460ea3ae4713f8abc430d55ba6af",
     "catalytic/dt0.01/u16":
         "c8371713070c22feb1a99857ee34c0a8eb334faf5326638f248741620d1aafab",
     "cbi/dt0.01/u16":
         "6b02e7e3ecc57f6253acf7766feb1c1e6779481cf282f60a87405f59622b305a",
-    "cbi-timedep/dt0.01/u16":
-        "fc12fabf62fc9119de0483ba56f71bb35ddf398d5b7eadedd089aebcf7cdd8ce",
     "reactant/dt0.01/u16/pair/limit":
         "30f20d463dc14b568aed089d9bb22457b7eb5821e7c33cf155d96c215091b778",
-    "cbi-timedep/u1.2/coarse":
-        "24e841bbf0fffeba0e1679402077489dce1c03cceb302b2be41cc7de51bead82",
-    "cbi-timedep/u1.2/fine":
-        "aa9d23ddd448c893ecbc6d9802ceb44bcbde55f3c2ac24f09081757e350f7bf0",
     "affine/dt0.01/u1.2":
         "cde0c64b80d3cce5d5172b09d7e44e0893fa79cf2b5ae8ef5c29c206260b1a93",
     "catalytic/dt0.01/u1.2":
         "6b685570a9c1a877e747edd54b02da6b84773a3337c6972382f2a0dbfd928c02",
     "cbi/dt0.01/u1.2":
         "c6791f18bc0244a287d017ea7a7d5ae8e6a152e055230e43b17cba7f7b4e3918",
-    "cbi-timedep/dt0.01/u1.2":
-        "b5999465376a55a9a7be138dec5367cdb753beaaa2e0471a483057113e70e858",
     "reactant/dt0.01/u1.2/pair/limit":
         "03e310bc33ba4b9363456b6af884bb3191959d8bbb9950fcbb14c7fec7e4c2a1",
 }
@@ -608,7 +568,7 @@ def demo_digest(name) -> str:
 # -- tests --------------------------------------------------------------------
 
 def _family(name):
-    return name.split("/")[0].split("-")[0]
+    return name.split("/")[0]
 
 
 @pytest.mark.parametrize("family", ["affine", "catalytic", "cbi", "reactant"])

@@ -16,12 +16,11 @@ from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure, \
 from affine_lab.presets import (builtin_params, cir_params,
                                 jump_affine_params, symmetric_split_params)
 from affine_lab.sde import (
-    GeneralizedCbiSpec,
     ParameterSplit,
     ThinningBoundError,
     simulate_affine,
     simulate_catalytic,
-    simulate_generalized_cbi,
+    simulate_cbi,
     simulate_reactant_pair,
     CHUNK,
     run_ensemble,
@@ -160,20 +159,10 @@ class TestOdeOracles:
         assert np.max(np.abs(out["z"] - z_exact)) < 5 * noise.dt
 
     def test_cbi_constant_drift_exact(self):
-        spec = GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=1, sigma=0.0,
-                                  b=1.0, beta=0.0, l=0.0)
+        params = make_params(b=(1.0, 0.0))
         noise = quiet_noise()
-        out = path(simulate_generalized_cbi(spec, 0.0, noise))
+        out = path(simulate_cbi(params, 0.0, 1.0, 1.0, 0.0, noise))
         assert np.allclose(out["x"], noise.grid, atol=1e-12)
-
-    def test_cbi_time_dependent_drift(self):
-        spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=1, sigma=0.0,
-                                  b=lambda t: 1.0 + t, beta=0.0, l=0.0)
-        noise = quiet_noise()
-        out = path(simulate_generalized_cbi(spec, 0.0, noise))
-        t = noise.grid
-        assert np.max(np.abs(out["x"] - (t + t * t / 2))) \
-            < 2 * noise.dt
 
     def test_catalytic_linear_ode(self):
         params = make_params(b=(1.0, 0.4), beta=((0, 0), (0.3, -0.5)))
@@ -268,15 +257,19 @@ def test_catalyst_shared_across_systems():
     assert np.array_equal(xa, xr)
 
 
-def test_generalized_cbi_matches_affine_margin():
-    p, noise = preset_noise()
-    spec = GeneralizedCbiSpec(
-        theta0=1.0, theta1=1.0, r=2,
-        sigma=np.array([p.sigma[0, 0], p.sigma[0, 1]]),
-        b=p.b[0], beta=p.beta[0, 0], l=1.0, mu=p.mu)
-    xg = path(simulate_generalized_cbi(spec, 1.0, noise))["x"]
-    xa = path(simulate_affine(p, 1.0, 0.5, noise))["x"]
-    assert np.allclose(xg, xa, rtol=1e-12, atol=1e-13)
+def test_cbi_equals_affine_margin():
+    """At theta0 = theta1 = l = 1 the scalar equation is the pair's first
+    coordinate: the same arithmetic on the same noise, bit for bit."""
+    for preset in ("ou", "cir", "jump_affine", "symmetric_split"):
+        p = builtin_params(preset)
+        noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -7,
+                               substream_seed_array(5, np.arange(256)), 24.0,
+                               0.0)
+        cbi = simulate_cbi(p, 1.0, 1.0, 1.0, 1.0, noise)
+        affine = simulate_affine(p, 1.0, 0.5, noise)
+        assert cbi[0]["x"].tobytes() == affine[0]["x"].tobytes(), preset
+        for got, want in zip(cbi[1:], affine[1:]):   # aborts, clamps
+            assert got.tobytes() == want.tobytes(), preset
 
 
 def test_monotone_coupling_in_initial_state():
@@ -620,12 +613,9 @@ def aborting_noise(refined):
 
 def batch_kernels(p):
     """The four simulators as ``(noise, keep) -> triple``."""
-    spec = GeneralizedCbiSpec(
-        theta0=0.7, theta1=1.6, r=2, sigma=p.sigma[0].copy(), b=p.b[0],
-        beta=p.beta[0, 0], l=1.0, mu=p.mu)
     return {
         "affine": lambda ns, keep: simulate_affine(p, 1.0, 0.3, ns, keep=keep),
-        "cbi": lambda ns, keep: simulate_generalized_cbi(spec, 1.0, ns, keep),
+        "cbi": lambda ns, keep: simulate_cbi(p, 1.0, 0.7, 1.6, 1.0, ns, keep),
         "catalytic": lambda ns, keep: simulate_catalytic(p, 1.0, 0.8, 1.3,
                                                          ns, keep),
         "reactant": lambda ns, keep: simulate_reactant_pair(
@@ -801,105 +791,20 @@ def test_product_exponential_round():
     assert np.isfinite(comps["z"]).all()
 
 
-# -- spec plumbing ---------------------------------------------------------
+# -- the scalar equation's scales ------------------------------------------
 
-def test_generalized_spec_validation():
-    with pytest.raises(ValueError, match="theta0"):
-        GeneralizedCbiSpec(theta0=-1, theta1=0, r=1, sigma=0, b=0, beta=0,
-                           l=0)
-    spec = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0, b=-0.5,
-                              beta=0.0, l=0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        simulate_generalized_cbi(spec, 1.0, quiet_noise())
-
-
-N_GRID = 4
-GRID = np.arange(N_GRID + 1) * 0.25
-TK = GRID[:-1]
-
-
-@pytest.mark.parametrize("name, r, value, expected", [
-    ("sigma", 1, 0.5, np.full((N_GRID, 1), 0.5)),
-    ("sigma", 2, [0.5, 0.25], np.tile([0.5, 0.25], (N_GRID, 1))),
-    ("sigma", 1, lambda t: 1.0 + t, (1.0 + TK)[:, None]),
-    ("sigma", 2, lambda t: [t, 2.0 * t], np.stack([TK, 2.0 * TK], 1)),
-    ("sigma", 1, 1.0 + GRID, (1.0 + TK)[:, None]),
-    ("sigma", 1, 1.0 + TK, (1.0 + TK)[:, None]),
-    ("sigma", 2, np.stack([GRID, -GRID], 1), np.stack([TK, -TK], 1)),
-    ("sigma", 2, np.stack([TK, -TK], 1), np.stack([TK, -TK], 1)),
-    ("b", 1, 0.5, np.full(N_GRID, 0.5)),
-    ("b", 1, lambda t: 1.0 + t, 1.0 + TK),
-    ("b", 1, 1.0 + GRID, 1.0 + TK),
-    ("b", 1, 1.0 + TK, 1.0 + TK),
-    ("beta", 1, -TK, -TK),
-    ("l", 1, lambda t: t, TK),
-    ("sigma", 2, 0.5, None),                          # scalar for r = 2
-    ("sigma", 2, lambda t: [t, t, t], None),          # 3 values for r = 2
-    ("b", 1, np.ones(N_GRID - 1), None),              # path on n - 1 points
-    ("sigma", 2, np.ones((N_GRID, 3)), None),         # (n, 3) for r = 2
-    ("b", 1, np.ones((N_GRID, 1)), None),             # 2-d b
-    pytest.param("sigma", 2, lambda t: [t] if t == 0 else [t, t], None,
-                 id="sigma-ragged"),                  # lengths 1 then 2
-])
-def test_coefficient_forms(name, r, value, expected):
-    """Every accepted form gives the per-step values of its explicit
-    array; every rejected form names its coefficient."""
-    coeffs = dict(sigma=np.zeros(r), b=0.0, beta=0.0, l=0.0)
-    coeffs[name] = value
-    spec = GeneralizedCbiSpec(theta0=0.0, theta1=0.0, r=r, **coeffs)
-    if expected is None:
-        with pytest.raises(ValueError, match=f"^{name} "):
-            spec.grid_coefficients(GRID)
-    else:
-        assert np.array_equal(spec.grid_coefficients(GRID)[name], expected)
-
-
-@pytest.mark.parametrize("name, value", [
-    ("sigma", [np.nan, 0.1]), ("b", np.nan), ("beta", np.nan),
-    ("l", lambda t: np.nan), ("b", np.inf)])
-def test_non_finite_coefficient_named_without_retries(monkeypatch, name,
-                                                      value):
-    """A non-finite coefficient is named by the first model call; run
-    through ``run_ensemble`` it draws no path's noise (every path would
-    abort and be retried at each doubling of ``u_bound``)."""
-    p = jump_affine_params()
-    coeffs = dict(sigma=p.sigma[0].copy(), b=p.b[0], beta=p.beta[0, 0],
-                  l=1.0)
-    coeffs[name] = value
-    spec = GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=2, mu=p.mu, **coeffs)
-    with pytest.raises(ValueError, match=f"^{name} is not finite at t = 0$"):
-        spec.grid_coefficients(np.linspace(0.0, 0.25, 17))
-    draws = []
-
-    def spy(*args):
-        draws.append(args)
-        return generate_noise(*args)
-    monkeypatch.setattr(sde, "generate_noise", spy)
-    with pytest.raises(ValueError, match=f"^{name} is not finite at t = 0$"):
-        run_ensemble(lambda ns, keep: simulate_generalized_cbi(spec, 1.0, ns,
-                                                               keep),
-                     m=p.m, mu=p.mu, n_paths=4, master_seed=0, t_max=0.25,
-                     dt=2.0 ** -6, u_bound=16.0, eps=0.0)
-    assert [len(args[4]) for args in draws] == [0]  # the empty batch only
+def test_cbi_rejects_negative_scale():
+    with pytest.raises(ValueError, match=r"^theta0 must be nonnegative, "
+                                         r"got -1\.0$"):
+        simulate_cbi(make_params(), 1.0, -1.0, 0.0, 0.0, quiet_noise())
 
 
 NAN, INF = float("nan"), float("inf")
 P = jump_affine_params()
 
 
-def _cbi(theta0=1.0, theta1=1.0):
-    return GeneralizedCbiSpec(theta0=theta0, theta1=theta1, r=2,
-                              sigma=P.sigma[0].copy(), b=P.b[0],
-                              beta=P.beta[0, 0], l=1.0, mu=P.mu)
-
-
-@pytest.mark.parametrize("r", [0, 3])
-def test_cbi_spec_takes_one_or_two_brownian_components(r):
-    """The noise has three components and the scalar equation's ``B_j``
-    reads component ``j``, so ``r`` is 1 or 2."""
-    with pytest.raises(ValueError, match=f"^r must be 1 or 2, got {r}$"):
-        GeneralizedCbiSpec(theta0=1.0, theta1=1.0, r=r, sigma=np.zeros(r),
-                           b=0.0, beta=0.0, l=0.0)
+def _cbi(ns, keep, x0=1.0, theta0=1.0, theta1=1.0, l=1.0):
+    return simulate_cbi(P, x0, theta0, theta1, l, ns, keep)
 
 
 @pytest.mark.parametrize("match, model", [
@@ -908,15 +813,19 @@ def test_cbi_spec_takes_one_or_two_brownian_components(r):
     ("z0 must be finite, got inf",
      lambda ns, keep: simulate_affine(P, 1.0, INF, ns, keep=keep)),
     ("x0 must be finite, got inf",
-     lambda ns, keep: simulate_generalized_cbi(_cbi(), INF, ns, keep)),
+     lambda ns, keep: _cbi(ns, keep, x0=INF)),
     ("theta0 must be finite, got nan",
-     lambda ns, keep: simulate_generalized_cbi(_cbi(theta0=NAN), 1.0, ns,
-                                               keep)),
+     lambda ns, keep: _cbi(ns, keep, theta0=NAN)),
     ("theta1 must be finite, got inf",
-     lambda ns, keep: simulate_generalized_cbi(_cbi(theta1=INF), 1.0, ns,
-                                               keep)),
+     lambda ns, keep: _cbi(ns, keep, theta1=INF)),
+    ("l must be finite, got nan",
+     lambda ns, keep: _cbi(ns, keep, l=NAN)),
+    ("l must be finite, got inf",
+     lambda ns, keep: _cbi(ns, keep, l=INF)),
     ("y0 must be finite, got nan",
      lambda ns, keep: simulate_catalytic(P, 1.0, NAN, 1.0, ns, keep)),
+    ("l must be finite, got nan",
+     lambda ns, keep: simulate_catalytic(P, 1.0, 1.0, NAN, ns, keep)),
     ("y_plus0 must be finite, got nan",
      lambda ns, keep: simulate_reactant_pair(P, 4.0, 1.0, NAN, 4.0, ns,
                                              keep=keep)),
@@ -927,12 +836,12 @@ def test_cbi_spec_takes_one_or_two_brownian_components(r):
      lambda ns, keep: simulate_reactant_pair(P, 4.0, 1.0, 4.0, 4.0, ns,
                                              with_limit=True, z0=NAN,
                                              keep=keep)),
-], ids=["x0", "z0", "cbi-x0", "theta0", "theta1", "y0", "y_plus0",
-        "y_minus0", "limit-z0"])
+], ids=["x0", "z0", "cbi-x0", "theta0", "theta1", "cbi-l-nan", "cbi-l-inf",
+        "y0", "catalytic-l-nan", "y_plus0", "y_minus0", "limit-z0"])
 def test_non_finite_input_named_before_any_noise(monkeypatch, match, model):
-    """A non-finite start or scale raises a ValueError that names it,
-    and ``run_ensemble`` draws no path's noise first (each used to abort
-    every path and draw the noise seven times)."""
+    """A non-finite start, scale or coupling constant raises a ValueError
+    that names it, and ``run_ensemble`` draws no path's noise first (each
+    used to abort every path and draw the noise seven times)."""
     drawn = []
 
     def spy(*args):
@@ -948,11 +857,8 @@ def test_non_finite_input_named_before_any_noise(monkeypatch, match, model):
 def _clamped_components(params, noise):
     """Every clamped component of every simulator, as ``(name, array)``
     pairs."""
-    out = [("affine.x", simulate_affine(params, 1.0, 0.5, noise)[0]["x"])]
-    spec = GeneralizedCbiSpec(
-        theta0=1.0, theta1=1.0, r=2, sigma=params.sigma[0].copy(),
-        b=params.b[0], beta=params.beta[0, 0], l=1.0, mu=params.mu)
-    out.append(("cbi.x", simulate_generalized_cbi(spec, 0.2, noise)[0]["x"]))
+    out = [("affine.x", simulate_affine(params, 1.0, 0.5, noise)[0]["x"]),
+           ("cbi.x", simulate_cbi(params, 0.2, 1.0, 1.0, 1.0, noise)[0]["x"])]
     comps = simulate_catalytic(params, 1.0, 0.3, 1.0, noise)[0]
     out += [("catalytic.x", comps["x"]), ("catalytic.y", comps["y"])]
     for mode, names in (("pair", ("x", "y_plus", "y_minus")),
@@ -976,19 +882,6 @@ def test_clamped_components_stay_nonnegative(preset, u_bound):
                            0.0)
     for name, arr in _clamped_components(params, noise):
         assert np.all((arr >= 0.0) | np.isnan(arr)), name
-
-
-def test_recorded_coefficient_paths():
-    noise = quiet_noise()
-    tk = noise.grid[:-1]
-    spec_fn = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0,
-                                 b=lambda t: 1 + t, beta=0.0, l=0.0)
-    spec_arr = GeneralizedCbiSpec(theta0=0, theta1=0, r=1, sigma=0.0,
-                                  b=1.0 + noise.grid, beta=0.0, l=0.0)
-    a = path(simulate_generalized_cbi(spec_fn, 0.0, noise))["x"]
-    b = path(simulate_generalized_cbi(spec_arr, 0.0, noise))["x"]
-    assert np.array_equal(a, b)
-    assert np.allclose(spec_fn.grid_coefficients(noise.grid)["b"], 1 + tk)
 
 
 def test_write_paths_csv(tmp_path):

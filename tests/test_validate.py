@@ -858,7 +858,7 @@ def test_stability_rule_checked_before_simulation(no_noise):
         lambda: fluctuation_experiment(p, [4.0, 16.0], dt=0.5, **MC),
         lambda: check_generator(p, (0.7, -0.4), which="affine", delta=0.5,
                                 **MC),
-        # the scalar equation's rule reads max|beta(t)| on the grid
+        # the scalar equation's rule reads |beta11|
         lambda: check_generator(p, 0.7, which="cbi", delta=0.5, **MC),
         lambda: check_generator(p, (1.2, 0.5), which="catalytic",
                                 delta=0.5, **MC),
@@ -874,21 +874,27 @@ def test_system_rules_checked_before_simulation(no_noise):
     with pytest.raises(ValueError, match=r"^catalytic reactant requires "
                                          r"b2 >= 0, got -0\.2$"):
         check_generator(negative_b2, (1.2, 0.5), which="catalytic", **MC)
-    with pytest.raises(ValueError, match="coupling constant l must be "
-                                         "nonnegative"):
+    with pytest.raises(ValueError, match=r"^l must be nonnegative, "
+                                         r"got -1\.0$"):
         check_generator(p, (1.2, 0.5), which="catalytic", l=-1.0, **MC)
     # the catalytic mode's default bound puts it in a group after the
     # others; its rule still fires before the first group draws
     with pytest.raises(ValueError, match="^catalytic reactant requires"):
         check_generators(negative_b2, {"affine": (0.7, -0.4), "cbi": 0.7,
                                        "catalytic": (1.2, 0.5)}, **MC)
-    # the default bound 8 (1 + l x) is not positive here; the spec's rule
-    # must fire before any noise is drawn with it
+    # the default bound 8 (1 + l x) is not positive here; the simulator's
+    # rule must fire before any noise is drawn with it
     for l in (-1.0, -2.0):
-        with pytest.raises(ValueError, match=r"^l\(t\) must be nonnegative"):
+        with pytest.raises(ValueError, match=rf"^l must be nonnegative, "
+                                             rf"got {l}$"):
             check_generator(p, 1.0, which="cbi", l=l, **MC)
-    with pytest.raises(ValueError, match=r"^l is not finite at t = 0$"):
-        check_generator(p, 1.0, which="cbi", l=np.nan, **MC)
+    # a non-finite l is named by both modes' simulators, not read as a
+    # bound (l = inf made it infinite) or run until the retries give up
+    for which, state in (("cbi", 1.0), ("catalytic", (1.2, 0.5))):
+        for l in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^l must be finite, "
+                                                 rf"got {l}$"):
+                check_generator(p, state, which=which, l=l, **MC)
     # a parameter set is finite, so b1 = inf is rejected where it is built
     with pytest.raises(AdmissibilityError,
                        match=r"^clause \(iii\): b must be finite"):
