@@ -221,6 +221,8 @@ class NoiseSystem:
     bridges: tuple = ()
     # the step loop's event tables, built once; refine starts without them
     _tables: list = field(default_factory=list, init=False, repr=False)
+    # per refinement level, the last parent step read and its half
+    _halves: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.brownian.ndim != 3 or self.brownian.shape[1] != _COMPONENTS:
@@ -252,21 +254,21 @@ class NoiseSystem:
         return np.arange(self.n_steps + 1) * self.dt
 
     def increment(self, k: int) -> np.ndarray:
-        """The ``(n_components, n_paths)`` increments of step ``k``."""
+        """The ``(n_components, n_paths)`` increments of step ``k``: a
+        read-only row of ``brownian`` on the generated grid, a new array
+        on a refined one."""
         return self._increment(k, len(self.bridges))
 
     def _increment(self, k, level):
         # the split of the parent increment b: b/2 + mid for the even
-        # half, b/2 - mid for the odd one, in place on the fresh b/2
+        # half, b/2 - mid for the odd one; b/2 is computed once for both
         if level == 0:
             return self.brownian[k]
-        out = self._increment(k >> 1, level - 1) / 2.0
-        mid = self.bridges[level - 1][k >> 1]
-        if k & 1:
-            out -= mid
-        else:
-            out += mid
-        return out
+        j = k >> 1
+        if self._halves.get(level, (None,))[0] != j:
+            self._halves[level] = j, self._increment(j, level - 1) / 2.0
+        half, mid = self._halves[level][1], self.bridges[level - 1][j]
+        return np.subtract(half, mid) if k & 1 else np.add(half, mid)
 
 
 def _event_times(rng, rate, t_max, first):

@@ -27,7 +27,13 @@ increments and bridge midpoints on a refined grid) and its events
 bucketed by step, and owns abort detection (a non-finite state, or an
 intensity above the thinning bound) and the clamp count.  It holds only
 the current states and records what its caller keeps: chosen grid points
-and running maxima (the reactant's distance to its limit).  The catalyst
+and running maxima (the reactant's distance to its limit).
+
+In place: ``euler`` returns a new array, and the loop adds the jumps,
+subtracts the compensators and clamps in it.  Terms read twice in one
+step (``sqrt(2 x)``, a reactant's ``y / theta``, ``dt * x``) are
+computed once, by ``_shared``.  Each update keeps the operation order of
+its expression form, so the bytes are that form's.  The catalyst
 coordinate has one definition shared by every system that contains it,
 so its path is bitwise identical across the pair, catalytic and reactant
 simulators given the same noise.
@@ -245,7 +251,8 @@ class _Coord:
     k, lam)`` with ``lam`` the coordinate's intensity; ``marks0(xi1,
     xi2)`` and ``marks1(xi1, xi2)`` on a whole event table.  Coordinates
     that share one intensity function share its evaluation and bound
-    check in each step.
+    check in each step.  ``euler`` and ``comp`` return new arrays, which
+    the loop may modify, and change no array they are given.
     """
 
     name: str
@@ -259,11 +266,24 @@ class _Coord:
     clamp: bool = False
 
 
-def _thinning_comp(dt, mu):
-    """The compensator ``dt * intensity * mu``, or None when ``mu == 0``."""
+def _shared(s, key, fn, *args):
+    """``fn(*args)``, once per step: kept in the step's states ``s`` under
+    the tuple ``key``, never a coordinate name, so it is never recorded."""
+    term = s.get(key)
+    if term is None:
+        term = s[key] = fn(*args)
+    return term
+
+
+def _thinning_comp(dt, mu, key=None):
+    """The compensator ``dt * intensity * mu``, or None when ``mu == 0``.
+    Coordinates thinned by one intensity share its ``dt * intensity`` under
+    one ``key``; a coordinate alone with its intensity passes none."""
     if mu == 0.0:
         return None
-    return lambda s, k, lam: dt * lam * mu
+    if key is None:
+        return lambda s, k, lam: dt * lam * mu
+    return lambda s, k, lam: _shared(s, key, np.multiply, lam, dt) * mu
 
 
 def _step_loop(noise, coords, thinning, keep=None, sup=None):
@@ -312,6 +332,8 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     ev0, ev1 = noise._tables
     w0 = [c.marks0(ev0.xi1, ev0.xi2) for c in coords]
     w1 = [c.marks1(ev1.xi1, ev1.xi2) for c in coords]
+    off0, off1 = memoryview(ev0.offsets), memoryview(ev1.offsets)  # int reads
+    dtm = [dt * c.m for c in coords]
     intensities = list(dict.fromkeys(c.intensity for c in coords))
 
     s = {c.name: np.repeat(np.asarray(c.start, dtype=float)[..., None],
@@ -330,18 +352,18 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
             lam = {f: f(s, k) for f in intensities}
-            bad = ~reduce(np.logical_and, [np.isfinite(v) for v in s.values()])
+            bad = ~reduce(np.logical_and,
+                          [np.isfinite(s[c.name]) for c in coords])
             if thinning:
                 for v in lam.values():
-                    bad = bad | (v > u_bound)
-            newly = alive & bad
-            if newly.any():
-                abort_step[newly] = k
-                alive &= ~newly
+                    bad |= v > u_bound
+            bad &= alive
+            if bad.any():
+                abort_step[bad] = k
+                alive &= ~bad
 
             dB = noise.increment(k).T
-            a0, e0 = ev0.offsets[k], ev0.offsets[k + 1]
-            a1, e1 = ev1.offsets[k], ev1.offsets[k + 1]
+            a0, e0, a1, e1 = off0[k], off0[k + 1], off1[k], off1[k + 1]
             p0, p1 = ev0.path[a0:e0], ev1.path[a1:e1]
             hits = {}   # intensity -> (lane copy * n_paths + path, event)
             for f, v in lam.items() if e1 > a1 else ():
@@ -349,24 +371,24 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
                 if len(e):
                     hits[f] = (p1[e] + copy[0] * n_paths if copy else p1[e]), e
             step = {}
-            for c, v0, v1 in zip(coords, w0, w1):
+            for c, v0, v1, m in zip(coords, w0, w1, dtm):
                 lam_c = lam[c.intensity]
                 new = c.euler(s, dB, k)
                 if e0 > a0:
                     new += np.bincount(p0, weights=v0[a0:e0],
                                        minlength=n_paths)
                 if c.m != 0.0:
-                    new = new - dt * c.m
+                    new -= m
                 if c.intensity in hits:
                     lane, e = hits[c.intensity]
-                    new = new + np.bincount(
+                    new += np.bincount(
                         lane, weights=v1[a1:e1][e],
                         minlength=lam_c.size).reshape(lam_c.shape)
                 if c.comp is not None:
-                    new = new - c.comp(s, k, lam_c)
+                    new -= c.comp(s, k, lam_c)
                 if c.clamp:
                     neg = new < 0.0
-                    clamps += neg & alive
+                    np.add(clamps, neg, out=clamps, where=alive)
                     np.copyto(new, 0.0, where=neg)
                 step[c.name] = new
             s = step
@@ -398,20 +420,65 @@ def _catalyst_intensity(s, k):
     return s["x"]
 
 
+_DT_X = ("dt x",)   # the shared dt * x of the catalyst and its partners
+
+
+def _two_x(s):
+    """The step's shared ``2 x`` of the catalyst ``x``."""
+    return _shared(s, ("2x",), np.multiply, s["x"], 2.0)
+
+
+def _sqrt_two_x(s):
+    return _shared(s, ("sqrt 2x",), np.sqrt, _two_x(s))
+
+
+def _mix(dB, c1, c2):
+    """``c1 dB_1 + c2 dB_2`` as a new array."""
+    out = np.multiply(dB[:, 1], c1)
+    out += c2 * dB[:, 2]
+    return out
+
+
+def _branching_euler(dt, b, beta, diffusion):
+    """The update ``x + dt (b + beta x) + sqrt(2 x) diffusion(dB)``."""
+    def euler(s, dB, k):
+        xk = s["x"]
+        new = np.multiply(xk, beta)
+        new += b
+        new *= dt
+        new += xk
+        diff = diffusion(dB)
+        diff *= _sqrt_two_x(s)
+        new += diff
+        return new
+    return euler
+
+
+def _add_reactant_noise(new, tmp, s, dB, v, c0, c1, c2):
+    """Adds ``c0 sqrt(2 v) dB_0``, then ``sqrt(2 x v) (c1 dB_1 + c2
+    dB_2)``, to ``new`` in place; ``tmp`` is scratch shaped like it."""
+    np.multiply(v, 2.0, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp *= c0
+    tmp *= dB[:, 0]
+    new += tmp
+    np.multiply(_two_x(s), v, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp *= _mix(dB, c1, c2)
+    new += tmp
+    return new
+
+
 def _catalyst(params, x0, dt, eps):
     """The first coordinate, one definition for every pair system so the
     catalyst path is bitwise identical across them for shared noise."""
-    b1, b11 = params.b[0], params.beta[0, 0]
     s11, s12 = params.sigma[0]
-
-    def euler(s, dB, k):
-        xk = s["x"]
-        return xk + dt * (b1 + b11 * xk) \
-            + np.sqrt(2.0 * xk) * (s11 * dB[:, 1] + s12 * dB[:, 2])
-
+    euler = _branching_euler(dt, params.b[0], params.beta[0, 0],
+                             lambda dB: _mix(dB, s11, s12))
     return _Coord("x", x0, euler, _catalyst_intensity, _xi1, _xi1,
                   comp=_thinning_comp(dt, params.mu.poly_moment(1, 0,
-                                                                eps=eps)),
+                                                                eps=eps),
+                                      _DT_X),
                   clamp=True)
 
 
@@ -424,15 +491,26 @@ def _linear_partner(params, name, z0, region, dt, eps):
     rt2s0 = math.sqrt(2.0) * params.sigma0
 
     def euler(s, dB, k):
+        # zk + dt (b2 + b21 xk + b22 zk) + rt2s0 dB_0 + sqrt(2 xk) (...)
         xk, zk = s["x"], s[name]
-        return zk + dt * (b2 + b21 * xk + b22 * zk) + rt2s0 * dB[:, 0] \
-            + np.sqrt(2.0 * xk) * (s21 * dB[:, 1] + s22 * dB[:, 2])
+        new = np.multiply(xk, b21)
+        new += b2
+        tmp = np.multiply(zk, b22)
+        new += tmp
+        new *= dt
+        new += zk
+        np.multiply(dB[:, 0], rt2s0, out=tmp)
+        new += tmp
+        diff = _mix(dB, s21, s22)
+        diff *= _sqrt_two_x(s)
+        new += diff
+        return new
 
     marks = _region_marks(region)
     return _Coord(name, z0, euler, _catalyst_intensity, marks, marks,
                   m=params.m.poly_moment(0, 1, region, eps),
                   comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, region,
-                                                                eps)))
+                                                                eps), _DT_X))
 
 
 def _reactant(params, name, y0, theta, coefs, region, dt, eps):
@@ -441,20 +519,30 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
     quadrant: "plus" reads them as they are, "minus" sign-flipped."""
     sg0, sg21, sg22, bb2, bb21 = coefs
     b22 = params.beta[1, 1]
+    lead = -theta * b22
     sign = 1.0 if region == "plus" else -1.0
     m_c = sign * params.m.poly_moment(0, 1, region, eps)
     mu_c = sign * params.mu.poly_moment(0, 1, region, eps)
 
+    def ratio(s):
+        return _shared(s, (name, "/theta"), np.divide, s[name], theta)
+
     def intensity(s, k):
-        return s["x"] * (s[name] / theta)
+        return s["x"] * ratio(s)
 
     def euler(s, dB, k):
-        xk, yk = s["x"], s[name]
-        ty = yk / theta
-        return yk + dt * (-theta * b22 + bb21 * xk * ty + bb2 * ty
-                          + b22 * yk) \
-            + sg0 * np.sqrt(2.0 * ty) * dB[:, 0] \
-            + np.sqrt(2.0 * xk * ty) * (sg21 * dB[:, 1] + sg22 * dB[:, 2])
+        # yk + dt (-theta b22 + bb21 xk ty + bb2 ty + b22 yk)
+        #    + sg0 sqrt(2 ty) dB_0 + sqrt(2 xk ty) (...),  ty = yk / theta
+        xk, yk, ty = s["x"], s[name], ratio(s)
+        new = np.multiply(np.multiply(xk, bb21), ty)
+        new += lead
+        tmp = np.multiply(ty, bb2)
+        new += tmp
+        np.multiply(yk, b22, out=tmp)
+        new += tmp
+        new *= dt
+        new += yk
+        return _add_reactant_noise(new, tmp, s, dB, ty, sg0, sg21, sg22)
 
     marks = _region_marks(region)
     return _Coord(name, y0, euler, intensity, marks, marks, m=m_c,
@@ -487,10 +575,8 @@ def simulate_cbi(params: AdmissibleParams, x0: float, theta0: float,
     _stability_guard(dt, beta, "|beta11|")
     mu_x1 = params.mu.poly_moment(1, 0, eps=noise.eps)
 
-    def euler(s, dB, k):
-        xk = s["x"]
-        diff = np.einsum("pj,j->p", dB[:, 1:3], sigma)
-        return xk + dt * (b + beta * xk) + np.sqrt(2.0 * xk) * diff
+    euler = _branching_euler(
+        dt, b, beta, lambda dB: np.einsum("pj,j->p", dB[:, 1:3], sigma))
 
     def comp(s, k, lam):
         # Product order dt*l*x*theta1*mu, not dt*(l*x)*...: the two round
@@ -536,10 +622,17 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
     s0 = params.sigma0
 
     def euler(s, dB, k):
+        # yk + dt (b2 + b21 xk yk + b22 yk) + s0 sqrt(2 yk) dB_0
+        #    + sqrt(2 xk yk) (s21 dB_1 + s22 dB_2)
         xk, yk = s["x"], s["y"]
-        return yk + dt * (b2 + b21 * xk * yk + b22 * yk) \
-            + s0 * np.sqrt(2.0 * yk) * dB[:, 0] \
-            + np.sqrt(2.0 * xk * yk) * (s21 * dB[:, 1] + s22 * dB[:, 2])
+        new = np.multiply(xk, b21)
+        new *= yk
+        new += b2
+        tmp = np.multiply(yk, b22)
+        new += tmp
+        new *= dt
+        new += yk
+        return _add_reactant_noise(new, tmp, s, dB, yk, s0, s21, s22)
 
     plus = _region_marks("plus")
     # Immigration marks in the positive quadrant, uncompensated.
@@ -627,7 +720,11 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
         coords.append(_linear_partner(params, "z_lim",
                                       _check_finite("z0", z0),
                                       "all" if pair else "plus", dt, eps))
-        sup = {"gap": lambda s: np.abs(centered(s, scales) - s["z_lim"])}
+        def gap(s):
+            d = centered(s, scales)
+            return np.abs(np.subtract(d, s["z_lim"], out=d), out=d)
+
+        sup = {"gap": gap}
     comps, aborted_at, clamps = _step_loop(
         noise, coords, not params.mu.is_empty, keep, sup)
     comps["z_k"] = centered(comps, scales[..., None])
