@@ -44,10 +44,20 @@ scale * z``, the ``+ 0.0`` turning a ``-0.0`` product into ``+0.0``.
 
 An event stream draws each path's first gap alone, so a path whose first
 gap passes ``t_max`` (most paths on a short horizon) costs one reset and
-one draw.  A path with events draws its later gaps as standard
-exponentials scaled in place (``exponential(scale)`` is ``scale * e`` in
-C), then its umarks and its marks' draws (``measure._mark_draws``), which
-``measure._marks`` turns into the batch's marks at once.
+one draw.  A path with events makes two more calls, into the next row of
+buffers of ``_BLOCK`` rows reused for the whole stream:
+``standard_exponential`` for its first gap batch (sized as in
+``_event_times``) and ``random`` for twice as many uniforms on N1, as
+many on N0.  Each full buffer, and the last, is then read at once: times
+by a scale in place (``exponential(scale)`` is ``scale * e`` in C) and a
+row-wise cumsum (the same sequential sums), counts by the ``<= t_max``
+mask, umarks as ``u_bound * r`` (``uniform(0, u_bound)`` is ``0.0 +
+u_bound * r``) and the marks' draws as the ``n`` uniforms after them,
+which ``measure._marks`` turns into the batch's marks at once.  Nothing
+follows the marks in a stream, so the uniforms left in a row are never
+read.  A row whose count fills its gap batch, and every path of a
+measure whose draws are not plain uniforms (no ``_uniform_draws``), is
+drawn call by call from a new reset by ``_path_events``.
 
 ``substream_seed`` derives per-path seeds from a master seed; it is exactly
 injective in the path index for a fixed master seed.
@@ -76,7 +86,7 @@ ROLE_N0 = 1
 ROLE_N1 = 2
 ROLE_BRIDGE_BASE = 3
 
-_BLOCK = 64          # paths per buffer in _normals
+_BLOCK = 64          # paths per buffer in _normals, rows in _stream_events
 _COMPONENTS = 3      # Brownian components of every path
 
 _MASK64 = (1 << 64) - 1
@@ -297,29 +307,95 @@ def _event_times(rng, rate, t_max, first):
         times = gaps = np.empty(size)
 
 
+def _path_events(key, role, rate, t_max, measure, eps, u_bound):
+    """One path's times, umarks (if ``u_bound``) and mark draws, drawn
+    call by call from its stream's start; ``None`` if it has no events."""
+    rng = _stream(key, role)
+    first = rng.exponential(1.0 / rate)
+    if first > t_max:
+        return None
+    times = _event_times(rng, rate, t_max, first)
+    umarks = () if u_bound is None else (rng.uniform(0.0, u_bound,
+                                                     size=len(times)),)
+    return times, *umarks, measure._mark_draws(rng, len(times), eps)
+
+
 def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
     """Path tags, then times, umarks (if ``u_bound``) and marks of one
     stream over the batch, flat in path order; a path without events
     (its first gap past ``t_max``) adds nothing but a zero count.
+
+    Paths with events fill reused buffers of ``_BLOCK`` rows, read a
+    buffer at a time (see the module docstring).  A row whose count fills
+    its gap batch, and every path of a measure without
+    ``_uniform_draws``, is drawn by :func:`_path_events` instead.
     """
     counts = np.zeros(len(keys), dtype=np.intp)
-    fields = [[np.empty(0)] for _ in range(1 + (u_bound is not None))]
-    draws = []              # for the marks; fields holds times[, umarks]
-    if rate > 0.0:
+    # times[, umarks], then the mark draws, which start empty for _marks
+    out = [[np.empty(0)] for _ in range(1 + (u_bound is not None))] + [[]]
+    if rate > 0.0 and not measure._uniform_draws:
+        for p, key in enumerate(keys):
+            path = _path_events(key, role, rate, t_max, measure, eps, u_bound)
+            if path is not None:
+                counts[p] = len(path[0])
+                # by index: a name left on out[-1] would keep the draws
+                for j, value in enumerate(path):
+                    out[j].append(value)
+    elif rate > 0.0 and len(keys):      # an empty batch sizes nothing
         scale = 1.0 / rate
+        size = max(16, int(rate * t_max * 1.5) + 8)    # as _event_times
+        times = np.empty((min(_BLOCK, len(keys)), size))
+        unis = np.empty((len(times), (len(out) - 1) * size))  # [umarks,] draws
+        gap_rows, uni_rows = [row[1:] for row in times], list(unis)
+        rows, firsts = [], []       # the paths with events in the buffers
+
+        def flush():                # the rows in the buffers, at once
+            t, u = times[:len(rows)], unis[:len(rows)]
+            t[:, 0] = firsts
+            t[:, 1:] *= scale
+            t.cumsum(axis=1, out=t)
+            inside = t <= t_max
+            n = inside.sum(axis=1)
+            full = np.flatnonzero(n == size)
+            n[full] = 0
+            inside[full] = False
+            fields, take = [t[inside]], inside
+            if u_bound is not None:     # the n uniforms after the umarks
+                fields.append(u_bound * u[:, :size][inside])
+                take = np.arange(2 * size) < 2 * n[:, None]
+                take[:, :size] ^= inside
+            fields.append(u[take])
+            if len(full):           # splice in the full rows, redrawn
+                redrawn = [_path_events(keys[rows[i]], role, rate, t_max,
+                                        measure, eps, u_bound) for i in full]
+                lens = [len(path[0]) for path in redrawn]
+                at = np.repeat(np.cumsum(n)[full], lens)
+                fields = [np.insert(value, at, np.concatenate(extra))
+                          for value, extra in zip(fields, zip(*redrawn))]
+                n[full] = lens
+            counts[rows] = n
+            for j, value in enumerate(fields):
+                out[j].append(value)
+            rows.clear()
+            firsts.clear()
+
         for p, key in enumerate(keys):
             rng = _stream(key, role)
             first = rng.exponential(scale)
             if first <= t_max:
-                fields[0].append(_event_times(rng, rate, t_max, first))
-                n = counts[p] = len(fields[0][-1])
-                if u_bound is not None:
-                    fields[1].append(rng.uniform(0.0, u_bound, size=n))
-                draws.append(measure._mark_draws(rng, n, eps))
+                rng.standard_exponential(out=gap_rows[len(rows)])
+                rng.random(out=uni_rows[len(rows)])
+                rows.append(p)
+                firsts.append(first)
+                if len(rows) == len(times):
+                    flush()
+        if rows:
+            flush()
+    draws = out.pop()
     marks = measure._marks(draws, eps) if draws else np.empty((0, 2))
     del draws               # before the other fields are joined
     return (np.repeat(np.arange(len(keys), dtype=np.intp), counts),
-            *map(np.concatenate, fields), marks)
+            *map(np.concatenate, out), marks)
 
 
 def _normals(keys, role, scale, n_steps):

@@ -204,7 +204,10 @@ class FiniteAtomicMeasure:
         """
         return self._marks([self._mark_draws(rng, n, eps)], eps)
 
-    # sample, split for a batch of streams: uniforms per stream, one lookup
+    # sample, split for a batch of streams: uniforms per stream, one lookup;
+    # plain uniforms, so a stream may read them from a block buffer
+    _uniform_draws = True
+
     def _mark_draws(self, rng, n, eps):
         return rng.random(n)
 
@@ -357,6 +360,8 @@ class ProductExponentialMeasure:
         return out
 
     # sample, split as FiniteAtomicMeasure's: marks drawn whole per stream
+    _uniform_draws = False
+
     def _mark_draws(self, rng, n, eps):
         return self.sample(rng, n, eps)
 

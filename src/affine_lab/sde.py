@@ -209,6 +209,8 @@ class _EventTable:
 
     Arrays are sorted by (step, path) with the stable order preserving each
     path's time order; ``offsets[k]:offsets[k+1]`` slices step ``k``.
+    The stream's events come sorted by path, then time, so a stable sort
+    by step alone gives that order; NumPy radix-sorts ``uint16`` steps.
     """
 
     __slots__ = ("path", "xi1", "xi2", "umark", "offsets")
@@ -218,7 +220,9 @@ class _EventTable:
         marks = getattr(noise, which + "_marks")
         step = np.searchsorted(noise.grid, getattr(noise, which + "_times"),
                                side="left") - 1
-        order = np.argsort(step * noise.n_paths + path, kind="stable")
+        key = step.astype(np.uint16) if noise.n_steps < 1 << 16 \
+            else step * noise.n_paths + path
+        order = np.argsort(key, kind="stable")
         self.path = path[order]
         self.xi1 = marks[:, 0][order]
         self.xi2 = marks[:, 1][order]

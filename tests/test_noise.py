@@ -22,6 +22,7 @@ from affine_lab.noise import (
     steps_for,
 )
 from affine_lab.params import FiniteAtomicMeasure, ProductExponentialMeasure
+from affine_lab.presets import jump_affine_params
 
 EMPTY = FiniteAtomicMeasure([])
 ATOMIC = FiniteAtomicMeasure([(0.5, 0.3, 2.0), (1.0, -0.2, 1.0)])   # mass 3.0
@@ -301,6 +302,107 @@ def test_event_fields_match_reference_streams(measure, eps, mean, n_paths):
             assert max(counts) >= size, which
         else:
             assert min(counts) == 0, which
+
+
+@pytest.mark.parametrize("measure", [ATOMIC, PE], ids=["atomic", "pe"])
+@pytest.mark.parametrize("eps", [0.0, 0.6])
+@pytest.mark.parametrize("role", [1, 2], ids=["n0", "n1"])
+@pytest.mark.parametrize("mean", [0.05, 7.0], ids=["short", "long"])
+def test_block_fill_matches_reference_streams(measure, eps, role, mean):
+    """``2 * _BLOCK + 3`` paths, laid out from a scan of keys.  The block
+    buffers hold ``_BLOCK`` rows of paths with events.  On the short
+    horizon the first ``_BLOCK`` paths have no events and the rest
+    alternate paths with and without.  On the long one a full row (a count
+    that fills its gap batch, redrawn path by path) ends the first buffer
+    and starts the second, among zero-count paths.  Every path equals its
+    reference stream bit for bit, through the block fill (atomic) or the
+    per-path code (PE)."""
+    u_bound = 1.5 if role == 2 else None
+    rate = measure.mass(eps=eps) * (u_bound or 1.0)
+    t_max = mean / rate
+    size = max(16, int(rate * t_max * 1.5) + 8)
+    scan = list(range(20000 if mean > 1.0 else 2000))
+    counts = np.bincount(_stream_events(scan, role, rate, t_max, measure,
+                                        eps, u_bound)[0], minlength=len(scan))
+    empty = [k for k, c in zip(scan, counts) if c == 0]
+    some = [k for k, c in zip(scan, counts) if 0 < c < size]
+    full = [k for k, c in zip(scan, counts) if c >= size]
+    B = noise_module._BLOCK
+    if mean < 1.0:
+        keys = empty[:B] + [k for pair in zip(some, empty[B:]) for k in pair]
+    else:
+        keys = some[:B - 1] + [full[0], empty[0], full[1], empty[1],
+                               full[2]] + some[B - 1:]
+    keys = keys[:2 * B + 3]
+    assert len(keys) == 2 * B + 3
+
+    tags, *fields = _stream_events(keys, role, rate, t_max, measure, eps,
+                                   u_bound)
+    cuts = np.cumsum(np.bincount(tags, minlength=len(keys)))[:-1]
+    got = [np.split(field, cuts) for field in fields]
+    want = [reference_events(key, role, rate, t_max, measure, eps, u_bound)
+            for key in keys]
+    for p, ref in enumerate(want):
+        for field, value in zip(got, ref):
+            assert same_bits(field[p], value), (p, keys[p])
+    n = np.array([len(ref[0]) for ref in want])
+    if mean < 1.0:
+        assert n[:B].max() == 0 and n[B:].max() > 0
+    else:
+        assert min(n[B - 1], n[B + 1], n[B + 3]) >= size
+        assert n[B] == n[B + 2] == 0
+
+
+def test_per_path_code_runs_only_for_full_rows(monkeypatch):
+    """On finite-atomic marks ``_event_times`` runs once per full row and
+    never for the other rows; on product-exponential marks, for every
+    path with events."""
+    calls = []
+
+    def spy(rng, rate, t_max, first):
+        calls.append(rate)
+        return event_times(rng, rate, t_max, first)
+
+    event_times = noise_module._event_times
+    monkeypatch.setattr(noise_module, "_event_times", spy)
+    u_bound = 1.5
+    for measure, n_paths in ((ATOMIC, 6000), (PE, 300)):
+        mass = measure.mass()
+        t_max = 11.0 / mass
+        ns = generate_noise(measure, measure, t_max, t_max, range(n_paths),
+                            u_bound, 0.0)
+        for which, rate in (("n0", mass), ("n1", u_bound * mass)):
+            counts = np.bincount(getattr(ns, which + "_path"),
+                                 minlength=n_paths)
+            size = max(16, int(rate * t_max * 1.5) + 8)
+            want = (counts >= size) if measure is ATOMIC else (counts > 0)
+            assert calls.count(rate) == want.sum() > 0, which
+        calls.clear()
+
+
+def test_block_buffers_add_at_most_one_block_to_the_peak(monkeypatch):
+    """The block fill raises the ``tracemalloc`` peak of a 2048-path x
+    1024-step ``jump_affine`` batch by at most one block's buffers over the
+    per-path code, which draws every row as the streams did before."""
+    params = jump_affine_params()
+    u_bound, t_max = 16.0, 1.0
+
+    def peak():
+        tracemalloc.start()
+        try:
+            generate_noise(params.m, params.mu, t_max, 2.0 ** -10,
+                           range(2048), u_bound, 0.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = peak()
+    monkeypatch.setattr(FiniteAtomicMeasure, "_uniform_draws", False)
+    per_path = peak()
+    rate = u_bound * params.mu.mass()
+    size = max(16, int(rate * t_max * 1.5) + 8)
+    buffers = noise_module._BLOCK * 3 * size * 8    # N1: times, 2 uniforms
+    assert block <= per_path + buffers, (block, per_path, buffers)
 
 
 # -- normal draws ------------------------------------------------------------

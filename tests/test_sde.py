@@ -714,6 +714,34 @@ def test_ladder_advances_shared_coordinates_once(monkeypatch):
     assert [rung[0]["x"].shape for rung in rungs] == [(n, 1)] * 4
 
 
+@pytest.mark.parametrize("n_steps", [4, 1 << 17])
+def test_event_table_order_equals_step_path_key(n_steps):
+    """Below 2**16 steps the table sorts by ``uint16`` step alone, stably;
+    from 2**16 on it keeps the ``(step, path)`` key, as steps past 65535
+    would wrap.  Both give that key's permutation, also where a path has
+    several events in one step."""
+    p = jump_affine_params()
+    ns = generate_noise(p.m, p.mu, 1.0, 0.25, range(5), 16.0, 0.0)
+    ns = dataclasses.replace(ns, dt=1.0 / n_steps, brownian=np.broadcast_to(
+        ns.brownian[:1], (n_steps, 3, 5)))
+    for which in ("n0", "n1"):
+        path = getattr(ns, which + "_path")
+        marks = getattr(ns, which + "_marks")
+        step = np.searchsorted(ns.grid, getattr(ns, which + "_times"),
+                               side="left") - 1
+        order = np.argsort(step * ns.n_paths + path, kind="stable")
+        table = sde._EventTable(ns, which)
+        assert np.array_equal(table.path, path[order])
+        assert np.array_equal(table.xi1, marks[order, 0])
+        assert np.array_equal(table.xi2, marks[order, 1])
+        if which == "n1":
+            assert np.array_equal(table.umark, ns.n1_umarks[order])
+        assert np.array_equal(table.offsets, np.searchsorted(
+            step[order], np.arange(n_steps + 1)))
+    if n_steps == 4:    # several N1 events of one path in one step
+        assert np.unique(step * 5 + path, return_counts=True)[1].max() > 1
+
+
 @pytest.mark.parametrize("case", ["one-copy", "ladder-sup", "keep-all"])
 def test_empty_batch_returns_shaped_outputs_without_tables(monkeypatch,
                                                            case):
