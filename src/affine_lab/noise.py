@@ -45,7 +45,8 @@ scale * z``, the ``+ 0.0`` turning a ``-0.0`` product into ``+0.0``.
 An event stream draws each path's first gap alone, so a path whose first
 gap passes ``t_max`` (most paths on a short horizon) costs one reset and
 one draw.  A path with events makes two more calls, into the next row of
-buffers of ``_BLOCK`` rows reused for the whole stream:
+buffers of ``_BLOCK`` rows reused for the whole stream (fewer if that
+would pass ``_BLOCK_BYTES``, so a dense stream's buffers stay bounded):
 ``standard_exponential`` for its first gap batch (sized as in
 ``_event_times``) and ``random`` for twice as many uniforms on N1, as
 many on N0.  Each full buffer, and the last, is then read at once: times
@@ -87,6 +88,7 @@ ROLE_N1 = 2
 ROLE_BRIDGE_BASE = 3
 
 _BLOCK = 64          # paths per buffer in _normals, rows in _stream_events
+_BLOCK_BYTES = 1 << 20   # _stream_events' buffers: at most this, or one row
 _COMPONENTS = 3      # Brownian components of every path
 
 _MASK64 = (1 << 64) - 1
@@ -325,7 +327,7 @@ def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
     stream over the batch, flat in path order; a path without events
     (its first gap past ``t_max``) adds nothing but a zero count.
 
-    Paths with events fill reused buffers of ``_BLOCK`` rows, read a
+    Paths with events fill reused buffers of up to ``_BLOCK`` rows, read a
     buffer at a time (see the module docstring).  A row whose count fills
     its gap batch, and every path of a measure without
     ``_uniform_draws``, is drawn by :func:`_path_events` instead.
@@ -344,7 +346,8 @@ def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
     elif rate > 0.0 and len(keys):      # an empty batch sizes nothing
         scale = 1.0 / rate
         size = max(16, int(rate * t_max * 1.5) + 8)    # as _event_times
-        times = np.empty((min(_BLOCK, len(keys)), size))
+        fit = _BLOCK_BYTES // (len(out) * size * 8)     # fewer rows if dense
+        times = np.empty((max(1, min(_BLOCK, len(keys), fit)), size))
         unis = np.empty((len(times), (len(out) - 1) * size))  # [umarks,] draws
         gap_rows, uni_rows = [row[1:] for row in times], list(unis)
         rows, firsts = [], []       # the paths with events in the buffers

@@ -210,7 +210,9 @@ class _EventTable:
     Arrays are sorted by (step, path) with the stable order preserving each
     path's time order; ``offsets[k]:offsets[k+1]`` slices step ``k``.
     The stream's events come sorted by path, then time, so a stable sort
-    by step alone gives that order; NumPy radix-sorts ``uint16`` steps.
+    by step alone gives that order, at any number of steps; steps are cast
+    to the smallest unsigned type that holds ``n_steps``, which NumPy
+    radix-sorts below ``2**16`` steps.
     """
 
     __slots__ = ("path", "xi1", "xi2", "umark", "offsets")
@@ -220,9 +222,8 @@ class _EventTable:
         marks = getattr(noise, which + "_marks")
         step = np.searchsorted(noise.grid, getattr(noise, which + "_times"),
                                side="left") - 1
-        key = step.astype(np.uint16) if noise.n_steps < 1 << 16 \
-            else step * noise.n_paths + path
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(step.astype(np.min_scalar_type(noise.n_steps)),
+                           kind="stable")
         self.path = path[order]
         self.xi1 = marks[:, 0][order]
         self.xi2 = marks[:, 1][order]

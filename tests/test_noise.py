@@ -380,18 +380,26 @@ def test_per_path_code_runs_only_for_full_rows(monkeypatch):
         calls.clear()
 
 
-def test_block_buffers_add_at_most_one_block_to_the_peak(monkeypatch):
-    """The block fill raises the ``tracemalloc`` peak of a 2048-path x
-    1024-step ``jump_affine`` batch by at most one block's buffers over the
-    per-path code, which draws every row as the streams did before."""
+@pytest.mark.parametrize("n_paths, dt, n1_mean", [(2048, 2.0 ** -10, None),
+                                                  (96, 1.0, 2000.0)],
+                         ids=["sparse", "dense"])
+def test_block_buffers_add_at_most_one_block_to_the_peak(monkeypatch, n_paths,
+                                                         dt, n1_mean):
+    """The block fill raises the ``tracemalloc`` peak of a ``jump_affine``
+    batch by at most one block's buffers over the per-path code, which
+    draws every row as the streams did before: 2048 paths x 1024 steps at
+    ``u_bound = 16``, and 96 one-step paths with 2000 N1 events each on
+    average, where 64 rows would take 4.6 MB and ``_BLOCK_BYTES`` holds
+    the buffers to 1 MB."""
     params = jump_affine_params()
-    u_bound, t_max = 16.0, 1.0
+    t_max = 1.0
+    u_bound = 16.0 if n1_mean is None else n1_mean / params.mu.mass()
 
     def peak():
         tracemalloc.start()
         try:
-            generate_noise(params.m, params.mu, t_max, 2.0 ** -10,
-                           range(2048), u_bound, 0.0)
+            generate_noise(params.m, params.mu, t_max, dt, range(n_paths),
+                           u_bound, 0.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,8 +409,33 @@ def test_block_buffers_add_at_most_one_block_to_the_peak(monkeypatch):
     per_path = peak()
     rate = u_bound * params.mu.mass()
     size = max(16, int(rate * t_max * 1.5) + 8)
-    buffers = noise_module._BLOCK * 3 * size * 8    # N1: times, 2 uniforms
+    buffers = min(noise_module._BLOCK * 3 * size * 8,   # N1: times, 2 uniforms
+                  noise_module._BLOCK_BYTES)
     assert block <= per_path + buffers, (block, per_path, buffers)
+
+
+@pytest.mark.parametrize("fit", [1, 3])
+def test_dense_stream_buffers_hold_fewer_rows(monkeypatch, fit):
+    """Where ``_BLOCK`` rows would pass ``_BLOCK_BYTES``, the buffers hold
+    as many rows as fit in it, at least one, and every path still equals
+    its reference stream bit for bit, full rows among them."""
+    u_bound, role = 1.5, 2
+    rate = ATOMIC.mass() * u_bound
+    t_max = 7.0 / rate
+    size = max(16, int(rate * t_max * 1.5) + 8)
+    monkeypatch.setattr(noise_module, "_BLOCK_BYTES", fit * 3 * size * 8)
+    keys = list(range(4000))
+    tags, *fields = _stream_events(keys, role, rate, t_max, ATOMIC, 0.0,
+                                   u_bound)
+    counts = np.bincount(tags, minlength=len(keys))
+    picked = np.flatnonzero(counts >= size)[:2].tolist() + list(range(10))
+    cuts = np.cumsum(counts)
+    for p in picked:
+        ref = reference_events(keys[p], role, rate, t_max, ATOMIC, 0.0,
+                               u_bound)
+        for field, value in zip(fields, ref):
+            assert same_bits(field[cuts[p] - counts[p]:cuts[p]], value), p
+    assert counts.max() >= size
 
 
 # -- normal draws ------------------------------------------------------------

@@ -716,10 +716,10 @@ def test_ladder_advances_shared_coordinates_once(monkeypatch):
 
 @pytest.mark.parametrize("n_steps", [4, 1 << 17])
 def test_event_table_order_equals_step_path_key(n_steps):
-    """Below 2**16 steps the table sorts by ``uint16`` step alone, stably;
-    from 2**16 on it keeps the ``(step, path)`` key, as steps past 65535
-    would wrap.  Both give that key's permutation, also where a path has
-    several events in one step."""
+    """The table sorts by step alone, stably, in the smallest unsigned type
+    that holds ``n_steps`` (``uint8`` and ``uint32`` here).  That gives
+    the ``(step, path)`` key's permutation, also where a path has several
+    events in one step."""
     p = jump_affine_params()
     ns = generate_noise(p.m, p.mu, 1.0, 0.25, range(5), 16.0, 0.0)
     ns = dataclasses.replace(ns, dt=1.0 / n_steps, brownian=np.broadcast_to(
