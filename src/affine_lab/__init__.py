@@ -62,14 +62,12 @@ from .sde import (  # noqa: E402,F401
     simulate_reactant_pair,
 )
 from .validate import (  # noqa: E402,F401
-    CharFnEstimate,
     CheckRow,
     ExperimentReport,
     check_affine_formula,
     check_generator,
     check_generators,
     check_moments,
-    empirical_char_fn,
     fluctuation_experiment,
     sc_semigroup_check,
     uniqueness_experiment,

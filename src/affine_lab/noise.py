@@ -90,6 +90,7 @@ ROLE_BRIDGE_BASE = 3
 _BLOCK = 64          # paths per buffer in _normals, rows in _stream_events
 _BLOCK_BYTES = 1 << 20   # _stream_events' buffers: at most this, or one row
 _COMPONENTS = 3      # Brownian components of every path
+_MAX_EVENTS = 1 << 20    # expected events per path a stream may ask for
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -435,6 +436,8 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
     consuming any randomness.  An empty batch draws nothing, so only a
     batch with a path checks ``u_bound``: ``run_ensemble`` runs its model
     on an empty batch to check its inputs before it checks the bound.
+    Neither stream may expect more than ``_MAX_EVENTS`` events per path,
+    since each path's first gap batch is sized by that expectation.
     """
     n_steps = steps_for(t_max, dt)
     if not np.isfinite(eps) or eps < 0.0:
@@ -445,6 +448,12 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
             raise ValueError(f"u_bound must be finite, got {u_bound!r}")
         if u_bound <= 0.0 and not mu.is_empty:
             raise ValueError("u_bound must be positive when mu is nonempty")
+        for name, rate in (("u_bound", u_bound * mu.mass(eps=eps)),
+                           ("the mass of m", m.mass(eps=eps))):
+            if rate * t_max > _MAX_EVENTS:
+                raise ValueError(f"{name} asks for {rate * t_max:.6g} "
+                                 f"expected events per path on [0, "
+                                 f"{t_max!r}], above {_MAX_EVENTS}")
 
     keys = _philox_keys(seeds)
     brownian = _normals(keys, ROLE_BROWNIAN, np.sqrt(dt), n_steps)

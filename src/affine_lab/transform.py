@@ -392,8 +392,9 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
 
 def _as_batch(u):
     """``(list of UPoint, whether a sequence was given)``; one frequency
-    is a UPoint or a pair ``(u1, u2)``."""
-    batch = not (isinstance(u, UPoint) or isinstance(u[0], numbers.Number))
+    is a UPoint or a pair ``(u1, u2)``, an empty sequence an empty batch."""
+    batch = not (isinstance(u, UPoint)
+                 or len(u) and isinstance(u[0], numbers.Number))
     return [v if isinstance(v, UPoint) else UPoint(*v)
             for v in (u if batch else [u])], batch
 
@@ -403,7 +404,7 @@ def char_fn(params: AdmissibleParams, x, t: float, u,
     """``E[exp(u1 x(t) + u2 z(t)) | (x(0), z(0)) = x]``; modulus at most 1.
 
     ``u`` is one UPoint, or a sequence of them solved as one lane batch,
-    which gives a list of values.
+    which gives a list of values (empty for an empty sequence).
     """
     x1, x2 = _check_finite("x[0]", x[0]), _check_finite("x[1]", x[1])
     if x1 < 0.0:

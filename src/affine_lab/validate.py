@@ -44,15 +44,13 @@ from .params import (AdmissibleParams, FiniteAtomicMeasure,
 from .sde import (CHUNK, _check_finite, _check_init, _reactant_starts,
                   run_ensemble, simulate_affine, simulate_catalytic,
                   simulate_cbi, simulate_reactant_pair)
-from .transform import (_X_ONLY, _affine_generator_value,
+from .transform import (_X_ONLY, _affine_generator_value, _as_batch,
                         _catalytic_generator_value, _cbi_generator_value,
                         char_fn, flow_residual, moment_functionals)
 
 __all__ = [
-    "CharFnEstimate",
     "CheckRow",
     "ExperimentReport",
-    "empirical_char_fn",
     "check_affine_formula",
     "check_moments",
     "check_generator",
@@ -130,7 +128,6 @@ def _jsonable(value):
 
 
 def _fmt(value) -> str:
-    value = complex(value) if isinstance(value, complex) else value
     if isinstance(value, complex):
         if value.imag == 0.0:
             value = value.real
@@ -221,67 +218,19 @@ def _params_fingerprint(params: AdmissibleParams) -> dict:
     }
 
 
-def _report(name, inputs, rows, details) -> ExperimentReport:
-    return ExperimentReport(name=name, inputs=inputs, rows=tuple(rows),
-                            details=details)
-
-
-# -- empirical characteristic function -------------------------------------
-
-@dataclass(frozen=True)
-class CharFnEstimate:
-    """Sample mean of ``exp(u1 x(t) + u2 z(t))`` over an ensemble."""
-
-    u: UPoint
-    t: float
-    estimate: complex
-    stderr: float
-    n_paths: int
-
+# -- sample estimates ------------------------------------------------------
 
 def _check_n_paths(n_paths):
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
 
 
-def _as_upoint(u) -> UPoint:
-    if isinstance(u, UPoint):
-        return u
-    return UPoint(*u)
-
-
-def _column_at(ensemble, t: float) -> int:
-    times = np.asarray(ensemble.times)
-    hits = np.nonzero(np.isclose(times, t, rtol=0.0,
-                                 atol=1e-9 * max(1.0, abs(t))))[0]
-    if len(hits) != 1:
-        raise ValueError(
-            f"t = {t!r} is not a retained grid time; available: "
-            f"{np.asarray(times).tolist()}")
-    return int(hits[0])
-
-
-def empirical_char_fn(ensemble, t, u, components=("x", "z")) -> CharFnEstimate:
-    """Estimate the joint characteristic function at one grid time.
-
-    ``components`` selects which two ensemble columns play the roles of
-    the nonnegative and the real coordinate.  The standard error combines
-    the real- and imaginary-part errors in quadrature, so ``3 * stderr``
-    bounds the sampling error of the complex estimate.
-    """
-    u = _as_upoint(u)
-    _check_n_paths(ensemble.n_paths)
-    mean, se = _mean_se(_char_samples(ensemble, t, u, components))
-    return CharFnEstimate(u=u, t=float(t), estimate=mean, stderr=se,
-                          n_paths=ensemble.n_paths)
-
-
-def _char_samples(ensemble, t, u, components=("x", "z")):
-    """Per-path ``exp(u1 c1(t) + u2 c2(t))`` for the two named columns."""
-    idx = _column_at(ensemble, t)
+def _char_samples(ensemble, col, u, components=("x", "z")):
+    """Per-path ``exp(u1 c1 + u2 c2)`` of the two named components in kept
+    column ``col``; a check's column ``j`` holds time ``t_list[j]``."""
     c1, c2 = components
-    return np.exp(u.u1 * ensemble.components[c1][:, idx]
-                  + u.u2 * ensemble.components[c2][:, idx])
+    return np.exp(u.u1 * ensemble.components[c1][:, col]
+                  + u.u2 * ensemble.components[c2][:, col])
 
 
 def _mean_se(w):
@@ -303,20 +252,6 @@ def _join(coarse, fine):
     return comps, np.fmin(coarse[1], fine[1]), coarse[2] + fine[2]
 
 
-def _coupled(core):
-    """Batch model running the batch ``core`` at ``dt`` and ``dt/2``.
-
-    The fine solution reuses the same driving noise through bridge
-    refinement and is reported on the coarse grid as ``<name>_fine``, so
-    per-path differences isolate the discretization error of the coarse
-    run.  :func:`_two_level_runs` runs it on a fraction of the paths only.
-    A ``core`` returning a list of triples gives a list of coupled
-    triples, one per result, from one refinement of the batch.
-    """
-    return lambda noise, keep: _join(core(noise, keep),
-                                     core(refine(noise), 2 * keep))
-
-
 def _head(out, rows):
     """Copies of the first ``rows`` rows of a triple (each of a list)."""
     if isinstance(out, list):
@@ -327,13 +262,18 @@ def _head(out, rows):
 
 def _two_level_runs(core, n_paths, **kwargs):
     """The ensembles of a two-level estimate: ``core`` on all ``n_paths``
-    paths, and ``_coupled(core)`` on the first ``n_fine = max(2,
+    paths, and a coupled run on the first ``n_fine = max(2,
     ceil(n_paths / FINE_FRACTION))`` of them with the same master seed.
 
-    On a chunk's first round the coupled run joins its fine level with
-    copies of the plain run's first-round rows, made before any retry,
-    which equal its coarse level bit for bit; its retry rounds run
-    ``_coupled(core)``.  Those paths' noise is still drawn twice.
+    The coupled run joins ``core`` at ``dt`` with ``core`` at ``dt/2`` on
+    the same driving noise through bridge refinement, reported on the
+    coarse grid as ``<name>_fine``, so per-path differences isolate the
+    discretization error of the coarse run.  A ``core`` returning a list
+    of triples gives a list of coupled triples, one per result, from one
+    refinement of the batch.  On a chunk's first round the coarse level
+    is a copy of the plain run's first-round rows, made before any retry,
+    which equal it bit for bit; retry rounds run ``core`` at ``dt`` again.
+    Those paths' noise is still drawn twice.
     """
     n_fine = max(2, -(-n_paths // FINE_FRACTION))
     seeds = substream_seed_array(kwargs["master_seed"], np.arange(n_fine))
@@ -354,9 +294,8 @@ def _two_level_runs(core, n_paths, **kwargs):
 
     def control(noise, keep):
         i = first_round(noise)
-        if i not in kept:
-            return _coupled(core)(noise, keep)
-        return _join(kept.pop(i), core(refine(noise), 2 * keep))
+        coarse = kept.pop(i) if i in kept else core(noise, keep)
+        return _join(coarse, core(refine(noise), 2 * keep))
 
     return (run_ensemble(plain, n_paths=n_paths, **kwargs),
             run_ensemble(control, n_paths=n_fine, **kwargs))
@@ -392,17 +331,33 @@ def _two_level_details(coarse, coupled, stats, scale=1.0) -> dict:
             "n_retried": coarse.n_retried + coupled.n_retried}
 
 
+def _distinct(name, entries, keys, kind):
+    """``keys``, one per entry of the list ``name``: refused if there are
+    none, as a report without rows would pass, or if two are equal."""
+    if not keys:
+        raise ValueError(f"{name} is empty: a report without rows would pass")
+    for i, j in enumerate(map(keys.index, keys)):
+        if j < i:
+            raise ValueError(f"duplicate entries: {name}[{j}] = "
+                             f"{entries[j]!r} and {name}[{i}] = "
+                             f"{entries[i]!r} share {kind} {keys[i]}")
+    return keys
+
+
 def _grid_indices(t_list, dt):
-    """The grid step of each time in ``t_list``: distinct positive
-    multiples of ``dt``."""
-    steps = {}
-    for t in t_list:
-        k = steps_for(t, dt)
-        if k in steps:
-            raise ValueError(f"duplicate entries: t = {steps[k]!r} and "
-                             f"t = {t!r} share grid step {k}")
-        steps[k] = t
-    return list(steps)
+    """The grid step of each time in ``t_list``: at least one, distinct
+    positive multiples of ``dt``, with distinct row labels."""
+    steps = _distinct("t_list", t_list, [steps_for(t, dt) for t in t_list],
+                      "grid step")
+    _distinct("t_list", t_list, [f"t={t:g}" for t in t_list], "row label")
+    return steps
+
+
+def _u_labels(u_list):
+    """The frequencies of ``u_list`` and their distinct row labels."""
+    u_pts = _as_batch(u_list)[0]
+    return u_pts, _distinct("u_list", u_list, [
+        f"u=({_fmt(u.u1)},{_fmt(u.u2)})" for u in u_pts], "row label")
 
 
 def _thinning_bound(u_bound, intensity):
@@ -435,18 +390,19 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     calibrated once per report as twice the largest mean coupled
     ``dt/2``-minus-``dt`` difference, plus a small floor.
     """
-    u_pts = [_as_upoint(u) for u in u_list]
+    u_pts, labels = _u_labels(u_list)
     (ens, ctl), u_bound = _coupled_affine(
         params, x0, z0, t_list, dt, u_bound, n_paths=n_paths,
         master_seed=master_seed, eps=eps)
     stats, predicted = {}, {}
-    for t in t_list:  # one lane batch of frequencies per time
-        for u, value in zip(u_pts, char_fn(params, (x0, z0), t, u_pts, tol)):
-            quantity = f"char_fn t={t:g} u=({_fmt(u.u1)},{_fmt(u.u2)})"
+    for col, t in enumerate(t_list):
+        values = char_fn(params, (x0, z0), t, u_pts, tol)  # one lane batch
+        for u, label, value in zip(u_pts, labels, values):
+            quantity = f"char_fn t={t:g} {label}"
             stats[quantity] = _two_level(
-                _char_samples(ens, t, u),
-                _char_samples(ctl, t, u, ("x_fine", "z_fine")),
-                _char_samples(ctl, t, u))
+                _char_samples(ens, col, u),
+                _char_samples(ctl, col, u, ("x_fine", "z_fine")),
+                _char_samples(ctl, col, u))
             predicted[quantity] = value
     budget = 2.0 * max(abs(s.diff) for s in stats.values()) + BIAS_FLOOR
     rows = [_row(q, predicted[q], s.estimate, 3.0 * s.stderr + budget)
@@ -457,7 +413,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
               "u_bound": u_bound, "eps": eps, "tol": tol}
     details = {"bias_budget": budget,
                **_two_level_details(ens, ctl, stats)}
-    return _report("affine-formula", inputs, rows, details)
+    return ExperimentReport("affine-formula", inputs, tuple(rows), details)
 
 
 def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
@@ -475,8 +431,7 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
         master_seed=master_seed, eps=eps)
     mf = moment_functionals(params)
     stats, predicted = {}, {}
-    for t in t_list:
-        col = _column_at(ens, t)
+    for col, t in enumerate(t_list):
         for name, value in zip("xz", mf.mean(t, x0, z0)):
             quantity = f"mean_{name} t={t:g}"
             stats[quantity] = _two_level(
@@ -500,7 +455,7 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
               "eps": eps}
     details = {"bias_budget": budget,
                **_two_level_details(ens, ctl, stats)}
-    return _report("moments", inputs, rows, details)
+    return ExperimentReport("moments", inputs, tuple(rows), details)
 
 
 # -- generator checks ------------------------------------------------------
@@ -665,7 +620,8 @@ def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
                   "theta0": theta0, "theta1": theta1, "l": l,
                   "u_bound": u_bound}
         details = _two_level_details(ens, ctl, stats, scale=delta)
-        return _report(f"generator-{which}", inputs, rows, details)
+        return ExperimentReport(f"generator-{which}", inputs, tuple(rows),
+                                details)
 
     return u_bound, core, report
 
@@ -729,7 +685,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
               "master_seed": master_seed, "dt": dt, "u_bound": u_bound,
               "eps": eps}
     details = {"n_retried": ens.n_retried}
-    return _report("uniqueness", inputs, rows, details)
+    return ExperimentReport("uniqueness", inputs, tuple(rows), details)
 
 
 # -- scaling-limit fluctuations --------------------------------------------
@@ -815,7 +771,8 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
               "split": None if split is None else asdict(split)}
     details = {"e_theta": {f"{k:g}": v for k, v in e_theta.items()},
                "n_retried": retried}
-    return _report(f"fluctuation-{mode}", inputs, rows, details)
+    return ExperimentReport(f"fluctuation-{mode}", inputs, tuple(rows),
+                            details)
 
 
 # -- transform-level composition -------------------------------------------
@@ -823,14 +780,13 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
 def sc_semigroup_check(params, r, t, u_list, *,
                        tol=1e-9) -> ExperimentReport:
     """Flow-property residuals of the transform at composition points."""
-    u_pts = [_as_upoint(u) for u in u_list]
+    u_pts, labels = _u_labels(u_list)
     rows = []
-    for u, res in zip(u_pts, flow_residual(params, u_pts, r, t, tol)):
-        label = f"u=({_fmt(u.u1)},{_fmt(u.u2)})"
+    for label, res in zip(labels, flow_residual(params, u_pts, r, t, tol)):
         rows.append(_row(f"state-linear flow {label}", 0.0, res.psi,
                          10.0 * tol, sided="upper"))
         rows.append(_row(f"constant-part flow {label}", 0.0, res.phi,
                          10.0 * tol, sided="upper"))
     inputs = {"params": _params_fingerprint(params), "r": r, "t": t,
               "u_list": _jsonable(u_pts), "tol": tol}
-    return _report("semigroup-flow", inputs, rows, {})
+    return ExperimentReport("semigroup-flow", inputs, tuple(rows))

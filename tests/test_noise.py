@@ -215,6 +215,32 @@ def test_non_finite_u_bound_and_eps_rejected_before_drawing(monkeypatch,
         make(**{name: value})
 
 
+ONE = FiniteAtomicMeasure([(0.5, 0.3, 1.0)])                     # mass 1.0
+OVER = np.nextafter(2.0 ** 19, np.inf)   # times t_max = 2: just over 2**20
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(u_bound=1e308), "u_bound"),
+    (dict(mu=ONE, u_bound=OVER), "u_bound"),
+    (dict(m=FiniteAtomicMeasure([(0.5, 0.3, OVER)])), "the mass of m")],
+    ids=["1e308", "u_bound-over", "m-over"])
+def test_expected_event_count_bounded_before_drawing(monkeypatch, kwargs,
+                                                     name):
+    """A path's first gap batch is sized by its expected event count, so
+    more than 2**20 expected events on either stream is refused before
+    anything is drawn; 2**20 itself goes on to draw."""
+    def draw(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(noise_module, "_normals", draw)
+    monkeypatch.setattr(noise_module, "_philox_keys", draw)
+    with pytest.raises(ValueError, match=f"^{name} asks for .* expected "
+                                         f"events per path"):
+        make(**kwargs)
+    with pytest.raises(AssertionError, match="noise was drawn"):
+        make(mu=ONE, u_bound=2.0 ** 19)
+
+
 # -- event stream laws -----------------------------------------------------
 
 def test_event_times_sorted_in_window():

@@ -395,6 +395,14 @@ def test_char_fn_and_flow_residual_take_a_batch():
     assert char_fn(p, x, 0.0, (-1.0, 1.0j)) == char_fn(p, x, 0.0, u_list[0])
 
 
+def test_char_fn_and_flow_residual_take_an_empty_batch():
+    p = jump_affine_params()
+    for u in ([], ()):
+        for t in (0.0, 0.7):
+            assert char_fn(p, (0.8, -0.5), t, u) == []
+        assert flow_residual(p, u, 0.5, 0.5) == []
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, affine_lab; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

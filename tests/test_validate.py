@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from affine_lab.validate import (
     check_generator,
     check_generators,
     check_moments,
-    empirical_char_fn,
     fluctuation_experiment,
     sc_semigroup_check,
     uniqueness_experiment,
@@ -69,18 +69,24 @@ MC = dict(n_paths=20, master_seed=0)
 
 # -- empirical characteristic function -------------------------------------
 
+def char_estimate(ensemble, col, u, components=("x", "z")):
+    """Sample mean of ``exp(u1 c1 + u2 c2)`` in kept column ``col`` and
+    its standard error, as each check forms them."""
+    u = u if isinstance(u, UPoint) else UPoint(*u)
+    return validate._mean_se(validate._char_samples(ensemble, col, u,
+                                                    components))
+
+
 class TestEmpiricalCharFn:
     def test_zero_frequency_is_exact(self):
         ens = fake_ensemble([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]])
-        est = empirical_char_fn(ens, 0.5, (0.0, 0.0))
-        assert est.estimate == 1.0 + 0.0j
-        assert est.stderr == 0.0
+        assert char_estimate(ens, 1, (0.0, 0.0)) == (1.0 + 0.0j, 0.0)
 
     def test_constant_ensemble_is_exact(self):
         ens = fake_ensemble(np.full((4, 2), 1.5), np.full((4, 2), -2.0))
-        est = empirical_char_fn(ens, 0.0, (-2.0, 1j))
-        assert est.estimate == pytest.approx(cmath.exp(-3.0 - 2.0j))
-        assert est.stderr == 0.0
+        estimate, stderr = char_estimate(ens, 0, (-2.0, 1j))
+        assert estimate == pytest.approx(cmath.exp(-3.0 - 2.0j))
+        assert stderr == 0.0
 
     def test_clt_scaling(self):
         rng = np.random.default_rng(11)
@@ -88,11 +94,12 @@ class TestEmpiricalCharFn:
         for rep in range(5):
             big_x = rng.exponential(size=(4000, 1))
             big_z = rng.normal(size=(4000, 1))
-            small = empirical_char_fn(fake_ensemble(big_x[:1000], big_z[:1000]),
-                                      0.0, (-1.0, 0.5j))
-            large = empirical_char_fn(fake_ensemble(big_x, big_z),
-                                      0.0, (-1.0, 0.5j))
-            ratios.append(large.stderr / small.stderr)
+            _, small = char_estimate(fake_ensemble(big_x[:1000],
+                                                   big_z[:1000]),
+                                     0, (-1.0, 0.5j))
+            _, large = char_estimate(fake_ensemble(big_x, big_z),
+                                     0, (-1.0, 0.5j))
+            ratios.append(large / small)
         assert all(0.4 < r < 0.6 for r in ratios)
 
     def test_modulus_bound_on_simulated_paths(self):
@@ -103,18 +110,8 @@ class TestEmpiricalCharFn:
                            t_max=0.5, dt=2.0 ** -7, u_bound=24.0, eps=0.0,
                            keep_idx=[-1])
         for u in ((-0.5, 0.0), (0.0, 2j), (-3.0, -1j)):
-            est = empirical_char_fn(ens, 0.5, u)
-            assert abs(est.estimate) <= 1.0 + 3.0 * est.stderr
-
-    def test_errors(self):
-        ens = fake_ensemble([[1.0, 2.0]], [[0.0, 1.0]])
-        with pytest.raises(ValueError, match="2 paths"):
-            empirical_char_fn(ens, 0.5, (0.0, 0.0))
-        ens = fake_ensemble([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]])
-        with pytest.raises(ValueError, match="retained grid time"):
-            empirical_char_fn(ens, 0.3, (0.0, 0.0))
-        with pytest.raises(ValueError, match="u1"):
-            empirical_char_fn(ens, 0.5, (1.0, 0.0))
+            estimate, stderr = char_estimate(ens, 0, u)
+            assert abs(estimate) <= 1.0 + 3.0 * stderr
 
 
 # -- report plumbing -------------------------------------------------------
@@ -262,17 +259,17 @@ def test_two_level_runs_share_paths(ensemble_results):
     assert rep.details["n_fine_paths"] == n_fine
     diffs = rep.details["differences"]
     assert list(diffs) == [row.quantity for row in rep.rows]
-    for row, (t, u) in zip(rep.rows, [(t, u) for t in (0.25, 0.5)
-                                      for u in u_list]):
+    for row, (col, u) in zip(rep.rows, [(col, u) for col in (0, 1)
+                                        for u in u_list]):
         u = UPoint(*u)
-        w = (validate._char_samples(coupled, t, u, ("x_fine", "z_fine"))
-             - validate._char_samples(coupled, t, u))
+        w = (validate._char_samples(coupled, col, u, ("x_fine", "z_fine"))
+             - validate._char_samples(coupled, col, u))
         d = diffs[row.quantity]
         assert d["diff"] == pytest.approx(w.mean(), abs=1e-15)
         assert d["stderr"] == pytest.approx(
             np.sqrt((w.real.var(ddof=1) + w.imag.var(ddof=1)) / n_fine))
         assert row.observed == pytest.approx(
-            empirical_char_fn(coarse, t, u).estimate + d["diff"])
+            char_estimate(coarse, col, u)[0] + d["diff"])
     budget = 2.0 * max(abs(d["diff"]) for d in diffs.values())
     assert rep.details["bias_budget"] == pytest.approx(budget + 1e-10)
 
@@ -287,11 +284,54 @@ def test_two_level_stderr_close_to_coarse_only(ensemble_results):
                                master_seed=1, dt=2.0 ** -10)
     coarse = ensemble_results[0][2]
     budget = rep.details["bias_budget"]
-    for row, (t, u) in zip(rep.rows, [(t, u) for t in (0.5, 1.0)
-                                      for u in six]):
-        coarse_only = empirical_char_fn(coarse, t, u).stderr
+    for row, (col, u) in zip(rep.rows, [(col, u) for col in (0, 1)
+                                        for u in six]):
+        coarse_only = char_estimate(coarse, col, u)[1]
         stderr = (row.tolerance - budget) / 3.0
         assert coarse_only <= stderr <= 1.05 * coarse_only, row.quantity
+
+
+def affine_checks(p, t_list, **kw):
+    """The affine-formula and moment reports at ``t_list``."""
+    return [check_affine_formula(p, 1.0, 0.0, t_list,
+                                 [(-1.0, 0.0), (-0.5, 1j)], **kw),
+            check_moments(p, 1.0, 0.0, t_list, **kw)]
+
+
+def test_checks_read_columns_on_a_fine_grid():
+    """At dt = 1e-9 the kept times lie closer together than a time search
+    with an absolute tolerance of 1e-9 can tell apart; each check reads
+    column j as the time t_list[j] it kept there."""
+    p = jump_affine_params()
+    formula, moments = affine_checks(p, [1e-9, 2e-9], n_paths=50,
+                                     master_seed=1, dt=1e-9)
+    assert [r.quantity for r in formula.rows] == [
+        f"char_fn t={t} u={u}" for t in ("1e-09", "2e-09")
+        for u in ("(-1,0)", "(-0.5,0+1j)")]
+    assert [r.quantity for r in moments.rows] == [
+        "mean_x t=1e-09", "mean_z t=1e-09", "mean_x t=2e-09",
+        "mean_z t=2e-09", "mean_x_bound t=1e-09", "mean_x_bound t=2e-09"]
+    assert formula.overall and moments.overall
+
+
+def test_unordered_t_list_reorders_rows():
+    """Rows for t_list = [1.0, 0.5] are those for [0.5, 1.0] with the two
+    times swapped, field for field, under the same bias budget."""
+    p = jump_affine_params()
+    kw = dict(n_paths=64, master_seed=5, dt=2.0 ** -5)
+
+    def swapped(quantity):
+        return re.sub(r"t=(1|0\.5)\b",
+                      lambda m: "t=0.5" if m[1] == "1" else "t=1", quantity)
+    for fwd, back in zip(affine_checks(p, [0.5, 1.0], **kw),
+                         affine_checks(p, [1.0, 0.5], **kw)):
+        assert back.rows[0].quantity.split(" ")[1] == "t=1"
+        by_quantity = {r.quantity: r for r in fwd.rows}
+        assert [swapped(r.quantity) for r in back.rows] == \
+            [r.quantity for r in fwd.rows]
+        assert list(back.rows) == [by_quantity[r.quantity]
+                                   for r in back.rows]
+        assert back.details["bias_budget"] == fwd.details["bias_budget"]
 
 
 def test_two_level_check_keeps_its_power():
@@ -462,8 +502,12 @@ def oracle_two_level_runs(core, n_paths, **kwargs):
     """The two-level runs without reuse: the plain run, then the coupled
     model with its own coarse level on the first paths."""
     n_fine = max(2, -(-n_paths // validate.FINE_FRACTION))
+
+    def coupled(noise, keep):
+        return validate._join(core(noise, keep),
+                              core(refine(noise), 2 * keep))
     return (run_ensemble(core, n_paths=n_paths, **kwargs),
-            run_ensemble(validate._coupled(core), n_paths=n_fine, **kwargs))
+            run_ensemble(coupled, n_paths=n_fine, **kwargs))
 
 
 def assert_same_ensemble(got, want):
@@ -846,6 +890,36 @@ def test_duplicate_t_list_rejected_up_front(no_noise):
                                  dt=2.0 ** -4, **MC)
     with pytest.raises(Simulated):       # distinct times go on to simulate
         check_moments(p, 1.0, 0.0, [0.25, 0.5], dt=2.0 ** -4, **MC)
+    # a report keys its rows by label, printed to 6 significant digits:
+    # distinct grid steps or frequencies with one label would overwrite
+    # each other's rows
+    label = (r"^duplicate entries: t_list\[0\] = 1.000001 and "
+             r"t_list\[1\] = 1.0000011 share row label t=1$")
+    for t_list in ([1.000001, 1.0000011], [1.000001, 1.0000011, 0.5]):
+        with pytest.raises(ValueError, match=label):
+            check_moments(p, 1.0, 0.0, t_list, dt=1e-7, **MC)
+        with pytest.raises(ValueError, match=label):
+            check_affine_formula(p, 1.0, 0.0, t_list, [(-1.0, 0.0)],
+                                 dt=1e-7, **MC)
+    u_list = [(-1.0, 0.0), (-1.0000001, 0.0), (-1.0, 0.0)]
+    with pytest.raises(ValueError, match=(
+            r"^duplicate entries: u_list\[0\] = \(-1.0, 0.0\) and "
+            r"u_list\[1\] = \(-1.0000001, 0.0\) share row label "
+            r"u=\(-1,0\)$")):
+        check_affine_formula(p, 1.0, 0.0, [0.5], u_list, n_paths=50,
+                             master_seed=1, dt=2.0 ** -6)
+    with pytest.raises(ValueError, match=r"^duplicate entries: u_list"):
+        sc_semigroup_check(p, 0.5, 0.5, u_list)
+    # an empty list would give a report with no rows, which passes
+    for t_list, u_list, name in (([0.5], [], "u_list"),
+                                 ([], [(-1.0, 0.0)], "t_list")):
+        with pytest.raises(ValueError, match=f"^{name} is empty"):
+            check_affine_formula(p, 1.0, 0.0, t_list, u_list, n_paths=300,
+                                 master_seed=1, dt=2.0 ** -4)
+    with pytest.raises(ValueError, match="^t_list is empty"):
+        check_moments(p, 1.0, 0.0, [], dt=2.0 ** -4, **MC)
+    with pytest.raises(ValueError, match="^u_list is empty"):
+        sc_semigroup_check(p, 0.5, 0.5, [])
 
 
 def test_stability_rule_checked_before_simulation(no_noise):
