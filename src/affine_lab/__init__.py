@@ -65,7 +65,6 @@ from .validate import (  # noqa: E402,F401
     CheckRow,
     ExperimentReport,
     check_affine_formula,
-    check_generator,
     check_generators,
     check_moments,
     fluctuation_experiment,

@@ -44,9 +44,10 @@ from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
                   simulate_catalytic, simulate_reactant_pair)
 from .transform import _check_tol, solve_transforms
 from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
-                       _grid_indices, check_affine_formula, check_generators,
-                       check_moments, fluctuation_experiment,
-                       sc_semigroup_check, uniqueness_experiment)
+                       _grid_indices, _u_labels, check_affine_formula,
+                       check_generators, check_moments,
+                       fluctuation_experiment, sc_semigroup_check,
+                       uniqueness_experiment)
 
 ARTIFACT_VERSION = 3
 
@@ -465,6 +466,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
     u_list = tuple(_rule(f"$.transform.u_list[{i}]", UPoint, complex(*u1),
                          complex(*u2))
                    for i, (u1, u2) in enumerate(tr["u_list"]))
+    _rule("$.transform.u_list", _u_labels, u_list, tr["u_list"])
     if sim["system"] == "reactant":
         _rule("$.simulate", _check_reactant, params, sim["theta"],
               sim["mode"])
@@ -472,6 +474,9 @@ def _config_from_dict(doc: dict) -> RunConfig:
               sim["mode"])
 
     for key in ("checks", "generator_modes"):
+        if not val[key]:
+            raise ConfigError(f"$.validate.{key}: empty: a run that checks "
+                              f"nothing would pass")
         if len(set(val[key])) != len(val[key]):
             raise ConfigError(f"$.validate.{key}: duplicate entries")
     if val["t_list"] is None:

@@ -297,8 +297,7 @@ class ProductExponentialMeasure:
         raise ValueError(f"unknown region {region!r}")
 
     def mass(self, region="all", eps=0.0) -> float:
-        inside = self._m1(0, eps) * self._m2(0, region, eps) if eps > 0.0 else 0.0
-        return self.total_rate * (self._m2(0, region) - inside)
+        return self.poly_moment(0, 0, region, eps)
 
     def poly_moment(self, p1, p2, region="all", eps=0.0) -> float:
         full = self._m1(p1) * self._m2(p2, region)

@@ -72,32 +72,24 @@ class TransformError(RuntimeError):
     """Integration failure or domain-invariant breach in the transform solver."""
 
 
-# ``_eval_F`` and ``_eval_R`` take scalars or lane arrays for ``u1``, ``u2``.
-
-def _eval_F(p: AdmissibleParams, u1, u2):
-    out = p.b[0] * u1 + p.b[1] * u2 + p.a * u2 * u2
-    if not p.m.is_empty:
-        out += p.m.exp_integral(u1, u2, compensate_xi2=True)
+def eval_F(params: AdmissibleParams, u1, u2):
+    """Constant-part functional ``F(u1, u2)``; drives ``phi``.  ``u1`` and
+    ``u2`` are scalars or lane arrays."""
+    out = params.b[0] * u1 + params.b[1] * u2 + params.a * u2 * u2
+    if not params.m.is_empty:
+        out += params.m.exp_integral(u1, u2, compensate_xi2=True)
     return out
 
 
-def _eval_R(p: AdmissibleParams, u1, u2):
-    al = p.alpha
-    out = (p.beta[0, 0] * u1 + p.beta[1, 0] * u2
+def eval_R(params: AdmissibleParams, u1, u2):
+    """State-linear functional ``R(u1, u2)``; drives ``psi1``.  ``u1`` and
+    ``u2`` are scalars or lane arrays."""
+    al, mu = params.alpha, params.mu
+    out = (params.beta[0, 0] * u1 + params.beta[1, 0] * u2
            + al[0, 0] * u1 * u1 + 2.0 * al[0, 1] * u1 * u2 + al[1, 1] * u2 * u2)
-    if not p.mu.is_empty:
-        out += p.mu.exp_integral(u1, u2, compensate_xi1=True, compensate_xi2=True)
+    if not mu.is_empty:
+        out += mu.exp_integral(u1, u2, compensate_xi1=True, compensate_xi2=True)
     return out
-
-
-def eval_F(params: AdmissibleParams, u: UPoint) -> complex:
-    """Constant-part functional ``F(u)``; drives ``phi``."""
-    return _eval_F(params, u.u1, u.u2)
-
-
-def eval_R(params: AdmissibleParams, u: UPoint) -> complex:
-    """State-linear functional ``R(u)``; drives ``psi1``."""
-    return _eval_R(params, u.u1, u.u2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +345,7 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
     def rhs(idx, s, y):
         p1 = _complex(y[0], y[1])
         p2 = np.exp(beta22 * s) * u2[idx]
-        dp, df = _eval_R(params, p1, p2), _eval_F(params, p1, p2)
+        dp, df = eval_R(params, p1, p2), eval_F(params, p1, p2)
         return np.stack((dp.real, dp.imag, df.real, df.imag))
 
     zero = np.zeros(len(lanes))
@@ -543,7 +535,7 @@ def moment_functionals(params: AdmissibleParams) -> MomentFunctionals:
     return MomentFunctionals(q11=q11, q12=q12, h1=h1, h2=h2, mean=mean)
 
 
-# -- closed-form generators, which validate.check_generator tests ----------
+# -- closed-form generators, which validate.check_generators tests ---------
 
 _X_ONLY = {"1", "x1", "x1^2", "exp(-x1)"}
 
@@ -574,13 +566,13 @@ def _affine_generator_value(params, name, x1, x2):
                 + m.poly_moment(1, 1) + x1 * mu.poly_moment(1, 1))
     u = UPoint(-1.0, 0.0) if name == "exp(-x1)" else UPoint(-1.0, 1j)
     f0 = np.exp(u.u1 * x1 + u.u2 * x2)
-    return f0 * (eval_F(params, u) + eval_R(params, u) * x1
-                 + b22 * u.u2 * x2)
+    return f0 * (eval_F(params, u.u1, u.u2)
+                 + eval_R(params, u.u1, u.u2) * x1 + b22 * u.u2 * x2)
 
 
 def _cbi_generator_value(params, name, x, theta0, theta1, l):
     """Closed form of the scalar-branching generator on an x-only function
-    (``check_generator`` has rejected every other name)."""
+    (``check_generators`` has rejected every other name)."""
     m, mu = params.m, params.mu
     b, beta, alpha = params.b[0], params.beta[0, 0], params.alpha[0, 0]
     m1 = m.poly_moment(1, 0)

@@ -46,14 +46,13 @@ from .sde import (CHUNK, _check_finite, _check_init, _reactant_starts,
                   simulate_cbi, simulate_reactant_pair)
 from .transform import (_X_ONLY, _affine_generator_value, _as_batch,
                         _catalytic_generator_value, _cbi_generator_value,
-                        char_fn, flow_residual, moment_functionals)
+                        _check_tol, char_fn, flow_residual, moment_functionals)
 
 __all__ = [
     "CheckRow",
     "ExperimentReport",
     "check_affine_formula",
     "check_moments",
-    "check_generator",
     "check_generators",
     "uniqueness_experiment",
     "fluctuation_experiment",
@@ -353,11 +352,12 @@ def _grid_indices(t_list, dt):
     return steps
 
 
-def _u_labels(u_list):
-    """The frequencies of ``u_list`` and their distinct row labels."""
+def _u_labels(u_list, entries=None):
+    """The frequencies of ``u_list`` and their distinct row labels; a
+    collision names two of ``entries`` (by default ``u_list``)."""
     u_pts = _as_batch(u_list)[0]
-    return u_pts, _distinct("u_list", u_list, [
-        f"u=({_fmt(u.u1)},{_fmt(u.u2)})" for u in u_pts], "row label")
+    labels = [f"u=({_fmt(u.u1)},{_fmt(u.u2)})" for u in u_pts]
+    return u_pts, _distinct("u_list", entries or u_list, labels, "row label")
 
 
 def _thinning_bound(u_bound, intensity):
@@ -390,6 +390,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     calibrated once per report as twice the largest mean coupled
     ``dt/2``-minus-``dt`` difference, plus a small floor.
     """
+    _check_tol(tol)
     u_pts, labels = _u_labels(u_list)
     (ens, ctl), u_bound = _coupled_affine(
         params, x0, z0, t_list, dt, u_bound, n_paths=n_paths,
@@ -461,8 +462,6 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
 # -- generator checks ------------------------------------------------------
 
 GENERATOR_MODES = ("affine", "cbi", "catalytic")
-GENERATOR_CATALOG = ("1", "x1", "x2", "x1^2", "x2^2", "x1*x2",
-                     "exp(-x1)", "exp(-x1+i*x2)")
 
 _F_EVAL = {
     "1": lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
@@ -474,48 +473,42 @@ _F_EVAL = {
     "exp(-x1)": lambda x, y: np.exp(-np.asarray(x, dtype=float)),
     "exp(-x1+i*x2)": lambda x, y: np.exp(-np.asarray(x) + 1j * np.asarray(y)),
 }
-
-
-def check_generator(params, state, *, which, n_paths, master_seed,
-                    delta=DEFAULT_DT, f=None, theta0=1.0, theta1=1.0,
-                    l=1.0, u_bound=None) -> ExperimentReport:
-    """One-step weak error against the closed-form generator.
-
-    Simulates a single Euler step of size ``delta`` from ``state`` and
-    compares ``(E[f(X(delta))] - f(state)) / delta`` with the generator
-    applied to ``f``.  ``which`` selects the dynamics: ``"affine"`` (the
-    two-coordinate process), ``"cbi"`` (the scalar branching equation of
-    the first coordinate, its marks scaled by ``theta0`` and ``theta1`` and
-    its branching intensity by ``l``), or ``"catalytic"`` (the modulated
-    reactant pair).
-    ``f=None`` runs the whole catalog applicable to the mode.
-
-    The expectation is the two-level estimate of the ``delta/2`` level
-    (see the module docstring); each catalog function gets its own bias
-    budget ``(2 |d| + floor) / delta`` from its mean coupled difference
-    ``d``.  Runs at full jump measures (no truncation band), where every
-    closed form on the right-hand side is exact.  The one-mode case of
-    :func:`check_generators`.
-    """
-    return check_generators(params, {which: state}, n_paths=n_paths,
-                            master_seed=master_seed, delta=delta, f=f,
-                            theta0=theta0, theta1=theta1, l=l,
-                            u_bound=u_bound)[0]
+GENERATOR_CATALOG = tuple(_F_EVAL)
 
 
 def check_generators(params, states, *, n_paths, master_seed,
                      delta=DEFAULT_DT, f=None, theta0=1.0, theta1=1.0,
                      l=1.0, u_bound=None) -> list:
-    """:func:`check_generator` for each mode of ``states``, a mapping from
-    mode to start state: one report per mode, in the order of ``states``,
-    each equal to its one-mode report bit for bit.
+    """One-step weak error against the closed-form generator, one report
+    per mode of ``states``, a mapping from mode to start state, in the
+    order of ``states``.
 
-    Every mode's inputs are checked, and its simulator's rules by a run
-    on an empty batch, before any noise is drawn.  Modes with the same
-    thinning bound (all of them when ``u_bound`` is given; the default
-    ``8 (1 + intensity)`` depends on mode and state) run as one model, on
-    one noise draw and refinement per batch and retry round.
+    Each mode simulates a single Euler step of size ``delta`` from its
+    state and compares ``(E[f(X(delta))] - f(state)) / delta`` with the
+    generator applied to ``f``.  The mode selects the dynamics:
+    ``"affine"`` (the two-coordinate process from ``(x1, x2)``), ``"cbi"``
+    (the scalar branching equation of the first coordinate from ``x1``,
+    its marks scaled by ``theta0`` and ``theta1`` and its branching
+    intensity by ``l``), or ``"catalytic"`` (the modulated reactant pair
+    from ``(x, y)``).  ``f=None`` runs the whole catalog applicable to
+    each mode.
+
+    The expectation is the two-level estimate of the ``delta/2`` level
+    (see the module docstring); each catalog function gets its own bias
+    budget ``(2 |d| + floor) / delta`` from its mean coupled difference
+    ``d``.  Runs at full jump measures (no truncation band), where every
+    closed form on the right-hand side is exact.
+
+    An empty ``states`` is refused.  Every mode's inputs are checked, and
+    its simulator's rules by a run on an empty batch, before any noise is
+    drawn.  Modes with the same thinning bound (all of them when
+    ``u_bound`` is given; the default ``8 (1 + intensity)`` depends on
+    mode and state) run as one model, on one noise draw and refinement
+    per batch and retry round; each report equals its one-mode report
+    bit for bit.
     """
+    if not states:
+        raise ValueError("states is empty: no mode would be checked")
     modes = {which: _generator_mode(
         params, which, state, delta=delta, f=f, n_paths=n_paths,
         master_seed=master_seed, theta0=theta0, theta1=theta1, l=l,
@@ -543,40 +536,44 @@ def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
     """One mode of :func:`check_generators`, its inputs checked: its
     thinning bound, its batch core, and ``report(ens, ctl)``, which builds
     its report from its plain and coupled ensembles."""
-    if which not in GENERATOR_MODES:
-        raise ValueError(f"unknown generator mode {which!r}")
-    if which == "cbi":
-        x1 = _check_init("state", state)
-        x2 = None
-        names = [n for n in GENERATOR_CATALOG if n in _X_ONLY] \
-            if f is None else [f]
-        intensity = l * x1
-    else:
+    catalog = GENERATOR_CATALOG
+    if which == "affine":
         x1 = _check_init("state[0]", state[0])
         x2 = _check_finite("state[1]", state[1])
-        if which == "catalytic":
-            _check_init("state[1]", x2)
-        names = list(GENERATOR_CATALOG) if f is None else [f]
-        intensity = x1 if which == "affine" else max(x1, l * x1 * x2)
-    for name in names:
-        if name not in GENERATOR_CATALOG:
-            raise ValueError(f"unknown catalog function {name!r}; "
-                             f"choose from {GENERATOR_CATALOG}")
-        if which == "cbi" and name not in _X_ONLY:
-            raise ValueError(f"{name!r} is not in the catalog for mode "
-                             f"'cbi' (x-only functions)")
-    u_bound = _thinning_bound(u_bound, intensity)
+        intensity, second, start = x1, "z", list(state)
 
-    if which == "affine":
         def core(noise, keep):
             return simulate_affine(params, x1, x2, noise, keep=keep)
+
+        def value(name):
+            return _affine_generator_value(params, name, x1, x2)
     elif which == "cbi":
+        x1, x2 = _check_init("state", state), None
+        intensity, second, start = l * x1, None, state
+        catalog = tuple(n for n in GENERATOR_CATALOG if n in _X_ONLY)
+
         def core(noise, keep):
             return simulate_cbi(params, x1, theta0, theta1, l, noise, keep)
-    else:
+
+        def value(name):
+            return _cbi_generator_value(params, name, x1, theta0, theta1, l)
+    elif which == "catalytic":
+        x1 = _check_init("state[0]", state[0])
+        x2 = _check_init("state[1]", state[1])
+        intensity, second, start = max(x1, l * x1 * x2), "y", list(state)
+
         def core(noise, keep):
             return simulate_catalytic(params, x1, x2, l, noise, keep)
-    second = {"affine": "z", "cbi": None, "catalytic": "y"}[which]
+
+        def value(name):
+            return _catalytic_generator_value(params, name, x1, x2, l)
+    else:
+        raise ValueError(f"unknown generator mode {which!r}")
+    if f not in (None, *catalog):
+        raise ValueError(f"unknown catalog function {f!r} for mode "
+                         f"{which!r}; choose from {catalog}")
+    names = catalog if f is None else [f]
+    u_bound = _thinning_bound(u_bound, intensity)
 
     def at_end(f_eval, ensemble, suffix=""):
         """``f_eval`` on every path's state at ``delta``."""
@@ -591,14 +588,7 @@ def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
             fine = at_end(_F_EVAL[name], ctl, "_fine")
             coarse = at_end(_F_EVAL[name], ctl)
             at_start = complex(_F_EVAL[name](x1, x2))
-            if which == "affine":
-                predicted = _affine_generator_value(params, name, x1, x2)
-            elif which == "cbi":
-                predicted = _cbi_generator_value(params, name, x1, theta0,
-                                                 theta1, l)
-            else:
-                predicted = _catalytic_generator_value(params, name, x1, x2,
-                                                       l)
+            predicted = value(name)
             diff = abs(np.mean(fine - coarse))
             budget = (2.0 * diff + GENERATOR_BIAS_FLOOR) / delta
             if name == "exp(-x1+i*x2)":
@@ -613,8 +603,7 @@ def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
                     quantity, float(part(complex(predicted))),
                     (est.estimate - float(part(at_start))) / delta,
                     3.0 * est.stderr / delta + budget))
-        inputs = {"params": _params_fingerprint(params),
-                  "state": state if which == "cbi" else list(state),
+        inputs = {"params": _params_fingerprint(params), "state": start,
                   "which": which, "delta": delta, "f": f,
                   "n_paths": n_paths, "master_seed": master_seed,
                   "theta0": theta0, "theta1": theta1, "l": l,

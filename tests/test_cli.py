@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from affine_lab.cli import (_GENERATOR_STATES, _SCHEMA, ConfigError,
-                            RunConfig, main, parse_config, run,
+from affine_lab.cli import (_GENERATOR_STATES, _SCHEMA, COMMANDS,
+                            ConfigError, RunConfig, main, parse_config, run,
                             serialize_config)
 from affine_lab.noise import generate_noise, substream_seed
 from affine_lab.params import AdmissibilityError
@@ -614,6 +614,29 @@ class TestMain:
         assert main(["validate", "--config", self.write(tmp_path, doc),
                      "--out", str(out)]) == 0
         assert (out / "semigroup-flow.json").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"validate": {"checks": []}}, "$.validate.checks: empty"),
+        ({"validate": {"checks": ["generator"], "generator_modes": []}},
+         "$.validate.generator_modes: empty"),
+        # validate's row-label rule: labels print 6 significant digits
+        ({"transform": {"u_list": [[[-1, 0], [0, 0]],
+                                   [[-1.0000001, 0], [0, 0]]]}},
+         "$.transform.u_list: duplicate entries: u_list[0] = "
+         "[[-1.0, 0.0], [0.0, 0.0]] and u_list[1] = "
+         "[[-1.0000001, 0.0], [0.0, 0.0]] share row label u=(-1,0)\n"),
+    ], ids=["checks", "generator-modes", "u-list"])
+    def test_empty_or_repeated_list_is_a_usage_error(self, tmp_path, capsys,
+                                                     doc, message):
+        """A run that would check nothing, or write two rows or curves for
+        one frequency, is refused at parse time by every subcommand."""
+        path = self.write(tmp_path, dict(doc, mc={"n_paths": 50}))
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"affine-lab: {message}")
+            assert not out.exists()
 
     def test_zero_coupling_and_flow_times_run(self, tmp_path):
         doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -6},

@@ -24,7 +24,6 @@ from affine_lab.validate import (
     CheckRow,
     ExperimentReport,
     check_affine_formula,
-    check_generator,
     check_generators,
     check_moments,
     fluctuation_experiment,
@@ -352,15 +351,15 @@ def test_two_level_check_keeps_its_power():
 class TestGenerator:
     def test_affine_catalog(self):
         p = jump_affine_params()
-        rep = check_generator(p, (0.7, -0.4), which="affine",
-                              n_paths=20000, master_seed=5, delta=2.0 ** -8)
+        (rep,) = check_generators(p, {"affine": (0.7, -0.4)}, n_paths=20000,
+                                  master_seed=5, delta=2.0 ** -8)
         assert rep.overall
         assert len(rep.rows) == 9          # 8 functions, complex one split
 
     def test_cbi_catalog(self):
         p = jump_affine_params()
-        rep = check_generator(p, 0.7, which="cbi", n_paths=20000,
-                              master_seed=5, delta=2.0 ** -8)
+        (rep,) = check_generators(p, {"cbi": 0.7}, n_paths=20000,
+                                  master_seed=5, delta=2.0 ** -8)
         assert rep.overall
         assert len(rep.rows) == 4
 
@@ -370,22 +369,22 @@ class TestGenerator:
         # (0.8, 2.0): the catalyst's set is.  Both branches of the joint
         # jump coefficient get exercised.
         for state, seed in (((1.2, 0.5), 5), ((0.8, 2.0), 6)):
-            rep = check_generator(p, state, which="catalytic",
-                                  n_paths=20000, master_seed=seed,
-                                  delta=2.0 ** -8)
+            (rep,) = check_generators(p, {"catalytic": state},
+                                      n_paths=20000, master_seed=seed,
+                                      delta=2.0 ** -8)
             assert rep.overall, rep.table()
 
     def test_constant_function_is_exact(self):
         p = jump_affine_params()
-        rep = check_generator(p, (1.0, 0.0), which="affine", f="1",
-                              n_paths=50, master_seed=1, delta=2.0 ** -8)
+        (rep,) = check_generators(p, {"affine": (1.0, 0.0)}, f="1",
+                                  n_paths=50, master_seed=1, delta=2.0 ** -8)
         (row,) = rep.rows
         assert row.observed == 0.0 and row.predicted == 0.0
 
     def test_linear_drift_deterministic(self):
         params = make_params(b=(0.7, 0.2), beta=((-0.4, 0), (0.3, -0.5)))
-        rep = check_generator(params, (1.3, 0.6), which="affine", f="x1",
-                              n_paths=3, master_seed=4, delta=2.0 ** -8)
+        (rep,) = check_generators(params, {"affine": (1.3, 0.6)}, f="x1",
+                                  n_paths=3, master_seed=4, delta=2.0 ** -8)
         (row,) = rep.rows
         # One Euler step reproduces a linear drift rate exactly; the
         # two-level estimate adds the coupled difference of two half steps.
@@ -402,14 +401,14 @@ class TestGenerator:
     def test_catalog_errors(self):
         p = jump_affine_params()
         with pytest.raises(ValueError, match="catalog"):
-            check_generator(p, (1.0, 0.0), which="affine", f="x1^3",
-                            n_paths=4, master_seed=1)
+            check_generators(p, {"affine": (1.0, 0.0)}, f="x1^3",
+                             n_paths=4, master_seed=1)
         with pytest.raises(ValueError, match="cbi"):
-            check_generator(p, 1.0, which="cbi", f="x2",
-                            n_paths=4, master_seed=1)
+            check_generators(p, {"cbi": 1.0}, f="x2",
+                             n_paths=4, master_seed=1)
         with pytest.raises(ValueError, match="mode"):
-            check_generator(p, (1.0, 0.0), which="exact", n_paths=4,
-                            master_seed=1)
+            check_generators(p, {"exact": (1.0, 0.0)}, n_paths=4,
+                             master_seed=1)
 
 
 @pytest.mark.parametrize("states, u_bound", [
@@ -427,7 +426,7 @@ def test_grouped_generators_equal_one_mode_runs(states, u_bound):
     reports = check_generators(p, states, **kw)
     assert [r.name for r in reports] == [f"generator-{w}" for w in states]
     for (which, state), report in zip(states.items(), reports):
-        alone = check_generator(p, state, which=which, **kw)
+        (alone,) = check_generators(p, {which: state}, **kw)
         assert report.payload() == alone.payload()
     if u_bound is None:
         assert len({r.inputs["u_bound"] for r in reports}) == 2
@@ -920,6 +919,12 @@ def test_duplicate_t_list_rejected_up_front(no_noise):
         check_moments(p, 1.0, 0.0, [], dt=2.0 ** -4, **MC)
     with pytest.raises(ValueError, match="^u_list is empty"):
         sc_semigroup_check(p, 0.5, 0.5, [])
+    with pytest.raises(ValueError, match="^states is empty"):
+        check_generators(p, {}, **MC)
+    # the transform's tolerance is read after the simulation
+    with pytest.raises(ValueError, match=r"^tol must lie in \[1e-12, "):
+        check_affine_formula(p, 1.0, 0.0, [0.5], [(-1.0, 0.0)], n_paths=300,
+                             master_seed=1, dt=2.0 ** -6, tol=1e-2)
 
 
 def test_stability_rule_checked_before_simulation(no_noise):
@@ -930,12 +935,12 @@ def test_stability_rule_checked_before_simulation(no_noise):
                                      dt=0.5, **MC),
         lambda: uniqueness_experiment(p, 1.0, 1.5, t_max=1.0, dt=0.5, **MC),
         lambda: fluctuation_experiment(p, [4.0, 16.0], dt=0.5, **MC),
-        lambda: check_generator(p, (0.7, -0.4), which="affine", delta=0.5,
-                                **MC),
+        lambda: check_generators(p, {"affine": (0.7, -0.4)}, delta=0.5,
+                                 **MC),
         # the scalar equation's rule reads |beta11|
-        lambda: check_generator(p, 0.7, which="cbi", delta=0.5, **MC),
-        lambda: check_generator(p, (1.2, 0.5), which="catalytic",
-                                delta=0.5, **MC),
+        lambda: check_generators(p, {"cbi": 0.7}, delta=0.5, **MC),
+        lambda: check_generators(p, {"catalytic": (1.2, 0.5)},
+                                 delta=0.5, **MC),
     ]
     for run in runs:
         with pytest.raises(ValueError, match="explicit-Euler stability rule"):
@@ -947,10 +952,10 @@ def test_system_rules_checked_before_simulation(no_noise):
     negative_b2 = dataclasses.replace(p, b=np.array([p.b[0], -0.2]))
     with pytest.raises(ValueError, match=r"^catalytic reactant requires "
                                          r"b2 >= 0, got -0\.2$"):
-        check_generator(negative_b2, (1.2, 0.5), which="catalytic", **MC)
+        check_generators(negative_b2, {"catalytic": (1.2, 0.5)}, **MC)
     with pytest.raises(ValueError, match=r"^l must be nonnegative, "
                                          r"got -1\.0$"):
-        check_generator(p, (1.2, 0.5), which="catalytic", l=-1.0, **MC)
+        check_generators(p, {"catalytic": (1.2, 0.5)}, l=-1.0, **MC)
     # the catalytic mode's default bound puts it in a group after the
     # others; its rule still fires before the first group draws
     with pytest.raises(ValueError, match="^catalytic reactant requires"):
@@ -961,14 +966,14 @@ def test_system_rules_checked_before_simulation(no_noise):
     for l in (-1.0, -2.0):
         with pytest.raises(ValueError, match=rf"^l must be nonnegative, "
                                              rf"got {l}$"):
-            check_generator(p, 1.0, which="cbi", l=l, **MC)
+            check_generators(p, {"cbi": 1.0}, l=l, **MC)
     # a non-finite l is named by both modes' simulators, not read as a
     # bound (l = inf made it infinite) or run until the retries give up
     for which, state in (("cbi", 1.0), ("catalytic", (1.2, 0.5))):
         for l in (np.nan, np.inf):
             with pytest.raises(ValueError, match=rf"^l must be finite, "
                                                  rf"got {l}$"):
-                check_generator(p, state, which=which, l=l, **MC)
+                check_generators(p, {which: state}, l=l, **MC)
     # a parameter set is finite, so b1 = inf is rejected where it is built
     with pytest.raises(AdmissibilityError,
                        match=r"^clause \(iii\): b must be finite"):
@@ -982,7 +987,7 @@ def test_parse_time_stable_delta_runs(which, state):
     every generator mode's own stability rule."""
     p = jump_affine_params()
     assert 0.1 * p.beta_bar <= 0.1
-    report = check_generator(p, state, which=which, delta=0.1, **MC)
+    (report,) = check_generators(p, {which: state}, delta=0.1, **MC)
     assert report.name == f"generator-{which}"
 
 
@@ -990,8 +995,8 @@ def test_parse_time_stable_delta_runs(which, state):
     lambda p: check_moments(p, 1.0, 0.0, [0.5], n_paths=1, master_seed=0),
     lambda p: check_affine_formula(p, 1.0, 0.0, [0.5], [(-1.0, 0.0)],
                                    n_paths=1, master_seed=0),
-    lambda p: check_generator(p, (0.7, -0.4), which="affine", n_paths=1,
-                              master_seed=0),
+    lambda p: check_generators(p, {"affine": (0.7, -0.4)}, n_paths=1,
+                               master_seed=0),
     lambda p: uniqueness_experiment(p, 1.0, 1.5, t_max=1.0, n_paths=1,
                                     master_seed=0),
 ], ids=["moments", "affine-formula", "generator", "uniqueness"])
@@ -1020,12 +1025,12 @@ def test_pair_split_checked_before_simulation(no_noise):
 
 
 @pytest.mark.parametrize("run,name", [
-    (lambda p: check_generator(p, (-0.5, 0.0), which="affine", **MC),
+    (lambda p: check_generators(p, {"affine": (-0.5, 0.0)}, **MC),
      r"state\[0\]"),
-    (lambda p: check_generator(p, -0.5, which="cbi", **MC), "state"),
-    (lambda p: check_generator(p, (-0.5, 1.0), which="catalytic", **MC),
+    (lambda p: check_generators(p, {"cbi": -0.5}, **MC), "state"),
+    (lambda p: check_generators(p, {"catalytic": (-0.5, 1.0)}, **MC),
      r"state\[0\]"),
-    (lambda p: check_generator(p, (1.0, -0.5), which="catalytic", **MC),
+    (lambda p: check_generators(p, {"catalytic": (1.0, -0.5)}, **MC),
      r"state\[1\]"),
     (lambda p: check_moments(p, -0.5, 0.0, [0.25], **MC), "x0"),
     (lambda p: check_affine_formula(p, -0.5, 0.0, [0.25], [(-1.0, 0.0)],
@@ -1069,8 +1074,8 @@ def test_nan_start_rejected_up_front(no_noise, run):
 @pytest.mark.parametrize("run, message", [
     (lambda p: check_moments(p, 1.0, 0.0, [0.25], u_bound=np.nan, **MC),
      r"^u_bound must be finite, got nan$"),
-    (lambda p: check_generator(p, (0.7, -0.4), which="affine", u_bound=0.0,
-                               **MC),
+    (lambda p: check_generators(p, {"affine": (0.7, -0.4)}, u_bound=0.0,
+                                **MC),
      r"^u_bound must be positive when mu is nonempty$"),
 ], ids=["nan", "zero"])
 def test_bad_u_bound_rejected_before_any_noise(no_noise, run, message):
