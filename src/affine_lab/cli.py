@@ -3,7 +3,11 @@ CSV/JSON artifacts with full reproducibility metadata.
 
 This module alone decides the artifact format: every CSV goes through
 ``_write_csv`` (the run metadata as ``# key = value`` lines, 17-digit
-rows, LF endings) and every JSON file through ``_write_json``.
+rows, LF endings) and every JSON file through ``_write_json``.  The
+writer takes its table as columns and formats a block of rows with one
+``%`` call; a column several tables share, such as the time grid of the
+transform curves or of each saved path, is formatted once and passed in
+as text.
 
 The configuration document is a single JSON object with optional blocks
 ``params``, ``grid``, ``mc``, ``transform``, ``simulate``, ``validate``,
@@ -18,7 +22,8 @@ paths as one batch.
 Exit status: 0 when every report row passes, 1 when some row fails (the
 first failing row is named on stderr), 2 for configuration or usage
 errors, including an ``mc.u_bound`` too small for the thinning-bound
-retries to recover.
+retries to recover and a frequency whose transform solve fails
+(``TransformError``).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .presets import builtin_params
 from .sde import (ParameterSplit, ThinningBoundError, _check_dt, _check_init,
                   _check_reactant, _reactant_starts, simulate_affine,
                   simulate_catalytic, simulate_reactant_pair)
-from .transform import _check_tol, solve_transforms
+from .transform import TransformError, _check_tol, solve_transforms
 from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
                        _grid_indices, _u_labels, check_affine_formula,
                        check_generators, check_moments,
@@ -524,35 +529,61 @@ def _metadata(config: RunConfig) -> dict:
             "u_bound": config.u_bound}
 
 
-def _write_csv(path: Path, config: RunConfig, comments, columns, row_format,
-               rows) -> None:
+# rows per ``%`` call of the CSV writer
+_BLOCK_ROWS = 4096
+
+
+def _text(values) -> list:
+    """The floats of ``values`` as 17-digit text, for a column that several
+    tables share: format it once, pass the text to each."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
+def _write_csv(path: Path, config: RunConfig, comments, columns) -> None:
     """One CSV artifact with LF endings: the run metadata as ``# key =
-    value`` lines, then ``comments`` as ``# `` lines, the header and one
-    ``row_format % row`` line per row of the 2-d array ``rows``."""
+    value`` lines, then ``comments`` as ``# `` lines, the header and the
+    rows.
+
+    ``columns`` lists ``(name, format, values)`` per column, the values a
+    1-d array or a list of text already formatted (format ``%s``).  Each
+    block of up to ``_BLOCK_ROWS`` rows is formatted by one ``%`` call on
+    the row template repeated per row, its values laid out row by row.
+    """
+    names, formats, values = zip(*columns)
+    width, n_rows = len(values), len(values[0])
+    template = ",".join(formats) + "\n"
     with open(path, "w", newline="\n") as fh:
         for key, value in _metadata(config).items():
             fh.write(f"# {key} = {value}\n")
         fh.writelines(f"# {line}\n" for line in comments)
-        fh.write(",".join(columns) + "\n")
-        line = row_format + "\n"
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        fh.write(",".join(names) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            flat = [None] * ((stop - start) * width)
+            for j, column in enumerate(values):
+                block = column[start:stop]
+                flat[j::width] = (block.tolist()
+                                  if isinstance(block, np.ndarray) else block)
+            fh.write((template * (stop - start)) % tuple(flat))
 
 
-def write_transform_csv(solution, path: Path, config: RunConfig) -> None:
+def write_transform_csv(solution, path: Path, config: RunConfig,
+                        t_text=None) -> None:
     """One ``TransformSolution`` as CSV, its frequency and tolerance as
-    comments."""
-    cols = ("t", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "re_phi",
-            "im_phi")
-    rows = np.column_stack([
-        solution.t_grid,
-        solution.psi1.real, solution.psi1.imag,
-        solution.psi2.real, solution.psi2.imag,
-        solution.phi.real, solution.phi.imag,
-    ])
+    comments.  ``t_text`` is its time column as ``_text(solution.t_grid)``
+    gives it, for callers that write several curves on one grid."""
+    if t_text is None:
+        t_text = _text(solution.t_grid)
     _write_csv(path, config,
                [f"u = ({solution.u.u1!r}, {solution.u.u2!r})",
                 f"tol = {solution.tol_used:.17g}"],
-               cols, ",".join(["%.17g"] * len(cols)), rows)
+               [("t", "%s", t_text),
+                ("re_psi1", "%.17g", solution.psi1.real),
+                ("im_psi1", "%.17g", solution.psi1.imag),
+                ("re_psi2", "%.17g", solution.psi2.real),
+                ("im_psi2", "%.17g", solution.psi2.imag),
+                ("re_phi", "%.17g", solution.phi.real),
+                ("im_phi", "%.17g", solution.phi.imag)])
 
 
 def write_paths_csv(noise, paths: dict, path: Path,
@@ -560,15 +591,16 @@ def write_paths_csv(noise, paths: dict, path: Path,
     """A batch of paths as one flat CSV table, path by path.
 
     ``paths`` maps component names to ``(n_paths, n_steps + 1)`` arrays
-    on the grid of ``noise``, as the simulators return them.
+    on the grid of ``noise``, as the simulators return them.  The time
+    column and each path id are formatted once and repeated.
     """
     names = list(paths)
     n_paths, n_grid = paths[names[0]].shape
-    rows = np.column_stack([np.repeat(np.arange(n_paths), n_grid),
-                            np.tile(noise.grid, n_paths),
-                            *(paths[name].ravel() for name in names)])
-    _write_csv(path, config, [], ("path_id", "t", *names),
-               "%d" + ",%.17g" * (len(names) + 1), rows)
+    path_ids = [text for i in range(n_paths) for text in [str(i)] * n_grid]
+    _write_csv(path, config, [],
+               [("path_id", "%s", path_ids),
+                ("t", "%s", _text(noise.grid) * n_paths)] + [
+                   (name, "%.17g", paths[name].ravel()) for name in names])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -597,9 +629,10 @@ def _cmd_transform(config, out, stdout):
     solutions = solve_transforms(config.params, config.u_list, grid,
                                  tol=config.tol)
     if "csv" in config.formats:
+        t_text = _text(grid)
         for i, solution in enumerate(solutions):
             write_transform_csv(solution, out / f"transform_u{i:02d}.csv",
-                                config)
+                                config, t_text)
     print(f"transform: {len(config.u_list)} argument(s) sampled on "
           f"[0, {config.t_max:g}] with dt = {config.dt:g}", file=stdout)
     return []
@@ -775,7 +808,7 @@ def main(argv=None) -> int:
     except ThinningBoundError as exc:
         print(f"affine-lab: {exc}; raise mc.u_bound", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (TransformError, ValueError) as exc:
         print(f"affine-lab: {exc}", file=sys.stderr)
         return 2
 

@@ -184,15 +184,17 @@ class FiniteAtomicMeasure:
             atoms, w = atoms[k], w[k]
         v1 = np.multiply.outer(atoms[:, 0], u1)  # (atom,) + lane shape
         v2 = np.multiply.outer(atoms[:, 1], u2)
-        term = np.exp(v1 + v2) - 1.0
+        term = v1 + v2  # worked on in place, operands in the same order
+        np.exp(term, out=term)
+        term -= 1.0
         if compensate_xi1:
-            term = term - v1
+            term -= v1
         if compensate_xi2:
-            term = term - v2
-        term = w.reshape((-1,) + (1,) * u1.ndim) * term
+            term -= v2
+        np.multiply(w.reshape((-1,) + (1,) * u1.ndim), term, out=term)
         out = np.zeros(term.shape[1:], dtype=complex)
         for row in term:
-            out = out + row
+            out += row
         return _unlane(out)
 
     def sample(self, rng, n, eps=0.0):

@@ -157,6 +157,7 @@ _P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
        -1453857185 / 822651844),
       (0.0, 40617522 / 29380423, -110615467 / 29380423,
        69997945 / 29380423))
+_P_COLUMNS = tuple(zip(*_P))  # the P[s][j] of each Q_j
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # the error estimator has order 4
 
@@ -256,21 +257,21 @@ def _dopri(fun, y0, t_grid, rtol, atol):
 
         a = np.flatnonzero(accept)
         if a.size:
-            t_old, h_a = t[a], h[a]
+            t_old = t[a]
             lo = np.searchsorted(t_grid, t_old, side="right")
             lo[t_old == 0.0] = 0
             counts = np.searchsorted(t_grid, t_new[a], side="right") - lo
-            seg = np.repeat(np.arange(a.size), counts)
-            cols = np.arange(seg.size) + np.repeat(lo - np.cumsum(counts)
-                                                   + counts, counts)
-            x = (t_grid[cols] - t_old[seg]) / h_a[seg]
-            Ka = [k[:, a] for k in K]
+            at = np.repeat(a, counts)  # the batch lane of each sample
+            cols = np.arange(at.size) + np.repeat(lo - np.cumsum(counts)
+                                                  + counts, counts)
+            x = (t_grid[cols] - t[at]) / h[at]
+            # each Q_j over the whole batch, then gathered per sample
             p, poly = x, None
-            for j in range(4):
-                term = _combine([row[j] for row in _P], Ka)[:, seg] * p
+            for coeffs in _P_COLUMNS:
+                term = _combine(coeffs, K)[:, at] * p
                 poly = term if poly is None else poly + term
                 p = p * x
-            samples[:, lanes[a[seg]], cols] = h_a[seg] * poly + y[:, a][:, seg]
+            samples[:, lanes[at], cols] = h[at] * poly + y[:, at]
             steps[lanes[a]] += 1
             peak[lanes[a]] = np.maximum(peak[lanes[a]], y_new[0, a])
 
@@ -278,8 +279,9 @@ def _dopri(fun, y0, t_grid, rtol, atol):
         y = np.where(accept, y_new, y)
         f = np.where(accept, f_new, f)
         going = ~(accept & (t_new >= horizon))
-        lanes, t, h_abs, rejected, y, f = (
-            v[..., going] for v in (lanes, t, h_abs, rejected, y, f))
+        if not going.all():
+            lanes, t, h_abs, rejected, y, f = (
+                v[..., going] for v in (lanes, t, h_abs, rejected, y, f))
     return samples, peak, steps, failed_at
 
 
@@ -346,7 +348,9 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
         p1 = _complex(y[0], y[1])
         p2 = np.exp(beta22 * s) * u2[idx]
         dp, df = eval_R(params, p1, p2), eval_F(params, p1, p2)
-        return np.stack((dp.real, dp.imag, df.real, df.imag))
+        out = np.empty((4, idx.size))
+        out[0], out[1], out[2], out[3] = dp.real, dp.imag, df.real, df.imag
+        return out
 
     zero = np.zeros(len(lanes))
     samples, peak, steps, failed_at = _dopri(

@@ -8,13 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from affine_lab.cli import (_GENERATOR_STATES, _SCHEMA, COMMANDS,
-                            ConfigError, RunConfig, main, parse_config, run,
-                            serialize_config)
-from affine_lab.noise import generate_noise, substream_seed
+from affine_lab.cli import (_BLOCK_ROWS, _GENERATOR_STATES, _SCHEMA,
+                            COMMANDS, ConfigError, RunConfig, _write_csv,
+                            main, parse_config, run, serialize_config,
+                            write_paths_csv, write_transform_csv)
+from affine_lab.noise import (generate_noise, steps_for, substream_seed,
+                              substream_seed_array)
 from affine_lab.params import AdmissibilityError
 from affine_lab.sde import (simulate_affine, simulate_catalytic,
                             simulate_reactant_pair)
+from affine_lab.transform import solve_transforms
 
 
 def make_config(**blocks):
@@ -668,6 +671,30 @@ class TestMain:
         assert err.startswith("affine-lab: ") and err.count("\n") == 1
         assert "thinning bound" in err and "mc.u_bound" in err
 
+    @pytest.mark.parametrize("command", ["transform", "validate"])
+    def test_failed_transform_solve_is_a_usage_error(self, tmp_path,
+                                                     command):
+        """A frequency whose step size underflows at t = 0: one message
+        line, no traceback, exit 2 and no output directory, from the
+        ``transform`` command and a semigroup-only ``validate``.  Run as a
+        process, where NumPy's overflow warnings print instead of
+        failing the test."""
+        doc = {"transform": {"u_list": [[[-1e300, 0], [0, 1e300]]]},
+               "validate": {"checks": ["semigroup"]}}
+        out = tmp_path / "o"
+        result = subprocess.run(
+            [sys.executable, "-m", "affine_lab.cli", command, "--config",
+             self.write(tmp_path, doc), "--out", str(out)],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            "affine-lab: transform integration failed for u = "
+            "((-1e+300+0j), 1e+300j) after t=0: required step size is less "
+            "than spacing between numbers")
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_failed_run_removes_only_directories_it_created(self, tmp_path,
                                                             capsys):
         doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -7},
@@ -708,3 +735,65 @@ class TestMain:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.strip() == "affine-lab 0.1.0"
+
+
+# -- the CSV writer ---------------------------------------------------------
+
+def body(path, header):
+    """The rows of a CSV artifact, after its comment lines and header."""
+    head, found, rows = path.read_text().partition(header + "\n")
+    assert found and all(ln.startswith("# ") for ln in head.splitlines())
+    return rows
+
+
+class TestCsvWriter:
+    def test_rows_past_one_block_equal_per_value_formatting(self, tmp_path):
+        """Two full blocks and part of a third: each float reads as
+        ``f"{v:.17g}"`` and each text column passes through."""
+        n = 2 * _BLOCK_ROWS + 123
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        b = np.where(rng.random(n) < 0.1, np.nan, rng.standard_normal(n))
+        ids = [f"id{i}" for i in range(n)]
+        path = tmp_path / "table.csv"
+        _write_csv(path, parse_config("{}"), ["note"],
+                   [("a", "%.17g", a), ("id", "%s", ids),
+                    ("b", "%.17g", b)])
+        assert path.read_text().count("# note\n") == 1
+        assert body(path, "a,id,b") == "".join(
+            f"{x:.17g},{k},{y:.17g}\n" for x, k, y in zip(a, ids, b))
+
+    def test_paths_csv_with_nan_tails(self, tmp_path):
+        """Aborted paths keep their NaN tails; each path repeats its id
+        and the grid's times, across a block boundary."""
+        config = parse_config("{}")
+        params = config.params
+        noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -10,
+                               substream_seed_array(4, np.arange(6)), 2.5,
+                               config.eps)
+        paths, aborted_at, _ = simulate_affine(params, 1.0, 0.0, noise)
+        aborted = ~np.isnan(aborted_at)
+        assert aborted.any() and not aborted.all()
+        assert paths["x"].size % _BLOCK_ROWS and paths["x"].size > \
+            _BLOCK_ROWS
+        path = tmp_path / "paths.csv"
+        write_paths_csv(noise, paths, path, config)
+        want = [f"{i},{t:.17g},{x:.17g},{z:.17g}\n"
+                for i in range(6)
+                for t, x, z in zip(noise.grid, paths["x"][i],
+                                   paths["z"][i])]
+        assert body(path, "path_id,t,x,z") == "".join(want)
+        assert any(ln.endswith(",nan,nan\n") for ln in want)
+
+    def test_transform_csv_alone_equals_the_command_file(self, tmp_path):
+        config = make_config(**SMALL)
+        run("transform", config, out_dir=tmp_path / "cli",
+            stdout=io.StringIO())
+        grid = np.arange(steps_for(config.t_max, config.dt) + 1) * config.dt
+        solutions = solve_transforms(config.params, config.u_list, grid,
+                                     tol=config.tol)
+        for i, solution in enumerate(solutions):
+            name = f"transform_u{i:02d}.csv"
+            write_transform_csv(solution, tmp_path / name, config)
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / "cli" / name).read_bytes()

@@ -14,6 +14,11 @@ change that alters bytes on purpose bumps ``RNG_ID`` or
 each script under ``demos/``.  Print the current digests with
 ``PYTHONPATH=src python tests/test_golden.py``.
 
+The transform-lane digest pins the Riccati solve that the benchmark's
+``transform-grid`` workload runs: all 41 frequencies of its seed-1 config
+on the 1025-point grid, where the CLI ``transform`` case solves only the
+three default frequencies.
+
 The kernel cases cover every preset at a thinning bound that never binds
 (16) and one that aborts paths (1.2), refined and unrefined noise, both
 jump regions of the pair system, both reactant modes with and without the
@@ -39,6 +44,8 @@ from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import builtin_params
 from affine_lab.sde import (simulate_affine, simulate_catalytic,
                             simulate_cbi, simulate_reactant_pair)
+from affine_lab.transform import solve_transforms
+from test_transform import grid_workload_frequencies
 
 PRESETS = ("ou", "cir", "jump_affine", "symmetric_split")
 U_BOUNDS = (16.0, 1.2)
@@ -61,6 +68,20 @@ def triple_digest(result) -> str:
         h.update(arr.tobytes())
     h.update(np.ascontiguousarray(aborted_at, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(clamps, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def transform_lanes_digest() -> str:
+    """Digest of ``psi1``, ``psi2``, ``phi`` and ``steps_taken`` of every
+    lane of the benchmark's ``transform-grid`` solve (seed 1)."""
+    h = hashlib.sha256()
+    for sol in solve_transforms(builtin_params("jump_affine"),
+                                grid_workload_frequencies(1),
+                                np.arange(1025) * 2.0 ** -10):
+        for name in ("psi1", "psi2", "phi"):
+            h.update(np.ascontiguousarray(getattr(sol, name),
+                                          dtype="<c16").tobytes())
+        h.update(np.int64(sol.steps_taken).astype("<i8").tobytes())
     return h.hexdigest()
 
 
@@ -545,6 +566,9 @@ CLI_DIGESTS = {
         "32a52a6dec5f02d2f15a7e790fe704997dc3ee59b063923fce8caad860ba56da",
 }
 
+TRANSFORM_LANES_DIGEST = \
+    "55ed37b2d309a8a63a526560872c4f95cebaec6ac8071861f9e2faaa2f42228d"
+
 DEMO_DIGESTS = {
     "cross_validation.py":
         "19517a92559da3c744be66d13a4e7ca6e8cab2835d76828206f9e2812a1d5a63",
@@ -592,6 +616,10 @@ def test_cli_artifact_digests_unchanged(name, tmp_path):
     assert cli_digest(name, tmp_path) == CLI_DIGESTS[name]
 
 
+def test_benchmark_transform_lanes_unchanged():
+    assert transform_lanes_digest() == TRANSFORM_LANES_DIGEST
+
+
 def test_every_demo_is_pinned():
     assert sorted(DEMO_DIGESTS) == sorted(
         p.name for p in (ROOT / "demos").glob("*.py"))
@@ -610,7 +638,9 @@ def _print_digests():
     for name in CLI_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{name}":\n        "{cli_digest(name, Path(tmp))}",')
-    print("}\n\nDEMO_DIGESTS = {")
+    print("}\n\nTRANSFORM_LANES_DIGEST = \\\n"
+          f'    "{transform_lanes_digest()}"')
+    print("\nDEMO_DIGESTS = {")
     for name in DEMO_DIGESTS:
         print(f'    "{name}":\n        "{demo_digest(name)}",')
     print("}")
