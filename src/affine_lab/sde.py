@@ -68,7 +68,7 @@ from functools import reduce
 
 import numpy as np
 
-from .noise import (NoiseSystem, generate_noise, steps_for,
+from .noise import (NoiseSystem, generate_noise, refine, steps_for,
                     substream_seed_array)
 from .params import AdmissibleParams, _check_finite, _region_mask
 
@@ -741,7 +741,7 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
 # -- ensemble driver -------------------------------------------------------
 
 def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
-                 u_bound, eps, keep_idx=None):
+                 u_bound, eps, keep_idx=None, n_fine=0):
     """Run a batch model over substream-seeded paths and stack the output.
 
     ``model(noise, keep)`` is a pure function of the batch ``NoiseSystem``
@@ -762,9 +762,19 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     aborted afterwards raises ``ThinningBoundError``.  The model first
     runs on an empty batch, so its input rules are checked before
     ``u_bound`` is and before any path's noise is drawn.
+
+    With ``n_fine > 0`` the result is a pair ``(plain, coupled)``:
+    ``coupled`` holds the first ``n_fine`` paths at ``dt`` and, on their
+    bridge-refined noise, at ``dt/2`` as ``<name>_fine``, with the
+    earlier abort time and the summed clamps.  Its ``dt`` level starts
+    as a copy of the plain first-round rows, equal to a rerun bit for
+    bit; its retry rounds run both levels.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
+    if not 0 <= n_fine <= n_paths:
+        raise ValueError(f"n_fine must lie in [0, n_paths = {n_paths}], "
+                         f"got {n_fine!r}")
     seeds = substream_seed_array(master_seed, np.arange(n_paths))
     keep = np.arange(steps_for(t_max, dt) + 1)
     if keep_idx is not None:
@@ -772,18 +782,25 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     several = isinstance(model(generate_noise(m, mu, t_max, dt, [], u_bound,
                                               eps), keep), list)
 
-    def results(chunk_seeds, bound):
-        out = model(generate_noise(m, mu, t_max, dt, chunk_seeds, bound,
-                                   eps), keep)
+    def results(noise, at=keep):
+        out = model(noise, at)
         return out if several else [out]
 
-    def run_chunk(chunk_seeds):
-        def union(rows):
-            # not np.unique: its first call imports numpy.ma (about 1 MB)
-            return np.flatnonzero(np.bincount(np.concatenate(rows),
-                                              minlength=len(chunk_seeds)))
+    def coupled(noise, coarse=None):
+        coarse = results(noise) if coarse is None else coarse
+        return [(dict(c, **{n + "_fine": a for n, a in f.items()}),
+                 np.fmin(c_at, f_at), c_clamps + f_clamps)
+                for (c, c_at, c_clamps), (f, f_at, f_clamps)
+                in zip(coarse, results(refine(noise), 2 * keep))]
 
-        first = results(chunk_seeds, u_bound)
+    def settle(level, rows, first):
+        """Retries the aborted paths of ``first``, the first round of
+        ``level(noise)`` on the seeds ``rows``."""
+        def union(retry):
+            # not np.unique: its first call imports numpy.ma (about 1 MB)
+            return np.flatnonzero(np.bincount(np.concatenate(retry),
+                                              minlength=len(rows)))
+
         retry = [np.flatnonzero(~np.isnan(aborted)) for _, aborted, _ in first]
         retried = [0] * len(first)
         tries, bound = 0, u_bound
@@ -791,7 +808,8 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
             tries += 1
             bound *= 2.0
             redo_rows = union(retry)
-            redo = results(chunk_seeds[redo_rows], bound)
+            redo = level(generate_noise(m, mu, t_max, dt, rows[redo_rows],
+                                        bound, eps))
             for j, (comps, aborted, clamps) in enumerate(first):
                 comps_r, aborted_r, clamps_r = redo[j]
                 own = np.searchsorted(redo_rows, retry[j])  # rows in redo
@@ -810,15 +828,31 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
                 for (comps, _, clamps), n in zip(first, retried)]
 
     # one chunk at a time, so only one chunk's noise is alive
-    parts = [run_chunk(seeds[lo:lo + CHUNK])
-             for lo in range(0, n_paths, CHUNK)]
-    ensembles = [
-        EnsembleResult(times=keep * dt,
-                       components={name: np.concatenate(
-                           [c[name] for c, _, _ in chunks])
-                           for name in chunks[0][0]},
-                       dt=dt, n_paths=n_paths,
-                       n_retried=sum(r for _, r, _ in chunks),
-                       n_clamped=sum(c for _, _, c in chunks))
-        for chunks in zip(*parts)]
-    return ensembles if several else ensembles[0]
+    plain_parts, coupled_parts = [], []
+    for lo in range(0, n_paths, CHUNK):
+        rows, head = seeds[lo:lo + CHUNK], seeds[lo:min(lo + CHUNK, n_fine)]
+        first = results(generate_noise(m, mu, t_max, dt, rows, u_bound, eps))
+        # copied before the plain retry rounds overwrite these rows
+        coarse = [({n: a[:len(head)].copy() for n, a in comps.items()},
+                   aborted[:len(head)].copy(), clamps[:len(head)].copy())
+                  for comps, aborted, clamps in first]
+        plain_parts.append(settle(results, rows, first))
+        if len(head):
+            coupled_parts.append(settle(coupled, head, coupled(
+                generate_noise(m, mu, t_max, dt, head, u_bound, eps),
+                coarse)))
+
+    def stack(parts, n):
+        ensembles = [
+            EnsembleResult(times=keep * dt,
+                           components={name: np.concatenate(
+                               [c[name] for c, _, _ in chunks])
+                               for name in chunks[0][0]},
+                           dt=dt, n_paths=n,
+                           n_retried=sum(r for _, r, _ in chunks),
+                           n_clamped=sum(c for _, _, c in chunks))
+            for chunks in zip(*parts)]
+        return ensembles if several else ensembles[0]
+
+    plain = stack(plain_parts, n_paths)
+    return (plain, stack(coupled_parts, n_fine)) if n_fine else plain

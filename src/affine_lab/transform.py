@@ -353,9 +353,12 @@ def solve_transforms(params: AdmissibleParams, u_list, t_grid,
         return out
 
     zero = np.zeros(len(lanes))
-    samples, peak, steps, failed_at = _dopri(
-        rhs, np.stack((u1.real, u1.imag, zero, zero)), t_grid,
-        rtol=tol, atol=tol * 1e-3)
+    # a lane that overflows gets a non-finite error norm, so its step is
+    # rejected until it fails with a TransformError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        samples, peak, steps, failed_at = _dopri(
+            rhs, np.stack((u1.real, u1.imag, zero, zero)), t_grid,
+            rtol=tol, atol=tol * 1e-3)
 
     out = []
     for i, (u_point, v1, v2) in enumerate(lanes):

@@ -13,8 +13,9 @@ them.  A row's estimate is the coarse mean over ``N`` plus the mean
 targets the ``dt/2`` level; its standard error combines both means in
 quadrature.  If the scheme error is first order in ``dt``, the bias left
 at ``dt/2`` is about ``|d|``, so the bias budget ``2 max|d|`` (plus a
-small floor) bounds it with a safety factor of two; the coupled run
-reuses the plain run's coarse rows (:func:`_two_level_runs`).
+small floor) bounds it with a safety factor of two.  One
+``run_ensemble`` call runs both, and its coupled ``dt`` level starts as
+a copy of the plain run's rows (:func:`_two_level_runs`).
 :func:`check_generators` runs the generator modes that share a thinning
 bound on one noise draw per level.
 
@@ -38,12 +39,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .noise import generate_noise, refine, steps_for, substream_seed_array
+from .noise import generate_noise, steps_for
 from .params import (AdmissibleParams, FiniteAtomicMeasure,
                      ProductExponentialMeasure, UPoint)
-from .sde import (CHUNK, _check_finite, _check_init, _reactant_starts,
-                  run_ensemble, simulate_affine, simulate_catalytic,
-                  simulate_cbi, simulate_reactant_pair)
+from .sde import (_check_finite, _check_init, _reactant_starts, run_ensemble,
+                  simulate_affine, simulate_catalytic, simulate_cbi,
+                  simulate_reactant_pair)
 from .transform import (_X_ONLY, _affine_generator_value, _as_batch,
                         _catalytic_generator_value, _cbi_generator_value,
                         _check_tol, char_fn, flow_residual, moment_functionals)
@@ -242,62 +243,15 @@ def _mean_se(w):
 
 # -- shared ensemble plumbing ----------------------------------------------
 
-def _join(coarse, fine):
-    """A coupled triple (a list from lists): the fine components as
-    ``<name>_fine``, the earlier abort time, the summed clamps."""
-    if isinstance(coarse, list):
-        return [_join(c, f) for c, f in zip(coarse, fine)]
-    comps = dict(coarse[0], **{n + "_fine": a for n, a in fine[0].items()})
-    return comps, np.fmin(coarse[1], fine[1]), coarse[2] + fine[2]
-
-
-def _head(out, rows):
-    """Copies of the first ``rows`` rows of a triple (each of a list)."""
-    if isinstance(out, list):
-        return [_head(triple, rows) for triple in out]
-    return ({n: a[:rows].copy() for n, a in out[0].items()},
-            out[1][:rows].copy(), out[2][:rows].copy())
-
-
 def _two_level_runs(core, n_paths, **kwargs):
-    """The ensembles of a two-level estimate: ``core`` on all ``n_paths``
-    paths, and a coupled run on the first ``n_fine = max(2,
-    ceil(n_paths / FINE_FRACTION))`` of them with the same master seed.
-
-    The coupled run joins ``core`` at ``dt`` with ``core`` at ``dt/2`` on
-    the same driving noise through bridge refinement, reported on the
-    coarse grid as ``<name>_fine``, so per-path differences isolate the
-    discretization error of the coarse run.  A ``core`` returning a list
-    of triples gives a list of coupled triples, one per result, from one
-    refinement of the batch.  On a chunk's first round the coarse level
-    is a copy of the plain run's first-round rows, made before any retry,
-    which equal it bit for bit; retry rounds run ``core`` at ``dt`` again.
-    Those paths' noise is still drawn twice.
-    """
-    n_fine = max(2, -(-n_paths // FINE_FRACTION))
-    seeds = substream_seed_array(kwargs["master_seed"], np.arange(n_fine))
-    chunks = [seeds[lo:lo + CHUNK] for lo in range(0, n_fine, CHUNK)]
-    kept = {}                   # chunk -> the plain run's first-round rows
-
-    def first_round(noise):     # chunk index of a first-round batch, or None
-        return next((i for i, rows in enumerate(chunks)
-                     if noise.u_bound == kwargs["u_bound"]
-                     and np.array_equal(noise.seeds[:len(rows)], rows)), None)
-
-    def plain(noise, keep):
-        out = core(noise, keep)
-        i = first_round(noise)
-        if i is not None:
-            kept[i] = _head(out, len(chunks[i]))
-        return out
-
-    def control(noise, keep):
-        i = first_round(noise)
-        coarse = kept.pop(i) if i in kept else core(noise, keep)
-        return _join(coarse, core(refine(noise), 2 * keep))
-
-    return (run_ensemble(plain, n_paths=n_paths, **kwargs),
-            run_ensemble(control, n_paths=n_fine, **kwargs))
+    """The plain and the coupled ensemble of a two-level estimate:
+    ``core`` on all ``n_paths`` paths, and at ``dt`` and ``dt/2`` on the
+    first ``max(2, ceil(n_paths / FINE_FRACTION))`` of them (see
+    ``run_ensemble``).  A ``core`` returning a list of triples gives a
+    list of each."""
+    return run_ensemble(core, n_paths=n_paths,
+                        n_fine=max(2, -(-n_paths // FINE_FRACTION)),
+                        **kwargs)
 
 
 @dataclass(frozen=True)
@@ -634,8 +588,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
     _check_n_paths(n_paths)
     u_bound = _thinning_bound(u_bound, max(x0_a, x0_b))
     n_steps = steps_for(t_max, dt)
-    keep_idx = sorted({max(1, n_steps // 4), n_steps // 2,
-                       (3 * n_steps) // 4, n_steps})
+    keep_idx = sorted({max(1, j * n_steps // 4) for j in range(1, 5)})
 
     def model(noise, keep):
         av, aa, ac = simulate_affine(params, x0_a, z0, noise, keep=keep)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from affine_lab import sde
+from affine_lab import noise as noise_module, sde
 from affine_lab.cli import parse_config, write_paths_csv
 from affine_lab.noise import (NoiseSystem, generate_noise, refine,
                               substream_seed, substream_seed_array)
@@ -438,6 +438,28 @@ def test_run_ensemble_rejects_fewer_than_one_path(monkeypatch, n_paths,
     with pytest.raises(ValueError, match="n_paths must be at least 1"):
         run_ensemble(model, m=p.m, mu=p.mu, n_paths=n_paths, master_seed=3,
                      t_max=1.0, dt=2.0 ** -8, u_bound=16.0, eps=0.0)
+
+
+@pytest.fixture
+def no_stream(monkeypatch):
+    """Make opening any Philox stream fail: a path's noise is drawn from
+    its streams, so a rule that fires first raises its own error."""
+    def refuse(*args):
+        raise AssertionError("a noise stream was opened")
+    monkeypatch.setattr(noise_module, "_stream", refuse)
+
+
+@pytest.mark.parametrize("n_fine", [-1, 9])
+def test_run_ensemble_rejects_n_fine_out_of_range(no_stream, n_fine):
+    """``n_fine`` outside ``[0, n_paths]`` is refused before any noise is
+    drawn: above ``n_paths`` the coupled ensemble would be labelled with
+    more paths than it stacks."""
+    p = jump_affine_params()
+    with pytest.raises(ValueError, match=rf"^n_fine must lie in \[0, "
+                                         rf"n_paths = 8\], got {n_fine}$"):
+        run_ensemble(affine_model(p, 1.0, 0.0), m=p.m, mu=p.mu, n_paths=8,
+                     master_seed=3, t_max=1.0, dt=2.0 ** -8, u_bound=16.0,
+                     eps=0.0, n_fine=n_fine)
 
 
 def test_stability_refusal():

@@ -378,6 +378,15 @@ def test_step_size_underflow_raises_transform_error():
                          _enforce_domain=False)
 
 
+def test_overflowing_lane_raises_transform_error_not_a_warning():
+    """A frequency whose Riccati stages overflow at t = 0 fails with its
+    ``TransformError``: the suite turns a ``RuntimeWarning`` into an
+    error, so a NumPy overflow warning from the solve would surface first."""
+    with pytest.raises(TransformError, match=r"after t=0: required step"):
+        solve_transforms(jump_affine_params(), [UPoint(-1e300, 1e300j)],
+                         [0.0, 0.5, 1.0])
+
+
 def test_char_fn_and_flow_residual_take_a_batch():
     p = jump_affine_params()
     u_list = [UPoint(-1.0, 1.0j), UPoint(-0.3, 2.0j)]

@@ -223,7 +223,8 @@ def test_moments_linear_growth_oracle():
 
 @pytest.fixture
 def ensemble_results(monkeypatch):
-    """Record every ensemble run with its result."""
+    """Record every ensemble run with its result (a two-level run's is
+    the pair of its plain and coupled ensembles)."""
     runs = []
 
     def spy(model, **kwargs):
@@ -243,12 +244,12 @@ def test_two_level_runs_share_paths(ensemble_results):
     rep = check_affine_formula(p, 1.0, 0.0, [0.25, 0.5], u_list,
                                n_paths=n, master_seed=3, dt=2.0 ** -4,
                                u_bound=16.0)
-    (_, coarse_kw, coarse), (model, kw, coupled) = ensemble_results
+    ((model, kw, (coarse, coupled)),) = ensemble_results
     n_fine = -(-n // validate.FINE_FRACTION)
     assert coarse.n_paths == n and coupled.n_paths == n_fine
-    assert dict(coarse_kw, n_paths=n_fine) == kw
+    assert kw["n_paths"] == n and kw["n_fine"] == n_fine
     assert coarse.n_retried == coupled.n_retried == 0
-    every_path = run_ensemble(model, **dict(kw, n_paths=n))
+    every_path = run_ensemble(model, **dict(kw, n_fine=n))[1]
     for name in ("x", "z"):
         assert np.array_equal(coupled.components[name],
                               coarse.components[name][:n_fine])
@@ -281,7 +282,7 @@ def test_two_level_stderr_close_to_coarse_only(ensemble_results):
            (-0.5 + 0.5j, 1j)]
     rep = check_affine_formula(p, 1.0, 0.0, [0.5, 1.0], six, n_paths=2048,
                                master_seed=1, dt=2.0 ** -10)
-    coarse = ensemble_results[0][2]
+    coarse = ensemble_results[0][2][0]
     budget = rep.details["bias_budget"]
     for row, (col, u) in zip(rep.rows, [(col, u) for col in (0, 1)
                                         for u in six]):
@@ -449,7 +450,7 @@ def test_validate_draws_generator_noise_once(monkeypatch, tmp_path):
             refined.append(noise.n_paths)
         return noise_module.refine(noise)
     monkeypatch.setattr(sde, "generate_noise", spy)
-    monkeypatch.setattr(validate, "refine", refine_spy)
+    monkeypatch.setattr(sde, "refine", refine_spy)
     n = 300
     config = parse_config(json.dumps({
         "mc": {"n_paths": n, "seed": 1},
@@ -497,14 +498,22 @@ def test_validate_builds_event_tables_once_per_noise(monkeypatch, tmp_path):
 
 # -- two-level reuse -------------------------------------------------------
 
+def join(coarse, fine):
+    """A coupled triple (a list from lists): the fine components as
+    ``<name>_fine``, the earlier abort time, the summed clamps."""
+    if isinstance(coarse, list):
+        return [join(c, f) for c, f in zip(coarse, fine)]
+    comps = dict(coarse[0], **{n + "_fine": a for n, a in fine[0].items()})
+    return comps, np.fmin(coarse[1], fine[1]), coarse[2] + fine[2]
+
+
 def oracle_two_level_runs(core, n_paths, **kwargs):
     """The two-level runs without reuse: the plain run, then the coupled
     model with its own coarse level on the first paths."""
     n_fine = max(2, -(-n_paths // validate.FINE_FRACTION))
 
     def coupled(noise, keep):
-        return validate._join(core(noise, keep),
-                              core(refine(noise), 2 * keep))
+        return join(core(noise, keep), core(refine(noise), 2 * keep))
     return (run_ensemble(core, n_paths=n_paths, **kwargs),
             run_ensemble(coupled, n_paths=n_fine, **kwargs))
 
@@ -547,7 +556,6 @@ def test_two_level_reuse_matches_oracle(monkeypatch, case, chunk):
     ensembles of the coupled run that reruns them, field for field, also
     when the coupled paths span several chunks."""
     monkeypatch.setattr(sde, "CHUNK", chunk)
-    monkeypatch.setattr(validate, "CHUNK", chunk)
     seed, u_bound, _ = REUSE_CASES[case]
     p = jump_affine_params()
     n, keep = 200, np.array([32, 64])
@@ -601,7 +609,6 @@ def test_control_joins_first_round_rows(monkeypatch):
     rows, not with those its retry round wrote, so it retries every path
     as the coupled run does."""
     monkeypatch.setattr(sde, "CHUNK", 8)
-    monkeypatch.setattr(validate, "CHUNK", 8)
 
     def core(noise, keep):
         level, n = noise.refinement_level, noise.n_paths
@@ -635,9 +642,12 @@ def test_two_level_reuse_spans_chunks():
         assert_same_ensemble(g, w)
 
 
-def test_control_runs_no_coarse_level(monkeypatch):
-    """Without retries the control's batch runs the step loop on its
-    refined noise only: no refinement-level-0 call has its path count."""
+@pytest.mark.parametrize("chunk", [sde.CHUNK, 8], ids=["chunk", "8-path"])
+def test_control_runs_no_coarse_level(monkeypatch, chunk):
+    """Without retries the control's batches run the step loop on their
+    refined noise only: the level-0 calls cover the plain run's paths
+    once and the level-1 calls the coupled ones, at any chunk size."""
+    monkeypatch.setattr(sde, "CHUNK", chunk)
     calls = []
 
     def spy(noise, *args, **kwargs):
@@ -651,7 +661,8 @@ def test_control_runs_no_coarse_level(monkeypatch):
                                [(-1.0, 0.0)], n_paths=n, master_seed=1,
                                dt=2.0 ** -6, u_bound=16.0)
     assert rep.details["n_retried"] == 0
-    assert [c for c in calls if c[0]] == [(n, 0), (n_fine, 1)]
+    assert [sum(k for k, level in calls if level == i) for i in (0, 1)] \
+        == [n, n_fine]
 
 
 # -- uniqueness ------------------------------------------------------------
@@ -696,6 +707,15 @@ def test_uniqueness_deterministic_decay_oracle():
             t = float(row.quantity.split("=")[1])
             assert row.observed == pytest.approx(
                 0.5 * np.exp(-0.8 * t), abs=20 * dt)
+    # At one grid step every quarter-horizon index is that step: no row
+    # reads t = 0, where the separation equals its prediction by
+    # construction.
+    rep = uniqueness_experiment(params, 1.0, 1.5, t_max=dt, n_paths=3,
+                                master_seed=7, dt=dt)
+    assert [r.quantity for r in rep.rows[1:]] == \
+        [f"mean separation t={dt:g}"]
+    assert rep.rows[1].observed == pytest.approx(0.5 * np.exp(-0.8 * dt),
+                                                 abs=20 * dt)
 
 
 def test_uniqueness_zero_beta_contraction():
