@@ -21,8 +21,7 @@ def main():
     print(f"jump-affine paths on [0, {T_MAX:g}], dt = {DT:g}")
     print(f"{'seed':>4}  {'x(1)':>8}  {'z(1)':>8}  {'max x':>8}  "
           f"{'min z':>8}  {'n0':>3}  {'n1':>3}  {'clamps':>6}")
-    noise = generate_noise(params.m, params.mu, T_MAX, DT, SEEDS, U_BOUND,
-                           eps=0.0)
+    noise = generate_noise(params.m, params.mu, T_MAX, DT, SEEDS, U_BOUND)
     comps, _, clamps = simulate_affine(params, 1.0, 0.0, noise)
     n0 = np.bincount(noise.n0_path, minlength=len(SEEDS))
     n1 = np.bincount(noise.n1_path, minlength=len(SEEDS))

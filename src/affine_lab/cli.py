@@ -54,7 +54,7 @@ from .validate import (GENERATOR_MODES, _check_ladder, _check_n_paths,
                        fluctuation_experiment, sc_semigroup_check,
                        uniqueness_experiment)
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 _CHECK_NAMES = ("semigroup", "affine_formula", "moments", "generator",
                 "uniqueness")
@@ -236,8 +236,7 @@ _GENERATOR_STATES = {"affine": (_as_vec, [0.7, -0.4]),
 _SCHEMA = {
     "grid": {"t_max": (_as_pos, 1.0), "dt": (_as_pos, 2.0 ** -10)},
     "mc": {"n_paths": (partial(_as_int, minimum=1), 1000),
-           "seed": (_as_seed, 0), "eps": (_as_nonneg, 1e-4),
-           "u_bound": (_as_pos, 16.0)},
+           "seed": (_as_seed, 0), "u_bound": (_as_pos, 16.0)},
     "transform": {"tol": (_as_pos, 1e-9),
                   "u_list": (_as_u_list, [[[-1.0, 0.0], [0.0, 0.0]],
                                           [[-0.5, 0.0], [0.0, 1.0]],
@@ -405,10 +404,6 @@ class RunConfig:
         return self.resolved["mc"]["seed"]
 
     @property
-    def eps(self):
-        return self.resolved["mc"]["eps"]
-
-    @property
     def u_bound(self):
         return self.resolved["mc"]["u_bound"]
 
@@ -449,12 +444,20 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _config_from_dict(doc: dict) -> RunConfig:
-    # Errors come in a fixed order: unknown keys in any block, then the
-    # parameter record, then each value, then the rules across keys.
+    # Errors come in a fixed order: unknown blocks, a nonzero mc.eps,
+    # unknown keys in any block, then the parameter record, then each
+    # value, then the rules across keys.
     names = ("params", *_SCHEMA)
     _reject_unknown(doc, names, "$")
     blocks = {name: _as_object(doc.get(name, {}), f"$.{name}")
               for name in names}
+    # both streams sample the full jump measures, which the transform
+    # integrates; a config may still state the removed cut as 0
+    mc = blocks["mc"] = dict(blocks["mc"])
+    eps = mc.pop("eps", 0)
+    if isinstance(eps, bool) or eps != 0:
+        raise ConfigError("$.mc.eps: the small-jump truncation was removed; "
+                          "only 0 is accepted")
     for name, schema in _SCHEMA.items():
         _reject_unknown(blocks[name], schema, f"$.{name}")
     params, params_doc = _parse_params(blocks["params"] or
@@ -525,8 +528,7 @@ def _config_from_dict(doc: dict) -> RunConfig:
 
 def _metadata(config: RunConfig) -> dict:
     return {"artifact_version": ARTIFACT_VERSION, "rng": RNG_ID,
-            "seed": config.seed, "dt": config.dt, "eps": config.eps,
-            "u_bound": config.u_bound}
+            "seed": config.seed, "dt": config.dt, "u_bound": config.u_bound}
 
 
 # rows per ``%`` call of the CSV writer
@@ -643,7 +645,7 @@ def _cmd_simulate(config, out, stdout):
     n_saved = min(sim["n_saved_paths"], config.n_paths)
     seeds = substream_seed_array(config.seed, np.arange(n_saved))
     noise = generate_noise(config.params.m, config.params.mu, config.t_max,
-                           config.dt, seeds, config.u_bound, config.eps)
+                           config.dt, seeds, config.u_bound)
     if sim["system"] == "affine":
         paths, aborted_at, _ = simulate_affine(config.params, sim["x0"],
                                                sim["z0"], noise)
@@ -683,12 +685,11 @@ def _cmd_validate(config, out, stdout):
         elif check == "affine_formula":
             reports.append(check_affine_formula(
                 config.params, val["x0"], val["z0"], val["t_list"],
-                config.u_list, dt=config.dt, eps=config.eps,
-                tol=config.tol, **mc))
+                config.u_list, dt=config.dt, tol=config.tol, **mc))
         elif check == "moments":
             reports.append(check_moments(
                 config.params, val["x0"], val["z0"], val["t_list"],
-                dt=config.dt, eps=config.eps, **mc))
+                dt=config.dt, **mc))
         elif check == "generator":
             reports.extend(check_generators(config.params, {
                 mode: val["generator_states"][mode]
@@ -696,7 +697,7 @@ def _cmd_validate(config, out, stdout):
         else:
             reports.append(uniqueness_experiment(
                 config.params, val["x0"], val["x0_b"], t_max=config.t_max,
-                dt=config.dt, z0=val["z0"], eps=config.eps, **mc))
+                dt=config.dt, z0=val["z0"], **mc))
     return reports
 
 
@@ -706,7 +707,7 @@ def _cmd_limit(config, out, stdout):
         config.params, lim["theta_ladder"], mode=lim["mode"],
         t_max=config.t_max, n_paths=config.n_paths,
         master_seed=config.seed, dt=config.dt, x0=lim["x0"], z0=lim["z0"],
-        u_bound=config.u_bound, eps=config.eps,
+        u_bound=config.u_bound,
         deterministic_rate_check=lim["deterministic_rate_check"],
         split=config.split)]
 

@@ -106,7 +106,7 @@ def _check_seed(value, name: str = "seed") -> int:
     return seed
 
 
-def _as_seeds(seed) -> np.ndarray:
+def _as_seeds(seed, name: str = "seed") -> np.ndarray:
     """One seed or a 1-d sequence of seeds as a checked uint64 array.
 
     Read as Python ints: a plain ``np.asarray`` rounds a list holding a
@@ -118,8 +118,8 @@ def _as_seeds(seed) -> np.ndarray:
         return seed.copy()
     values = np.asarray(seed, dtype=object)
     if values.ndim > 1:
-        raise ValueError(f"seed must be 1-d, got shape {values.shape}")
-    return np.array([_check_seed(v) for v in values.reshape(-1)],
+        raise ValueError(f"{name} must be 1-d, got shape {values.shape}")
+    return np.array([_check_seed(v, name) for v in values.reshape(-1)],
                     dtype=np.uint64)
 
 
@@ -127,10 +127,11 @@ def substream_seed(master_seed: int, index: int) -> int:
     """Derive the seed of path ``index`` from ``master_seed``.
 
     SplitMix64 finalizer applied to ``master + GOLDEN * (index + 1)``; the
-    odd multiplier makes the map injective in ``index`` (mod 2**64).
+    odd multiplier makes the map injective in ``index``, an integer in
+    ``[0, 2**64)`` like the seeds.
     """
     z = (_check_seed(master_seed, "master_seed")
-         + _GOLDEN * (int(index) + 1)) & _MASK64
+         + _GOLDEN * (_check_seed(index, "index") + 1)) & _MASK64
     z ^= z >> 30
     z = (z * _MIX1) & _MASK64
     z ^= z >> 27
@@ -140,11 +141,18 @@ def substream_seed(master_seed: int, index: int) -> int:
 
 
 def substream_seed_array(master_seed: int, indices) -> np.ndarray:
-    """Vectorized twin of :func:`substream_seed` (uint64 in, uint64 out)."""
+    """Vectorized twin of :func:`substream_seed` (uint64 out).  The indices
+    are integers in ``[0, 2**64)``, read like seeds unless they come as an
+    integer array."""
     master = np.uint64(_check_seed(master_seed, "master_seed"))
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":      # floats, or ints NumPy could not hold
+        idx = _as_seeds(indices, "index")
+    elif idx.size and idx.min() < 0:
+        raise ValueError(f"index {idx.min()} is outside [0, 2**64)")
     with np.errstate(over="ignore"):
         z = master + np.uint64(_GOLDEN) * (
-            np.asarray(indices, dtype=np.uint64) + np.uint64(1))
+            idx.astype(np.uint64) + np.uint64(1))
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
@@ -222,7 +230,6 @@ class NoiseSystem:
     t_max: float
     dt: float
     u_bound: float
-    eps: float
     brownian: np.ndarray
     n0_path: np.ndarray
     n0_times: np.ndarray
@@ -310,7 +317,7 @@ def _event_times(rng, rate, t_max, first):
         times = gaps = np.empty(size)
 
 
-def _path_events(key, role, rate, t_max, measure, eps, u_bound):
+def _path_events(key, role, rate, t_max, measure, u_bound):
     """One path's times, umarks (if ``u_bound``) and mark draws, drawn
     call by call from its stream's start; ``None`` if it has no events."""
     rng = _stream(key, role)
@@ -320,10 +327,10 @@ def _path_events(key, role, rate, t_max, measure, eps, u_bound):
     times = _event_times(rng, rate, t_max, first)
     umarks = () if u_bound is None else (rng.uniform(0.0, u_bound,
                                                      size=len(times)),)
-    return times, *umarks, measure._mark_draws(rng, len(times), eps)
+    return times, *umarks, measure._mark_draws(rng, len(times))
 
 
-def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
+def _stream_events(keys, role, rate, t_max, measure, u_bound=None):
     """Path tags, then times, umarks (if ``u_bound``) and marks of one
     stream over the batch, flat in path order; a path without events
     (its first gap past ``t_max``) adds nothing but a zero count.
@@ -338,7 +345,7 @@ def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
     out = [[np.empty(0)] for _ in range(1 + (u_bound is not None))] + [[]]
     if rate > 0.0 and not measure._uniform_draws:
         for p, key in enumerate(keys):
-            path = _path_events(key, role, rate, t_max, measure, eps, u_bound)
+            path = _path_events(key, role, rate, t_max, measure, u_bound)
             if path is not None:
                 counts[p] = len(path[0])
                 # by index: a name left on out[-1] would keep the draws
@@ -371,7 +378,7 @@ def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
             fields.append(u[take])
             if len(full):           # splice in the full rows, redrawn
                 redrawn = [_path_events(keys[rows[i]], role, rate, t_max,
-                                        measure, eps, u_bound) for i in full]
+                                        measure, u_bound) for i in full]
                 lens = [len(path[0]) for path in redrawn]
                 at = np.repeat(np.cumsum(n)[full], lens)
                 fields = [np.insert(value, at, np.concatenate(extra))
@@ -396,7 +403,7 @@ def _stream_events(keys, role, rate, t_max, measure, eps, u_bound=None):
         if rows:
             flush()
     draws = out.pop()
-    marks = measure._marks(draws, eps) if draws else np.empty((0, 2))
+    marks = measure._marks(draws) if draws else np.empty((0, 2))
     del draws               # before the other fields are joined
     return (np.repeat(np.arange(len(keys), dtype=np.intp), counts),
             *map(np.concatenate, out), marks)
@@ -424,32 +431,30 @@ def _normals(keys, role, scale, n_steps):
 
 
 def generate_noise(m, mu, t_max: float, dt: float, seed,
-                   u_bound: float, eps: float) -> NoiseSystem:
+                   u_bound: float) -> NoiseSystem:
     """Generate the noise of one path per seed.
 
     ``seed`` is one seed or a 1-d sequence of seeds, each in
     ``[0, 2**64)``; path ``p`` is a pure function of ``seed[p]`` and the
     other arguments, so a batch equals its single-seed batches
-    concatenated.  ``m`` feeds N0 at rate ``m.mass(eps=eps)``; ``mu``
-    feeds the candidate stream N1 at rate ``u_bound * mu.mass(eps=eps)``.
-    Empty (or fully truncated) measures produce no events without
-    consuming any randomness.  An empty batch draws nothing, so only a
+    concatenated.  ``m`` feeds N0 at rate ``m.mass()``; ``mu`` feeds the
+    candidate stream N1 at rate ``u_bound * mu.mass()``.  Both measures
+    are sampled whole: empty measures produce no events without consuming
+    any randomness.  An empty batch draws nothing, so only a
     batch with a path checks ``u_bound``: ``run_ensemble`` runs its model
     on an empty batch to check its inputs before it checks the bound.
     Neither stream may expect more than ``_MAX_EVENTS`` events per path,
     since each path's first gap batch is sized by that expectation.
     """
     n_steps = steps_for(t_max, dt)
-    if not np.isfinite(eps) or eps < 0.0:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     seeds = _as_seeds(seed)
     if len(seeds):
         if not np.isfinite(u_bound):
             raise ValueError(f"u_bound must be finite, got {u_bound!r}")
         if u_bound <= 0.0 and not mu.is_empty:
             raise ValueError("u_bound must be positive when mu is nonempty")
-        for name, rate in (("u_bound", u_bound * mu.mass(eps=eps)),
-                           ("the mass of m", m.mass(eps=eps))):
+        for name, rate in (("u_bound", u_bound * mu.mass()),
+                           ("the mass of m", m.mass())):
             if rate * t_max > _MAX_EVENTS:
                 raise ValueError(f"{name} asks for {rate * t_max:.6g} "
                                  f"expected events per path on [0, "
@@ -457,12 +462,12 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
 
     keys = _philox_keys(seeds)
     brownian = _normals(keys, ROLE_BROWNIAN, np.sqrt(dt), n_steps)
-    n0 = _stream_events(keys, ROLE_N0, m.mass(eps=eps), t_max, m, eps)
-    n1 = _stream_events(keys, ROLE_N1, u_bound * mu.mass(eps=eps), t_max,
-                        mu, eps, u_bound)
+    n0 = _stream_events(keys, ROLE_N0, m.mass(), t_max, m)
+    n1 = _stream_events(keys, ROLE_N1, u_bound * mu.mass(), t_max, mu,
+                        u_bound)
     # the event fields in the order of NoiseSystem's, as the streams give them
     return NoiseSystem(seeds, float(t_max), float(dt), float(u_bound),
-                       float(eps), brownian, *n0, *n1)
+                       brownian, *n0, *n1)
 
 
 def refine(noise: NoiseSystem) -> NoiseSystem:

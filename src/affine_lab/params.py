@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,7 +138,6 @@ class FiniteAtomicMeasure:
             raise ValueError("atoms must avoid the origin")
         object.__setattr__(self, "atoms", pts)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_cdfs", {})  # eps -> (kept atoms, cdf)
         object.__setattr__(self, "_moments", {})  # query -> poly_moment
 
     # -- queries ---------------------------------------------------------
@@ -146,19 +146,13 @@ class FiniteAtomicMeasure:
     def is_empty(self) -> bool:
         return self.atoms.shape[0] == 0
 
-    def _mask(self, region, eps):
-        keep = _region_mask(self.atoms[:, 1], region)
-        if eps > 0.0:
-            keep &= np.maximum(self.atoms[:, 0], np.abs(self.atoms[:, 1])) > eps
-        return keep
+    def mass(self, region="all") -> float:
+        return self.poly_moment(0, 0, region)
 
-    def mass(self, region="all", eps=0.0) -> float:
-        return self.poly_moment(0, 0, region, eps)
-
-    def poly_moment(self, p1, p2, region="all", eps=0.0) -> float:
-        query = (p1, p2, region, eps)   # each simulator call reads several
+    def poly_moment(self, p1, p2, region="all") -> float:
+        query = (p1, p2, region)   # each simulator call reads several
         if query not in self._moments:
-            k = self._mask(region, eps)
+            k = _region_mask(self.atoms[:, 1], region)
             v = self.weights[k] * self.atoms[k, 0] ** p1
             self._moments[query] = float((v * self.atoms[k, 1] ** p2).sum())
         return self._moments[query]
@@ -197,50 +191,44 @@ class FiniteAtomicMeasure:
             out += row
         return _unlane(out)
 
-    def sample(self, rng, n, eps=0.0):
-        """Draw ``n`` marks from the band-normalized measure.
+    def sample(self, rng, n):
+        """Draw ``n`` marks from the normalized measure.
 
         The draws equal ``rng.choice(len(w), size=n, p=w / w.sum())`` over
-        the kept weights ``w``, from a CDF built once per ``eps`` the way
+        the weights ``w``, from a CDF built once the way
         ``Generator.choice`` builds it.
         """
-        return self._marks([self._mark_draws(rng, n, eps)], eps)
+        return self._marks([self._mark_draws(rng, n)])
 
     # sample, split for a batch of streams: uniforms per stream, one lookup;
     # plain uniforms, so a stream may read them from a block buffer
     _uniform_draws = True
 
-    def _mark_draws(self, rng, n, eps):
+    def _mark_draws(self, rng, n):
         return rng.random(n)
 
-    def _marks(self, draws, eps):
-        cached = self._cdfs.get(eps)
-        if cached is None:
-            keep = self._mask("all", eps)
-            w = self.weights[keep]
-            total = w.sum()
-            if total <= 0.0:
-                raise ValueError("no atoms outside the truncation band")
-            cdf = (w / total).cumsum()
-            cdf /= cdf[-1]
-            cached = self._cdfs[eps] = (self.atoms[keep], cdf)
-        atoms, cdf = cached
-        return atoms[cdf.searchsorted(np.concatenate(draws), side="right")]
+    def _marks(self, draws):
+        return self.atoms[self._cdf.searchsorted(np.concatenate(draws),
+                                                 side="right")]
+
+    @cached_property
+    def _cdf(self):
+        if self.is_empty:
+            raise ValueError("an empty measure has no marks to draw")
+        cdf = (self.weights / self.weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
 
 def _exp_partial(p, rate, cutoff):
-    """``int_0^c x**p * rate * exp(-rate x) dx`` for p in {0, 1, 2}."""
-    if cutoff <= 0.0:
-        return 0.0
+    """``int_0^c x**p * rate * exp(-rate x) dx`` for p in {1, 2}."""
     rc = rate * cutoff
     e = math.exp(-rc)
-    if p == 0:
-        return 1.0 - e
     if p == 1:
         return (1.0 - e * (1.0 + rc)) / rate
     if p == 2:
         return (2.0 - e * (2.0 + 2.0 * rc + rc * rc)) / (rate * rate)
-    raise ValueError("partial moments implemented for p <= 2")
+    raise ValueError("partial moments implemented for p in {1, 2}")
 
 
 def _exp_l12(rate):
@@ -255,8 +243,8 @@ class ProductExponentialMeasure:
 
     ``xi1 ~ Exp(rate1)`` on ``[0, inf)``; independently ``xi2`` is a
     two-sided exponential with ``P(xi2 > 0) = sign_mix`` and ``|xi2| ~
-    Exp(rate2)``.  Moment and exponential-integral queries always integrate
-    the full measure unless an explicit band is requested.
+    Exp(rate2)``.  Moment and exponential-integral queries integrate the
+    full measure.
     """
 
     total_rate: float
@@ -278,16 +266,11 @@ class ProductExponentialMeasure:
 
     # probability-law marginal moments -----------------------------------
 
-    def _m1(self, p, cutoff=None):
-        if cutoff is None:
-            return math.factorial(p) / self.rate1 ** p
-        return _exp_partial(p, self.rate1, cutoff)
+    def _m1(self, p):
+        return math.factorial(p) / self.rate1 ** p
 
-    def _m2(self, p, region, cutoff=None):
-        if cutoff is None:
-            base = math.factorial(p) / self.rate2 ** p
-        else:
-            base = _exp_partial(p, self.rate2, cutoff)
+    def _m2(self, p, region):
+        base = math.factorial(p) / self.rate2 ** p
         plus = self.sign_mix * base
         minus = (1.0 - self.sign_mix) * ((-1.0) ** p) * base
         if region == "plus":
@@ -298,13 +281,11 @@ class ProductExponentialMeasure:
             return plus + minus
         raise ValueError(f"unknown region {region!r}")
 
-    def mass(self, region="all", eps=0.0) -> float:
-        return self.poly_moment(0, 0, region, eps)
+    def mass(self, region="all") -> float:
+        return self.poly_moment(0, 0, region)
 
-    def poly_moment(self, p1, p2, region="all", eps=0.0) -> float:
-        full = self._m1(p1) * self._m2(p2, region)
-        inside = self._m1(p1, eps) * self._m2(p2, region, eps) if eps > 0.0 else 0.0
-        return self.total_rate * (full - inside)
+    def poly_moment(self, p1, p2, region="all") -> float:
+        return self.total_rate * (self._m1(p1) * self._m2(p2, region))
 
     def l1_moment(self, coord) -> float:
         if coord == 0:
@@ -343,30 +324,23 @@ class ProductExponentialMeasure:
             out = out - u2 * self._m2(1, region)
         return _unlane(self.total_rate * out)
 
-    def sample(self, rng, n, eps=0.0):
-        """Draw ``n`` marks, rejecting the ``eps``-box around the origin."""
-        out = np.empty((n, 2))
-        filled = 0
-        while filled < n:
-            batch = max(n - filled, 16)
-            xi1 = rng.exponential(1.0 / self.rate1, size=batch)
-            mag = rng.exponential(1.0 / self.rate2, size=batch)
-            sign = np.where(rng.random(batch) < self.sign_mix, 1.0, -1.0)
-            xi2 = sign * mag
-            ok = np.maximum(xi1, mag) > eps
-            take = min(int(ok.sum()), n - filled)
-            out[filled:filled + take, 0] = xi1[ok][:take]
-            out[filled:filled + take, 1] = xi2[ok][:take]
-            filled += take
-        return out
+    def sample(self, rng, n):
+        """Draw ``n`` marks: ``xi1``, then ``|xi2|``, then the signs of
+        ``xi2``, each as one batch of ``max(n, 16)`` draws, the first ``n``
+        kept (the stream layout the golden digests pin)."""
+        size = max(n, 16)
+        xi1 = rng.exponential(1.0 / self.rate1, size=size)
+        mag = rng.exponential(1.0 / self.rate2, size=size)
+        sign = np.where(rng.random(size) < self.sign_mix, 1.0, -1.0)
+        return np.column_stack((xi1, sign * mag))[:n]
 
     # sample, split as FiniteAtomicMeasure's: marks drawn whole per stream
     _uniform_draws = False
 
-    def _mark_draws(self, rng, n, eps):
-        return self.sample(rng, n, eps)
+    def _mark_draws(self, rng, n):
+        return self.sample(rng, n)
 
-    def _marks(self, draws, eps):
+    def _marks(self, draws):
         return np.concatenate(draws)
 
 

@@ -474,20 +474,18 @@ def _add_reactant_noise(new, tmp, s, dB, v, c0, c1, c2):
     return new
 
 
-def _catalyst(params, x0, dt, eps):
+def _catalyst(params, x0, dt):
     """The first coordinate, one definition for every pair system so the
     catalyst path is bitwise identical across them for shared noise."""
     s11, s12 = params.sigma[0]
     euler = _branching_euler(dt, params.b[0], params.beta[0, 0],
                              lambda dB: _mix(dB, s11, s12))
     return _Coord("x", x0, euler, _catalyst_intensity, _xi1, _xi1,
-                  comp=_thinning_comp(dt, params.mu.poly_moment(1, 0,
-                                                                eps=eps),
-                                      _DT_X),
+                  comp=_thinning_comp(dt, params.mu.poly_moment(1, 0), _DT_X),
                   clamp=True)
 
 
-def _linear_partner(params, name, z0, region, dt, eps):
+def _linear_partner(params, name, z0, region, dt):
     """The real second coordinate driven by the catalyst; ``region``
     restricts which jump marks it reads ("plus" gives the one-sided limit
     equation of the single reactant)."""
@@ -513,12 +511,12 @@ def _linear_partner(params, name, z0, region, dt, eps):
 
     marks = _region_marks(region)
     return _Coord(name, z0, euler, _catalyst_intensity, marks, marks,
-                  m=params.m.poly_moment(0, 1, region, eps),
-                  comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, region,
-                                                                eps), _DT_X))
+                  m=params.m.poly_moment(0, 1, region),
+                  comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, region),
+                                      _DT_X))
 
 
-def _reactant(params, name, y0, theta, coefs, region, dt, eps):
+def _reactant(params, name, y0, theta, coefs, region, dt):
     """A reactant at scale ``theta`` (one row per copy) carrying ``coefs =
     (sigma0, sigma21, sigma22, b2, beta21)`` and the marks of one
     quadrant: "plus" reads them as they are, "minus" sign-flipped."""
@@ -526,8 +524,8 @@ def _reactant(params, name, y0, theta, coefs, region, dt, eps):
     b22 = params.beta[1, 1]
     lead = -theta * b22
     sign = 1.0 if region == "plus" else -1.0
-    m_c = sign * params.m.poly_moment(0, 1, region, eps)
-    mu_c = sign * params.mu.poly_moment(0, 1, region, eps)
+    m_c = sign * params.m.poly_moment(0, 1, region)
+    mu_c = sign * params.mu.poly_moment(0, 1, region)
 
     def ratio(s):
         return _shared(s, (name, "/theta"), np.divide, s[name], theta)
@@ -578,7 +576,7 @@ def simulate_cbi(params: AdmissibleParams, x0: float, theta0: float,
     dt = noise.dt
     b, beta, sigma = params.b[0], params.beta[0, 0], params.sigma[0]
     _stability_guard(dt, beta, "|beta11|")
-    mu_x1 = params.mu.poly_moment(1, 0, eps=noise.eps)
+    mu_x1 = params.mu.poly_moment(1, 0)
 
     euler = _branching_euler(
         dt, b, beta, lambda dB: np.einsum("pj,j->p", dB[:, 1:3], sigma))
@@ -605,9 +603,8 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
     """
     x0, z0 = _check_init("x0", x0), _check_finite("z0", z0)
     _check_dt(noise.dt, params)
-    coords = [_catalyst(params, x0, noise.dt, noise.eps),
-              _linear_partner(params, "z", z0, z_region, noise.dt,
-                              noise.eps)]
+    coords = [_catalyst(params, x0, noise.dt),
+              _linear_partner(params, "z", z0, z_region, noise.dt)]
     return _step_loop(noise, coords, not params.mu.is_empty, keep)
 
 
@@ -642,10 +639,9 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
     plus = _region_marks("plus")
     # Immigration marks in the positive quadrant, uncompensated.
     y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
-               comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, "plus",
-                                                             noise.eps)),
+               comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, "plus")),
                clamp=True)
-    return _step_loop(noise, [_catalyst(params, x0, dt, noise.eps), y],
+    return _step_loop(noise, [_catalyst(params, x0, dt), y],
                       not params.mu.is_empty, keep)
 
 
@@ -700,22 +696,22 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
     if split is not None and not pair:
         raise ValueError("a split applies only in pair mode; the single "
                          "reactant carries the undecomposed coefficients")
-    dt, eps = noise.dt, noise.eps
+    dt = noise.dt
     _check_dt(dt, params)
 
     scales = np.array(rungs, dtype=float)[:, None]  # one row per rung
-    coords = [_catalyst(params, x0, dt, eps)]
+    coords = [_catalyst(params, x0, dt)]
     if pair:
         split = ParameterSplit.from_params(params) if split is None else split
         split.check_against(params)
         coords.append(_reactant(params, "y_plus", yp0, scales,
-                                split._part("pos"), "plus", dt, eps))
+                                split._part("pos"), "plus", dt))
         coords.append(_reactant(params, "y_minus", ym0, scales,
-                                split._part("neg"), "minus", dt, eps))
+                                split._part("neg"), "minus", dt))
     else:
         coords.append(_reactant(params, "y", yp0, scales,
                                 tuple(read(params) for _, read in _SPLIT),
-                                "plus", dt, eps))
+                                "plus", dt))
 
     def centered(s, theta):
         return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta
@@ -724,7 +720,7 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
     if with_limit:
         coords.append(_linear_partner(params, "z_lim",
                                       _check_finite("z0", z0),
-                                      "all" if pair else "plus", dt, eps))
+                                      "all" if pair else "plus", dt))
         def gap(s):
             d = centered(s, scales)
             return np.abs(np.subtract(d, s["z_lim"], out=d), out=d)
@@ -741,7 +737,7 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
 # -- ensemble driver -------------------------------------------------------
 
 def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
-                 u_bound, eps, keep_idx=None, n_fine=0):
+                 u_bound, keep_idx=None, n_fine=0):
     """Run a batch model over substream-seeded paths and stack the output.
 
     ``model(noise, keep)`` is a pure function of the batch ``NoiseSystem``
@@ -779,8 +775,8 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     keep = np.arange(steps_for(t_max, dt) + 1)
     if keep_idx is not None:
         keep = keep[keep_idx]
-    several = isinstance(model(generate_noise(m, mu, t_max, dt, [], u_bound,
-                                              eps), keep), list)
+    several = isinstance(model(generate_noise(m, mu, t_max, dt, [], u_bound),
+                               keep), list)
 
     def results(noise, at=keep):
         out = model(noise, at)
@@ -809,7 +805,7 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
             bound *= 2.0
             redo_rows = union(retry)
             redo = level(generate_noise(m, mu, t_max, dt, rows[redo_rows],
-                                        bound, eps))
+                                        bound))
             for j, (comps, aborted, clamps) in enumerate(first):
                 comps_r, aborted_r, clamps_r = redo[j]
                 own = np.searchsorted(redo_rows, retry[j])  # rows in redo
@@ -831,7 +827,7 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     plain_parts, coupled_parts = [], []
     for lo in range(0, n_paths, CHUNK):
         rows, head = seeds[lo:lo + CHUNK], seeds[lo:min(lo + CHUNK, n_fine)]
-        first = results(generate_noise(m, mu, t_max, dt, rows, u_bound, eps))
+        first = results(generate_noise(m, mu, t_max, dt, rows, u_bound))
         # copied before the plain retry rounds overwrite these rows
         coarse = [({n: a[:len(head)].copy() for n, a in comps.items()},
                    aborted[:len(head)].copy(), clamps[:len(head)].copy())
@@ -839,7 +835,7 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
         plain_parts.append(settle(results, rows, first))
         if len(head):
             coupled_parts.append(settle(coupled, head, coupled(
-                generate_noise(m, mu, t_max, dt, head, u_bound, eps),
+                generate_noise(m, mu, t_max, dt, head, u_bound),
                 coarse)))
 
     def stack(parts, n):

@@ -320,7 +320,8 @@ def _thinning_bound(u_bound, intensity):
     return 8.0 * (1.0 + intensity) if u_bound is None else u_bound
 
 
-def _coupled_affine(params, x0, z0, t_list, dt, u_bound, n_paths, **kwargs):
+def _coupled_affine(params, x0, z0, t_list, dt, u_bound, n_paths,
+                    master_seed):
     """The two-level pair ensembles kept at ``t_list``, and their thinning
     bound (default ``8 (1 + x0)``)."""
     _check_n_paths(n_paths)
@@ -329,13 +330,13 @@ def _coupled_affine(params, x0, z0, t_list, dt, u_bound, n_paths, **kwargs):
     return _two_level_runs(
         lambda ns, keep: simulate_affine(params, x0, z0, ns, keep=keep),
         n_paths, m=params.m, mu=params.mu, t_max=max(t_list), dt=dt,
-        u_bound=u_bound, keep_idx=keep_idx, **kwargs), u_bound
+        u_bound=u_bound, keep_idx=keep_idx, master_seed=master_seed), u_bound
 
 
 # -- transform-versus-simulation checks ------------------------------------
 
 def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
-                         master_seed, dt=DEFAULT_DT, u_bound=None, eps=0.0,
+                         master_seed, dt=DEFAULT_DT, u_bound=None,
                          tol=1e-9) -> ExperimentReport:
     """Empirical characteristic function against the exact transform.
 
@@ -348,7 +349,7 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     u_pts, labels = _u_labels(u_list)
     (ens, ctl), u_bound = _coupled_affine(
         params, x0, z0, t_list, dt, u_bound, n_paths=n_paths,
-        master_seed=master_seed, eps=eps)
+        master_seed=master_seed)
     stats, predicted = {}, {}
     for col, t in enumerate(t_list):
         values = char_fn(params, (x0, z0), t, u_pts, tol)  # one lane batch
@@ -365,14 +366,14 @@ def check_affine_formula(params, x0, z0, t_list, u_list, *, n_paths,
     inputs = {"params": _params_fingerprint(params), "x0": x0, "z0": z0,
               "t_list": list(t_list), "u_list": _jsonable(u_pts),
               "n_paths": n_paths, "master_seed": master_seed, "dt": dt,
-              "u_bound": u_bound, "eps": eps, "tol": tol}
+              "u_bound": u_bound, "tol": tol}
     details = {"bias_budget": budget,
                **_two_level_details(ens, ctl, stats)}
     return ExperimentReport("affine-formula", inputs, tuple(rows), details)
 
 
 def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
-                  dt=DEFAULT_DT, u_bound=None, eps=0.0) -> ExperimentReport:
+                  dt=DEFAULT_DT, u_bound=None) -> ExperimentReport:
     """First moments against their closed forms, plus the a-priori bound.
 
     Two-sided rows compare two-level estimates of ``E[x(t)]`` and
@@ -383,7 +384,7 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
     """
     (ens, ctl), u_bound = _coupled_affine(
         params, x0, z0, t_list, dt, u_bound, n_paths=n_paths,
-        master_seed=master_seed, eps=eps)
+        master_seed=master_seed)
     mf = moment_functionals(params)
     stats, predicted = {}, {}
     for col, t in enumerate(t_list):
@@ -406,8 +407,7 @@ def check_moments(params, x0, z0, t_list, *, n_paths, master_seed,
                          3.0 * est.stderr + budget, sided="upper"))
     inputs = {"params": _params_fingerprint(params), "x0": x0, "z0": z0,
               "t_list": list(t_list), "n_paths": n_paths,
-              "master_seed": master_seed, "dt": dt, "u_bound": u_bound,
-              "eps": eps}
+              "master_seed": master_seed, "dt": dt, "u_bound": u_bound}
     details = {"bias_budget": budget,
                **_two_level_details(ens, ctl, stats)}
     return ExperimentReport("moments", inputs, tuple(rows), details)
@@ -450,8 +450,7 @@ def check_generators(params, states, *, n_paths, master_seed,
     The expectation is the two-level estimate of the ``delta/2`` level
     (see the module docstring); each catalog function gets its own bias
     budget ``(2 |d| + floor) / delta`` from its mean coupled difference
-    ``d``.  Runs at full jump measures (no truncation band), where every
-    closed form on the right-hand side is exact.
+    ``d``.
 
     An empty ``states`` is refused.  Every mode's inputs are checked, and
     its simulator's rules by a run on an empty batch, before any noise is
@@ -470,8 +469,8 @@ def check_generators(params, states, *, n_paths, master_seed,
     _check_n_paths(n_paths)
     groups = {}
     for which, (bound, core, _) in modes.items():
-        core(generate_noise(params.m, params.mu, delta, delta, [], bound,
-                            0.0), np.array([1]))
+        core(generate_noise(params.m, params.mu, delta, delta, [], bound),
+             np.array([1]))
         groups.setdefault(bound, []).append(which)
     runs = {}
     for bound, group in groups.items():
@@ -479,8 +478,7 @@ def check_generators(params, states, *, n_paths, master_seed,
             return [modes[which][1](noise, keep) for which in group]
         ens, ctl = _two_level_runs(cores, n_paths, m=params.m, mu=params.mu,
                                    master_seed=master_seed, t_max=delta,
-                                   dt=delta, u_bound=bound, eps=0.0,
-                                   keep_idx=[1])
+                                   dt=delta, u_bound=bound, keep_idx=[1])
         runs.update(zip(group, zip(ens, ctl)))
     return [report(*runs[which]) for which, (_, _, report) in modes.items()]
 
@@ -572,8 +570,8 @@ def _generator_mode(params, which, state, *, delta, f, n_paths, master_seed,
 # -- pathwise uniqueness and contraction -----------------------------------
 
 def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
-                          master_seed, dt=2.0 ** -8, z0=0.0, u_bound=None,
-                          eps=0.0) -> ExperimentReport:
+                          master_seed, dt=2.0 ** -8, z0=0.0,
+                          u_bound=None) -> ExperimentReport:
     """Shared-noise coupling of two starting points.
 
     Rows: (i) rerunning the whole experiment reproduces every path bit
@@ -598,7 +596,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
 
     kwargs = dict(m=params.m, mu=params.mu, n_paths=n_paths,
                   master_seed=master_seed, t_max=t_max, dt=dt,
-                  u_bound=u_bound, eps=eps, keep_idx=keep_idx)
+                  u_bound=u_bound, keep_idx=keep_idx)
     ens = run_ensemble(model, **kwargs)
     rerun = run_ensemble(model, **kwargs)
     same = np.ones(n_paths, dtype=bool)
@@ -624,8 +622,7 @@ def uniqueness_experiment(params, x0_a, x0_b, *, t_max, n_paths,
                          sided="upper"))
     inputs = {"params": _params_fingerprint(params), "x0_a": x0_a,
               "x0_b": x0_b, "z0": z0, "t_max": t_max, "n_paths": n_paths,
-              "master_seed": master_seed, "dt": dt, "u_bound": u_bound,
-              "eps": eps}
+              "master_seed": master_seed, "dt": dt, "u_bound": u_bound}
     details = {"n_retried": ens.n_retried}
     return ExperimentReport("uniqueness", inputs, tuple(rows), details)
 
@@ -649,7 +646,7 @@ def _check_ladder(theta_ladder):
 
 def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
                            n_paths, master_seed, dt=2.0 ** -8, x0=1.0,
-                           z0=0.0, u_bound=None, eps=0.0,
+                           z0=0.0, u_bound=None,
                            deterministic_rate_check=False, split=None
                            ) -> ExperimentReport:
     """Distance from the rescaled reactant to its limit along a ladder.
@@ -679,7 +676,7 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
 
     ensembles = run_ensemble(model, m=params.m, mu=params.mu,
                              n_paths=n_paths, master_seed=master_seed,
-                             t_max=t_max, dt=dt, u_bound=u_bound, eps=eps,
+                             t_max=t_max, dt=dt, u_bound=u_bound,
                              keep_idx=[])
     e_theta = {theta: float(ens.components["gap"][:, 0].mean())
                for theta, ens in zip(ladder, ensembles)}
@@ -708,7 +705,7 @@ def fluctuation_experiment(params, theta_ladder, *, mode="pair", t_max=1.0,
     inputs = {"params": _params_fingerprint(params),
               "theta_ladder": ladder, "mode": mode, "t_max": t_max,
               "n_paths": n_paths, "master_seed": master_seed, "dt": dt,
-              "x0": x0, "z0": z0, "u_bound": u_bound, "eps": eps,
+              "x0": x0, "z0": z0, "u_bound": u_bound,
               "deterministic_rate_check": deterministic_rate_check,
               "split": None if split is None else asdict(split)}
     details = {"e_theta": {f"{k:g}": v for k, v in e_theta.items()},

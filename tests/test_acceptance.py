@@ -61,8 +61,7 @@ def emit(number, name, passed):
 @pytest.fixture(scope="module")
 def moment_report():
     return check_moments(jump_affine_params(), 1.0, 0.0, [0.5, 1.0],
-                         n_paths=20_000, master_seed=55, dt=2.0 ** -8,
-                         eps=0.0)
+                         n_paths=20_000, master_seed=55, dt=2.0 ** -8)
 
 
 def test_criterion_01_transform_flow_property():
@@ -120,7 +119,7 @@ def test_criterion_04_affine_formula_monte_carlo():
     started = time.perf_counter()
     report = check_affine_formula(
         jump_affine_params(), 1.0, 0.0, [1.0], SIX_FREQUENCIES,
-        n_paths=100_000, master_seed=2026, dt=2.0 ** -10, eps=0.0)
+        n_paths=100_000, master_seed=2026, dt=2.0 ** -10)
     runtime = time.perf_counter() - started
     assert len(report.rows) == 6
     emit(4, "affine-formula Monte Carlo",
@@ -146,7 +145,7 @@ def test_criterion_07_pathwise_uniqueness_and_contraction():
     params = jump_affine_params()
     # seeds 0..99 as one batch; each row is the one-path batch of its seed
     noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -8,
-                           np.arange(100), 16.0, 0.0)
+                           np.arange(100), 16.0)
     first, _, _ = simulate_affine(params, 1.0, 0.0, noise)
     second, _, _ = simulate_affine(params, 1.0, 0.0, noise)
     bitwise = all(np.array_equal(first[c], second[c]) for c in ("x", "z"))

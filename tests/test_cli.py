@@ -56,7 +56,6 @@ class TestParseConfig:
     def test_minimal_document_defaults(self):
         config = parse_config("{}")
         assert config.tol == 1e-9
-        assert config.eps == 1e-4
         assert config.dt == 2.0 ** -10
         assert config.t_max == 1.0
         assert config.seed == 0
@@ -356,9 +355,9 @@ class TestRun:
         assert names == ["run_meta.json", "transform_u00.csv",
                          "transform_u01.csv", "transform_u02.csv"]
         text = (tmp_path / "transform_u00.csv").read_text()
-        assert "# artifact_version = 3\n" in text
-        assert "# rng = philox4x64\n" in text
-        assert "# seed = 7\n" in text
+        assert text.startswith("# artifact_version = 4\n# rng = philox4x64\n"
+                               "# seed = 7\n# dt = 0.00390625\n"
+                               "# u_bound = 24.0\n# u = ")
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert data[0] == "t,re_psi1,im_psi1,re_psi2,im_psi2,re_phi,im_phi"
         last = np.array(data[-1].split(","), dtype=float)
@@ -368,6 +367,7 @@ class TestRun:
         assert meta["rng"] == "philox4x64"
         assert meta["seed"] == 7
         assert meta["config"] == config.resolved
+        assert "eps" not in meta and "eps" not in meta["config"]["mc"]
 
     def test_simulate_writes_requested_paths(self, tmp_path):
         config = make_config(**dict(SMALL, simulate={"n_saved_paths": 3}))
@@ -412,7 +412,7 @@ class TestRun:
         expected, aborted = [], []
         for i in range(12):
             noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -8,
-                                   substream_seed(4, i), 1.6, config.eps)
+                                   substream_seed(4, i), 1.6)
             if system == "affine":
                 out = simulate_affine(params, 1.0, sim["z0"], noise)
             elif system == "catalytic":
@@ -472,7 +472,9 @@ class TestRun:
         assert "semigroup-flow: PASS" in buffer.getvalue()
         assert "moments: PASS" in buffer.getvalue()
         payload = json.loads((tmp_path / "moments.json").read_text())
-        assert payload["artifact_version"] == 3
+        assert payload["artifact_version"] == 4
+        assert "eps" not in payload and "eps" not in payload["report"][
+            "inputs"]
         assert payload["rng"] == "philox4x64"
         assert payload["report"]["overall"] is True
         assert payload["report"]["name"] == "moments"
@@ -641,6 +643,44 @@ class TestMain:
                 f"affine-lab: {message}")
             assert not out.exists()
 
+    @pytest.mark.parametrize("eps", [1e-4, -1e-4, float("nan"), "0", True,
+                                     None], ids=["1e-4", "negative", "nan",
+                                                 "string", "true", "null"])
+    def test_nonzero_eps_is_a_usage_error(self, tmp_path, capsys, eps):
+        """Both streams sample the full jump measures, so an ``mc.eps``
+        other than 0 is refused by every subcommand, naming the key,
+        before any output directory is made."""
+        path = self.write(tmp_path, {"mc": {"n_paths": 50, "eps": eps}})
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "affine-lab: $.mc.eps: the small-jump truncation was "
+                "removed; only 0 is accepted\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("eps", [0.0, 0])
+    def test_zero_eps_runs_as_if_absent(self, tmp_path, eps):
+        """``"eps": 0`` is accepted, as the benchmark configs send it,
+        and changes no output byte: the key is not recorded."""
+        doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -6},
+               "mc": {"n_paths": 4, "seed": 3},
+               "simulate": {"n_saved_paths": 2}}
+        with_eps = dict(doc, mc=dict(doc["mc"], eps=eps))
+        assert make_config(**with_eps) == make_config(**doc)
+        runs = {}
+        for name, config in (("plain", doc), ("eps", with_eps)):
+            path = self.write(tmp_path, config)
+            for command in ("transform", "simulate"):
+                out = tmp_path / name / command
+                assert main([command, "--config", path, "--out",
+                             str(out)]) == 0
+            runs[name] = {command: read_files(tmp_path / name / command)
+                          for command in ("transform", "simulate")}
+        assert runs["eps"] == runs["plain"]
+        meta = json.loads(runs["eps"]["simulate"]["run_meta.json"])
+        assert "eps" not in meta and "eps" not in meta["config"]["mc"]
+
     def test_zero_coupling_and_flow_times_run(self, tmp_path):
         doc = {"grid": {"t_max": 0.25, "dt": 2.0 ** -6},
                "mc": {"n_paths": 2, "u_bound": 16.0},
@@ -768,8 +808,7 @@ class TestCsvWriter:
         config = parse_config("{}")
         params = config.params
         noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -10,
-                               substream_seed_array(4, np.arange(6)), 2.5,
-                               config.eps)
+                               substream_seed_array(4, np.arange(6)), 2.5)
         paths, aborted_at, _ = simulate_affine(params, 1.0, 0.0, noise)
         aborted = ~np.isnan(aborted_at)
         assert aborted.any() and not aborted.all()

@@ -7,7 +7,13 @@ were merged into one step loop.  The CLI digests were re-pinned at
 and again at ``ARTIFACT_VERSION = 3``, when the coupled checks moved to
 the two-level estimate (new rows and ``details``) and ``paths.csv``
 dropped its repeated ``# dt = ..., eps = ..., u_bound = ...`` line; the
-``cross_validation.py`` demo digest changed with the rows it prints.  A
+``cross_validation.py`` demo digest changed with the rows it prints.  They
+were re-pinned once more at ``ARTIFACT_VERSION = 4``, when the small-jump
+truncation ``eps`` was removed: the artifacts lost their ``# eps = ...``
+lines and ``eps`` fields (and with them each report's ``digest``), while
+every drawn number, row and curve stayed the same.  The kernel digests,
+pinned at ``eps = 1e-4``, pass unedited without it, since no atom of the
+presets or of the clamping measures lies in that box.  A
 refactor of the simulators or drivers must leave every digest unchanged; a
 change that alters bytes on purpose bumps ``RNG_ID`` or
 ``ARTIFACT_VERSION`` and re-pins.  The demo digests pin the stdout of
@@ -18,6 +24,10 @@ The transform-lane digest pins the Riccati solve that the benchmark's
 ``transform-grid`` workload runs: all 41 frequencies of its seed-1 config
 on the 1025-point grid, where the CLI ``transform`` case solves only the
 three default frequencies.
+
+The product-exponential noise digest pins the per-path code that draws
+every product-exponential mark, at counts below and above the 16 draws
+each sampler call makes at least.
 
 The kernel cases cover every preset at a thinning bound that never binds
 (16) and one that aborts paths (1.2), refined and unrefined noise, both
@@ -40,7 +50,8 @@ import pytest
 
 from affine_lab.cli import parse_config, run
 from affine_lab.noise import generate_noise, refine, substream_seed_array
-from affine_lab.params import FiniteAtomicMeasure, validate_admissible
+from affine_lab.params import (FiniteAtomicMeasure,
+                               ProductExponentialMeasure, validate_admissible)
 from affine_lab.presets import builtin_params
 from affine_lab.sde import (simulate_affine, simulate_catalytic,
                             simulate_cbi, simulate_reactant_pair)
@@ -52,7 +63,6 @@ U_BOUNDS = (16.0, 1.2)
 T_MAX = 0.5
 DT = 2.0 ** -6
 N_PATHS = 6
-EPS = 1e-4
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -82,6 +92,25 @@ def transform_lanes_digest() -> str:
             h.update(np.ascontiguousarray(getattr(sol, name),
                                           dtype="<c16").tobytes())
         h.update(np.int64(sol.steps_taken).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def product_exponential_noise_digest() -> str:
+    """Digest of the event fields of 64 paths with product-exponential
+    ``m`` and ``mu``, drawn by the per-path code: N0 counts 0-6, below
+    the 16 marks each sampler call draws at least, and N1 counts 4-23."""
+    m = ProductExponentialMeasure(total_rate=1.0, rate1=2.0, rate2=3.0,
+                                  sign_mix=0.7)
+    mu = ProductExponentialMeasure(total_rate=1.5, rate1=1.5, rate2=0.8,
+                                   sign_mix=0.4)
+    ns = generate_noise(m, mu, 2.0, 0.25,
+                        substream_seed_array(17, np.arange(64)), 4.0)
+    h = hashlib.sha256()
+    for name in ("n0_path", "n0_times", "n0_marks", "n1_path", "n1_times",
+                 "n1_umarks", "n1_marks"):
+        arr = getattr(ns, name)
+        h.update(f"{name}:{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
@@ -119,7 +148,7 @@ def noises(preset, u_bound, refined, dt=DT, seed=11):
         p = params_for(preset)
         out = generate_noise(p.m, p.mu, T_MAX, dt,
                              substream_seed_array(seed, np.arange(N_PATHS)),
-                             u_bound, EPS)
+                             u_bound)
         _NOISE_CACHE[key] = refine(out) if refined else out
     return _NOISE_CACHE[key]
 
@@ -549,22 +578,25 @@ KERNEL_DIGESTS = {
 
 CLI_DIGESTS = {
     "transform":
-        "343f3663213a8c78bfb97aa5535612a94737bdab23721d419ef115db4dd53895",
+        "f54c687cc69f1c9e315e411a27e92500d035221f2929ac19166226b5b9c13d8a",
     "simulate-affine":
-        "c70e70127863f8763507c0fc0cf68fe8c14bc76888cdb4475473be59249172c2",
+        "5efb120448381693ec05024ec4542a1c6ebc1abd51a1dc8a2ccfd743a973e7fe",
     "simulate-catalytic":
-        "ddaffee12e5d9378485590578d540d850b63b209804041beaf89096de1fdc6f2",
+        "6097cd9e10e7c438fc57a313895db4d72dbcd3a3fb61b0897d663cfda2c76331",
     "simulate-reactant-single":
-        "3c1dce5c6430a5b6d31061a082633465d9068bf3eae49e84fece803115c4a7e7",
+        "6b7c07fd5ed5e84ab13f6ec27a1bd9eb6e8d3b5fa4a08a8e3de353a353282976",
     "simulate-reactant-pair":
-        "a277b9efec3bbf168235a76516b9d58f255a634c2ac91eb88cbb302e3e6a99bb",
+        "70434b80f81ed3dcb1746e65c8c7462607185782e6d5dd2bd6508ddce0884f46",
     "validate":
-        "ef9ca81a4d4d997872e2f37952c337a9f211d639ef93355e6c8d5fdec9a60140",
+        "502015b9eb3d143296b1ca31e101f9c355e195b7c4df524eef43d3b1df0f87f6",
     "limit-single":
-        "c32956678ea0b25a0233906378e74fba69c328449b822e8f2e4c7eb4fb8de92e",
+        "23ac69543e55e9ba334a30aabc72e3e34906bbef1ae2bc0356d1bc14109494a4",
     "limit-pair":
-        "32a52a6dec5f02d2f15a7e790fe704997dc3ee59b063923fce8caad860ba56da",
+        "58e04b91261206314d5be40fee3376fccf6c23ea451625196df9155e8ed41438",
 }
+
+PRODUCT_EXPONENTIAL_NOISE_DIGEST = \
+    "7ba24c9a486c6d168ad6993b87f39576592006c1edde27f98497250786d532a8"
 
 TRANSFORM_LANES_DIGEST = \
     "55ed37b2d309a8a63a526560872c4f95cebaec6ac8071861f9e2faaa2f42228d"
@@ -616,6 +648,11 @@ def test_cli_artifact_digests_unchanged(name, tmp_path):
     assert cli_digest(name, tmp_path) == CLI_DIGESTS[name]
 
 
+def test_product_exponential_noise_unchanged():
+    assert product_exponential_noise_digest() == \
+        PRODUCT_EXPONENTIAL_NOISE_DIGEST
+
+
 def test_benchmark_transform_lanes_unchanged():
     assert transform_lanes_digest() == TRANSFORM_LANES_DIGEST
 
@@ -638,7 +675,9 @@ def _print_digests():
     for name in CLI_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{name}":\n        "{cli_digest(name, Path(tmp))}",')
-    print("}\n\nTRANSFORM_LANES_DIGEST = \\\n"
+    print("}\n\nPRODUCT_EXPONENTIAL_NOISE_DIGEST = \\\n"
+          f'    "{product_exponential_noise_digest()}"')
+    print("\nTRANSFORM_LANES_DIGEST = \\\n"
           f'    "{transform_lanes_digest()}"')
     print("\nDEMO_DIGESTS = {")
     for name in DEMO_DIGESTS:

@@ -30,9 +30,8 @@ PE = ProductExponentialMeasure(total_rate=1.5, rate1=2.0, rate2=3.0,
                                sign_mix=0.7)
 
 
-def make(seed=7, *, m=ATOMIC, mu=ATOMIC, t_max=2.0, dt=0.25, u_bound=4.0,
-         eps=0.0):
-    return generate_noise(m, mu, t_max, dt, seed, u_bound, eps)
+def make(seed=7, *, m=ATOMIC, mu=ATOMIC, t_max=2.0, dt=0.25, u_bound=4.0):
+    return generate_noise(m, mu, t_max, dt, seed, u_bound)
 
 
 # -- grid bookkeeping ------------------------------------------------------
@@ -188,31 +187,21 @@ def test_empty_measures_give_no_events():
     assert ns.brownian.shape == (8, 3, 1)
 
 
-def test_full_truncation_gives_no_events():
-    # eps so large the band removes all atoms.
-    ns = make(eps=5.0)
-    assert len(ns.n0_times) == 0
-    assert len(ns.n1_times) == 0
-
-
 def test_u_bound_required_when_mu_nonempty():
     with pytest.raises(ValueError):
         make(u_bound=0.0)
     make(u_bound=0.0, mu=EMPTY)          # fine without candidates
 
 
-@pytest.mark.parametrize("name, value", [("u_bound", np.nan),
-                                         ("u_bound", np.inf),
-                                         ("eps", np.nan), ("eps", np.inf)])
-def test_non_finite_u_bound_and_eps_rejected_before_drawing(monkeypatch,
-                                                            name, value):
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_u_bound_rejected_before_drawing(monkeypatch, value):
     def draw(*args):
         raise AssertionError("noise was drawn")
 
     monkeypatch.setattr(noise_module, "_normals", draw)
     monkeypatch.setattr(noise_module, "_philox_keys", draw)
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        make(**{name: value})
+    with pytest.raises(ValueError, match="^u_bound must be finite"):
+        make(u_bound=value)
 
 
 ONE = FiniteAtomicMeasure([(0.5, 0.3, 1.0)])                     # mass 1.0
@@ -271,7 +260,7 @@ def test_event_times_match_batched_draws(rate, t_max):
     # at mean 10 about 3 in 10**4 paths overflow the first batch of 23;
     # the batch draws each path's first gap alone, as generate_noise does
     keys = list(range(20000))
-    tags, times, _ = _stream_events(keys, 1, rate, t_max, ATOMIC, 0.0)
+    tags, times, _ = _stream_events(keys, 1, rate, t_max, ATOMIC)
     counts = np.bincount(tags, minlength=len(keys))
     for key, got in zip(keys, np.split(times, np.cumsum(counts)[:-1])):
         want = batched_event_times(Generator(Philox(key=[key, 1])), rate,
@@ -283,7 +272,7 @@ def test_event_times_match_batched_draws(rate, t_max):
         assert max(counts) >= size
 
 
-def reference_events(seed, role, rate, t_max, measure, eps, u_bound=None):
+def reference_events(seed, role, rate, t_max, measure, u_bound=None):
     """Reference: one stream's fields from a constructed generator, gaps
     in batches, then ``uniform(0, u_bound, n)``, then ``sample``."""
     rng = Generator(Philox(key=[seed, role]))
@@ -291,25 +280,23 @@ def reference_events(seed, role, rate, t_max, measure, eps, u_bound=None):
     fields = [times]
     if u_bound is not None:
         fields.append(rng.uniform(0.0, u_bound, size=len(times)))
-    fields.append(measure.sample(rng, len(times), eps=eps))
+    fields.append(measure.sample(rng, len(times)))
     return fields
 
 
 @pytest.mark.parametrize("measure", [ATOMIC, PE], ids=["atomic", "pe"])
-@pytest.mark.parametrize("eps", [0.0, 0.6])
 @pytest.mark.parametrize("mean, n_paths", [(11.0, 6000), (0.05, 400)],
                          ids=["long", "short"])
-def test_event_fields_match_reference_streams(measure, eps, mean, n_paths):
+def test_event_fields_match_reference_streams(measure, mean, n_paths):
     """Every event field of every path, N0 times and marks and N1 times,
     umarks and marks, equals its own stream's reference draws bit for
     bit: a long horizon whose overflowing paths draw a second gap batch
     (means 11 and 16.5, about 5 in 10**4 paths overflow), and a short one
-    where most paths have none.  ``eps = 0.6`` drops the first atom and
-    cuts a band out of the product-exponential marks."""
-    u_bound, mass = 1.5, measure.mass(eps=eps)
+    where most paths have none."""
+    u_bound, mass = 1.5, measure.mass()
     t_max = mean / mass
     ns = generate_noise(measure, measure, t_max, t_max, range(n_paths),
-                        u_bound, eps)
+                        u_bound)
     for role, which, rate, bound in ((1, "n0", mass, None),
                                      (2, "n1", u_bound * mass, u_bound)):
         names = ["times", "umarks", "marks"] if bound else ["times", "marks"]
@@ -319,8 +306,7 @@ def test_event_fields_match_reference_streams(measure, eps, mean, n_paths):
         got = [np.split(getattr(ns, f"{which}_{name}"), cuts)
                for name in names]
         for seed in range(n_paths):
-            want = reference_events(seed, role, rate, t_max, measure, eps,
-                                    bound)
+            want = reference_events(seed, role, rate, t_max, measure, bound)
             for name, field, ref in zip(names, got, want):
                 assert same_bits(field[seed], ref), (which, name, seed)
         size = max(16, int(rate * t_max * 1.5) + 8)
@@ -331,10 +317,9 @@ def test_event_fields_match_reference_streams(measure, eps, mean, n_paths):
 
 
 @pytest.mark.parametrize("measure", [ATOMIC, PE], ids=["atomic", "pe"])
-@pytest.mark.parametrize("eps", [0.0, 0.6])
 @pytest.mark.parametrize("role", [1, 2], ids=["n0", "n1"])
 @pytest.mark.parametrize("mean", [0.05, 7.0], ids=["short", "long"])
-def test_block_fill_matches_reference_streams(measure, eps, role, mean):
+def test_block_fill_matches_reference_streams(measure, role, mean):
     """``2 * _BLOCK + 3`` paths, laid out from a scan of keys.  The block
     buffers hold ``_BLOCK`` rows of paths with events.  On the short
     horizon the first ``_BLOCK`` paths have no events and the rest
@@ -344,12 +329,12 @@ def test_block_fill_matches_reference_streams(measure, eps, role, mean):
     reference stream bit for bit, through the block fill (atomic) or the
     per-path code (PE)."""
     u_bound = 1.5 if role == 2 else None
-    rate = measure.mass(eps=eps) * (u_bound or 1.0)
+    rate = measure.mass() * (u_bound or 1.0)
     t_max = mean / rate
     size = max(16, int(rate * t_max * 1.5) + 8)
     scan = list(range(20000 if mean > 1.0 else 2000))
     counts = np.bincount(_stream_events(scan, role, rate, t_max, measure,
-                                        eps, u_bound)[0], minlength=len(scan))
+                                        u_bound)[0], minlength=len(scan))
     empty = [k for k, c in zip(scan, counts) if c == 0]
     some = [k for k, c in zip(scan, counts) if 0 < c < size]
     full = [k for k, c in zip(scan, counts) if c >= size]
@@ -362,11 +347,10 @@ def test_block_fill_matches_reference_streams(measure, eps, role, mean):
     keys = keys[:2 * B + 3]
     assert len(keys) == 2 * B + 3
 
-    tags, *fields = _stream_events(keys, role, rate, t_max, measure, eps,
-                                   u_bound)
+    tags, *fields = _stream_events(keys, role, rate, t_max, measure, u_bound)
     cuts = np.cumsum(np.bincount(tags, minlength=len(keys)))[:-1]
     got = [np.split(field, cuts) for field in fields]
-    want = [reference_events(key, role, rate, t_max, measure, eps, u_bound)
+    want = [reference_events(key, role, rate, t_max, measure, u_bound)
             for key in keys]
     for p, ref in enumerate(want):
         for field, value in zip(got, ref):
@@ -396,7 +380,7 @@ def test_per_path_code_runs_only_for_full_rows(monkeypatch):
         mass = measure.mass()
         t_max = 11.0 / mass
         ns = generate_noise(measure, measure, t_max, t_max, range(n_paths),
-                            u_bound, 0.0)
+                            u_bound)
         for which, rate in (("n0", mass), ("n1", u_bound * mass)):
             counts = np.bincount(getattr(ns, which + "_path"),
                                  minlength=n_paths)
@@ -425,7 +409,7 @@ def test_block_buffers_add_at_most_one_block_to_the_peak(monkeypatch, n_paths,
         tracemalloc.start()
         try:
             generate_noise(params.m, params.mu, t_max, dt, range(n_paths),
-                           u_bound, 0.0)
+                           u_bound)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,14 +435,12 @@ def test_dense_stream_buffers_hold_fewer_rows(monkeypatch, fit):
     size = max(16, int(rate * t_max * 1.5) + 8)
     monkeypatch.setattr(noise_module, "_BLOCK_BYTES", fit * 3 * size * 8)
     keys = list(range(4000))
-    tags, *fields = _stream_events(keys, role, rate, t_max, ATOMIC, 0.0,
-                                   u_bound)
+    tags, *fields = _stream_events(keys, role, rate, t_max, ATOMIC, u_bound)
     counts = np.bincount(tags, minlength=len(keys))
     picked = np.flatnonzero(counts >= size)[:2].tolist() + list(range(10))
     cuts = np.cumsum(counts)
     for p in picked:
-        ref = reference_events(keys[p], role, rate, t_max, ATOMIC, 0.0,
-                               u_bound)
+        ref = reference_events(keys[p], role, rate, t_max, ATOMIC, u_bound)
         for field, value in zip(fields, ref):
             assert same_bits(field[cuts[p] - counts[p]:cuts[p]], value), p
     assert counts.max() >= size
@@ -507,7 +489,7 @@ def test_n0_counts_match_poisson_mean():
     # N0 rate is m.mass = 3.0 on t_max = 2.0: counts ~ Poisson(6).
     n_seeds = 10_000
     counts = np.array([
-        len(generate_noise(ATOMIC, EMPTY, 2.0, 0.5, s, 1.0, 0.0).n0_times)
+        len(generate_noise(ATOMIC, EMPTY, 2.0, 0.5, s, 1.0).n0_times)
         for s in range(n_seeds)
     ])
     assert abs(counts.mean() - 6.0) < 3.0 * np.sqrt(6.0 / n_seeds)
@@ -519,7 +501,7 @@ def test_n1_rate_scales_with_u_bound():
     mean_at = {}
     for ub in (2.0, 4.0):
         counts = [
-            len(generate_noise(EMPTY, ATOMIC, 2.0, 0.5, s, ub, 0.0).n1_times)
+            len(generate_noise(EMPTY, ATOMIC, 2.0, 0.5, s, ub).n1_times)
             for s in range(4000)
         ]
         mean_at[ub] = np.mean(counts)
@@ -547,14 +529,6 @@ def test_marks_live_on_atoms():
         assert tuple(row) in atoms
 
 
-def test_pe_marks_respect_truncation_band():
-    ns = make(seed=11, m=PE, mu=PE, eps=0.3, t_max=20.0, dt=1.0)
-    marks = np.vstack([ns.n0_marks, ns.n1_marks])
-    assert len(marks) > 10
-    inside = (marks[:, 0] <= 0.3) & (np.abs(marks[:, 1]) <= 0.3)
-    assert not inside.any()
-
-
 def test_brownian_increment_law():
     ns = make(seed=5, m=EMPTY, mu=EMPTY, t_max=8.0, dt=2.0 ** -9)
     flat = ns.brownian.ravel()
@@ -571,10 +545,23 @@ def test_substream_seed_injective_over_scan():
 
 
 def test_substream_seed_vector_matches_scalar():
-    idx = [0, 1, 2, 17, 12345, 2 ** 40]
+    idx = [0, 1, 2, 17, 12345, 2 ** 40, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
     vec = substream_seed_array(42, idx)
     for i, v in zip(idx, vec):
         assert substream_seed(42, i) == int(v)
+
+
+@pytest.mark.parametrize("index", [-1, 2 ** 64, 1.5, np.float64(2.0)],
+                         ids=["-1", "2**64", "1.5", "float64"])
+def test_substream_seed_refuses_indices_it_would_alias(index):
+    """An index outside ``[0, 2**64)`` would alias a valid one modulo
+    2**64 (``-1`` is ``2**64 - 1``, ``2**64`` is 0) and a float would be
+    truncated, so each is refused, by both twins."""
+    with pytest.raises((TypeError, ValueError)):
+        substream_seed(0, index)
+    for indices in ([index], np.array([index]), [3, index]):
+        with pytest.raises((TypeError, ValueError)):
+            substream_seed_array(0, indices)
 
 
 def test_substream_seed_master_sensitivity():
@@ -702,7 +689,7 @@ def same_bits(a, b):
 
 
 def assert_batch_is_concatenation(batch, singles):
-    for name in ("t_max", "dt", "u_bound", "eps", "refinement_level"):
+    for name in ("t_max", "dt", "u_bound", "refinement_level"):
         assert all(getattr(batch, name) == getattr(s, name) for s in singles)
     for name in ("seeds", "n0_times", "n0_marks", "n1_times", "n1_umarks",
                  "n1_marks"):
@@ -728,7 +715,7 @@ def assert_batch_is_concatenation(batch, singles):
                                    (EMPTY, SPARSE)])
 def test_batch_equals_concatenated_single_seed_batches(m, mu):
     seeds = [0, 7, 2 ** 63 + 4096, 12, 2 ** 64 - 2 ** 20, 3]
-    kw = dict(m=m, mu=mu, eps=0.1, t_max=2.0, dt=0.25)
+    kw = dict(m=m, mu=mu, t_max=2.0, dt=0.25)
     batch = make(seed=seeds, **kw)
     singles = [make(seed=s, **kw) for s in seeds]
     for _ in range(3):                  # unrefined, refined once, twice

@@ -67,15 +67,12 @@ def test_atomic_moments_are_exact_sums():
         0.25 * 0.6 + 1.2 * 0.3 + 0.0, abs=1e-15)
 
 
-def test_atomic_region_and_band_restrictions():
+def test_atomic_region_restrictions():
     nu = make_atoms()
     assert nu.mass(region="plus") == pytest.approx(1.0)
     assert nu.mass(region="minus") == pytest.approx(0.3)
+    assert nu.mass() == pytest.approx(1.3)
     assert nu.poly_moment(0, 1, region="minus") == pytest.approx(-0.12)
-    # band at eps = 0.35 drops the (0.5, 0.3) atom? no: max(0.5, 0.3) > 0.35 keeps it
-    assert nu.mass(eps=0.35) == pytest.approx(1.3)
-    # eps = 0.6 drops (0.5, 0.3) only
-    assert nu.mass(eps=0.6) == pytest.approx(0.7)
 
 
 def test_atomic_exp_integral_single_atom_closed_form():
@@ -169,14 +166,6 @@ def test_pe_region_moments_match_quadrature():
         _pe_quad_moment(nu, lambda x: x, lambda y: y * y), abs=1e-10)
 
 
-def test_pe_band_mass_closed_form():
-    # inside-box mass factorizes: R * (1 - e^{-r1 eps}) * (1 - e^{-r2 eps})
-    nu = make_pe(total=2.0, r1=1.5, r2=2.5, mix=0.5)
-    eps = 0.3
-    inside = 2.0 * (1 - math.exp(-1.5 * eps)) * (1 - math.exp(-2.5 * eps))
-    assert nu.mass(eps=eps) == pytest.approx(2.0 - inside, abs=1e-12)
-
-
 def _pe_quad_exp(nu, u1, u2, c1, c2, region="all"):
     r1, r2, s, tot = nu.rate1, nu.rate2, nu.sign_mix, nu.total_rate
 
@@ -261,25 +250,14 @@ def test_exp_integral_vanishes_at_origin(nu):
                                compensate_xi2=c2) == 0
 
 
-def test_sampler_respects_band_and_marginals():
+def test_pe_sampler_marginals():
     rng = Generator(Philox(key=[7, 0]))
     nu = make_pe(total=1.0, r1=2.0, r2=3.0, mix=0.6)
-    marks = nu.sample(rng, 20000, eps=0.2)
+    marks = nu.sample(rng, 20000)
     assert marks.shape == (20000, 2)
-    assert np.all(np.maximum(marks[:, 0], np.abs(marks[:, 1])) > 0.2)
-    # conditional-on-band means, oracle by 2-d quadrature of the band density
-    def band_mean(coord):
-        def integrand(y, x):
-            dens = (2.0 * math.exp(-2.0 * x)) * (3.0 * math.exp(-3.0 * abs(y))) \
-                * (0.6 if y >= 0 else 0.4)
-            if max(x, abs(y)) <= 0.2:
-                return 0.0
-            return (x if coord == 0 else y) * dens
-        val, _ = integrate.dblquad(integrand, 0, 8, -8, 8, epsabs=1e-10)
-        return val / nu.mass(eps=0.2)
-    for coord in (0, 1):
+    # E[xi1] = 1/r1; E[xi2] = (2 mix - 1)/r2
+    for coord, want in ((0, 1.0 / 2.0), (1, 0.2 / 3.0)):
         got = marks[:, coord].mean()
-        want = band_mean(coord)
         sd = marks[:, coord].std() / math.sqrt(len(marks))
         assert abs(got - want) < 4 * sd
 
@@ -293,22 +271,20 @@ def test_atomic_sampler_matches_weights():
 
 
 def test_atomic_sampler_cached_cdf_matches_choice():
-    # eps 0.1 drops the atom (0.05, 0.02); alternating eps values fail a
-    # cache not keyed by eps
+    # the CDF is built on the first call and reused by the later ones
     nu = FiniteAtomicMeasure([(0.5, 0.3, 0.6), (0.05, 0.02, 0.5),
                               (1.2, -0.4, 0.3), (0.0, 0.8, 0.4)])
-    for k, eps in enumerate([0.0, 0.1, 0.0, 0.1, 0.1, 0.0]):
-        keep = [0, 2, 3] if eps else [0, 1, 2, 3]
-        w = nu.weights[keep]
+    w = nu.weights
+    for k in range(3):
         ref = Generator(Philox(key=[k, 2]))
-        want = nu.atoms[keep][ref.choice(len(w), size=500, p=w / w.sum())]
+        want = nu.atoms[ref.choice(len(w), size=500, p=w / w.sum())]
         rng = Generator(Philox(key=[k, 2]))
-        assert np.array_equal(nu.sample(rng, 500, eps=eps), want)
+        assert np.array_equal(nu.sample(rng, 500), want)
         assert rng.random() == ref.random()       # same draws consumed
-    with pytest.raises(ValueError, match="no atoms outside"):
-        nu.sample(Generator(Philox(key=[0, 2])), 5, eps=2.0)
-    with pytest.raises(ValueError, match="no atoms outside"):
-        nu.sample(Generator(Philox(key=[0, 2])), 5, eps=2.0)
+    empty = FiniteAtomicMeasure([])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="empty measure has no marks"):
+            empty.sample(Generator(Philox(key=[0, 2])), 5)
 
 
 # -- factorization and admissibility --------------------------------------

@@ -37,8 +37,8 @@ def make_params(a=0.0, alpha=((0, 0), (0, 0)), b=(0, 0),
                                EMPTY if mu is None else mu)
 
 
-def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, eps=0.0,
-                 n_components=3, brownian=None):
+def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, n_components=3,
+                 brownian=None):
     """Hand-built one-path noise: rows (t, xi1, xi2) for N0, (t, xi1, xi2,
     u) for N1, and ``brownian`` of shape (n_components, n_steps), stored
     time-major as the system's ``(n_steps, n_components, 1)`` array."""
@@ -48,7 +48,7 @@ def manual_noise(t_max, dt, *, n0=(), n1=(), u_bound=10.0, eps=0.0,
     e0 = np.asarray(n0, dtype=float).reshape(-1, 3)
     e1 = np.asarray(n1, dtype=float).reshape(-1, 4)
     return NoiseSystem(seeds=np.zeros(1, dtype=np.uint64), t_max=t_max,
-                       dt=dt, u_bound=u_bound, eps=eps,
+                       dt=dt, u_bound=u_bound,
                        brownian=np.ascontiguousarray(b.T[:, :, np.newaxis]),
                        n0_path=np.zeros(len(e0), dtype=np.intp),
                        n0_times=e0[:, 0], n0_marks=e0[:, 1:3],
@@ -216,7 +216,7 @@ def test_x_absorbed_at_zero():
     m = FiniteAtomicMeasure([(0.0, 0.8, 0.4)])      # no xi1 mass
     params = make_params(a=1.0, alpha=((0.3, 0), (0, 0.2)), b=(0.0, 0.1),
                          beta=((0, 0), (0.2, -0.5)), m=m)
-    noise = generate_noise(m, EMPTY, 1.0, 2.0 ** -6, 3, 1.0, 0.0)
+    noise = generate_noise(m, EMPTY, 1.0, 2.0 ** -6, 3, 1.0)
     out = path(simulate_affine(params, 0.0, 0.5, noise))
     assert np.all(out["x"] == 0.0)
     assert np.std(out["z"]) > 0.0         # z still diffuses
@@ -227,7 +227,7 @@ def test_catalytic_reactant_absorbed():
     mu = FiniteAtomicMeasure([(0.3, 0.5, 0.5)])
     params = make_params(b=(1.0, 0.0), beta=((-0.5, 0), (0, -0.5)),
                          m=m, mu=mu)
-    noise = generate_noise(m, mu, 1.0, 2.0 ** -6, 9, 8.0, 0.0)
+    noise = generate_noise(m, mu, 1.0, 2.0 ** -6, 9, 8.0)
     out = path(simulate_catalytic(params, 1.0, 0.0, 1.0, noise))
     assert np.all(out["y"] == 0.0)
     assert out["x"][-1] >= 0.0
@@ -237,7 +237,7 @@ def test_catalytic_reactant_absorbed():
 
 def preset_noise(seed=5, dt=2.0 ** -8, u_bound=24.0):
     p = jump_affine_params()
-    return p, generate_noise(p.m, p.mu, 1.0, dt, seed, u_bound, 0.0)
+    return p, generate_noise(p.m, p.mu, 1.0, dt, seed, u_bound)
 
 
 def test_bitwise_repeatability():
@@ -263,8 +263,7 @@ def test_cbi_equals_affine_margin():
     for preset in ("ou", "cir", "jump_affine", "symmetric_split"):
         p = builtin_params(preset)
         noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -7,
-                               substream_seed_array(5, np.arange(256)), 24.0,
-                               0.0)
+                               substream_seed_array(5, np.arange(256)), 24.0)
         cbi = simulate_cbi(p, 1.0, 1.0, 1.0, 1.0, noise)
         affine = simulate_affine(p, 1.0, 0.5, noise)
         assert cbi[0]["x"].tobytes() == affine[0]["x"].tobytes(), preset
@@ -275,7 +274,7 @@ def test_cbi_equals_affine_margin():
 def test_monotone_coupling_in_initial_state():
     p = cir_params()
     for seed in range(60):
-        noise = generate_noise(EMPTY, EMPTY, 1.0, 2.0 ** -7, seed, 1.0, 0.0)
+        noise = generate_noise(EMPTY, EMPTY, 1.0, 2.0 ** -7, seed, 1.0)
         lo = path(simulate_affine(p, 1.0, 0.0, noise))["x"]
         hi = path(simulate_affine(p, 1.5, 0.0, noise))["x"]
         assert np.all(hi - lo >= 0.0)
@@ -293,7 +292,7 @@ def test_contraction_in_mean():
 
     ens = run_ensemble(coupled, m=p.m, mu=p.mu, n_paths=2000,
                        master_seed=17, t_max=1.0, dt=2.0 ** -8,
-                       u_bound=24.0, eps=0.0, keep_idx=[-1])
+                       u_bound=24.0, keep_idx=[-1])
     gap = ens.components["gap"][:, 0]
     bound = 0.6 * np.exp(max(p.beta[0, 0], 0.0) * 1.0)
     slack = 3.0 * gap.std(ddof=1) / np.sqrt(len(gap)) + 50 * ens.dt
@@ -304,7 +303,7 @@ def test_mean_matches_moment_functionals():
     p, _ = preset_noise()
     ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=4000, master_seed=23,
-                       t_max=1.0, dt=2.0 ** -9, u_bound=24.0, eps=0.0,
+                       t_max=1.0, dt=2.0 ** -9, u_bound=24.0,
                        keep_idx=[-1])
     mx, mz = moment_functionals(p).mean(1.0, 1.0, 0.5)
     for name, target in (("x", mx), ("z", mz)):
@@ -317,7 +316,7 @@ def test_gronwall_mean_bound():
     p, _ = preset_noise()
     ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=2000, master_seed=29,
-                       t_max=1.0, dt=2.0 ** -8, u_bound=24.0, eps=0.0)
+                       t_max=1.0, dt=2.0 ** -8, u_bound=24.0)
     m1 = p.m.poly_moment(1, 0)
     beta_bar = max(p.beta[0, 0], 0.0)
     for idx in (64, 128, 256):
@@ -336,13 +335,13 @@ def voc_z(params, x_path, z0, noise):
     increments, events and acceptance decisions as the direct scheme, the
     candidates thinned against the given ``x`` path."""
     assert noise.n_paths == 1
-    dt, eps, grid = noise.dt, noise.eps, noise.grid
+    dt, grid = noise.dt, noise.grid
     b2 = params.b[1]
     b21, b22 = params.beta[1, 0], params.beta[1, 1]
     s21, s22 = params.sigma[1]
     rt2s0 = math.sqrt(2.0) * params.sigma0
-    m_z = params.m.poly_moment(0, 1, eps=eps)
-    mu_z = params.mu.poly_moment(0, 1, eps=eps)
+    m_z = params.m.poly_moment(0, 1)
+    mu_z = params.mu.poly_moment(0, 1)
     # an event at time t falls in the step (t_k, t_{k+1}] holding it
     step0 = np.searchsorted(grid, noise.n0_times, side="left") - 1
     step1 = np.searchsorted(grid, noise.n1_times, side="left") - 1
@@ -382,7 +381,7 @@ def test_voc_trivial_integrator():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_voc_consistency_improves_with_dt(seed):
     p = jump_affine_params()
-    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -7, seed, 24.0, 0.0)
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -7, seed, 24.0)
     gaps = []
     for ns in (noise, refine(noise)):
         out = path(simulate_affine(p, 1.0, 0.5, ns))
@@ -395,7 +394,7 @@ def test_voc_consistency_improves_with_dt(seed):
 
 def test_u_bound_abort_records_time():
     p, _ = preset_noise()
-    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, 11, 1.5, 0.0)
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, 11, 1.5)
     comps, aborted, _ = simulate_affine(p, 2.0, 0.0, noise)  # x0 above it
     assert aborted[0] == 0.0
     assert np.isnan(comps["x"][0, 1:]).all()
@@ -406,7 +405,7 @@ def test_run_ensemble_retries_with_doubled_bound():
     p, _ = preset_noise()
     ens = run_ensemble(affine_model(p, 1.0, 0.0),
                        m=p.m, mu=p.mu, n_paths=64, master_seed=3,
-                       t_max=1.0, dt=2.0 ** -8, u_bound=2.0, eps=0.0,
+                       t_max=1.0, dt=2.0 ** -8, u_bound=2.0,
                        keep_idx=[-1])
     assert ens.n_retried > 0
     assert np.isfinite(ens.components["x"]).all()
@@ -418,7 +417,7 @@ def test_run_ensemble_raises_when_bound_stays_small(monkeypatch):
     with pytest.raises(ThinningBoundError, match="after 1 doublings"):
         run_ensemble(affine_model(p, 30.0, 0.0),
                      m=p.m, mu=p.mu, n_paths=8, master_seed=3,
-                     t_max=1.0, dt=2.0 ** -8, u_bound=1.0, eps=0.0)
+                     t_max=1.0, dt=2.0 ** -8, u_bound=1.0)
 
 
 @pytest.mark.parametrize("n_paths", [0, -3])
@@ -437,7 +436,7 @@ def test_run_ensemble_rejects_fewer_than_one_path(monkeypatch, n_paths,
     monkeypatch.setattr(sde, "generate_noise", draw)
     with pytest.raises(ValueError, match="n_paths must be at least 1"):
         run_ensemble(model, m=p.m, mu=p.mu, n_paths=n_paths, master_seed=3,
-                     t_max=1.0, dt=2.0 ** -8, u_bound=16.0, eps=0.0)
+                     t_max=1.0, dt=2.0 ** -8, u_bound=16.0)
 
 
 @pytest.fixture
@@ -459,7 +458,7 @@ def test_run_ensemble_rejects_n_fine_out_of_range(no_stream, n_fine):
                                          rf"n_paths = 8\], got {n_fine}$"):
         run_ensemble(affine_model(p, 1.0, 0.0), m=p.m, mu=p.mu, n_paths=8,
                      master_seed=3, t_max=1.0, dt=2.0 ** -8, u_bound=16.0,
-                     eps=0.0, n_fine=n_fine)
+                     n_fine=n_fine)
 
 
 def test_stability_refusal():
@@ -499,7 +498,7 @@ def test_ensemble_reproduces_scalar_paths(kernel):
     assert 0 < np.isnan(aborted).sum() < batch.n_paths
     for i in range(batch.n_paths):
         one = generate_noise(p.m, p.mu, 1.0, batch.dt, batch.seeds[i:i + 1],
-                             batch.u_bound, 0.0)
+                             batch.u_bound)
         comps_i, aborted_i, clamps_i = run(one, None)
         assert sorted(comps_i) == sorted(comps)
         for name, arr in comps.items():
@@ -515,7 +514,7 @@ def test_ensemble_rejects_out_of_range_master_seed(master_seed):
                        match=f"master_seed {master_seed} is outside"):
         run_ensemble(affine_model(p, 1.0, 0.5),
                      m=p.m, mu=p.mu, n_paths=2, master_seed=master_seed,
-                     t_max=1.0, dt=2.0 ** -4, u_bound=24.0, eps=0.0)
+                     t_max=1.0, dt=2.0 ** -4, u_bound=24.0)
 
 
 def test_chunk_boundary_paths_match_scalar_runs():
@@ -523,10 +522,10 @@ def test_chunk_boundary_paths_match_scalar_runs():
     master, dt = 17, 2.0 ** -8
     ens = run_ensemble(affine_model(p, 1.0, 0.5),
                        m=p.m, mu=p.mu, n_paths=CHUNK + 3, master_seed=master,
-                       t_max=dt, dt=dt, u_bound=24.0, eps=0.0)
+                       t_max=dt, dt=dt, u_bound=24.0)
     for i in (CHUNK - 1, CHUNK, CHUNK + 2):
         noise = generate_noise(p.m, p.mu, dt, dt, substream_seed(master, i),
-                               24.0, 0.0)
+                               24.0)
         out = path(simulate_affine(p, 1.0, 0.5, noise))
         assert np.array_equal(ens.components["x"][i], out["x"])
         assert np.array_equal(ens.components["z"][i], out["z"])
@@ -543,13 +542,13 @@ def test_ensemble_counts_clamps_of_kept_attempts():
     master, dt, n = 5, 2.0 ** -6, 40
     ens = run_ensemble(affine_model(p, 0.01, 0.0),
                        m=p.m, mu=p.mu, n_paths=n, master_seed=master,
-                       t_max=1.0, dt=dt, u_bound=2.0, eps=0.0)
+                       t_max=1.0, dt=dt, u_bound=2.0)
     expected = 0
     for i in range(n):
         bound = 2.0
         while True:
             noise = generate_noise(p.m, p.mu, 1.0, dt,
-                                   substream_seed(master, i), bound, 0.0)
+                                   substream_seed(master, i), bound)
             _, aborted, clamps = simulate_affine(p, 0.01, 0.0, noise)
             if np.isnan(aborted[0]):
                 break
@@ -629,7 +628,7 @@ def aborting_noise(refined):
     """64 paths of the jump preset at u_bound 1.2, where many abort."""
     p = jump_affine_params()
     noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6,
-                           substream_seed_array(7, np.arange(64)), 1.2, 0.0)
+                           substream_seed_array(7, np.arange(64)), 1.2)
     return p, refine(noise) if refined else noise
 
 
@@ -726,8 +725,7 @@ def test_ladder_advances_shared_coordinates_once(monkeypatch):
     monkeypatch.setattr(sde, "_step_loop", spy)
     p = symmetric_split_params()
     n = 50
-    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, np.arange(n), 16.0,
-                           0.0)
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -6, np.arange(n), 16.0)
     ladder = [4.0, 16.0, 64.0, 256.0]
     rungs = simulate_reactant_pair(p, ladder, 1.0, ladder, ladder, noise,
                                    with_limit=True, z0=0.0, keep=[-1])
@@ -743,7 +741,7 @@ def test_event_table_order_equals_step_path_key(n_steps):
     the ``(step, path)`` key's permutation, also where a path has several
     events in one step."""
     p = jump_affine_params()
-    ns = generate_noise(p.m, p.mu, 1.0, 0.25, range(5), 16.0, 0.0)
+    ns = generate_noise(p.m, p.mu, 1.0, 0.25, range(5), 16.0)
     ns = dataclasses.replace(ns, dt=1.0 / n_steps, brownian=np.broadcast_to(
         ns.brownian[:1], (n_steps, 3, 5)))
     for which in ("n0", "n1"):
@@ -779,7 +777,7 @@ def test_empty_batch_returns_shaped_outputs_without_tables(monkeypatch,
     monkeypatch.setattr(sde, "_step_loop", spy)
 
     def run(seeds):
-        noise = generate_noise(p.m, p.mu, 0.25, 2.0 ** -6, seeds, 16.0, 0.0)
+        noise = generate_noise(p.m, p.mu, 0.25, 2.0 ** -6, seeds, 16.0)
         if case == "one-copy":
             simulate_affine(p, 1.0, 0.5, noise, keep=np.array([0, 3, -1]))
         elif case == "ladder-sup":
@@ -834,7 +832,7 @@ def test_product_exponential_round():
                                       sign_mix=0.5)
     params = make_params(a=0.1, alpha=((0.2, 0), (0, 0.1)), b=(0.5, 0.0),
                          beta=((-0.5, 0), (0.2, -0.5)), m=pe_m, mu=pe_mu)
-    noise = generate_noise(pe_m, pe_mu, 1.0, 2.0 ** -8, 19, 16.0, 1e-3)
+    noise = generate_noise(pe_m, pe_mu, 1.0, 2.0 ** -8, 19, 16.0)
     comps, aborted, _ = simulate_affine(params, 1.0, 0.0, noise)
     assert np.isnan(aborted[0])
     assert np.all(comps["x"] >= 0.0)
@@ -900,7 +898,7 @@ def test_non_finite_input_named_before_any_noise(monkeypatch, match, model):
     monkeypatch.setattr(sde, "generate_noise", spy)
     with pytest.raises(ValueError, match=f"^{match}"):
         run_ensemble(model, m=P.m, mu=P.mu, n_paths=4, master_seed=0,
-                     t_max=0.25, dt=2.0 ** -6, u_bound=16.0, eps=0.0)
+                     t_max=0.25, dt=2.0 ** -6, u_bound=16.0)
     assert drawn == [0]                 # the empty batch only
 
 
@@ -928,8 +926,7 @@ def test_clamped_components_stay_nonnegative(preset, u_bound):
     after it aborts."""
     params = builtin_params(preset)
     noise = generate_noise(params.m, params.mu, 1.0, 2.0 ** -6,
-                           substream_seed_array(7, np.arange(64)), u_bound,
-                           0.0)
+                           substream_seed_array(7, np.arange(64)), u_bound)
     for name, arr in _clamped_components(params, noise):
         assert np.all((arr >= 0.0) | np.isnan(arr)), name
 

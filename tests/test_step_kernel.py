@@ -132,7 +132,7 @@ def ref_step_loop(noise, coords, thinning, keep=None, sup=None):
     return kept, aborted_at, clamps
 
 
-def ref_catalyst(p, x0, dt, eps):
+def ref_catalyst(p, x0, dt):
     b1, b11 = p.b[0], p.beta[0, 0]
     s11, s12 = p.sigma[0]
 
@@ -142,12 +142,11 @@ def ref_catalyst(p, x0, dt, eps):
             + np.sqrt(2.0 * xk) * (s11 * dB[:, 1] + s12 * dB[:, 2])
 
     return sde._Coord("x", x0, euler, lambda s, k: s["x"], sde._xi1,
-                      sde._xi1, comp=ref_comp(dt, p.mu.poly_moment(1, 0,
-                                                                   eps=eps)),
+                      sde._xi1, comp=ref_comp(dt, p.mu.poly_moment(1, 0)),
                       clamp=True)
 
 
-def ref_partner(p, name, z0, region, dt, eps, intensity):
+def ref_partner(p, name, z0, region, dt, intensity):
     b2, b21, b22 = p.b[1], p.beta[1, 0], p.beta[1, 1]
     s21, s22 = p.sigma[1]
     rt2s0 = np.sqrt(2.0) * p.sigma0
@@ -159,11 +158,11 @@ def ref_partner(p, name, z0, region, dt, eps, intensity):
 
     marks = sde._region_marks(region)
     return sde._Coord(name, z0, euler, intensity, marks, marks,
-                      m=p.m.poly_moment(0, 1, region, eps),
-                      comp=ref_comp(dt, p.mu.poly_moment(0, 1, region, eps)))
+                      m=p.m.poly_moment(0, 1, region),
+                      comp=ref_comp(dt, p.mu.poly_moment(0, 1, region)))
 
 
-def ref_reactant(p, name, y0, theta, coefs, region, dt, eps):
+def ref_reactant(p, name, y0, theta, coefs, region, dt):
     sg0, sg21, sg22, bb2, bb21 = coefs
     b22 = p.beta[1, 1]
     sign = 1.0 if region == "plus" else -1.0
@@ -179,16 +178,15 @@ def ref_reactant(p, name, y0, theta, coefs, region, dt, eps):
     marks = sde._region_marks(region)
     return sde._Coord(name, y0, euler,
                       lambda s, k: s["x"] * (s[name] / theta), marks, marks,
-                      m=sign * p.m.poly_moment(0, 1, region, eps),
-                      comp=ref_comp(dt, sign * p.mu.poly_moment(0, 1, region,
-                                                                eps)),
+                      m=sign * p.m.poly_moment(0, 1, region),
+                      comp=ref_comp(dt, sign * p.mu.poly_moment(0, 1, region)),
                       clamp=True)
 
 
 def ref_cbi(p, x0, theta0, theta1, l, noise):
     dt = noise.dt
     b, beta, sigma = p.b[0], p.beta[0, 0], p.sigma[0]
-    mu_x1 = p.mu.poly_moment(1, 0, eps=noise.eps)
+    mu_x1 = p.mu.poly_moment(1, 0)
 
     def euler(s, dB, k):
         xk = s["x"]
@@ -204,10 +202,9 @@ def ref_cbi(p, x0, theta0, theta1, l, noise):
 
 
 def ref_affine(p, x0, z0, noise, z_region):
-    x = ref_catalyst(p, x0, noise.dt, noise.eps)
+    x = ref_catalyst(p, x0, noise.dt)
     return ref_step_loop(noise, [x, ref_partner(p, "z", z0, z_region,
-                                                noise.dt, noise.eps,
-                                                x.intensity)],
+                                                noise.dt, x.intensity)],
                          not p.mu.is_empty)
 
 
@@ -225,35 +222,34 @@ def ref_catalytic(p, x0, y0, l, noise):
 
     plus = sde._region_marks("plus")
     y = sde._Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus,
-                   plus, comp=ref_comp(dt, p.mu.poly_moment(0, 1, "plus",
-                                                            noise.eps)),
+                   plus, comp=ref_comp(dt, p.mu.poly_moment(0, 1, "plus")),
                    clamp=True)
-    return ref_step_loop(noise, [ref_catalyst(p, x0, dt, noise.eps), y],
+    return ref_step_loop(noise, [ref_catalyst(p, x0, dt), y],
                          not p.mu.is_empty)
 
 
 def ref_ladder(p, ladder, x0, yp0, ym0, z0, noise, mode):
     """The rungs of one ladder with the limit equation, one triple each."""
-    dt, eps = noise.dt, noise.eps
+    dt = noise.dt
     scales = np.array(ladder, dtype=float)[:, None]
-    x = ref_catalyst(p, x0, dt, eps)
+    x = ref_catalyst(p, x0, dt)
     if mode == "pair":
         split = ParameterSplit.from_params(p)
         ys = [ref_reactant(p, "y_plus", yp0, scales, split._part("pos"),
-                           "plus", dt, eps),
+                           "plus", dt),
               ref_reactant(p, "y_minus", ym0, scales, split._part("neg"),
-                           "minus", dt, eps)]
+                           "minus", dt)]
     else:
         ys = [ref_reactant(p, "y", yp0, scales,
                            tuple(read(p) for _, read in sde._SPLIT), "plus",
-                           dt, eps)]
+                           dt)]
 
     def centered(s, theta):
         return s["y_plus"] - s["y_minus"] if mode == "pair" \
             else s["y"] - theta
 
     lim = ref_partner(p, "z_lim", z0, "all" if mode == "pair" else "plus",
-                      dt, eps, x.intensity)
+                      dt, x.intensity)
     comps, aborted_at, clamps = ref_step_loop(
         noise, [x, *ys, lim], not p.mu.is_empty,
         sup={"gap": lambda s: np.abs(centered(s, scales) - s["z_lim"])})
@@ -282,8 +278,7 @@ def assert_bitwise(got, want, label):
 
 def make_noise(p, level, u_bound=16.0, n=24, t_max=0.5, dt=0.0125):
     noise = generate_noise(p.m, p.mu, t_max, dt,
-                           substream_seed_array(5, np.arange(n)), u_bound,
-                           0.0)
+                           substream_seed_array(5, np.arange(n)), u_bound)
     for _ in range(level):
         noise = refine(noise)
     return noise

@@ -106,7 +106,7 @@ class TestEmpiricalCharFn:
         ens = run_ensemble(lambda n, keep: simulate_affine(p, 1.0, 0.5, n,
                                                            keep=keep),
                            m=p.m, mu=p.mu, n_paths=500, master_seed=8,
-                           t_max=0.5, dt=2.0 ** -7, u_bound=24.0, eps=0.0,
+                           t_max=0.5, dt=2.0 ** -7, u_bound=24.0,
                            keep_idx=[-1])
         for u in ((-0.5, 0.0), (0.0, 2j), (-3.0, -1j)):
             estimate, stderr = char_estimate(ens, 0, u)
@@ -440,10 +440,10 @@ def test_validate_draws_generator_noise_once(monkeypatch, tmp_path):
     modes, all paths and then the coupled ones, and refines it once."""
     draws, refined = [], []
 
-    def spy(m, mu, t_max, dt, seed, u_bound, eps):
+    def spy(m, mu, t_max, dt, seed, u_bound):
         if len(seed):
             draws.append(len(seed))
-        return generate_noise(m, mu, t_max, dt, seed, u_bound, eps)
+        return generate_noise(m, mu, t_max, dt, seed, u_bound)
 
     def refine_spy(noise):
         if noise.n_paths:
@@ -530,11 +530,11 @@ def assert_same_ensemble(got, want):
 
 
 def first_round_aborts(core, n_fine, *, m, mu, master_seed, t_max, dt,
-                       u_bound, eps, keep):
+                       u_bound, keep):
     """Which of the first ``n_fine`` paths abort at the bound ``u_bound``
     on the coarse and on the fine level."""
     seeds = substream_seed_array(master_seed, np.arange(n_fine))
-    noise = generate_noise(m, mu, t_max, dt, seeds, u_bound, eps)
+    noise = generate_noise(m, mu, t_max, dt, seeds, u_bound)
     return tuple(~np.isnan(core(ns, k)[1])
                  for ns, k in ((noise, keep), (refine(noise), 2 * keep)))
 
@@ -560,7 +560,7 @@ def test_two_level_reuse_matches_oracle(monkeypatch, case, chunk):
     p = jump_affine_params()
     n, keep = 200, np.array([32, 64])
     kw = dict(m=p.m, mu=p.mu, master_seed=seed, t_max=1.0, dt=2.0 ** -6,
-              u_bound=u_bound, eps=0.0)
+              u_bound=u_bound)
 
     def core(noise, keep):
         return simulate_affine(p, 1.0, 0.0, noise, keep=keep)
@@ -617,7 +617,7 @@ def test_control_joins_first_round_rows(monkeypatch):
                 np.full(n, 0.0 if first else np.nan),
                 np.full(n, 1 + level, dtype=np.intp))
     kw = dict(m=EMPTY, mu=EMPTY, master_seed=6, t_max=0.5, dt=0.5,
-              u_bound=2.0, eps=0.0)
+              u_bound=2.0)
     got = validate._two_level_runs(core, 200, **kw)
     want = oracle_two_level_runs(core, 200, **kw)
     assert [e.n_retried for e in want] == [200, 13]
@@ -631,7 +631,7 @@ def test_two_level_reuse_spans_chunks():
     p = jump_affine_params()
     n = validate.FINE_FRACTION * sde.CHUNK + 1
     kw = dict(m=p.m, mu=p.mu, master_seed=4, t_max=2.0 ** -10,
-              dt=2.0 ** -10, u_bound=16.0, eps=0.0, keep_idx=[1])
+              dt=2.0 ** -10, u_bound=16.0, keep_idx=[1])
 
     def core(noise, keep):
         return simulate_affine(p, 1.0, 0.5, noise, keep=keep)
@@ -773,7 +773,7 @@ def test_fluctuation_shared_noise_matches_per_rung_runs(monkeypatch):
     sp = symmetric_split_params()
     ladder = [4.0, 16.0, 64.0]
     kw = dict(n_paths=200, master_seed=5, t_max=1.0, dt=2.0 ** -6,
-              u_bound=3.0, eps=0.0)
+              u_bound=3.0)
     rep = fluctuation_experiment(sp, ladder, mode="pair", **kw)
     retried = []
     for theta in ladder:
@@ -808,10 +808,10 @@ def test_fluctuation_retry_round_draws_noise_once(monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 64)
     draws = []
 
-    def spy(m, mu, t_max, dt, seed, u_bound, eps):
+    def spy(m, mu, t_max, dt, seed, u_bound):
         if len(seed):
             draws.append((tuple(np.asarray(seed).tolist()), u_bound))
-        return generate_noise(m, mu, t_max, dt, seed, u_bound, eps)
+        return generate_noise(m, mu, t_max, dt, seed, u_bound)
     monkeypatch.setattr(sde, "generate_noise", spy)
     ensembles = []
 
@@ -822,7 +822,7 @@ def test_fluctuation_retry_round_draws_noise_once(monkeypatch):
     sp = symmetric_split_params()
     ladder = [4.0, 16.0, 64.0]
     kw = dict(n_paths=200, master_seed=5, t_max=1.0, dt=2.0 ** -6,
-              u_bound=3.0, eps=0.0)
+              u_bound=3.0)
     fluctuation_experiment(sp, ladder, mode="pair", **kw)
     together = _draws_by_chunk(draws, 3.0)
 
