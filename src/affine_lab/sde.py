@@ -38,6 +38,12 @@ coordinate has one definition shared by every system that contains it,
 so its path is bitwise identical across the pair, catalytic and reactant
 simulators given the same noise.
 
+A zero coefficient's term is left out when its coordinate is built, and
+a step runs the abort and clamp masks only when one reduction per array
+finds something to abort or clamp; README's step-kernel section says
+when a left-out ``c * v`` with ``c = +-0`` could differ (a sum of exactly
+``+-0``, or an overflowing ``v``).
+
 The loop can also advance several copies of one batch, each with its
 own starts and coefficients, along a NumPy broadcast axis: the reactant
 simulator runs a whole theta ladder this way, so one step's fixed NumPy
@@ -257,7 +263,9 @@ class _Coord:
     xi2)`` and ``marks1(xi1, xi2)`` on a whole event table.  Coordinates
     that share one intensity function share its evaluation and bound
     check in each step.  ``euler`` and ``comp`` return new arrays, which
-    the loop may modify, and change no array they are given.
+    the loop may modify, and change no array they are given.  ``euler``
+    leaves out the terms whose coefficient is zero, chosen when the
+    coordinate is built.
     """
 
     name: str
@@ -357,15 +365,18 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
             lam = {f: f(s, k) for f in intensities}
-            bad = ~reduce(np.logical_and,
-                          [np.isfinite(s[c.name]) for c in coords])
-            if thinning:
-                for v in lam.values():
-                    bad |= v > u_bound
-            bad &= alive
-            if bad.any():
-                abort_step[bad] = k
-                alive &= ~bad
+            if not (all(math.isfinite(s[c.name].sum()) for c in coords)
+                    and (not thinning
+                         or all(v.max() <= u_bound for v in lam.values()))):
+                bad = ~reduce(np.logical_and,
+                              [np.isfinite(s[c.name]) for c in coords])
+                if thinning:
+                    for v in lam.values():
+                        bad |= v > u_bound
+                bad &= alive
+                if bad.any():
+                    abort_step[bad] = k
+                    alive &= ~bad
 
             dB = noise.increment(k).T
             a0, e0, a1, e1 = off0[k], off0[k + 1], off1[k], off1[k + 1]
@@ -391,7 +402,7 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
                         minlength=lam_c.size).reshape(lam_c.shape)
                 if c.comp is not None:
                     new -= c.comp(s, k, lam_c)
-                if c.clamp:
+                if c.clamp and not new.min() >= 0.0:   # NaN takes the masks
                     neg = new < 0.0
                     np.add(clamps, neg, out=clamps, where=alive)
                     np.copyto(new, 0.0, where=neg)
@@ -437,49 +448,95 @@ def _sqrt_two_x(s):
     return _shared(s, ("sqrt 2x",), np.sqrt, _two_x(s))
 
 
-def _mix(dB, c1, c2):
-    """``c1 dB_1 + c2 dB_2`` as a new array."""
-    out = np.multiply(dB[:, 1], c1)
-    out += c2 * dB[:, 2]
-    return out
+def _mix(c1, c2):
+    """``dB -> c1 dB_1 + c2 dB_2`` as a new array, of the terms whose
+    coefficient is not zero; None when both are."""
+    if c2 == 0.0:
+        return None if c1 == 0.0 else lambda dB: np.multiply(dB[:, 1], c1)
+    if c1 == 0.0:
+        return lambda dB: np.multiply(dB[:, 2], c2)
+
+    def mix(dB):
+        out = np.multiply(dB[:, 1], c1)
+        out += c2 * dB[:, 2]
+        return out
+    return mix
 
 
-def _branching_euler(dt, b, beta, diffusion):
-    """The update ``x + dt (b + beta x) + sqrt(2 x) diffusion(dB)``."""
+def _catalyst_noise(c1, c2):
+    """The noise term ``sqrt(2 x) (c1 dB_1 + c2 dB_2)`` driven by the
+    catalyst ``x``, as a list of none or one ``term(s, dB)``."""
+    mix = _mix(c1, c2)
+    if mix is None:
+        return []
+
+    def term(s, dB):
+        out = mix(dB)
+        out *= _sqrt_two_x(s)
+        return out
+    return [term]
+
+
+def _reactant_noise(v, c0, c1, c2):
+    """The noise terms ``c0 sqrt(2 v) dB_0`` and ``sqrt(2 x v) (c1 dB_1 +
+    c2 dB_2)`` of a reactant ``v(s)``, those whose coefficients are not
+    all zero, as a list of ``term(s, dB)``."""
+    terms = []
+    if c0 != 0.0:
+        def own(s, dB):
+            out = np.multiply(v(s), 2.0)
+            np.sqrt(out, out=out)
+            out *= c0
+            out *= dB[:, 0]
+            return out
+        terms.append(own)
+    mix = _mix(c1, c2)
+    if mix is not None:
+        def shared(s, dB):
+            out = np.multiply(_two_x(s), v(s))
+            np.sqrt(out, out=out)
+            out *= mix(dB)
+            return out
+        terms.append(shared)
+    return terms
+
+
+def _euler(name, dt, lead, drift, noise):
+    """The update ``y + dt (lead + d_1 + d_2 + ...) + n_1 + n_2 + ...`` of
+    ``y = s[name]``, each drift term ``d(s)`` and noise term ``n(s, dB)``
+    a new array, summed left to right in the first drift term's array; a
+    ``lead`` of None is left out."""
+    first, *rest = drift
+
     def euler(s, dB, k):
-        xk = s["x"]
-        new = np.multiply(xk, beta)
-        new += b
+        new = first(s)
+        if lead is not None:
+            new += lead
+        for term in rest:
+            new += term(s)
         new *= dt
-        new += xk
-        diff = diffusion(dB)
-        diff *= _sqrt_two_x(s)
-        new += diff
+        new += s[name]
+        for term in noise:
+            new += term(s, dB)
         return new
     return euler
 
 
-def _add_reactant_noise(new, tmp, s, dB, v, c0, c1, c2):
-    """Adds ``c0 sqrt(2 v) dB_0``, then ``sqrt(2 x v) (c1 dB_1 + c2
-    dB_2)``, to ``new`` in place; ``tmp`` is scratch shaped like it."""
-    np.multiply(v, 2.0, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp *= c0
-    tmp *= dB[:, 0]
-    new += tmp
-    np.multiply(_two_x(s), v, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp *= _mix(dB, c1, c2)
-    new += tmp
-    return new
+def _branching_euler(dt, b, beta, noise):
+    """The update ``x + dt (b + beta x)`` plus the terms ``noise``."""
+    return _euler("x", dt, b, [lambda s: np.multiply(s["x"], beta)], noise)
+
+
+def _nonzero(c):
+    """``c``, or None when it is zero (either sign)."""
+    return None if c == 0.0 else c
 
 
 def _catalyst(params, x0, dt):
     """The first coordinate, one definition for every pair system so the
     catalyst path is bitwise identical across them for shared noise."""
-    s11, s12 = params.sigma[0]
     euler = _branching_euler(dt, params.b[0], params.beta[0, 0],
-                             lambda dB: _mix(dB, s11, s12))
+                             _catalyst_noise(*params.sigma[0]))
     return _Coord("x", x0, euler, _catalyst_intensity, _xi1, _xi1,
                   comp=_thinning_comp(dt, params.mu.poly_moment(1, 0), _DT_X),
                   clamp=True)
@@ -489,26 +546,15 @@ def _linear_partner(params, name, z0, region, dt):
     """The real second coordinate driven by the catalyst; ``region``
     restricts which jump marks it reads ("plus" gives the one-sided limit
     equation of the single reactant)."""
+    # zk + dt (b2 + b21 xk + b22 zk) + rt2s0 dB_0 + sqrt(2 xk) (...)
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
-    s21, s22 = params.sigma[1]
     rt2s0 = math.sqrt(2.0) * params.sigma0
-
-    def euler(s, dB, k):
-        # zk + dt (b2 + b21 xk + b22 zk) + rt2s0 dB_0 + sqrt(2 xk) (...)
-        xk, zk = s["x"], s[name]
-        new = np.multiply(xk, b21)
-        new += b2
-        tmp = np.multiply(zk, b22)
-        new += tmp
-        new *= dt
-        new += zk
-        np.multiply(dB[:, 0], rt2s0, out=tmp)
-        new += tmp
-        diff = _mix(dB, s21, s22)
-        diff *= _sqrt_two_x(s)
-        new += diff
-        return new
-
+    drift = [lambda s: np.multiply(s["x"], b21)] if b21 != 0.0 else []
+    drift.append(lambda s: np.multiply(s[name], b22))
+    noise = [lambda s, dB: np.multiply(dB[:, 0], rt2s0)] \
+        if rt2s0 != 0.0 else []
+    euler = _euler(name, dt, _nonzero(b2), drift,
+                   noise + _catalyst_noise(*params.sigma[1]))
     marks = _region_marks(region)
     return _Coord(name, z0, euler, _catalyst_intensity, marks, marks,
                   m=params.m.poly_moment(0, 1, region),
@@ -520,9 +566,10 @@ def _reactant(params, name, y0, theta, coefs, region, dt):
     """A reactant at scale ``theta`` (one row per copy) carrying ``coefs =
     (sigma0, sigma21, sigma22, b2, beta21)`` and the marks of one
     quadrant: "plus" reads them as they are, "minus" sign-flipped."""
+    # yk + dt (-theta b22 + bb21 xk ty + bb2 ty + b22 yk)
+    #    + sg0 sqrt(2 ty) dB_0 + sqrt(2 xk ty) (...),  ty = yk / theta
     sg0, sg21, sg22, bb2, bb21 = coefs
     b22 = params.beta[1, 1]
-    lead = -theta * b22
     sign = 1.0 if region == "plus" else -1.0
     m_c = sign * params.m.poly_moment(0, 1, region)
     mu_c = sign * params.mu.poly_moment(0, 1, region)
@@ -533,20 +580,15 @@ def _reactant(params, name, y0, theta, coefs, region, dt):
     def intensity(s, k):
         return s["x"] * ratio(s)
 
-    def euler(s, dB, k):
-        # yk + dt (-theta b22 + bb21 xk ty + bb2 ty + b22 yk)
-        #    + sg0 sqrt(2 ty) dB_0 + sqrt(2 xk ty) (...),  ty = yk / theta
-        xk, yk, ty = s["x"], s[name], ratio(s)
-        new = np.multiply(np.multiply(xk, bb21), ty)
-        new += lead
-        tmp = np.multiply(ty, bb2)
-        new += tmp
-        np.multiply(yk, b22, out=tmp)
-        new += tmp
-        new *= dt
-        new += yk
-        return _add_reactant_noise(new, tmp, s, dB, ty, sg0, sg21, sg22)
-
+    drift = []
+    if bb21 != 0.0:
+        drift.append(lambda s: np.multiply(np.multiply(s["x"], bb21),
+                                           ratio(s)))
+    if bb2 != 0.0:
+        drift.append(lambda s: np.multiply(ratio(s), bb2))
+    drift.append(lambda s: np.multiply(s[name], b22))
+    euler = _euler(name, dt, -theta * b22, drift,
+                   _reactant_noise(ratio, sg0, sg21, sg22))
     marks = _region_marks(region)
     return _Coord(name, y0, euler, intensity, marks, marks, m=m_c,
                   comp=_thinning_comp(dt, mu_c), clamp=True)
@@ -574,12 +616,11 @@ def simulate_cbi(params: AdmissibleParams, x0: float, theta0: float,
     x0, theta0, theta1, l = (_check_init(name, value) for name, value in (
         ("x0", x0), ("theta0", theta0), ("theta1", theta1), ("l", l)))
     dt = noise.dt
-    b, beta, sigma = params.b[0], params.beta[0, 0], params.sigma[0]
+    b, beta = params.b[0], params.beta[0, 0]
     _stability_guard(dt, beta, "|beta11|")
     mu_x1 = params.mu.poly_moment(1, 0)
 
-    euler = _branching_euler(
-        dt, b, beta, lambda dB: np.einsum("pj,j->p", dB[:, 1:3], sigma))
+    euler = _branching_euler(dt, b, beta, _catalyst_noise(*params.sigma[0]))
 
     def comp(s, k, lam):
         # Product order dt*l*x*theta1*mu, not dt*(l*x)*...: the two round
@@ -619,23 +660,15 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
                          f"got {float(params.b[1])!r}")
     dt = noise.dt
     _check_dt(dt, params)
+    # yk + dt (b2 + b21 xk yk + b22 yk) + s0 sqrt(2 yk) dB_0
+    #    + sqrt(2 xk yk) (s21 dB_1 + s22 dB_2)
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
-    s21, s22 = params.sigma[1]
-    s0 = params.sigma0
-
-    def euler(s, dB, k):
-        # yk + dt (b2 + b21 xk yk + b22 yk) + s0 sqrt(2 yk) dB_0
-        #    + sqrt(2 xk yk) (s21 dB_1 + s22 dB_2)
-        xk, yk = s["x"], s["y"]
-        new = np.multiply(xk, b21)
-        new *= yk
-        new += b2
-        tmp = np.multiply(yk, b22)
-        new += tmp
-        new *= dt
-        new += yk
-        return _add_reactant_noise(new, tmp, s, dB, yk, s0, s21, s22)
-
+    drift = [lambda s: np.multiply(np.multiply(s["x"], b21), s["y"])] \
+        if b21 != 0.0 else []
+    drift.append(lambda s: np.multiply(s["y"], b22))
+    euler = _euler("y", dt, _nonzero(b2), drift,
+                   _reactant_noise(lambda s: s["y"], params.sigma0,
+                                   *params.sigma[1]))
     plus = _region_marks("plus")
     # Immigration marks in the positive quadrant, uncompensated.
     y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,

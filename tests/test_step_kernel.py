@@ -5,9 +5,12 @@ operations and computes the terms a step shares once.  The reference
 simulator here keeps the plain expression form of every update, the
 compensator ``dt * lam * mu`` per coordinate and the recursive split of
 refined increments, so each simulator must equal it bit for bit: the
-kernel may reorder no floating-point operation.
+kernel may reorder no floating-point operation.  The kernel also leaves
+out every term whose coefficient is zero, while the reference keeps it,
+so the inputs include signed-zero coefficients next to nonzero ones.
 """
 
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -15,15 +18,39 @@ import pytest
 
 from affine_lab import sde
 from affine_lab.noise import generate_noise, refine, substream_seed_array
+from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import (cir_params, jump_affine_params,
                                 symmetric_split_params)
 from affine_lab.sde import (ParameterSplit, simulate_affine,
                             simulate_catalytic, simulate_cbi,
                             simulate_reactant_pair)
 
-PRESETS = {"jump_affine": jump_affine_params, "cir": cir_params,
-           "symmetric_split": symmetric_split_params}
+
+def jump_affine_at(a):
+    """``jump_affine`` with ``a`` set, so ``sigma0 = sqrt(a)``, which the
+    affine partner and every reactant read, is ``a`` when ``a`` is a zero
+    while the other noise coefficients stay nonzero."""
+    p = jump_affine_params()
+    return validate_admissible(a, p.alpha, p.b, p.beta, p.m, p.mu)
+
+
+def user_split(p):
+    """A pair split with ``beta21`` nonzero on both sides, next to
+    ``sigma0`` zero on both (``-0.0`` on the positive side, ``+0.0`` on
+    the negative one)."""
+    return replace(ParameterSplit.from_params(p), beta21_pos=0.5,
+                   beta21_neg=0.1, sigma0_pos=-0.0, sigma0_neg=0.0)
+
+
+# name -> (parameters, the pair split or None for the canonical one)
+CASES = {"jump_affine": (jump_affine_params, None),
+         "cir": (cir_params, None),
+         "symmetric_split": (symmetric_split_params, None),
+         "a=+0": (lambda: jump_affine_at(0.0), None),
+         "a=-0": (lambda: jump_affine_at(-0.0), None),
+         "user-split": (lambda: jump_affine_at(0.0), user_split)}
 LADDER = [1.0, 4.0, 16.0, 64.0]
+HUGE = 1.7e308      # 2 y / theta overflows on the rung theta = 1
 
 
 # -- the expression-form reference ----------------------------------------
@@ -228,13 +255,13 @@ def ref_catalytic(p, x0, y0, l, noise):
                          not p.mu.is_empty)
 
 
-def ref_ladder(p, ladder, x0, yp0, ym0, z0, noise, mode):
+def ref_ladder(p, ladder, x0, yp0, ym0, z0, noise, mode, split=None):
     """The rungs of one ladder with the limit equation, one triple each."""
     dt = noise.dt
     scales = np.array(ladder, dtype=float)[:, None]
     x = ref_catalyst(p, x0, dt)
     if mode == "pair":
-        split = ParameterSplit.from_params(p)
+        split = ParameterSplit.from_params(p) if split is None else split
         ys = [ref_reactant(p, "y_plus", yp0, scales, split._part("pos"),
                            "plus", dt),
               ref_reactant(p, "y_minus", ym0, scales, split._part("neg"),
@@ -284,24 +311,31 @@ def make_noise(p, level, u_bound=16.0, n=24, t_max=0.5, dt=0.0125):
     return noise
 
 
-def all_runs(p, start, noise):
+def all_runs(p, start, noise, split=None, y0=None):
     """Every simulator on ``noise`` from ``start``, each with its
-    reference: ``(label, got, want)`` triples, a ladder one per rung."""
+    reference: ``(label, got, want)`` triples, a ladder one per rung.
+    ``split`` is the pair ladder's (None: the canonical one); ``y0``
+    (default ``start``) starts the catalytic reactant and the first
+    rung's ``y`` and ``y_plus``."""
+    y0 = start if y0 is None else y0
     runs = [("cbi", simulate_cbi(p, start, 1.5, 0.75, 1.25, noise),
              ref_cbi(p, start, 1.5, 0.75, 1.25, noise))]
     for region in ("all", "plus"):
         got = simulate_affine(p, start, start, noise, z_region=region)
         runs.append((f"affine-{region}", got,
                      ref_affine(p, start, start, noise, region)))
-    got = simulate_catalytic(p, start, start, 0.8, noise)
-    runs.append(("catalytic", got, ref_catalytic(p, start, start, 0.8,
+    got = simulate_catalytic(p, start, y0, 0.8, noise)
+    runs.append(("catalytic", got, ref_catalytic(p, start, y0, 0.8,
                                                   noise)))
     starts = [start] * len(LADDER)
+    firsts = [y0] + starts[1:]
     for mode in ("single", "pair"):
-        got = simulate_reactant_pair(p, LADDER, start, starts, starts, noise,
-                                     mode, with_limit=True, z0=start)
-        want = ref_ladder(p, LADDER, start, starts, starts, start, noise,
-                          mode)
+        cut = split if mode == "pair" else None
+        got = simulate_reactant_pair(p, LADDER, start, firsts, starts, noise,
+                                     mode, split=cut, with_limit=True,
+                                     z0=start)
+        want = ref_ladder(p, LADDER, start, firsts, starts, start, noise,
+                          mode, cut)
         runs += [(f"{mode}-rung{r}", g, w)
                  for r, (g, w) in enumerate(zip(got, want))]
     return runs
@@ -324,10 +358,12 @@ def test_refined_increments_match_recursive_split(level):
 
 @pytest.mark.parametrize("start", [1.0, 0.0, -0.0])
 @pytest.mark.parametrize("level", [0, 1])
-@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("preset", sorted(CASES))
 def test_simulators_equal_expression_form(preset, level, start):
-    p = PRESETS[preset]()
-    for label, got, want in all_runs(p, start, make_noise(p, level)):
+    params, split = CASES[preset]
+    p = params()
+    for label, got, want in all_runs(p, start, make_noise(p, level),
+                                     split and split(p)):
         assert_bitwise(got, want, label)
 
 
@@ -336,14 +372,58 @@ def test_aborting_runs_equal_expression_form(level):
     """A thinning bound low enough to abort paths: the abort times, the
     NaN tails and the clamp counts equal the reference's.  From 0 some
     reactants still go negative after their abort, so a clamp counted on
-    a dead lane would show."""
+    a dead lane would show.  From a reactant start of ``HUGE`` the
+    nonzero-coefficient term ``c0 sqrt(2 y) dB_0`` overflows in the first
+    step: a lane whose ``dB_0`` is positive reaches +inf and aborts, one
+    whose ``dB_0`` is negative reaches -inf and is clamped to 0 without
+    aborting, so a quiet-step test that missed either would show.  With
+    no jumps, hence no thinning, and an ``x`` start of ``HUGE`` the affine
+    ``z`` overflows on lanes where ``x`` is clamped to 0, so only their
+    non-finite state aborts them."""
     p = jump_affine_params()
-    runs = all_runs(p, 0.0, make_noise(p, level, u_bound=1.6, n=40))
+    noise = make_noise(p, level, u_bound=1.6, n=40)
+    runs = all_runs(p, 0.0, noise)
     aborted = {label for label, got, _ in runs
                if 0 < np.isfinite(got[1]).sum() < len(got[1])}
     assert {"affine-all", "catalytic", "pair-rung0"} <= aborted
-    for label, got, want in runs:
+    overflow = all_runs(p, 0.0, noise, y0=HUGE)
+    for label, name in (("catalytic", "y"), ("single-rung0", "y"),
+                        ("pair-rung0", "y_plus")):
+        comps, aborted_at, clamps = dict((l, g) for l, g, _ in overflow)[label]
+        up = comps[name][:, 1] == np.inf
+        assert up.any() and (aborted_at[up] == noise.grid[1]).all(), label
+        down = comps[name][:, 1] == 0.0
+        assert down.any() and (up | down).all(), label
+        assert not (aborted_at[down] <= noise.grid[1]).any(), label
+        assert (clamps[down] >= 1).all(), label
+    calm = validate_admissible(p.a, p.alpha, p.b, p.beta,
+                               FiniteAtomicMeasure([]), FiniteAtomicMeasure([]))
+    noise = make_noise(calm, level, n=40)
+    got = simulate_affine(calm, HUGE, 0.0, noise)
+    hidden = (got[0]["x"][:, 1] == 0.0) & ~np.isfinite(got[0]["z"][:, 1])
+    assert hidden.any() and (got[1][hidden] == noise.grid[1]).all()
+    overflow.append(("affine-x", got,
+                     ref_affine(calm, HUGE, 0.0, noise, "all")))
+    for label, got, want in runs + overflow:
         assert_bitwise(got, want, label)
+
+
+def test_zero_split_ladder_takes_one_sqrt_per_step(monkeypatch):
+    """In ``symmetric_split`` every split part of both reactants and every
+    noise coefficient of the limit equation is zero, so those terms are
+    left out and a step's one square root is the catalyst's
+    ``sqrt(2 x)``."""
+    p = symmetric_split_params()
+    noise = make_noise(p, 0)
+    sqrt, calls = np.sqrt, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return sqrt(*args, **kwargs)
+    monkeypatch.setattr(np, "sqrt", counted)
+    simulate_reactant_pair(p, LADDER, 0.5, LADDER, LADDER, noise, "pair",
+                           with_limit=True, z0=0.0)
+    assert calls == [(noise.n_paths,)] * noise.n_steps
 
 
 def test_run_writes_no_noise_and_repeats(monkeypatch):
