@@ -4,15 +4,26 @@ A ``NoiseSystem`` holds the noise of a batch of paths on one grid; a
 single path is a batch of one.  Each path has its own 64-bit seed, which
 keys independent counter-based substreams (Philox4x64) per role:
 
-    role 0  Brownian increments (all components)
+    role 0  Brownian increments (components in order, each n_steps long)
     role 1  events of the immigration stream N0 (times, then marks)
     role 2  candidate events of the thinned stream N1
             (times, then uniform thinning marks on [0, u_bound], then marks)
     role 3+ Brownian-bridge midpoints for successive grid refinements
 
 The Brownian increments of the generated grid are one time-major
-``(n_steps, 3, n_paths)`` array, three components per path, so the
-increments of one step are contiguous for the whole batch.  Each
+``(n_steps, len(components), n_paths)`` array, so the increments of one
+step are contiguous for the whole batch.  ``components`` is a strictly
+increasing tuple from ``(0, 1, 2)``, all three by default: a system
+whose diffusion loadings are zero never reads some components, and the
+noise holds only those asked for.  Each path draws its role-0 stream
+only up to the last component asked for, ``(components[-1] + 1,
+n_steps)`` normals, the same prefix of the stream the three-component
+draw begins with, so every component held has the bytes it has in the
+full draw; an empty tuple opens no role-0 stream.  ``refine`` keeps the
+components of the system it refines.  ``run_ensemble`` learns which
+components its model reads from its empty-batch probe, on which every
+step loop records the components its coordinates read, and draws every
+batch with those.  Each
 stream's events are flat arrays tagged by path index (``n0_path``,
 ``n1_path``), in path order and then time order, so a path's noise does
 not depend on which batch it was generated in.
@@ -37,10 +48,11 @@ to empty, which yields the same bytes as ``Generator(Philox(key=[seed,
 role]))``.  ``key0`` is the first key word that construction stores,
 computed once per batch by ``_philox_keys`` for every role.  ``_normals``
 fills a buffer of ``_BLOCK`` paths with standard normals, each path's
-``(3, n_steps)`` block in one call, scales the buffer in place as ``z *
-scale + 0.0`` and copies it into the batch one component at a time,
-transposed: bit for bit what ``normal(0, scale)`` computes in C, ``0.0 +
-scale * z``, the ``+ 0.0`` turning a ``-0.0`` product into ``+0.0``.
+``(components[-1] + 1, n_steps)`` block in one call, scales the
+components kept in place as ``z * scale + 0.0`` and copies them into the
+batch one component at a time, transposed: bit for bit what ``normal(0,
+scale)`` computes in C, ``0.0 + scale * z``, the ``+ 0.0`` turning a
+``-0.0`` product into ``+0.0``.
 
 An event stream draws each path's first gap alone, so a path whose first
 gap passes ``t_max`` (most paths on a short horizon) costs one reset and
@@ -89,7 +101,7 @@ ROLE_BRIDGE_BASE = 3
 
 _BLOCK = 64          # paths per buffer in _normals, rows in _stream_events
 _BLOCK_BYTES = 1 << 20   # _stream_events' buffers: at most this, or one row
-_COMPONENTS = 3      # Brownian components of every path
+_COMPONENTS = (0, 1, 2)  # the Brownian components a system may hold
 _MAX_EVENTS = 1 << 20    # expected events per path a stream may ask for
 
 _MASK64 = (1 << 64) - 1
@@ -170,6 +182,17 @@ _FRESH = {"bit_generator": "Philox",
           "has_uint32": 0, "uinteger": 0}
 
 
+def _check_components(components) -> None:
+    """Refuse ``components`` unless it is a strictly increasing tuple of
+    ints from ``_COMPONENTS``."""
+    if not (isinstance(components, tuple)
+            and all(type(c) is int for c in components)
+            and components == tuple(sorted(set(components)))
+            and set(components) <= set(_COMPONENTS)):
+        raise ValueError(f"components must be a strictly increasing tuple "
+                         f"from {_COMPONENTS}, got {components!r}")
+
+
 def _philox_keys(seeds: np.ndarray) -> list:
     """First Philox key word of each uint64 seed, as the streams use it.
 
@@ -213,12 +236,13 @@ def steps_for(t_max: float, dt: float) -> int:
 class NoiseSystem:
     """Driving noise of a batch of paths on one uniform grid.
 
-    ``brownian[k, c, p]`` is the increment of component ``c`` (0, 1 or
-    2; construction checks the shape) of path ``p`` over step ``k`` of
-    the generated grid.  ``bridges`` holds one midpoint array per
-    refinement, each shaped like the grid it splits (the first like
-    ``brownian``, the next twice as long, ...); the increments of the
-    current grid are read with :meth:`increment`.
+    ``brownian[k, j, p]`` is the increment of component
+    ``components[j]`` of path ``p`` over step ``k`` of the generated
+    grid (construction checks ``components`` and the shape; :meth:`row`
+    gives ``j``).  ``bridges`` holds one midpoint array per refinement,
+    each shaped like the grid it splits (the first like ``brownian``,
+    the next twice as long, ...); the increments of the current grid are
+    read with :meth:`increment`.
     Event arrays of a stream are flat, tagged by ``n0_path`` or
     ``n1_path`` and sorted by path, then by time in ``(0, t_max]``; marks
     are rows ``(xi1, xi2)``.  Every array is made read-only on
@@ -239,16 +263,20 @@ class NoiseSystem:
     n1_umarks: np.ndarray
     n1_marks: np.ndarray
     bridges: tuple = ()
+    components: tuple = _COMPONENTS
     # the step loop's event tables, built once; refine starts without them
     _tables: list = field(default_factory=list, init=False, repr=False)
     # per refinement level, the last parent step read and its half
     _halves: dict = field(default_factory=dict, init=False, repr=False)
+    # the components each step loop run on this system read, one tuple each
+    _read: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        if self.brownian.ndim != 3 or self.brownian.shape[1] != _COMPONENTS:
-            raise ValueError(f"brownian must have shape (n_steps, "
-                             f"{_COMPONENTS}, n_paths), got "
-                             f"{self.brownian.shape}")
+        _check_components(self.components)
+        n = len(self.components)
+        if self.brownian.ndim != 3 or self.brownian.shape[1] != n:
+            raise ValueError(f"brownian must have shape (n_steps, {n}, "
+                             f"n_paths), got {self.brownian.shape}")
         for value in (*vars(self).values(), *self.bridges):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -272,6 +300,14 @@ class NoiseSystem:
     @property
     def grid(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
+
+    def row(self, component: int) -> int:
+        """The row of Brownian ``component`` in the increments; a
+        component the system does not hold raises, naming it."""
+        if component not in self.components:
+            raise ValueError(f"Brownian component {component} is not held "
+                             f"by this noise, which holds {self.components}")
+        return self.components.index(component)
 
     def increment(self, k: int) -> np.ndarray:
         """The ``(n_components, n_paths)`` increments of step ``k``: a
@@ -409,29 +445,36 @@ def _stream_events(keys, role, rate, t_max, measure, u_bound=None):
             *map(np.concatenate, out), marks)
 
 
-def _normals(keys, role, scale, n_steps):
-    """Time-major ``(n_steps, _COMPONENTS, n_paths)`` normal draws.
+def _normals(keys, role, scale, n_steps, components=_COMPONENTS):
+    """Time-major ``(n_steps, len(components), n_paths)`` normal draws.
 
-    Path ``p`` draws ``normal(0, scale, size=(_COMPONENTS, n_steps))``
-    from its stream of ``role`` keyed ``keys[p]``, in blocks scaled as
-    the module docstring says.
+    Path ``p`` draws ``normal(0, scale, size=(components[-1] + 1,
+    n_steps))`` from its stream of ``role`` keyed ``keys[p]``, in blocks
+    scaled as the module docstring says, and keeps the rows
+    ``components``; an empty ``components`` opens no stream.
     """
-    out = np.empty((n_steps, _COMPONENTS, len(keys)))
-    block = np.empty((min(_BLOCK, len(keys)), _COMPONENTS, n_steps))
+    out = np.empty((n_steps, len(components), len(keys)))
+    if not components:
+        return out
+    block = np.empty((min(_BLOCK, len(keys)), components[-1] + 1, n_steps))
     rows = list(block)
+    # the kept rows, scaled in one call when they are all that is drawn
+    scaled = [block] if len(components) == block.shape[1] \
+        else [block[:, c] for c in components]
     for lo in range(0, len(keys), _BLOCK):
         chunk = keys[lo:lo + _BLOCK]
         for key, row in zip(chunk, rows):
             _stream(key, role).standard_normal(out=row)
-        block *= scale      # a partial last block's spare rows are unread
-        block += 0.0
-        for c in range(_COMPONENTS):    # faster than one 3-d transpose
-            out[:, c, lo:lo + len(chunk)] = block[:len(chunk), c].T
+        for z in scaled:    # a partial last block's spare rows are unread
+            z *= scale
+            z += 0.0
+        for j, c in enumerate(components):  # faster than one 3-d transpose
+            out[:, j, lo:lo + len(chunk)] = block[:len(chunk), c].T
     return out
 
 
 def generate_noise(m, mu, t_max: float, dt: float, seed,
-                   u_bound: float) -> NoiseSystem:
+                   u_bound: float, components=_COMPONENTS) -> NoiseSystem:
     """Generate the noise of one path per seed.
 
     ``seed`` is one seed or a 1-d sequence of seeds, each in
@@ -445,7 +488,12 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
     on an empty batch to check its inputs before it checks the bound.
     Neither stream may expect more than ``_MAX_EVENTS`` events per path,
     since each path's first gap batch is sized by that expectation.
+    The system holds the Brownian ``components`` asked for, a strictly
+    increasing tuple from ``(0, 1, 2)`` (all three by default; any other
+    value is refused before anything is drawn), drawn as the prefix of
+    each path's stream that ends with the last of them.
     """
+    _check_components(components)
     n_steps = steps_for(t_max, dt)
     seeds = _as_seeds(seed)
     if len(seeds):
@@ -461,13 +509,14 @@ def generate_noise(m, mu, t_max: float, dt: float, seed,
                                  f"{t_max!r}], above {_MAX_EVENTS}")
 
     keys = _philox_keys(seeds)
-    brownian = _normals(keys, ROLE_BROWNIAN, np.sqrt(dt), n_steps)
+    brownian = _normals(keys, ROLE_BROWNIAN, np.sqrt(dt), n_steps,
+                        components)
     n0 = _stream_events(keys, ROLE_N0, m.mass(), t_max, m)
     n1 = _stream_events(keys, ROLE_N1, u_bound * mu.mass(), t_max, mu,
                         u_bound)
     # the event fields in the order of NoiseSystem's, as the streams give them
     return NoiseSystem(seeds, float(t_max), float(dt), float(u_bound),
-                       brownian, *n0, *n1)
+                       brownian, *n0, *n1, components=components)
 
 
 def refine(noise: NoiseSystem) -> NoiseSystem:
@@ -478,9 +527,10 @@ def refine(noise: NoiseSystem) -> NoiseSystem:
     Only the midpoints are stored, appended to ``bridges``; the split
     increments are built by :meth:`NoiseSystem.increment` when read, so
     component sums over the grid are preserved and no array of the fine
-    grid's size is allocated.  Event arrays are reused unchanged.
+    grid's size is allocated.  Event arrays are reused unchanged, and the
+    midpoints are drawn for the components the system holds.
     """
     mid = _normals(_philox_keys(noise.seeds),
                    ROLE_BRIDGE_BASE + noise.refinement_level,
-                   np.sqrt(noise.dt) / 2.0, noise.n_steps)
+                   np.sqrt(noise.dt) / 2.0, noise.n_steps, noise.components)
     return replace(noise, dt=noise.dt / 2.0, bridges=noise.bridges + (mid,))

@@ -42,7 +42,10 @@ A zero coefficient's term is left out when its coordinate is built, and
 a step runs the abort and clamp masks only when one reduction per array
 finds something to abort or clamp; README's step-kernel section says
 when a left-out ``c * v`` with ``c = +-0`` could differ (a sum of exactly
-``+-0``, or an overflowing ``v``).
+``+-0``, or an overflowing ``v``).  A coordinate is built on the noise
+it runs on and records the Brownian components its update reads, with
+their rows there; ``run_ensemble`` draws every batch with only the
+components its model's coordinates read on an empty probe batch.
 
 The loop can also advance several copies of one batch, each with its
 own starts and coefficients, along a NumPy broadcast axis: the reactant
@@ -69,13 +72,13 @@ reads only the first coordinate's drift, ``|beta11|``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .noise import (NoiseSystem, generate_noise, refine, steps_for,
-                    substream_seed_array)
+from .noise import (_COMPONENTS, NoiseSystem, generate_noise, refine,
+                    steps_for, substream_seed_array)
 from .params import AdmissibleParams, _check_finite, _region_mask
 
 __all__ = [
@@ -265,7 +268,9 @@ class _Coord:
     check in each step.  ``euler`` and ``comp`` return new arrays, which
     the loop may modify, and change no array they are given.  ``euler``
     leaves out the terms whose coefficient is zero, chosen when the
-    coordinate is built.
+    coordinate is built; ``rows`` maps each Brownian component it reads
+    to that component's row in the noise it was built on, where ``euler``
+    reads it.
     """
 
     name: str
@@ -277,6 +282,7 @@ class _Coord:
     m: float = 0.0
     comp: object = None
     clamp: bool = False
+    rows: dict = field(default_factory=dict)
 
 
 def _shared(s, key, fn, *args):
@@ -325,9 +331,25 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     are built once and kept on it for every model run on it.  An empty batch
     (the input checks, whose rules the simulators apply before this) returns
     outputs of the right shapes at once, with no table and no lane state.
+    A coordinate must read each Brownian component at the row ``noise``
+    holds it in, or the loop refuses it; the union of the components the
+    coordinates read is recorded on ``noise``, an empty batch's too.
+    Whenever the abort masks run with a lane dead, the dead lanes' states
+    are set to 0 (in a state the copies share, only for a path none of
+    its copies is alive on), so the later steps stay quiet unless a dead
+    lane grows back past the bound; its outputs are NaN either way.
     """
     n_paths, n_steps, dt, u_bound = noise.n_paths, noise.n_steps, \
         noise.dt, noise.u_bound
+    held = noise.components
+    for c in coords:
+        for component, row in c.rows.items():
+            if held[row:row + 1] != (component,):
+                raise ValueError(
+                    f"coordinate {c.name} reads Brownian component "
+                    f"{component} at row {row}, but the noise holds "
+                    f"components {held}")
+    noise._read.append(tuple(sorted({i for c in coords for i in c.rows})))
     shape = np.broadcast_shapes(*(np.shape(c.start) for c in coords)) \
         + (n_paths,)
     every = np.arange(n_steps + 1)
@@ -377,6 +399,9 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
                 if bad.any():
                     abort_step[bad] = k
                     alive &= ~bad
+                if not alive.all():     # new aborts, or a dead lane gone bad
+                    # the shared terms go with the old states
+                    s = {c.name: _zero_dead(s[c.name], alive) for c in coords}
 
             dB = noise.increment(k).T
             a0, e0, a1, e1 = off0[k], off0[k + 1], off1[k], off1[k + 1]
@@ -422,6 +447,14 @@ def _step_loop(noise, coords, thinning, keep=None, sup=None):
     return kept, aborted_at, clamps
 
 
+def _zero_dead(state, alive):
+    """``state`` with 0, in place, in each lane no live lane of ``alive``
+    reads: a state without the copy axes only where every copy is dead."""
+    live = alive.any(axis=tuple(range(alive.ndim - state.ndim)))
+    np.copyto(state, 0.0, where=~live)
+    return state
+
+
 # -- coordinates -----------------------------------------------------------
 
 def _xi1(xi1, xi2):
@@ -448,25 +481,38 @@ def _sqrt_two_x(s):
     return _shared(s, ("sqrt 2x",), np.sqrt, _two_x(s))
 
 
-def _mix(c1, c2):
+def _rows(noise, loadings):
+    """The row in ``noise`` of each Brownian component whose loading in
+    ``loadings`` (of ``dB_0, dB_1, dB_2``) is not zero, by component: the
+    ``rows`` of a coordinate.  A component the noise lacks raises."""
+    return {c: noise.row(c) for c, v in enumerate(loadings) if v != 0.0}
+
+
+def _mix(rows, c1, c2):
     """``dB -> c1 dB_1 + c2 dB_2`` as a new array, of the terms whose
-    coefficient is not zero; None when both are."""
+    coefficient is not zero, each component read at its row in
+    ``rows``; None when both are zero."""
     if c2 == 0.0:
-        return None if c1 == 0.0 else lambda dB: np.multiply(dB[:, 1], c1)
+        if c1 == 0.0:
+            return None
+        r1 = rows[1]
+        return lambda dB: np.multiply(dB[:, r1], c1)
+    r2 = rows[2]
     if c1 == 0.0:
-        return lambda dB: np.multiply(dB[:, 2], c2)
+        return lambda dB: np.multiply(dB[:, r2], c2)
+    r1 = rows[1]
 
     def mix(dB):
-        out = np.multiply(dB[:, 1], c1)
-        out += c2 * dB[:, 2]
+        out = np.multiply(dB[:, r1], c1)
+        out += c2 * dB[:, r2]
         return out
     return mix
 
 
-def _catalyst_noise(c1, c2):
+def _catalyst_noise(rows, c1, c2):
     """The noise term ``sqrt(2 x) (c1 dB_1 + c2 dB_2)`` driven by the
     catalyst ``x``, as a list of none or one ``term(s, dB)``."""
-    mix = _mix(c1, c2)
+    mix = _mix(rows, c1, c2)
     if mix is None:
         return []
 
@@ -477,20 +523,22 @@ def _catalyst_noise(c1, c2):
     return [term]
 
 
-def _reactant_noise(v, c0, c1, c2):
+def _reactant_noise(rows, v, c0, c1, c2):
     """The noise terms ``c0 sqrt(2 v) dB_0`` and ``sqrt(2 x v) (c1 dB_1 +
     c2 dB_2)`` of a reactant ``v(s)``, those whose coefficients are not
     all zero, as a list of ``term(s, dB)``."""
     terms = []
     if c0 != 0.0:
+        r0 = rows[0]
+
         def own(s, dB):
             out = np.multiply(v(s), 2.0)
             np.sqrt(out, out=out)
             out *= c0
-            out *= dB[:, 0]
+            out *= dB[:, r0]
             return out
         terms.append(own)
-    mix = _mix(c1, c2)
+    mix = _mix(rows, c1, c2)
     if mix is not None:
         def shared(s, dB):
             out = np.multiply(_two_x(s), v(s))
@@ -532,43 +580,53 @@ def _nonzero(c):
     return None if c == 0.0 else c
 
 
-def _catalyst(params, x0, dt):
-    """The first coordinate, one definition for every pair system so the
-    catalyst path is bitwise identical across them for shared noise."""
+def _catalyst(params, x0, noise):
+    """The first coordinate on ``noise``, one definition for every pair
+    system so the catalyst path is bitwise identical across them for
+    shared noise."""
+    dt, sigma = noise.dt, params.sigma[0]
+    rows = _rows(noise, (0.0, *sigma))
     euler = _branching_euler(dt, params.b[0], params.beta[0, 0],
-                             _catalyst_noise(*params.sigma[0]))
+                             _catalyst_noise(rows, *sigma))
     return _Coord("x", x0, euler, _catalyst_intensity, _xi1, _xi1,
                   comp=_thinning_comp(dt, params.mu.poly_moment(1, 0), _DT_X),
-                  clamp=True)
+                  clamp=True, rows=rows)
 
 
-def _linear_partner(params, name, z0, region, dt):
-    """The real second coordinate driven by the catalyst; ``region``
-    restricts which jump marks it reads ("plus" gives the one-sided limit
-    equation of the single reactant)."""
+def _linear_partner(params, name, z0, region, noise):
+    """The real second coordinate driven by the catalyst, on ``noise``;
+    ``region`` restricts which jump marks it reads ("plus" gives the
+    one-sided limit equation of the single reactant)."""
     # zk + dt (b2 + b21 xk + b22 zk) + rt2s0 dB_0 + sqrt(2 xk) (...)
+    dt = noise.dt
     b2, b21, b22 = params.b[1], params.beta[1, 0], params.beta[1, 1]
     rt2s0 = math.sqrt(2.0) * params.sigma0
+    rows = _rows(noise, (rt2s0, *params.sigma[1]))
     drift = [lambda s: np.multiply(s["x"], b21)] if b21 != 0.0 else []
     drift.append(lambda s: np.multiply(s[name], b22))
-    noise = [lambda s, dB: np.multiply(dB[:, 0], rt2s0)] \
-        if rt2s0 != 0.0 else []
+    own = []
+    if rt2s0 != 0.0:
+        r0 = rows[0]
+        own.append(lambda s, dB: np.multiply(dB[:, r0], rt2s0))
     euler = _euler(name, dt, _nonzero(b2), drift,
-                   noise + _catalyst_noise(*params.sigma[1]))
+                   own + _catalyst_noise(rows, *params.sigma[1]))
     marks = _region_marks(region)
     return _Coord(name, z0, euler, _catalyst_intensity, marks, marks,
                   m=params.m.poly_moment(0, 1, region),
                   comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, region),
-                                      _DT_X))
+                                      _DT_X), rows=rows)
 
 
-def _reactant(params, name, y0, theta, coefs, region, dt):
-    """A reactant at scale ``theta`` (one row per copy) carrying ``coefs =
-    (sigma0, sigma21, sigma22, b2, beta21)`` and the marks of one
-    quadrant: "plus" reads them as they are, "minus" sign-flipped."""
+def _reactant(params, name, y0, theta, coefs, region, noise):
+    """A reactant at scale ``theta`` (one row per copy) on ``noise``,
+    carrying ``coefs = (sigma0, sigma21, sigma22, b2, beta21)`` and the
+    marks of one quadrant: "plus" reads them as they are, "minus"
+    sign-flipped."""
     # yk + dt (-theta b22 + bb21 xk ty + bb2 ty + b22 yk)
     #    + sg0 sqrt(2 ty) dB_0 + sqrt(2 xk ty) (...),  ty = yk / theta
+    dt = noise.dt
     sg0, sg21, sg22, bb2, bb21 = coefs
+    rows = _rows(noise, (sg0, sg21, sg22))
     b22 = params.beta[1, 1]
     sign = 1.0 if region == "plus" else -1.0
     m_c = sign * params.m.poly_moment(0, 1, region)
@@ -588,10 +646,10 @@ def _reactant(params, name, y0, theta, coefs, region, dt):
         drift.append(lambda s: np.multiply(ratio(s), bb2))
     drift.append(lambda s: np.multiply(s[name], b22))
     euler = _euler(name, dt, -theta * b22, drift,
-                   _reactant_noise(ratio, sg0, sg21, sg22))
+                   _reactant_noise(rows, ratio, sg0, sg21, sg22))
     marks = _region_marks(region)
     return _Coord(name, y0, euler, intensity, marks, marks, m=m_c,
-                  comp=_thinning_comp(dt, mu_c), clamp=True)
+                  comp=_thinning_comp(dt, mu_c), clamp=True, rows=rows)
 
 
 # -- simulators ------------------------------------------------------------
@@ -619,8 +677,9 @@ def simulate_cbi(params: AdmissibleParams, x0: float, theta0: float,
     b, beta = params.b[0], params.beta[0, 0]
     _stability_guard(dt, beta, "|beta11|")
     mu_x1 = params.mu.poly_moment(1, 0)
-
-    euler = _branching_euler(dt, b, beta, _catalyst_noise(*params.sigma[0]))
+    rows = _rows(noise, (0.0, *params.sigma[0]))
+    euler = _branching_euler(dt, b, beta,
+                             _catalyst_noise(rows, *params.sigma[0]))
 
     def comp(s, k, lam):
         # Product order dt*l*x*theta1*mu, not dt*(l*x)*...: the two round
@@ -630,7 +689,7 @@ def simulate_cbi(params: AdmissibleParams, x0: float, theta0: float,
     x = _Coord("x", x0, euler, lambda s, k: l * s["x"],
                lambda xi1, xi2: theta0 * xi1,
                lambda xi1, xi2: theta1 * xi1,
-               comp=comp if mu_x1 != 0.0 else None, clamp=True)
+               comp=comp if mu_x1 != 0.0 else None, clamp=True, rows=rows)
     return _step_loop(noise, [x], not params.mu.is_empty, keep)
 
 
@@ -644,8 +703,8 @@ def simulate_affine(params: AdmissibleParams, x0: float, z0: float,
     """
     x0, z0 = _check_init("x0", x0), _check_finite("z0", z0)
     _check_dt(noise.dt, params)
-    coords = [_catalyst(params, x0, noise.dt),
-              _linear_partner(params, "z", z0, z_region, noise.dt)]
+    coords = [_catalyst(params, x0, noise),
+              _linear_partner(params, "z", z0, z_region, noise)]
     return _step_loop(noise, coords, not params.mu.is_empty, keep)
 
 
@@ -666,15 +725,16 @@ def simulate_catalytic(params: AdmissibleParams, x0: float, y0: float,
     drift = [lambda s: np.multiply(np.multiply(s["x"], b21), s["y"])] \
         if b21 != 0.0 else []
     drift.append(lambda s: np.multiply(s["y"], b22))
+    rows = _rows(noise, (params.sigma0, *params.sigma[1]))
     euler = _euler("y", dt, _nonzero(b2), drift,
-                   _reactant_noise(lambda s: s["y"], params.sigma0,
+                   _reactant_noise(rows, lambda s: s["y"], params.sigma0,
                                    *params.sigma[1]))
     plus = _region_marks("plus")
     # Immigration marks in the positive quadrant, uncompensated.
     y = _Coord("y", y0, euler, lambda s, k: l * s["x"] * s["y"], plus, plus,
                comp=_thinning_comp(dt, params.mu.poly_moment(0, 1, "plus")),
-               clamp=True)
-    return _step_loop(noise, [_catalyst(params, x0, dt), y],
+               clamp=True, rows=rows)
+    return _step_loop(noise, [_catalyst(params, x0, noise), y],
                       not params.mu.is_empty, keep)
 
 
@@ -733,18 +793,18 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
     _check_dt(dt, params)
 
     scales = np.array(rungs, dtype=float)[:, None]  # one row per rung
-    coords = [_catalyst(params, x0, dt)]
+    coords = [_catalyst(params, x0, noise)]
     if pair:
         split = ParameterSplit.from_params(params) if split is None else split
         split.check_against(params)
         coords.append(_reactant(params, "y_plus", yp0, scales,
-                                split._part("pos"), "plus", dt))
+                                split._part("pos"), "plus", noise))
         coords.append(_reactant(params, "y_minus", ym0, scales,
-                                split._part("neg"), "minus", dt))
+                                split._part("neg"), "minus", noise))
     else:
         coords.append(_reactant(params, "y", yp0, scales,
                                 tuple(read(params) for _, read in _SPLIT),
-                                "plus", dt))
+                                "plus", noise))
 
     def centered(s, theta):
         return s["y_plus"] - s["y_minus"] if pair else s["y"] - theta
@@ -753,7 +813,7 @@ def simulate_reactant_pair(params: AdmissibleParams, theta, x0: float,
     if with_limit:
         coords.append(_linear_partner(params, "z_lim",
                                       _check_finite("z0", z0),
-                                      "all" if pair else "plus", dt))
+                                      "all" if pair else "plus", noise))
         def gap(s):
             d = centered(s, scales)
             return np.abs(np.subtract(d, s["z_lim"], out=d), out=d)
@@ -790,7 +850,9 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     so a result is the same as if it were retried alone.  A path still
     aborted afterwards raises ``ThinningBoundError``.  The model first
     runs on an empty batch, so its input rules are checked before
-    ``u_bound`` is and before any path's noise is drawn.
+    ``u_bound`` is and before any path's noise is drawn; the Brownian
+    components its step loops read there are the only ones every batch
+    draws and holds (all three if it runs no step loop).
 
     With ``n_fine > 0`` the result is a pair ``(plain, coupled)``:
     ``coupled`` holds the first ``n_fine`` paths at ``dt`` and, on their
@@ -808,8 +870,14 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     keep = np.arange(steps_for(t_max, dt) + 1)
     if keep_idx is not None:
         keep = keep[keep_idx]
-    several = isinstance(model(generate_noise(m, mu, t_max, dt, [], u_bound),
-                               keep), list)
+    probe = generate_noise(m, mu, t_max, dt, [], u_bound)
+    several = isinstance(model(probe, keep), list)
+    # the components the model's step loops read, all if it ran none
+    read = probe._read
+    components = tuple(sorted(set().union(*read))) if read else _COMPONENTS
+
+    def draw(batch, bound):
+        return generate_noise(m, mu, t_max, dt, batch, bound, components)
 
     def results(noise, at=keep):
         out = model(noise, at)
@@ -837,8 +905,7 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
             tries += 1
             bound *= 2.0
             redo_rows = union(retry)
-            redo = level(generate_noise(m, mu, t_max, dt, rows[redo_rows],
-                                        bound))
+            redo = level(draw(rows[redo_rows], bound))
             for j, (comps, aborted, clamps) in enumerate(first):
                 comps_r, aborted_r, clamps_r = redo[j]
                 own = np.searchsorted(redo_rows, retry[j])  # rows in redo
@@ -860,7 +927,7 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
     plain_parts, coupled_parts = [], []
     for lo in range(0, n_paths, CHUNK):
         rows, head = seeds[lo:lo + CHUNK], seeds[lo:min(lo + CHUNK, n_fine)]
-        first = results(generate_noise(m, mu, t_max, dt, rows, u_bound))
+        first = results(draw(rows, u_bound))
         # copied before the plain retry rounds overwrite these rows
         coarse = [({n: a[:len(head)].copy() for n, a in comps.items()},
                    aborted[:len(head)].copy(), clamps[:len(head)].copy())
@@ -868,8 +935,7 @@ def run_ensemble(model, *, m, mu, n_paths, master_seed, t_max, dt,
         plain_parts.append(settle(results, rows, first))
         if len(head):
             coupled_parts.append(settle(coupled, head, coupled(
-                generate_noise(m, mu, t_max, dt, head, u_bound),
-                coarse)))
+                draw(head, u_bound), coarse)))
 
     def stack(parts, n):
         ensembles = [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -77,12 +78,73 @@ def test_grid_and_shapes():
 
 @pytest.mark.parametrize("shape", [(4, 2, 1), (4, 4, 1), (4, 3)])
 def test_brownian_carries_three_components(shape):
-    """Every system reads components 0-2, so a system holds exactly
-    three, also after ``dataclasses.replace``."""
+    """A system holds one row per component of ``components``, exactly
+    three by default, also after ``dataclasses.replace``."""
     ns = make(dt=0.5)
     with pytest.raises(ValueError, match=r"^brownian must have shape "
                                          r"\(n_steps, 3, n_paths\)"):
         dataclasses.replace(ns, brownian=np.zeros(shape))
+
+
+SUBSETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+@pytest.mark.parametrize("components", SUBSETS, ids=str)
+def test_components_hold_rows_of_the_full_draw(monkeypatch, components):
+    """Noise asked for some components holds, as
+    ``(n_steps, len(components), n_paths)``, the rows those components
+    have in the full draw, and so does each refinement; the events are
+    the same, and no stream beyond the last component is drawn: an empty
+    tuple opens no Brownian or bridge stream."""
+    seeds = list(range(2 * noise_module._BLOCK + 3))   # a partial block
+    full = [make(seed=seeds)]
+    full += [refine(full[-1])]
+    roles, stream = [], noise_module._stream
+
+    def spy(key0, role):
+        roles.append(role)
+        return stream(key0, role)
+    monkeypatch.setattr(noise_module, "_stream", spy)
+    lean = generate_noise(ATOMIC, ATOMIC, 2.0, 0.25, seeds, 4.0, components)
+    assert lean.components == components
+    assert lean.brownian.shape == (8, len(components), len(seeds))
+    assert [lean.row(c) for c in components] == list(range(len(components)))
+    for c in set(range(3)) - set(components):
+        with pytest.raises(ValueError, match=f"^Brownian component {c} is "
+                                             f"not held by this noise"):
+            lean.row(c)
+    for name in ("n0_path", "n0_times", "n0_marks", "n1_path", "n1_times",
+                 "n1_umarks", "n1_marks"):
+        assert same_bits(getattr(lean, name), getattr(full[0], name)), name
+    lean = [lean, refine(lean)]
+    assert lean[1].components == components
+    for got, want in zip(lean, full):
+        assert same_bits(got.brownian, want.brownian[:, list(components)])
+        for mid, full_mid in zip(got.bridges, want.bridges):
+            assert same_bits(mid, full_mid[:, list(components)])
+    if not components:
+        assert set(roles) == {noise_module.ROLE_N0, noise_module.ROLE_N1}
+
+
+@pytest.mark.parametrize("value", [[0, 1], (1, 0), (1, 1), (3,), (-1,),
+                                   (0, 1, 2, 3), (True,), (1.0,), 1, None,
+                                   "01"], ids=repr)
+def test_components_refused_before_drawing(monkeypatch, value):
+    """``components`` other than a strictly increasing tuple of ints from
+    ``(0, 1, 2)`` is refused, naming the value, before anything is
+    drawn; a system built with it directly is refused too."""
+    def draw(*args):
+        raise AssertionError("noise was drawn")
+
+    ns = make(dt=0.5)
+    monkeypatch.setattr(noise_module, "_normals", draw)
+    monkeypatch.setattr(noise_module, "_philox_keys", draw)
+    message = (r"^components must be a strictly increasing tuple from "
+               r"\(0, 1, 2\), got " + re.escape(repr(value)) + "$")
+    with pytest.raises(ValueError, match=message):
+        generate_noise(ATOMIC, ATOMIC, 2.0, 0.5, 7, 4.0, value)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(ns, components=value)
 
 
 def test_batch_shapes():

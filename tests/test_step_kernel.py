@@ -8,6 +8,11 @@ refined increments, so each simulator must equal it bit for bit: the
 kernel may reorder no floating-point operation.  The kernel also leaves
 out every term whose coefficient is zero, while the reference keeps it,
 so the inputs include signed-zero coefficients next to nonzero ones.
+
+A system reads only the Brownian components its nonzero loadings touch,
+and every run on noise holding only those must equal its run on noise
+holding all three bit for bit, since the components held carry the
+bytes of the full draw.
 """
 
 from dataclasses import replace
@@ -16,12 +21,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from affine_lab import noise as noise_module
 from affine_lab import sde
 from affine_lab.noise import generate_noise, refine, substream_seed_array
 from affine_lab.params import FiniteAtomicMeasure, validate_admissible
 from affine_lab.presets import (cir_params, jump_affine_params,
                                 symmetric_split_params)
-from affine_lab.sde import (ParameterSplit, simulate_affine,
+from affine_lab.sde import (ParameterSplit, run_ensemble, simulate_affine,
                             simulate_catalytic, simulate_cbi,
                             simulate_reactant_pair)
 
@@ -303,41 +309,68 @@ def assert_bitwise(got, want, label):
     assert np.array_equal(got[2], want[2]), label
 
 
-def make_noise(p, level, u_bound=16.0, n=24, t_max=0.5, dt=0.0125):
+ALL = (0, 1, 2)
+
+
+def make_noise(p, level, u_bound=16.0, n=24, t_max=0.5, dt=0.0125,
+               components=ALL):
     noise = generate_noise(p.m, p.mu, t_max, dt,
-                           substream_seed_array(5, np.arange(n)), u_bound)
+                           substream_seed_array(5, np.arange(n)), u_bound,
+                           components)
     for _ in range(level):
         noise = refine(noise)
     return noise
 
 
-def all_runs(p, start, noise, split=None, y0=None):
-    """Every simulator on ``noise`` from ``start``, each with its
-    reference: ``(label, got, want)`` triples, a ladder one per rung.
-    ``split`` is the pair ladder's (None: the canonical one); ``y0``
-    (default ``start``) starts the catalytic reactant and the first
-    rung's ``y`` and ``y_plus``."""
+def simulators(p, start, split=None, y0=None):
+    """Every simulator from ``start`` as ``(label, run)``, where
+    ``run(noise, keep=None)`` gives a list of triples (a ladder's one per
+    rung).  ``split`` is the pair ladder's (None: the canonical one);
+    ``y0`` (default ``start``) starts the catalytic reactant and the
+    first rung's ``y`` and ``y_plus``."""
     y0 = start if y0 is None else y0
-    runs = [("cbi", simulate_cbi(p, start, 1.5, 0.75, 1.25, noise),
-             ref_cbi(p, start, 1.5, 0.75, 1.25, noise))]
-    for region in ("all", "plus"):
-        got = simulate_affine(p, start, start, noise, z_region=region)
-        runs.append((f"affine-{region}", got,
-                     ref_affine(p, start, start, noise, region)))
-    got = simulate_catalytic(p, start, y0, 0.8, noise)
-    runs.append(("catalytic", got, ref_catalytic(p, start, y0, 0.8,
-                                                  noise)))
     starts = [start] * len(LADDER)
     firsts = [y0] + starts[1:]
-    for mode in ("single", "pair"):
-        cut = split if mode == "pair" else None
-        got = simulate_reactant_pair(p, LADDER, start, firsts, starts, noise,
-                                     mode, split=cut, with_limit=True,
-                                     z0=start)
-        want = ref_ladder(p, LADDER, start, firsts, starts, start, noise,
-                          mode, cut)
-        runs += [(f"{mode}-rung{r}", g, w)
-                 for r, (g, w) in enumerate(zip(got, want))]
+
+    def ladder(mode):
+        return lambda noise, keep=None: simulate_reactant_pair(
+            p, LADDER, start, firsts, starts, noise, mode,
+            split=split if mode == "pair" else None, with_limit=True,
+            z0=start, keep=keep)
+    return [
+        ("cbi", lambda noise, keep=None: [
+            simulate_cbi(p, start, 1.5, 0.75, 1.25, noise, keep)]),
+        ("affine-all", lambda noise, keep=None: [
+            simulate_affine(p, start, start, noise, keep=keep)]),
+        ("affine-plus", lambda noise, keep=None: [
+            simulate_affine(p, start, start, noise, "plus", keep)]),
+        ("catalytic", lambda noise, keep=None: [
+            simulate_catalytic(p, start, y0, 0.8, noise, keep)]),
+        ("single", ladder("single")),
+        ("pair", ladder("pair"))]
+
+
+def all_runs(p, start, noise, split=None, y0=None):
+    """Every simulator of :func:`simulators` on ``noise``, each with its
+    reference: ``(label, got, want)`` triples, a ladder one per rung."""
+    y0 = start if y0 is None else y0
+    starts = [start] * len(LADDER)
+    firsts = [y0] + starts[1:]
+    wants = {"cbi": [ref_cbi(p, start, 1.5, 0.75, 1.25, noise)],
+             "affine-all": [ref_affine(p, start, start, noise, "all")],
+             "affine-plus": [ref_affine(p, start, start, noise, "plus")],
+             "catalytic": [ref_catalytic(p, start, y0, 0.8, noise)]}
+    for mode, cut in (("single", None), ("pair", split)):
+        wants[mode] = ref_ladder(p, LADDER, start, firsts, starts, start,
+                                 noise, mode, cut)
+    runs = []
+    for label, run in simulators(p, start, split, y0):
+        got = run(noise)
+        if label in ("single", "pair"):
+            runs += [(f"{label}-rung{r}", g, w)
+                     for r, (g, w) in enumerate(zip(got, wants[label]))]
+        else:
+            runs.append((label, got[0], wants[label][0]))
     return runs
 
 
@@ -452,3 +485,170 @@ def test_run_writes_no_noise_and_repeats(monkeypatch):
     for (label, got, _), (_, again, _) in zip(first,
                                               all_runs(p, 0.5, noise)):
         assert_bitwise(again, got, label)
+
+
+# -- noise holding only the components a system reads ----------------------
+
+def read_by(run, p):
+    """The components ``run`` reads, as its step loops record them on an
+    empty batch."""
+    probe = generate_noise(p.m, p.mu, 0.5, 0.0125, [], 16.0)
+    run(probe)
+    return tuple(sorted(set().union(*probe._read)))
+
+
+# the components each CASES entry's simulators read (lower-triangular
+# sigma: the catalyst never reads dB_2; a = 0: nothing reads dB_0)
+READS = {"jump_affine": {(1,), ALL}, "cir": {(1,)},
+         "symmetric_split": {(1,)}, "a=+0": {(1,), (1, 2)},
+         "a=-0": {(1,), (1, 2)}, "user-split": {(1,), (1, 2)}}
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("preset", sorted(CASES))
+def test_runs_on_read_components_equal_full_noise(preset, level):
+    """Every simulator on noise holding only the components it reads
+    equals its run on noise holding all three, bit for bit, on the
+    generated grid and a refined one."""
+    params, split = CASES[preset]
+    p = params()
+    full, reads = make_noise(p, level), set()
+    for label, run in simulators(p, 1.0, split and split(p)):
+        components = read_by(run, p)
+        reads.add(components)
+        lean = make_noise(p, level, components=components)
+        assert lean.brownian.shape[1] == len(components)
+        for r, (got, want) in enumerate(zip(run(lean), run(full))):
+            assert_bitwise(got, want, f"{label}-{r}")
+    assert reads == READS[preset]
+
+
+def one_model(p, split=None):
+    """Every simulator of ``p`` as one ``run_ensemble`` model, and its
+    arguments: a bound low enough to retry paths, and a coupled
+    control."""
+    runs = simulators(p, 1.0, split)
+
+    def model(noise, keep):
+        return [triple for _, run in runs for triple in run(noise, keep)]
+    return model, dict(m=p.m, mu=p.mu, n_paths=40, master_seed=5,
+                       t_max=0.5, dt=0.0125, u_bound=1.6, n_fine=8)
+
+
+def lean_run(monkeypatch, model, kw):
+    """The ensembles of ``model`` from the noise ``run_ensemble`` draws,
+    and the components each of its nonempty batches held."""
+    held = []
+
+    def spy(*args):
+        noise = generate_noise(*args)
+        if noise.n_paths:
+            held.append(noise.components)
+        return noise
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    return run_ensemble(model, **kw), held
+
+
+def full_run(monkeypatch, model, kw):
+    """The ensembles of ``model`` from noise holding all three
+    components."""
+    monkeypatch.setattr(sde, "generate_noise",
+                        lambda *args: generate_noise(*args[:6]))
+    return run_ensemble(model, **kw)
+
+
+def assert_same_ensembles(got, want):
+    for level, (gots, wants) in enumerate(zip(got, want)):
+        for r, (g, w) in enumerate(zip(gots, wants)):
+            assert (g.n_retried, g.n_clamped) == (w.n_retried, w.n_clamped)
+            assert list(g.components) == list(w.components)
+            for name, arr in w.components.items():
+                assert np.array_equal(bits(g.components[name]), bits(arr)), \
+                    (level, r, name)
+
+
+@pytest.mark.parametrize("preset", sorted(CASES))
+def test_ensemble_retries_on_read_components_equal_full_noise(monkeypatch,
+                                                              preset):
+    """``run_ensemble`` draws every chunk, retry round and control batch
+    with the components its model read on the empty probe, and its
+    ensembles equal those drawn with all three bit for bit."""
+    params, split = CASES[preset]
+    p = params()
+    model, kw = one_model(p, split and split(p))
+    lean, held = lean_run(monkeypatch, model, kw)
+    assert set(held) == {tuple(sorted(set().union(*READS[preset])))}
+    retried = sum(ens.n_retried for ens in lean[0])
+    assert len(held) > 2 if retried else len(held) == 2
+    assert retried or p.mu.is_empty
+    assert_same_ensembles(lean, full_run(monkeypatch, model, kw))
+
+
+def test_zero_loadings_draw_no_brownian_stream(monkeypatch):
+    """A parameter set whose diffusion loadings are all zero reads no
+    component: ``run_ensemble`` opens no role-0 stream and no bridge
+    stream, and its ensembles equal those of full noise."""
+    q = jump_affine_params()
+    p = validate_admissible(0.0, np.zeros((2, 2)), q.b, q.beta, q.m, q.mu)
+    roles, stream = [], noise_module._stream
+
+    def spy(key0, role):
+        roles.append(role)
+        return stream(key0, role)
+    monkeypatch.setattr(noise_module, "_stream", spy)
+    model, kw = one_model(p)
+    lean, held = lean_run(monkeypatch, model, kw)
+    assert set(held) == {()} and len(held) > 2        # retry rounds too
+    assert set(roles) == {noise_module.ROLE_N0, noise_module.ROLE_N1}
+    roles.clear()
+    assert_same_ensembles(lean, full_run(monkeypatch, model, kw))
+    assert noise_module.ROLE_BROWNIAN in roles
+
+
+@pytest.mark.parametrize("components, missing",
+                         [((1, 2), 0), ((0, 2), 1), ((0, 1), 2)])
+def test_coordinate_refuses_noise_without_its_components(components,
+                                                         missing):
+    """Building a coordinate on noise that lacks a component it reads
+    raises, naming the component; the step loop refuses a coordinate
+    whose component sits at another row of its noise, so no run reads
+    another component's row."""
+    p = jump_affine_params()
+    lean = make_noise(p, 0, components=components)
+    with pytest.raises(ValueError, match=f"^Brownian component {missing} "
+                                         f"is not held by this noise"):
+        simulate_affine(p, 1.0, 0.0, lean)
+    x = sde._catalyst(p, 1.0, make_noise(p, 0))
+    assert x.rows == {1: 1}
+    if components == (0, 1):       # dB_1 is at row 1 here too
+        assert_bitwise(sde._step_loop(lean, [x], True),
+                       sde._step_loop(make_noise(p, 0), [x], True), "x")
+    else:
+        with pytest.raises(ValueError, match=r"^coordinate x reads Brownian "
+                                             r"component 1 at row 1"):
+            sde._step_loop(lean, [x], True)
+
+
+def test_dead_lanes_keep_later_steps_quiet(monkeypatch):
+    """The limit-ladder config at ``u_bound = 3`` (seed 1) aborts lanes;
+    their states are set to 0, so the abort masks run only on the steps
+    where a live lane goes bad, and the outputs still equal the
+    reference bit for bit."""
+    p = symmetric_split_params()
+    ladder = [4.0, 16.0, 64.0, 256.0]
+    noise = generate_noise(p.m, p.mu, 1.0, 2.0 ** -8,
+                           substream_seed_array(1, np.arange(1000)), 3.0)
+    masks = []
+
+    def counted(*args):
+        masks.append(1)
+        return reduce(*args)
+    monkeypatch.setattr(sde, "reduce", counted)
+    got = simulate_reactant_pair(p, ladder, 1.0, ladder, ladder, noise,
+                                 "pair", with_limit=True, z0=0.0)
+    aborted_at = np.concatenate([at for _, at, _ in got])
+    bad_steps = np.unique(aborted_at[~np.isnan(aborted_at)])
+    assert len(bad_steps) > 100 and len(masks) == len(bad_steps)
+    want = ref_ladder(p, ladder, 1.0, ladder, ladder, 0.0, noise, "pair")
+    for r, (g, w) in enumerate(zip(got, want)):
+        assert_bitwise(g, w, f"rung{r}")

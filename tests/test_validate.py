@@ -440,10 +440,10 @@ def test_validate_draws_generator_noise_once(monkeypatch, tmp_path):
     modes, all paths and then the coupled ones, and refines it once."""
     draws, refined = [], []
 
-    def spy(m, mu, t_max, dt, seed, u_bound):
+    def spy(m, mu, t_max, dt, seed, u_bound, components=(0, 1, 2)):
         if len(seed):
             draws.append(len(seed))
-        return generate_noise(m, mu, t_max, dt, seed, u_bound)
+        return generate_noise(m, mu, t_max, dt, seed, u_bound, components)
 
     def refine_spy(noise):
         if noise.n_paths:
@@ -802,16 +802,54 @@ def _draws_by_chunk(draws, u_bound):
     return chunks
 
 
+PROBES = {
+    "symmetric_split-ladder": (lambda: fluctuation_experiment(
+        symmetric_split_params(), [4.0, 16.0], n_paths=8, master_seed=1,
+        dt=2.0 ** -4), (1,)),
+    "jump_affine-pair": (lambda: check_affine_formula(
+        jump_affine_params(), 1.0, 0.0, [0.25], [(-1.0, 0.0)], n_paths=8,
+        master_seed=3, dt=2.0 ** -4, u_bound=16.0), (0, 1, 2)),
+    "jump_affine-generators": (lambda: check_generators(
+        jump_affine_params(), {"affine": (1.0, 0.5), "cbi": 1.0,
+                               "catalytic": (1.0, 0.5)},
+        n_paths=8, master_seed=2, u_bound=16.0), (0, 1, 2)),
+    "jump_affine-cbi": (lambda: check_generators(
+        jump_affine_params(), {"cbi": 1.0}, n_paths=8, master_seed=2,
+        u_bound=16.0), (1,)),
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_probe_reads_the_components_of_the_model(monkeypatch, name):
+    """``run_ensemble`` draws every batch with the Brownian components its
+    model's step loops read on the empty probe: only ``dB_1`` for the
+    ``symmetric_split`` ladder, whose only nonzero loading is the
+    catalyst's, and all three for ``jump_affine``'s pair and its grouped
+    generator modes (the catalyst reads ``dB_1``, the partner all three),
+    while its scalar equation alone reads ``dB_1``."""
+    check, want = PROBES[name]
+    held = []
+
+    def spy(*args):
+        noise = generate_noise(*args)
+        if noise.n_paths:
+            held.append(noise.components)
+        return noise
+    monkeypatch.setattr(sde, "generate_noise", spy)
+    check()
+    assert held and set(held) == {want}
+
+
 def test_fluctuation_retry_round_draws_noise_once(monkeypatch):
     """Each retry round draws noise once, for the union of the paths the
     rungs aborted; every rung keeps its own retries."""
     monkeypatch.setattr(sde, "CHUNK", 64)
     draws = []
 
-    def spy(m, mu, t_max, dt, seed, u_bound):
+    def spy(m, mu, t_max, dt, seed, u_bound, components=(0, 1, 2)):
         if len(seed):
             draws.append((tuple(np.asarray(seed).tolist()), u_bound))
-        return generate_noise(m, mu, t_max, dt, seed, u_bound)
+        return generate_noise(m, mu, t_max, dt, seed, u_bound, components)
     monkeypatch.setattr(sde, "generate_noise", spy)
     ensembles = []
 
